@@ -39,6 +39,7 @@ mod blocking;
 mod cluster;
 mod config;
 mod group_sim;
+mod idhash;
 mod linker;
 mod mem;
 mod pairscore;
@@ -59,6 +60,7 @@ pub use config::{
     LinkageConfig, Parallelism, RemainderConfig, ScoringKernel, DEFAULT_PARALLEL_CUTOFF,
 };
 pub use group_sim::{score_subgraph, GroupScore, SelectionWeights};
+pub use idhash::{IdHasher, IdMap};
 pub use linker::Linker;
 pub use mem::MemGovernor;
 pub use pairscore::PairScoreCache;

@@ -6,12 +6,17 @@
 //! lets each [`Linker::run`] reuse them.
 
 use crate::config::{LinkageConfig, Parallelism};
+use crate::group_sim::score_subgraph;
+use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
 use crate::pairscore::PairScoreCache;
 use crate::prematch::{build_prematch, prematch_with_profiles, PreMatch};
 use crate::profiles::ProfileCache;
 use crate::remainder::match_remaining_cached;
-use crate::selection::{select_and_extract, RejectReason, ScoredSubgroup, SelectionOutcome};
+use crate::selection::{
+    below_floor, consideration_order, select_and_extract, RejectReason, ScoredSubgroup,
+    SelectionOutcome,
+};
 use crate::{IterationStats, LinkPhase, LinkageResult};
 use census_model::{
     CensusDataset, GroupMapping, HouseholdId, PersonRecord, RecordId, RecordMapping,
@@ -35,7 +40,7 @@ use std::time::Instant;
 /// grows or how its iteration order shifts.
 #[derive(Debug, Default)]
 pub(crate) struct AnchorInjector {
-    labels: HashMap<(RecordId, RecordId), u64>,
+    labels: IdMap<(RecordId, RecordId), u64>,
 }
 
 impl AnchorInjector {
@@ -119,7 +124,7 @@ struct LabelViews {
 
 impl LabelViews {
     fn build(pm: &crate::PreMatch, old_span: Option<usize>, new_span: Option<usize>) -> Self {
-        fn view(labels: &HashMap<RecordId, u64>, span: Option<usize>) -> Option<Vec<u64>> {
+        fn view(labels: &IdMap<RecordId, u64>, span: Option<usize>) -> Option<Vec<u64>> {
             let mut v = vec![u64::MAX; span?];
             for (r, l) in labels {
                 *v.get_mut(r.raw() as usize)? = *l;
@@ -155,17 +160,52 @@ impl LabelViews {
     }
 }
 
+/// A candidate whose `g_sim` fell below `min_g_sim`: never materialised
+/// as a [`ScoredSubgroup`], only kept (when auditing) for its
+/// `below_min_g_sim` rejection.
+#[derive(Debug, Clone, Copy)]
+struct BelowFloor {
+    old: HouseholdId,
+    new: HouseholdId,
+    g_sim: f64,
+    subgraph_size: usize,
+}
+
+/// The scored candidates of one δ iteration.
+#[derive(Default)]
+struct ScoredCandidates {
+    /// Candidates selection can accept, in candidate-list order.
+    kept: Vec<ScoredSubgroup>,
+    /// When auditing, the below-floor candidates in consideration order.
+    below_floor: Vec<BelowFloor>,
+    /// Non-empty subgraphs scored, kept or not.
+    non_empty: usize,
+    /// Vertex counts of those subgraphs (recorded only when tracing).
+    sizes: Histogram,
+}
+
+impl ScoredCandidates {
+    fn append(&mut self, mut other: Self) {
+        self.kept.append(&mut other.kept);
+        self.below_floor.append(&mut other.below_floor);
+        self.non_empty += other.non_empty;
+        self.sizes.merge(&other.sizes);
+    }
+}
+
 /// Emit the decision provenance of one selection round: a
 /// [`GroupDecision`] per winner (with its record links and the top-k
-/// candidates it beat) and a standalone [`RejectedCandidate`] per loser.
+/// candidates it beat) and a standalone [`RejectedCandidate`] per loser,
+/// the below-floor losers last.
 fn emit_group_decisions(
     config: &LinkageConfig,
     delta: f64,
     iteration: usize,
-    candidates: &[ScoredSubgroup],
+    scored: &ScoredCandidates,
     outcome: &SelectionOutcome,
     obs: &Collector,
 ) {
+    let candidates = &scored.kept;
     let top_k = obs.decision_top_k();
     // conflict losers, grouped under the winner that blocked them
     let mut losers_of: HashMap<usize, Vec<LosingCandidate>> = HashMap::new();
@@ -238,6 +278,18 @@ fn emit_group_decisions(
             winner,
         }));
     }
+    for b in &scored.below_floor {
+        obs.decide(DecisionRecord::Rejected(RejectedCandidate {
+            iteration,
+            delta,
+            old_group: b.old.raw(),
+            new_group: b.new.raw(),
+            g_sim: b.g_sim,
+            subgraph_size: b.subgraph_size,
+            reason: RejectionReason::BelowMinGSim,
+            winner: None,
+        }));
+    }
 }
 
 impl<'a> Linker<'a> {
@@ -301,6 +353,13 @@ impl<'a> Linker<'a> {
     /// in parallel across worker threads. Order of the result follows
     /// the (sorted) input order, so runs stay deterministic.
     ///
+    /// Each subgraph is matched into a reused scratch buffer and scored
+    /// there; only a candidate that clears `min_g_sim` is cloned into a
+    /// [`ScoredSubgroup`]. Selection skips a below-floor candidate
+    /// without claiming a record, so leaving it out changes no
+    /// acceptance and no tie-break among the rest. With `audit` set, a
+    /// [`BelowFloor`] record keeps what its rejection reports.
+    ///
     /// `labels` carries dense label views of `pm` (see [`LabelViews`]) so
     /// the per-candidate hot loop probes arrays instead of hashing
     /// record ids; lookups through the views agree exactly with `pm`'s
@@ -315,26 +374,49 @@ impl<'a> Linker<'a> {
         par: Parallelism,
         delta: f64,
         iteration: usize,
+        audit: bool,
         obs: &Collector,
-    ) -> Vec<ScoredSubgroup> {
-        let score_one = |&((go, gn), (gi_o, gi_n)): &GroupCandidate,
-                         scratch: &mut SubgraphScratch|
-         -> Option<ScoredSubgroup> {
-            let g_old = &self.old_graphs[gi_o as usize];
-            let g_new = &self.new_graphs[gi_n as usize];
-            let sub = match_subgraph_with(
-                g_old,
-                g_new,
-                |r| labels.old_label(pm, r),
-                |r| labels.new_label(pm, r),
-                |o, n| pm.pair_sims.contains_key(&(o, n)),
-                &config.subgraph,
-                scratch,
-            );
-            if sub.is_empty() {
-                return None;
+    ) -> ScoredCandidates {
+        let traced = obs.is_enabled();
+        let score_chunk = |chunk: &[GroupCandidate], scratch: &mut SubgraphScratch| {
+            let mut out = ScoredCandidates::default();
+            for &((old, new), (gi_o, gi_n)) in chunk {
+                let sub = match_subgraph_with(
+                    &self.old_graphs[gi_o as usize],
+                    &self.new_graphs[gi_n as usize],
+                    |r| labels.old_label(pm, r),
+                    |r| labels.new_label(pm, r),
+                    |o, n| pm.pair_sims.contains_key(&(o, n)),
+                    &config.subgraph,
+                    scratch,
+                );
+                if sub.is_empty() {
+                    continue;
+                }
+                out.non_empty += 1;
+                if traced {
+                    out.sizes.record(sub.vertices.len() as u64);
+                }
+                let score = score_subgraph(sub, pm, delta);
+                let g_sim = config.weights.g_sim(&score);
+                if !below_floor(g_sim, config.min_g_sim) {
+                    out.kept.push(ScoredSubgroup {
+                        old,
+                        new,
+                        sub: sub.clone(),
+                        score,
+                        g_sim,
+                    });
+                } else if audit {
+                    out.below_floor.push(BelowFloor {
+                        old,
+                        new,
+                        g_sim,
+                        subgraph_size: sub.vertices.len(),
+                    });
+                }
             }
-            Some(ScoredSubgroup::new(go, gn, sub, pm, config.weights, delta))
+            out
         };
         obs.add(Counter::SubgraphPairsScored, cand_list.len() as u64);
         let threads = par.threads.max(1);
@@ -342,13 +424,10 @@ impl<'a> Linker<'a> {
         // household candidates carry more work per item than record
         // pairs, so fan out at half the configured pair cutoff
         let chunked = shards > 1 || threads > 1;
-        let scored = if !chunked || cand_list.len() < config.parallel_cutoff / 2 {
+        let mut scored = if !chunked || cand_list.len() < config.parallel_cutoff / 2 {
             let mut scratch = SubgraphScratch::default();
-            let out: Vec<ScoredSubgroup> = cand_list
-                .iter()
-                .filter_map(|c| score_one(c, &mut scratch))
-                .collect();
-            if obs.is_enabled() {
+            let out = score_chunk(cand_list, &mut scratch);
+            if traced {
                 obs.snapshot_footprint("subgraph_scratch", scratch.footprint());
             }
             out
@@ -364,11 +443,7 @@ impl<'a> Linker<'a> {
             let results = crate::shard::run_sharded(chunks.len(), threads, obs, |ci, worker| {
                 let t0 = obs.timeline_start();
                 let start = Instant::now();
-                let mut scratch = SubgraphScratch::default();
-                let scored = chunks[ci]
-                    .iter()
-                    .filter_map(|c| score_one(c, &mut scratch))
-                    .collect::<Vec<_>>();
+                let scored = score_chunk(chunks[ci], &mut SubgraphScratch::default());
                 obs.thread_chunk(
                     "subgraph",
                     Some(iteration),
@@ -388,16 +463,19 @@ impl<'a> Linker<'a> {
                 }
                 scored
             });
-            results.into_iter().flatten().collect()
-        };
-        obs.add(Counter::GroupCandidates, scored.len() as u64);
-        if obs.is_enabled() {
-            let mut sizes = Histogram::new();
-            for c in &scored {
-                sizes.record(c.sub.vertices.len() as u64);
+            let mut all = ScoredCandidates::default();
+            for part in results {
+                all.append(part);
             }
-            obs.observe_hist(LiveHist::SubgraphSize, &sizes);
-        }
+            all
+        };
+        obs.add(Counter::GroupCandidates, scored.non_empty as u64);
+        obs.observe_hist(LiveHist::SubgraphSize, &scored.sizes);
+        // below-floor candidates sort after every kept one, so their
+        // rejections come last, in the order selection would consider them
+        scored
+            .below_floor
+            .sort_by(|a, b| consideration_order((a.g_sim, a.old, a.new), (b.g_sim, b.old, b.new)));
         scored
     }
 
@@ -533,7 +611,11 @@ impl<'a> Linker<'a> {
                 pm
             };
 
-            let candidates = {
+            // truth telemetry reuses the audit plumbing: rejections are
+            // recorded either way, and scoring and `select_and_extract`
+            // are audit-neutral, so the mappings stay bit-identical
+            let audit = obs.decisions_enabled() || obs.truth_enabled();
+            let scored = {
                 let _subgraph = obs.span("subgraph");
                 // candidate group pairs: households connected by ≥1 match
                 // pair, sorted and deduplicated (deterministic order)
@@ -574,18 +656,17 @@ impl<'a> Linker<'a> {
                     (!self.old_graph_of.is_empty()).then_some(self.old_graph_of.len()),
                     (!self.new_graph_of.is_empty()).then_some(self.new_graph_of.len()),
                 );
-                self.score_candidates(&cand_list, &pm, &labels, config, par, delta, iter_idx, obs)
+                self.score_candidates(
+                    &cand_list, &pm, &labels, config, par, delta, iter_idx, audit, obs,
+                )
             };
+            let candidates = &scored.kept;
 
             let _selection = obs.span("selection");
             let records_before = records.len();
             let groups_before = groups.len();
-            // truth telemetry reuses the audit plumbing: rejections are
-            // recorded either way, and `select_and_extract` is
-            // audit-neutral, so the mappings stay bit-identical
-            let audit = obs.decisions_enabled() || obs.truth_enabled();
             let outcome = select_and_extract(
-                &candidates,
+                candidates,
                 &pm,
                 delta,
                 config.min_g_sim,
@@ -603,7 +684,7 @@ impl<'a> Linker<'a> {
                 );
             }
             if obs.decisions_enabled() {
-                emit_group_decisions(config, delta, iter_idx, &candidates, &outcome, obs);
+                emit_group_decisions(config, delta, iter_idx, &scored, &outcome, obs);
             }
             if obs.truth_enabled() {
                 for &(idx, reason) in &outcome.rejections {
@@ -615,6 +696,9 @@ impl<'a> Linker<'a> {
                         RejectReason::EmptySubgraph => RejectionReason::EmptySubgraph,
                     };
                     obs.truth_rejected(c.old.raw(), c.new.raw(), why);
+                }
+                for b in &scored.below_floor {
+                    obs.truth_rejected(b.old.raw(), b.new.raw(), RejectionReason::BelowMinGSim);
                 }
                 for &(o, n, _) in &outcome.added {
                     obs.truth_added(o.raw(), n.raw());
@@ -629,7 +713,7 @@ impl<'a> Linker<'a> {
             iterations.push(IterationStats {
                 delta,
                 prematch_pairs: pm.match_count(),
-                candidates: candidates.len(),
+                candidates: scored.non_empty,
                 group_links,
                 record_links,
             });

@@ -42,37 +42,45 @@ use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, Footprint, MemoryFootprint};
 use std::collections::HashMap;
 
-/// Record-id → residue-index lookup for the per-δ filter passes. Record
-/// ids are snapshot-local and dense in practice, so the filter probes an
-/// array (`u32::MAX` = not in the residue) instead of hashing every
-/// cached entry's endpoints; sparse id spaces fall back to a hash map.
-enum ResidueIndex {
+/// Record-id → position lookup, used by the per-δ filter passes (position
+/// in the residue) and by the profile cache (position of the cached
+/// profile). Record ids are snapshot-local and dense in practice, so a
+/// lookup probes an array (`u32::MAX` = absent) instead of hashing the
+/// id; sparse id spaces fall back to a hash map.
+#[derive(Debug)]
+pub(crate) enum ResidueIndex {
     Dense(Vec<u32>),
     Sparse(HashMap<RecordId, u32>),
 }
 
+impl Default for ResidueIndex {
+    fn default() -> Self {
+        Self::Dense(Vec::new())
+    }
+}
+
 impl ResidueIndex {
     fn build(records: &[&PersonRecord]) -> Self {
-        let max = records.iter().map(|r| r.id.raw()).max().unwrap_or(0);
-        if max < records.len() as u64 * 8 + 1024 {
+        Self::from_ids(records.iter().map(|r| r.id))
+    }
+
+    /// Index `ids` by position: `get(ids[i]) == Some(i)`.
+    pub(crate) fn from_ids(ids: impl ExactSizeIterator<Item = RecordId> + Clone) -> Self {
+        let len = ids.len();
+        let max = ids.clone().map(RecordId::raw).max().unwrap_or(0);
+        if max < len as u64 * 8 + 1024 {
             let mut v = vec![u32::MAX; max as usize + 1];
-            for (i, r) in records.iter().enumerate() {
-                v[r.id.raw() as usize] = i as u32;
+            for (i, id) in ids.enumerate() {
+                v[id.raw() as usize] = i as u32;
             }
             Self::Dense(v)
         } else {
-            Self::Sparse(
-                records
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| (r.id, i as u32))
-                    .collect(),
-            )
+            Self::Sparse(ids.enumerate().map(|(i, id)| (id, i as u32)).collect())
         }
     }
 
     #[inline]
-    fn get(&self, id: RecordId) -> Option<u32> {
+    pub(crate) fn get(&self, id: RecordId) -> Option<u32> {
         match self {
             Self::Dense(v) => {
                 let i = *v.get(id.raw() as usize)?;
@@ -393,7 +401,7 @@ mod tests {
                 &Collector::disabled(),
             );
             let selected = cache.select(delta, &o, &n);
-            let selected_sims: HashMap<(RecordId, RecordId), f64> = selected
+            let selected_sims: crate::IdMap<(RecordId, RecordId), f64> = selected
                 .iter()
                 .map(|&(i, j, s)| ((o[i as usize].id, n[j as usize].id), s))
                 .collect();

@@ -10,6 +10,7 @@
 use crate::blocking::{candidate_pairs_filtered, BlockingStrategy};
 use crate::cluster::UnionFind;
 use crate::config::{Parallelism, ScoringKernel};
+use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
 use crate::simfunc::{CompiledProfile, SimFunc};
 use census_model::{PersonRecord, RecordId};
@@ -388,13 +389,13 @@ pub(crate) fn age_plausible(
 pub struct PreMatch {
     /// Cluster label of each old-census record (every record gets one;
     /// unmatched records form singleton clusters).
-    pub label_old: HashMap<RecordId, u64>,
+    pub label_old: IdMap<RecordId, u64>,
     /// Cluster label of each new-census record.
-    pub label_new: HashMap<RecordId, u64>,
+    pub label_new: IdMap<RecordId, u64>,
     /// Number of records (both censuses) per cluster label.
-    pub cluster_size: HashMap<u64, u32>,
+    pub cluster_size: IdMap<u64, u32>,
     /// `agg_sim` of every `(old, new)` pair that reached the threshold.
-    pub pair_sims: HashMap<(RecordId, RecordId), f64>,
+    pub pair_sims: IdMap<(RecordId, RecordId), f64>,
 }
 
 impl PreMatch {
@@ -875,15 +876,15 @@ pub(crate) fn build_prematch(
     // transitive closure: indices 0..n_old are old records, n_old.. new
     let n_old = old.len();
     let mut uf = UnionFind::new(n_old + new.len());
-    let mut pair_sims = HashMap::with_capacity(matches.len());
+    let mut pair_sims = IdMap::with_capacity_and_hasher(matches.len(), Default::default());
     for &(i, j, s) in matches {
         uf.union(i as usize, n_old + j as usize);
         pair_sims.insert((old[i as usize].id, new[j as usize].id), s);
     }
 
-    let mut label_old = HashMap::with_capacity(n_old);
-    let mut label_new = HashMap::with_capacity(new.len());
-    let mut cluster_size: HashMap<u64, u32> = HashMap::new();
+    let mut label_old = IdMap::with_capacity_and_hasher(n_old, Default::default());
+    let mut label_new = IdMap::with_capacity_and_hasher(new.len(), Default::default());
+    let mut cluster_size: IdMap<u64, u32> = IdMap::default();
     for (i, r) in old.iter().enumerate() {
         let label = uf.find(i) as u64;
         label_old.insert(r.id, label);

@@ -9,19 +9,39 @@
 //! the similarity function's specs stay the same and rebuilding lazily
 //! when they change (e.g. a remainder pass with different weights).
 
+use crate::pairscore::ResidueIndex;
 use crate::simfunc::{AttributeSpec, CompiledProfile, SimFunc};
-use census_model::PersonRecord;
+use census_model::{PersonRecord, RecordId};
 use obs::{Footprint, MemoryFootprint};
 use std::collections::HashMap;
 use textsim::CompiledValue;
 
+/// The cached profiles of one census side, in compile order, with a
+/// record-id → slot index over them (dense or sparse, so raw ids of any
+/// magnitude are safe).
+#[derive(Debug, Default)]
+struct Side {
+    ids: Vec<RecordId>,
+    profiles: Vec<CompiledProfile>,
+    slot_of: ResidueIndex,
+}
+
+impl Side {
+    fn get(&self, r: &PersonRecord) -> Option<&CompiledProfile> {
+        self.slot_of
+            .get(r.id)
+            .map(|slot| &self.profiles[slot as usize])
+    }
+}
+
 /// A per-run cache of [`CompiledProfile`]s for the two census sides,
-/// keyed by record index and invalidated when the attribute specs change.
+/// keyed by record id and invalidated when the attribute specs change.
+/// Record ids must be unique within each side.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
     specs: Vec<AttributeSpec>,
-    old: Vec<Option<CompiledProfile>>,
-    new: Vec<Option<CompiledProfile>>,
+    old: Side,
+    new: Side,
     /// Per-spec memo of compiled raw values, shared across both sides —
     /// census attributes repeat heavily, so most compiles are clones.
     value_memo: Vec<HashMap<String, CompiledValue>>,
@@ -42,32 +62,38 @@ impl ProfileCache {
     fn ensure_specs(&mut self, sim: &SimFunc) {
         if self.specs.as_slice() != sim.specs() {
             self.specs = sim.specs().to_vec();
-            self.old.clear();
-            self.new.clear();
+            self.old = Side::default();
+            self.new = Side::default();
             self.value_memo = vec![HashMap::new(); sim.specs().len()];
         }
     }
 
     fn fill(
-        side: &mut Vec<Option<CompiledProfile>>,
+        side: &mut Side,
         sim: &SimFunc,
         records: &[&PersonRecord],
         value_memo: &mut [HashMap<String, CompiledValue>],
         built: &mut usize,
         reused: &mut usize,
     ) {
-        for r in records {
-            let idx = r.id.index();
-            if idx >= side.len() {
-                side.resize_with(idx + 1, || None);
-            }
-            if side[idx].is_none() {
-                side[idx] = Some(sim.compile_memoized(r, value_memo));
-                *built += 1;
-            } else {
-                *reused += 1;
-            }
+        let missing: Vec<&PersonRecord> = records
+            .iter()
+            .copied()
+            .filter(|r| side.slot_of.get(r.id).is_none())
+            .collect();
+        *reused += records.len() - missing.len();
+        if missing.is_empty() {
+            return;
         }
+        // exact growth: the first call brings every record of the run
+        side.ids.reserve_exact(missing.len());
+        side.profiles.reserve_exact(missing.len());
+        for r in missing {
+            side.ids.push(r.id);
+            side.profiles.push(sim.compile_memoized(r, value_memo));
+            *built += 1;
+        }
+        side.slot_of = ResidueIndex::from_ids(side.ids.iter().copied());
     }
 
     /// Compile-or-fetch the profiles of both record sides, returned in
@@ -98,19 +124,11 @@ impl ProfileCache {
         );
         let o = old
             .iter()
-            .map(|r| {
-                self.old[r.id.index()]
-                    .as_ref()
-                    .expect("profile just filled")
-            })
+            .map(|r| self.old.get(r).expect("profile just filled"))
             .collect();
         let n = new
             .iter()
-            .map(|r| {
-                self.new[r.id.index()]
-                    .as_ref()
-                    .expect("profile just filled")
-            })
+            .map(|r| self.new.get(r).expect("profile just filled"))
             .collect();
         (o, n)
     }
@@ -134,13 +152,19 @@ impl MemoryFootprint for ProfileCache {
         // and each memo entry by their real owned heap (key string plus
         // `CompiledValue::heap_bytes`, which counts the raw string and
         // the measure-specific gram buffers)
-        let slots = obs::footprint::vec_capacity_bytes(&self.old)
-            + obs::footprint::vec_capacity_bytes(&self.new);
+        let slots: u64 = [&self.old, &self.new]
+            .iter()
+            .map(|s| {
+                obs::footprint::vec_capacity_bytes(&s.ids)
+                    + obs::footprint::vec_capacity_bytes(&s.profiles)
+                    + s.slot_of.footprint().bytes
+            })
+            .sum();
         let profiles: u64 = self
             .old
+            .profiles
             .iter()
-            .chain(self.new.iter())
-            .flatten()
+            .chain(&self.new.profiles)
             .map(|p| {
                 std::mem::size_of_val(p.values()) as u64
                     + p.values()
@@ -160,7 +184,7 @@ impl MemoryFootprint for ProfileCache {
                 .map(|(k, v)| k.capacity() as u64 + v.heap_bytes())
                 .sum::<u64>();
         }
-        let filled = (self.old.iter().flatten().count() + self.new.iter().flatten().count()) as u64;
+        let filled = (self.old.profiles.len() + self.new.profiles.len()) as u64;
         Footprint::new(slots + profiles + memo, filled + memo_entries)
     }
 }
@@ -218,6 +242,24 @@ mod tests {
         let (o, n) = cache.profiles(&sim, &[&a], &[&b]); // all hits
         let fresh = sim.aggregate_compiled(&sim.compile(&a), &sim.compile(&b));
         assert_eq!(sim.aggregate_compiled(o[0], n[0]), fresh);
+    }
+
+    #[test]
+    fn sparse_ids_are_cached_without_a_dense_slot_array() {
+        // raw ids near 2^40 must not size anything by id
+        let sim = SimFunc::omega2(0.5);
+        let (a, b) = (rec(1 << 40, "john"), rec((1 << 40) + 9, "mary"));
+        let c = rec(3, "alice");
+        let mut cache = ProfileCache::new();
+        let _ = cache.profiles(&sim, &[&a, &b], &[&c]);
+        {
+            let (o, n) = cache.profiles(&sim, &[&b], &[&c]);
+            assert_eq!(
+                sim.aggregate_compiled(o[0], n[0]),
+                sim.aggregate_compiled(&sim.compile(&b), &sim.compile(&c))
+            );
+        }
+        assert_eq!((cache.built(), cache.reused()), (3, 2));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Greedy selection of group links (Algorithm 2) and record-link
 //! extraction from the accepted subgraphs.
 
-use crate::group_sim::{score_subgraph, GroupScore, SelectionWeights};
+use crate::group_sim::GroupScore;
+use crate::idhash::IdMap;
 use crate::prematch::PreMatch;
 use census_model::{GroupMapping, HouseholdId, RecordId, RecordMapping};
 use hhgraph::MatchedSubgraph;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 /// One candidate group pair with its matched subgraph and scores — the
 /// quadruple `⟨g_i, g_{i+1}, g_sub, g_sim⟩` of Algorithm 2.
@@ -21,29 +22,6 @@ pub struct ScoredSubgroup {
     pub score: GroupScore,
     /// Aggregated similarity (Eq. 4).
     pub g_sim: f64,
-}
-
-impl ScoredSubgroup {
-    /// Score a subgraph candidate.
-    #[must_use]
-    pub fn new(
-        old: HouseholdId,
-        new: HouseholdId,
-        sub: MatchedSubgraph,
-        pre: &PreMatch,
-        weights: SelectionWeights,
-        fallback_sim: f64,
-    ) -> Self {
-        let score = score_subgraph(&sub, pre, fallback_sim);
-        let g_sim = weights.g_sim(&score);
-        Self {
-            old,
-            new,
-            sub,
-            score,
-            g_sim,
-        }
-    }
 }
 
 /// Why Algorithm 2 skipped a candidate group pair, for decision
@@ -85,6 +63,27 @@ pub struct SelectionOutcome {
     pub rejections: Vec<(usize, RejectReason)>,
 }
 
+/// Whether Algorithm 2 skips a candidate of this `g_sim` outright for
+/// falling below the `min_g_sim` acceptance floor. Such a candidate
+/// claims no record, so dropping it before selection changes neither
+/// the acceptances nor the order among the remaining candidates.
+#[inline]
+#[must_use]
+pub(crate) fn below_floor(g_sim: f64, min_g_sim: f64) -> bool {
+    g_sim < min_g_sim
+}
+
+/// The order in which Algorithm 2 considers candidates: descending
+/// `g_sim`, ties broken by `(old, new)` ascending.
+pub(crate) fn consideration_order(
+    a: (f64, HouseholdId, HouseholdId),
+    b: (f64, HouseholdId, HouseholdId),
+) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+}
+
 /// Core of Algorithm 2: greedy acceptance in descending `g_sim` order
 /// under record-disjointness. Claimed records map to the index of the
 /// winner that claimed them so conflicts can be attributed; rejection
@@ -94,23 +93,18 @@ fn run_selection(
     min_g_sim: f64,
     audit: bool,
 ) -> (Vec<usize>, Vec<(usize, RejectReason)>) {
-    // descending g_sim; deterministic tie-break on household ids — sort
-    // extracted keys instead of indices so comparisons stay in cache
+    // sort extracted keys instead of indices so comparisons stay in cache
     let mut order: Vec<(f64, HouseholdId, HouseholdId, usize)> = candidates
         .iter()
         .enumerate()
         .map(|(i, c)| (c.g_sim, c.old, c.new, i))
         .collect();
-    order.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
-    });
+    order.sort_by(|a, b| consideration_order((a.0, a.1, a.2), (b.0, b.1, b.2)));
 
     // records of each household already claimed by accepted links,
     // mapped to the claiming candidate's index
-    let mut linked_old: HashMap<HouseholdId, HashMap<RecordId, usize>> = HashMap::new();
-    let mut linked_new: HashMap<HouseholdId, HashMap<RecordId, usize>> = HashMap::new();
+    let mut linked_old: IdMap<HouseholdId, IdMap<RecordId, usize>> = IdMap::default();
+    let mut linked_new: IdMap<HouseholdId, IdMap<RecordId, usize>> = IdMap::default();
     let mut accepted = Vec::new();
     let mut rejections = Vec::new();
 
@@ -122,7 +116,7 @@ fn run_selection(
             }
             continue;
         }
-        if cand.g_sim < min_g_sim {
+        if below_floor(cand.g_sim, min_g_sim) {
             if audit {
                 rejections.push((idx, RejectReason::BelowMinGSim));
             }
@@ -217,11 +211,7 @@ pub fn extract_record_links(
     order.sort_by(|&a, &b| {
         degree[b]
             .cmp(&degree[a])
-            .then(
-                sims[b]
-                    .partial_cmp(&sims[a])
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
+            .then(sims[b].partial_cmp(&sims[a]).unwrap_or(Ordering::Equal))
             .then_with(|| sub.vertices[a].cmp(&sub.vertices[b]))
     });
     let mut added = Vec::new();
@@ -267,6 +257,8 @@ pub fn select_and_extract(
 mod tests {
     use super::*;
     use hhgraph::SubgraphEdge;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn sub(vertices: Vec<(u64, u64)>, edges: usize) -> MatchedSubgraph {
         let n = vertices.len();
@@ -466,5 +458,98 @@ mod tests {
             out.rejections,
             vec![(0, RejectReason::TieBreak { winner: 1 })]
         );
+    }
+
+    type Pair = (HouseholdId, HouseholdId);
+
+    /// The accepted group pairs, the added record links (with the group
+    /// pair each came from) and the rejections (reason kind and blocking
+    /// winner) of one selection round, keyed by household pair instead
+    /// of candidate index.
+    type Keyed = (
+        Vec<Pair>,
+        Vec<(RecordId, RecordId, Pair)>,
+        Vec<(Pair, std::mem::Discriminant<RejectReason>, Option<Pair>)>,
+    );
+
+    fn keyed_outcome(cands: &[ScoredSubgroup], min_g_sim: f64) -> Keyed {
+        let key = |i: usize| (cands[i].old, cands[i].new);
+        let mut groups = GroupMapping::new();
+        let mut records = RecordMapping::new();
+        let pre = PreMatch::default();
+        let out = select_and_extract(cands, &pre, 0.5, min_g_sim, true, &mut groups, &mut records);
+        let rejections = out
+            .rejections
+            .iter()
+            .map(|&(i, r)| {
+                let winner = match r {
+                    RejectReason::LowerGSim { winner } | RejectReason::TieBreak { winner } => {
+                        Some(key(winner))
+                    }
+                    RejectReason::EmptySubgraph | RejectReason::BelowMinGSim => None,
+                };
+                (key(i), std::mem::discriminant(&r), winner)
+            })
+            .collect();
+        (
+            out.accepted.iter().map(|&i| key(i)).collect(),
+            out.added.iter().map(|&(o, n, i)| (o, n, key(i))).collect(),
+            rejections,
+        )
+    }
+
+    proptest! {
+        /// The exactness argument for materialising only acceptable
+        /// candidates: removing every candidate below `min_g_sim` before
+        /// selection leaves the accepted group links, the added record
+        /// links and the other rejections unchanged, and the removed
+        /// candidates' rejections are exactly the tail of the full run,
+        /// in consideration order.
+        #[test]
+        fn below_floor_candidates_never_change_selection(
+            raw in proptest::collection::vec(
+                (0u64..4, 0u64..4, proptest::collection::vec((0u64..5, 0u64..5), 0..4), 0u32..8),
+                0..14,
+            ),
+            floor in 0u32..8,
+        ) {
+            let min_g_sim = f64::from(floor) / 8.0;
+            let mut seen = std::collections::HashSet::new();
+            let cands: Vec<ScoredSubgroup> = raw
+                .into_iter()
+                .filter(|(o, n, _, _)| seen.insert((*o, *n)))
+                .map(|(o, n, verts, g)| {
+                    // records belong to their household: old o*10+a, new 100+n*10+b
+                    let verts = verts.into_iter().map(|(a, b)| (o * 10 + a, 100 + n * 10 + b)).collect();
+                    scored(o, n, verts, f64::from(g) / 8.0)
+                })
+                .collect();
+            let kept: Vec<ScoredSubgroup> = cands
+                .iter()
+                .filter(|c| !below_floor(c.g_sim, min_g_sim))
+                .cloned()
+                .collect();
+
+            let (acc_all, added_all, rej_all) = keyed_outcome(&cands, min_g_sim);
+            let (acc_kept, added_kept, rej_kept) = keyed_outcome(&kept, min_g_sim);
+            prop_assert_eq!(acc_all, acc_kept);
+            prop_assert_eq!(added_all, added_kept);
+
+            let mut dropped: Vec<&ScoredSubgroup> = cands
+                .iter()
+                .filter(|c| below_floor(c.g_sim, min_g_sim))
+                .collect();
+            dropped.sort_by(|a, b| consideration_order((a.g_sim, a.old, a.new), (b.g_sim, b.old, b.new)));
+            let mut expected = rej_kept;
+            for c in dropped {
+                let reason = if c.sub.vertices.is_empty() {
+                    RejectReason::EmptySubgraph
+                } else {
+                    RejectReason::BelowMinGSim
+                };
+                expected.push(((c.old, c.new), std::mem::discriminant(&reason), None));
+            }
+            prop_assert_eq!(rej_all, expected);
+        }
     }
 }

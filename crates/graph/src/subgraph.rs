@@ -48,7 +48,7 @@ pub struct SubgraphEdge {
 }
 
 /// The common subgraph of one household pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MatchedSubgraph {
     /// Vertices: `(old record, new record)` pairs with equal labels.
     pub vertices: Vec<(RecordId, RecordId)>,
@@ -102,6 +102,7 @@ where
     G: Fn(RecordId) -> Option<u64>,
     A: Fn(RecordId, RecordId) -> bool,
 {
+    let mut scratch = SubgraphScratch::default();
     match_subgraph_with(
         old,
         new,
@@ -109,41 +110,48 @@ where
         label_of_new,
         accept,
         config,
-        &mut SubgraphScratch::default(),
-    )
+        &mut scratch,
+    );
+    scratch.sub
 }
 
 /// Reusable buffers for repeated [`match_subgraph`] calls: households are
-/// small, so on a candidate sweep the per-call label and vertex-index
-/// vectors cost more in allocator traffic than the matching itself.
-/// [`match_subgraph_with`] borrows them from the caller instead.
+/// small, so on a candidate sweep the per-call label, vertex-index and
+/// result vectors cost more in allocator traffic than the matching
+/// itself. [`match_subgraph_with`] borrows them from the caller and
+/// leaves its result in the scratch's own [`MatchedSubgraph`].
 #[derive(Debug, Default)]
 pub struct SubgraphScratch {
     old_labels: Vec<Option<u64>>,
     new_labels: Vec<Option<u64>>,
     vert_idx: Vec<(usize, usize)>,
+    sub: MatchedSubgraph,
 }
 
 impl obs::MemoryFootprint for SubgraphScratch {
     fn footprint(&self) -> obs::Footprint {
         let bytes = obs::footprint::vec_capacity_bytes(&self.old_labels)
             + obs::footprint::vec_capacity_bytes(&self.new_labels)
-            + obs::footprint::vec_capacity_bytes(&self.vert_idx);
+            + obs::footprint::vec_capacity_bytes(&self.vert_idx)
+            + obs::footprint::vec_capacity_bytes(&self.sub.vertices)
+            + obs::footprint::vec_capacity_bytes(&self.sub.edges);
         obs::Footprint::new(bytes, self.vert_idx.len() as u64)
     }
 }
 
-/// [`match_subgraph`] with caller-provided scratch buffers — identical
-/// result, no per-call label/index allocations.
-pub fn match_subgraph_with<F, G, A>(
+/// [`match_subgraph`] with caller-provided scratch buffers: the result is
+/// written into the scratch's [`MatchedSubgraph`] (overwriting the
+/// previous call's) and borrowed back, so a sweep allocates nothing per
+/// call. Clone the borrow to keep it past the next call.
+pub fn match_subgraph_with<'s, F, G, A>(
     old: &EnrichedGraph,
     new: &EnrichedGraph,
     label_of_old: F,
     label_of_new: G,
     accept: A,
     config: &SubgraphConfig,
-    scratch: &mut SubgraphScratch,
-) -> MatchedSubgraph
+    scratch: &'s mut SubgraphScratch,
+) -> &'s MatchedSubgraph
 where
     F: Fn(RecordId) -> Option<u64>,
     G: Fn(RecordId) -> Option<u64>,
@@ -153,15 +161,19 @@ where
         old_labels,
         new_labels,
         vert_idx,
+        sub,
     } = scratch;
     old_labels.clear();
     old_labels.extend(old.nodes().iter().map(|&r| label_of_old(r)));
     new_labels.clear();
     new_labels.extend(new.nodes().iter().map(|&r| label_of_new(r)));
+    sub.old_edge_count = old.edge_count();
+    sub.new_edge_count = new.edge_count();
 
     // vertices: equal-label cross pairs (node-index form)
     vert_idx.clear();
-    let mut vertices: Vec<(RecordId, RecordId)> = Vec::new();
+    let vertices = &mut sub.vertices;
+    vertices.clear();
     for (i, lo) in old_labels.iter().enumerate() {
         let Some(lo) = lo else { continue };
         for (j, ln) in new_labels.iter().enumerate() {
@@ -173,7 +185,8 @@ where
     }
 
     // edges: both endpoint pairs connected, same rel type, similar age diff
-    let mut edges = Vec::new();
+    let edges = &mut sub.edges;
+    edges.clear();
     for (u, &(o1, n1)) in vert_idx.iter().enumerate() {
         for (v, &(o2, n2)) in vert_idx.iter().enumerate().skip(u + 1) {
             if o1 == o2 || n1 == n2 {
@@ -197,13 +210,7 @@ where
             }
         }
     }
-
-    MatchedSubgraph {
-        vertices,
-        edges,
-        old_edge_count: old.edge_count(),
-        new_edge_count: new.edge_count(),
-    }
+    sub
 }
 
 #[cfg(test)]
@@ -496,6 +503,28 @@ mod tests {
         );
         assert_eq!(sub.vertices, vec![(RecordId(0), RecordId(10))]);
         assert!(sub.edges.is_empty());
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_calls() {
+        // a large result followed by a smaller one: nothing of the first
+        // call's vertices or edges may leak into the second
+        let f = fig4();
+        let g_old = crate::EnrichedGraph::build(&f.old, HouseholdId(0)).unwrap();
+        let config = SubgraphConfig::default();
+        let label = |r: RecordId| f.labels.get(&r).copied();
+        let mut scratch = SubgraphScratch::default();
+        for (hh, accept_all) in [(0, true), (1, true), (0, false), (1, true)] {
+            let g_new = crate::EnrichedGraph::build(&f.new, HouseholdId(hh)).unwrap();
+            let accept = |o: RecordId, _| accept_all || o == RecordId(0);
+            let fresh = match_subgraph(&g_old, &g_new, label, label, accept, &config);
+            let reused =
+                match_subgraph_with(&g_old, &g_new, label, label, accept, &config, &mut scratch);
+            assert_eq!(reused.vertices, fresh.vertices);
+            assert_eq!(reused.edges, fresh.edges);
+            assert_eq!(reused.old_edge_count, fresh.old_edge_count);
+            assert_eq!(reused.new_edge_count, fresh.new_edge_count);
+        }
     }
 
     #[test]
