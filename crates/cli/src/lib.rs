@@ -1365,16 +1365,15 @@ pub fn run_cli(mut args: Vec<String>) -> Result<String, CliError> {
                 let record = take_value(&mut args, "--record")?;
                 reject_unknown_flags(&args, "explain link")?;
                 expect_positionals(&args, "explain link", 0, "no positional arguments")?;
-                let (group, record) = match (group, record) {
-                    (Some(g), None) => (Some(parse_id_pair(&g)?), None),
-                    (None, Some(r)) => (None, Some(parse_id_pair(&r)?)),
-                    _ => {
-                        return Err(
+                let (group, record) =
+                    match (group, record) {
+                        (Some(g), None) => (Some(parse_id_pair(&g)?), None),
+                        (None, Some(r)) => (None, Some(parse_id_pair(&r)?)),
+                        _ => return Err(
                             "explain link needs exactly one of --group OLD:NEW or --record OLD:NEW"
                                 .into(),
-                        )
-                    }
-                };
+                        ),
+                    };
                 cmd_explain_link(&PathBuf::from(decisions), group, record)
             }
             Some("miss") => {

@@ -18,12 +18,19 @@
 //! and age band occupy disjoint bit ranges under a per-pass tag, so two
 //! records share a packed key exactly when they would have shared the
 //! equivalent formatted string key. That keeps the bucket map free of
-//! per-record `String` allocations, and lets the bucket build and pair
-//! generation run sharded across worker threads with per-shard hash
-//! deduplication.
+//! per-record `String` allocations.
+//!
+//! Generation is old-record-major: the new-side buckets are built once,
+//! with each bucket's members sorted by age, and every old record
+//! gathers the members of its buckets, sorts and deduplicates that short
+//! list, and appends it. Worker threads take contiguous ranges of old
+//! records, so the output comes out sorted with no global sort. With the
+//! pre-matching age filter on, an old record scans only the
+//! age-plausible window of each bucket (plus its missing-age members).
 
+use crate::idhash::IdMap;
+use crate::prematch::age_plausible;
 use census_model::{CensusDataset, PersonRecord};
-use std::collections::HashMap;
 use textsim::{fold_diacritic, soundex_code};
 
 /// How candidate pairs are generated.
@@ -40,8 +47,8 @@ pub enum BlockingStrategy {
 /// Width (in years) of the age bands of blocking pass 2.
 const AGE_BAND: i64 = 10;
 
-/// Below this many records (both sides combined) the sharded build costs
-/// more than it saves; fall back to the single-threaded path.
+/// Below this many records (both sides combined) spawning workers costs
+/// more than it saves; generate on one thread.
 const PARALLEL_BLOCKING_CUTOFF: usize = 4096;
 
 // Pass tags occupy the top two bits of a packed key, so keys of
@@ -245,152 +252,135 @@ pub(crate) fn full_prealloc_capacity(n_old: usize, n_new: usize) -> usize {
         .map_or(MAX_PREALLOC, |c| c.min(MAX_PREALLOC))
 }
 
-fn pack_pair(o: u32, n: u32) -> u64 {
-    u64::from(o) << 32 | u64::from(n)
+/// The new side's blocking buckets, built once per generation. Each
+/// bucket is one contiguous run of `members`: the missing-age members
+/// first, then the aged members sorted by age (ties by index), so an old
+/// record can cut the age-plausible window out of a bucket with two
+/// binary searches instead of visiting every member. Missing ages are
+/// kept apart by position, not by a sentinel age — every `u32` is a
+/// legal parsed age.
+struct NewBuckets {
+    /// Bucket key → `(start, mid, end)`: `members[start..mid]` have no
+    /// age, `members[mid..end]` are aged and sorted by `ages[mid..end]`.
+    spans: IdMap<u64, (u32, u32, u32)>,
+    members: Vec<u32>,
+    /// Parallel to `members`; read only over the aged runs.
+    ages: Vec<u32>,
 }
 
-fn unpack_pair(p: u64) -> (u32, u32) {
-    ((p >> 32) as u32, p as u32)
-}
+impl NewBuckets {
+    fn build(new: &[&PersonRecord]) -> Self {
+        let mut entries: Vec<(u64, Option<u32>, u32)> = Vec::with_capacity(new.len() * 3);
+        let mut scratch = Vec::with_capacity(3);
+        for (j, r) in new.iter().enumerate() {
+            scratch.clear();
+            keys(r, 0, false, &mut scratch);
+            entries.extend(scratch.iter().map(|&k| (k, r.age, j as u32)));
+        }
+        // `None < Some(_)`: within a key, missing ages lead, then ages
+        // ascend
+        entries.sort_unstable();
+        let mut spans = IdMap::default();
+        let mut start = 0;
+        while start < entries.len() {
+            let run = &entries[start..];
+            let len = run.partition_point(|e| e.0 == run[0].0);
+            let missing = run[..len].partition_point(|e| e.1.is_none());
+            let at = |off: usize| u32::try_from(start + off).expect("bucket offsets fit in u32");
+            spans.insert(run[0].0, (at(0), at(missing), at(len)));
+            start += len;
+        }
+        let (members, ages) = entries
+            .iter()
+            .map(|&(_, age, j)| (j, age.unwrap_or(0)))
+            .unzip();
+        Self {
+            spans,
+            members,
+            ages,
+        }
+    }
 
-fn pairs_serial<F: Fn(u32, u32) -> bool>(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    year_gap: i64,
-    keep: &F,
-) -> Vec<(u32, u32)> {
-    let mut buckets: HashMap<u64, (Vec<u32>, Vec<u32>)> = HashMap::new();
-    let mut scratch = Vec::with_capacity(6);
-    for (i, r) in old.iter().enumerate() {
-        scratch.clear();
-        keys(r, year_gap, true, &mut scratch);
-        for &k in &scratch {
-            buckets.entry(k).or_default().0.push(i as u32);
-        }
-    }
-    for (j, r) in new.iter().enumerate() {
-        scratch.clear();
-        keys(r, 0, false, &mut scratch);
-        for &k in &scratch {
-            buckets.entry(k).or_default().1.push(j as u32);
-        }
-    }
-    // filter at emission (most duplicates never materialise), then one
-    // sort + dedup — much cheaper than a hash set per generated pair
-    let mut packed: Vec<u64> = Vec::new();
-    for (os, ns) in buckets.values() {
-        for &o in os {
-            for &n in ns {
-                if keep(o, n) {
-                    packed.push(pack_pair(o, n));
+    /// The deduplicated candidate pairs of the old records in `range`,
+    /// old-major and sorted. With `tol`, each aged old record scans only
+    /// the aged members inside `[a + gap − tol, a + gap + tol]` plus the
+    /// missing-age members — exactly the `age_plausible` pairs.
+    fn pairs_of(
+        &self,
+        old: &[&PersonRecord],
+        range: std::ops::Range<usize>,
+        year_gap: i64,
+        tol: Option<u32>,
+    ) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        let mut old_keys = Vec::with_capacity(5);
+        let mut row: Vec<u32> = Vec::new();
+        for i in range {
+            old_keys.clear();
+            keys(old[i], year_gap, true, &mut old_keys);
+            let window = tol.zip(old[i].age).map(|(t, a)| {
+                let expected = i64::from(a) + year_gap;
+                (expected - i64::from(t), expected + i64::from(t))
+            });
+            row.clear();
+            for k in &old_keys {
+                let Some(&(start, mid, end)) = self.spans.get(k) else {
+                    continue;
+                };
+                let (start, mid, end) = (start as usize, mid as usize, end as usize);
+                match window {
+                    None => row.extend_from_slice(&self.members[start..end]),
+                    Some((lo, hi)) => {
+                        let ages = &self.ages[mid..end];
+                        let from = mid + ages.partition_point(|&b| i64::from(b) < lo);
+                        let to = mid + ages.partition_point(|&b| i64::from(b) <= hi);
+                        row.extend_from_slice(&self.members[start..mid]);
+                        row.extend_from_slice(&self.members[from..to]);
+                    }
                 }
             }
+            // several keys may propose the same new record
+            row.sort_unstable();
+            row.dedup();
+            out.extend(row.iter().map(|&j| (i as u32, j)));
         }
+        out
     }
-    packed.sort_unstable();
-    packed.dedup();
-    packed.into_iter().map(unpack_pair).collect()
 }
 
-/// Which shard a key's bucket lives in (Fibonacci multiplicative hash —
-/// the packed keys are structured, so raw modulo would shard unevenly).
-fn shard_of(key: u64, shards: usize) -> usize {
-    ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % shards
-}
-
-/// Emit `(key, record index)` for every record, partitioned by shard.
-fn emit_sharded(
-    records: &[&PersonRecord],
-    shift: i64,
-    both_bands: bool,
-    threads: usize,
-) -> Vec<Vec<(u64, u32)>> {
-    let shards = threads;
-    let chunk = records.len().div_ceil(threads).max(1);
-    let mut merged: Vec<Vec<(u64, u32)>> = (0..shards).map(|_| Vec::new()).collect();
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = records
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                scope.spawn(move |_| {
-                    let base = ci * chunk;
-                    let mut out: Vec<Vec<(u64, u32)>> = (0..shards).map(|_| Vec::new()).collect();
-                    let mut scratch = Vec::with_capacity(6);
-                    for (off, r) in slice.iter().enumerate() {
-                        scratch.clear();
-                        keys(r, shift, both_bands, &mut scratch);
-                        for &k in &scratch {
-                            out[shard_of(k, shards)].push((k, (base + off) as u32));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (s, v) in h
-                .join()
-                .expect("key emitter panicked")
-                .into_iter()
-                .enumerate()
-            {
-                merged[s].extend(v);
-            }
-        }
-    })
-    .expect("crossbeam scope");
-    merged
-}
-
-fn pairs_sharded<F: Fn(u32, u32) -> bool + Sync>(
+/// `Standard` blocking, record-major: the new-side buckets are built
+/// once, then `workers` threads each take a contiguous range of old
+/// records and emit their pairs in order, so concatenating the ranges
+/// gives the sorted, deduplicated pair list with no global sort.
+fn standard_pairs(
     old: &[&PersonRecord],
     new: &[&PersonRecord],
     year_gap: i64,
-    threads: usize,
-    keep: &F,
+    tol: Option<u32>,
+    workers: usize,
 ) -> Vec<(u32, u32)> {
-    let old_sharded = emit_sharded(old, year_gap, true, threads);
-    let new_sharded = emit_sharded(new, 0, false, threads);
-    let mut packed: Vec<u64> = Vec::new();
+    let buckets = NewBuckets::build(new);
+    let chunk = old.len().div_ceil(workers.max(1)).max(1);
     crossbeam::scope(|scope| {
-        let handles: Vec<_> = old_sharded
-            .iter()
-            .zip(new_sharded.iter())
-            .map(|(os, ns)| {
-                scope.spawn(move |_| {
-                    let mut buckets: HashMap<u64, (Vec<u32>, Vec<u32>)> = HashMap::new();
-                    for &(k, i) in os {
-                        buckets.entry(k).or_default().0.push(i);
-                    }
-                    for &(k, j) in ns {
-                        buckets.entry(k).or_default().1.push(j);
-                    }
-                    let mut out: Vec<u64> = Vec::new();
-                    for (o_idx, n_idx) in buckets.values() {
-                        for &o in o_idx {
-                            for &n in n_idx {
-                                if keep(o, n) {
-                                    out.push(pack_pair(o, n));
-                                }
-                            }
-                        }
-                    }
-                    out
-                })
+        let handles: Vec<_> = (0..old.len())
+            .step_by(chunk)
+            .map(|lo| {
+                let buckets = &buckets;
+                let range = lo..(lo + chunk).min(old.len());
+                scope.spawn(move |_| buckets.pairs_of(old, range, year_gap, tol))
             })
             .collect();
-        for h in handles {
-            packed.extend(h.join().expect("pair generator panicked"));
+        let mut parts = handles
+            .into_iter()
+            .map(|h| h.join().expect("pair generator panicked"));
+        // grow the first range's vec in place rather than copying all
+        let mut out = parts.next().unwrap_or_default();
+        for part in parts {
+            out.extend(part);
         }
+        out
     })
-    .expect("crossbeam scope");
-    // duplicates (same pair proposed by several keys, within or across
-    // shards) survive emission; one global sort + dedup removes them and
-    // fixes the output order
-    packed.sort_unstable();
-    packed.dedup();
-    packed.into_iter().map(unpack_pair).collect()
+    .expect("crossbeam scope")
 }
 
 /// Generate candidate `(old index, new index)` pairs over two record
@@ -406,8 +396,8 @@ pub fn candidate_pairs(
     candidate_pairs_par(old, new, year_gap, strategy, 1)
 }
 
-/// [`candidate_pairs`] with the bucket build and pair generation sharded
-/// across `threads` worker threads. The result is identical to the
+/// [`candidate_pairs`] with pair generation split across `threads`
+/// worker threads by old-record range. The result is identical to the
 /// single-threaded path for any thread count.
 #[must_use]
 pub fn candidate_pairs_par(
@@ -417,15 +407,14 @@ pub fn candidate_pairs_par(
     strategy: BlockingStrategy,
     threads: usize,
 ) -> Vec<(u32, u32)> {
-    candidate_pairs_inner(old, new, year_gap, strategy, threads, &|_, _| true)
+    candidate_pairs_filtered(old, new, year_gap, strategy, threads, None)
 }
 
 /// [`candidate_pairs_par`] with the pre-matching age-plausibility filter
-/// fused into pair emission: a pair whose ages are implausible under
-/// `max_age_gap` is dropped *before* deduplication, so the dominant share
-/// of generated pairs never reaches the sort. The result equals
-/// `candidate_pairs_par(..)` followed by an `age_plausible` retain —
-/// the filter is per-pair, so it commutes with dedup.
+/// fused into generation: under `Standard` blocking an old record only
+/// visits the age window of each bucket, so implausible pairs are never
+/// generated. The result equals `candidate_pairs_par(..)` followed by an
+/// `age_plausible` retain.
 pub(crate) fn candidate_pairs_filtered(
     old: &[&PersonRecord],
     new: &[&PersonRecord],
@@ -434,28 +423,12 @@ pub(crate) fn candidate_pairs_filtered(
     threads: usize,
     max_age_gap: Option<u32>,
 ) -> Vec<(u32, u32)> {
-    match max_age_gap {
-        None => candidate_pairs_par(old, new, year_gap, strategy, threads),
-        Some(tol) => candidate_pairs_inner(old, new, year_gap, strategy, threads, &|o, n| {
-            crate::prematch::age_plausible(old[o as usize], new[n as usize], year_gap, tol)
-        }),
-    }
-}
-
-fn candidate_pairs_inner<F: Fn(u32, u32) -> bool + Sync>(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    year_gap: i64,
-    strategy: BlockingStrategy,
-    threads: usize,
-    keep: &F,
-) -> Vec<(u32, u32)> {
     match strategy {
         BlockingStrategy::Full => {
             let mut out = Vec::with_capacity(full_prealloc_capacity(old.len(), new.len()));
-            for i in 0..old.len() {
-                for j in 0..new.len() {
-                    if keep(i as u32, j as u32) {
+            for (i, o) in old.iter().enumerate() {
+                for (j, n) in new.iter().enumerate() {
+                    if max_age_gap.is_none_or(|t| age_plausible(o, n, year_gap, t)) {
                         out.push((i as u32, j as u32));
                     }
                 }
@@ -463,12 +436,12 @@ fn candidate_pairs_inner<F: Fn(u32, u32) -> bool + Sync>(
             out
         }
         BlockingStrategy::Standard => {
-            let threads = threads.max(1);
-            if threads == 1 || old.len() + new.len() < PARALLEL_BLOCKING_CUTOFF {
-                pairs_serial(old, new, year_gap, keep)
+            let workers = if old.len() + new.len() < PARALLEL_BLOCKING_CUTOFF {
+                1
             } else {
-                pairs_sharded(old, new, year_gap, threads, keep)
-            }
+                threads
+            };
+            standard_pairs(old, new, year_gap, max_age_gap, workers)
         }
     }
 }
@@ -604,22 +577,94 @@ mod tests {
         assert_eq!(pairs, vec![(0, 0)]);
     }
 
+    /// Brute-force blocking: every pair that collides on a key
+    /// (`owner_key` is total over colliding pairs) and, under `tol`, is
+    /// age-plausible — in `(old, new)` order.
+    fn oracle(
+        o: &[&PersonRecord],
+        n: &[&PersonRecord],
+        gap: i64,
+        tol: Option<u32>,
+    ) -> Vec<(u32, u32)> {
+        let new_kf: Vec<KeyFields> = n.iter().map(|r| KeyFields::of(r)).collect();
+        let mut out = Vec::new();
+        for (i, r) in o.iter().enumerate() {
+            let okf = KeyFields::of(r);
+            for (j, s) in n.iter().enumerate() {
+                if owner_key(okf, new_kf[j], gap).is_some()
+                    && tol.is_none_or(|t| age_plausible(r, s, gap, t))
+                {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every worker count of the record-major generator, and the public
+    /// entry point, against the oracle.
+    fn assert_matches_oracle(o: &[&PersonRecord], n: &[&PersonRecord], gap: i64) {
+        for tol in [None, Some(0), Some(3)] {
+            let want = oracle(o, n, gap, tol);
+            assert!(!want.is_empty(), "degenerate case: gap {gap}, tol {tol:?}");
+            for workers in [1, 2, 8] {
+                let got = standard_pairs(o, n, gap, tol, workers);
+                assert_eq!(got, want, "gap {gap}, tol {tol:?}, {workers} workers");
+            }
+            let public = candidate_pairs_filtered(o, n, gap, BlockingStrategy::Standard, 4, tol);
+            assert_eq!(public, want, "public path, gap {gap}, tol {tol:?}");
+        }
+    }
+
     #[test]
     fn parallel_build_matches_serial() {
+        // every ordered snapshot pair of the small series, so reversed
+        // pairs cover negative year gaps
         use census_synth::{generate_series, SimConfig};
         let series = generate_series(&SimConfig::small());
-        let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
-        let o: Vec<&PersonRecord> = old.records().iter().collect();
-        let n: Vec<&PersonRecord> = new.records().iter().collect();
-        let gap = i64::from(new.year - old.year);
-        let keep_all = |_: u32, _: u32| true;
-        let serial = pairs_serial(&o, &n, gap, &keep_all);
-        for threads in [2, 3, 8] {
-            let sharded = pairs_sharded(&o, &n, gap, threads, &keep_all);
-            assert_eq!(
-                serial, sharded,
-                "sharded build diverged at {threads} threads"
-            );
+        for old in &series.snapshots {
+            for new in &series.snapshots {
+                if old.year == new.year {
+                    continue;
+                }
+                let o: Vec<&PersonRecord> = old.records().iter().collect();
+                let n: Vec<&PersonRecord> = new.records().iter().collect();
+                assert_matches_oracle(&o, &n, i64::from(new.year - old.year));
+            }
+        }
+    }
+
+    #[test]
+    fn generator_matches_oracle_on_hostile_ages() {
+        // one surname, so every record shares the pass-1/pass-3 buckets,
+        // and ages at the edges of the parsed range
+        let ages = [
+            Some(0),
+            Some(9),
+            Some(19),
+            Some(200),
+            Some(u32::MAX - 3),
+            Some(u32::MAX),
+            None,
+        ];
+        let mut records = Vec::new();
+        for fname in ["john", "jon", "mary", ""] {
+            for sex in [Some(Sex::Male), Some(Sex::Female), None] {
+                for age in ages {
+                    let mut r = rec(records.len() as u64, fname, "smith", Sex::Male, 0);
+                    r.sex = sex;
+                    r.age = age;
+                    records.push(r);
+                }
+            }
+        }
+        let all: Vec<&PersonRecord> = records.iter().collect();
+        // a lopsided split: the new side sees every record, the old side
+        // every third
+        let some: Vec<&PersonRecord> = records.iter().step_by(3).collect();
+        for gap in [10, -10, 0, -200] {
+            assert_matches_oracle(&some, &all, gap);
+            assert_matches_oracle(&all, &some, gap);
         }
     }
 
@@ -631,15 +676,17 @@ mod tests {
         let o: Vec<&PersonRecord> = old.records().iter().collect();
         let n: Vec<&PersonRecord> = new.records().iter().collect();
         let gap = i64::from(new.year - old.year);
+        let standard = oracle(&o, &n, gap, Some(3));
         for strategy in [BlockingStrategy::Standard, BlockingStrategy::Full] {
             for threads in [1, 4] {
                 let mut unfused = candidate_pairs_par(&o, &n, gap, strategy, threads);
-                unfused.retain(|&(i, j)| {
-                    crate::prematch::age_plausible(o[i as usize], n[j as usize], gap, 3)
-                });
+                unfused.retain(|&(i, j)| age_plausible(o[i as usize], n[j as usize], gap, 3));
                 let fused = candidate_pairs_filtered(&o, &n, gap, strategy, threads, Some(3));
                 assert_eq!(unfused, fused, "{strategy:?} at {threads} threads");
                 assert!(!fused.is_empty());
+                if strategy == BlockingStrategy::Standard {
+                    assert_eq!(fused, standard, "oracle at {threads} threads");
+                }
             }
         }
     }

@@ -46,11 +46,11 @@ pub enum ScoringKernel {
     /// Pair-at-a-time scoring through `CompiledValue` references, with
     /// per-spec similarity-table memoisation on the serial path.
     Scalar,
-    /// Attribute-at-a-time batches: candidate pairs are deduped to
-    /// unique `(old value-id, new value-id)` work items per attribute
-    /// and scored once each through a contiguous
-    /// `textsim::MultisetArena`, then gathered back per pair. The
-    /// default — see `crate::prematch` and DESIGN.md §14.
+    /// Attribute-at-a-time batches: each attribute column is scored
+    /// through a contiguous `textsim::MultisetArena`, served from a
+    /// per-attribute similarity table where one fits and one-vs-many
+    /// over old-major pairs where it does not. The default — see
+    /// `crate::prematch` and DESIGN.md §14.
     #[default]
     Batch,
 }

@@ -17,7 +17,7 @@ use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, EventKind, Footprint};
 use std::collections::HashMap;
 use std::time::Instant;
-use textsim::{CompiledValue, MultisetArena};
+use textsim::{CompiledValue, MultisetArena, RowScratch};
 
 /// Dense per-attribute value ids over both record sides: profiles with
 /// equal raw values (hence equal compiled representations) share an id,
@@ -145,11 +145,10 @@ impl SimTable {
 }
 
 /// Pairs per batch-kernel tile. Bounds the tile scratch (the spec-sim
-/// stash, the selection vector, dedup keys) to some tens of MiB
-/// regardless of candidate count, while keeping tiles large enough that
-/// the per-tile dedup sees most of the value repetition — census-scale
-/// corpora repeat the same value pairs far beyond 2^16 pairs.
-const BATCH_TILE_PAIRS: usize = 1 << 20;
+/// stash, the selection vector and its similarity lane) to about a MiB,
+/// so it stays in cache. No reuse depends on the tile size: tables
+/// outlive tiles, and table-less columns rely only on the pair order.
+const BATCH_TILE_PAIRS: usize = 1 << 14;
 
 /// Telemetry of one batch-scoring pass.
 #[derive(Default)]
@@ -158,8 +157,9 @@ struct BatchStats {
     /// columns — the same probe set the scalar kernel's early-exit loop
     /// makes.
     probes: u64,
-    /// Unique `(old value-id, new value-id)` items actually computed —
-    /// `1 − unique/probes` is the kernel's dedup win.
+    /// Arena computations actually made: similarity-table misses, plus
+    /// no-table probes whose `(old value-id, new value-id)` differs from
+    /// the previous probe's — `1 − unique/probes` is the kernel's reuse.
     unique: u64,
     /// Early-exit prune tally of the column compaction.
     prunes: u64,
@@ -181,13 +181,12 @@ enum RowLookup<'a> {
 ///
 /// Pairs are processed in tiles. Per tile, attribute columns are
 /// materialised one at a time in the scalar kernel's descending-weight
-/// order: a planning pass dedups the column of interned value-id pairs
-/// to unique work items — through the spec's [`SimTable`] when one
-/// exists (the filled bit is the cross-tile dedup, and filling it
-/// scatters the result back into the same slot the scalar kernel reads),
-/// otherwise by a tile-local sort. Each unique item is scored once
-/// through the spec's [`MultisetArena`], streaming the packed gram
-/// buffer linearly instead of chasing `CompiledValue` pointers. After
+/// order. A spec with a [`SimTable`] serves each interned value-id pair
+/// from the table, computing it through the spec's [`MultisetArena`] on
+/// the first probe only. A spec without one scores the alive pairs in
+/// order with [`MultisetArena::similarity_row`]: blocked pairs come
+/// old-major, so the old value stays loaded over long runs and a pair
+/// repeating its predecessor's value pair reuses the similarity. After
 /// every column the tile's selection vector is compacted at the *same*
 /// early-exit bound the scalar kernel checks
 /// (`SimFunc::bound_fails_after`), so later — lighter-weight — columns
@@ -212,15 +211,13 @@ fn batch_score_into(
     // reused tile scratch: id-matrix base offsets per pair, the selection
     // vector with its running partial sums, one similarity lane aligned
     // with it, the per-pair spec-sim stash the survivor fold reads, and
-    // the packed-key buffers of the tile-local dedup
+    // the arena row scratch of the no-table columns
     let mut bases: Vec<(usize, usize)> = Vec::new();
     let mut alive: Vec<u32> = Vec::new();
     let mut partials: Vec<f64> = Vec::new();
     let mut lane: Vec<f64> = Vec::new();
     let mut sims: Vec<f64> = Vec::new();
-    let mut keys: Vec<u64> = Vec::new();
-    let mut uniq: Vec<u64> = Vec::new();
-    let mut uniq_sims: Vec<f64> = Vec::new();
+    let mut row = RowScratch::default();
     for tile in pairs.chunks(BATCH_TILE_PAIRS) {
         bases.clear();
         match rows {
@@ -266,65 +263,25 @@ fn batch_score_into(
                     }
                 }
                 None => {
-                    // no table (locality cap or budget): dedup within the
-                    // tile by sorting the column's packed id pairs, so
-                    // each distinct item is scored exactly once
-                    const SLOT_BITS: u32 = BATCH_TILE_PAIRS.trailing_zeros();
-                    let max_id = ids.uniques[spec].saturating_sub(1) as u64;
-                    let id_bits = 64 - max_id.leading_zeros();
-                    if 2 * id_bits + SLOT_BITS <= 64 {
-                        // run-scan scatter: the ids and the lane slot all
-                        // fit one u64 (slots are tile-local, < the tile
-                        // size), so sorting groups equal (a, b) runs
-                        // adjacently and each run's single arena merge
-                        // scatters straight back to its slots — no second
-                        // lookup
-                        let mask = (1u64 << id_bits) - 1;
-                        let slot_mask = (1u64 << SLOT_BITS) - 1;
-                        keys.clear();
-                        keys.extend(alive.iter().enumerate().map(|(idx, &p)| {
-                            let (bo, bn) = bases[p as usize];
-                            (u64::from(ids.old[bo + spec]) << (id_bits + SLOT_BITS))
-                                | (u64::from(ids.new[bn + spec]) << SLOT_BITS)
-                                | idx as u64
-                        }));
-                        keys.sort_unstable();
-                        lane.resize(alive.len(), 0.0);
-                        let mut run = u64::MAX;
-                        let mut v = 0.0;
-                        for &packed in &keys {
-                            let key = packed >> SLOT_BITS;
-                            if key != run {
-                                run = key;
+                    // no table (locality cap or budget): pairs arrive
+                    // old-major, so one old value stays loaded in the row
+                    // scratch over a long run and each pair costs one
+                    // probe per gram of its new value; a pair repeating
+                    // the previous `(a, b)` reuses its similarity
+                    let mut prev: Option<((u32, u32), f64)> = None;
+                    for &p in &alive {
+                        let (bo, bn) = bases[p as usize];
+                        let key = (ids.old[bo + spec], ids.new[bn + spec]);
+                        let v = match prev {
+                            Some((k, v)) if k == key => v,
+                            _ => {
                                 stats.unique += 1;
-                                v = arenas[spec]
-                                    .similarity((key >> id_bits) as u32, (key & mask) as u32);
+                                let v = arenas[spec].similarity_row(&mut row, key.0, key.1);
+                                prev = Some((key, v));
+                                v
                             }
-                            lane[(packed & slot_mask) as usize] = v;
-                        }
-                    } else {
-                        // id spaces too wide to pack a slot alongside:
-                        // dedup into a sorted unique list and gather by
-                        // binary search
-                        keys.clear();
-                        keys.extend(alive.iter().map(|&p| {
-                            let (bo, bn) = bases[p as usize];
-                            (u64::from(ids.old[bo + spec]) << 32) | u64::from(ids.new[bn + spec])
-                        }));
-                        uniq.clear();
-                        uniq.extend_from_slice(&keys);
-                        uniq.sort_unstable();
-                        uniq.dedup();
-                        stats.unique += uniq.len() as u64;
-                        uniq_sims.clear();
-                        uniq_sims.extend(
-                            uniq.iter().map(|&key| {
-                                arenas[spec].similarity((key >> 32) as u32, key as u32)
-                            }),
-                        );
-                        lane.extend(keys.iter().map(|key| {
-                            uniq_sims[uniq.binary_search(key).expect("key in unique set")]
-                        }));
+                        };
+                        lane.push(v);
                     }
                 }
             }

@@ -332,7 +332,8 @@ impl MissReport {
         match (self.old_linked_to, self.new_linked_from) {
             (None, None) => {}
             (o, n) => {
-                let fmt = |v: Option<u64>| v.map_or_else(|| "unlinked".to_owned(), |x| x.to_string());
+                let fmt =
+                    |v: Option<u64>| v.map_or_else(|| "unlinked".to_owned(), |x| x.to_string());
                 let _ = writeln!(
                     out,
                     "  endpoints: old linked to {}, new linked from {}",

@@ -167,10 +167,16 @@ pub(crate) fn sharded_candidate_pairs(
     // over residues are ignored, so the check avoids recomputing them.
     if obs.truth_enabled() && obs.truth_shard_map().is_none() {
         if let Some(tc) = obs.truth_config() {
-            let old_at: HashMap<u64, usize> =
-                old.iter().enumerate().map(|(i, r)| (r.id.raw(), i)).collect();
-            let new_at: HashMap<u64, usize> =
-                new.iter().enumerate().map(|(j, r)| (r.id.raw(), j)).collect();
+            let old_at: HashMap<u64, usize> = old
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (r.id.raw(), i))
+                .collect();
+            let new_at: HashMap<u64, usize> = new
+                .iter()
+                .enumerate()
+                .map(|(j, r)| (r.id.raw(), j))
+                .collect();
             let mut map = Vec::new();
             for &(o, n) in &tc.record_pairs {
                 let (Some(&i), Some(&j)) = (old_at.get(&o), new_at.get(&n)) else {

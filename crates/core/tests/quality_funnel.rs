@@ -60,8 +60,7 @@ fn funnel_partitions_truth_exactly_in_every_execution_mode() {
                 // the funnel recovers decent recall on clean synthetic data
                 assert!(q.funnel.recovered() * 2 > q.funnel.total);
                 // sharded runs attribute blocked pairs across real shards
-                let resolved =
-                    config.resolved_shards(old.records().len() + new.records().len());
+                let resolved = config.resolved_shards(old.records().len() + new.records().len());
                 if resolved > 1 {
                     assert!(
                         !q.per_shard.is_empty(),

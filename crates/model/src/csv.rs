@@ -421,8 +421,7 @@ mod tests {
 
     #[test]
     fn mapping_malformed_id_reports_offending_line() {
-        let e = read_record_mapping("old_record_id,new_record_id\n1,abc\n".as_bytes())
-            .unwrap_err();
+        let e = read_record_mapping("old_record_id,new_record_id\n1,abc\n".as_bytes()).unwrap_err();
         match e {
             ModelError::Parse { line, message } => {
                 assert_eq!(line, 2);

@@ -131,8 +131,10 @@ pub enum Counter {
     /// Batch-kernel work items requested: scored pairs × attribute
     /// specs, before value-pair deduplication.
     PairScoreBatchProbes,
-    /// Unique `(old value-id, new value-id)` items the batch kernel
-    /// actually computed — `1 − unique/probes` is the dedup win.
+    /// Arena similarity computations the batch kernel actually made:
+    /// similarity-table misses, plus probes of table-less attributes
+    /// whose `(old value-id, new value-id)` differs from the previous
+    /// probe's — `1 − unique/probes` is the reuse win.
     PairScoreBatchedUnique,
     /// Memory-budget fallbacks: `SimTable`s skipped in favour of direct
     /// similarity computation.

@@ -625,7 +625,10 @@ mod tests {
     #[test]
     fn render_shows_funnel_and_strata() {
         let text = section().render();
-        assert!(text.contains("recall-loss funnel over 10 true pair(s)"), "{text}");
+        assert!(
+            text.contains("recall-loss funnel over 10 true pair(s)"),
+            "{text}"
+        );
         assert!(text.contains("recovered: selection"), "{text}");
         assert!(text.contains("lost: never blocked"), "{text}");
         assert!(text.contains("blocking disagreements"), "{text}");

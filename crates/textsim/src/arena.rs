@@ -1,9 +1,9 @@
 //! Structure-of-arrays arena of compiled multisets for batch scoring.
 //!
-//! The batch scoring kernel in the linkage core dedups candidate pairs to
-//! unique `(old value-id, new value-id)` work items per attribute and then
-//! scores each item once. Scoring through [`CompiledValue`] references
-//! would chase one heap pointer per side per item; [`MultisetArena`]
+//! The batch scoring kernel in the linkage core scores candidate pairs
+//! one attribute column at a time, by interned value id. Scoring through
+//! [`CompiledValue`] references would chase one heap pointer per side per
+//! item; [`MultisetArena`]
 //! instead flattens every value's sorted gram multiset into one contiguous
 //! buffer with an offset table, so the merge-Dice inner loop streams
 //! linearly through memory. Bigrams are additionally re-packed into the
@@ -20,9 +20,15 @@
 //! the same `usize`/`f64` expression in the same order. Values whose
 //! representation has no packed form (edit-distance measures, mixed
 //! measures) fall back to delegating the original `CompiledValue`s.
+//!
+//! [`MultisetArena::similarity_row`] serves callers that score one value
+//! against many: in the `u16` lane it keeps the fixed value's gram counts
+//! in a [`RowScratch`] and counts each intersection with one probe per
+//! distinct gram of the other value — the same integer the merge counts.
 
 use crate::compiled::{CompiledValue, Repr};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel id for a missing (empty-key) value in the exact lane.
 const EXACT_EMPTY: u32 = u32::MAX;
@@ -38,6 +44,42 @@ const EXACT_EMPTY: u32 = u32::MAX;
 pub struct MultisetArena<'a> {
     lane: Lane<'a>,
     len: usize,
+    /// Process-unique identity, so a [`RowScratch`] never serves a row
+    /// loaded from another arena.
+    uid: u64,
+}
+
+/// Per-worker scratch of [`MultisetArena::similarity_row`]: the gram
+/// counts of one loaded `u16`-lane row, indexed by packed bigram.
+#[derive(Debug, Default)]
+pub struct RowScratch {
+    /// `(arena uid, row id)` whose grams `counts` holds.
+    loaded: Option<(u64, u32)>,
+    /// The loaded row's grams, to clear `counts` on the next load.
+    grams: Vec<u16>,
+    /// Multiplicity per packed bigram; allocated (2¹⁶ cells) on first use.
+    counts: Vec<u32>,
+}
+
+impl RowScratch {
+    /// Make `counts` hold the multiset of row `row` of arena `uid`.
+    fn load(&mut self, uid: u64, row: u32, grams: &[u16]) {
+        if self.loaded == Some((uid, row)) {
+            return;
+        }
+        if self.counts.is_empty() {
+            self.counts = vec![0; 1 << 16];
+        }
+        for &g in &self.grams {
+            self.counts[g as usize] = 0;
+        }
+        self.grams.clear();
+        self.grams.extend_from_slice(grams);
+        for &g in grams {
+            self.counts[g as usize] += 1;
+        }
+        self.loaded = Some((uid, row));
+    }
 }
 
 /// The per-measure packed layout. One lane per arena: a spec's values all
@@ -71,7 +113,9 @@ impl<'a> MultisetArena<'a> {
         let lane = Self::packed_lane(values).unwrap_or_else(|| Lane::Fallback {
             values: values.to_vec(),
         });
-        MultisetArena { lane, len }
+        static NEXT_UID: AtomicU64 = AtomicU64::new(0);
+        let uid = NEXT_UID.fetch_add(1, Ordering::Relaxed);
+        MultisetArena { lane, len, uid }
     }
 
     /// Try the packed layouts; `None` means the fallback lane.
@@ -272,6 +316,39 @@ impl<'a> MultisetArena<'a> {
             Lane::Fallback { values } => values[a as usize].similarity(values[b as usize]),
         }
     }
+
+    /// [`similarity`](Self::similarity) for callers that score one `a`
+    /// against many `b` in a row. In the `u16` bigram lane, `a`'s gram
+    /// counts stay loaded in `scratch` until `a` changes, and each run
+    /// of `r` equal grams in `b` (sorted, so runs are adjacent) meets
+    /// `min(r, count_a)` grams of `a` — one probe per distinct gram of
+    /// `b` instead of a merge over both. The intersection is the same
+    /// integer, fed to the same Dice expression, so the result is
+    /// bit-identical to [`similarity`](Self::similarity). Other lanes
+    /// delegate to it.
+    ///
+    /// # Panics
+    /// Panics if `a` or `b` is out of range for the arena.
+    #[must_use]
+    pub fn similarity_row(&self, scratch: &mut RowScratch, a: u32, b: u32) -> f64 {
+        let Lane::Bigrams16 { grams, offsets } = &self.lane else {
+            return self.similarity(a, b);
+        };
+        let (ga, gb) = (slice_at(grams, offsets, a), slice_at(grams, offsets, b));
+        if ga.is_empty() || gb.is_empty() {
+            return 0.0;
+        }
+        scratch.load(self.uid, a, ga);
+        let (mut n, mut run) = (0usize, 0u32);
+        for (k, &g) in gb.iter().enumerate() {
+            run += 1;
+            if gb.get(k + 1) != Some(&g) {
+                n += run.min(scratch.counts[g as usize]) as usize;
+                run = 0;
+            }
+        }
+        2.0 * n as f64 / (ga.len() + gb.len()) as f64
+    }
 }
 
 /// The gram run of value `id` inside the flattened buffer.
@@ -413,7 +490,76 @@ mod tests {
         assert!(arena.heap_bytes() > 0);
     }
 
+    /// `similarity_row` against `similarity` over `order` with one
+    /// scratch, then over every pair, so rows load in arbitrary order.
+    fn assert_rows_match(values: &[CompiledValue], order: &[(u32, u32)]) {
+        let refs: Vec<&CompiledValue> = values.iter().collect();
+        let arena = MultisetArena::build(&refs);
+        let n = values.len() as u32;
+        let all = (0..n).flat_map(|a| (0..n).map(move |b| (a, b)));
+        let mut scratch = RowScratch::default();
+        for (a, b) in order.iter().map(|&(a, b)| (a % n, b % n)).chain(all) {
+            assert_eq!(
+                arena.similarity_row(&mut scratch, a, b).to_bits(),
+                arena.similarity(a, b).to_bits(),
+                "lane {} ids ({a},{b}): {:?} vs {:?}",
+                arena.lane_name(),
+                values[a as usize].raw(),
+                values[b as usize].raw(),
+            );
+        }
+    }
+
+    #[test]
+    fn row_scoring_counts_repeated_grams() {
+        let values = compile_all(
+            StringMeasure::QGram(2),
+            &["aaaa", "aa", "", "abab", "ba", "é", "éé", "aaaa"],
+        );
+        let order = [
+            (0, 1),
+            (1, 0),
+            (0, 0),
+            (3, 4),
+            (2, 0),
+            (0, 2),
+            (5, 6),
+            (7, 1),
+        ];
+        assert_rows_match(&values, &order);
+    }
+
+    #[test]
+    fn row_scratch_never_serves_another_arenas_row() {
+        let first = compile_all(StringMeasure::QGram(2), &["aaaa", "aaaa"]);
+        let second = compile_all(StringMeasure::QGram(2), &["zz", "aaaa"]);
+        let first_refs: Vec<&CompiledValue> = first.iter().collect();
+        let second_refs: Vec<&CompiledValue> = second.iter().collect();
+        let (a1, a2) = (
+            MultisetArena::build(&first_refs),
+            MultisetArena::build(&second_refs),
+        );
+        let mut scratch = RowScratch::default();
+        assert_eq!(a1.similarity_row(&mut scratch, 0, 1), 1.0);
+        // row 0 again, but of the second arena: "zz" shares nothing
+        assert_eq!(a2.similarity_row(&mut scratch, 0, 1), 0.0);
+    }
+
     proptest! {
+        #[test]
+        fn prop_similarity_row_equals_similarity(
+            small in proptest::collection::vec("[ab]{0,7}", 1..8),
+            latin in proptest::collection::vec("[aéz ]{0,8}", 1..8),
+            any in proptest::collection::vec(".{0,8}", 1..8),
+            which in 0usize..3,
+            order in proptest::collection::vec((0u32..64, 0u32..64), 1..80),
+        ) {
+            let raws = [small, latin, any].into_iter().nth(which).unwrap_or_default();
+            let values: Vec<CompiledValue> =
+                raws.iter().map(|r| StringMeasure::QGram(2).compile(r)).collect();
+            assert_rows_match(&values, &order);
+        }
+
         #[test]
         fn prop_arena_round_trips_bigrams(raws in proptest::collection::vec(".{0,12}", 1..8)) {
             let values: Vec<CompiledValue> =

@@ -35,7 +35,7 @@ mod qgram;
 mod smith_waterman;
 mod tokens;
 
-pub use arena::MultisetArena;
+pub use arena::{MultisetArena, RowScratch};
 pub use compiled::CompiledValue;
 pub use jaro::{jaro, jaro_winkler, jaro_winkler_with_prefix};
 pub use levenshtein::{
