@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run --release -p census-bench --bin bench_link -- \
 //!     [--out BENCH_link.json] [--scales S,M,L] [--iters 3] [--threads N] \
-//!     [--trace-out trace.json] [--skip-single] \
+//!     [--trace-out trace.json] \
 //!     [--before S=14179,M=234242,L=4162575] [--before-ref COMMIT]
 //! ```
 //!
@@ -17,22 +17,15 @@
 //! machine). Phase times come from the pipeline's own trace collector,
 //! so the breakdown matches `link --trace-out` exactly.
 //!
-//! Every scale also pits the sharded engine (`shards: 0`, auto-resolved
-//! against the workload) against the same driver pinned to one shard,
-//! with per-shard work/memory summaries from the trace. The opt-in `XL`
-//! scale (≥500k records across the pair, `--scales XL`) exists for that
-//! headline alone and skips the recompute mode and the observability
-//! ladder, whose quadratic pair count makes them hours-long there.
-//!
 //! Per scale the harness also measures observability overhead — the
 //! incremental pipeline with the collector disabled, enabled, enabled
 //! with decision logging, enabled with the worker timeline recorder,
 //! enabled with allocation tracking, and enabled with ground-truth
 //! quality telemetry — plus a memory summary (peak live bytes,
 //! per-phase allocation, footprint snapshots) from one
-//! memory-and-timeline-tracked run whose scheduler analytics (worker
-//! utilization, LPT plan quality, critical path) land in a `timeline`
-//! block per row, and embeds the enabled run's histogram summaries.
+//! memory-and-timeline-tracked run of the default configuration whose
+//! scheduler analytics (worker utilization, critical path) land in a
+//! `timeline` block per row, and embeds the enabled run's histogram summaries.
 //! The memory-tracked run also carries the generator's ground truth,
 //! so its trace embeds the `quality` section (recall-loss funnel and
 //! strata). `--trace-out FILE` writes that run's full trace of the
@@ -46,7 +39,7 @@
 //! records which commit those totals came from.
 
 use census_synth::{generate_series, SimConfig};
-use linkage_core::{link_traced, LinkageConfig, ScoringKernel};
+use linkage_core::{link_traced, LinkageConfig};
 use obs::{Collector, DecisionConfig, RunTrace, TruthConfig};
 use serde_json::{json, Value};
 use std::time::Instant;
@@ -60,33 +53,20 @@ static ALLOC: obs::CountingAlloc = obs::CountingAlloc::system();
 struct Scale {
     label: &'static str,
     initial_households: usize,
-    /// Whether to run the full measurement ladder (recompute mode, obs
-    /// overhead rungs). XL is sized for the sharded-vs-single headline
-    /// only — its quadratic pair count makes the full ladder hours-long.
-    full_ladder: bool,
 }
 
-const SCALES: [Scale; 4] = [
+const SCALES: [Scale; 3] = [
     Scale {
         label: "S",
         initial_households: 120,
-        full_ladder: true,
     },
     Scale {
         label: "M",
         initial_households: 800,
-        full_ladder: true,
     },
     Scale {
         label: "L",
         initial_households: 3300,
-        full_ladder: true,
-    },
-    // ≥500k records across the snapshot pair; opt in with --scales XL
-    Scale {
-        label: "XL",
-        initial_households: 42_000,
-        full_ladder: false,
     },
 ];
 
@@ -142,7 +122,7 @@ fn keep_best(best: &mut Option<Measurement>, m: Measurement) {
 /// enabled, +decisions, +timeline, +mem, +quality, repeat — so their
 /// best-of minima come from the same machine-state window and host
 /// noise cancels out of the overhead percentages (the same discipline
-/// as the kernel rung; sequential best-of blocks on a busy host can
+/// as the driver comparison; sequential best-of blocks on a busy host can
 /// swing a sub-1% overhead by tens of percent in either direction).
 fn obs_overhead_json(
     iters: usize,
@@ -226,9 +206,8 @@ fn memory_summary(
 ) -> (Value, RunTrace) {
     // the memory-tracked run also records the worker timeline and the
     // generator's ground truth, so the baseline trace and the per-scale
-    // rows carry scheduler analytics (utilization, LPT plan quality)
-    // and the quality section (recall-loss funnel) from a real sharded
-    // run
+    // rows carry scheduler analytics (utilization, critical path) and
+    // the quality section (recall-loss funnel)
     let obs = Collector::enabled()
         .with_memory()
         .with_timeline()
@@ -302,35 +281,13 @@ fn histograms_json(trace: &RunTrace) -> Value {
     )
 }
 
-/// Per-shard work and memory summaries recorded by the sharded engine's
-/// prematch phase (empty for single-shard runs).
-fn shard_stats_json(trace: &RunTrace) -> Value {
-    Value::Seq(
-        trace
-            .shards
-            .iter()
-            .map(|s| {
-                json!({
-                    "shard": (s.shard),
-                    "keys": (s.keys),
-                    "pairs": (s.pairs),
-                    "matched": (s.matched),
-                    "sim_table_bytes": (s.sim_table_bytes),
-                    "sim_table_cells": (s.sim_table_cells),
-                    "duration_us": (s.duration_us)
-                })
-            })
-            .collect(),
-    )
-}
-
-/// Scheduler analytics from the timeline of the memory-tracked sharded
-/// run: worker utilization, LPT plan quality, critical-path estimate.
+/// Scheduler analytics from the timeline of the memory-tracked run:
+/// worker utilization and the critical-path estimate.
 fn timeline_json(trace: &RunTrace) -> Value {
     let Some(tl) = trace.timeline.as_ref() else {
         return Value::Null;
     };
-    let mut entries = vec![
+    let entries = vec![
         (
             Value::Str("events".into()),
             Value::U64(tl.events.len() as u64),
@@ -363,16 +320,6 @@ fn timeline_json(trace: &RunTrace) -> Value {
             ),
         ),
     ];
-    if let Some(pq) = &tl.plan_quality {
-        entries.push((
-            Value::Str("plan_quality".into()),
-            json!({
-                "predicted_skew": (pq.predicted_skew),
-                "actual_skew": (pq.actual_skew),
-                "ratio": (pq.ratio)
-            }),
-        ));
-    }
     Value::Map(entries)
 }
 
@@ -389,73 +336,6 @@ fn quality_json(trace: &RunTrace) -> Value {
         "group_f1": (q.groups.quality.f1),
         "truth_pairs": (q.funnel.total),
         "recovered": (q.funnel.recovered())
-    })
-}
-
-/// Prematch phase time of a measurement (0 if the phase is missing).
-fn prematch_us(m: &Measurement) -> u64 {
-    m.phases
-        .iter()
-        .find(|(name, _)| name == "prematch")
-        .map_or(0, |(_, us)| *us)
-}
-
-/// The kernel microbench rung: the batch scoring kernel against the
-/// scalar one on the same driver and shard settings, compared on the
-/// prematch phase the kernels live in and normalised to ns per scored
-/// pair. The two kernels are sampled *interleaved* — scalar, batch,
-/// scalar, batch, … — so their best-of minima come from the same
-/// machine-state window and host noise cancels out of the ratio;
-/// `default_run` only supplies the link-count cross-check and the
-/// dedup counters, which are load-independent.
-fn kernel_json(
-    iters: usize,
-    old: &census_model::CensusDataset,
-    new: &census_model::CensusDataset,
-    batch_config: &LinkageConfig,
-    default_run: &Measurement,
-) -> Value {
-    let scalar_config = LinkageConfig {
-        scoring: ScoringKernel::Scalar,
-        ..batch_config.clone()
-    };
-    let (mut scalar_us, mut batch_us) = (u64::MAX, u64::MAX);
-    let mut scalar = None;
-    for _ in 0..iters.max(1) {
-        let s = measure(old, new, &scalar_config);
-        let b = measure(old, new, batch_config);
-        assert_eq!(
-            s.record_links, b.record_links,
-            "scoring kernels must produce identical link counts"
-        );
-        assert_eq!(b.record_links, default_run.record_links);
-        batch_us = batch_us.min(prematch_us(&b));
-        if prematch_us(&s) < scalar_us {
-            scalar_us = prematch_us(&s);
-            scalar = Some(s);
-        }
-    }
-    let scalar = scalar.expect("at least one kernel iteration");
-    let batch = default_run;
-    let ns_per_pair = |us: u64, pairs: u64| us as f64 * 1000.0 / pairs.max(1) as f64;
-    let batch_ns = ns_per_pair(batch_us, batch.pairs_scored);
-    let scalar_ns = ns_per_pair(scalar_us, scalar.pairs_scored);
-    let speedup = scalar_us as f64 / batch_us.max(1) as f64;
-    let dedup = batch.trace.batch_dedup_rate();
-    eprintln!(
-        "  kernel: scalar prematch {:.1} ms ({scalar_ns:.0} ns/pair), batch {:.1} ms \
-         ({batch_ns:.0} ns/pair), {speedup:.2}x, dedup {:.1}%",
-        scalar_us as f64 / 1000.0,
-        batch_us as f64 / 1000.0,
-        dedup * 100.0,
-    );
-    json!({
-        "scalar_prematch_us": (scalar_us),
-        "batch_prematch_us": (batch_us),
-        "scalar_ns_per_pair": (scalar_ns),
-        "batch_ns_per_pair": (batch_ns),
-        "prematch_speedup": (speedup),
-        "batch_dedup_rate": (dedup)
     })
 }
 
@@ -508,16 +388,6 @@ fn main() {
         })
         .unwrap_or_default();
     let before_ref = parse_flag(&mut args, "--before-ref");
-    // skip the single-shard driver (and everything measured against it:
-    // recompute, kernel and obs ladders) — on small hosts the XL scale's
-    // single-shard rung alone runs for tens of minutes, while the
-    // sharded headline and its timeline/memory analytics stay tractable
-    let skip_single = if let Some(pos) = args.iter().position(|a| a == "--skip-single") {
-        args.remove(pos);
-        true
-    } else {
-        false
-    };
     assert!(args.is_empty(), "unknown arguments: {args:?}");
 
     let wanted: Vec<&str> = scales.split(',').map(str::trim).collect();
@@ -554,41 +424,25 @@ fn main() {
             ..incremental_config.clone()
         };
 
-        // the shards=0 (auto) engine against the same driver pinned to a
-        // single shard — the headline sharded-vs-single comparison
-        let sharded_config = LinkageConfig {
-            shards: 0,
-            ..incremental_config.clone()
-        };
-
         eprintln!(
             "scale {}: {} -> {} records, best of {iters}",
             scale.label,
             old.records().len(),
             new.records().len()
         );
-        // the drivers are sampled interleaved — single-shard, sharded,
-        // recompute, repeat — so their best-of minima come from the
-        // same machine-state window and host noise cancels out of the
-        // speedup ratios (the same discipline as the kernel and
-        // obs-overhead rungs)
-        let full = scale.full_ladder && !skip_single;
+        // the drivers are sampled interleaved — incremental, recompute,
+        // repeat — so their best-of minima come from the same
+        // machine-state window and host noise cancels out of the speedup
+        // ratio (the same discipline as the obs-overhead rungs)
         let mut incremental: Option<Measurement> = None;
-        let mut sharded: Option<Measurement> = None;
         let mut recompute: Option<Measurement> = None;
         for _ in 0..iters.max(1) {
-            if !skip_single {
-                keep_best(&mut incremental, measure(old, new, &incremental_config));
-            }
-            keep_best(&mut sharded, measure(old, new, &sharded_config));
-            if full {
-                keep_best(&mut recompute, measure(old, new, &recompute_config));
-            }
+            keep_best(&mut incremental, measure(old, new, &incremental_config));
+            keep_best(&mut recompute, measure(old, new, &recompute_config));
         }
-        let sharded = sharded.expect("at least one iteration");
-        // the memory-tracked run uses the sharded engine so the trace
-        // carries the per-shard table summaries alongside the footprints
-        let (memory, mem_trace) = memory_summary(old, new, &sharded_config, &truth_config);
+        let incremental = incremental.expect("at least one iteration");
+        let recompute = recompute.expect("at least one iteration");
+        let (memory, mem_trace) = memory_summary(old, new, &incremental_config, &truth_config);
         if let Some(q) = &mem_trace.quality {
             let [p, r, f] = q.records.quality.percent_row();
             eprintln!(
@@ -597,70 +451,31 @@ fn main() {
                 q.funnel.total
             );
         }
+        assert_eq!(
+            recompute.record_links, incremental.record_links,
+            "modes must produce identical link counts"
+        );
+        let speedup = recompute.total_us as f64 / incremental.total_us.max(1) as f64;
+        eprintln!(
+            "scale {}: recompute {:.1} ms, incremental {:.1} ms, speedup {speedup:.2}x",
+            scale.label,
+            recompute.total_us as f64 / 1000.0,
+            incremental.total_us as f64 / 1000.0,
+        );
         let mut row = json!({
             "scale": (scale.label),
             "records_old": (old.records().len()),
             "records_new": (new.records().len()),
-            "sharded": (mode_json(&sharded)),
-            "shards": (shard_stats_json(&sharded.trace)),
+            "incremental": (mode_json(&incremental)),
+            "recompute": (mode_json(&recompute)),
+            "speedup": (speedup),
             "memory": (memory),
             "timeline": (timeline_json(&mem_trace)),
-            "quality": (quality_json(&mem_trace))
+            "quality": (quality_json(&mem_trace)),
+            "histograms": (histograms_json(&incremental.trace)),
+            "obs_overhead": (obs_overhead_json(iters, old, new, &incremental_config, &truth_config))
         });
-        if let Some(incremental) = &incremental {
-            assert_eq!(
-                sharded.record_links, incremental.record_links,
-                "sharded and single-shard runs must produce identical link counts"
-            );
-            let shard_speedup = incremental.total_us as f64 / sharded.total_us.max(1) as f64;
-            eprintln!(
-                "scale {}: single-shard {:.1} ms, sharded {:.1} ms, \
-                 shard speedup {shard_speedup:.2}x",
-                scale.label,
-                incremental.total_us as f64 / 1000.0,
-                sharded.total_us as f64 / 1000.0,
-            );
-            if let Value::Map(entries) = &mut row {
-                entries.push((Value::Str("incremental".into()), mode_json(incremental)));
-                entries.push((
-                    Value::Str("shard_speedup".into()),
-                    Value::F64(shard_speedup),
-                ));
-            }
-        }
-        if let Value::Map(entries) = &mut row {
-            let hist_trace = incremental.as_ref().map_or(&sharded.trace, |m| &m.trace);
-            entries.push((Value::Str("histograms".into()), histograms_json(hist_trace)));
-        }
-        if let (true, Some(incremental), Some(recompute)) = (full, &incremental, &recompute) {
-            assert_eq!(
-                recompute.record_links, incremental.record_links,
-                "modes must produce identical link counts"
-            );
-            let speedup = recompute.total_us as f64 / incremental.total_us.max(1) as f64;
-            eprintln!(
-                "scale {}: recompute {:.1} ms, incremental {:.1} ms, speedup {speedup:.2}x",
-                scale.label,
-                recompute.total_us as f64 / 1000.0,
-                incremental.total_us as f64 / 1000.0,
-            );
-            if let Value::Map(entries) = &mut row {
-                entries.push((Value::Str("recompute".into()), mode_json(recompute)));
-                entries.push((Value::Str("speedup".into()), Value::F64(speedup)));
-                entries.push((
-                    Value::Str("kernel".into()),
-                    kernel_json(iters, old, new, &incremental_config, incremental),
-                ));
-                entries.push((
-                    Value::Str("obs_overhead".into()),
-                    obs_overhead_json(iters, old, new, &incremental_config, &truth_config),
-                ));
-            }
-        }
-        if let (Some((_, before_us)), Some(incremental)) = (
-            before_totals.iter().find(|(l, _)| l == scale.label),
-            &incremental,
-        ) {
+        if let Some((_, before_us)) = before_totals.iter().find(|(l, _)| l == scale.label) {
             let vs_before = *before_us as f64 / incremental.total_us.max(1) as f64;
             eprintln!(
                 "scale {}: before {:.1} ms -> {vs_before:.2}x end-to-end",

@@ -6,13 +6,11 @@
 //! census-linkage generate --out DIR [--scale small|medium|paper] [--seed N]
 //! census-linkage stats FILE.csv --year YEAR
 //! census-linkage link OLD.csv NEW.csv --old-year Y --new-year Y --out DIR
-//!                [--threads N] [--shards N] [--parallel-cutoff N] [--delta-low D]
-//!                [--scoring scalar|batch] [--mem-budget BYTES]
+//!                [--threads N] [--parallel-cutoff N] [--delta-low D] [--mem-budget BYTES]
 //!                [--trace-out FILE.json] [--timeline-out FILE.json] [--trace-mem]
 //!                [--decisions-out DIR] [--truth DIR|PREFIX] [--progress] [--verbose]
 //! census-linkage evolve FILE.csv... --start-year Y [--interval N] [--out DIR]
-//!                [--threads N] [--shards N] [--parallel-cutoff N] [--delta-low D]
-//!                [--scoring scalar|batch] [--mem-budget BYTES]
+//!                [--threads N] [--parallel-cutoff N] [--delta-low D] [--mem-budget BYTES]
 //!                [--trace-out FILE.json] [--verbose]
 //! census-linkage trace-check FILE.json
 //! census-linkage trace-diff OLD.json NEW.json [--fail-on SPEC]...
@@ -36,7 +34,7 @@ use census_model::csv::{
 use census_model::{CensusDataset, GroupMapping, RecordMapping};
 use census_synth::{generate_series, SimConfig};
 use evolution::{detect_patterns, largest_component, preserve_chain_counts, EvolutionGraph};
-use linkage_core::{link_traced, LinkageConfig, MemGovernor, ScoringKernel};
+use linkage_core::{link_traced, LinkageConfig, MemGovernor};
 use obs::diff::{compare, Threshold};
 use obs::{
     Collector, Counter, DecisionConfig, DecisionRecord, MultiTrace, Progress, RunTrace, TraceSink,
@@ -59,18 +57,13 @@ fn io_err(context: &str, e: impl std::fmt::Display) -> CliError {
 pub struct LinkOptions {
     /// Worker threads for the parallel scoring stages (`--threads`).
     pub threads: Option<usize>,
-    /// Shard count for the blocking-key-partitioned engine (`--shards`);
-    /// `0` picks a scale-aware count automatically. Sharding never
-    /// changes the linkage output — only locality and memory shape.
+    /// Ignored. `--shards` is still parsed (with a warning that it has
+    /// no effect) so old command lines keep working; there is one
+    /// unsharded execution path.
     pub shards: Option<usize>,
     /// Minimum work items before scoring fans out (`--parallel-cutoff`);
     /// `0` forces the parallel path even on tiny inputs.
     pub parallel_cutoff: Option<usize>,
-    /// Pair-scoring kernel for pre-matching (`--scoring scalar|batch`).
-    /// Both kernels produce byte-identical linkage output; `batch` (the
-    /// default) dedups pairs to unique value-id work items and streams
-    /// them through contiguous multiset arenas.
-    pub scoring: Option<ScoringKernel>,
     /// Override of the iterative schedule's lower bound (`--delta-low`).
     pub delta_low: Option<f64>,
     /// Write the pipeline trace as JSON to this file (`--trace-out`).
@@ -125,14 +118,8 @@ impl LinkOptions {
             }
             config.threads = threads;
         }
-        if let Some(shards) = self.shards {
-            config.shards = shards;
-        }
         if let Some(cutoff) = self.parallel_cutoff {
             config.parallel_cutoff = cutoff;
-        }
-        if let Some(scoring) = self.scoring {
-            config.scoring = scoring;
         }
         if let Some(delta_low) = self.delta_low {
             if !(0.0..=1.0).contains(&delta_low) {
@@ -775,7 +762,7 @@ pub fn cmd_trace_diff(
 /// for a run made with `--truth`, re-validate the quality section's
 /// funnel invariants, and render the full quality report — P/R/F1 at
 /// both levels, the recall-loss funnel with its blocking and selection
-/// detail, and the per-iteration / per-shard / per-band strata.
+/// detail, and the per-iteration / per-band strata.
 ///
 /// # Errors
 ///
@@ -837,7 +824,7 @@ const GANTT_WIDTH: usize = 64;
 /// a run made with `--timeline-out` (or `--progress`), and render the
 /// execution timeline: an ASCII Gantt chart (one lane per worker, one
 /// glyph per event kind over the run's event window), the per-worker
-/// utilization table, the plan-quality ratio and the straggler report.
+/// utilization table and the critical-path estimate.
 ///
 /// # Errors
 ///
@@ -908,32 +895,6 @@ pub fn cmd_timeline(file: &Path, min_utilization: Option<f64>) -> Result<String,
         "mean utilization {mean_pct:.1}%, critical path {:.1}ms",
         tl.critical_path_us as f64 / 1e3
     );
-    if let Some(pq) = &tl.plan_quality {
-        let _ = writeln!(
-            out,
-            "plan quality: predicted skew {:.2}, actual skew {:.2}, ratio {:.2}",
-            pq.predicted_skew, pq.actual_skew, pq.ratio
-        );
-    }
-    if !tl.stragglers.is_empty() {
-        let _ = writeln!(out, "straggler shards (longest first):");
-        for s in &tl.stragglers {
-            let table = if s.sim_table_cells == 0 {
-                "direct compute".to_owned()
-            } else {
-                format!("SimTable {} cells", s.sim_table_cells)
-            };
-            let _ = writeln!(
-                out,
-                "  shard {:>4}  {:8.1}ms on worker {}  {} pair(s), {} key(s), {table}",
-                s.shard,
-                s.duration_us as f64 / 1e3,
-                s.worker,
-                s.pairs,
-                s.keys
-            );
-        }
-    }
     if let Some(min) = min_utilization {
         if mean_pct < min {
             let _ = writeln!(
@@ -1122,13 +1083,11 @@ USAGE:
   census-linkage generate --out DIR [--scale small|medium|paper] [--seed N]
   census-linkage stats FILE.csv --year YEAR
   census-linkage link OLD.csv NEW.csv --old-year Y --new-year Y --out DIR
-                 [--threads N] [--shards N] [--parallel-cutoff N] [--delta-low D]
-                 [--scoring scalar|batch] [--mem-budget BYTES]
+                 [--threads N] [--parallel-cutoff N] [--delta-low D] [--mem-budget BYTES]
                  [--trace-out FILE.json] [--timeline-out FILE.json] [--trace-mem]
                  [--decisions-out DIR] [--truth DIR|PREFIX] [--progress] [--verbose]
   census-linkage evolve FILE.csv... --start-year Y [--interval N] [--out DIR]
-                 [--threads N] [--shards N] [--parallel-cutoff N] [--delta-low D]
-                 [--scoring scalar|batch] [--mem-budget BYTES]
+                 [--threads N] [--parallel-cutoff N] [--delta-low D] [--mem-budget BYTES]
                  [--trace-out FILE.json] [--verbose]
   census-linkage evaluate FOUND.csv TRUTH.csv --kind records|groups
   census-linkage trace-check FILE.json
@@ -1209,9 +1168,12 @@ fn take_link_options(args: &mut Vec<String>) -> Result<LinkOptions, CliError> {
     let shards = take_value(args, "--shards")?
         .map(|s| {
             s.parse::<usize>()
-                .map_err(|_| format!("bad shard count {s:?} (0 = auto)"))
+                .map_err(|_| format!("bad shard count {s:?}"))
         })
         .transpose()?;
+    if shards.is_some() {
+        eprintln!("warning: --shards is ignored; there is one unsharded execution path");
+    }
     let parallel_cutoff = take_value(args, "--parallel-cutoff")?
         .map(|s| {
             s.parse::<usize>()
@@ -1220,13 +1182,6 @@ fn take_link_options(args: &mut Vec<String>) -> Result<LinkOptions, CliError> {
         .transpose()?;
     let delta_low = take_value(args, "--delta-low")?
         .map(|s| s.parse::<f64>().map_err(|_| format!("bad delta-low {s:?}")))
-        .transpose()?;
-    let scoring = take_value(args, "--scoring")?
-        .map(|s| match s.as_str() {
-            "scalar" => Ok(ScoringKernel::Scalar),
-            "batch" => Ok(ScoringKernel::Batch),
-            _ => Err(format!("bad scoring kernel {s:?} (scalar or batch)")),
-        })
         .transpose()?;
     let trace_out = take_value(args, "--trace-out")?.map(PathBuf::from);
     let timeline_out = take_value(args, "--timeline-out")?.map(PathBuf::from);
@@ -1242,7 +1197,6 @@ fn take_link_options(args: &mut Vec<String>) -> Result<LinkOptions, CliError> {
         threads,
         shards,
         parallel_cutoff,
-        scoring,
         delta_low,
         trace_out,
         timeline_out,
@@ -1608,7 +1562,7 @@ mod tests {
         .is_err());
         LinkOptions {
             threads: Some(2),
-            shards: Some(0), // auto
+            shards: Some(0), // ignored
             parallel_cutoff: Some(128),
             delta_low: Some(0.55),
             ..LinkOptions::default()
@@ -1616,7 +1570,7 @@ mod tests {
         .apply(&mut config)
         .unwrap();
         assert_eq!(config.threads, 2);
-        assert_eq!(config.shards, 0);
+        assert_eq!(config.shards, 1, "--shards must not reach the config");
         assert_eq!(config.parallel_cutoff, 128);
         assert!((config.delta_low - 0.55).abs() < 1e-9);
     }
@@ -1635,31 +1589,30 @@ mod tests {
     }
 
     #[test]
-    fn scoring_flag_is_parsed() {
+    fn scoring_flag_is_rejected_as_unknown() {
+        // the scalar kernel is gone: `--scoring` is no longer a link
+        // option, so the parser leaves it for the unknown-flag check
         let mut args: Vec<String> = ["--scoring", "scalar"]
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let opts = take_link_options(&mut args).unwrap();
-        assert_eq!(opts.scoring, Some(ScoringKernel::Scalar));
-        assert!(args.is_empty(), "all flags consumed");
-        let mut batch: Vec<String> = ["--scoring", "batch"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        assert_eq!(
-            take_link_options(&mut batch).unwrap().scoring,
-            Some(ScoringKernel::Batch)
-        );
-        let mut bad: Vec<String> = ["--scoring", "vectorised"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        assert!(take_link_options(&mut bad).is_err());
-        // unset leaves the config default (batch) in place
-        let mut config = LinkageConfig::default();
-        LinkOptions::default().apply(&mut config).unwrap();
-        assert_eq!(config.scoring, ScoringKernel::Batch);
+        take_link_options(&mut args).unwrap();
+        assert_eq!(args, ["--scoring", "scalar"]);
+        let err = cli(&[
+            "link",
+            "old.csv",
+            "new.csv",
+            "--old-year",
+            "1851",
+            "--new-year",
+            "1861",
+            "--out",
+            "/tmp/x",
+            "--scoring",
+            "scalar",
+        ])
+        .unwrap_err();
+        assert!(err.contains("unknown flag \"--scoring\""), "{err}");
     }
 
     #[test]
@@ -1981,8 +1934,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_link_matches_unsharded_and_traces_shards() {
-        let dir = tmp_dir("sharded");
+    fn shards_flag_is_accepted_and_writes_identical_mappings() {
+        // `--shards` only prints a warning on stderr: the run, its
+        // mappings and its trace are those of a plain run
+        let dir = tmp_dir("shards");
         cmd_generate(&dir, "small", Some(37)).unwrap();
         let old = dir.join("census_1851.csv");
         let new = dir.join("census_1861.csv");
@@ -2001,8 +1956,8 @@ mod tests {
             args.extend_from_slice(extra);
             cli(&args).unwrap()
         };
-        let single = dir.join("single");
-        link(&single, &["--shards", "1"]);
+        let plain = dir.join("plain");
+        link(&plain, &[]);
         let sharded = dir.join("shard4");
         let trace_path = dir.join("shard4_trace.json");
         link(
@@ -2011,31 +1966,16 @@ mod tests {
         );
         for file in ["record_mapping.csv", "group_mapping.csv"] {
             assert_eq!(
-                std::fs::read_to_string(single.join(file)).unwrap(),
-                std::fs::read_to_string(sharded.join(file)).unwrap(),
+                std::fs::read(plain.join(file)).unwrap(),
+                std::fs::read(sharded.join(file)).unwrap(),
                 "{file} changed under --shards 4"
             );
         }
         let trace: RunTrace =
             serde_json::from_str(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
-        assert!(
-            !trace.shards.is_empty(),
-            "sharded run recorded no shard stats"
-        );
+        assert!(trace.shards.is_empty(), "no run records shard stats");
         let report = cmd_trace_check(&trace_path).unwrap();
         assert!(report.contains("trace OK"), "{report}");
-
-        // the scalar kernel must reproduce the batch default byte for
-        // byte, and the batch trace must carry the dedup counters
-        let scalar = dir.join("scalar");
-        link(&scalar, &["--shards", "1", "--scoring", "scalar"]);
-        for file in ["record_mapping.csv", "group_mapping.csv"] {
-            assert_eq!(
-                std::fs::read_to_string(single.join(file)).unwrap(),
-                std::fs::read_to_string(scalar.join(file)).unwrap(),
-                "{file} changed under --scoring scalar"
-            );
-        }
         let probes = trace
             .counters
             .iter()
@@ -2043,12 +1983,50 @@ mod tests {
             .map_or(0, |c| c.value);
         assert!(probes > 0, "batch run recorded no batch probes");
 
-        // a bad shard count is rejected up front
+        // a bad shard count is still rejected up front
         let mut bad: Vec<String> = ["--shards", "many"]
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
         assert!(take_link_options(&mut bad).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bom_prefixed_snapshot_links_like_the_plain_file() {
+        // spreadsheet exports often start with a UTF-8 byte-order mark
+        let dir = tmp_dir("bom");
+        cmd_generate(&dir, "small", Some(41)).unwrap();
+        let old = dir.join("census_1851.csv");
+        let new = dir.join("census_1861.csv");
+        let bom_old = dir.join("bom_1851.csv");
+        let mut bytes = "\u{FEFF}".as_bytes().to_vec();
+        bytes.extend(std::fs::read(&old).unwrap());
+        std::fs::write(&bom_old, bytes).unwrap();
+        let link = |old: &Path, out: &Path| {
+            cli(&[
+                "link",
+                old.to_str().unwrap(),
+                new.to_str().unwrap(),
+                "--old-year",
+                "1851",
+                "--new-year",
+                "1861",
+                "--out",
+                out.to_str().unwrap(),
+            ])
+            .unwrap()
+        };
+        let (plain, bom) = (dir.join("plain"), dir.join("bom"));
+        link(&old, &plain);
+        link(&bom_old, &bom);
+        for file in ["record_mapping.csv", "group_mapping.csv"] {
+            assert_eq!(
+                std::fs::read(plain.join(file)).unwrap(),
+                std::fs::read(bom.join(file)).unwrap(),
+                "{file} changed by a BOM"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2244,15 +2222,13 @@ mod tests {
         };
         // baseline without the timeline, then the instrumented run
         let plain = dir.join("plain");
-        link(&plain, &["--shards", "4", "--threads", "2"]);
+        link(&plain, &["--threads", "2"]);
         let timed = dir.join("timed");
         let tl_path = dir.join("timeline.json");
         let trace_path = dir.join("trace.json");
         let summary = link(
             &timed,
             &[
-                "--shards",
-                "4",
                 "--threads",
                 "2",
                 "--parallel-cutoff",

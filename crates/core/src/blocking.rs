@@ -76,10 +76,9 @@ fn band_bits(band: i64) -> u64 {
     u64::from(band.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16 as u16)
 }
 
-/// The per-record ingredients of the packed blocking keys, computed once
-/// per record so that pair *ownership* (see [`owner_key`]) can be decided
-/// from the same source of truth as key emission — any drift between the
-/// two would silently drop or duplicate candidate pairs under sharding.
+/// The per-record ingredients of the packed blocking keys. Key emission
+/// and the per-family collision test ([`family_collisions`]) both derive
+/// from these fields, so the two cannot drift apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct KeyFields {
     /// `soundex(surname)` as a big-endian `u32`, when the surname yields one.
@@ -135,13 +134,7 @@ impl KeyFields {
 /// (32 bits), the sex code byte is `m`/`f`/`?`, the first letter is a
 /// `char` (≤ 21 bits) — each pass places them in disjoint bit ranges, so
 /// packed keys are bijective with the formatted keys they replace.
-fn keys(r: &PersonRecord, shift: i64, both_bands: bool, out: &mut Vec<u64>) {
-    append_keys(KeyFields::of(r), shift, both_bands, out);
-}
-
-/// [`keys`] from precomputed [`KeyFields`] — the sharded pair generator
-/// computes fields once per record and emits per-shard from them.
-pub(crate) fn append_keys(kf: KeyFields, shift: i64, both_bands: bool, out: &mut Vec<u64>) {
+fn append_keys(kf: KeyFields, shift: i64, both_bands: bool, out: &mut Vec<u64>) {
     if let Some(k) = kf.surname_first_key() {
         out.push(k);
     }
@@ -167,77 +160,42 @@ pub(crate) fn append_keys(kf: KeyFields, shift: i64, both_bands: bool, out: &mut
     }
 }
 
-/// The blocking key that *owns* a candidate pair under sharded pair
-/// generation: the highest-priority key the two records collide on
-/// (surname×first-letter, then surname×sex, then first-name×age-band,
-/// mirroring the emission order of [`append_keys`]). Every generated
-/// pair collides on at least one key, so the owner is total over
-/// candidate pairs, and it is a pure function of the two records — every
-/// shard computes the same owner with no coordination. A shard keeps a
-/// generated pair exactly when the owner is the bucket key it was
-/// generated from, which makes the per-shard pair sets pairwise disjoint
-/// and their union exactly the deduplicated unsharded output. Returns
-/// `None` when the records share no key (such a pair is never generated).
-pub(crate) fn owner_key(old: KeyFields, new: KeyFields, year_gap: i64) -> Option<u64> {
-    if let (Some(a), Some(b)) = (old.surname_first_key(), new.surname_first_key()) {
-        if a == b {
-            return Some(a);
-        }
-    }
-    if let (Some(a), Some(b)) = (old.surname_sex_key(), new.surname_sex_key()) {
-        if a == b {
-            return Some(a);
-        }
-    }
-    if let (Some(a), Some(b)) = (old.firstname_age_base(), new.firstname_age_base()) {
-        if a == b {
-            match (old.age, new.age) {
-                (Some(oa), Some(na)) => {
-                    // the old side indexes bands {b-1, b, b+1} of the
-                    // shifted age; the pair collides when the new side's
-                    // band-bit pattern matches any of them
-                    let ob = (i64::from(oa) + year_gap).div_euclid(AGE_BAND);
-                    let nb = band_bits(i64::from(na).div_euclid(AGE_BAND));
-                    if [ob, ob + 1, ob - 1].into_iter().any(|w| band_bits(w) == nb) {
-                        return Some(b | HAS_AGE | nb);
-                    }
-                }
-                (None, None) => return Some(b),
-                _ => {}
-            }
-        }
-    }
-    None
-}
-
-/// Per-family blocking disagreement for a record pair, as
-/// `[surname_first, surname_sex, firstname_age]`: a family is `true`
-/// when both sides emitted a key for it but the keys did not collide —
-/// the family actively rejected the pair, as opposed to being
-/// unavailable because a side is missing the underlying field. Quality
-/// telemetry uses this to attribute `not_blocked` losses; a pair with
-/// `owner_key == None` can still show `false` for a family whose key one
-/// side could not produce.
-pub(crate) fn family_disagreement(old: KeyFields, new: KeyFields, year_gap: i64) -> [bool; 3] {
-    let miss = |a: Option<u64>, b: Option<u64>| matches!((a, b), (Some(x), Some(y)) if x != y);
-    let sf = miss(old.surname_first_key(), new.surname_first_key());
-    let ss = miss(old.surname_sex_key(), new.surname_sex_key());
-    let fa = match (old.firstname_age_base(), new.firstname_age_base()) {
-        (Some(a), Some(b)) => {
-            a != b
-                || match (old.age, new.age) {
+/// Per-family blocking outcome for a record pair, as
+/// `[surname_first, surname_sex, firstname_age]`: `Some(true)` when the
+/// two records share the family's key, `Some(false)` when both sides
+/// emitted a key for the family but they differ (the family actively
+/// rejected the pair), `None` when a side lacks the underlying field.
+/// The pair is a blocking candidate exactly when some family collides.
+/// Quality telemetry uses this to classify `not_blocked` losses.
+pub(crate) fn family_collisions(
+    old: KeyFields,
+    new: KeyFields,
+    year_gap: i64,
+) -> [Option<bool>; 3] {
+    let same = |a: Option<u64>, b: Option<u64>| a.zip(b).map(|(x, y)| x == y);
+    let fa = old
+        .firstname_age_base()
+        .zip(new.firstname_age_base())
+        .map(|(a, b)| {
+            a == b
+                && match (old.age, new.age) {
                     (Some(oa), Some(na)) => {
+                        // the old side indexes bands {b-1, b, b+1} of the
+                        // shifted age; the pair collides when the new side's
+                        // band-bit pattern matches any of them
                         let ob = (i64::from(oa) + year_gap).div_euclid(AGE_BAND);
                         let nb = band_bits(i64::from(na).div_euclid(AGE_BAND));
-                        ![ob, ob + 1, ob - 1].into_iter().any(|w| band_bits(w) == nb)
+                        [ob, ob + 1, ob - 1].into_iter().any(|w| band_bits(w) == nb)
                     }
-                    (None, None) => false,
-                    _ => true, // mixed presence never collides (HAS_AGE bit)
+                    (None, None) => true,
+                    _ => false, // mixed presence never collides (HAS_AGE bit)
                 }
-        }
-        _ => false,
-    };
-    [sf, ss, fa]
+        });
+    [
+        same(old.surname_first_key(), new.surname_first_key()),
+        same(old.surname_sex_key(), new.surname_sex_key()),
+        fa,
+    ]
 }
 
 /// Capacity to pre-allocate for a `Full` cross product. `checked_mul`
@@ -274,7 +232,7 @@ impl NewBuckets {
         let mut scratch = Vec::with_capacity(3);
         for (j, r) in new.iter().enumerate() {
             scratch.clear();
-            keys(r, 0, false, &mut scratch);
+            append_keys(KeyFields::of(r), 0, false, &mut scratch);
             entries.extend(scratch.iter().map(|&k| (k, r.age, j as u32)));
         }
         // `None < Some(_)`: within a key, missing ages lead, then ages
@@ -317,7 +275,7 @@ impl NewBuckets {
         let mut row: Vec<u32> = Vec::new();
         for i in range {
             old_keys.clear();
-            keys(old[i], year_gap, true, &mut old_keys);
+            append_keys(KeyFields::of(old[i]), year_gap, true, &mut old_keys);
             let window = tol.zip(old[i].age).map(|(t, a)| {
                 let expected = i64::from(a) + year_gap;
                 (expected - i64::from(t), expected + i64::from(t))
@@ -577,6 +535,40 @@ mod tests {
         assert_eq!(pairs, vec![(0, 0)]);
     }
 
+    /// The highest-priority key two records collide on (surname ×
+    /// first letter, then surname × sex, then first name × age band —
+    /// the emission order of [`append_keys`]), recomputed from the key
+    /// fields independently of the generator; `None` when they share no
+    /// key.
+    fn owner_key(old: KeyFields, new: KeyFields, year_gap: i64) -> Option<u64> {
+        if let (Some(a), Some(b)) = (old.surname_first_key(), new.surname_first_key()) {
+            if a == b {
+                return Some(a);
+            }
+        }
+        if let (Some(a), Some(b)) = (old.surname_sex_key(), new.surname_sex_key()) {
+            if a == b {
+                return Some(a);
+            }
+        }
+        if let (Some(a), Some(b)) = (old.firstname_age_base(), new.firstname_age_base()) {
+            if a == b {
+                match (old.age, new.age) {
+                    (Some(oa), Some(na)) => {
+                        let ob = (i64::from(oa) + year_gap).div_euclid(AGE_BAND);
+                        let nb = band_bits(i64::from(na).div_euclid(AGE_BAND));
+                        if [ob, ob + 1, ob - 1].into_iter().any(|w| band_bits(w) == nb) {
+                            return Some(b | HAS_AGE | nb);
+                        }
+                    }
+                    (None, None) => return Some(b),
+                    _ => {}
+                }
+            }
+        }
+        None
+    }
+
     /// Brute-force blocking: every pair that collides on a key
     /// (`owner_key` is total over colliding pairs) and, under `tol`, is
     /// age-plausible — in `(old, new)` order.
@@ -724,6 +716,11 @@ mod tests {
                     is_candidate,
                     "owner/candidate disagree at ({i},{j}): owner={owner:?}"
                 );
+                assert_eq!(
+                    family_collisions(okf, nkf, gap).contains(&Some(true)),
+                    is_candidate,
+                    "family collisions/candidate disagree at ({i},{j})"
+                );
                 if let Some(k) = owner {
                     assert!(
                         ko.contains(&k) && kn.contains(&k),
@@ -746,6 +743,20 @@ mod tests {
         assert_eq!(owner_key(with_age, no_age, 0), None);
         // two missing ages do share the bare pass-2 base
         assert!(owner_key(no_age, no_age, 0).is_some());
+        // the per-family view agrees: no surname keys, and the pass-2
+        // family disagrees on mixed presence but collides on two missing
+        assert_eq!(
+            family_collisions(no_age, with_age, 0),
+            [None, None, Some(false)]
+        );
+        assert_eq!(
+            family_collisions(with_age, no_age, 0),
+            [None, None, Some(false)]
+        );
+        assert_eq!(
+            family_collisions(no_age, no_age, 0),
+            [None, None, Some(true)]
+        );
     }
 
     #[test]

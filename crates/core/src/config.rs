@@ -38,23 +38,6 @@ impl Default for RemainderConfig {
     }
 }
 
-/// Which kernel the pre-matching phase scores record pairs with. Both
-/// kernels produce bit-identical scores, decisions and prune counts —
-/// the differential suite `tests/batched_vs_scalar.rs` locks that in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringKernel {
-    /// Pair-at-a-time scoring through `CompiledValue` references, with
-    /// per-spec similarity-table memoisation on the serial path.
-    Scalar,
-    /// Attribute-at-a-time batches: each attribute column is scored
-    /// through a contiguous `textsim::MultisetArena`, served from a
-    /// per-attribute similarity table where one fits and one-vs-many
-    /// over old-major pairs where it does not. The default — see
-    /// `crate::prematch` and DESIGN.md §14.
-    #[default]
-    Batch,
-}
-
 /// Worker-thread settings for the parallel scoring loops: how many
 /// threads to fan out across, and below how many work items fan-out is
 /// skipped because the spawn overhead would dominate.
@@ -65,12 +48,9 @@ pub struct Parallelism {
     /// Minimum number of work items before threads are spawned. With
     /// fewer items the loop runs sequentially regardless of `threads`.
     pub cutoff: usize,
-    /// Blocking-key shards for pair generation and scoring (≥ 1; 1 keeps
-    /// the unsharded engine). Results are identical for any value — see
-    /// `crate::shard`.
+    /// Ignored. Kept so callers that still set a shard count compile;
+    /// there is one unsharded execution path.
     pub shards: usize,
-    /// Pair-scoring kernel. Results are identical for either value.
-    pub scoring: ScoringKernel,
 }
 
 impl Parallelism {
@@ -87,7 +67,6 @@ impl Default for Parallelism {
             threads: default_threads(),
             cutoff: DEFAULT_PARALLEL_CUTOFF,
             shards: 1,
-            scoring: ScoringKernel::default(),
         }
     }
 }
@@ -148,21 +127,10 @@ pub struct LinkageConfig {
     /// budget. `None` (the default) leaves every cache at its built-in
     /// cap.
     pub memory_budget: Option<u64>,
-    /// Blocking-key shards for pair generation and scoring (CLI
-    /// `--shards`): the candidate space is partitioned by blocking key
-    /// into this many independently-scored shards, each with its own
-    /// similarity tables. `0` picks a scale-aware count automatically
-    /// (see [`LinkageConfig::resolved_shards`]); `1` (the default) keeps
-    /// the unsharded engine. Linkage output is bit-identical for every
-    /// value. Only `BlockingStrategy::Standard` has blocking keys to
-    /// shard by; `Full` ignores this knob.
+    /// Ignored (CLI `--shards` only warns). Kept so callers that still
+    /// set a shard count compile; every run takes the one unsharded
+    /// execution path, so output never depended on it.
     pub shards: usize,
-    /// Pair-scoring kernel for the pre-matching phase (CLI `--scoring`):
-    /// [`ScoringKernel::Batch`] (the default) dedups candidate pairs to
-    /// unique value-id pairs per attribute and scores them through
-    /// contiguous multiset arenas; [`ScoringKernel::Scalar`] keeps the
-    /// pair-at-a-time path. Linkage output is bit-identical for either.
-    pub scoring: ScoringKernel,
 }
 
 impl LinkageConfig {
@@ -214,31 +182,21 @@ impl LinkageConfig {
         assert!(self.threads >= 1, "need at least one worker thread");
     }
 
-    /// The worker-thread settings for pair scoring, as one bundle. The
-    /// shard count is carried through raw (`0` = auto) — the linkage
-    /// driver resolves it once per run with
-    /// [`LinkageConfig::resolved_shards`].
+    /// The worker-thread settings for pair scoring, as one bundle.
     #[must_use]
     pub fn parallelism(&self) -> Parallelism {
         Parallelism {
             threads: self.threads.max(1),
             cutoff: self.parallel_cutoff,
-            shards: self.shards.max(1),
-            scoring: self.scoring,
+            shards: 1,
         }
     }
 
-    /// Resolve [`LinkageConfig::shards`] against the run's input size:
-    /// `0` becomes a scale-aware automatic count — enough shards that
-    /// each one's value universe stays small (so per-shard similarity
-    /// tables fit their locality cap), never fewer than the thread count,
-    /// capped at 64.
+    /// Always 1: kept for callers of the retired sharded engine, which
+    /// resolved [`LinkageConfig::shards`] against the input size.
     #[must_use]
-    pub fn resolved_shards(&self, total_records: usize) -> usize {
-        if self.shards != 0 {
-            return self.shards;
-        }
-        self.threads.max((total_records / 4096).min(64)).max(1)
+    pub fn resolved_shards(&self, _total_records: usize) -> usize {
+        1
     }
 }
 
@@ -260,7 +218,6 @@ impl Default for LinkageConfig {
             incremental: true,
             memory_budget: None,
             shards: 1,
-            scoring: ScoringKernel::default(),
         }
     }
 }
@@ -335,24 +292,17 @@ mod tests {
     }
 
     #[test]
-    fn shards_resolve_scale_aware() {
-        let c = LinkageConfig {
-            threads: 2,
-            shards: 0,
-            ..LinkageConfig::default()
-        };
-        // tiny inputs: at least the thread count
-        assert_eq!(c.resolved_shards(100), 2);
-        // large inputs: one shard per ~4k records, capped at 64
-        assert_eq!(c.resolved_shards(40_960), 10);
-        assert_eq!(c.resolved_shards(10_000_000), 64);
-        // explicit counts pass through untouched
-        let c = LinkageConfig {
-            shards: 7,
-            ..LinkageConfig::default()
-        };
-        assert_eq!(c.resolved_shards(10_000_000), 7);
-        assert_eq!(LinkageConfig::default().parallelism().shards, 1);
+    fn shard_shims_always_resolve_to_one() {
+        for shards in [0, 1, 7] {
+            let c = LinkageConfig {
+                threads: 2,
+                shards,
+                ..LinkageConfig::default()
+            };
+            assert_eq!(c.resolved_shards(100), 1);
+            assert_eq!(c.resolved_shards(10_000_000), 1);
+            assert_eq!(c.parallelism().shards, 1);
+        }
     }
 
     #[test]

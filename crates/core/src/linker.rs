@@ -10,7 +10,7 @@ use crate::group_sim::score_subgraph;
 use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
 use crate::pairscore::PairScoreCache;
-use crate::prematch::{build_prematch, prematch_with_profiles, PreMatch};
+use crate::prematch::{build_prematch, prematch_with_profiles, run_pool, PreMatch};
 use crate::profiles::ProfileCache;
 use crate::remainder::match_remaining_cached;
 use crate::selection::{
@@ -420,11 +420,9 @@ impl<'a> Linker<'a> {
         };
         obs.add(Counter::SubgraphPairsScored, cand_list.len() as u64);
         let threads = par.threads.max(1);
-        let shards = par.shards.max(1);
         // household candidates carry more work per item than record
         // pairs, so fan out at half the configured pair cutoff
-        let chunked = shards > 1 || threads > 1;
-        let mut scored = if !chunked || cand_list.len() < config.parallel_cutoff / 2 {
+        let mut scored = if threads <= 1 || cand_list.len() < config.parallel_cutoff / 2 {
             let mut scratch = SubgraphScratch::default();
             let out = score_chunk(cand_list, &mut scratch);
             if traced {
@@ -432,15 +430,12 @@ impl<'a> Linker<'a> {
             }
             out
         } else {
-            // a sharded run splits into one chunk per shard (each with
-            // its own scratch); an unsharded parallel run keeps the
-            // classic one-chunk-per-thread split. Either way the chunks
-            // are concatenated in list order, so the output is exactly
-            // the serial order regardless of completion order.
-            let n_chunks = if shards > 1 { shards } else { threads };
-            let chunk = cand_list.len().div_ceil(n_chunks).max(1);
+            // one chunk per thread, each with its own scratch; chunks are
+            // concatenated in list order, so the output is exactly the
+            // serial order regardless of completion order
+            let chunk = cand_list.len().div_ceil(threads).max(1);
             let chunks: Vec<&[GroupCandidate]> = cand_list.chunks(chunk).collect();
-            let results = crate::shard::run_sharded(chunks.len(), threads, obs, |ci, worker| {
+            let results = run_pool(chunks.len(), threads, obs, |ci, worker| {
                 let t0 = obs.timeline_start();
                 let start = Instant::now();
                 let scored = score_chunk(chunks[ci], &mut SubgraphScratch::default());
@@ -505,12 +500,7 @@ impl<'a> Linker<'a> {
         config.validate();
         let year_gap = i64::from(self.new.year - self.old.year);
         let mem = MemGovernor::new(config.memory_budget);
-        // resolve `shards: 0` (auto) against the workload size once, so
-        // every phase of this run agrees on the shard count
-        let par = Parallelism {
-            shards: config.resolved_shards(self.old.records().len() + self.new.records().len()),
-            ..config.parallelism()
-        };
+        let par = config.parallelism();
         // the governor may veto the cross-iteration pair cache, dropping
         // the run to the recompute-every-iteration path (bit-identical)
         let mut incremental = config.incremental;
@@ -753,7 +743,6 @@ impl<'a> Linker<'a> {
                 &remaining_new,
                 &config.remainder,
                 config.blocking,
-                par,
                 &mut records,
                 &mut groups,
                 &mut cache,

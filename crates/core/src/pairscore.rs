@@ -145,21 +145,9 @@ impl PairScoreCache {
         mem: &MemGovernor,
         obs: &Collector,
     ) -> Option<Self> {
-        // the sharded engine generates pairs partitioned by owning
-        // blocking key; both branches expose the same deduplicated pair
-        // count to the budget gate before any scoring starts
-        let use_shards = par.shards > 1 && strategy == BlockingStrategy::Standard;
-        let (pairs, sharded) = if use_shards {
-            let sharded =
-                crate::shard::sharded_candidate_pairs(old, new, year_gap, par, max_age_gap, obs);
-            (Vec::new(), Some(sharded))
-        } else {
-            (
-                candidate_pairs_filtered(old, new, year_gap, strategy, par.threads, max_age_gap),
-                None,
-            )
-        };
-        let n_pairs = sharded.as_ref().map_or(pairs.len(), |s| s.total);
+        let pairs =
+            candidate_pairs_filtered(old, new, year_gap, strategy, par.threads, max_age_gap);
+        let n_pairs = pairs.len();
         if !mem.allow_pair_cache(n_pairs) {
             obs.add(Counter::MemFallbackPairCache, 1);
             obs.event(
@@ -173,12 +161,7 @@ impl PairScoreCache {
             return None;
         }
         obs.add(Counter::BlockingPairsGenerated, n_pairs as u64);
-        let matches = match &sharded {
-            Some(s) => {
-                crate::shard::sharded_scores(s, old_profiles, new_profiles, sim, par, mem, obs)
-            }
-            None => score_pairs(&pairs, old_profiles, new_profiles, sim, par, mem, obs),
-        };
+        let matches = score_pairs(&pairs, old_profiles, new_profiles, sim, par, mem, obs);
         let mut entries: Vec<(RecordId, RecordId, f64)> = matches
             .into_iter()
             .map(|(i, j, s)| (old[i as usize].id, new[j as usize].id, s))

@@ -4,18 +4,19 @@
 //! Candidate pairs from the blocking layer are scored with the weighted
 //! attribute similarity (Eq. 3); pairs at or above δ become match pairs;
 //! the connected components of the match pairs become clusters, and every
-//! record is assigned its cluster label. Scoring is parallelised across
-//! worker threads with `crossbeam` scoped threads.
+//! record is assigned its cluster label. Scoring splits the pairs into
+//! contiguous chunks on a small work-stealing pool ([`run_pool`]).
 
 use crate::blocking::{candidate_pairs_filtered, BlockingStrategy};
 use crate::cluster::UnionFind;
-use crate::config::{Parallelism, ScoringKernel};
+use crate::config::Parallelism;
 use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
 use crate::simfunc::{CompiledProfile, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, EventKind, Footprint};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use textsim::{CompiledValue, MultisetArena, RowScratch};
 
@@ -154,8 +155,8 @@ const BATCH_TILE_PAIRS: usize = 1 << 14;
 #[derive(Default)]
 struct BatchStats {
     /// Work items requested: still-alive pairs summed over the attribute
-    /// columns — the same probe set the scalar kernel's early-exit loop
-    /// makes.
+    /// columns — the same probe set as the early-exit loop of
+    /// `SimFunc::matches_compiled`.
     probes: u64,
     /// Arena computations actually made: similarity-table misses, plus
     /// no-table probes whose `(old value-id, new value-id)` differs from
@@ -165,42 +166,27 @@ struct BatchStats {
     prunes: u64,
 }
 
-/// How batch tiles map pair indices onto rows of the id matrix.
-enum RowLookup<'a> {
-    /// Pair indices index the id matrix directly (global scoring).
-    Direct,
-    /// Shard-local ids: pair indices are global record indices; rows are
-    /// their positions in the shard's sorted unique index lists.
-    Sharded {
-        uniq_old: &'a [u32],
-        uniq_new: &'a [u32],
-    },
-}
-
-/// The attribute-at-a-time batch scoring kernel (`--scoring batch`).
+/// The attribute-at-a-time batch scoring kernel.
 ///
 /// Pairs are processed in tiles. Per tile, attribute columns are
-/// materialised one at a time in the scalar kernel's descending-weight
-/// order. A spec with a [`SimTable`] serves each interned value-id pair
+/// materialised one at a time in descending-weight order. A spec with a [`SimTable`] serves each interned value-id pair
 /// from the table, computing it through the spec's [`MultisetArena`] on
 /// the first probe only. A spec without one scores the alive pairs in
 /// order with [`MultisetArena::similarity_row`]: blocked pairs come
 /// old-major, so the old value stays loaded over long runs and a pair
 /// repeating its predecessor's value pair reuses the similarity. After
 /// every column the tile's selection vector is compacted at the *same*
-/// early-exit bound the scalar kernel checks
+/// early-exit bound `SimFunc::matches_compiled` checks
 /// (`SimFunc::bound_fails_after`), so later — lighter-weight — columns
 /// shrink to the survivors and the kernel's probe set is exactly the
-/// scalar loop's. Survivors fold in original spec order
+/// pair-at-a-time loop's. Survivors fold in original spec order
 /// (`SimFunc::fold_survivor`); decisions, scores and prune counts are
-/// bit-identical — only the order the per-attribute similarities are
-/// materialised in changes.
-#[allow(clippy::too_many_arguments)] // the scoring inputs plus the batch plumbing
+/// bit-identical to `matches_compiled` — only the order the
+/// per-attribute similarities are materialised in changes.
 fn batch_score_into(
     pairs: &[(u32, u32)],
     sim: &SimFunc,
     ids: &ValueIds,
-    rows: &RowLookup,
     arenas: &[MultisetArena],
     tables: &mut [Option<SimTable>],
     stats: &mut BatchStats,
@@ -220,19 +206,10 @@ fn batch_score_into(
     let mut row = RowScratch::default();
     for tile in pairs.chunks(BATCH_TILE_PAIRS) {
         bases.clear();
-        match rows {
-            RowLookup::Direct => bases.extend(
-                tile.iter()
-                    .map(|&(i, j)| (i as usize * n_specs, j as usize * n_specs)),
-            ),
-            RowLookup::Sharded { uniq_old, uniq_new } => {
-                bases.extend(tile.iter().map(|&(i, j)| {
-                    let li = uniq_old.binary_search(&i).expect("pair index in uniq_old");
-                    let lj = uniq_new.binary_search(&j).expect("pair index in uniq_new");
-                    (li * n_specs, lj * n_specs)
-                }))
-            }
-        }
+        bases.extend(
+            tile.iter()
+                .map(|&(i, j)| (i as usize * n_specs, j as usize * n_specs)),
+        );
         alive.clear();
         alive.extend(0..tile.len() as u32);
         partials.clear();
@@ -286,7 +263,7 @@ fn batch_score_into(
                 }
             }
             // fold the column into the running bounds and compact the
-            // selection vector — the scalar loop's prune, column-at-a-time
+            // selection vector — the early-exit prune, column-at-a-time
             let last = k + 1 == order.len();
             let w = sim.weight_of(spec);
             let mut kept = 0usize;
@@ -297,7 +274,7 @@ fn batch_score_into(
                 let partial = partials[idx] + w * v;
                 if sim.bound_fails_after(partial, k) {
                     // a fail on the last column is the threshold decision
-                    // itself, not an early exit — the scalar kernel does
+                    // itself, not an early exit — `matches_compiled` does
                     // not count it either
                     if !last {
                         stats.prunes += 1;
@@ -369,10 +346,21 @@ impl PreMatch {
     }
 }
 
-/// Score candidate pairs in parallel; returns `(old_idx, new_idx, sim)`
-/// for pairs at or above the threshold. Scoring runs on compiled
-/// profiles with early-exit pruning — decision- and score-identical to
-/// the naive `aggregate_profiles` path (see `SimFunc::matches_compiled`).
+/// Score candidate pairs; returns `(old_idx, new_idx, sim)` for pairs at
+/// or above the threshold, in pair order. Scoring runs the batch kernel
+/// on compiled profiles with early-exit pruning — decision- and
+/// score-identical to `SimFunc::matches_compiled` pair by pair.
+///
+/// The pairs split into contiguous chunks, one per worker, scored on
+/// [`run_pool`] and concatenated in order. On the serial path
+/// ([`Parallelism::is_serial`]) the one chunk runs inline and serves
+/// per-attribute similarities from dense lazily-filled tables over
+/// interned value ids: attribute values repeat heavily across census
+/// records (name pools, shared household addresses), and the memo is
+/// bit-identical because `CompiledValue::similarity` is deterministic.
+/// Parallel chunks run without tables — a shared table would serialise
+/// the workers on its lock, and per-worker tables would multiply the
+/// memo's memory by the thread count.
 pub(crate) fn score_pairs(
     pairs: &[(u32, u32)],
     old_profiles: &[&CompiledProfile],
@@ -382,25 +370,70 @@ pub(crate) fn score_pairs(
     mem: &MemGovernor,
     obs: &Collector,
 ) -> Vec<(u32, u32, f64)> {
-    let threads = par.threads.max(1);
     if pairs.is_empty() {
         return Vec::new();
     }
     obs.add(Counter::PrematchPairsScored, pairs.len() as u64);
-    if par.is_serial(pairs.len()) {
-        // attribute values repeat heavily across census records (name
-        // pools, shared household addresses), so the serial path serves
-        // per-attribute similarities from dense lazily-filled tables over
-        // interned value ids — bit-identical to direct scoring because
-        // `CompiledValue::similarity` is deterministic in its inputs.
-        // (The parallel path runs without shared tables: per-worker
-        // tables would multiply the memo's memory by the thread count.)
-        let ids = ValueIds::build(old_profiles, new_profiles);
-        let max_cells = mem
-            .sim_table_max_cells(ids.uniques.len())
-            .min(SimTable::MAX_CELLS);
-        let mut budget_rejected = 0u64;
-        let tables_iter = ids.uniques.iter().map(|&u| {
+    // intern the value ids and build the arenas once; workers share them
+    // read-only
+    let ids = ValueIds::build(old_profiles, new_profiles);
+    let mut tables = par
+        .is_serial(pairs.len())
+        .then(|| sim_tables(&ids, mem, obs));
+    let arenas = ids.arenas();
+    if obs.is_enabled() {
+        obs.snapshot_footprint("value_arenas", arena_footprint(&arenas));
+    }
+    let score_chunk = |chunk: &[(u32, u32)], tables: &mut [Option<SimTable>]| {
+        let mut stats = BatchStats::default();
+        let scored = batch_score_into(chunk, sim, &ids, &arenas, tables, &mut stats);
+        obs.add(Counter::PairScoreBatchProbes, stats.probes);
+        obs.add(Counter::PairScoreBatchedUnique, stats.unique);
+        obs.add(Counter::EarlyExitPrunes, stats.prunes);
+        scored
+    };
+    let out = if let Some(tables) = &mut tables {
+        score_chunk(pairs, tables)
+    } else {
+        let chunks: Vec<&[(u32, u32)]> = pairs.chunks(pairs.len().div_ceil(par.threads)).collect();
+        let parts = run_pool(chunks.len(), par.threads, obs, |ci, worker| {
+            let t0 = obs.timeline_start();
+            let start = Instant::now();
+            let mut no_tables: Vec<Option<SimTable>> = (0..ids.n_specs).map(|_| None).collect();
+            let scored = score_chunk(chunks[ci], &mut no_tables);
+            obs.thread_chunk(
+                "prematch",
+                None,
+                ci,
+                worker,
+                chunks[ci].len(),
+                start.elapsed(),
+            );
+            if let Some(t0) = t0 {
+                obs.timeline_task(worker, EventKind::PrematchTile, ci as u64, None, t0);
+            }
+            scored
+        });
+        parts.concat()
+    };
+    obs.add(Counter::PrematchPairsMatched, out.len() as u64);
+    sample_match_scores(&out, obs);
+    out
+}
+
+/// The serial path's per-spec similarity tables, each `None` where its
+/// cells exceed the locality cap or the memory budget's share. A table
+/// the default cap would have admitted but the budget refused counts as
+/// a `mem_fallback_sim_table`.
+fn sim_tables(ids: &ValueIds, mem: &MemGovernor, obs: &Collector) -> Vec<Option<SimTable>> {
+    let max_cells = mem
+        .sim_table_max_cells(ids.uniques.len())
+        .min(SimTable::MAX_CELLS);
+    let mut budget_rejected = 0u64;
+    let tables: Vec<Option<SimTable>> = ids
+        .uniques
+        .iter()
+        .map(|&u| {
             let t = SimTable::new(u, max_cells);
             // only count tables the default cap would have admitted:
             // those are budget-driven fallbacks, not locality ones
@@ -411,317 +444,85 @@ pub(crate) fn score_pairs(
                 budget_rejected += 1;
             }
             t
-        });
-        let mut tables: Vec<Option<SimTable>> = tables_iter.collect();
-        if budget_rejected > 0 {
-            obs.add(Counter::MemFallbackSimTable, budget_rejected);
-            obs.event(
-                "mem_fallback_sim_table",
-                format!(
-                    "{budget_rejected} sim table(s) over the {max_cells}-cell budget cap; \
-                     scoring those attributes directly"
-                ),
-            );
-        }
-        if obs.is_enabled() {
-            let fp = tables.iter().flatten().fold(Footprint::ZERO, |acc, t| {
-                acc.plus(Footprint::new(t.bytes(), (t.n * t.n) as u64))
-            });
-            obs.snapshot_footprint("sim_tables", fp);
-        }
-        let out = if par.scoring == ScoringKernel::Batch {
-            let arenas = ids.arenas();
-            if obs.is_enabled() {
-                obs.snapshot_footprint("value_arenas", arena_footprint(&arenas));
-            }
-            let mut stats = BatchStats::default();
-            let out = batch_score_into(
-                pairs,
-                sim,
-                &ids,
-                &RowLookup::Direct,
-                &arenas,
-                &mut tables,
-                &mut stats,
-            );
-            obs.add(Counter::PairScoreBatchProbes, stats.probes);
-            obs.add(Counter::PairScoreBatchedUnique, stats.unique);
-            obs.add(Counter::EarlyExitPrunes, stats.prunes);
-            out
-        } else {
-            let mut prunes = 0u64;
-            let mut out = Vec::new();
-            for &(i, j) in pairs {
-                let base_o = i as usize * ids.n_specs;
-                let base_n = j as usize * ids.n_specs;
-                let matched = sim.matches_compiled_memoized(
-                    old_profiles[i as usize],
-                    new_profiles[j as usize],
-                    &mut prunes,
-                    &mut |k, va, vb| match &mut tables[k] {
-                        Some(t) => {
-                            t.get_or_insert_with(ids.old[base_o + k], ids.new[base_n + k], || {
-                                va.similarity(vb)
-                            })
-                        }
-                        None => va.similarity(vb),
-                    },
-                );
-                if let Some(s) = matched {
-                    out.push((i, j, s));
-                }
-            }
-            obs.add(Counter::EarlyExitPrunes, prunes);
-            out
-        };
-        obs.add(Counter::PrematchPairsMatched, out.len() as u64);
-        sample_match_scores(&out, obs);
-        return out;
-    }
-    if par.scoring == ScoringKernel::Batch {
-        // parallel batch: intern the value ids and build the arenas once,
-        // then share them read-only across the workers. Each worker
-        // dedups tile-locally with no tables — a shared table would
-        // serialise the workers on its lock, and per-worker tables would
-        // multiply the memo's memory by the thread count, mirroring the
-        // scalar parallel path's no-memo choice.
-        let ids = ValueIds::build(old_profiles, new_profiles);
-        let arenas = ids.arenas();
-        if obs.is_enabled() {
-            obs.snapshot_footprint("value_arenas", arena_footprint(&arenas));
-        }
-        let chunk = pairs.len().div_ceil(threads);
-        let mut out = Vec::with_capacity(pairs.len() / 4);
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, slice)| {
-                    let (ids, arenas) = (&ids, &arenas);
-                    scope.spawn(move |_| {
-                        // one spawn per tile: the chunk index is the
-                        // worker's stable identity for attribution
-                        let t0 = obs.timeline_start();
-                        let start = Instant::now();
-                        let mut stats = BatchStats::default();
-                        let mut tables: Vec<Option<SimTable>> =
-                            (0..ids.n_specs).map(|_| None).collect();
-                        let scored = batch_score_into(
-                            slice,
-                            sim,
-                            ids,
-                            &RowLookup::Direct,
-                            arenas,
-                            &mut tables,
-                            &mut stats,
-                        );
-                        obs.add(Counter::PairScoreBatchProbes, stats.probes);
-                        obs.add(Counter::PairScoreBatchedUnique, stats.unique);
-                        obs.add(Counter::EarlyExitPrunes, stats.prunes);
-                        obs.thread_chunk("prematch", None, ci, ci, slice.len(), start.elapsed());
-                        if let Some(t0) = t0 {
-                            obs.timeline_task(ci, EventKind::PrematchTile, ci as u64, None, t0);
-                        }
-                        scored
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("scoring worker panicked"));
-            }
         })
-        .expect("crossbeam scope");
-        obs.add(Counter::PrematchPairsMatched, out.len() as u64);
-        sample_match_scores(&out, obs);
-        return out;
+        .collect();
+    if budget_rejected > 0 {
+        obs.add(Counter::MemFallbackSimTable, budget_rejected);
+        obs.event(
+            "mem_fallback_sim_table",
+            format!(
+                "{budget_rejected} sim table(s) over the {max_cells}-cell budget cap; \
+                 scoring those attributes directly"
+            ),
+        );
     }
-    // prune tallies accumulate into a worker-local integer and are
-    // flushed to the collector once per slice, so the hot loop carries
-    // no synchronisation and a disabled collector costs one branch
-    let score_slice = |slice: &[(u32, u32)]| -> (Vec<(u32, u32, f64)>, u64) {
-        let mut prunes = 0u64;
-        let scored = slice
-            .iter()
-            .filter_map(|&(i, j)| {
-                sim.matches_compiled_counted(
-                    old_profiles[i as usize],
-                    new_profiles[j as usize],
-                    &mut prunes,
-                )
-                .map(|s| (i, j, s))
-            })
-            .collect();
-        (scored, prunes)
-    };
-    let chunk = pairs.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(pairs.len() / 4);
+    if obs.is_enabled() {
+        let fp = tables.iter().flatten().fold(Footprint::ZERO, |acc, t| {
+            acc.plus(Footprint::new(t.bytes(), (t.n * t.n) as u64))
+        });
+        obs.snapshot_footprint("sim_tables", fp);
+    }
+    tables
+}
+
+/// Run `n` tasks on a work-stealing pool of at most `threads` workers
+/// and return the results **in task order**, independent of completion
+/// order. With one worker (or one task) this degenerates to a plain
+/// serial loop.
+///
+/// `f` receives `(task index, worker index)`; the worker index is the
+/// spawn order of the claiming pool thread (0 on the serial path), a
+/// stable identity for timeline and chunk attribution. When the
+/// collector records a timeline the pool also reports the gap between
+/// a worker finishing one task and claiming the next as a
+/// [`EventKind::QueueWait`] event (zero-length gaps are elided).
+pub(crate) fn run_pool<T, F>(n: usize, threads: usize, obs: &Collector, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, usize) -> T + Sync,
+{
+    let workers = threads.max(1).min(n.max(1));
+    if workers <= 1 {
+        return (0..n).map(|i| f(i, 0)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     crossbeam::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let score_slice = &score_slice;
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let next = &next;
+                let f = &f;
                 scope.spawn(move |_| {
-                    let t0 = obs.timeline_start();
-                    let start = Instant::now();
-                    let (scored, prunes) = score_slice(slice);
-                    obs.add(Counter::EarlyExitPrunes, prunes);
-                    obs.thread_chunk("prematch", None, ci, ci, slice.len(), start.elapsed());
-                    if let Some(t0) = t0 {
-                        obs.timeline_task(ci, EventKind::PrematchTile, ci as u64, None, t0);
+                    let mut done: Vec<(usize, T)> = Vec::new();
+                    let mut last_end: Option<Instant> = None;
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        if let Some(prev) = last_end.take() {
+                            obs.timeline_gap(w, prev, i as u64);
+                        }
+                        done.push((i, f(i, w)));
+                        if obs.timeline_enabled() {
+                            last_end = Some(Instant::now());
+                        }
                     }
-                    scored
+                    done
                 })
             })
             .collect();
         for h in handles {
-            out.extend(h.join().expect("scoring worker panicked"));
+            for (i, t) in h.join().expect("pool worker panicked") {
+                slots[i] = Some(t);
+            }
         }
     })
     .expect("crossbeam scope");
-    obs.add(Counter::PrematchPairsMatched, out.len() as u64);
-    sample_match_scores(&out, obs);
-    out
-}
-
-/// The result of scoring one shard's candidate pairs, with the telemetry
-/// the driver folds into counters and per-shard stats after the merge.
-pub(crate) struct ShardScore {
-    /// `(old_idx, new_idx, agg_sim)` of pairs at or above the threshold,
-    /// in global indices, in the shard's (sorted) pair order.
-    pub matched: Vec<(u32, u32, f64)>,
-    /// Early-exit prune tally.
-    pub prunes: u64,
-    /// Similarity tables rejected by the memory budget (excluding ones
-    /// the default locality cap would have rejected anyway).
-    pub budget_rejected: u64,
-    /// Heap bytes of this shard's similarity tables.
-    pub table_bytes: u64,
-    /// Total cells of this shard's similarity tables.
-    pub table_cells: u64,
-    /// Heap bytes of this shard's multiset arenas (batch kernel only).
-    pub arena_bytes: u64,
-    /// Values laid out in this shard's arenas (batch kernel only).
-    pub arena_values: u64,
-    /// Batch-kernel work items requested (pairs × specs; batch only).
-    pub probes: u64,
-    /// Batch-kernel unique items computed (batch only).
-    pub unique: u64,
-}
-
-/// Score one shard's candidate pairs with shard-local similarity tables.
-///
-/// This is the sharded engine's core win: the shard's value universe is
-/// restricted to the records its blocking keys cover (one soundex family
-/// of names, one band of ages), so per-attribute tables that blow the
-/// [`SimTable::MAX_CELLS`] locality cap globally fit comfortably per
-/// shard and memoisation survives at scales where the unsharded serial
-/// path degrades to direct scoring. Scores are bit-identical to direct
-/// scoring because `CompiledValue::similarity` is deterministic.
-pub(crate) fn score_shard(
-    pairs: &[(u32, u32)],
-    old_profiles: &[&CompiledProfile],
-    new_profiles: &[&CompiledProfile],
-    sim: &SimFunc,
-    max_cells: usize,
-    scoring: ScoringKernel,
-) -> ShardScore {
-    // the shard touches a small subset of each side; intern values over
-    // exactly that subset so table sizes track the shard, not the run
-    let mut uniq_old: Vec<u32> = pairs.iter().map(|&(i, _)| i).collect();
-    uniq_old.sort_unstable();
-    uniq_old.dedup();
-    let mut uniq_new: Vec<u32> = pairs.iter().map(|&(_, j)| j).collect();
-    uniq_new.sort_unstable();
-    uniq_new.dedup();
-    let local_old: Vec<&CompiledProfile> =
-        uniq_old.iter().map(|&i| old_profiles[i as usize]).collect();
-    let local_new: Vec<&CompiledProfile> =
-        uniq_new.iter().map(|&j| new_profiles[j as usize]).collect();
-    let ids = ValueIds::build(&local_old, &local_new);
-    let max_cells = max_cells.min(SimTable::MAX_CELLS);
-    let mut budget_rejected = 0u64;
-    let mut tables: Vec<Option<SimTable>> = ids
-        .uniques
-        .iter()
-        .map(|&u| {
-            let t = SimTable::new(u, max_cells);
-            if t.is_none()
-                && u.checked_mul(u)
-                    .is_some_and(|cells| cells <= SimTable::MAX_CELLS)
-            {
-                budget_rejected += 1;
-            }
-            t
-        })
-        .collect();
-    let (table_bytes, table_cells) = tables.iter().flatten().fold((0u64, 0u64), |(b, c), t| {
-        (b + t.bytes(), c + (t.n * t.n) as u64)
-    });
-    if scoring == ScoringKernel::Batch {
-        // the shard already has its own value universe and tables; the
-        // batch kernel adds per-spec arenas over the shard's
-        // representatives and streams the unique work items through them
-        let arenas = ids.arenas();
-        let fp = arena_footprint(&arenas);
-        let mut stats = BatchStats::default();
-        let matched = batch_score_into(
-            pairs,
-            sim,
-            &ids,
-            &RowLookup::Sharded {
-                uniq_old: &uniq_old,
-                uniq_new: &uniq_new,
-            },
-            &arenas,
-            &mut tables,
-            &mut stats,
-        );
-        return ShardScore {
-            matched,
-            prunes: stats.prunes,
-            budget_rejected,
-            table_bytes,
-            table_cells,
-            arena_bytes: fp.bytes,
-            arena_values: fp.elements,
-            probes: stats.probes,
-            unique: stats.unique,
-        };
-    }
-    let mut prunes = 0u64;
-    let mut matched = Vec::new();
-    for &(i, j) in pairs {
-        let li = uniq_old.binary_search(&i).expect("pair index in uniq_old");
-        let lj = uniq_new.binary_search(&j).expect("pair index in uniq_new");
-        let base_o = li * ids.n_specs;
-        let base_n = lj * ids.n_specs;
-        let hit = sim.matches_compiled_memoized(
-            old_profiles[i as usize],
-            new_profiles[j as usize],
-            &mut prunes,
-            &mut |k, va, vb| match &mut tables[k] {
-                Some(t) => t.get_or_insert_with(ids.old[base_o + k], ids.new[base_n + k], || {
-                    va.similarity(vb)
-                }),
-                None => va.similarity(vb),
-            },
-        );
-        if let Some(s) = hit {
-            matched.push((i, j, s));
-        }
-    }
-    ShardScore {
-        matched,
-        prunes,
-        budget_rejected,
-        table_bytes,
-        table_cells,
-        arena_bytes: 0,
-        arena_values: 0,
-        probes: 0,
-        unique: 0,
-    }
+    slots
+        .into_iter()
+        .map(|t| t.expect("every pool task ran exactly once"))
+        .collect()
 }
 
 /// Record every matched pair's `agg_sim` into the pair-score histogram
@@ -800,17 +601,6 @@ pub fn prematch_with_profiles(
 ) -> PreMatch {
     debug_assert_eq!(old.len(), old_profiles.len());
     debug_assert_eq!(new.len(), new_profiles.len());
-    if par.shards > 1 && strategy == BlockingStrategy::Standard {
-        // sharded engine: pairs are generated per owning blocking key and
-        // scored with shard-local similarity tables; the merged result is
-        // bit-identical to the unsharded path (see `crate::shard`)
-        let sharded =
-            crate::shard::sharded_candidate_pairs(old, new, year_gap, par, max_age_gap, obs);
-        obs.add(Counter::BlockingPairsGenerated, sharded.total as u64);
-        let matches =
-            crate::shard::sharded_scores(&sharded, old_profiles, new_profiles, sim, par, mem, obs);
-        return build_prematch(old, new, &matches);
-    }
     // the age-plausibility filter is fused into pair emission, so
     // implausible pairs never enter the dedup sort or the scored set
     let pairs = candidate_pairs_filtered(old, new, year_gap, strategy, par.threads, max_age_gap);
@@ -1087,6 +877,30 @@ mod tests {
             Some(3),
         );
         assert_eq!(pm.match_count(), 1);
+    }
+
+    #[test]
+    fn run_pool_returns_results_in_task_order() {
+        let obs = Collector::disabled();
+        for threads in [1, 2, 5] {
+            let out = run_pool(17, threads, &obs, |i, _| i * i);
+            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(run_pool(0, 4, &obs, |i, _| i).is_empty());
+    }
+
+    #[test]
+    fn run_pool_hands_each_task_a_valid_worker_index() {
+        let obs = Collector::disabled();
+        for threads in [1, 3] {
+            let workers = run_pool(20, threads, &obs, |_, w| w);
+            for &w in &workers {
+                assert!(w < threads, "worker index {w} out of range");
+            }
+            if threads == 1 {
+                assert!(workers.iter().all(|&w| w == 0), "serial path is worker 0");
+            }
+        }
     }
 
     #[test]

@@ -22,22 +22,22 @@
 //!
 //! Classification is *oracle replay*: blocking keys, age plausibility
 //! and the exact `agg_sim` are recomputed from the records at finish
-//! time ([`crate::SimFunc::aggregate`] is bit-identical across scoring
-//! kernels, so the replayed score equals the hot path's). The only live
-//! taps the run needs are the selection rejections and the shard
-//! attribution, both recorded on the collector.
+//! time ([`crate::SimFunc::aggregate`] is bit-identical to the batch
+//! kernel, so the replayed score equals the hot path's). The only live
+//! tap the run needs is the selection rejections, recorded on the
+//! collector.
 
-use crate::blocking::{family_disagreement, owner_key, BlockingStrategy, KeyFields};
+use crate::blocking::{family_collisions, BlockingStrategy, KeyFields};
 use crate::config::LinkageConfig;
 use crate::prematch::age_plausible;
 use crate::{IterationStats, LinkPhase};
-use census_model::{CensusDataset, GroupMapping, RecordId, RecordMapping};
+use census_model::{CensusDataset, GroupMapping, PersonRecord, RecordId, RecordMapping};
 use obs::quality::SIM_BAND_BP;
 use obs::{
     BlockingMisses, Collector, IterationQuality, QualityCounts, QualitySection, RecallFunnel,
-    RejectionReason, SelectionLosses, ShardQuality, SimBand, TruthConfig,
+    RejectionReason, SelectionLosses, SimBand, TruthConfig,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Everything the classifier needs from a finished run, borrowed from
 /// the driver just before it assembles the [`crate::LinkageResult`].
@@ -61,7 +61,7 @@ pub(crate) fn finalize_quality(inp: &QualityInputs<'_>, obs: &Collector) {
     let Some(tc) = obs.truth_config() else {
         return;
     };
-    let section = build_section(inp, &tc, &obs.truth_rejections(), obs.truth_shard_map());
+    let section = build_section(inp, &tc, &obs.truth_rejections());
     debug_assert_eq!(section.validate(), Ok(()));
     obs.set_quality(section);
 }
@@ -73,11 +73,25 @@ fn band_index(agg: f64) -> usize {
     ((obs::score_bp(agg) / SIM_BAND_BP) as usize).min(bands - 1)
 }
 
+/// Oracle replay of blocking for one record pair: whether it shares a
+/// blocking key under `strategy`, and the per-family disagreement
+/// `[surname_first, surname_sex, firstname_age]` (a family disagrees
+/// when both sides emitted a key for it and the keys differ).
+fn replay_blocking(
+    old: &PersonRecord,
+    new: &PersonRecord,
+    year_gap: i64,
+    strategy: BlockingStrategy,
+) -> (bool, [bool; 3]) {
+    let families = family_collisions(KeyFields::of(old), KeyFields::of(new), year_gap);
+    let blocked = strategy == BlockingStrategy::Full || families.contains(&Some(true));
+    (blocked, families.map(|f| f == Some(false)))
+}
+
 fn build_section(
     inp: &QualityInputs<'_>,
     tc: &TruthConfig,
     rejections: &[(u64, u64, RejectionReason)],
-    shard_map: Option<Vec<(u64, u64, usize)>>,
 ) -> QualitySection {
     let year_gap = i64::from(inp.new.year - inp.old.year);
     // deduplicated, deterministically ordered truth sets — the funnel
@@ -102,8 +116,6 @@ fn build_section(
     for &(og, ng, reason) in rejections {
         rejected_as.insert((og, ng), reason);
     }
-    let shard_of_pair: Option<HashMap<(u64, u64), usize>> =
-        shard_map.map(|m| m.into_iter().map(|(o, n, s)| ((o, n), s)).collect());
 
     // the below-δ boundary is the lowest δ the schedule *executed* —
     // early termination can leave it above the configured floor
@@ -136,7 +148,6 @@ fn build_section(
             recovered: 0,
         })
         .collect();
-    let mut per_shard: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
     let n_bands = (10_000 / SIM_BAND_BP) as usize;
     let mut bands = vec![(0u64, 0u64); n_bands];
 
@@ -150,28 +161,10 @@ fn build_section(
         let agg = inp.config.sim_func.aggregate(or, nr);
         let band = band_index(agg);
         bands[band].0 += 1;
-        let kf_o = KeyFields::of(or);
-        let kf_n = KeyFields::of(nr);
-        let blocked = match inp.config.blocking {
-            BlockingStrategy::Full => true,
-            BlockingStrategy::Standard => owner_key(kf_o, kf_n, year_gap).is_some(),
-        };
-        // shard attribution: the run's recorded map when one exists (a
-        // sharded run), else every blocked pair belongs to shard 0
-        let shard = match (&shard_of_pair, blocked) {
-            (_, false) => None,
-            (Some(m), true) => m.get(&(o_raw, n_raw)).copied(),
-            (None, true) => Some(0),
-        };
-        if let Some(s) = shard {
-            per_shard.entry(s).or_insert((0, 0)).0 += 1;
-        }
+        let (blocked, [sf, ss, fa]) = replay_blocking(or, nr, year_gap, inp.config.blocking);
 
         if let Some(phase) = inp.provenance.get(&(o, n)) {
             bands[band].1 += 1;
-            if let Some(s) = shard {
-                per_shard.entry(s).or_insert((0, 0)).1 += 1;
-            }
             match phase {
                 LinkPhase::Subgraph { delta, .. } => {
                     funnel.recovered_selection += 1;
@@ -194,7 +187,6 @@ fn build_section(
 
         if !blocked {
             funnel.not_blocked += 1;
-            let [sf, ss, fa] = family_disagreement(kf_o, kf_n, year_gap);
             funnel.blocking.surname_first += u64::from(sf);
             funnel.blocking.surname_sex += u64::from(ss);
             funnel.blocking.firstname_age += u64::from(fa);
@@ -243,14 +235,6 @@ fn build_section(
         ),
         funnel,
         per_iteration,
-        per_shard: per_shard
-            .into_iter()
-            .map(|(shard, (truth_pairs, recovered))| ShardQuality {
-                shard,
-                truth_pairs,
-                recovered,
-            })
-            .collect(),
         bands: bands
             .into_iter()
             .enumerate()
@@ -417,15 +401,11 @@ pub fn explain_miss(
     let (or, nr) = (old.record(o), new.record(n));
     let year_gap = i64::from(new.year - old.year);
     let replay = or.zip(nr).map(|(or, nr)| {
-        let kf_o = KeyFields::of(or);
-        let kf_n = KeyFields::of(nr);
+        let (blocked, disagreement) = replay_blocking(or, nr, year_gap, config.blocking);
         (
             config.sim_func.aggregate(or, nr),
-            match config.blocking {
-                BlockingStrategy::Full => true,
-                BlockingStrategy::Standard => owner_key(kf_o, kf_n, year_gap).is_some(),
-            },
-            family_disagreement(kf_o, kf_n, year_gap),
+            blocked,
+            disagreement,
             (or.household.raw(), nr.household.raw()),
         )
     });

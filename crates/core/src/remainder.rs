@@ -6,25 +6,13 @@
 //! by those new record links extend the group mapping.
 
 use crate::blocking::{candidate_pairs, BlockingStrategy};
-use crate::config::{Parallelism, RemainderConfig};
+use crate::config::RemainderConfig;
 use crate::pairscore::PairScoreCache;
+use crate::prematch::age_plausible;
 use crate::profiles::ProfileCache;
 use crate::simfunc::SimFunc;
 use census_model::{CensusDataset, GroupMapping, PersonRecord, RecordId, RecordMapping};
 use obs::{Collector, Counter, EventKind};
-
-/// Whether a pair is age-plausible: the new age must be within
-/// `max_age_gap` years of `old age + census gap`. Pairs with a missing
-/// age on either side pass (missing data must not veto).
-fn age_plausible(old: &PersonRecord, new: &PersonRecord, year_gap: i64, max_age_gap: u32) -> bool {
-    match (old.age, new.age) {
-        (Some(a), Some(b)) => {
-            let expected = i64::from(a) + year_gap;
-            (i64::from(b) - expected).unsigned_abs() <= u64::from(max_age_gap)
-        }
-        _ => true,
-    }
-}
 
 /// Match the remaining records 1:1, extending `records`, and derive the
 /// induced group links into `groups`. Returns the record links added.
@@ -47,7 +35,6 @@ pub fn match_remaining(
         remaining_new,
         config,
         blocking,
-        Parallelism::default(),
         records,
         groups,
         &mut cache,
@@ -73,7 +60,6 @@ pub fn match_remaining_cached(
     remaining_new: &[&PersonRecord],
     config: &RemainderConfig,
     blocking: BlockingStrategy,
-    par: Parallelism,
     records: &mut RecordMapping,
     groups: &mut GroupMapping,
     cache: &mut ProfileCache,
@@ -105,24 +91,7 @@ pub fn match_remaining_cached(
         scored
     } else {
         let (old_profiles, new_profiles) = cache.profiles(sim, remaining_old, remaining_new);
-        // a sharded fresh pass flattens back to the exact unsharded pair
-        // list: per-shard sets are disjoint, so sorting the union
-        // reproduces `candidate_pairs`' sorted, deduplicated output
-        let pairs = if par.shards > 1 && blocking == BlockingStrategy::Standard {
-            let sharded = crate::shard::sharded_candidate_pairs(
-                remaining_old,
-                remaining_new,
-                year_gap,
-                par,
-                None,
-                obs,
-            );
-            let mut flat: Vec<(u32, u32)> = sharded.per_shard.into_iter().flatten().collect();
-            flat.sort_unstable();
-            flat
-        } else {
-            candidate_pairs(remaining_old, remaining_new, year_gap, blocking)
-        };
+        let pairs = candidate_pairs(remaining_old, remaining_new, year_gap, blocking);
         obs.add(Counter::BlockingPairsGenerated, pairs.len() as u64);
         obs.add(Counter::RemainderPairsScored, pairs.len() as u64);
         let n_pairs = pairs.len() as u64;

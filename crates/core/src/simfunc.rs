@@ -279,78 +279,43 @@ impl SimFunc {
         b: &CompiledProfile,
         prunes: &mut u64,
     ) -> Option<f64> {
-        self.matches_compiled_memoized(a, b, prunes, &mut |_, va, vb| va.similarity(vb))
-    }
-
-    /// [`SimFunc::matches_compiled_counted`] with the per-attribute
-    /// similarity supplied by `sim_of(spec index, a value, b value)`.
-    ///
-    /// `sim_of` **must** return exactly `va.similarity(vb)` — callers use
-    /// it to serve repeated value pairs from a memo (attribute values
-    /// repeat heavily in census data), which is bit-identical because
-    /// `CompiledValue::similarity` is deterministic in its inputs.
-    #[must_use]
-    pub fn matches_compiled_memoized<F>(
-        &self,
-        a: &CompiledProfile,
-        b: &CompiledProfile,
-        prunes: &mut u64,
-        sim_of: &mut F,
-    ) -> Option<f64>
-    where
-        F: FnMut(usize, &CompiledValue, &CompiledValue) -> f64,
-    {
         // each attribute is scored exactly once: the early-exit loop
         // stashes the per-attribute scores, and survivors fold them in
         // original spec order — the exact arithmetic of
         // `aggregate_compiled`, without a second scoring pass (which at
         // low thresholds, where most pairs survive, would dominate)
         const MAX_INLINE: usize = 16;
-        if self.specs.len() > MAX_INLINE {
-            let mut partial = 0.0;
-            for (k, &i) in self.order.iter().enumerate() {
-                let s = &self.specs[i];
-                partial += s.weight * sim_of(i, &a.values[i], &b.values[i]);
-                if partial + self.suffix[k + 1] < self.threshold - PRUNE_EPS {
-                    if k + 1 < self.order.len() {
-                        *prunes += 1;
-                    }
-                    return None;
-                }
-            }
-            let s = self.aggregate_compiled(a, b);
-            return (s >= self.threshold).then_some(s);
-        }
-        let mut sims = [0.0f64; MAX_INLINE];
+        let mut inline = [0.0f64; MAX_INLINE];
+        let mut spilled = Vec::new();
+        let sims: &mut [f64] = if self.specs.len() <= MAX_INLINE {
+            &mut inline[..self.specs.len()]
+        } else {
+            spilled.resize(self.specs.len(), 0.0);
+            &mut spilled
+        };
         let mut partial = 0.0;
         for (k, &i) in self.order.iter().enumerate() {
-            let v = sim_of(i, &a.values[i], &b.values[i]);
+            let v = a.values[i].similarity(&b.values[i]);
             sims[i] = v;
             partial += self.specs[i].weight * v;
-            // upper bound: every remaining attribute scores a perfect 1.0
-            if partial + self.suffix[k + 1] < self.threshold - PRUNE_EPS {
+            if self.bound_fails_after(partial, k) {
                 if k + 1 < self.order.len() {
                     *prunes += 1;
                 }
                 return None;
             }
         }
-        let s: f64 = self
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(i, sp)| sp.weight * sims[i])
-            .sum();
-        (s >= self.threshold).then_some(s)
+        self.fold_survivor(sims)
     }
 
-    // --- stepwise mirror of `matches_compiled_memoized` -----------------
+    // --- the pieces of the early-exit loop ------------------------------
     // The batch kernel scores attributes column-at-a-time in the same
     // descending-weight order and compacts its pair set at the same bound
-    // checks. These accessors hand it the exact pieces of that loop —
-    // order, per-step bound, survivor fold — so the two kernels share the
-    // arithmetic instead of duplicating it (any drift would break their
-    // bit-identity, which `tests/batched_vs_scalar.rs` enforces).
+    // checks. These accessors hand it the exact pieces of
+    // `matches_compiled_counted` — order, per-step bound, survivor fold —
+    // so the two share the arithmetic instead of duplicating it (any
+    // drift would break their bit-identity, which the prematch oracle
+    // suite enforces).
 
     /// Spec indices in descending weight order — the order the early-exit
     /// loop scores attributes in.
@@ -369,14 +334,14 @@ impl SimFunc {
     /// `partial` is the descending-order weighted sum so far, and the
     /// check fails exactly when the remaining weight mass (every
     /// outstanding attribute a perfect 1.0) can no longer lift it to the
-    /// threshold — the `matches_compiled_memoized` prune condition,
+    /// threshold — the `matches_compiled_counted` prune condition,
     /// `PRUNE_EPS` margin included.
     #[must_use]
     pub(crate) fn bound_fails_after(&self, partial: f64, k: usize) -> bool {
         partial + self.suffix[k + 1] < self.threshold - PRUNE_EPS
     }
 
-    /// The survivor fold of `matches_compiled_memoized`: re-sum the
+    /// The survivor fold of `matches_compiled_counted`: re-sum the
     /// per-spec similarities in original spec order and apply the
     /// threshold. `sims` is indexed by spec, one exact similarity each.
     #[must_use]

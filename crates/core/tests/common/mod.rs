@@ -1,19 +1,21 @@
 //! Shared generate→link→compare scaffolding for the differential
 //! suites (`incremental_vs_recompute`, `mem_budget`,
-//! `sharded_vs_single`).
+//! `parallel_vs_serial`, `prematch_oracle`).
 //!
 //! Each suite pits two driver configurations against each other on the
 //! same synthetic corpus and demands **bit-identical** output. The
 //! comparison and canonicalization helpers live here so every suite
 //! states its claim the same way: same record links, same group links,
 //! same provenance δs and g_sims, same per-iteration stats, same
-//! remainder count.
+//! remainder count. [`oracle_pair_sims`] is the pair-at-a-time scoring
+//! oracle the production batch kernel is checked against.
 
 #![allow(dead_code)] // each test binary uses a subset of the helpers
 
+use census_model::PersonRecord;
 use census_synth::{generate_series, CensusSeries, SimConfig};
-use linkage_core::{LinkageConfig, LinkageResult};
-use std::collections::BTreeSet;
+use linkage_core::{candidate_pairs, BlockingStrategy, LinkageConfig, LinkageResult, SimFunc};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The record- and group-link sets of a run, as raw-id pairs.
 pub type LinkSets = (BTreeSet<(u64, u64)>, BTreeSet<(u64, u64)>);
@@ -117,4 +119,50 @@ pub fn assert_links_identical(
     let b = linkage_core::link(old, new, variant);
     assert_same_result(&a, &b, label);
     assert!(!a.records.is_empty(), "{label}: degenerate run");
+}
+
+/// Whether the new age lies within `tolerance` years of `old age +
+/// year_gap` (the paper's footnote 2); a missing age passes. Written
+/// here independently of the library's filter.
+fn age_ok(old: &PersonRecord, new: &PersonRecord, year_gap: i64, tolerance: u32) -> bool {
+    match (old.age, new.age) {
+        (Some(a), Some(b)) => {
+            (i64::from(b) - i64::from(a) - year_gap).abs() <= i64::from(tolerance)
+        }
+        _ => true,
+    }
+}
+
+/// The matched pairs of the scoring oracle, keyed by raw `(old, new)`
+/// record ids, with each `agg_sim` as its exact bit pattern.
+pub type OracleSims = BTreeMap<(u64, u64), u64>;
+
+/// The scalar scoring oracle: every `candidate_pairs` pair that passes
+/// the age filter, scored one pair at a time with
+/// `SimFunc::matches_compiled_counted`. Returns the matched pairs and
+/// the early-exit prune count — what pre-matching must reproduce bit
+/// for bit, whatever kernel or schedule it runs.
+pub fn oracle_pair_sims(
+    old: &[&PersonRecord],
+    new: &[&PersonRecord],
+    year_gap: i64,
+    sim: &SimFunc,
+    max_age_gap: Option<u32>,
+) -> (OracleSims, u64) {
+    let old_p: Vec<_> = old.iter().map(|r| sim.compile(r)).collect();
+    let new_p: Vec<_> = new.iter().map(|r| sim.compile(r)).collect();
+    let mut prunes = 0;
+    let mut sims = OracleSims::new();
+    for (i, j) in candidate_pairs(old, new, year_gap, BlockingStrategy::Standard) {
+        let (o, n) = (old[i as usize], new[j as usize]);
+        if max_age_gap.is_some_and(|t| !age_ok(o, n, year_gap, t)) {
+            continue;
+        }
+        if let Some(s) =
+            sim.matches_compiled_counted(&old_p[i as usize], &new_p[j as usize], &mut prunes)
+        {
+            sims.insert((o.id.raw(), n.id.raw()), s.to_bits());
+        }
+    }
+    (sims, prunes)
 }

@@ -148,7 +148,6 @@ fn remainder_cached_equals_uncached() {
         &new_recs,
         &config,
         BlockingStrategy::Full,
-        linkage_core::Parallelism::default(),
         &mut records,
         &mut groups,
         &mut cache,

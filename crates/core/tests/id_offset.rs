@@ -1,7 +1,7 @@
 //! Metamorphic suite: record ids are opaque labels. Offsetting every
 //! record id of both snapshots by a constant — here 2^40, far beyond any
 //! dense id space — must yield the same mapping, shifted by the same
-//! offset, on the incremental, recompute and sharded paths.
+//! offset, on the incremental, recompute and parallel paths.
 
 mod common;
 
@@ -65,9 +65,10 @@ fn offsetting_record_ids_shifts_the_mapping() {
             },
         ),
         (
-            "sharded",
+            "parallel",
             LinkageConfig {
-                shards: 3,
+                threads: 4,
+                parallel_cutoff: 0,
                 ..base.clone()
             },
         ),

@@ -1,0 +1,107 @@
+//! Differential suite: parallel execution is an *execution strategy*,
+//! not a semantics change.
+//!
+//! Every test pits a multi-threaded run against the serial engine on the
+//! same corpus and demands **bit-identical** output: record mappings,
+//! group links, provenance (exact δ and g_sim per link), per-iteration
+//! stats, and the per-pair results feeding evolution analysis. Thread
+//! counts and fan-out cutoffs cover the default split and a cutoff of
+//! zero that forces every scoring loop onto the work-stealing pool,
+//! across both schedule floors and both the incremental and recompute
+//! drivers (the latter re-scores every δ iteration and runs the
+//! remainder fresh pass, which the pair cache otherwise serves).
+
+mod common;
+
+use common::{assert_same_result, canonical, medium_pair_series, small_series};
+use linkage_core::{link, link_series, LinkageConfig, Linker};
+use obs::{Collector, DecisionConfig};
+
+fn with_threads(config: &LinkageConfig, threads: usize, cutoff: usize) -> LinkageConfig {
+    LinkageConfig {
+        threads,
+        parallel_cutoff: cutoff,
+        ..config.clone()
+    }
+}
+
+#[test]
+fn threads_and_cutoffs_never_change_the_result_at_either_floor() {
+    let series = small_series();
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    for delta_low in [0.5, 0.6] {
+        let base = LinkageConfig {
+            delta_low,
+            ..LinkageConfig::default()
+        };
+        let reference = link(old, new, &with_threads(&base, 1, usize::MAX));
+        assert!(!reference.records.is_empty(), "degenerate corpus");
+        for threads in [2, 4] {
+            for cutoff in [0, base.parallel_cutoff] {
+                let run = link(old, new, &with_threads(&base, threads, cutoff));
+                assert_same_result(
+                    &run,
+                    &reference,
+                    &format!("δ_low={delta_low} threads={threads} cutoff={cutoff}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn recompute_driver_is_bit_identical_serial_and_parallel() {
+    // without the pair cache every δ iteration re-blocks and re-scores
+    // its residue, and the remainder pass scores its residue afresh
+    let series = small_series();
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    let base = LinkageConfig {
+        incremental: false,
+        ..LinkageConfig::default()
+    };
+    let reference = link(old, new, &with_threads(&base, 1, usize::MAX));
+    for threads in [2, 4] {
+        let run = link(old, new, &with_threads(&base, threads, 0));
+        assert_same_result(&run, &reference, &format!("recompute threads={threads}"));
+    }
+}
+
+#[test]
+fn medium_series_feeds_evolution_identically_serial_and_parallel() {
+    // the full multi-snapshot path: every pairwise result that evolution
+    // analysis consumes must be bit-identical under parallel execution
+    let series = medium_pair_series();
+    let snaps: Vec<_> = series.snapshots.iter().collect();
+    let base = LinkageConfig::default();
+    let reference = link_series(&snaps, &with_threads(&base, 1, usize::MAX));
+    let parallel = link_series(&snaps, &with_threads(&base, 4, 0));
+    assert_eq!(reference.len(), parallel.len());
+    for (i, (a, b)) in parallel.iter().zip(&reference).enumerate() {
+        assert_same_result(a, b, &format!("medium series pair {i} (parallel)"));
+    }
+}
+
+#[test]
+fn parallel_runs_are_deterministic_and_reproducible() {
+    // three repeats on the work-stealing pool must serialize to the same
+    // bytes and log byte-identical decision provenance: task completion
+    // order must never leak into the output
+    let series = small_series();
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    let linker = Linker::new(old, new);
+    let config = with_threads(&LinkageConfig::default(), 4, 0);
+    let mut runs = Vec::new();
+    for _ in 0..3 {
+        let obs = Collector::enabled().with_decisions(DecisionConfig::default());
+        let result = linker.run_traced(&config, &obs);
+        let decisions = obs
+            .take_decisions()
+            .expect("decision log enabled")
+            .to_jsonl()
+            .expect("serializable decision log");
+        assert!(!decisions.is_empty(), "no decisions recorded");
+        runs.push((canonical(&result), decisions));
+    }
+    assert_eq!(runs[0], runs[1], "repeat 1 diverged");
+    assert_eq!(runs[0], runs[2], "repeat 2 diverged");
+}

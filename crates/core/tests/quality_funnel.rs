@@ -1,10 +1,10 @@
 //! End-to-end invariants of the ground-truth quality telemetry: the
-//! recall-loss funnel must partition the truth set exactly, across every
-//! execution mode (serial/parallel × shard counts × scoring kernels),
-//! and turning truth telemetry on must not change the produced mappings.
+//! recall-loss funnel must partition the truth set exactly, across
+//! serial and parallel execution, and turning truth telemetry on must not
+//! change the produced mappings.
 
 use census_synth::{generate_series, SimConfig};
-use linkage_core::{link_traced, LinkageConfig, ScoringKernel};
+use linkage_core::{link_traced, LinkageConfig};
 use obs::{Collector, TruthConfig};
 use std::collections::BTreeSet;
 
@@ -32,53 +32,41 @@ fn funnel_partitions_truth_exactly_in_every_execution_mode() {
     let truth_records: BTreeSet<(u64, u64)> = tc.record_pairs.iter().copied().collect();
 
     let mut sections = Vec::new();
-    for threads in [1, 4] {
-        for shards in [1, 0] {
-            for scoring in [ScoringKernel::Scalar, ScoringKernel::Batch] {
-                let config = LinkageConfig {
-                    threads,
-                    shards,
-                    scoring,
-                    ..LinkageConfig::default()
-                };
-                let obs = Collector::enabled().with_truth(tc.clone());
-                let result = link_traced(old, new, &config, &obs);
-                let trace = obs.finish();
-                let q = trace
-                    .quality
-                    .unwrap_or_else(|| panic!("no quality section ({threads}t {shards}s)"));
-                q.validate().unwrap_or_else(|e| {
-                    panic!("invalid quality section ({threads}t {shards}s {scoring:?}): {e}")
-                });
-                assert_eq!(
-                    q.funnel.total,
-                    truth_records.len() as u64,
-                    "funnel total must cover every distinct true pair"
-                );
-                assert_eq!(q.records.found, result.records.len() as u64);
-                assert_eq!(q.groups.found, result.groups.len() as u64);
-                // the funnel recovers decent recall on clean synthetic data
-                assert!(q.funnel.recovered() * 2 > q.funnel.total);
-                // sharded runs attribute blocked pairs across real shards
-                let resolved = config.resolved_shards(old.records().len() + new.records().len());
-                if resolved > 1 {
-                    assert!(
-                        !q.per_shard.is_empty(),
-                        "sharded run recorded no shard attribution"
-                    );
-                } else {
-                    assert!(q.per_shard.iter().all(|s| s.shard == 0));
-                }
-                sections.push(((threads, shards, scoring), q));
-            }
-        }
+    // serial, and parallel with the fan-out cutoff forced to zero
+    for (threads, cutoff) in [(1, usize::MAX), (4, 0)] {
+        let config = LinkageConfig {
+            threads,
+            parallel_cutoff: cutoff,
+            ..LinkageConfig::default()
+        };
+        let obs = Collector::enabled().with_truth(tc.clone());
+        let result = link_traced(old, new, &config, &obs);
+        let trace = obs.finish();
+        let q = trace
+            .quality
+            .unwrap_or_else(|| panic!("no quality section ({threads}t)"));
+        q.validate()
+            .unwrap_or_else(|e| panic!("invalid quality section ({threads}t): {e}"));
+        assert_eq!(
+            q.funnel.total,
+            truth_records.len() as u64,
+            "funnel total must cover every distinct true pair"
+        );
+        assert_eq!(q.records.found, result.records.len() as u64);
+        assert_eq!(q.groups.found, result.groups.len() as u64);
+        // the funnel recovers decent recall on clean synthetic data
+        assert!(q.funnel.recovered() * 2 > q.funnel.total);
+        sections.push((threads, q));
     }
     // the funnel classification itself is execution-mode invariant
     let (_, first) = &sections[0];
     for (mode, q) in &sections[1..] {
-        assert_eq!(q.funnel, first.funnel, "funnel diverged in mode {mode:?}");
-        assert_eq!(q.records, first.records, "counts diverged in mode {mode:?}");
-        assert_eq!(q.bands, first.bands, "bands diverged in mode {mode:?}");
+        assert_eq!(q.funnel, first.funnel, "funnel diverged at {mode} threads");
+        assert_eq!(
+            q.records, first.records,
+            "counts diverged at {mode} threads"
+        );
+        assert_eq!(q.bands, first.bands, "bands diverged at {mode} threads");
     }
 }
 
@@ -88,10 +76,9 @@ fn truth_telemetry_does_not_change_the_mappings() {
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let tc = truth_config(&series);
 
-    for shards in [1, 0] {
+    for threads in [1, 2] {
         let config = LinkageConfig {
-            threads: 2,
-            shards,
+            threads,
             ..LinkageConfig::default()
         };
         let plain = link_traced(old, new, &config, &Collector::disabled());

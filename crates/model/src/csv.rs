@@ -9,7 +9,8 @@
 //! Fields containing commas or quotes are quoted with `"` and inner quotes
 //! doubled (RFC 4180 subset, no embedded newlines). Households are implied
 //! by the `household_id` column; member order follows row order. The
-//! optional trailing `person_id` column carries ground truth.
+//! optional trailing `person_id` column carries ground truth. Readers
+//! skip a leading UTF-8 byte-order mark, which spreadsheet exports add.
 
 use crate::{
     CensusDataset, GroupMapping, Household, HouseholdId, ModelError, PersonId, PersonRecord,
@@ -90,6 +91,18 @@ pub fn write_dataset<W: Write>(ds: &CensusDataset, mut w: W) -> Result<(), Model
     Ok(())
 }
 
+/// Check line 1 against `header`. A leading UTF-8 byte-order mark is
+/// skipped: spreadsheet tools often prepend one when exporting CSV.
+fn check_header(line: &str, header: &str) -> Result<(), ModelError> {
+    if line.strip_prefix('\u{FEFF}').unwrap_or(line).trim() != header {
+        return Err(ModelError::Parse {
+            line: 1,
+            message: format!("expected header {header:?}"),
+        });
+    }
+    Ok(())
+}
+
 /// Read a snapshot from CSV produced by [`write_dataset`].
 ///
 /// # Errors
@@ -104,12 +117,7 @@ pub fn read_dataset<R: BufRead>(year: i32, r: R) -> Result<CensusDataset, ModelE
         let line = line?;
         let n = lineno + 1;
         if n == 1 {
-            if line.trim() != HEADER {
-                return Err(ModelError::Parse {
-                    line: n,
-                    message: format!("expected header {HEADER:?}"),
-                });
-            }
+            check_header(&line, HEADER)?;
             continue;
         }
         if line.trim().is_empty() {
@@ -207,12 +215,7 @@ pub fn read_record_mapping<R: BufRead>(r: R) -> Result<RecordMapping, ModelError
         let line = line?;
         let n = lineno + 1;
         if n == 1 {
-            if line.trim() != RECORD_MAPPING_HEADER {
-                return Err(ModelError::Parse {
-                    line: n,
-                    message: format!("expected header {RECORD_MAPPING_HEADER:?}"),
-                });
-            }
+            check_header(&line, RECORD_MAPPING_HEADER)?;
             continue;
         }
         if line.trim().is_empty() {
@@ -263,12 +266,7 @@ pub fn read_group_mapping<R: BufRead>(r: R) -> Result<GroupMapping, ModelError> 
         let line = line?;
         let n = lineno + 1;
         if n == 1 {
-            if line.trim() != GROUP_MAPPING_HEADER {
-                return Err(ModelError::Parse {
-                    line: n,
-                    message: format!("expected header {GROUP_MAPPING_HEADER:?}"),
-                });
-            }
+            check_header(&line, GROUP_MAPPING_HEADER)?;
             continue;
         }
         if line.trim().is_empty() {
@@ -356,6 +354,41 @@ mod tests {
         );
         assert!(split_line("\"open").is_err());
         assert!(split_line("ab\"cd").is_err());
+    }
+
+    /// `bytes` with a UTF-8 byte-order mark in front.
+    fn with_bom(bytes: &[u8]) -> Vec<u8> {
+        let mut out = "\u{FEFF}".as_bytes().to_vec();
+        out.extend_from_slice(bytes);
+        out
+    }
+
+    #[test]
+    fn dataset_reader_skips_a_leading_bom() {
+        let mut buf = Vec::new();
+        write_dataset(&sample(), &mut buf).unwrap();
+        let plain = read_dataset(1871, buf.as_slice()).unwrap();
+        let bom = read_dataset(1871, with_bom(&buf).as_slice()).unwrap();
+        assert_eq!(bom.records(), plain.records());
+        // a BOM only counts at the very start of the file
+        let e = read_dataset(1871, format!("x\u{FEFF}{HEADER}\n").as_bytes()).unwrap_err();
+        assert!(matches!(e, ModelError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn record_mapping_reader_skips_a_leading_bom() {
+        let data = "old_record_id,new_record_id\n1,10\n";
+        let back = read_record_mapping(with_bom(data.as_bytes()).as_slice()).unwrap();
+        assert_eq!(back, read_record_mapping(data.as_bytes()).unwrap());
+        assert_eq!(back.len(), 1);
+    }
+
+    #[test]
+    fn group_mapping_reader_skips_a_leading_bom() {
+        let data = "old_household_id,new_household_id\n5,6\n";
+        let back = read_group_mapping(with_bom(data.as_bytes()).as_slice()).unwrap();
+        assert_eq!(back, read_group_mapping(data.as_bytes()).unwrap());
+        assert_eq!(back.len(), 1);
     }
 
     #[test]

@@ -1031,7 +1031,7 @@ mod tests {
     }
 
     fn with_timeline(mut t: RunTrace, busy_us: &[u64]) -> RunTrace {
-        // one shard event per worker, all concurrent from t=0, so the
+        // one prematch event per worker, all concurrent from t=0, so the
         // activity window is the longest event and utilization per
         // worker is busy/max
         let events = busy_us
@@ -1039,14 +1039,14 @@ mod tests {
             .enumerate()
             .map(|(w, &busy)| crate::TimelineEvent {
                 worker: w as u32,
-                kind: crate::EventKind::Shard,
+                kind: crate::EventKind::PrematchTile,
                 start_us: 0,
                 duration_us: busy,
                 detail: w as u64,
                 iteration: None,
             })
             .collect();
-        t.timeline = Some(crate::Timeline::derive(events, 0, &[], &[]));
+        t.timeline = Some(crate::Timeline::derive(events, 0));
         t
     }
 
@@ -1119,7 +1119,6 @@ mod tests {
                 selection: SelectionLosses::default(),
             },
             per_iteration: vec![],
-            per_shard: vec![],
             bands: vec![],
         });
         t

@@ -14,8 +14,7 @@
 //! * [`timeline`] — an opt-in per-worker event recorder
 //!   ([`Collector::with_timeline`]): bounded rings of fixed-size
 //!   timestamped events drained into a [`Timeline`] trace section with
-//!   derived scheduler analytics (utilization, stragglers, LPT plan
-//!   quality, critical path).
+//!   derived scheduler analytics (utilization, critical path).
 //! * [`RunTrace`] — the serialisable report assembled by
 //!   [`Collector::finish`]: aggregated phase statistics, a per-iteration
 //!   breakdown, counters, chunk timings and the raw spans. Serialises to
@@ -73,16 +72,13 @@ pub use hist::{score_bp, Histogram, LiveHist, NamedHistogram, HIST_BUCKETS};
 pub use progress::{fmt_bytes, Progress};
 pub use quality::{
     BlockingMisses, IterationQuality, Quality, QualityCounts, QualitySection, RecallFunnel,
-    SelectionLosses, ShardQuality, SimBand, TruthConfig,
+    SelectionLosses, SimBand, TruthConfig,
 };
 pub use report::{
     ChunkTiming, CounterValue, IterationTrace, LabeledTrace, MemoryStats, MultiTrace, PhaseMem,
     PhaseStat, RunTrace, ShardStat, SpanRecord, TraceEvent, PIPELINE_PHASES,
 };
-pub use timeline::{
-    EventKind, PlanQuality, Straggler, Timeline, TimelineEvent, WorkerUtilization,
-    DEFAULT_EVENT_CAPACITY,
-};
+pub use timeline::{EventKind, Timeline, TimelineEvent, WorkerUtilization, DEFAULT_EVENT_CAPACITY};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -251,14 +247,13 @@ struct SpanState {
 }
 
 /// Ground-truth state behind [`Collector::with_truth`]: the loaded truth
-/// mappings, the live taps (selection rejections, shard attribution, the
-/// recovered-pairs gauge feeding `--progress`), and the finalised
+/// mappings, the live taps (selection rejections, the recovered-pairs
+/// gauge feeding `--progress`), and the finalised
 /// [`QualitySection`] once the pipeline computes it.
 struct TruthState {
     config: quality::TruthConfig,
     record_set: std::collections::HashSet<(u64, u64)>,
     rejections: Vec<(u64, u64, RejectionReason)>,
-    shard_map: Option<Vec<(u64, u64, usize)>>,
     recovered: u64,
     quality: Option<quality::QualitySection>,
 }
@@ -288,7 +283,6 @@ pub struct Collector {
     decisions: Option<Mutex<DecisionLog>>,
     footprints: Mutex<Vec<FootprintSnapshot>>,
     events: Mutex<Vec<TraceEvent>>,
-    shard_stats: Mutex<Vec<ShardStat>>,
     progress: Option<Mutex<Progress>>,
     timeline: Option<timeline::TimelineState>,
     truth: Option<Mutex<TruthState>>,
@@ -321,7 +315,6 @@ impl Collector {
             decisions: None,
             footprints: Mutex::new(Vec::new()),
             events: Mutex::new(Vec::new()),
-            shard_stats: Mutex::new(Vec::new()),
             progress: None,
             timeline: None,
             truth: None,
@@ -471,16 +464,6 @@ impl Collector {
         });
     }
 
-    /// Record the LPT plan's predicted per-shard loads for the
-    /// plan-quality analytics. The first plan of the run wins (the
-    /// headline pre-matching plan; the remainder pass replans a much
-    /// smaller residue). A no-op unless timeline recording is on.
-    pub fn timeline_plan(&self, loads: &[u64]) {
-        if let Some(state) = &self.timeline {
-            state.set_plan(loads);
-        }
-    }
-
     /// Turn on bounded decision-provenance recording (see
     /// [`decision`]). Has no effect on a disabled collector.
     #[must_use]
@@ -504,7 +487,6 @@ impl Collector {
                 config,
                 record_set,
                 rejections: Vec::new(),
-                shard_map: None,
                 recovered: 0,
                 quality: None,
             }));
@@ -544,27 +526,6 @@ impl Collector {
         self.truth
             .as_ref()
             .map_or_else(Vec::new, |t| lock_or_recover(t).rejections.clone())
-    }
-
-    /// Record the blocking layer's shard attribution of true record
-    /// pairs (raw old id, raw new id, owning shard). The first map of
-    /// the run wins — the remainder pass replans a smaller residue. A
-    /// no-op unless truth telemetry is on.
-    pub fn truth_shard_map_set(&self, map: Vec<(u64, u64, usize)>) {
-        if let Some(t) = &self.truth {
-            let mut guard = lock_or_recover(t);
-            if guard.shard_map.is_none() {
-                guard.shard_map = Some(map);
-            }
-        }
-    }
-
-    /// The recorded shard attribution, if any pass reported one.
-    #[must_use]
-    pub fn truth_shard_map(&self) -> Option<Vec<(u64, u64, usize)>> {
-        self.truth
-            .as_ref()
-            .and_then(|t| lock_or_recover(t).shard_map.clone())
     }
 
     /// Report a record link the pipeline just accepted. Counts it
@@ -852,18 +813,6 @@ impl Collector {
         }
     }
 
-    /// Record one shard's scoring telemetry. Thread-safe — workers on
-    /// the sharded scoring pool report in completion order, and
-    /// [`Collector::finish`] sorts rows by shard id so the assembled
-    /// trace is identical for any completion order. A no-op when
-    /// disabled.
-    pub fn shard_stat(&self, stat: ShardStat) {
-        if !self.enabled {
-            return;
-        }
-        lock_or_recover(&self.shard_stats).push(stat);
-    }
-
     /// Record a point event (e.g. a memory-budget fallback), tagged
     /// with the active phase and δ iteration. A no-op when disabled.
     pub fn event(&self, name: &'static str, detail: impl Into<String>) {
@@ -938,23 +887,16 @@ impl Collector {
             });
             c
         };
-        let shard_stats = {
-            let mut s = lock_or_recover(&self.shard_stats).clone();
-            // workers report in completion order; the trace is sorted by
-            // shard id so identical runs yield identical traces
-            s.sort_by_key(|st| st.shard);
-            s
-        };
         // drain the timeline (and fold ring overflow into its counter)
         // before snapshotting counters
         let timeline = self.timeline.as_ref().map(|state| {
-            let (events, dropped, loads) = state.drain();
+            let (events, dropped) = state.drain();
             // store (not add) so finishing twice stays consistent with
             // the re-drained ring counts
             if dropped > 0 {
                 self.counters[Counter::TimelineDropped.index()].store(dropped, Ordering::Relaxed);
             }
-            timeline::Timeline::derive(events, dropped, &loads, &shard_stats)
+            timeline::Timeline::derive(events, dropped)
         });
         let counters = Counter::ALL
             .iter()
@@ -1015,7 +957,6 @@ impl Collector {
             memory,
             footprints,
             events,
-            shard_stats,
             timeline,
             quality,
         )
@@ -1116,7 +1057,6 @@ mod tests {
             let _a = obs.span("prematch");
             obs.add(Counter::PrematchPairsScored, 100);
             obs.thread_chunk("prematch", None, 0, 0, 10, Duration::from_millis(1));
-            obs.timeline_plan(&[1, 2, 3]);
             obs.timeline_instant(0, EventKind::Iteration, 0, Some(0));
         }
         let trace = obs.finish();
@@ -1141,22 +1081,22 @@ mod tests {
         assert!(obs.timeline_enabled());
         let t0 = obs.timeline_start().expect("timeline on");
         std::thread::sleep(Duration::from_millis(2));
-        obs.timeline_task(1, EventKind::Shard, 7, None, t0);
+        obs.timeline_task(1, EventKind::PrematchTile, 7, None, t0);
         obs.timeline_instant(0, EventKind::Iteration, 0, Some(0));
         let trace = obs.finish();
         assert_eq!(trace.counter("timeline_dropped"), 0);
         let tl = trace.timeline.as_ref().expect("timeline section");
         assert_eq!(tl.workers, 2);
         assert_eq!(tl.dropped, 0);
-        let shard = tl
+        let tile = tl
             .events
             .iter()
-            .find(|e| e.kind == EventKind::Shard)
-            .expect("shard event");
-        assert_eq!(shard.worker, 1);
-        assert_eq!(shard.detail, 7);
-        assert!(shard.duration_us >= 1_000);
-        assert!(tl.active_us >= shard.duration_us);
+            .find(|e| e.kind == EventKind::PrematchTile)
+            .expect("prematch tile event");
+        assert_eq!(tile.worker, 1);
+        assert_eq!(tile.detail, 7);
+        assert!(tile.duration_us >= 1_000);
+        assert!(tl.active_us >= tile.duration_us);
     }
 
     #[test]
@@ -1164,7 +1104,7 @@ mod tests {
         let obs = Collector::enabled().with_timeline_capacity(2);
         for i in 0..5 {
             let t0 = obs.timeline_start().expect("timeline on");
-            obs.timeline_task(0, EventKind::Shard, i, None, t0);
+            obs.timeline_task(0, EventKind::PrematchTile, i, None, t0);
         }
         let trace = obs.finish();
         let tl = trace.timeline.as_ref().expect("timeline section");
@@ -1182,13 +1122,12 @@ mod tests {
     #[test]
     fn timeline_events_from_worker_threads_round_trip_through_json() {
         let obs = Collector::enabled().with_timeline();
-        obs.timeline_plan(&[40, 60]);
         std::thread::scope(|scope| {
             for w in 0..3usize {
                 let obs = &obs;
                 scope.spawn(move || {
                     let t0 = obs.timeline_start().expect("timeline on");
-                    obs.timeline_task(w, EventKind::Shard, w as u64, None, t0);
+                    obs.timeline_task(w, EventKind::PrematchTile, w as u64, None, t0);
                 });
             }
         });
@@ -1426,9 +1365,7 @@ mod tests {
         assert!(obs.truth_config().is_none());
         obs.truth_rejected(1, 2, RejectionReason::TieBreak);
         obs.truth_added(1, 2);
-        obs.truth_shard_map_set(vec![(1, 2, 0)]);
         assert!(obs.truth_rejections().is_empty());
-        assert!(obs.truth_shard_map().is_none());
         assert!(obs.finish().quality.is_none());
 
         let obs = Collector::enabled().with_truth(TruthConfig {
@@ -1439,10 +1376,6 @@ mod tests {
         assert_eq!(obs.truth_config().unwrap().record_pairs.len(), 2);
         obs.truth_rejected(10, 20, RejectionReason::LowerGSim);
         assert_eq!(obs.truth_rejections().len(), 1);
-        // first shard map wins
-        obs.truth_shard_map_set(vec![(1, 2, 3)]);
-        obs.truth_shard_map_set(vec![(1, 2, 7)]);
-        assert_eq!(obs.truth_shard_map().unwrap(), vec![(1, 2, 3)]);
         // only true pairs count towards the coverage gauge
         obs.truth_added(9, 9);
         obs.truth_added(1, 2);
@@ -1470,7 +1403,6 @@ mod tests {
                 delta: 0.7,
                 recovered: 1,
             }],
-            per_shard: Vec::new(),
             bands: vec![
                 SimBand {
                     lo_bp: 3000,

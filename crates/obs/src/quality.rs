@@ -6,8 +6,8 @@
 //! against known ground truth: a [`QualitySection`] carries record- and
 //! group-level [`Quality`] triples plus a [`RecallFunnel`] that classifies
 //! every true record pair by where it died in the pipeline (or which
-//! phase recovered it), with per-δ-iteration, per-shard and per
-//! `agg_sim`-band strata.
+//! phase recovered it), with per-δ-iteration and per-`agg_sim`-band
+//! strata.
 //!
 //! The funnel is *exhaustive and exclusive*: each true pair lands in
 //! exactly one stage, so the loss buckets sum to the recall complement —
@@ -20,8 +20,7 @@
 //! [`crate::Collector::with_truth`] as a [`TruthConfig`] of raw id pairs;
 //! the linkage core classifies pairs by *oracle replay* at finish time
 //! (recomputing blocking keys, age plausibility and exact `agg_sim` off
-//! the hot path), so the only live taps are the selection rejections and
-//! the shard attribution.
+//! the hot path), so the only live tap is the selection rejections.
 
 use serde::{Deserialize, Serialize};
 
@@ -268,18 +267,6 @@ pub struct IterationQuality {
     pub recovered: u64,
 }
 
-/// Truth coverage of one blocking shard (pairs attributed to the shard
-/// that owns their highest-priority colliding key).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardQuality {
-    /// Shard index.
-    pub shard: usize,
-    /// True pairs owned by this shard (both endpoints present, blocked).
-    pub truth_pairs: u64,
-    /// Of those, how many the run recovered.
-    pub recovered: u64,
-}
-
 /// Truth coverage of one `agg_sim` band (oracle-replayed score of every
 /// true pair with both endpoints present, in basis points).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -307,9 +294,6 @@ pub struct QualitySection {
     pub funnel: RecallFunnel,
     /// Per-δ-iteration recovery, in execution order.
     pub per_iteration: Vec<IterationQuality>,
-    /// Per-shard truth coverage (a single shard 0 row when the run was
-    /// unsharded).
-    pub per_shard: Vec<ShardQuality>,
     /// Truth coverage per `agg_sim` band; empty bands are omitted.
     pub bands: Vec<SimBand>,
 }
@@ -346,14 +330,6 @@ impl QualitySection {
                 "per-iteration recoveries sum to {iter_sum}, but recovered_selection is {}",
                 self.funnel.recovered_selection
             ));
-        }
-        for s in &self.per_shard {
-            if s.recovered > s.truth_pairs {
-                return Err(format!(
-                    "shard {} recovered {} of only {} truth pair(s)",
-                    s.shard, s.recovered, s.truth_pairs
-                ));
-            }
         }
         let scored = self.funnel.total - self.funnel.missing_endpoint;
         let band_sum: u64 = self.bands.iter().map(|b| b.truth_pairs).sum();
@@ -454,21 +430,6 @@ impl QualitySection {
                 );
             }
         }
-        if !self.per_shard.is_empty() {
-            let _ = writeln!(out, "  truth coverage per shard:");
-            for s in &self.per_shard {
-                let r = if s.truth_pairs == 0 {
-                    100.0
-                } else {
-                    s.recovered as f64 / s.truth_pairs as f64 * 100.0
-                };
-                let _ = writeln!(
-                    out,
-                    "    shard {:>4}  {:>8} truth pair(s), {:>8} recovered ({r:.1}%)",
-                    s.shard, s.truth_pairs, s.recovered
-                );
-            }
-        }
         if !self.bands.is_empty() {
             let _ = writeln!(out, "  truth coverage per agg_sim band:");
             for b in &self.bands {
@@ -536,11 +497,6 @@ mod tests {
                     recovered: 1,
                 },
             ],
-            per_shard: vec![ShardQuality {
-                shard: 0,
-                truth_pairs: 8,
-                recovered: 6,
-            }],
             bands: vec![
                 SimBand {
                     lo_bp: 4500,
@@ -610,10 +566,6 @@ mod tests {
         assert!(broken.validate().unwrap_err().contains("per-iteration"));
 
         let mut broken = section();
-        broken.per_shard[0].recovered = 99;
-        assert!(broken.validate().unwrap_err().contains("shard 0"));
-
-        let mut broken = section();
         broken.bands[0].truth_pairs += 1;
         assert!(broken.validate().unwrap_err().contains("bands cover"));
 
@@ -634,7 +586,6 @@ mod tests {
         assert!(text.contains("blocking disagreements"), "{text}");
         assert!(text.contains("selection losses"), "{text}");
         assert!(text.contains("#0 δ=0.70"), "{text}");
-        assert!(text.contains("shard    0"), "{text}");
         assert!(text.contains("[0.95, 1.00)"), "{text}");
     }
 

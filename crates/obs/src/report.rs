@@ -133,11 +133,8 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
-/// Per-shard telemetry of one sharded scoring pass: how much work the
-/// shard owned and what its shard-local similarity tables cost. Rows are
-/// recorded from worker threads in completion order and sorted by shard
-/// id at [`crate::Collector::finish`], so traces are identical for any
-/// completion order.
+/// Per-shard telemetry of the retired sharded engine, kept so traces it
+/// wrote still load. Nothing records these rows any more.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStat {
     /// Shard index within the plan.
@@ -201,8 +198,8 @@ pub struct RunTrace {
     /// empty on older traces.
     #[serde(default)]
     pub events: Vec<TraceEvent>,
-    /// Per-shard scoring telemetry, sorted by shard id; empty for
-    /// unsharded runs and on older traces.
+    /// Per-shard rows of traces written by the retired sharded engine;
+    /// always empty for new runs.
     #[serde(default)]
     pub shards: Vec<ShardStat>,
     /// Per-worker execution timeline and derived scheduler analytics,
@@ -235,7 +232,6 @@ impl RunTrace {
         memory: Option<MemoryStats>,
         footprints: Vec<FootprintSnapshot>,
         events: Vec<TraceEvent>,
-        shards: Vec<ShardStat>,
         timeline: Option<Timeline>,
         quality: Option<QualitySection>,
     ) -> Self {
@@ -331,7 +327,7 @@ impl RunTrace {
             memory,
             footprints,
             events,
-            shards,
+            shards: Vec::new(),
             timeline,
             quality,
         }
@@ -496,22 +492,6 @@ impl RunTrace {
                 return Err(format!(
                     "footprint {:?} reports {} element(s) in zero bytes",
                     f.structure, f.elements
-                ));
-            }
-        }
-        for w in self.shards.windows(2) {
-            if w[1].shard <= w[0].shard {
-                return Err(format!(
-                    "shard stats must be sorted by unique shard id: {} then {}",
-                    w[0].shard, w[1].shard
-                ));
-            }
-        }
-        for s in &self.shards {
-            if s.matched > s.pairs {
-                return Err(format!(
-                    "shard {} matched {} of only {} pairs",
-                    s.shard, s.matched, s.pairs
                 ));
             }
         }
@@ -764,26 +744,6 @@ impl RunTrace {
                 );
             }
         }
-        if !self.shards.is_empty() {
-            let _ = writeln!(out, "\nshards:");
-            let _ = writeln!(
-                out,
-                "  {:<6} {:>8} {:>12} {:>10} {:>10} {:>10}",
-                "shard", "keys", "pairs", "matched", "tables", "time"
-            );
-            for s in &self.shards {
-                let _ = writeln!(
-                    out,
-                    "  {:<6} {:>8} {:>12} {:>10} {:>10} {:>10}",
-                    s.shard,
-                    s.keys,
-                    s.pairs,
-                    s.matched,
-                    fmt_bytes(s.sim_table_bytes),
-                    fmt_us(s.duration_us)
-                );
-            }
-        }
         if let Some(tl) = &self.timeline {
             let _ = writeln!(
                 out,
@@ -818,32 +778,6 @@ impl RunTrace {
                 tl.mean_utilization() * 100.0,
                 fmt_us(tl.critical_path_us)
             );
-            if let Some(pq) = &tl.plan_quality {
-                let _ = writeln!(
-                    out,
-                    "  plan quality: predicted skew {:.2}×, actual {:.2}×, ratio {:.2}",
-                    pq.predicted_skew, pq.actual_skew, pq.ratio
-                );
-            }
-            if !tl.stragglers.is_empty() {
-                let _ = writeln!(out, "  stragglers (longest shards):");
-                for s in &tl.stragglers {
-                    let _ = writeln!(
-                        out,
-                        "    shard {:<5} worker {:<3} {:>10}  {} pairs, {} keys, {}",
-                        s.shard,
-                        s.worker,
-                        fmt_us(s.duration_us),
-                        s.pairs,
-                        s.keys,
-                        if s.sim_table_cells > 0 {
-                            format!("SimTable {}", fmt_bytes(s.sim_table_bytes))
-                        } else {
-                            "direct compute".to_owned()
-                        }
-                    );
-                }
-            }
         }
         if let Some(q) = &self.quality {
             let _ = writeln!(out);
@@ -1042,7 +976,6 @@ mod tests {
             None,
             Vec::new(),
             Vec::new(),
-            Vec::new(),
             None,
             None,
         )
@@ -1074,7 +1007,6 @@ mod tests {
             None,
             Vec::new(),
             Vec::new(),
-            Vec::new(),
             None,
             None,
         );
@@ -1098,7 +1030,6 @@ mod tests {
             None,
             Vec::new(),
             Vec::new(),
-            Vec::new(),
             None,
             None,
         );
@@ -1120,7 +1051,6 @@ mod tests {
             Vec::new(),
             Vec::new(),
             None,
-            Vec::new(),
             Vec::new(),
             Vec::new(),
             None,
@@ -1148,7 +1078,6 @@ mod tests {
             Vec::new(),
             Vec::new(),
             None,
-            Vec::new(),
             Vec::new(),
             Vec::new(),
             None,
@@ -1226,7 +1155,6 @@ mod tests {
             None,
             Vec::new(),
             Vec::new(),
-            Vec::new(),
             None,
             None,
         );
@@ -1249,7 +1177,6 @@ mod tests {
             Vec::new(),
             Vec::new(),
             None,
-            Vec::new(),
             Vec::new(),
             Vec::new(),
             None,
@@ -1275,7 +1202,6 @@ mod tests {
             None,
             Vec::new(),
             Vec::new(),
-            Vec::new(),
             None,
             None,
         );
@@ -1295,26 +1221,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_validate_and_render() {
+    fn legacy_shard_rows_still_load_and_validate_but_do_not_render() {
+        // traces of the retired sharded engine carry per-shard rows: they
+        // must still load and validate, and the table no longer shows them
         let mut t = pipeline_trace();
-        t.shards = vec![shard_stat(0, 100, 40), shard_stat(1, 50, 10)];
-        t.validate_pipeline().unwrap();
-        let table = t.phase_table();
-        assert!(table.contains("shards:"), "{table}");
-        assert!(table.contains("matched"), "{table}");
-
-        // unsorted / duplicate shard ids are rejected
-        let mut bad = t.clone();
-        bad.shards = vec![shard_stat(1, 50, 10), shard_stat(0, 100, 40)];
-        assert!(bad.validate_basic().unwrap_err().contains("sorted"));
-        bad.shards = vec![shard_stat(0, 100, 40), shard_stat(0, 50, 10)];
-        assert!(bad.validate_basic().is_err());
-
-        // matched exceeding pairs is rejected
-        let mut bad = t.clone();
-        bad.shards = vec![shard_stat(0, 10, 11)];
-        let err = bad.validate_basic().unwrap_err();
-        assert!(err.contains("matched"), "{err}");
+        t.shards = vec![shard_stat(1, 50, 10), shard_stat(0, 100, 40)];
+        let back: RunTrace = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
+        assert_eq!(back.shards, t.shards);
+        back.validate_pipeline().unwrap();
+        let table = back.phase_table();
+        assert!(!table.contains("shards:"), "{table}");
     }
 
     fn timeline_event(
@@ -1335,21 +1251,31 @@ mod tests {
 
     fn with_timeline(events: Vec<crate::TimelineEvent>) -> RunTrace {
         let mut t = pipeline_trace();
-        t.timeline = Some(Timeline::derive(events, 0, &[], &[]));
+        t.timeline = Some(Timeline::derive(events, 0));
         t
     }
 
     #[test]
     fn timeline_events_must_fall_inside_their_phase_spans() {
-        // prematch of iteration 0 runs [10µs..30µs); a shard event
+        // prematch of iteration 0 runs [10µs..30µs); a prematch event
         // inside it passes, one in the subgraph slot fails
-        let t = with_timeline(vec![timeline_event(0, crate::EventKind::Shard, 12, 10)]);
+        let t = with_timeline(vec![timeline_event(
+            0,
+            crate::EventKind::PrematchTile,
+            12,
+            10,
+        )]);
         t.validate_pipeline().unwrap();
         let table = t.phase_table();
         assert!(table.contains("timeline:"), "{table}");
         assert!(table.contains("mean utilization"), "{table}");
 
-        let bad = with_timeline(vec![timeline_event(0, crate::EventKind::Shard, 40, 10)]);
+        let bad = with_timeline(vec![timeline_event(
+            0,
+            crate::EventKind::PrematchTile,
+            40,
+            10,
+        )]);
         let err = bad.validate_pipeline().unwrap_err();
         assert!(err.contains("falls outside every"), "{err}");
 
@@ -1381,7 +1307,12 @@ mod tests {
 
     #[test]
     fn timeline_dropped_must_agree_with_the_counter() {
-        let mut t = with_timeline(vec![timeline_event(0, crate::EventKind::Shard, 12, 10)]);
+        let mut t = with_timeline(vec![timeline_event(
+            0,
+            crate::EventKind::PrematchTile,
+            12,
+            10,
+        )]);
         t.timeline.as_mut().unwrap().dropped = 4;
         let err = t.validate_basic().unwrap_err();
         assert!(err.contains("timeline_dropped"), "{err}");
@@ -1394,7 +1325,12 @@ mod tests {
 
     #[test]
     fn traces_without_timeline_deserialize_as_absent() {
-        let t = with_timeline(vec![timeline_event(0, crate::EventKind::Shard, 12, 10)]);
+        let t = with_timeline(vec![timeline_event(
+            0,
+            crate::EventKind::PrematchTile,
+            12,
+            10,
+        )]);
         let mut json = serde_json::parse(&serde_json::to_string(&t).unwrap()).unwrap();
         let serde_json::Value::Map(entries) = &mut json else {
             panic!("trace must serialize to an object");
@@ -1441,11 +1377,6 @@ mod tests {
                 iteration: 0,
                 delta: 0.7,
                 recovered: 2,
-            }],
-            per_shard: vec![ShardQuality {
-                shard: 0,
-                truth_pairs: 5,
-                recovered: 3,
             }],
             bands: vec![SimBand {
                 lo_bp: 8000,

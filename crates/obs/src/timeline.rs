@@ -3,15 +3,13 @@
 //!
 //! The aggregate phase table says *how long* the pipeline spent in each
 //! phase; the timeline says *when each worker did what* — which is the
-//! only way to see stragglers, queue starvation and LPT plan
-//! misprediction. Worker threads append fixed-size [`TimelineEvent`]s
-//! (one per shard, prematch tile, subgraph chunk, remainder chunk,
-//! δ-iteration boundary, queue-wait gap, merge or sort) into per-worker
-//! ring buffers owned by the collector; [`crate::Collector::finish`]
-//! drains them into a [`Timeline`] section of the trace together with
-//! the derived analytics: per-worker busy/idle utilization over the
-//! run's parallel activity window, the top-k straggler shards joined
-//! with their [`ShardStat`] rows, the LPT plan-quality ratio and a
+//! only way to see load imbalance and queue starvation. Worker threads
+//! append fixed-size [`TimelineEvent`]s (one per prematch chunk,
+//! subgraph chunk, remainder chunk, δ-iteration boundary or queue-wait
+//! gap) into per-worker ring buffers owned by the collector;
+//! [`crate::Collector::finish`] drains them into a [`Timeline`] section
+//! of the trace together with the derived analytics: per-worker
+//! busy/idle utilization over the run's parallel activity window and a
 //! critical-path estimate for the parallel phases.
 //!
 //! # Overhead discipline
@@ -28,7 +26,6 @@
 //! (mirrored by the `timeline_dropped` counter) rather than growing or
 //! corrupting the trace.
 
-use crate::report::ShardStat;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -38,9 +35,6 @@ use std::sync::{Mutex, RwLock};
 /// drops oldest and is counted, never fatal.
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
-/// How many straggler shards [`Timeline::derive`] keeps.
-pub const STRAGGLER_TOP_K: usize = 5;
-
 /// Span and event timestamps truncate independently to whole
 /// microseconds, so an event can appear to outlive its enclosing phase
 /// span by up to this much. Containment checks allow the slack.
@@ -49,9 +43,7 @@ pub const ROUNDING_SLACK_US: u64 = 2;
 /// What one [`TimelineEvent`] measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum EventKind {
-    /// One shard scored on the sharded scoring pool (`detail` = shard id).
-    Shard,
-    /// One tile/chunk of the parallel pre-matching kernel
+    /// One chunk of the parallel pre-matching kernel
     /// (`detail` = chunk index).
     PrematchTile,
     /// One chunk of parallel subgraph scoring (`detail` = chunk index).
@@ -63,12 +55,6 @@ pub enum EventKind {
     /// A gap a pool worker spent between finishing one task and starting
     /// the next (`detail` = the task index it was waiting to claim).
     QueueWait,
-    /// The driver's deterministic merge of per-shard results
-    /// (`detail` = shard count).
-    Merge,
-    /// The driver's global sort re-establishing unsharded order
-    /// (`detail` = matches sorted).
-    Sort,
 }
 
 impl EventKind {
@@ -76,14 +62,11 @@ impl EventKind {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::Shard => "shard",
             EventKind::PrematchTile => "prematch_tile",
             EventKind::SubgraphChunk => "subgraph_chunk",
             EventKind::RemainderChunk => "remainder_chunk",
             EventKind::Iteration => "iteration",
             EventKind::QueueWait => "queue_wait",
-            EventKind::Merge => "merge",
-            EventKind::Sort => "sort",
         }
     }
 
@@ -92,9 +75,7 @@ impl EventKind {
     #[must_use]
     pub fn phase(self) -> Option<&'static str> {
         match self {
-            EventKind::Shard | EventKind::PrematchTile | EventKind::Merge | EventKind::Sort => {
-                Some("prematch")
-            }
+            EventKind::PrematchTile => Some("prematch"),
             EventKind::SubgraphChunk => Some("subgraph"),
             EventKind::RemainderChunk => Some("remainder"),
             EventKind::Iteration | EventKind::QueueWait => None,
@@ -111,27 +92,21 @@ impl EventKind {
     #[must_use]
     pub fn glyph(self) -> char {
         match self {
-            EventKind::Shard => 'S',
             EventKind::PrematchTile => 'P',
             EventKind::SubgraphChunk => 'G',
             EventKind::RemainderChunk => 'R',
             EventKind::Iteration => '|',
             EventKind::QueueWait => '.',
-            EventKind::Merge => 'M',
-            EventKind::Sort => 'O',
         }
     }
 
     /// Every kind, in legend order.
-    pub const ALL: [EventKind; 8] = [
-        EventKind::Shard,
+    pub const ALL: [EventKind; 5] = [
         EventKind::PrematchTile,
         EventKind::SubgraphChunk,
         EventKind::RemainderChunk,
         EventKind::Iteration,
         EventKind::QueueWait,
-        EventKind::Merge,
-        EventKind::Sort,
     ];
 }
 
@@ -207,10 +182,6 @@ impl WorkerRing {
 pub(crate) struct TimelineState {
     capacity: usize,
     rings: RwLock<Vec<Mutex<WorkerRing>>>,
-    /// Predicted per-shard loads of the run's first LPT plan (the
-    /// pre-matching plan; later plans — e.g. the remainder pass's — keep
-    /// the first so plan quality measures the headline scoring phase).
-    plan_loads: Mutex<Vec<u64>>,
     /// Workers currently inside a timed task, for the live progress
     /// utilization line. Display-only — a panicking worker may leak one.
     busy: AtomicUsize,
@@ -221,7 +192,6 @@ impl TimelineState {
         Self {
             capacity,
             rings: RwLock::new(Vec::new()),
-            plan_loads: Mutex::new(Vec::new()),
             busy: AtomicUsize::new(0),
         }
     }
@@ -250,15 +220,6 @@ impl TimelineState {
         crate::lock_or_recover(&rings[worker]).push(event);
     }
 
-    /// Record the predicted per-shard loads; the first plan of the run
-    /// wins.
-    pub(crate) fn set_plan(&self, loads: &[u64]) {
-        let mut guard = crate::lock_or_recover(&self.plan_loads);
-        if guard.is_empty() {
-            guard.extend_from_slice(loads);
-        }
-    }
-
     pub(crate) fn task_started(&self) {
         self.busy.fetch_add(1, Ordering::Relaxed);
     }
@@ -285,9 +246,9 @@ impl TimelineState {
             .len()
     }
 
-    /// Drain every ring: events sorted by `(worker, start)`, the total
-    /// drop count, and the recorded plan loads.
-    pub(crate) fn drain(&self) -> (Vec<TimelineEvent>, u64, Vec<u64>) {
+    /// Drain every ring: events sorted by `(worker, start)` and the total
+    /// drop count.
+    pub(crate) fn drain(&self) -> (Vec<TimelineEvent>, u64) {
         let rings = self
             .rings
             .read()
@@ -300,8 +261,7 @@ impl TimelineState {
             dropped += guard.dropped;
         }
         events.sort_by_key(|e| (e.worker, e.start_us, e.duration_us));
-        let loads = crate::lock_or_recover(&self.plan_loads).clone();
-        (events, dropped, loads)
+        (events, dropped)
     }
 }
 
@@ -317,42 +277,6 @@ pub struct WorkerUtilization {
     /// `busy_us / Timeline::active_us` — the share of the run's parallel
     /// activity window this worker spent working. In `[0, 1]`.
     pub utilization: f64,
-}
-
-/// One of the longest-running shards, joined with its [`ShardStat`] row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Straggler {
-    /// Shard id.
-    pub shard: u64,
-    /// Worker that scored it.
-    pub worker: u32,
-    /// Start, µs since the collector epoch.
-    pub start_us: u64,
-    /// Scoring wall time, µs.
-    pub duration_us: u64,
-    /// Candidate pairs the shard scored (from its [`ShardStat`] row).
-    pub pairs: u64,
-    /// Blocking keys the shard owned.
-    pub keys: u64,
-    /// Similarity-table cells the shard allocated — `0` means the shard
-    /// scored every pair by direct computation (no memoisation).
-    pub sim_table_cells: u64,
-    /// Similarity-table bytes the shard allocated.
-    pub sim_table_bytes: u64,
-}
-
-/// How well the LPT plan's predicted per-shard loads anticipated the
-/// measured per-shard scoring times, compared skew-to-skew.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlanQuality {
-    /// `max / mean` over the plan's predicted non-zero shard loads.
-    pub predicted_skew: f64,
-    /// `max / mean` over the measured per-shard scoring durations.
-    pub actual_skew: f64,
-    /// `actual_skew / predicted_skew` — `1.0` means the plan predicted
-    /// the imbalance exactly; above it the schedule was more skewed than
-    /// the plan promised (weights mispredict per-pair cost).
-    pub ratio: f64,
 }
 
 /// The timeline section of a [`crate::RunTrace`]: the drained raw
@@ -373,40 +297,17 @@ pub struct Timeline {
     /// Per-worker busy time and utilization, sorted by worker id.
     #[serde(default)]
     pub utilization: Vec<WorkerUtilization>,
-    /// The [`STRAGGLER_TOP_K`] longest shards, longest first.
-    #[serde(default)]
-    pub stragglers: Vec<Straggler>,
-    /// LPT plan quality, when a sharded plan ran under the timeline.
-    #[serde(default)]
-    pub plan_quality: Option<PlanQuality>,
     /// Σ over parallel phases of the busiest worker's time in that
     /// phase — a lower bound on the parallel phases' wall time under the
     /// observed work split.
     pub critical_path_us: u64,
 }
 
-fn skew(values: impl Iterator<Item = u64>) -> Option<f64> {
-    let vals: Vec<u64> = values.filter(|&v| v > 0).collect();
-    if vals.is_empty() {
-        return None;
-    }
-    let max = *vals.iter().max().expect("non-empty") as f64;
-    let mean = vals.iter().sum::<u64>() as f64 / vals.len() as f64;
-    Some(max / mean.max(1e-9))
-}
-
 impl Timeline {
-    /// Assemble the section from drained state: derive utilization,
-    /// stragglers, plan quality and the critical path. `shard_stats`
-    /// must be sorted by shard id (as [`crate::Collector::finish`]
-    /// leaves them).
+    /// Assemble the section from drained state: derive utilization and
+    /// the critical path.
     #[must_use]
-    pub(crate) fn derive(
-        mut events: Vec<TimelineEvent>,
-        dropped: u64,
-        plan_loads: &[u64],
-        shard_stats: &[ShardStat],
-    ) -> Self {
+    pub(crate) fn derive(mut events: Vec<TimelineEvent>, dropped: u64) -> Self {
         events.sort_by_key(|e| (e.worker, e.start_us, e.duration_us));
         let busy_events =
             |e: &&TimelineEvent| !e.kind.is_instant() && e.kind != EventKind::QueueWait;
@@ -452,56 +353,6 @@ impl Timeline {
             });
         }
 
-        // straggler top-k: longest shard events, joined with ShardStat
-        let mut shard_events: Vec<&TimelineEvent> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::Shard)
-            .collect();
-        shard_events.sort_by(|a, b| {
-            b.duration_us
-                .cmp(&a.duration_us)
-                .then(a.detail.cmp(&b.detail))
-                .then(a.worker.cmp(&b.worker))
-        });
-        let stragglers = shard_events
-            .iter()
-            .take(STRAGGLER_TOP_K)
-            .map(|e| {
-                let stat = shard_stats
-                    .binary_search_by_key(&(e.detail as usize), |s| s.shard)
-                    .ok()
-                    .map(|i| &shard_stats[i]);
-                Straggler {
-                    shard: e.detail,
-                    worker: e.worker,
-                    start_us: e.start_us,
-                    duration_us: e.duration_us,
-                    pairs: stat.map_or(0, |s| s.pairs),
-                    keys: stat.map_or(0, |s| s.keys),
-                    sim_table_cells: stat.map_or(0, |s| s.sim_table_cells),
-                    sim_table_bytes: stat.map_or(0, |s| s.sim_table_bytes),
-                }
-            })
-            .collect();
-
-        // plan quality: predicted load skew vs measured duration skew
-        let mut actual_by_shard: std::collections::HashMap<u64, u64> =
-            std::collections::HashMap::new();
-        for e in events.iter().filter(|e| e.kind == EventKind::Shard) {
-            *actual_by_shard.entry(e.detail).or_insert(0) += e.duration_us;
-        }
-        let plan_quality = match (
-            skew(plan_loads.iter().copied()),
-            skew(actual_by_shard.values().copied()),
-        ) {
-            (Some(predicted_skew), Some(actual_skew)) => Some(PlanQuality {
-                predicted_skew,
-                actual_skew,
-                ratio: actual_skew / predicted_skew.max(1e-9),
-            }),
-            _ => None,
-        };
-
         // critical path: the busiest worker per parallel phase, summed
         let critical_path_us = crate::report::PIPELINE_PHASES
             .iter()
@@ -525,8 +376,6 @@ impl Timeline {
             dropped,
             active_us,
             utilization,
-            stragglers,
-            plan_quality,
             critical_path_us,
         }
     }
@@ -592,11 +441,6 @@ impl Timeline {
                 ));
             }
         }
-        if let Some(pq) = &self.plan_quality {
-            if pq.predicted_skew < 1.0 || pq.actual_skew < 1.0 || pq.ratio <= 0.0 {
-                return Err("plan-quality skews must be ≥ 1 and the ratio positive".into());
-            }
-        }
         Ok(())
     }
 }
@@ -626,7 +470,7 @@ mod tests {
     fn ring_overflow_drops_oldest_and_counts() {
         let mut ring = WorkerRing::new(3);
         for i in 0..5 {
-            ring.push(ev(0, EventKind::Shard, i * 10, 5, i));
+            ring.push(ev(0, EventKind::PrematchTile, i * 10, 5, i));
         }
         assert_eq!(ring.dropped, 2);
         let out = ring.drain();
@@ -641,11 +485,11 @@ mod tests {
     #[test]
     fn state_registers_workers_lazily_and_drains_sorted() {
         let state = TimelineState::new(8);
-        state.push(ev(2, EventKind::Shard, 30, 5, 7));
-        state.push(ev(0, EventKind::Shard, 10, 5, 3));
+        state.push(ev(2, EventKind::PrematchTile, 30, 5, 7));
+        state.push(ev(0, EventKind::PrematchTile, 10, 5, 3));
         state.push(ev(0, EventKind::QueueWait, 20, 2, 0));
         assert_eq!(state.workers(), 3);
-        let (events, dropped, _) = state.drain();
+        let (events, dropped) = state.drain();
         assert_eq!(dropped, 0);
         assert_eq!(
             events
@@ -657,86 +501,35 @@ mod tests {
     }
 
     #[test]
-    fn plan_first_wins() {
-        let state = TimelineState::new(8);
-        state.set_plan(&[10, 20]);
-        state.set_plan(&[99]);
-        let (_, _, loads) = state.drain();
-        assert_eq!(loads, vec![10, 20]);
-    }
-
-    #[test]
     fn derive_computes_union_window_and_utilization() {
         // worker 0 busy [0,10) and [20,30); worker 1 busy [0,30);
         // union = 30µs, so utilizations are 20/30 and 30/30
         let events = vec![
-            ev(0, EventKind::Shard, 0, 10, 0),
+            ev(0, EventKind::PrematchTile, 0, 10, 0),
             ev(0, EventKind::QueueWait, 10, 10, 1), // waits never count
-            ev(0, EventKind::Shard, 20, 10, 1),
-            ev(1, EventKind::Shard, 0, 30, 2),
+            ev(0, EventKind::PrematchTile, 20, 10, 1),
+            ev(1, EventKind::PrematchTile, 0, 30, 2),
         ];
-        let tl = Timeline::derive(events, 0, &[], &[]);
+        let tl = Timeline::derive(events, 0);
         assert_eq!(tl.active_us, 30);
         assert_eq!(tl.workers, 2);
         assert!((tl.utilization[0].utilization - 2.0 / 3.0).abs() < 1e-9);
         assert!((tl.utilization[1].utilization - 1.0).abs() < 1e-9);
         assert!((tl.mean_utilization() - 5.0 / 6.0).abs() < 1e-9);
-        // all three shards are prematch work on two workers: the busiest
+        // all three chunks are prematch work on two workers: the busiest
         // carries 30µs
         assert_eq!(tl.critical_path_us, 30);
         tl.validate(30).unwrap();
     }
 
     #[test]
-    fn derive_joins_stragglers_with_shard_stats() {
-        let stats = vec![
-            ShardStat {
-                shard: 0,
-                keys: 4,
-                pairs: 100,
-                matched: 10,
-                sim_table_bytes: 64,
-                sim_table_cells: 8,
-                duration_us: 50,
-            },
-            ShardStat {
-                shard: 1,
-                keys: 2,
-                pairs: 900,
-                matched: 90,
-                sim_table_bytes: 0,
-                sim_table_cells: 0,
-                duration_us: 400,
-            },
-        ];
-        let events = vec![
-            ev(0, EventKind::Shard, 0, 50, 0),
-            ev(1, EventKind::Shard, 0, 400, 1),
-        ];
-        let tl = Timeline::derive(events, 0, &[100, 900], &stats);
-        assert_eq!(tl.stragglers.len(), 2);
-        assert_eq!(tl.stragglers[0].shard, 1);
-        assert_eq!(tl.stragglers[0].pairs, 900);
-        assert_eq!(tl.stragglers[0].sim_table_cells, 0); // direct compute
-        assert_eq!(tl.stragglers[1].shard, 0);
-        assert_eq!(tl.stragglers[1].sim_table_cells, 8); // memoized
-        let pq = tl.plan_quality.as_ref().expect("plan recorded");
-        // predicted skew 900/500 = 1.8; actual 400/225 ≈ 1.78
-        assert!((pq.predicted_skew - 1.8).abs() < 1e-9);
-        assert!((pq.ratio - pq.actual_skew / 1.8).abs() < 1e-9);
-        tl.validate(1000).unwrap();
-    }
-
-    #[test]
     fn validate_rejects_non_monotone_and_out_of_window() {
         let tl = Timeline::derive(
             vec![
-                ev(0, EventKind::Shard, 20, 5, 0),
-                ev(0, EventKind::Shard, 10, 5, 1),
+                ev(0, EventKind::PrematchTile, 20, 5, 0),
+                ev(0, EventKind::PrematchTile, 10, 5, 1),
             ],
             0,
-            &[],
-            &[],
         );
         // derive sorts, so corrupt the order by hand (a tampered trace)
         let mut bad = tl.clone();
@@ -748,12 +541,10 @@ mod tests {
 
     #[test]
     fn empty_timeline_derives_cleanly() {
-        let tl = Timeline::derive(Vec::new(), 0, &[], &[]);
+        let tl = Timeline::derive(Vec::new(), 0);
         assert_eq!(tl.workers, 0);
         assert_eq!(tl.active_us, 0);
         assert!(tl.utilization.is_empty());
-        assert!(tl.stragglers.is_empty());
-        assert!(tl.plan_quality.is_none());
         assert_eq!(tl.mean_utilization(), 0.0);
         tl.validate(0).unwrap();
     }

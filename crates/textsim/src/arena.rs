@@ -36,8 +36,8 @@ const EXACT_EMPTY: u32 = u32::MAX;
 /// A contiguous, read-only layout of compiled attribute values, indexed
 /// by the dense value ids the batch planner assigns.
 ///
-/// Built once per attribute spec per scoring scope (global, per shard or
-/// per worker) from one representative [`CompiledValue`] per unique raw
+/// Built once per attribute spec per scoring pass, shared read-only by
+/// its workers, from one representative [`CompiledValue`] per unique raw
 /// value; [`MultisetArena::similarity`] then scores any id pair without
 /// touching the originals except in the fallback lane.
 #[derive(Debug)]
