@@ -2031,6 +2031,77 @@ mod tests {
     }
 
     #[test]
+    fn household_order_in_the_csv_is_irrelevant() {
+        // a snapshot is a set of households: shuffling whole households
+        // (members kept in form order) must not change a single byte of
+        // the mappings or the decision log
+        let dir = tmp_dir("shuffle");
+        cmd_generate(&dir, "small", Some(42)).unwrap();
+        let shuffle = |name: &str, seed: u64| -> PathBuf {
+            let text = std::fs::read_to_string(dir.join(name)).unwrap();
+            let mut lines = text.lines();
+            let header = lines.next().unwrap();
+            let mut index: std::collections::HashMap<&str, usize> =
+                std::collections::HashMap::new();
+            let mut households: Vec<Vec<&str>> = Vec::new();
+            for line in lines {
+                let id = line.split(',').nth(1).unwrap();
+                let slot = *index.entry(id).or_insert_with(|| {
+                    households.push(Vec::new());
+                    households.len() - 1
+                });
+                households[slot].push(line);
+            }
+            // Fisher–Yates under a fixed 64-bit LCG
+            let mut state = seed;
+            for i in (1..households.len()).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                households.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let mut out = format!("{header}\n");
+            for line in households.concat() {
+                out.push_str(line);
+                out.push('\n');
+            }
+            let path = dir.join(format!("shuffled_{name}"));
+            std::fs::write(&path, out).unwrap();
+            path
+        };
+        let link = |old: &Path, new: &Path, out: &Path| {
+            cli(&[
+                "link",
+                old.to_str().unwrap(),
+                new.to_str().unwrap(),
+                "--old-year",
+                "1851",
+                "--new-year",
+                "1861",
+                "--out",
+                out.to_str().unwrap(),
+                "--decisions-out",
+                out.to_str().unwrap(),
+            ])
+            .unwrap()
+        };
+        let (old, new) = (dir.join("census_1851.csv"), dir.join("census_1861.csv"));
+        let (old_s, new_s) = (shuffle("census_1851.csv", 1), shuffle("census_1861.csv", 2));
+        assert_ne!(std::fs::read(&old).unwrap(), std::fs::read(&old_s).unwrap());
+        let (plain, shuffled) = (dir.join("plain"), dir.join("shuffled"));
+        link(&old, &new, &plain);
+        link(&old_s, &new_s, &shuffled);
+        for file in ["record_mapping.csv", "group_mapping.csv", "decisions.jsonl"] {
+            assert_eq!(
+                std::fs::read(plain.join(file)).unwrap(),
+                std::fs::read(shuffled.join(file)).unwrap(),
+                "{file} changed by shuffling households"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn trace_mem_embeds_memory_data_and_gates_regressions() {
         let dir = tmp_dir("memtrace");
         cmd_generate(&dir, "small", Some(31)).unwrap();

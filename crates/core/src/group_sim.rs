@@ -71,6 +71,52 @@ impl Default for SelectionWeights {
     }
 }
 
+impl GroupScore {
+    /// Eq. 5–7 from a subgraph's sums: `sum_sim` adds the vertices'
+    /// record similarities, `edge_sim_sum` the matched edges' `rp_sim`,
+    /// `edge_denom` is `|E_i| + |E_{i+1}|` and `label_mass` adds the
+    /// cluster sizes of the vertices' labels. No vertices score zero.
+    /// [`score_subgraph`] and the δ loop's single-pair closed form both
+    /// score through here, so the two agree bit for bit.
+    #[must_use]
+    pub(crate) fn from_sums(
+        sum_sim: f64,
+        vertices: usize,
+        edge_sim_sum: f64,
+        edge_denom: usize,
+        label_mass: u64,
+    ) -> Self {
+        if vertices == 0 {
+            return Self {
+                avg_sim: 0.0,
+                e_sim: 0.0,
+                unique: 0.0,
+            };
+        }
+        // Eq. 5: average record similarity
+        let avg_sim = sum_sim / vertices as f64;
+        // Eq. 6: Dice-style edge similarity over the enriched edge counts
+        let denom = edge_denom as f64;
+        let e_sim = if denom == 0.0 {
+            0.0
+        } else {
+            2.0 * edge_sim_sum / denom
+        };
+        // Eq. 7: uniqueness — 2·|R_sub| over the summed cluster sizes of
+        // the vertices' labels
+        let unique = if label_mass == 0 {
+            0.0
+        } else {
+            2.0 * vertices as f64 / label_mass as f64
+        };
+        Self {
+            avg_sim,
+            e_sim,
+            unique,
+        }
+    }
+}
+
 /// Compute the three component scores of a subgraph.
 ///
 /// `fallback_sim` is used as the record similarity of a vertex pair that
@@ -78,31 +124,11 @@ impl Default for SelectionWeights {
 /// direct similarity is unknown but at least threshold-adjacent).
 #[must_use]
 pub fn score_subgraph(sub: &MatchedSubgraph, pre: &PreMatch, fallback_sim: f64) -> GroupScore {
-    if sub.vertices.is_empty() {
-        return GroupScore {
-            avg_sim: 0.0,
-            e_sim: 0.0,
-            unique: 0.0,
-        };
-    }
-    // Eq. 5: average record similarity
     let sum_sim: f64 = sub
         .vertices
         .iter()
         .map(|&(o, n)| pre.pair_sims.get(&(o, n)).copied().unwrap_or(fallback_sim))
         .sum();
-    let avg_sim = sum_sim / sub.vertices.len() as f64;
-
-    // Eq. 6: Dice-style edge similarity over the enriched edge counts
-    let denom = (sub.old_edge_count + sub.new_edge_count) as f64;
-    let e_sim = if denom == 0.0 {
-        0.0
-    } else {
-        2.0 * sub.edge_sim_sum() / denom
-    };
-
-    // Eq. 7: uniqueness — 2·|R_sub| over the summed cluster sizes of the
-    // vertices' labels
     let label_mass: u64 = sub
         .vertices
         .iter()
@@ -111,17 +137,32 @@ pub fn score_subgraph(sub: &MatchedSubgraph, pre: &PreMatch, fallback_sim: f64) 
             u64::from(pre.size_of_label(label))
         })
         .sum();
-    let unique = if label_mass == 0 {
-        0.0
-    } else {
-        2.0 * sub.vertices.len() as f64 / label_mass as f64
-    };
+    GroupScore::from_sums(
+        sum_sim,
+        sub.vertices.len(),
+        sub.edge_sim_sum(),
+        sub.old_edge_count + sub.new_edge_count,
+        label_mass,
+    )
+}
 
-    GroupScore {
-        avg_sim,
-        e_sim,
-        unique,
-    }
+/// [`score_subgraph`] of the one-vertex subgraph `{(o, n)}` in closed
+/// form: `sim` is the pair's direct similarity, `label_size` its label's
+/// cluster size and `edge_denom` the two graphs' summed edge counts. One
+/// vertex has no edge, so the edge sum is the empty `f64` sum — the very
+/// value (`-0.0` under the current standard library) that
+/// [`MatchedSubgraph::edge_sim_sum`] yields — and the one-term
+/// similarity sum goes through the same `Sum` as well, so every
+/// component keeps its bits.
+#[must_use]
+pub(crate) fn score_single_pair(sim: f64, label_size: u32, edge_denom: usize) -> GroupScore {
+    GroupScore::from_sums(
+        std::iter::once(sim).sum(),
+        1,
+        std::iter::empty::<f64>().sum(),
+        edge_denom,
+        u64::from(label_size),
+    )
 }
 
 #[cfg(test)]
@@ -277,6 +318,88 @@ mod tests {
     #[should_panic(expected = "exceed 1")]
     fn overweight_panics() {
         let _ = SelectionWeights::new(0.8, 0.8);
+    }
+
+    /// The one-vertex subgraph `{(0, 10)}` between graphs of
+    /// `old_edges` and `new_edges` edges, with `pre` holding its pair
+    /// similarity and label; `label_size: None` leaves the label out of
+    /// `cluster_size` (an unknown label, mass 0).
+    fn one_vertex(
+        sim: f64,
+        label_size: Option<u32>,
+        old_edges: usize,
+        new_edges: usize,
+    ) -> (MatchedSubgraph, PreMatch) {
+        let (o, n) = (RecordId(0), RecordId(10));
+        let sub = MatchedSubgraph {
+            vertices: vec![(o, n)],
+            edges: vec![],
+            old_edge_count: old_edges,
+            new_edge_count: new_edges,
+        };
+        let mut pre = PreMatch::default();
+        pre.pair_sims.insert((o, n), sim);
+        pre.label_old.insert(o, 7);
+        pre.label_new.insert(n, 7);
+        if let Some(size) = label_size {
+            pre.cluster_size.insert(7, size);
+        }
+        (sub, pre)
+    }
+
+    fn assert_bitwise(a: GroupScore, b: GroupScore, w: SelectionWeights) {
+        assert_eq!(a.avg_sim.to_bits(), b.avg_sim.to_bits(), "avg_sim");
+        assert_eq!(a.e_sim.to_bits(), b.e_sim.to_bits(), "e_sim");
+        assert_eq!(a.unique.to_bits(), b.unique.to_bits(), "unique");
+        assert_eq!(w.g_sim(&a).to_bits(), w.g_sim(&b).to_bits(), "g_sim");
+    }
+
+    #[test]
+    fn single_pair_closed_form_keeps_the_sign_of_zero() {
+        let w = SelectionWeights::paper_best();
+        let empty_sum: f64 = std::iter::empty::<f64>().sum();
+        // denom == 0: Eq. 6 short-circuits to +0.0
+        let (sub, pre) = one_vertex(0.8, Some(2), 0, 0);
+        let closed = score_single_pair(0.8, 2, 0);
+        assert_bitwise(closed, score_subgraph(&sub, &pre, 0.5), w);
+        assert_eq!(closed.e_sim.to_bits(), 0.0f64.to_bits());
+        // denom > 0: 2 · (empty sum) / denom keeps the empty sum's sign
+        let (sub, pre) = one_vertex(0.8, Some(2), 10, 3);
+        let closed = score_single_pair(0.8, 2, 13);
+        assert_bitwise(closed, score_subgraph(&sub, &pre, 0.5), w);
+        assert_eq!(closed.e_sim, 0.0);
+        assert_eq!(
+            closed.e_sim.is_sign_negative(),
+            empty_sum.is_sign_negative()
+        );
+        // an unknown label has mass 0, so uniqueness is 0
+        let (sub, pre) = one_vertex(0.8, None, 10, 3);
+        let closed = score_single_pair(0.8, 0, 13);
+        assert_bitwise(closed, score_subgraph(&sub, &pre, 0.5), w);
+        assert_eq!(closed.unique, 0.0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_single_pair_closed_form_is_bitwise_score_subgraph(
+            sim in 0.0f64..1.0,
+            label_size in proptest::option::of(0u32..64),
+            old_nodes in 0usize..10,
+            new_nodes in 0usize..10,
+            alpha in 0.0f64..1.0,
+            beta_share in 0.0f64..1.0,
+        ) {
+            // enriched graphs are complete: n members, n(n−1)/2 edges
+            let (old_edges, new_edges) =
+                (old_nodes * old_nodes.saturating_sub(1) / 2, new_nodes * new_nodes.saturating_sub(1) / 2);
+            let (sub, pre) = one_vertex(sim, label_size, old_edges, new_edges);
+            let w = SelectionWeights::new(alpha, (1.0 - alpha) * beta_share);
+            assert_bitwise(
+                score_single_pair(sim, label_size.unwrap_or(0), old_edges + new_edges),
+                score_subgraph(&sub, &pre, 0.5),
+                w,
+            );
+        }
     }
 
     /// Missing labels behave like infinite-mass clusters (u64::MAX label

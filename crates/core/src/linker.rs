@@ -6,7 +6,7 @@
 //! lets each [`Linker::run`] reuse them.
 
 use crate::config::{LinkageConfig, Parallelism};
-use crate::group_sim::score_subgraph;
+use crate::group_sim::{score_single_pair, score_subgraph};
 use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
 use crate::pairscore::PairScoreCache;
@@ -21,11 +21,7 @@ use crate::{IterationStats, LinkPhase, LinkageResult};
 use census_model::{
     CensusDataset, GroupMapping, HouseholdId, PersonRecord, RecordId, RecordMapping,
 };
-use hhgraph::{match_subgraph_with, EnrichedGraph, SubgraphScratch};
-
-/// A candidate group pair: the household ids plus their enriched-graph
-/// indices, so the scoring hot loop skips the household→graph hash maps.
-type GroupCandidate = ((HouseholdId, HouseholdId), (u32, u32));
+use hhgraph::{match_subgraph_with, EnrichedGraph, MatchedSubgraph, SubgraphScratch};
 use obs::{
     Collector, Counter, DecisionRecord, EventKind, Footprint, GroupDecision, Histogram, LiveHist,
     LosingCandidate, MemoryFootprint, RejectedCandidate, RejectionReason, ITERATION_SPAN,
@@ -169,6 +165,36 @@ struct BelowFloor {
     new: HouseholdId,
     g_sim: f64,
     subgraph_size: usize,
+}
+
+/// One direct match pair of a δ iteration, keyed by the enriched-graph
+/// indices of its household pair, `(gi_o << 32) | gi_n`. Sorted on the
+/// key, the pairs of one household candidate form one run, and the runs
+/// follow graph (file) order.
+#[derive(Debug, Clone, Copy)]
+struct PairEntry {
+    key: u64,
+    old: RecordId,
+    new: RecordId,
+    sim: f64,
+}
+
+const _: () = assert!(std::mem::size_of::<PairEntry>() == 32);
+
+impl PairEntry {
+    /// Old- and new-side enriched-graph indices of the household pair.
+    fn graphs(&self) -> (usize, usize) {
+        (
+            (self.key >> 32) as usize,
+            (self.key & u64::from(u32::MAX)) as usize,
+        )
+    }
+}
+
+/// Whether two sorted pair entries belong to the same household
+/// candidate.
+fn same_candidate(a: &PairEntry, b: &PairEntry) -> bool {
+    a.key == b.key
 }
 
 /// The scored candidates of one δ iteration.
@@ -349,12 +375,60 @@ impl<'a> Linker<'a> {
         &self.new_graphs
     }
 
-    /// Match and score the subgraphs of candidate household pairs,
-    /// in parallel across worker threads. Order of the result follows
-    /// the (sorted) input order, so runs stay deterministic.
+    /// Dense label views of `pm` over the record-id spans of the graph
+    /// indices (hash-map fallback on a sparse side).
+    fn label_views(&self, pm: &crate::PreMatch) -> LabelViews {
+        LabelViews::build(
+            pm,
+            (!self.old_graph_of.is_empty()).then_some(self.old_graph_of.len()),
+            (!self.new_graph_of.is_empty()).then_some(self.new_graph_of.len()),
+        )
+    }
+
+    /// Every direct match pair of `pm` whose records both sit in an
+    /// enriched graph, sorted on its household-pair key so each
+    /// household candidate is one run (see [`PairEntry`]).
+    fn candidate_pairs(&self, pm: &crate::PreMatch) -> Vec<PairEntry> {
+        let dense = !self.old_graph_of.is_empty() && !self.new_graph_of.is_empty();
+        let graphs_of = |o: RecordId, n: RecordId| -> Option<(u32, u32)> {
+            if dense {
+                let gi_o = *self.old_graph_of.get(o.raw() as usize)?;
+                let gi_n = *self.new_graph_of.get(n.raw() as usize)?;
+                (gi_o != u32::MAX && gi_n != u32::MAX).then_some((gi_o, gi_n))
+            } else {
+                let (ro, rn) = (self.old.record(o)?, self.new.record(n)?);
+                let gi_o = *self.old_gidx.get(&ro.household)?;
+                let gi_n = *self.new_gidx.get(&rn.household)?;
+                Some((gi_o as u32, gi_n as u32))
+            }
+        };
+        let mut pairs: Vec<PairEntry> = pm
+            .pair_sims
+            .iter()
+            .filter_map(|(&(o, n), &sim)| {
+                let (gi_o, gi_n) = graphs_of(o, n)?;
+                Some(PairEntry {
+                    key: (u64::from(gi_o) << 32) | u64::from(gi_n),
+                    old: o,
+                    new: n,
+                    sim,
+                })
+            })
+            .collect();
+        pairs.sort_unstable_by_key(|p| p.key);
+        pairs
+    }
+
+    /// Match and score the household candidates of `pairs` (sorted by
+    /// [`Linker::candidate_pairs`]), in parallel across worker threads.
+    /// The result follows candidate order, so runs stay deterministic.
     ///
-    /// Each subgraph is matched into a reused scratch buffer and scored
-    /// there; only a candidate that clears `min_g_sim` is cloned into a
+    /// A candidate joined by one direct pair `(o, n)` is scored in
+    /// closed form: the matcher only admits direct pairs as vertices, so
+    /// its subgraph is `{(o, n)}` when the two labels agree and empty
+    /// otherwise, and one vertex has no edge. Any other candidate is
+    /// matched into a reused scratch buffer and scored there. Only a
+    /// candidate that clears `min_g_sim` is materialised as a
     /// [`ScoredSubgroup`]. Selection skips a below-floor candidate
     /// without claiming a record, so leaving it out changes no
     /// acceptance and no tie-break among the rest. With `audit` set, a
@@ -367,7 +441,7 @@ impl<'a> Linker<'a> {
     #[allow(clippy::too_many_arguments)] // internal plumbing of run_traced
     fn score_candidates(
         &self,
-        cand_list: &[GroupCandidate],
+        pairs: &[PairEntry],
         pm: &crate::PreMatch,
         labels: &LabelViews,
         config: &LinkageConfig,
@@ -378,32 +452,57 @@ impl<'a> Linker<'a> {
         obs: &Collector,
     ) -> ScoredCandidates {
         let traced = obs.is_enabled();
-        let score_chunk = |chunk: &[GroupCandidate], scratch: &mut SubgraphScratch| {
+        let score_chunk = |chunk: &[PairEntry], scratch: &mut SubgraphScratch| {
             let mut out = ScoredCandidates::default();
-            for &((old, new), (gi_o, gi_n)) in chunk {
-                let sub = match_subgraph_with(
-                    &self.old_graphs[gi_o as usize],
-                    &self.new_graphs[gi_n as usize],
-                    |r| labels.old_label(pm, r),
-                    |r| labels.new_label(pm, r),
-                    |o, n| pm.pair_sims.contains_key(&(o, n)),
-                    &config.subgraph,
-                    scratch,
-                );
-                if sub.is_empty() {
-                    continue;
-                }
+            for run in chunk.chunk_by(same_candidate) {
+                let (gi_o, gi_n) = run[0].graphs();
+                let (old_g, new_g) = (&self.old_graphs[gi_o], &self.new_graphs[gi_n]);
+                let (matched, score) = if let [p] = run {
+                    let Some(label) = labels.old_label(pm, p.old) else {
+                        continue;
+                    };
+                    if labels.new_label(pm, p.new) != Some(label) {
+                        continue;
+                    }
+                    let edge_denom = old_g.edge_count() + new_g.edge_count();
+                    let score = score_single_pair(p.sim, pm.size_of_label(label), edge_denom);
+                    (None, score)
+                } else {
+                    let sub = match_subgraph_with(
+                        old_g,
+                        new_g,
+                        |r| labels.old_label(pm, r),
+                        |r| labels.new_label(pm, r),
+                        |o, n| pm.pair_sims.contains_key(&(o, n)),
+                        &config.subgraph,
+                        scratch,
+                    );
+                    if sub.is_empty() {
+                        continue;
+                    }
+                    (Some(sub), score_subgraph(sub, pm, delta))
+                };
+                let size = matched.map_or(1, |sub| sub.vertices.len());
                 out.non_empty += 1;
                 if traced {
-                    out.sizes.record(sub.vertices.len() as u64);
+                    out.sizes.record(size as u64);
                 }
-                let score = score_subgraph(sub, pm, delta);
                 let g_sim = config.weights.g_sim(&score);
+                let (old, new) = (old_g.household, new_g.household);
                 if !below_floor(g_sim, config.min_g_sim) {
+                    let sub = match matched {
+                        Some(sub) => sub.clone(),
+                        None => MatchedSubgraph {
+                            vertices: vec![(run[0].old, run[0].new)],
+                            edges: Vec::new(),
+                            old_edge_count: old_g.edge_count(),
+                            new_edge_count: new_g.edge_count(),
+                        },
+                    };
                     out.kept.push(ScoredSubgroup {
                         old,
                         new,
-                        sub: sub.clone(),
+                        sub,
                         score,
                         g_sim,
                     });
@@ -412,39 +511,54 @@ impl<'a> Linker<'a> {
                         old,
                         new,
                         g_sim,
-                        subgraph_size: sub.vertices.len(),
+                        subgraph_size: size,
                     });
                 }
             }
             out
         };
-        obs.add(Counter::SubgraphPairsScored, cand_list.len() as u64);
+        let candidates = pairs.chunk_by(same_candidate).count();
+        obs.add(Counter::SubgraphPairsScored, candidates as u64);
         let threads = par.threads.max(1);
         // household candidates carry more work per item than record
         // pairs, so fan out at half the configured pair cutoff
-        let mut scored = if threads <= 1 || cand_list.len() < config.parallel_cutoff / 2 {
+        let mut scored = if threads <= 1 || candidates < config.parallel_cutoff / 2 {
             let mut scratch = SubgraphScratch::default();
-            let out = score_chunk(cand_list, &mut scratch);
+            let out = score_chunk(pairs, &mut scratch);
             if traced {
                 obs.snapshot_footprint("subgraph_scratch", scratch.footprint());
             }
             out
         } else {
-            // one chunk per thread, each with its own scratch; chunks are
-            // concatenated in list order, so the output is exactly the
-            // serial order regardless of completion order
-            let chunk = cand_list.len().div_ceil(threads).max(1);
-            let chunks: Vec<&[GroupCandidate]> = cand_list.chunks(chunk).collect();
+            // one chunk of whole candidates per thread, each with its own
+            // scratch; chunks are concatenated in list order, so the
+            // output is exactly the serial order regardless of completion
+            // order
+            let per_chunk = candidates.div_ceil(threads).max(1);
+            let mut chunks: Vec<(&[PairEntry], usize)> = Vec::new();
+            let (mut start, mut end, mut runs) = (0, 0, 0);
+            for run in pairs.chunk_by(same_candidate) {
+                end += run.len();
+                runs += 1;
+                if runs == per_chunk {
+                    chunks.push((&pairs[start..end], runs));
+                    (start, runs) = (end, 0);
+                }
+            }
+            if runs > 0 {
+                chunks.push((&pairs[start..end], runs));
+            }
             let results = run_pool(chunks.len(), threads, obs, |ci, worker| {
                 let t0 = obs.timeline_start();
                 let start = Instant::now();
-                let scored = score_chunk(chunks[ci], &mut SubgraphScratch::default());
+                let (chunk, chunk_candidates) = chunks[ci];
+                let scored = score_chunk(chunk, &mut SubgraphScratch::default());
                 obs.thread_chunk(
                     "subgraph",
                     Some(iteration),
                     ci,
                     worker,
-                    chunks[ci].len(),
+                    chunk_candidates,
                     start.elapsed(),
                 );
                 if let Some(t0) = t0 {
@@ -561,8 +675,9 @@ impl<'a> Linker<'a> {
                     // governor refused the cache: recompute per iteration
                     incremental = pair_cache.is_some();
                 }
-                let mut pm = if incremental {
-                    let pc = pair_cache.as_ref().expect("pair cache just built");
+                // without a cache (recompute mode, or the governor
+                // refused it) every iteration scores its pairs afresh
+                let mut pm = if let Some(pc) = &pair_cache {
                     let matches = pc.select_traced(delta, &remaining_old, &remaining_new, obs);
                     if iter_idx > 0 {
                         obs.add(Counter::PairCacheHits, matches.len() as u64);
@@ -608,46 +723,11 @@ impl<'a> Linker<'a> {
             let scored = {
                 let _subgraph = obs.span("subgraph");
                 // candidate group pairs: households connected by ≥1 match
-                // pair, sorted and deduplicated (deterministic order)
-                let dense = !self.old_graph_of.is_empty() && !self.new_graph_of.is_empty();
-                let mut cand_list: Vec<GroupCandidate> = if dense {
-                    pm.pair_sims
-                        .keys()
-                        .filter_map(|&(o, n)| {
-                            let gi_o = *self.old_graph_of.get(o.raw() as usize)?;
-                            let gi_n = *self.new_graph_of.get(n.raw() as usize)?;
-                            (gi_o != u32::MAX && gi_n != u32::MAX).then(|| {
-                                (
-                                    (
-                                        self.old_graphs[gi_o as usize].household,
-                                        self.new_graphs[gi_n as usize].household,
-                                    ),
-                                    (gi_o, gi_n),
-                                )
-                            })
-                        })
-                        .collect()
-                } else {
-                    pm.pair_sims
-                        .keys()
-                        .filter_map(|&(o, n)| {
-                            let (ro, rn) = (self.old.record(o)?, self.new.record(n)?);
-                            let gi_o = *self.old_gidx.get(&ro.household)?;
-                            let gi_n = *self.new_gidx.get(&rn.household)?;
-                            Some(((ro.household, rn.household), (gi_o as u32, gi_n as u32)))
-                        })
-                        .collect()
-                };
-                cand_list.sort_unstable();
-                cand_list.dedup();
-
-                let labels = LabelViews::build(
-                    &pm,
-                    (!self.old_graph_of.is_empty()).then_some(self.old_graph_of.len()),
-                    (!self.new_graph_of.is_empty()).then_some(self.new_graph_of.len()),
-                );
+                // pair, in graph order (deterministic)
+                let pairs = self.candidate_pairs(&pm);
+                let labels = self.label_views(&pm);
                 self.score_candidates(
-                    &cand_list, &pm, &labels, config, par, delta, iter_idx, audit, obs,
+                    &pairs, &pm, &labels, config, par, delta, iter_idx, audit, obs,
                 )
             };
             let candidates = &scored.kept;
@@ -790,6 +870,271 @@ impl<'a> Linker<'a> {
 mod tests {
     use super::*;
     use census_synth::{generate_series, SimConfig};
+
+    /// Every record id shifted by 2^40: too sparse for the dense
+    /// graph-index and label arrays, so the hash-map branches run.
+    fn offset_ids(d: &CensusDataset) -> CensusDataset {
+        const OFFSET: u64 = 1 << 40;
+        let records = d
+            .records()
+            .iter()
+            .map(|r| PersonRecord {
+                id: RecordId(r.id.raw() + OFFSET),
+                ..r.clone()
+            })
+            .collect();
+        let households = d
+            .households()
+            .iter()
+            .map(|h| {
+                let members = h.members.iter().map(|m| RecordId(m.raw() + OFFSET));
+                census_model::Household::new(h.id, members.collect())
+            })
+            .collect();
+        CensusDataset::new(d.year, records, households).unwrap()
+    }
+
+    /// Score every household candidate of `pm` with the full matcher
+    /// (`match_subgraph` + `score_subgraph`), no closed form: `kept`
+    /// sorted by household pair, `below_floor` in consideration order.
+    fn full_matcher_oracle(
+        linker: &Linker,
+        pm: &crate::PreMatch,
+        config: &LinkageConfig,
+        delta: f64,
+    ) -> ScoredCandidates {
+        let mut households: Vec<(HouseholdId, HouseholdId)> = pm
+            .pair_sims
+            .keys()
+            .map(|&(o, n)| {
+                let ro = linker.old.record(o).unwrap();
+                let rn = linker.new.record(n).unwrap();
+                (ro.household, rn.household)
+            })
+            .collect();
+        households.sort_unstable();
+        households.dedup();
+        let mut out = ScoredCandidates::default();
+        for (old, new) in households {
+            let sub = hhgraph::match_subgraph(
+                &linker.old_graphs[linker.old_gidx[&old]],
+                &linker.new_graphs[linker.new_gidx[&new]],
+                |r| pm.label_old.get(&r).copied(),
+                |r| pm.label_new.get(&r).copied(),
+                |o, n| pm.pair_sims.contains_key(&(o, n)),
+                &config.subgraph,
+            );
+            if sub.is_empty() {
+                continue;
+            }
+            out.non_empty += 1;
+            out.sizes.record(sub.vertices.len() as u64);
+            let score = score_subgraph(&sub, pm, delta);
+            let g_sim = config.weights.g_sim(&score);
+            if below_floor(g_sim, config.min_g_sim) {
+                out.below_floor.push(BelowFloor {
+                    old,
+                    new,
+                    g_sim,
+                    subgraph_size: sub.vertices.len(),
+                });
+            } else {
+                out.kept.push(ScoredSubgroup {
+                    old,
+                    new,
+                    sub,
+                    score,
+                    g_sim,
+                });
+            }
+        }
+        out.below_floor
+            .sort_by(|a, b| consideration_order((a.g_sim, a.old, a.new), (b.g_sim, b.old, b.new)));
+        out
+    }
+
+    fn assert_same_scoring(got: &ScoredCandidates, want: &ScoredCandidates, at: &str) {
+        let mut kept: Vec<&ScoredSubgroup> = got.kept.iter().collect();
+        kept.sort_by_key(|c| (c.old, c.new));
+        assert_eq!(kept.len(), want.kept.len(), "{at}: kept");
+        for (g, w) in kept.iter().zip(&want.kept) {
+            let bits = |c: &ScoredSubgroup| {
+                let s = c.score;
+                [s.avg_sim, s.e_sim, s.unique, c.g_sim].map(f64::to_bits)
+            };
+            assert_eq!((g.old, g.new), (w.old, w.new), "{at}: household pair");
+            assert_eq!(bits(g), bits(w), "{at}: scores of {:?}", (w.old, w.new));
+            assert_eq!(g.sub.vertices, w.sub.vertices, "{at}: vertices");
+            assert_eq!(g.sub.edges, w.sub.edges, "{at}: edges");
+            assert_eq!(
+                (g.sub.old_edge_count, g.sub.new_edge_count),
+                (w.sub.old_edge_count, w.sub.new_edge_count),
+                "{at}: edge counts"
+            );
+        }
+        let floor = |c: &ScoredCandidates| -> Vec<_> {
+            c.below_floor
+                .iter()
+                .map(|b| (b.old, b.new, b.g_sim.to_bits(), b.subgraph_size))
+                .collect()
+        };
+        assert_eq!(floor(got), floor(want), "{at}: below_floor");
+        assert_eq!(got.non_empty, want.non_empty, "{at}: non_empty");
+        assert_eq!(got.sizes, want.sizes, "{at}: subgraph sizes");
+    }
+
+    /// Drive Algorithm 1's δ loop (recompute mode) over one snapshot
+    /// pair and check every iteration's `score_candidates` against the
+    /// full-matcher oracle. Returns the number of iterations, of kept
+    /// candidates with one and with several vertices, and of
+    /// below-floor candidates.
+    fn check_against_oracle(
+        old: &CensusDataset,
+        new: &CensusDataset,
+        config: &LinkageConfig,
+    ) -> (usize, usize, usize, usize) {
+        let linker = Linker::new(old, new);
+        let obs = Collector::enabled();
+        let year_gap = i64::from(new.year - old.year);
+        let mut remaining_old: Vec<&PersonRecord> = old.records().iter().collect();
+        let mut remaining_new: Vec<&PersonRecord> = new.records().iter().collect();
+        let (mut records, mut groups) = (RecordMapping::new(), GroupMapping::new());
+        let mut anchors = AnchorInjector::new();
+        let (mut single, mut multi, mut below) = (0, 0, 0);
+        let mut delta = config.delta_high;
+        for iteration in 0.. {
+            let mut pm = crate::prematch(
+                &remaining_old,
+                &remaining_new,
+                year_gap,
+                &config.sim_func.with_threshold(delta),
+                config.blocking,
+                config.threads,
+                config.prematch_max_age_gap,
+            );
+            anchors.inject(&mut pm, &records);
+            let scored = linker.score_candidates(
+                &linker.candidate_pairs(&pm),
+                &pm,
+                &linker.label_views(&pm),
+                config,
+                config.parallelism(),
+                delta,
+                iteration,
+                true,
+                &obs,
+            );
+            let want = full_matcher_oracle(&linker, &pm, config, delta);
+            assert_same_scoring(&scored, &want, &format!("iteration {iteration}"));
+            single += want
+                .kept
+                .iter()
+                .filter(|c| c.sub.vertices.len() == 1)
+                .count();
+            multi += want
+                .kept
+                .iter()
+                .filter(|c| c.sub.vertices.len() > 1)
+                .count();
+            below += want.below_floor.len();
+            let outcome = select_and_extract(
+                &scored.kept,
+                &pm,
+                delta,
+                config.min_g_sim,
+                false,
+                &mut groups,
+                &mut records,
+            );
+            remaining_old.retain(|r| !records.contains_old(r.id));
+            remaining_new.retain(|r| !records.contains_new(r.id));
+            delta -= config.delta_step;
+            if outcome.accepted.is_empty() || delta < config.delta_low - 1e-9 {
+                return (iteration + 1, single, multi, below);
+            }
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn score_candidates_matches_the_full_matcher_oracle() {
+        let series = generate_series(&SimConfig::small());
+        let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+        let (old_off, new_off) = (offset_ids(old), offset_ids(new));
+        // the default floor leaves nothing below it at this scale; a
+        // raised one sends many single-pair candidates there
+        for min_g_sim in [LinkageConfig::default().min_g_sim, 0.3] {
+            for (name, threads, parallel_cutoff) in [("serial", 1, usize::MAX), ("parallel", 4, 0)]
+            {
+                let config = LinkageConfig {
+                    threads,
+                    parallel_cutoff,
+                    min_g_sim,
+                    ..LinkageConfig::default()
+                };
+                for (ids, (o, n)) in [("dense", (old, new)), ("offset", (&old_off, &new_off))] {
+                    let at = format!("{name}/{ids}/min_g_sim {min_g_sim}");
+                    let (iterations, single, multi, below) = check_against_oracle(o, n, &config);
+                    assert!(iterations >= 3, "{at}: {iterations} iterations");
+                    assert!(single > 0 && multi > 0, "{at}: {single}/{multi}");
+                    assert!(
+                        min_g_sim < 0.3 || below > 0,
+                        "{at}: nothing below the floor"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_labels_leave_a_single_pair_candidate_empty() {
+        // build_prematch gives both ends of a direct pair one label, so
+        // only an edited PreMatch can split them; the matcher then
+        // admits no vertex, and neither may the closed form
+        let series = generate_series(&SimConfig::small());
+        let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+        let linker = Linker::new(old, new);
+        let config = LinkageConfig {
+            threads: 1,
+            ..LinkageConfig::default()
+        };
+        let delta = config.delta_high;
+        let old_refs: Vec<&PersonRecord> = old.records().iter().collect();
+        let new_refs: Vec<&PersonRecord> = new.records().iter().collect();
+        let mut pm = crate::prematch(
+            &old_refs,
+            &new_refs,
+            i64::from(new.year - old.year),
+            &config.sim_func.with_threshold(delta),
+            config.blocking,
+            1,
+            config.prematch_max_age_gap,
+        );
+        let before = full_matcher_oracle(&linker, &pm, &config, delta).non_empty;
+        let split: Vec<RecordId> = pm
+            .pair_sims
+            .keys()
+            .map(|&(_, n)| n)
+            .filter(|n| n.raw() % 2 == 0)
+            .collect();
+        for n in split {
+            pm.label_new.insert(n, (1 << 50) + n.raw());
+        }
+        let want = full_matcher_oracle(&linker, &pm, &config, delta);
+        assert!(want.non_empty < before, "{} vs {before}", want.non_empty);
+        let got = linker.score_candidates(
+            &linker.candidate_pairs(&pm),
+            &pm,
+            &linker.label_views(&pm),
+            &config,
+            config.parallelism(),
+            delta,
+            0,
+            true,
+            &Collector::enabled(),
+        );
+        assert_same_scoring(&got, &want, "split labels");
+    }
 
     #[test]
     fn linker_matches_free_function() {
