@@ -20,17 +20,21 @@
 //! equivalent formatted string key. That keeps the bucket map free of
 //! per-record `String` allocations.
 //!
-//! Generation is old-record-major: the new-side buckets are built once,
-//! with each bucket's members sorted by age, and every old record
-//! gathers the members of its buckets, sorts and deduplicates that short
-//! list, and appends it. Worker threads take contiguous ranges of old
-//! records, so the output comes out sorted with no global sort. With the
+//! Generation is old-record-major ([`Blocker`]): the new-side buckets
+//! are built once, with each bucket's members sorted by age, and every
+//! old record gathers the members of its buckets into a short row,
+//! sorted and deduplicated. Consumers take contiguous ranges of old
+//! records, so concatenated rows come out sorted with no global sort.
+//! The scoring passes stream rows straight into the batch kernel
+//! (`prematch::score_blocked`), so the blocked-pair list never exists;
+//! [`candidate_pairs`] collects it for callers that want it. With the
 //! pre-matching age filter on, an old record scans only the
 //! age-plausible window of each bucket (plus its missing-age members).
 
 use crate::idhash::IdMap;
-use crate::prematch::age_plausible;
+use crate::prematch::{age_plausible, run_pool};
 use census_model::{CensusDataset, PersonRecord};
+use obs::Collector;
 use textsim::{fold_diacritic, soundex_code};
 
 /// How candidate pairs are generated.
@@ -259,86 +263,165 @@ impl NewBuckets {
         }
     }
 
-    /// The deduplicated candidate pairs of the old records in `range`,
-    /// old-major and sorted. With `tol`, each aged old record scans only
-    /// the aged members inside `[a + gap − tol, a + gap + tol]` plus the
-    /// missing-age members — exactly the `age_plausible` pairs.
-    fn pairs_of(
-        &self,
-        old: &[&PersonRecord],
-        range: std::ops::Range<usize>,
-        year_gap: i64,
-        tol: Option<u32>,
-    ) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        let mut old_keys = Vec::with_capacity(5);
-        let mut row: Vec<u32> = Vec::new();
-        for i in range {
-            old_keys.clear();
-            append_keys(KeyFields::of(old[i]), year_gap, true, &mut old_keys);
-            let window = tol.zip(old[i].age).map(|(t, a)| {
-                let expected = i64::from(a) + year_gap;
-                (expected - i64::from(t), expected + i64::from(t))
-            });
-            row.clear();
-            for k in &old_keys {
-                let Some(&(start, mid, end)) = self.spans.get(k) else {
-                    continue;
-                };
-                let (start, mid, end) = (start as usize, mid as usize, end as usize);
-                match window {
-                    None => row.extend_from_slice(&self.members[start..end]),
-                    Some((lo, hi)) => {
-                        let ages = &self.ages[mid..end];
-                        let from = mid + ages.partition_point(|&b| i64::from(b) < lo);
-                        let to = mid + ages.partition_point(|&b| i64::from(b) <= hi);
-                        row.extend_from_slice(&self.members[start..mid]);
-                        row.extend_from_slice(&self.members[from..to]);
-                    }
+    /// Old record `o`'s row: the new positions sharing a bucket with it,
+    /// sorted and deduplicated, into `out.row`. With `tol`, an aged old
+    /// record scans only the aged members inside `[a + gap − tol, a +
+    /// gap + tol]` plus the missing-age members — exactly the
+    /// `age_plausible` pairs.
+    fn row(&self, o: &PersonRecord, year_gap: i64, tol: Option<u32>, out: &mut BlockRow) {
+        out.keys.clear();
+        append_keys(KeyFields::of(o), year_gap, true, &mut out.keys);
+        let window = tol.zip(o.age).map(|(t, a)| {
+            let expected = i64::from(a) + year_gap;
+            (expected - i64::from(t), expected + i64::from(t))
+        });
+        for k in &out.keys {
+            let Some(&(start, mid, end)) = self.spans.get(k) else {
+                continue;
+            };
+            let (start, mid, end) = (start as usize, mid as usize, end as usize);
+            match window {
+                None => out.row.extend_from_slice(&self.members[start..end]),
+                Some((lo, hi)) => {
+                    let ages = &self.ages[mid..end];
+                    let from = mid + ages.partition_point(|&b| i64::from(b) < lo);
+                    let to = mid + ages.partition_point(|&b| i64::from(b) <= hi);
+                    out.row.extend_from_slice(&self.members[start..mid]);
+                    out.row.extend_from_slice(&self.members[from..to]);
                 }
             }
-            // several keys may propose the same new record
-            row.sort_unstable();
-            row.dedup();
-            out.extend(row.iter().map(|&j| (i as u32, j)));
         }
-        out
+        // several keys may propose the same new record
+        out.row.sort_unstable();
+        out.row.dedup();
+    }
+
+    /// The summed length of the buckets `o` looks up — an upper bound
+    /// on its row length.
+    fn span_len(&self, o: &PersonRecord, year_gap: i64, keys: &mut Vec<u64>) -> usize {
+        keys.clear();
+        append_keys(KeyFields::of(o), year_gap, true, keys);
+        keys.iter()
+            .filter_map(|k| self.spans.get(k))
+            .map(|&(start, _, end)| (end - start) as usize)
+            .sum()
     }
 }
 
-/// `Standard` blocking, record-major: the new-side buckets are built
-/// once, then `workers` threads each take a contiguous range of old
-/// records and emit their pairs in order, so concatenating the ranges
-/// gives the sorted, deduplicated pair list with no global sort.
-fn standard_pairs(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
+/// Reusable scratch of [`Blocker::row`]: the old record's keys and the
+/// row itself.
+#[derive(Default)]
+pub(crate) struct BlockRow {
+    keys: Vec<u64>,
+    /// The last generated row: new positions, ascending.
+    pub(crate) row: Vec<u32>,
+}
+
+/// The blocked pairs of one snapshot pair, generated one old-record row
+/// at a time: row `i` lists the new positions old record `i` is paired
+/// with, ascending, so rows `0, 1, …` give the pairs sorted old-major.
+/// With a tolerance, the pre-matching age filter is fused into
+/// generation and implausible pairs are never produced. Consumers take
+/// contiguous ranges of rows, so no caller needs the whole pair list.
+pub(crate) struct Blocker<'a> {
+    old: &'a [&'a PersonRecord],
+    new: &'a [&'a PersonRecord],
     year_gap: i64,
     tol: Option<u32>,
-    workers: usize,
-) -> Vec<(u32, u32)> {
-    let buckets = NewBuckets::build(new);
-    let chunk = old.len().div_ceil(workers.max(1)).max(1);
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..old.len())
-            .step_by(chunk)
-            .map(|lo| {
-                let buckets = &buckets;
-                let range = lo..(lo + chunk).min(old.len());
-                scope.spawn(move |_| buckets.pairs_of(old, range, year_gap, tol))
-            })
-            .collect();
-        let mut parts = handles
-            .into_iter()
-            .map(|h| h.join().expect("pair generator panicked"));
+    /// The new side's buckets; `None` under `Full` blocking, where every
+    /// new record is a candidate.
+    buckets: Option<NewBuckets>,
+}
+
+impl<'a> Blocker<'a> {
+    /// Build the generator. `Standard` blocking indexes the new side's
+    /// buckets here, once.
+    pub(crate) fn new(
+        old: &'a [&'a PersonRecord],
+        new: &'a [&'a PersonRecord],
+        year_gap: i64,
+        strategy: BlockingStrategy,
+        tol: Option<u32>,
+    ) -> Self {
+        Self {
+            old,
+            new,
+            year_gap,
+            tol,
+            buckets: (strategy == BlockingStrategy::Standard).then(|| NewBuckets::build(new)),
+        }
+    }
+
+    /// Number of rows (old records).
+    pub(crate) fn rows(&self) -> usize {
+        self.old.len()
+    }
+
+    /// Old record `i`'s row into `out.row`.
+    pub(crate) fn row(&self, i: usize, out: &mut BlockRow) {
+        out.row.clear();
+        let o = self.old[i];
+        match &self.buckets {
+            Some(b) => b.row(o, self.year_gap, self.tol, out),
+            None => out.row.extend((0..self.new.len()).filter_map(|j| {
+                self.tol
+                    .is_none_or(|t| age_plausible(o, self.new[j], self.year_gap, t))
+                    .then_some(j as u32)
+            })),
+        }
+    }
+
+    /// An upper bound on the blocked pairs, read off the buckets before
+    /// any row is generated: the summed bucket-span length of every old
+    /// record (`|new|` per record under `Full`). Counting stops once the
+    /// sum reaches `cap`, so asking "at least `cap`?" costs a prefix.
+    pub(crate) fn pair_bound(&self, cap: usize) -> usize {
+        let mut keys = Vec::new();
+        let mut sum = 0usize;
+        for o in self.old {
+            if sum >= cap {
+                break;
+            }
+            sum = sum.saturating_add(match &self.buckets {
+                Some(b) => b.span_len(o, self.year_gap, &mut keys),
+                None => self.new.len(),
+            });
+        }
+        sum
+    }
+
+    /// Every pair, collected: contiguous row ranges on up to `threads`
+    /// workers, concatenated in order.
+    fn collect(&self, threads: usize) -> Vec<(u32, u32)> {
+        let n = self.rows();
+        let chunk = n.div_ceil(threads.max(1)).max(1);
+        let parts = run_pool(
+            n.div_ceil(chunk),
+            threads,
+            &Collector::disabled(),
+            |ci, _| {
+                let range = ci * chunk..((ci + 1) * chunk).min(n);
+                let mut out = if self.buckets.is_none() {
+                    Vec::with_capacity(full_prealloc_capacity(range.len(), self.new.len()))
+                } else {
+                    Vec::new()
+                };
+                let mut row = BlockRow::default();
+                for i in range {
+                    self.row(i, &mut row);
+                    out.extend(row.row.iter().map(|&j| (i as u32, j)));
+                }
+                out
+            },
+        );
         // grow the first range's vec in place rather than copying all
+        let mut parts = parts.into_iter();
         let mut out = parts.next().unwrap_or_default();
         for part in parts {
             out.extend(part);
         }
         out
-    })
-    .expect("crossbeam scope")
+    }
 }
 
 /// Generate candidate `(old index, new index)` pairs over two record
@@ -365,43 +448,12 @@ pub fn candidate_pairs_par(
     strategy: BlockingStrategy,
     threads: usize,
 ) -> Vec<(u32, u32)> {
-    candidate_pairs_filtered(old, new, year_gap, strategy, threads, None)
-}
-
-/// [`candidate_pairs_par`] with the pre-matching age-plausibility filter
-/// fused into generation: under `Standard` blocking an old record only
-/// visits the age window of each bucket, so implausible pairs are never
-/// generated. The result equals `candidate_pairs_par(..)` followed by an
-/// `age_plausible` retain.
-pub(crate) fn candidate_pairs_filtered(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    year_gap: i64,
-    strategy: BlockingStrategy,
-    threads: usize,
-    max_age_gap: Option<u32>,
-) -> Vec<(u32, u32)> {
-    match strategy {
-        BlockingStrategy::Full => {
-            let mut out = Vec::with_capacity(full_prealloc_capacity(old.len(), new.len()));
-            for (i, o) in old.iter().enumerate() {
-                for (j, n) in new.iter().enumerate() {
-                    if max_age_gap.is_none_or(|t| age_plausible(o, n, year_gap, t)) {
-                        out.push((i as u32, j as u32));
-                    }
-                }
-            }
-            out
-        }
-        BlockingStrategy::Standard => {
-            let workers = if old.len() + new.len() < PARALLEL_BLOCKING_CUTOFF {
-                1
-            } else {
-                threads
-            };
-            standard_pairs(old, new, year_gap, max_age_gap, workers)
-        }
-    }
+    let workers = if old.len() + new.len() < PARALLEL_BLOCKING_CUTOFF {
+        1
+    } else {
+        threads
+    };
+    Blocker::new(old, new, year_gap, strategy, None).collect(workers)
 }
 
 /// Convenience: candidate pairs over whole datasets, with the year gap
@@ -599,12 +651,15 @@ mod tests {
         for tol in [None, Some(0), Some(3)] {
             let want = oracle(o, n, gap, tol);
             assert!(!want.is_empty(), "degenerate case: gap {gap}, tol {tol:?}");
+            let blocker = Blocker::new(o, n, gap, BlockingStrategy::Standard, tol);
             for workers in [1, 2, 8] {
-                let got = standard_pairs(o, n, gap, tol, workers);
+                let got = blocker.collect(workers);
                 assert_eq!(got, want, "gap {gap}, tol {tol:?}, {workers} workers");
             }
-            let public = candidate_pairs_filtered(o, n, gap, BlockingStrategy::Standard, 4, tol);
-            assert_eq!(public, want, "public path, gap {gap}, tol {tol:?}");
+            if tol.is_none() {
+                let public = candidate_pairs_par(o, n, gap, BlockingStrategy::Standard, 4);
+                assert_eq!(public, want, "public path, gap {gap}");
+            }
         }
     }
 
@@ -626,10 +681,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn generator_matches_oracle_on_hostile_ages() {
-        // one surname, so every record shares the pass-1/pass-3 buckets,
-        // and ages at the edges of the parsed range
+    /// One surname, so every record shares the pass-1/pass-3 buckets,
+    /// and ages at the edges of the parsed range.
+    fn hostile_age_records() -> Vec<PersonRecord> {
         let ages = [
             Some(0),
             Some(9),
@@ -650,6 +704,12 @@ mod tests {
                 }
             }
         }
+        records
+    }
+
+    #[test]
+    fn generator_matches_oracle_on_hostile_ages() {
+        let records = hostile_age_records();
         let all: Vec<&PersonRecord> = records.iter().collect();
         // a lopsided split: the new side sees every record, the old side
         // every third
@@ -658,6 +718,137 @@ mod tests {
             assert_matches_oracle(&some, &all, gap);
             assert_matches_oracle(&all, &some, gap);
         }
+    }
+
+    /// The fused blocking-and-scoring pass against its definition: the
+    /// collected pairs, scored one at a time with
+    /// `matches_compiled_counted` — the same `(i, j, agg_sim)` sequence
+    /// bit for bit, the same blocked, scored, matched and prune counts,
+    /// and a probe count independent of the thread count — under both
+    /// strategies, every tolerance and serial and parallel execution.
+    /// The cache's refusal edge sits exactly at the blocked count.
+    fn assert_fused_pass_matches_oracle(o: &[&PersonRecord], n: &[&PersonRecord], gap: i64) {
+        use crate::config::Parallelism;
+        use crate::mem::MemGovernor;
+        use crate::prematch::score_blocked;
+        use crate::simfunc::SimFunc;
+        use obs::{Collector, EventKind};
+        let sim = SimFunc::omega2(0.5);
+        let op: Vec<_> = o.iter().map(|r| sim.compile(r)).collect();
+        let np: Vec<_> = n.iter().map(|r| sim.compile(r)).collect();
+        let (op_refs, np_refs): (Vec<_>, Vec<_>) = (op.iter().collect(), np.iter().collect());
+        let pass = |blocker: &Blocker, threads: usize, obs: &Collector, limit: Option<u64>| {
+            let par = Parallelism {
+                threads,
+                cutoff: 0,
+                ..Parallelism::default()
+            };
+            let unlimited = MemGovernor::unlimited();
+            let kind = EventKind::PrematchTile;
+            score_blocked(
+                blocker, &op_refs, &np_refs, &sim, kind, par, &unlimited, obs, limit,
+            )
+        };
+        let mut matched = 0;
+        for strategy in [BlockingStrategy::Standard, BlockingStrategy::Full] {
+            for tol in [None, Some(0), Some(3)] {
+                let blocker = Blocker::new(o, n, gap, strategy, tol);
+                let pairs = blocker.collect(1);
+                let mut prunes = 0;
+                let want: Vec<(u32, u32, u64)> = pairs
+                    .iter()
+                    .filter_map(|&(i, j)| {
+                        sim.matches_compiled_counted(&op[i as usize], &np[j as usize], &mut prunes)
+                            .map(|s| (i, j, s.to_bits()))
+                    })
+                    .collect();
+                matched += want.len();
+                let mut probes = None;
+                for threads in [1, 2, 8] {
+                    let label = format!("gap {gap}, {strategy:?}, tol {tol:?}, {threads} threads");
+                    let obs = Collector::enabled();
+                    let scored = pass(&blocker, threads, &obs, None).expect("no limit, no abort");
+                    let got: Vec<(u32, u32, u64)> = scored
+                        .chunks
+                        .iter()
+                        .flatten()
+                        .map(|&(i, j, s)| (i, j, s.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "{label}: scored pairs diverge");
+                    scored.report(&obs);
+                    let trace = obs.finish();
+                    let count = |name: &str| trace.counter(name);
+                    assert_eq!(
+                        count("blocking_pairs_generated"),
+                        pairs.len() as u64,
+                        "{label}"
+                    );
+                    assert_eq!(
+                        count("prematch_pairs_scored"),
+                        pairs.len() as u64,
+                        "{label}"
+                    );
+                    assert_eq!(
+                        count("prematch_pairs_matched"),
+                        want.len() as u64,
+                        "{label}"
+                    );
+                    assert_eq!(count("early_exit_prunes"), prunes, "{label}");
+                    let p = count("pair_score_batch_probes");
+                    assert!(p >= pairs.len() as u64, "{label}: {p} probes");
+                    assert_eq!(*probes.get_or_insert(p), p, "{label}: probes moved");
+                }
+                let blocked = pairs.len() as u64;
+                for threads in [1, 2] {
+                    let label = format!("gap {gap}, {strategy:?}, tol {tol:?}, {threads} threads");
+                    if blocked > 0 {
+                        let obs = Collector::enabled();
+                        let aborted = pass(&blocker, threads, &obs, Some(blocked - 1));
+                        assert!(aborted.is_none(), "{label}: limit below the blocked count");
+                        let trace = obs.finish();
+                        assert!(trace.counters.iter().all(|c| c.value == 0), "{label}");
+                    }
+                    let obs = Collector::disabled();
+                    let kept = pass(&blocker, threads, &obs, Some(blocked));
+                    assert!(kept.is_some(), "{label}: limit at the blocked count");
+                }
+            }
+        }
+        assert!(matched > 0, "degenerate corpus: gap {gap}");
+    }
+
+    #[test]
+    fn fused_pass_matches_oracle_on_hostile_ages() {
+        let records = hostile_age_records();
+        let all: Vec<&PersonRecord> = records.iter().collect();
+        let some: Vec<&PersonRecord> = records.iter().step_by(3).collect();
+        for gap in [10, -10, 0, -200] {
+            assert_fused_pass_matches_oracle(&some, &all, gap);
+            assert_fused_pass_matches_oracle(&all, &some, gap);
+        }
+    }
+
+    #[test]
+    fn fused_pass_matches_oracle_on_a_one_surname_town() {
+        // every surname the same: the surname passes put each old record
+        // in one giant bucket with the whole new side
+        use census_synth::{generate_series, SimConfig};
+        let series = generate_series(&SimConfig::small());
+        let smith = |ds: &CensusDataset| -> Vec<PersonRecord> {
+            ds.records()
+                .iter()
+                .take(160)
+                .map(|r| {
+                    let mut r = r.clone();
+                    r.surname = "smith".into();
+                    r
+                })
+                .collect()
+        };
+        let (old, new) = (smith(&series.snapshots[0]), smith(&series.snapshots[1]));
+        let o: Vec<&PersonRecord> = old.iter().collect();
+        let n: Vec<&PersonRecord> = new.iter().collect();
+        assert_fused_pass_matches_oracle(&o, &n, 10);
     }
 
     #[test]
@@ -673,7 +864,7 @@ mod tests {
             for threads in [1, 4] {
                 let mut unfused = candidate_pairs_par(&o, &n, gap, strategy, threads);
                 unfused.retain(|&(i, j)| age_plausible(o[i as usize], n[j as usize], gap, 3));
-                let fused = candidate_pairs_filtered(&o, &n, gap, strategy, threads, Some(3));
+                let fused = Blocker::new(&o, &n, gap, strategy, Some(3)).collect(threads);
                 assert_eq!(unfused, fused, "{strategy:?} at {threads} threads");
                 assert!(!fused.is_empty());
                 if strategy == BlockingStrategy::Standard {

@@ -686,7 +686,11 @@ impl<'a> Linker<'a> {
                             (pc.len() - matches.len()) as u64,
                         );
                     }
-                    build_prematch(&remaining_old, &remaining_new, &matches)
+                    build_prematch(
+                        &remaining_old,
+                        &remaining_new,
+                        std::slice::from_ref(&matches),
+                    )
                 } else {
                     let (old_profiles, new_profiles) =
                         cache.profiles(&sim, &remaining_old, &remaining_new);
@@ -827,6 +831,8 @@ impl<'a> Linker<'a> {
                 &mut groups,
                 &mut cache,
                 pair_cache.as_ref(),
+                par,
+                &mem,
                 obs,
             )
         };

@@ -37,8 +37,10 @@ pub struct MemGovernor {
 }
 
 impl MemGovernor {
-    /// Estimated bytes of one pair-score cache entry:
-    /// `(RecordId, RecordId, f64)`.
+    /// Estimated bytes of one pair-score cache entry. The entries are
+    /// 16-byte `(u32, u32, f64)` triples; the estimate keeps the margin
+    /// of the 24-byte id-keyed entries they replaced, which also covers
+    /// the per-record id vectors the cache keeps beside them.
     pub const PAIR_ENTRY_BYTES: u64 = 24;
 
     /// Estimated bytes of one sim-table cell: an `f64` score plus its
@@ -94,17 +96,17 @@ impl MemGovernor {
         }
     }
 
-    /// Whether a pair-score cache over `candidate_pairs` blocked pairs
-    /// fits the 50% share. The blocked-pair count bounds the cached
-    /// entry count from above (only pairs reaching the schedule floor
-    /// are kept), so this is conservative: a refused cache would maybe
-    /// have fit, an allowed one always does.
+    /// The most blocked pairs a pair-score cache may be built over and
+    /// still fit the 50% share (`None` = unlimited). The blocked-pair
+    /// count bounds the cached entry count from above (only pairs
+    /// reaching the schedule floor are kept), so this is conservative:
+    /// a refused cache would maybe have fit, an allowed one always
+    /// does. The cache build reads the limit once, before its pass, and
+    /// aborts when the streamed count passes it — so the blocked-pair
+    /// list is never built to be counted.
     #[must_use]
-    pub fn allow_pair_cache(&self, candidate_pairs: usize) -> bool {
-        match self.remaining() {
-            None => true,
-            Some(b) => (candidate_pairs as u64).saturating_mul(Self::PAIR_ENTRY_BYTES) <= b / 2,
-        }
+    pub fn pair_cache_limit(&self) -> Option<u64> {
+        self.remaining().map(|b| (b / 2) / Self::PAIR_ENTRY_BYTES)
     }
 
     /// Tighten a decision-log configuration to the 12.5% share.
@@ -138,7 +140,7 @@ mod tests {
     fn unlimited_governor_never_degrades() {
         let g = MemGovernor::unlimited();
         assert_eq!(g.sim_table_max_cells(6), usize::MAX);
-        assert!(g.allow_pair_cache(usize::MAX));
+        assert_eq!(g.pair_cache_limit(), None);
         let (cfg, tightened) = g.decision_caps(DecisionConfig::default());
         assert_eq!(cfg, DecisionConfig::default());
         assert!(!tightened);
@@ -151,8 +153,7 @@ mod tests {
         // 6 tables share 256 KiB at 9 bytes/cell
         assert_eq!(g.sim_table_max_cells(6), (1 << 18) / 6 / 9);
         // 50% share / 24 bytes per entry
-        assert!(g.allow_pair_cache((1 << 19) / 24));
-        assert!(!g.allow_pair_cache((1 << 19) / 24 + 1));
+        assert_eq!(g.pair_cache_limit(), Some((1 << 19) / 24));
         let (cfg, tightened) = g.decision_caps(DecisionConfig::default());
         assert!(tightened);
         assert_eq!(cfg.max_links, (1 << 17) / 256);
@@ -164,8 +165,8 @@ mod tests {
     fn zero_budget_refuses_everything() {
         let g = MemGovernor::new(Some(0));
         assert_eq!(g.sim_table_max_cells(1), 0);
-        assert!(!g.allow_pair_cache(1));
-        assert!(g.allow_pair_cache(0)); // an empty cache always fits
+        // only an empty cache fits
+        assert_eq!(g.pair_cache_limit(), Some(0));
         let (cfg, tightened) = g.decision_caps(DecisionConfig::default());
         assert!(tightened);
         assert_eq!(cfg.max_links, 0);

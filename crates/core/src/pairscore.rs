@@ -6,8 +6,9 @@
 //! re-score the residue at every δ step. [`PairScoreCache`] scores every
 //! blocked candidate pair **once**, with the acceptance threshold
 //! lowered to the schedule's floor (keeping early-exit pruning, now
-//! against that floor), and keeps every pair that reaches the floor in a
-//! compact vec sorted by `(old id, new id)`. Each later iteration is
+//! against that floor), and keeps every pair that reaches the floor as a
+//! 16-byte `(old position, new position, agg_sim)` entry, read in
+//! `(old id, new id)` order. Each later iteration is
 //! then a filter-only pass — cached pairs with `agg_sim ≥ δ_current`
 //! whose endpoints are still unlinked — with zero re-blocking,
 //! re-tokenisation or re-scoring.
@@ -33,13 +34,13 @@
 //! filter-only iterations add no histogram samples, only
 //! `pair_cache_hits`/`pair_cache_filtered` counters.
 
-use crate::blocking::{candidate_pairs_filtered, BlockingStrategy};
+use crate::blocking::{Blocker, BlockingStrategy};
 use crate::config::Parallelism;
 use crate::mem::MemGovernor;
-use crate::prematch::{age_plausible, score_pairs};
+use crate::prematch::{age_plausible, score_blocked};
 use crate::simfunc::{AttributeSpec, CompiledProfile, SimFunc};
 use census_model::{PersonRecord, RecordId};
-use obs::{Collector, Counter, Footprint, MemoryFootprint};
+use obs::{Collector, Counter, EventKind, Footprint, MemoryFootprint};
 use std::collections::HashMap;
 
 /// Record-id → position lookup, used by the per-δ filter passes (position
@@ -113,9 +114,14 @@ pub struct PairScoreCache {
     /// Age-plausibility tolerance applied before scoring, if any.
     tolerance: Option<u32>,
     strategy: BlockingStrategy,
-    /// `(old id, new id, agg_sim)`, sorted by `(old id, new id)` — the
-    /// same order a fresh scoring pass over id-ordered residues yields.
-    entries: Vec<(RecordId, RecordId, f64)>,
+    /// Record ids of the build's old and new slices, by position.
+    old_ids: Vec<RecordId>,
+    new_ids: Vec<RecordId>,
+    /// `(old position, new position, agg_sim)`, 16 bytes each, in the
+    /// scoring pass's task chunks: read in order, the entries run in
+    /// `(old id, new id)` order — the order a fresh scoring pass over
+    /// id-ordered residues yields.
+    chunks: Vec<Vec<(u32, u32, f64)>>,
 }
 
 impl PairScoreCache {
@@ -123,13 +129,16 @@ impl PairScoreCache {
     /// `sim`'s threshold (the schedule floor). `old_profiles[i]` must be
     /// `sim.compile(old[i])`, and likewise for the new side.
     ///
-    /// Returns `None` when `mem` refuses the cache (its estimated size
-    /// over the blocked pairs exceeds the pair-cache budget share) —
-    /// recorded as a `mem_fallback_pair_cache` counter and trace event.
-    /// The caller then scores each δ iteration afresh, which produces
-    /// bit-identical match pairs (see the module docs). On the refusal
-    /// path no blocking counter is emitted: the fresh pass that replaces
-    /// the cache counts its own blocked pairs.
+    /// Returns `None` when `mem` refuses the cache: the blocked pairs
+    /// outnumber what the pair-cache budget share admits
+    /// ([`MemGovernor::pair_cache_limit`], taken once before the pass).
+    /// The refusal is decided while the pairs stream: the pass stops as
+    /// soon as its blocked count passes the limit, and the full count is
+    /// never needed. It is recorded as a `mem_fallback_pair_cache`
+    /// counter and trace event, and nothing else the aborted pass did is
+    /// reported — the fresh pass that replaces the cache counts its own
+    /// pairs. The caller then scores each δ iteration afresh, which
+    /// produces bit-identical match pairs (see the module docs).
     #[allow(clippy::too_many_arguments)] // the full pre-matching input set
     #[must_use]
     pub fn build(
@@ -145,47 +154,73 @@ impl PairScoreCache {
         mem: &MemGovernor,
         obs: &Collector,
     ) -> Option<Self> {
-        let pairs =
-            candidate_pairs_filtered(old, new, year_gap, strategy, par.threads, max_age_gap);
-        let n_pairs = pairs.len();
-        if !mem.allow_pair_cache(n_pairs) {
+        let limit = mem.pair_cache_limit();
+        let blocker = Blocker::new(old, new, year_gap, strategy, max_age_gap);
+        let Some(pass) = score_blocked(
+            &blocker,
+            old_profiles,
+            new_profiles,
+            sim,
+            EventKind::PrematchTile,
+            par,
+            mem,
+            obs,
+            limit,
+        ) else {
+            let limit = limit.expect("only a limited pass aborts");
             obs.add(Counter::MemFallbackPairCache, 1);
             obs.event(
                 "mem_fallback_pair_cache",
                 format!(
-                    "pair-score cache over {n_pairs} blocked pairs (~{} bytes) exceeds the budget \
-                     share; re-scoring every iteration",
-                    n_pairs as u64 * MemGovernor::PAIR_ENTRY_BYTES
+                    "pair-score cache over more than {limit} blocked pairs (~{} bytes) exceeds \
+                     the budget share; re-scoring every iteration",
+                    limit.saturating_mul(MemGovernor::PAIR_ENTRY_BYTES)
                 ),
             );
             return None;
+        };
+        pass.report(obs);
+        let old_ids: Vec<RecordId> = old.iter().map(|r| r.id).collect();
+        let new_ids: Vec<RecordId> = new.iter().map(|r| r.id).collect();
+        let mut chunks = pass.chunks;
+        chunks.retain(|c| !c.is_empty());
+        // the pass emits position order; it is id order exactly when both
+        // sides' ids ascend with position (a loaded snapshot's do)
+        let ascending = |ids: &[RecordId]| ids.windows(2).all(|w| w[0] < w[1]);
+        if !(ascending(&old_ids) && ascending(&new_ids)) {
+            let mut all = chunks.concat();
+            all.sort_unstable_by_key(|&(i, j, _)| (old_ids[i as usize], new_ids[j as usize]));
+            chunks = vec![all];
         }
-        obs.add(Counter::BlockingPairsGenerated, n_pairs as u64);
-        let matches = score_pairs(&pairs, old_profiles, new_profiles, sim, par, mem, obs);
-        let mut entries: Vec<(RecordId, RecordId, f64)> = matches
-            .into_iter()
-            .map(|(i, j, s)| (old[i as usize].id, new[j as usize].id, s))
-            .collect();
-        entries.sort_unstable_by_key(|e| (e.0, e.1));
         Some(Self {
             specs: sim.specs().to_vec(),
             floor: sim.threshold,
             tolerance: max_age_gap,
             strategy,
-            entries,
+            old_ids,
+            new_ids,
+            chunks,
         })
+    }
+
+    /// The cached entries in `(old id, new id)` order, as record ids.
+    fn entries(&self) -> impl Iterator<Item = (RecordId, RecordId, f64)> + '_ {
+        self.chunks
+            .iter()
+            .flatten()
+            .map(|&(i, j, s)| (self.old_ids[i as usize], self.new_ids[j as usize], s))
     }
 
     /// Number of cached pairs (everything at or above the floor).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.chunks.iter().map(Vec::len).sum()
     }
 
     /// Whether the cache holds no pairs.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// The threshold the cache was scored against.
@@ -225,18 +260,8 @@ impl PairScoreCache {
                 old_idx.footprint().plus(new_idx.footprint()),
             );
         }
-        self.select_inner(delta, &old_idx, &new_idx)
-    }
-
-    fn select_inner(
-        &self,
-        delta: f64,
-        old_idx: &ResidueIndex,
-        new_idx: &ResidueIndex,
-    ) -> Vec<(u32, u32, f64)> {
-        self.entries
-            .iter()
-            .filter_map(|&(o, n, s)| {
+        self.entries()
+            .filter_map(|(o, n, s)| {
                 if s < delta {
                     return None;
                 }
@@ -275,9 +300,8 @@ impl PairScoreCache {
             remaining_old.iter().map(|r| (r.id, *r)).collect();
         let new_by_id: HashMap<RecordId, &PersonRecord> =
             remaining_new.iter().map(|r| (r.id, *r)).collect();
-        self.entries
-            .iter()
-            .filter_map(|&(o, n, s)| {
+        self.entries()
+            .filter_map(|(o, n, s)| {
                 if s < sim.threshold {
                     return None;
                 }
@@ -293,9 +317,16 @@ impl PairScoreCache {
 
 impl MemoryFootprint for PairScoreCache {
     fn footprint(&self) -> Footprint {
-        let bytes = obs::footprint::vec_capacity_bytes(&self.entries)
+        let bytes = self
+            .chunks
+            .iter()
+            .map(obs::footprint::vec_capacity_bytes)
+            .sum::<u64>()
+            + obs::footprint::vec_capacity_bytes(&self.chunks)
+            + obs::footprint::vec_capacity_bytes(&self.old_ids)
+            + obs::footprint::vec_capacity_bytes(&self.new_ids)
             + obs::footprint::vec_capacity_bytes(&self.specs);
-        Footprint::new(bytes, self.entries.len() as u64)
+        Footprint::new(bytes, self.len() as u64)
     }
 }
 

@@ -4,10 +4,12 @@
 //! Candidate pairs from the blocking layer are scored with the weighted
 //! attribute similarity (Eq. 3); pairs at or above δ become match pairs;
 //! the connected components of the match pairs become clusters, and every
-//! record is assigned its cluster label. Scoring splits the pairs into
-//! contiguous chunks on a small work-stealing pool ([`run_pool`]).
+//! record is assigned its cluster label. Blocking and scoring are one
+//! pass ([`score_blocked`]): rows of blocked pairs stream into the batch
+//! kernel, split by old-record range on a small work-stealing pool
+//! ([`run_pool`]), and only the matches are kept.
 
-use crate::blocking::{candidate_pairs_filtered, BlockingStrategy};
+use crate::blocking::{BlockRow, Blocker, BlockingStrategy};
 use crate::cluster::UnionFind;
 use crate::config::Parallelism;
 use crate::idhash::IdMap;
@@ -16,7 +18,9 @@ use crate::simfunc::{CompiledProfile, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, EventKind, Footprint};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 use textsim::{CompiledValue, MultisetArena, RowScratch};
 
@@ -151,6 +155,11 @@ impl SimTable {
 /// outlive tiles, and table-less columns rely only on the pair order.
 const BATCH_TILE_PAIRS: usize = 1 << 14;
 
+/// Scoring tasks per pool worker on the parallel path: contiguous
+/// old-record ranges small enough that a giant block in one range does
+/// not leave the other workers idle.
+const TASKS_PER_WORKER: usize = 8;
+
 /// Telemetry of one batch-scoring pass.
 #[derive(Default)]
 struct BatchStats {
@@ -166,45 +175,87 @@ struct BatchStats {
     prunes: u64,
 }
 
-/// The attribute-at-a-time batch scoring kernel.
-///
-/// Pairs are processed in tiles. Per tile, attribute columns are
-/// materialised one at a time in descending-weight order. A spec with a [`SimTable`] serves each interned value-id pair
-/// from the table, computing it through the spec's [`MultisetArena`] on
-/// the first probe only. A spec without one scores the alive pairs in
-/// order with [`MultisetArena::similarity_row`]: blocked pairs come
-/// old-major, so the old value stays loaded over long runs and a pair
-/// repeating its predecessor's value pair reuses the similarity. After
-/// every column the tile's selection vector is compacted at the *same*
-/// early-exit bound `SimFunc::matches_compiled` checks
-/// (`SimFunc::bound_fails_after`), so later — lighter-weight — columns
-/// shrink to the survivors and the kernel's probe set is exactly the
-/// pair-at-a-time loop's. Survivors fold in original spec order
-/// (`SimFunc::fold_survivor`); decisions, scores and prune counts are
-/// bit-identical to `matches_compiled` — only the order the
-/// per-attribute similarities are materialised in changes.
-fn batch_score_into(
-    pairs: &[(u32, u32)],
-    sim: &SimFunc,
-    ids: &ValueIds,
-    arenas: &[MultisetArena],
-    tables: &mut [Option<SimTable>],
-    stats: &mut BatchStats,
-) -> Vec<(u32, u32, f64)> {
-    let n_specs = ids.n_specs;
-    let order = sim.spec_order();
-    let mut out = Vec::new();
-    // reused tile scratch: id-matrix base offsets per pair, the selection
-    // vector with its running partial sums, one similarity lane aligned
-    // with it, the per-pair spec-sim stash the survivor fold reads, and
-    // the arena row scratch of the no-table columns
-    let mut bases: Vec<(usize, usize)> = Vec::new();
-    let mut alive: Vec<u32> = Vec::new();
-    let mut partials: Vec<f64> = Vec::new();
-    let mut lane: Vec<f64> = Vec::new();
-    let mut sims: Vec<f64> = Vec::new();
-    let mut row = RowScratch::default();
-    for tile in pairs.chunks(BATCH_TILE_PAIRS) {
+impl BatchStats {
+    fn merge(&mut self, other: &Self) {
+        self.probes += other.probes;
+        self.unique += other.unique;
+        self.prunes += other.prunes;
+    }
+}
+
+/// The batch kernel's reusable per-tile scratch: id-matrix base offsets per pair, the selection vector
+/// with its running partial sums, one similarity lane aligned with it,
+/// the per-pair spec-sim stash the survivor fold reads, and the arena
+/// row scratch of the no-table columns.
+#[derive(Default)]
+struct TileScratch {
+    bases: Vec<(usize, usize)>,
+    alive: Vec<u32>,
+    partials: Vec<f64>,
+    lane: Vec<f64>,
+    sims: Vec<f64>,
+    row: RowScratch,
+}
+
+/// The scratch a scoring task fills its tiles in and scores them with:
+/// the blocked row, the tile, and the kernel's tile scratch. The serial
+/// path uses one; the parallel path keeps one per pool worker, reused
+/// across the worker's tasks.
+#[derive(Default)]
+struct TaskScratch {
+    row: BlockRow,
+    tile: Vec<(u32, u32)>,
+    kernel: TileScratch,
+}
+
+/// The read-only inputs of the batch kernel, shared by every task of a
+/// pass: the similarity function, the interned value ids and one arena
+/// per attribute spec.
+struct Kernel<'k> {
+    sim: &'k SimFunc,
+    ids: ValueIds<'k>,
+    arenas: Vec<MultisetArena<'k>>,
+}
+
+impl Kernel<'_> {
+    /// The attribute-at-a-time batch scoring kernel, over one tile of at
+    /// most [`BATCH_TILE_PAIRS`] pairs; survivors are appended to `out`.
+    ///
+    /// Attribute columns are materialised one at a time in
+    /// descending-weight order. A spec with a [`SimTable`] serves each
+    /// interned value-id pair from the table, computing it through the
+    /// spec's [`MultisetArena`] on the first probe only. A spec without
+    /// one scores the alive pairs in order with
+    /// [`MultisetArena::similarity_row`]: blocked pairs come old-major, so
+    /// the old value stays loaded over long runs and a pair repeating its
+    /// predecessor's value pair reuses the similarity. After every column
+    /// the tile's selection vector is compacted at the *same* early-exit
+    /// bound `SimFunc::matches_compiled` checks
+    /// (`SimFunc::bound_fails_after`), so later — lighter-weight —
+    /// columns shrink to the survivors and the kernel's probe set is
+    /// exactly the pair-at-a-time loop's. Survivors fold in original spec
+    /// order (`SimFunc::fold_survivor`); decisions, scores and prune
+    /// counts are bit-identical to `matches_compiled` — only the order
+    /// the per-attribute similarities are materialised in changes.
+    fn score_tile(
+        &self,
+        tile: &[(u32, u32)],
+        tables: &mut [Option<SimTable>],
+        scratch: &mut TileScratch,
+        stats: &mut BatchStats,
+        out: &mut Vec<(u32, u32, f64)>,
+    ) {
+        let (sim, ids, arenas) = (self.sim, &self.ids, &self.arenas);
+        let n_specs = ids.n_specs;
+        let order = sim.spec_order();
+        let TileScratch {
+            bases,
+            alive,
+            partials,
+            lane,
+            sims,
+            row,
+        } = scratch;
         bases.clear();
         bases.extend(
             tile.iter()
@@ -225,7 +276,7 @@ fn batch_score_into(
             lane.clear();
             match &mut tables[spec] {
                 Some(t) => {
-                    for &p in &alive {
+                    for &p in alive.iter() {
                         let (bo, bn) = bases[p as usize];
                         let (a, b) = (ids.old[bo + spec], ids.new[bn + spec]);
                         let mut computed = false;
@@ -246,14 +297,14 @@ fn batch_score_into(
                     // probe per gram of its new value; a pair repeating
                     // the previous `(a, b)` reuses its similarity
                     let mut prev: Option<((u32, u32), f64)> = None;
-                    for &p in &alive {
+                    for &p in alive.iter() {
                         let (bo, bn) = bases[p as usize];
                         let key = (ids.old[bo + spec], ids.new[bn + spec]);
                         let v = match prev {
                             Some((k, v)) if k == key => v,
                             _ => {
                                 stats.unique += 1;
-                                let v = arenas[spec].similarity_row(&mut row, key.0, key.1);
+                                let v = arenas[spec].similarity_row(row, key.0, key.1);
                                 prev = Some((key, v));
                                 v
                             }
@@ -288,14 +339,13 @@ fn batch_score_into(
             alive.truncate(kept);
             partials.truncate(kept);
         }
-        for &p in &alive {
+        for &p in alive.iter() {
             if let Some(s) = sim.fold_survivor(&sims[p as usize * n_specs..][..n_specs]) {
                 let (i, j) = tile[p as usize];
                 out.push((i, j, s));
             }
         }
     }
-    out
 }
 
 /// Whether a candidate pair is age-plausible: the new age must lie within
@@ -346,86 +396,245 @@ impl PreMatch {
     }
 }
 
-/// Score candidate pairs; returns `(old_idx, new_idx, sim)` for pairs at
-/// or above the threshold, in pair order. Scoring runs the batch kernel
-/// on compiled profiles with early-exit pruning — decision- and
-/// score-identical to `SimFunc::matches_compiled` pair by pair.
+/// What one fused blocking-and-scoring pass produced. Nothing reaches
+/// the collector until [`ScoredPass::report`], so an aborted pass
+/// reports nothing and the caller decides when a finished one counts.
+pub(crate) struct ScoredPass {
+    /// The pass's timeline event: [`EventKind::PrematchTile`] for
+    /// pre-matching (fresh or building the pair-score cache),
+    /// [`EventKind::RemainderChunk`] for the remainder pass.
+    kind: EventKind,
+    /// Matched `(old index, new index, agg_sim)` triples per task, in
+    /// task order: concatenated, they are in blocked-pair order.
+    pub(crate) chunks: Vec<Vec<(u32, u32, f64)>>,
+    /// Blocked pairs generated; every one was scored.
+    blocked: u64,
+    stats: BatchStats,
+    /// Similarity tables the memory budget refused, and its cell cap.
+    table_fallbacks: (u64, usize),
+}
+
+impl ScoredPass {
+    /// Number of matched pairs.
+    fn matched(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    /// Report the pass to `obs`. A pre-matching pass feeds the blocking,
+    /// scoring, kernel and match counters; a remainder pass feeds the
+    /// blocking and remainder-scoring counters. Both count their
+    /// early-exit prunes and refused similarity tables, and sample their
+    /// match scores into the pair-score histogram.
+    pub(crate) fn report(&self, obs: &Collector) {
+        obs.add(Counter::BlockingPairsGenerated, self.blocked);
+        if self.kind == EventKind::RemainderChunk {
+            obs.add(Counter::RemainderPairsScored, self.blocked);
+        } else {
+            obs.add(Counter::PrematchPairsScored, self.blocked);
+            obs.add(Counter::PairScoreBatchProbes, self.stats.probes);
+            obs.add(Counter::PairScoreBatchedUnique, self.stats.unique);
+            obs.add(Counter::PrematchPairsMatched, self.matched() as u64);
+        }
+        obs.add(Counter::EarlyExitPrunes, self.stats.prunes);
+        let (rejected, max_cells) = self.table_fallbacks;
+        if rejected > 0 {
+            obs.add(Counter::MemFallbackSimTable, rejected);
+            obs.event(
+                "mem_fallback_sim_table",
+                format!(
+                    "{rejected} sim table(s) over the {max_cells}-cell budget cap; \
+                     scoring those attributes directly"
+                ),
+            );
+        }
+        if obs.is_enabled() {
+            // one local histogram, so the collector lock is taken once
+            let mut hist = obs::Histogram::new();
+            for &(_, _, s) in self.chunks.iter().flatten() {
+                hist.record(obs::score_bp(s));
+            }
+            obs.observe_hist(obs::LiveHist::PairScore, &hist);
+        }
+    }
+}
+
+/// One scoring task's output: its matches, blocked pairs and kernel
+/// tallies.
+#[derive(Default)]
+struct TaskOut {
+    matched: Vec<(u32, u32, f64)>,
+    pairs: u64,
+    stats: BatchStats,
+}
+
+/// Block and score in one pass: each old record's row of blocked pairs
+/// streams from `blocker` straight into the batch kernel in tiles of up
+/// to [`BATCH_TILE_PAIRS`], and only the pairs reaching `sim`'s
+/// threshold are kept, so the blocked-pair list never exists. Pair
+/// order, scores, probes and prunes are those of scoring the collected
+/// list pair by pair with `SimFunc::matches_compiled`.
 ///
-/// The pairs split into contiguous chunks, one per worker, scored on
-/// [`run_pool`] and concatenated in order. On the serial path
-/// ([`Parallelism::is_serial`]) the one chunk runs inline and serves
-/// per-attribute similarities from dense lazily-filled tables over
-/// interned value ids: attribute values repeat heavily across census
-/// records (name pools, shared household addresses), and the memo is
-/// bit-identical because `CompiledValue::similarity` is deterministic.
-/// Parallel chunks run without tables — a shared table would serialise
-/// the workers on its lock, and per-worker tables would multiply the
-/// memo's memory by the thread count.
-pub(crate) fn score_pairs(
-    pairs: &[(u32, u32)],
+/// Serial or parallel is decided before generation, on
+/// [`Blocker::pair_bound`]. The serial path runs one task inline and
+/// serves per-attribute similarities from dense lazily-filled tables
+/// over interned value ids: attribute values repeat heavily across
+/// census records (name pools, shared household addresses), and the
+/// memo is bit-identical because `CompiledValue::similarity` is
+/// deterministic. The parallel path splits the old records into
+/// contiguous tasks ([`TASKS_PER_WORKER`] per worker) on [`run_pool`]
+/// and runs without tables — a shared table would serialise the workers
+/// on its lock, and per-worker tables would multiply the memo's memory
+/// by the thread count. Tile scratch is allocated once per pool worker
+/// (once in all on the serial path), not once per tile or task.
+///
+/// With `limit`, the pass returns `None` as soon as the blocked-pair
+/// count, kept across tasks, passes the limit. The count only grows,
+/// so the pass aborts exactly when the blocked pairs outnumber the
+/// limit, whatever the task interleaving.
+#[allow(clippy::too_many_arguments)] // the blocked inputs plus the run's knobs
+pub(crate) fn score_blocked(
+    blocker: &Blocker,
     old_profiles: &[&CompiledProfile],
     new_profiles: &[&CompiledProfile],
     sim: &SimFunc,
+    kind: EventKind,
     par: Parallelism,
     mem: &MemGovernor,
     obs: &Collector,
-) -> Vec<(u32, u32, f64)> {
-    if pairs.is_empty() {
-        return Vec::new();
-    }
-    obs.add(Counter::PrematchPairsScored, pairs.len() as u64);
-    // intern the value ids and build the arenas once; workers share them
+    limit: Option<u64>,
+) -> Option<ScoredPass> {
+    // intern the value ids and build the arenas once; tasks share them
     // read-only
     let ids = ValueIds::build(old_profiles, new_profiles);
-    let mut tables = par
-        .is_serial(pairs.len())
-        .then(|| sim_tables(&ids, mem, obs));
+    let serial = par.threads <= 1 || par.is_serial(blocker.pair_bound(par.cutoff));
+    let mut tables = serial.then(|| sim_tables(&ids, mem, obs));
     let arenas = ids.arenas();
     if obs.is_enabled() {
         obs.snapshot_footprint("value_arenas", arena_footprint(&arenas));
     }
-    let score_chunk = |chunk: &[(u32, u32)], tables: &mut [Option<SimTable>]| {
-        let mut stats = BatchStats::default();
-        let scored = batch_score_into(chunk, sim, &ids, &arenas, tables, &mut stats);
-        obs.add(Counter::PairScoreBatchProbes, stats.probes);
-        obs.add(Counter::PairScoreBatchedUnique, stats.unique);
-        obs.add(Counter::EarlyExitPrunes, stats.prunes);
-        scored
+    let kernel = Kernel { sim, ids, arenas };
+    let blocked = AtomicU64::new(0);
+    let run = |range: Range<usize>,
+               tables: &mut [Option<SimTable>],
+               scratch: &mut TaskScratch|
+     -> Option<TaskOut> {
+        let TaskScratch {
+            row,
+            tile,
+            kernel: tile_scratch,
+        } = scratch;
+        // an aborted task may have left pairs behind
+        tile.clear();
+        let mut task = TaskOut::default();
+        for i in range {
+            blocker.row(i, row);
+            if row.row.is_empty() {
+                continue;
+            }
+            let len = row.row.len() as u64;
+            task.pairs += len;
+            // Relaxed: the count publishes no other data, and whether it
+            // ever passes the limit does not depend on the interleaving
+            if limit.is_some_and(|l| blocked.fetch_add(len, Ordering::Relaxed) + len > l) {
+                return None;
+            }
+            for &j in &row.row {
+                tile.push((i as u32, j));
+                if tile.len() == BATCH_TILE_PAIRS {
+                    kernel.score_tile(
+                        tile,
+                        tables,
+                        tile_scratch,
+                        &mut task.stats,
+                        &mut task.matched,
+                    );
+                    tile.clear();
+                }
+            }
+        }
+        if !tile.is_empty() {
+            kernel.score_tile(
+                tile,
+                tables,
+                tile_scratch,
+                &mut task.stats,
+                &mut task.matched,
+            );
+        }
+        task.matched.shrink_to_fit();
+        Some(task)
     };
-    let out = if let Some(tables) = &mut tables {
-        score_chunk(pairs, tables)
+    // the remainder's timeline events carry their pair count, the
+    // pre-matching tiles their task index
+    let detail = |ci: usize, pairs: u64| {
+        if kind == EventKind::RemainderChunk {
+            pairs
+        } else {
+            ci as u64
+        }
+    };
+    let n = blocker.rows();
+    let (tasks, table_fallbacks) = if let Some((tables, fallbacks)) = &mut tables {
+        let t0 = obs.timeline_start();
+        let task = run(0..n, tables, &mut TaskScratch::default());
+        if let Some(t0) = t0 {
+            let pairs = task.as_ref().map_or(0, |t| t.pairs);
+            obs.timeline_task(0, kind, detail(0, pairs), None, t0);
+        }
+        (vec![task], *fallbacks)
     } else {
-        let chunks: Vec<&[(u32, u32)]> = pairs.chunks(pairs.len().div_ceil(par.threads)).collect();
-        let parts = run_pool(chunks.len(), par.threads, obs, |ci, worker| {
+        let chunk = n.div_ceil(par.threads * TASKS_PER_WORKER).max(1);
+        let phase = kind.phase().expect("scoring events belong to a phase");
+        // one scratch per pool worker, reused across its tasks; a worker
+        // only ever locks its own, so the locks are uncontended
+        let scratches: Vec<Mutex<TaskScratch>> =
+            (0..par.threads).map(|_| Mutex::default()).collect();
+        let tasks = run_pool(n.div_ceil(chunk), par.threads, obs, |ci, worker| {
             let t0 = obs.timeline_start();
             let start = Instant::now();
-            let mut no_tables: Vec<Option<SimTable>> = (0..ids.n_specs).map(|_| None).collect();
-            let scored = score_chunk(chunks[ci], &mut no_tables);
-            obs.thread_chunk(
-                "prematch",
-                None,
-                ci,
-                worker,
-                chunks[ci].len(),
-                start.elapsed(),
-            );
-            if let Some(t0) = t0 {
-                obs.timeline_task(worker, EventKind::PrematchTile, ci as u64, None, t0);
+            let mut no_tables: Vec<Option<SimTable>> =
+                (0..kernel.ids.n_specs).map(|_| None).collect();
+            let mut scratch = scratches[worker]
+                .lock()
+                .expect("no scoring task panicked holding its scratch");
+            let range = ci * chunk..((ci + 1) * chunk).min(n);
+            let task = run(range, &mut no_tables, &mut scratch);
+            let pairs = task.as_ref().map_or(0, |t| t.pairs);
+            if task.is_some() {
+                obs.thread_chunk(phase, None, ci, worker, pairs as usize, start.elapsed());
             }
-            scored
+            if let Some(t0) = t0 {
+                obs.timeline_task(worker, kind, detail(ci, pairs), None, t0);
+            }
+            task
         });
-        parts.concat()
+        (tasks, (0, 0))
     };
-    obs.add(Counter::PrematchPairsMatched, out.len() as u64);
-    sample_match_scores(&out, obs);
-    out
+    let mut pass = ScoredPass {
+        kind,
+        chunks: Vec::with_capacity(tasks.len()),
+        blocked: 0,
+        stats: BatchStats::default(),
+        table_fallbacks,
+    };
+    for task in tasks {
+        let task = task?;
+        pass.blocked += task.pairs;
+        pass.stats.merge(&task.stats);
+        pass.chunks.push(task.matched);
+    }
+    Some(pass)
 }
 
 /// The serial path's per-spec similarity tables, each `None` where its
-/// cells exceed the locality cap or the memory budget's share. A table
-/// the default cap would have admitted but the budget refused counts as
-/// a `mem_fallback_sim_table`.
-fn sim_tables(ids: &ValueIds, mem: &MemGovernor, obs: &Collector) -> Vec<Option<SimTable>> {
+/// cells exceed the locality cap or the memory budget's share, with the
+/// number of tables the default cap would have admitted but the budget
+/// refused (each a `mem_fallback_sim_table`) and the budget's cell cap.
+fn sim_tables(
+    ids: &ValueIds,
+    mem: &MemGovernor,
+    obs: &Collector,
+) -> (Vec<Option<SimTable>>, (u64, usize)) {
     let max_cells = mem
         .sim_table_max_cells(ids.uniques.len())
         .min(SimTable::MAX_CELLS);
@@ -446,23 +655,13 @@ fn sim_tables(ids: &ValueIds, mem: &MemGovernor, obs: &Collector) -> Vec<Option<
             t
         })
         .collect();
-    if budget_rejected > 0 {
-        obs.add(Counter::MemFallbackSimTable, budget_rejected);
-        obs.event(
-            "mem_fallback_sim_table",
-            format!(
-                "{budget_rejected} sim table(s) over the {max_cells}-cell budget cap; \
-                 scoring those attributes directly"
-            ),
-        );
-    }
     if obs.is_enabled() {
         let fp = tables.iter().flatten().fold(Footprint::ZERO, |acc, t| {
             acc.plus(Footprint::new(t.bytes(), (t.n * t.n) as u64))
         });
         obs.snapshot_footprint("sim_tables", fp);
     }
-    tables
+    (tables, (budget_rejected, max_cells))
 }
 
 /// Run `n` tasks on a work-stealing pool of at most `threads` workers
@@ -508,6 +707,9 @@ where
                             last_end = Some(Instant::now());
                         }
                     }
+                    // the thread's unpublished allocation counts would
+                    // otherwise die with it
+                    obs::alloc::flush_thread();
                     done
                 })
             })
@@ -523,19 +725,6 @@ where
         .into_iter()
         .map(|t| t.expect("every pool task ran exactly once"))
         .collect()
-}
-
-/// Record every matched pair's `agg_sim` into the pair-score histogram
-/// (in basis points), batched through one local histogram so the hot
-/// path takes the collector lock once.
-pub(crate) fn sample_match_scores(matched: &[(u32, u32, f64)], obs: &Collector) {
-    if obs.is_enabled() {
-        let mut hist = obs::Histogram::new();
-        for &(_, _, s) in matched {
-            hist.record(obs::score_bp(s));
-        }
-        obs.observe_hist(obs::LiveHist::PairScore, &hist);
-    }
 }
 
 /// Run pre-matching over two record sets.
@@ -602,29 +791,42 @@ pub fn prematch_with_profiles(
     debug_assert_eq!(old.len(), old_profiles.len());
     debug_assert_eq!(new.len(), new_profiles.len());
     // the age-plausibility filter is fused into pair emission, so
-    // implausible pairs never enter the dedup sort or the scored set
-    let pairs = candidate_pairs_filtered(old, new, year_gap, strategy, par.threads, max_age_gap);
-    obs.add(Counter::BlockingPairsGenerated, pairs.len() as u64);
-    let matches = score_pairs(&pairs, old_profiles, new_profiles, sim, par, mem, obs);
-    build_prematch(old, new, &matches)
+    // implausible pairs are never generated or scored
+    let blocker = Blocker::new(old, new, year_gap, strategy, max_age_gap);
+    let pass = score_blocked(
+        &blocker,
+        old_profiles,
+        new_profiles,
+        sim,
+        EventKind::PrematchTile,
+        par,
+        mem,
+        obs,
+        None,
+    )
+    .expect("a pass without a limit never aborts");
+    pass.report(obs);
+    build_prematch(old, new, &pass.chunks)
 }
 
 /// Build the [`PreMatch`] clustering from scored match pairs: the
 /// transitive closure over the match graph, labels for every record
 /// (unmatched records form singleton clusters), cluster sizes and the
 /// per-pair similarities. `matches` holds `(old index, new index,
-/// agg_sim)` triples over the given slices — from a fresh scoring pass
-/// or from a filter over the cross-iteration pair-score cache.
+/// agg_sim)` triples over the given slices, in chunks read in order —
+/// the task chunks of a fresh scoring pass, or one filtered run of the
+/// cross-iteration pair-score cache.
 pub(crate) fn build_prematch(
     old: &[&PersonRecord],
     new: &[&PersonRecord],
-    matches: &[(u32, u32, f64)],
+    matches: &[Vec<(u32, u32, f64)>],
 ) -> PreMatch {
     // transitive closure: indices 0..n_old are old records, n_old.. new
     let n_old = old.len();
     let mut uf = UnionFind::new(n_old + new.len());
-    let mut pair_sims = IdMap::with_capacity_and_hasher(matches.len(), Default::default());
-    for &(i, j, s) in matches {
+    let n_matches = matches.iter().map(Vec::len).sum();
+    let mut pair_sims = IdMap::with_capacity_and_hasher(n_matches, Default::default());
+    for &(i, j, s) in matches.iter().flatten() {
         uf.union(i as usize, n_old + j as usize);
         pair_sims.insert((old[i as usize].id, new[j as usize].id), s);
     }

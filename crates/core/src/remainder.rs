@@ -5,10 +5,11 @@
 //! assignment, with an age-plausibility filter. The group links induced
 //! by those new record links extend the group mapping.
 
-use crate::blocking::{candidate_pairs, BlockingStrategy};
-use crate::config::RemainderConfig;
+use crate::blocking::{Blocker, BlockingStrategy};
+use crate::config::{Parallelism, RemainderConfig};
+use crate::mem::MemGovernor;
 use crate::pairscore::PairScoreCache;
-use crate::prematch::age_plausible;
+use crate::prematch::score_blocked;
 use crate::profiles::ProfileCache;
 use crate::simfunc::SimFunc;
 use census_model::{CensusDataset, GroupMapping, PersonRecord, RecordId, RecordMapping};
@@ -39,6 +40,8 @@ pub fn match_remaining(
         groups,
         &mut cache,
         None,
+        Parallelism::default(),
+        &MemGovernor::unlimited(),
         &Collector::disabled(),
     )
 }
@@ -50,8 +53,10 @@ pub fn match_remaining(
 /// (same specs, threshold at or above its floor, age filter no looser
 /// than its build — see [`PairScoreCache::covers`]), scoring is skipped
 /// entirely and the residue pairs are served from the cached scores;
-/// otherwise the pass blocks and scores afresh. Pair counters are
-/// reported to `obs` (pass [`Collector::disabled`] when not tracing).
+/// otherwise the pass blocks and scores afresh, fused like pre-matching
+/// (`prematch::score_blocked`) with `par` and `mem` deciding its
+/// threads and similarity tables. Pair counters are reported to `obs`
+/// (pass [`Collector::disabled`] when not tracing).
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's inputs
 pub fn match_remaining_cached(
     old_ds: &CensusDataset,
@@ -64,6 +69,8 @@ pub fn match_remaining_cached(
     groups: &mut GroupMapping,
     cache: &mut ProfileCache,
     pair_cache: Option<&PairScoreCache>,
+    par: Parallelism,
+    mem: &MemGovernor,
     obs: &Collector,
 ) -> Vec<(RecordId, RecordId)> {
     if !config.enabled || remaining_old.is_empty() || remaining_new.is_empty() {
@@ -91,43 +98,39 @@ pub fn match_remaining_cached(
         scored
     } else {
         let (old_profiles, new_profiles) = cache.profiles(sim, remaining_old, remaining_new);
-        let pairs = candidate_pairs(remaining_old, remaining_new, year_gap, blocking);
-        obs.add(Counter::BlockingPairsGenerated, pairs.len() as u64);
-        obs.add(Counter::RemainderPairsScored, pairs.len() as u64);
-        let n_pairs = pairs.len() as u64;
-        // the fresh pass scores serially on the driver thread: one
-        // worker-0 timeline event covering the whole scoring loop
-        let t0 = obs.timeline_start();
-        let mut prunes = 0u64;
-        let scored = pairs
-            .into_iter()
-            .filter_map(|(i, j)| {
-                let (o, n) = (remaining_old[i as usize], remaining_new[j as usize]);
-                if !age_plausible(o, n, year_gap, config.max_age_gap) {
-                    return None;
-                }
-                sim.matches_compiled_counted(
-                    old_profiles[i as usize],
-                    new_profiles[j as usize],
-                    &mut prunes,
+        // the remainder's age filter is fused into blocking, so
+        // implausible pairs are never generated or scored
+        let blocker = Blocker::new(
+            remaining_old,
+            remaining_new,
+            year_gap,
+            blocking,
+            Some(config.max_age_gap),
+        );
+        let pass = score_blocked(
+            &blocker,
+            &old_profiles,
+            &new_profiles,
+            sim,
+            EventKind::RemainderChunk,
+            par,
+            mem,
+            obs,
+            None,
+        )
+        .expect("a pass without a limit never aborts");
+        pass.report(obs);
+        pass.chunks
+            .iter()
+            .flatten()
+            .map(|&(i, j, s)| {
+                (
+                    s,
+                    remaining_old[i as usize].id,
+                    remaining_new[j as usize].id,
                 )
-                .map(|s| (s, o.id, n.id))
             })
-            .collect::<Vec<_>>();
-        if let Some(t0) = t0 {
-            obs.timeline_task(0, EventKind::RemainderChunk, n_pairs, None, t0);
-        }
-        obs.add(Counter::EarlyExitPrunes, prunes);
-        if obs.is_enabled() {
-            // cache-served scores were sampled when the cache was built;
-            // fresh scores flow into the same pair-score histogram here
-            let mut hist = obs::Histogram::new();
-            for &(s, _, _) in &scored {
-                hist.record(obs::score_bp(s));
-            }
-            obs.observe_hist(obs::LiveHist::PairScore, &hist);
-        }
-        scored
+            .collect()
     };
     // mutual-best filter: drop pairs whose runner-up on either side is
     // within the margin — those are exactly the ambiguous leftovers

@@ -40,9 +40,11 @@
 //! before tracking started can push the live counter negative; it is
 //! clamped to zero on read. Batching makes the numbers slightly lazy:
 //! [`live_bytes`] and the peak can lag reality by up to [`FLUSH_BYTES`]
-//! per active thread, and a worker thread that exits mid-phase loses its
-//! unpublished residue (bounded by the same thresholds) — acceptable for
-//! the estimated accounting this module provides. A fresh tracking
+//! per active thread — acceptable for the estimated accounting this
+//! module provides. A worker thread must publish its residue with
+//! [`flush_thread`] before it exits (the pipeline's pool does); a
+//! thread that exits without it loses the residue, which is bounded by
+//! the same thresholds but adds up over many short-lived workers. A fresh tracking
 //! window bumps an epoch, so stale batches from a previous window are
 //! discarded rather than leaking into the new one.
 
@@ -316,6 +318,18 @@ pub fn stop_tracking() -> MemStats {
     publish_local(EPOCH.load(Relaxed));
     TRACKING.store(false, Relaxed);
     snapshot()
+}
+
+/// Publish the calling thread's batch into the shared counters. A
+/// worker thread calls this as its last act: its batch lives in a
+/// thread-local with no destructor, so whatever it still holds when the
+/// thread exits — frees of memory another thread allocated, say — would
+/// otherwise never reach [`live_bytes`] or the peak. A no-op while
+/// tracking is off.
+pub fn flush_thread() {
+    if TRACKING.load(Relaxed) {
+        publish_local(EPOCH.load(Relaxed));
+    }
 }
 
 /// Point the attribution at a phase slot (see [`phase_slot`]). Called

@@ -121,8 +121,9 @@ pub enum Counter {
     /// Cached pair scores skipped by a filter-only pass (below the
     /// current δ, or an endpoint already linked).
     PairCacheFiltered,
-    /// Candidate pairs emitted by the blocking layer, before any
-    /// age-plausibility filtering.
+    /// Candidate pairs emitted by the blocking layer, with the pass's
+    /// age-plausibility filter (pre-matching's or the remainder's)
+    /// fused into generation.
     BlockingPairsGenerated,
     /// Batch-kernel work items requested: scored pairs × attribute
     /// specs, before value-pair deduplication.

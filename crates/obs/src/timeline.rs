@@ -43,12 +43,13 @@ pub const ROUNDING_SLACK_US: u64 = 2;
 /// What one [`TimelineEvent`] measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum EventKind {
-    /// One chunk of the parallel pre-matching kernel
-    /// (`detail` = chunk index).
+    /// One task of the pre-matching scoring pass: an old-record range
+    /// blocked and scored (`detail` = task index).
     PrematchTile,
     /// One chunk of parallel subgraph scoring (`detail` = chunk index).
     SubgraphChunk,
-    /// The remainder pass's fresh scoring loop (`detail` = pairs scored).
+    /// One task of the remainder pass's fresh scoring, or its
+    /// cache-served selection (`detail` = pairs scored or selected).
     RemainderChunk,
     /// A δ-iteration boundary (instant; `detail` = iteration index).
     Iteration,

@@ -101,6 +101,27 @@ fn counting_attribution_and_collector_integration() {
     // the assembled trace passes its own memory invariants
     trace.validate_basic().unwrap();
 
+    // -- a worker publishes its residue before it exits --------------
+    alloc::start_tracking();
+    let start = alloc::live_bytes();
+    // under both flush thresholds, so the worker's free of it stays in
+    // the worker's batch until `flush_thread` publishes it
+    let handed_over = churn(64 << 10);
+    assert!(alloc::snapshot().live_bytes >= start + (64 << 10));
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            drop(handed_over);
+            alloc::flush_thread();
+        });
+    });
+    // back to the start, up to the thread machinery's own few hundred
+    // bytes; without the flush the 64 KiB free would be missing
+    let end = alloc::stop_tracking().live_bytes;
+    assert!(
+        end.abs_diff(start) < 4 << 10,
+        "the worker's free was lost at thread exit: live {start} -> {end}"
+    );
+
     // -- disabled path stays dark ------------------------------------
     let off = Collector::disabled().with_memory();
     assert!(!off.memory_enabled());
