@@ -25,7 +25,7 @@
 //! old record gathers the members of its buckets into a short row,
 //! sorted and deduplicated. Consumers take contiguous ranges of old
 //! records, so concatenated rows come out sorted with no global sort.
-//! The scoring passes stream rows straight into the batch kernel
+//! The scoring passes stream rows straight into the row kernel
 //! (`prematch::score_blocked`), so the blocked-pair list never exists;
 //! [`candidate_pairs`] collects it for callers that want it. With the
 //! pre-matching age filter on, an old record scans only the
@@ -729,7 +729,6 @@ mod tests {
     /// The cache's refusal edge sits exactly at the blocked count.
     fn assert_fused_pass_matches_oracle(o: &[&PersonRecord], n: &[&PersonRecord], gap: i64) {
         use crate::config::Parallelism;
-        use crate::mem::MemGovernor;
         use crate::prematch::score_blocked;
         use crate::simfunc::SimFunc;
         use obs::{Collector, EventKind};
@@ -743,11 +742,8 @@ mod tests {
                 cutoff: 0,
                 ..Parallelism::default()
             };
-            let unlimited = MemGovernor::unlimited();
             let kind = EventKind::PrematchTile;
-            score_blocked(
-                blocker, &op_refs, &np_refs, &sim, kind, par, &unlimited, obs, limit,
-            )
+            score_blocked(blocker, &op_refs, &np_refs, &sim, kind, par, obs, limit)
         };
         let mut matched = 0;
         for strategy in [BlockingStrategy::Standard, BlockingStrategy::Full] {

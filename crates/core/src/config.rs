@@ -121,11 +121,10 @@ pub struct LinkageConfig {
     pub incremental: bool,
     /// Soft memory budget in bytes for the pipeline's caches (CLI
     /// `--mem-budget`). When set, a [`crate::MemGovernor`] degrades the
-    /// similarity tables, the cross-iteration pair-score cache and the
-    /// decision log to fit — every degradation falls back to
-    /// recomputation, so linkage output is bit-identical under any
-    /// budget. `None` (the default) leaves every cache at its built-in
-    /// cap.
+    /// cross-iteration pair-score cache and the decision log to fit —
+    /// every degradation falls back to recomputation, so linkage output
+    /// is bit-identical under any budget. `None` (the default) leaves
+    /// every cache at its built-in cap.
     pub memory_budget: Option<u64>,
     /// Ignored (CLI `--shards` only warns). Kept so callers that still
     /// set a shard count compile; every run takes the one unsharded

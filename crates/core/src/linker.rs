@@ -832,7 +832,6 @@ impl<'a> Linker<'a> {
                 &mut cache,
                 pair_cache.as_ref(),
                 par,
-                &mem,
                 obs,
             )
         };

@@ -4,11 +4,10 @@
 //! concrete sizing decisions for the pipeline's memory-hungry
 //! structures. Every decision degrades a *cache*, never the algorithm:
 //! each structure it can refuse has a compute-everything fallback that
-//! is bit-identical in output (the similarity tables memoize a pure
-//! function, the pair-score cache reproduces a fresh scoring pass
-//! exactly, and the decision log only records provenance), so linkage
-//! results are the same under any budget — the differential test
-//! `tests/mem_budget.rs` holds the pipeline to that.
+//! is bit-identical in output (the pair-score cache reproduces a fresh
+//! scoring pass exactly, and the decision log only records provenance),
+//! so linkage results are the same under any budget — the differential
+//! test `tests/mem_budget.rs` holds the pipeline to that.
 //!
 //! # Budget shares
 //!
@@ -17,13 +16,15 @@
 //!
 //! | structure            | share  | fallback                          |
 //! |----------------------|--------|-----------------------------------|
-//! | per-attribute sim tables | 25% | direct `similarity()` computation |
 //! | pair-score cache     | 50%    | re-block + re-score per δ step    |
 //! | decision log         | 12.5%  | earlier record-cap truncation     |
 //!
-//! The remaining 12.5% is headroom for the structures the governor does
-//! not control (enriched graphs, residue indexes, the result itself).
-//! When the counting allocator is tracking (see `obs::alloc`), shares
+//! The remaining 37.5% is headroom for the structures the governor does
+//! not control (enriched graphs, residue indexes, the scoring pass's
+//! value arenas and per-worker value-pair memos, the result itself).
+//! The arenas and memos are linear in the distinct compiled values, so
+//! they take no share of their own; the `value_arenas` footprint row
+//! surfaces them. When the counting allocator is tracking (see `obs::alloc`), shares
 //! are computed against the *remaining* budget (`budget − live bytes`)
 //! so a run that already sits near its budget degrades earlier.
 
@@ -42,10 +43,6 @@ impl MemGovernor {
     /// of the 24-byte id-keyed entries they replaced, which also covers
     /// the per-record id vectors the cache keeps beside them.
     pub const PAIR_ENTRY_BYTES: u64 = 24;
-
-    /// Estimated bytes of one sim-table cell: an `f64` score plus its
-    /// filled-bitset bit, rounded up.
-    const SIM_TABLE_CELL_BYTES: u64 = 9;
 
     /// Estimated bytes of one decision record, including its losers and
     /// record-link vectors (generous: records are bounded by `top_k`).
@@ -75,25 +72,6 @@ impl MemGovernor {
     fn remaining(&self) -> Option<u64> {
         let b = self.budget?;
         Some(b.saturating_sub(obs::alloc::live_bytes()))
-    }
-
-    /// Maximum cells per lazily-filled similarity table, given that
-    /// `n_tables` tables (one per attribute spec) share the 25% share.
-    /// Unlimited without a budget — callers combine this with their own
-    /// locality cap. The batch kernel's value arenas are *not* gated
-    /// here: they are linear in the distinct compiled values (bytes the
-    /// profiles already hold in a sparser form), so they ride the
-    /// general headroom and are surfaced via the `value_arenas`
-    /// footprint row instead of a share of their own.
-    #[must_use]
-    pub fn sim_table_max_cells(&self, n_tables: usize) -> usize {
-        match self.remaining() {
-            None => usize::MAX,
-            Some(b) => {
-                usize::try_from((b / 4) / (n_tables.max(1) as u64) / Self::SIM_TABLE_CELL_BYTES)
-                    .unwrap_or(usize::MAX)
-            }
-        }
     }
 
     /// The most blocked pairs a pair-score cache may be built over and
@@ -139,7 +117,6 @@ mod tests {
     #[test]
     fn unlimited_governor_never_degrades() {
         let g = MemGovernor::unlimited();
-        assert_eq!(g.sim_table_max_cells(6), usize::MAX);
         assert_eq!(g.pair_cache_limit(), None);
         let (cfg, tightened) = g.decision_caps(DecisionConfig::default());
         assert_eq!(cfg, DecisionConfig::default());
@@ -148,10 +125,8 @@ mod tests {
 
     #[test]
     fn shares_split_the_budget() {
-        // 1 MiB budget: 256 KiB sim tables, 512 KiB pair cache, 128 KiB log
+        // 1 MiB budget: 512 KiB pair cache, 128 KiB log
         let g = MemGovernor::new(Some(1 << 20));
-        // 6 tables share 256 KiB at 9 bytes/cell
-        assert_eq!(g.sim_table_max_cells(6), (1 << 18) / 6 / 9);
         // 50% share / 24 bytes per entry
         assert_eq!(g.pair_cache_limit(), Some((1 << 19) / 24));
         let (cfg, tightened) = g.decision_caps(DecisionConfig::default());
@@ -164,7 +139,6 @@ mod tests {
     #[test]
     fn zero_budget_refuses_everything() {
         let g = MemGovernor::new(Some(0));
-        assert_eq!(g.sim_table_max_cells(1), 0);
         // only an empty cache fits
         assert_eq!(g.pair_cache_limit(), Some(0));
         let (cfg, tightened) = g.decision_caps(DecisionConfig::default());

@@ -163,7 +163,6 @@ impl PairScoreCache {
             sim,
             EventKind::PrematchTile,
             par,
-            mem,
             obs,
             limit,
         ) else {

@@ -5,7 +5,7 @@
 //! attribute similarity (Eq. 3); pairs at or above δ become match pairs;
 //! the connected components of the match pairs become clusters, and every
 //! record is assigned its cluster label. Blocking and scoring are one
-//! pass ([`score_blocked`]): rows of blocked pairs stream into the batch
+//! pass ([`score_blocked`]): rows of blocked pairs stream into the row
 //! kernel, split by old-record range on a small work-stealing pool
 //! ([`run_pool`]), and only the matches are kept.
 
@@ -30,12 +30,10 @@ use textsim::{CompiledValue, MultisetArena, RowScratch};
 /// Laid out `ids[record * n_specs + spec]`.
 struct ValueIds<'p> {
     n_specs: usize,
-    /// Id-space size per spec (unique values across both sides).
-    uniques: Vec<usize>,
     old: Vec<u32>,
     new: Vec<u32>,
     /// One representative compiled value per interned id per spec, in id
-    /// order — the batch kernel's arena build input. Valid because a
+    /// order — the row kernel's arena build input. Valid because a
     /// spec's values all compile under one measure, so equal raw values
     /// yield equal representations.
     reps: Vec<Vec<&'p CompiledValue>>,
@@ -73,7 +71,6 @@ impl<'p> ValueIds<'p> {
         let new = assign(new_profiles, &mut intern, &mut reps);
         Self {
             n_specs,
-            uniques: intern.iter().map(HashMap::len).collect(),
             old,
             new,
             reps,
@@ -81,97 +78,38 @@ impl<'p> ValueIds<'p> {
     }
 
     /// One [`MultisetArena`] per spec over the representatives, for the
-    /// batch kernel's streaming merge loop.
+    /// row kernel.
     fn arenas(&self) -> Vec<MultisetArena<'p>> {
         self.reps.iter().map(|r| MultisetArena::build(r)).collect()
     }
 }
 
-/// Heap footprint of the batch kernel's arenas: packed bytes and laid-out
-/// values, reported as the `value_arenas` memory row.
-fn arena_footprint(arenas: &[MultisetArena]) -> Footprint {
-    arenas.iter().fold(Footprint::ZERO, |acc, a| {
+/// Heap footprint of the row kernel's arenas (packed bytes and laid-out
+/// values) plus the value-pair memos of `workers` pool workers, reported
+/// as the `value_arenas` memory row.
+fn arena_footprint(arenas: &[MultisetArena], workers: usize) -> Footprint {
+    let cells = (workers * arenas.iter().map(MultisetArena::len).sum::<usize>()) as u64;
+    let memo = Footprint::new(cells * std::mem::size_of::<MemoCell>() as u64, cells);
+    arenas.iter().fold(memo, |acc, a| {
         acc.plus(Footprint::new(a.heap_bytes(), a.len() as u64))
     })
 }
-
-/// Lazily-filled dense memo of one attribute's similarities over its
-/// interned value ids. A bitset marks filled cells (0.0 is a legitimate
-/// similarity, so the score itself cannot be the sentinel); both vecs
-/// are zero-initialised, which the allocator serves from untouched
-/// pages, so unprobed regions cost nothing.
-struct SimTable {
-    n: usize,
-    filled: Vec<u64>,
-    sims: Vec<f64>,
-}
-
-impl SimTable {
-    /// Cells above this cap fall back to direct scoring. Beyond bounding
-    /// memory, the cap is a locality heuristic: a near-unique attribute
-    /// (many distinct values, e.g. addresses) yields a table too large to
-    /// stay cached and a hit rate too low to amortise the misses — there,
-    /// recomputing the merge outright is cheaper than probing.
-    const MAX_CELLS: usize = 1 << 21;
-
-    /// A table for `unique_values` interned ids, or `None` when its
-    /// `unique_values²` cells exceed `max_cells` (the locality cap,
-    /// possibly lowered by a memory budget) — the caller then computes
-    /// similarities directly, which is score-identical.
-    fn new(unique_values: usize, max_cells: usize) -> Option<Self> {
-        let cells = unique_values.checked_mul(unique_values)?;
-        if cells > max_cells {
-            return None;
-        }
-        Some(Self {
-            n: unique_values,
-            filled: vec![0; cells.div_ceil(64)],
-            sims: vec![0.0; cells],
-        })
-    }
-
-    /// Estimated heap bytes of this table.
-    fn bytes(&self) -> u64 {
-        (self.sims.capacity() * 8 + self.filled.capacity() * 8) as u64
-    }
-
-    #[inline]
-    fn get_or_insert_with(&mut self, a: u32, b: u32, sim: impl FnOnce() -> f64) -> f64 {
-        let idx = a as usize * self.n + b as usize;
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        if self.filled[word] & bit != 0 {
-            return self.sims[idx];
-        }
-        let v = sim();
-        self.filled[word] |= bit;
-        self.sims[idx] = v;
-        v
-    }
-}
-
-/// Pairs per batch-kernel tile. Bounds the tile scratch (the spec-sim
-/// stash, the selection vector and its similarity lane) to about a MiB,
-/// so it stays in cache. No reuse depends on the tile size: tables
-/// outlive tiles, and table-less columns rely only on the pair order.
-const BATCH_TILE_PAIRS: usize = 1 << 14;
 
 /// Scoring tasks per pool worker on the parallel path: contiguous
 /// old-record ranges small enough that a giant block in one range does
 /// not leave the other workers idle.
 const TASKS_PER_WORKER: usize = 8;
 
-/// Telemetry of one batch-scoring pass.
+/// Telemetry of one scoring pass.
 #[derive(Default)]
 struct BatchStats {
-    /// Work items requested: still-alive pairs summed over the attribute
-    /// columns — the same probe set as the early-exit loop of
-    /// `SimFunc::matches_compiled`.
+    /// Work items requested: pairs × the attributes scored before the
+    /// early exit — the probe set of `SimFunc::matches_compiled`.
     probes: u64,
-    /// Arena computations actually made: similarity-table misses, plus
-    /// no-table probes whose `(old value-id, new value-id)` differs from
-    /// the previous probe's — `1 − unique/probes` is the kernel's reuse.
+    /// Arena computations actually made: probes the value-pair memo
+    /// could not serve — `1 − unique/probes` is the kernel's reuse.
     unique: u64,
-    /// Early-exit prune tally of the column compaction.
+    /// Early-exit prune tally.
     prunes: u64,
 }
 
@@ -183,32 +121,44 @@ impl BatchStats {
     }
 }
 
-/// The batch kernel's reusable per-tile scratch: id-matrix base offsets per pair, the selection vector
-/// with its running partial sums, one similarity lane aligned with it,
-/// the per-pair spec-sim stash the survivor fold reads, and the arena
-/// row scratch of the no-table columns.
+/// One memo cell for new value id `b`: the old value id `a` it was last
+/// computed against (`None` before the first) and `sim(a, b)`.
+type MemoCell = (Option<u32>, f64);
+
+/// The row kernel's per-worker state: one value-pair memo per spec, one
+/// arena row scratch per spec (so each spec keeps its old value loaded
+/// over the row), and the per-pair spec-sim stash the survivor fold
+/// reads.
 #[derive(Default)]
-struct TileScratch {
-    bases: Vec<(usize, usize)>,
-    alive: Vec<u32>,
-    partials: Vec<f64>,
-    lane: Vec<f64>,
+struct Memo {
+    cells: Vec<Vec<MemoCell>>,
+    rows: Vec<RowScratch>,
     sims: Vec<f64>,
-    row: RowScratch,
 }
 
-/// The scratch a scoring task fills its tiles in and scores them with:
-/// the blocked row, the tile, and the kernel's tile scratch. The serial
-/// path uses one; the parallel path keeps one per pool worker, reused
-/// across the worker's tasks.
+impl Memo {
+    /// Empty every cell for a new task: one per value id of each spec's
+    /// arena.
+    fn reset(&mut self, arenas: &[MultisetArena]) {
+        self.cells.resize_with(arenas.len(), Vec::new);
+        for (cells, arena) in self.cells.iter_mut().zip(arenas) {
+            cells.clear();
+            cells.resize(arena.len(), (None, 0.0));
+        }
+        self.rows.resize_with(arenas.len(), RowScratch::default);
+        self.sims.resize(arenas.len(), 0.0);
+    }
+}
+
+/// A pool worker's scratch, reused across its tasks: the blocked row
+/// and the kernel's memo.
 #[derive(Default)]
-struct TaskScratch {
+struct Scratch {
     row: BlockRow,
-    tile: Vec<(u32, u32)>,
-    kernel: TileScratch,
+    memo: Memo,
 }
 
-/// The read-only inputs of the batch kernel, shared by every task of a
+/// The read-only inputs of the row kernel, shared by every task of a
 /// pass: the similarity function, the interned value ids and one arena
 /// per attribute spec.
 struct Kernel<'k> {
@@ -218,130 +168,58 @@ struct Kernel<'k> {
 }
 
 impl Kernel<'_> {
-    /// The attribute-at-a-time batch scoring kernel, over one tile of at
-    /// most [`BATCH_TILE_PAIRS`] pairs; survivors are appended to `out`.
+    /// The row kernel: score old record `i` against its blocked `row`
+    /// and append the survivors to `out`.
     ///
-    /// Attribute columns are materialised one at a time in
-    /// descending-weight order. A spec with a [`SimTable`] serves each
-    /// interned value-id pair from the table, computing it through the
-    /// spec's [`MultisetArena`] on the first probe only. A spec without
-    /// one scores the alive pairs in order with
-    /// [`MultisetArena::similarity_row`]: blocked pairs come old-major, so
-    /// the old value stays loaded over long runs and a pair repeating its
-    /// predecessor's value pair reuses the similarity. After every column
-    /// the tile's selection vector is compacted at the *same* early-exit
-    /// bound `SimFunc::matches_compiled` checks
-    /// (`SimFunc::bound_fails_after`), so later — lighter-weight —
-    /// columns shrink to the survivors and the kernel's probe set is
-    /// exactly the pair-at-a-time loop's. Survivors fold in original spec
-    /// order (`SimFunc::fold_survivor`); decisions, scores and prune
-    /// counts are bit-identical to `matches_compiled` — only the order
-    /// the per-attribute similarities are materialised in changes.
-    fn score_tile(
+    /// Each pair is scored attribute by attribute in descending-weight
+    /// order (`SimFunc::spec_order`) and dropped at the first failing
+    /// early-exit bound (`SimFunc::bound_fails_after`); survivors fold in
+    /// original spec order (`SimFunc::fold_survivor`). That is the loop
+    /// of `SimFunc::matches_compiled_counted`, so decisions, scores,
+    /// probes and prune counts are bit-identical to it. Only where a
+    /// similarity comes from changes: the cell of the new value id in
+    /// the spec's memo serves it when tagged with the row's old value
+    /// id, and otherwise [`MultisetArena::similarity_row`] computes it
+    /// and overwrites the cell.
+    fn score_row(
         &self,
-        tile: &[(u32, u32)],
-        tables: &mut [Option<SimTable>],
-        scratch: &mut TileScratch,
+        i: u32,
+        row: &[u32],
+        memo: &mut Memo,
         stats: &mut BatchStats,
         out: &mut Vec<(u32, u32, f64)>,
     ) {
-        let (sim, ids, arenas) = (self.sim, &self.ids, &self.arenas);
-        let n_specs = ids.n_specs;
+        let (sim, n_specs) = (self.sim, self.ids.n_specs);
         let order = sim.spec_order();
-        let TileScratch {
-            bases,
-            alive,
-            partials,
-            lane,
-            sims,
-            row,
-        } = scratch;
-        bases.clear();
-        bases.extend(
-            tile.iter()
-                .map(|&(i, j)| (i as usize * n_specs, j as usize * n_specs)),
-        );
-        alive.clear();
-        alive.extend(0..tile.len() as u32);
-        partials.clear();
-        partials.resize(tile.len(), 0.0);
-        // stale slots are never read: the fold only visits survivors,
-        // and every survivor had all its spec slots written
-        sims.resize(tile.len() * n_specs, 0.0);
-        for (k, &spec) in order.iter().enumerate() {
-            if alive.is_empty() {
-                break;
-            }
-            stats.probes += alive.len() as u64;
-            lane.clear();
-            match &mut tables[spec] {
-                Some(t) => {
-                    for &p in alive.iter() {
-                        let (bo, bn) = bases[p as usize];
-                        let (a, b) = (ids.old[bo + spec], ids.new[bn + spec]);
-                        let mut computed = false;
-                        let v = t.get_or_insert_with(a, b, || {
-                            computed = true;
-                            arenas[spec].similarity(a, b)
-                        });
-                        if computed {
-                            stats.unique += 1;
-                        }
-                        lane.push(v);
-                    }
-                }
-                None => {
-                    // no table (locality cap or budget): pairs arrive
-                    // old-major, so one old value stays loaded in the row
-                    // scratch over a long run and each pair costs one
-                    // probe per gram of its new value; a pair repeating
-                    // the previous `(a, b)` reuses its similarity
-                    let mut prev: Option<((u32, u32), f64)> = None;
-                    for &p in alive.iter() {
-                        let (bo, bn) = bases[p as usize];
-                        let key = (ids.old[bo + spec], ids.new[bn + spec]);
-                        let v = match prev {
-                            Some((k, v)) if k == key => v,
-                            _ => {
-                                stats.unique += 1;
-                                let v = arenas[spec].similarity_row(row, key.0, key.1);
-                                prev = Some((key, v));
-                                v
-                            }
-                        };
-                        lane.push(v);
-                    }
-                }
-            }
-            // fold the column into the running bounds and compact the
-            // selection vector — the early-exit prune, column-at-a-time
-            let last = k + 1 == order.len();
-            let w = sim.weight_of(spec);
-            let mut kept = 0usize;
-            for idx in 0..alive.len() {
-                let p = alive[idx];
-                let v = lane[idx];
-                sims[p as usize * n_specs + spec] = v;
-                let partial = partials[idx] + w * v;
+        let old = &self.ids.old[i as usize * n_specs..][..n_specs];
+        'pairs: for &j in row {
+            let new = &self.ids.new[j as usize * n_specs..][..n_specs];
+            let mut partial = 0.0;
+            for (k, &spec) in order.iter().enumerate() {
+                stats.probes += 1;
+                let (a, b) = (old[spec], new[spec]);
+                let cell = &mut memo.cells[spec][b as usize];
+                let v = if cell.0 == Some(a) {
+                    cell.1
+                } else {
+                    stats.unique += 1;
+                    let v = self.arenas[spec].similarity_row(&mut memo.rows[spec], a, b);
+                    *cell = (Some(a), v);
+                    v
+                };
+                memo.sims[spec] = v;
+                partial += sim.weight_of(spec) * v;
                 if sim.bound_fails_after(partial, k) {
-                    // a fail on the last column is the threshold decision
-                    // itself, not an early exit — `matches_compiled` does
-                    // not count it either
-                    if !last {
+                    // a fail on the last attribute is the threshold
+                    // decision itself, not an early exit —
+                    // `matches_compiled` does not count it either
+                    if k + 1 < order.len() {
                         stats.prunes += 1;
                     }
-                } else {
-                    alive[kept] = p;
-                    partials[kept] = partial;
-                    kept += 1;
+                    continue 'pairs;
                 }
             }
-            alive.truncate(kept);
-            partials.truncate(kept);
-        }
-        for &p in alive.iter() {
-            if let Some(s) = sim.fold_survivor(&sims[p as usize * n_specs..][..n_specs]) {
-                let (i, j) = tile[p as usize];
+            if let Some(s) = sim.fold_survivor(&memo.sims) {
                 out.push((i, j, s));
             }
         }
@@ -410,8 +288,6 @@ pub(crate) struct ScoredPass {
     /// Blocked pairs generated; every one was scored.
     blocked: u64,
     stats: BatchStats,
-    /// Similarity tables the memory budget refused, and its cell cap.
-    table_fallbacks: (u64, usize),
 }
 
 impl ScoredPass {
@@ -423,8 +299,8 @@ impl ScoredPass {
     /// Report the pass to `obs`. A pre-matching pass feeds the blocking,
     /// scoring, kernel and match counters; a remainder pass feeds the
     /// blocking and remainder-scoring counters. Both count their
-    /// early-exit prunes and refused similarity tables, and sample their
-    /// match scores into the pair-score histogram.
+    /// early-exit prunes and sample their match scores into the
+    /// pair-score histogram.
     pub(crate) fn report(&self, obs: &Collector) {
         obs.add(Counter::BlockingPairsGenerated, self.blocked);
         if self.kind == EventKind::RemainderChunk {
@@ -436,17 +312,6 @@ impl ScoredPass {
             obs.add(Counter::PrematchPairsMatched, self.matched() as u64);
         }
         obs.add(Counter::EarlyExitPrunes, self.stats.prunes);
-        let (rejected, max_cells) = self.table_fallbacks;
-        if rejected > 0 {
-            obs.add(Counter::MemFallbackSimTable, rejected);
-            obs.event(
-                "mem_fallback_sim_table",
-                format!(
-                    "{rejected} sim table(s) over the {max_cells}-cell budget cap; \
-                     scoring those attributes directly"
-                ),
-            );
-        }
         if obs.is_enabled() {
             // one local histogram, so the collector lock is taken once
             let mut hist = obs::Histogram::new();
@@ -468,24 +333,19 @@ struct TaskOut {
 }
 
 /// Block and score in one pass: each old record's row of blocked pairs
-/// streams from `blocker` straight into the batch kernel in tiles of up
-/// to [`BATCH_TILE_PAIRS`], and only the pairs reaching `sim`'s
+/// streams from `blocker` straight into the row kernel
+/// ([`Kernel::score_row`]), and only the pairs reaching `sim`'s
 /// threshold are kept, so the blocked-pair list never exists. Pair
 /// order, scores, probes and prunes are those of scoring the collected
 /// list pair by pair with `SimFunc::matches_compiled`.
 ///
-/// Serial or parallel is decided before generation, on
-/// [`Blocker::pair_bound`]. The serial path runs one task inline and
-/// serves per-attribute similarities from dense lazily-filled tables
-/// over interned value ids: attribute values repeat heavily across
-/// census records (name pools, shared household addresses), and the
-/// memo is bit-identical because `CompiledValue::similarity` is
-/// deterministic. The parallel path splits the old records into
-/// contiguous tasks ([`TASKS_PER_WORKER`] per worker) on [`run_pool`]
-/// and runs without tables — a shared table would serialise the workers
-/// on its lock, and per-worker tables would multiply the memo's memory
-/// by the thread count. Tile scratch is allocated once per pool worker
-/// (once in all on the serial path), not once per tile or task.
+/// The old records split into contiguous tasks on [`run_pool`]:
+/// [`TASKS_PER_WORKER`] per worker, or one task on one worker when
+/// [`Blocker::pair_bound`] says the pairs are too few to fan out. Each
+/// worker keeps one scratch, value-pair memo included, across its
+/// tasks, and empties the memo at the start of each task. A task's
+/// arena computations therefore depend only on its old-record range, so
+/// the pass's count is a function of the input and the task split.
 ///
 /// With `limit`, the pass returns `None` as soon as the blocked-pair
 /// count, kept across tasks, passes the limit. The count only grows,
@@ -499,32 +359,31 @@ pub(crate) fn score_blocked(
     sim: &SimFunc,
     kind: EventKind,
     par: Parallelism,
-    mem: &MemGovernor,
     obs: &Collector,
     limit: Option<u64>,
 ) -> Option<ScoredPass> {
     // intern the value ids and build the arenas once; tasks share them
     // read-only
     let ids = ValueIds::build(old_profiles, new_profiles);
-    let serial = par.threads <= 1 || par.is_serial(blocker.pair_bound(par.cutoff));
-    let mut tables = serial.then(|| sim_tables(&ids, mem, obs));
     let arenas = ids.arenas();
+    let n = blocker.rows();
+    let parallel = par.threads > 1 && !par.is_serial(blocker.pair_bound(par.cutoff));
+    let (threads, per_worker) = if parallel {
+        (par.threads, TASKS_PER_WORKER)
+    } else {
+        (1, 1)
+    };
+    let chunk = n.div_ceil(threads * per_worker).max(1);
+    let n_tasks = n.div_ceil(chunk);
+    let workers = threads.min(n_tasks);
     if obs.is_enabled() {
-        obs.snapshot_footprint("value_arenas", arena_footprint(&arenas));
+        obs.snapshot_footprint("value_arenas", arena_footprint(&arenas, workers));
     }
     let kernel = Kernel { sim, ids, arenas };
     let blocked = AtomicU64::new(0);
-    let run = |range: Range<usize>,
-               tables: &mut [Option<SimTable>],
-               scratch: &mut TaskScratch|
-     -> Option<TaskOut> {
-        let TaskScratch {
-            row,
-            tile,
-            kernel: tile_scratch,
-        } = scratch;
-        // an aborted task may have left pairs behind
-        tile.clear();
+    let run = |range: Range<usize>, scratch: &mut Scratch| -> Option<TaskOut> {
+        let Scratch { row, memo } = scratch;
+        memo.reset(&kernel.arenas);
         let mut task = TaskOut::default();
         for i in range {
             blocker.row(i, row);
@@ -538,34 +397,13 @@ pub(crate) fn score_blocked(
             if limit.is_some_and(|l| blocked.fetch_add(len, Ordering::Relaxed) + len > l) {
                 return None;
             }
-            for &j in &row.row {
-                tile.push((i as u32, j));
-                if tile.len() == BATCH_TILE_PAIRS {
-                    kernel.score_tile(
-                        tile,
-                        tables,
-                        tile_scratch,
-                        &mut task.stats,
-                        &mut task.matched,
-                    );
-                    tile.clear();
-                }
-            }
-        }
-        if !tile.is_empty() {
-            kernel.score_tile(
-                tile,
-                tables,
-                tile_scratch,
-                &mut task.stats,
-                &mut task.matched,
-            );
+            kernel.score_row(i as u32, &row.row, memo, &mut task.stats, &mut task.matched);
         }
         task.matched.shrink_to_fit();
         Some(task)
     };
     // the remainder's timeline events carry their pair count, the
-    // pre-matching tiles their task index
+    // pre-matching tasks their task index
     let detail = |ci: usize, pairs: u64| {
         if kind == EventKind::RemainderChunk {
             pairs
@@ -573,49 +411,31 @@ pub(crate) fn score_blocked(
             ci as u64
         }
     };
-    let n = blocker.rows();
-    let (tasks, table_fallbacks) = if let Some((tables, fallbacks)) = &mut tables {
+    let phase = kind.phase().expect("scoring events belong to a phase");
+    // one scratch per pool worker, reused across its tasks; a worker
+    // only ever locks its own, so the locks are uncontended
+    let scratches: Vec<Mutex<Scratch>> = (0..workers).map(|_| Mutex::default()).collect();
+    let tasks = run_pool(n_tasks, workers, obs, |ci, worker| {
         let t0 = obs.timeline_start();
-        let task = run(0..n, tables, &mut TaskScratch::default());
-        if let Some(t0) = t0 {
-            let pairs = task.as_ref().map_or(0, |t| t.pairs);
-            obs.timeline_task(0, kind, detail(0, pairs), None, t0);
+        let start = Instant::now();
+        let mut scratch = scratches[worker]
+            .lock()
+            .expect("no scoring task panicked holding its scratch");
+        let task = run(ci * chunk..((ci + 1) * chunk).min(n), &mut scratch);
+        let pairs = task.as_ref().map_or(0, |t| t.pairs);
+        if parallel && task.is_some() {
+            obs.thread_chunk(phase, None, ci, worker, pairs as usize, start.elapsed());
         }
-        (vec![task], *fallbacks)
-    } else {
-        let chunk = n.div_ceil(par.threads * TASKS_PER_WORKER).max(1);
-        let phase = kind.phase().expect("scoring events belong to a phase");
-        // one scratch per pool worker, reused across its tasks; a worker
-        // only ever locks its own, so the locks are uncontended
-        let scratches: Vec<Mutex<TaskScratch>> =
-            (0..par.threads).map(|_| Mutex::default()).collect();
-        let tasks = run_pool(n.div_ceil(chunk), par.threads, obs, |ci, worker| {
-            let t0 = obs.timeline_start();
-            let start = Instant::now();
-            let mut no_tables: Vec<Option<SimTable>> =
-                (0..kernel.ids.n_specs).map(|_| None).collect();
-            let mut scratch = scratches[worker]
-                .lock()
-                .expect("no scoring task panicked holding its scratch");
-            let range = ci * chunk..((ci + 1) * chunk).min(n);
-            let task = run(range, &mut no_tables, &mut scratch);
-            let pairs = task.as_ref().map_or(0, |t| t.pairs);
-            if task.is_some() {
-                obs.thread_chunk(phase, None, ci, worker, pairs as usize, start.elapsed());
-            }
-            if let Some(t0) = t0 {
-                obs.timeline_task(worker, kind, detail(ci, pairs), None, t0);
-            }
-            task
-        });
-        (tasks, (0, 0))
-    };
+        if let Some(t0) = t0 {
+            obs.timeline_task(worker, kind, detail(ci, pairs), None, t0);
+        }
+        task
+    });
     let mut pass = ScoredPass {
         kind,
         chunks: Vec::with_capacity(tasks.len()),
         blocked: 0,
         stats: BatchStats::default(),
-        table_fallbacks,
     };
     for task in tasks {
         let task = task?;
@@ -624,44 +444,6 @@ pub(crate) fn score_blocked(
         pass.chunks.push(task.matched);
     }
     Some(pass)
-}
-
-/// The serial path's per-spec similarity tables, each `None` where its
-/// cells exceed the locality cap or the memory budget's share, with the
-/// number of tables the default cap would have admitted but the budget
-/// refused (each a `mem_fallback_sim_table`) and the budget's cell cap.
-fn sim_tables(
-    ids: &ValueIds,
-    mem: &MemGovernor,
-    obs: &Collector,
-) -> (Vec<Option<SimTable>>, (u64, usize)) {
-    let max_cells = mem
-        .sim_table_max_cells(ids.uniques.len())
-        .min(SimTable::MAX_CELLS);
-    let mut budget_rejected = 0u64;
-    let tables: Vec<Option<SimTable>> = ids
-        .uniques
-        .iter()
-        .map(|&u| {
-            let t = SimTable::new(u, max_cells);
-            // only count tables the default cap would have admitted:
-            // those are budget-driven fallbacks, not locality ones
-            if t.is_none()
-                && u.checked_mul(u)
-                    .is_some_and(|cells| cells <= SimTable::MAX_CELLS)
-            {
-                budget_rejected += 1;
-            }
-            t
-        })
-        .collect();
-    if obs.is_enabled() {
-        let fp = tables.iter().flatten().fold(Footprint::ZERO, |acc, t| {
-            acc.plus(Footprint::new(t.bytes(), (t.n * t.n) as u64))
-        });
-        obs.snapshot_footprint("sim_tables", fp);
-    }
-    (tables, (budget_rejected, max_cells))
 }
 
 /// Run `n` tasks on a work-stealing pool of at most `threads` workers
@@ -770,9 +552,8 @@ pub fn prematch(
 /// `old_profiles[i]` must be `sim.compile(old[i])` — same specs, same
 /// order — and likewise for the new side. Pair/prune counters and
 /// per-thread chunk timings are reported to `obs` (pass
-/// [`Collector::disabled`] when not tracing); `mem` caps the serial
-/// path's similarity tables (pass [`MemGovernor::unlimited`] when not
-/// budgeting — the fallback is score-identical either way).
+/// [`Collector::disabled`] when not tracing). `_mem` is ignored: a
+/// fresh pass holds no budget-gated structure.
 #[allow(clippy::too_many_arguments)] // prematch's inputs plus the profile slices
 #[must_use]
 pub fn prematch_with_profiles(
@@ -785,7 +566,7 @@ pub fn prematch_with_profiles(
     strategy: BlockingStrategy,
     par: Parallelism,
     max_age_gap: Option<u32>,
-    mem: &MemGovernor,
+    _mem: &MemGovernor,
     obs: &Collector,
 ) -> PreMatch {
     debug_assert_eq!(old.len(), old_profiles.len());
@@ -800,7 +581,6 @@ pub fn prematch_with_profiles(
         sim,
         EventKind::PrematchTile,
         par,
-        mem,
         obs,
         None,
     )
@@ -1079,6 +859,81 @@ mod tests {
             Some(3),
         );
         assert_eq!(pm.match_count(), 1);
+    }
+
+    /// The value-pair memo never serves a cell computed against another
+    /// old value: consecutive old records alternate first names a1, a2,
+    /// a1 against the same new values, one new value recurs
+    /// non-adjacently within each row, and at 4 threads every old record
+    /// is its own task. Scores, pair order and prunes must equal the
+    /// pair-at-a-time loop bit for bit, and the memo's computation count
+    /// must repeat exactly.
+    #[test]
+    fn memo_cells_are_served_only_for_their_old_value() {
+        let names = ["john", "jonathan", "john", "jonathan", "mary", "john"];
+        let olds: Vec<PersonRecord> = (0..names.len())
+            .map(|i| rec(i as u64, names[i], "smith", Sex::Male, 30))
+            .collect();
+        let news: Vec<PersonRecord> = ["john", "jon", "john", "mary"]
+            .iter()
+            .enumerate()
+            .map(|(j, name)| rec(j as u64, name, "smith", Sex::Male, 40))
+            .collect();
+        let or: Vec<&PersonRecord> = olds.iter().collect();
+        let nr: Vec<&PersonRecord> = news.iter().collect();
+        let sim = fig3_simfunc().with_threshold(0.55);
+        let op: Vec<CompiledProfile> = or.iter().map(|r| sim.compile(r)).collect();
+        let np: Vec<CompiledProfile> = nr.iter().map(|r| sim.compile(r)).collect();
+        let mut want_prunes = 0;
+        let mut want = Vec::new();
+        for (i, a) in op.iter().enumerate() {
+            for (j, b) in np.iter().enumerate() {
+                if let Some(s) = sim.matches_compiled_counted(a, b, &mut want_prunes) {
+                    want.push((i as u32, j as u32, s.to_bits()));
+                }
+            }
+        }
+        assert!(want_prunes > 0, "the corpus must exercise the early exit");
+        let blocker = Blocker::new(&or, &nr, 10, BlockingStrategy::Full, None);
+        let (opr, npr): (Vec<_>, Vec<_>) = (op.iter().collect(), np.iter().collect());
+        for threads in [1, 4] {
+            let run = || {
+                let par = Parallelism {
+                    threads,
+                    cutoff: 0,
+                    ..Parallelism::default()
+                };
+                let obs = Collector::disabled();
+                score_blocked(
+                    &blocker,
+                    &opr,
+                    &npr,
+                    &sim,
+                    EventKind::PrematchTile,
+                    par,
+                    &obs,
+                    None,
+                )
+                .expect("no limit, no abort")
+            };
+            let pass = run();
+            let got: Vec<(u32, u32, u64)> = pass
+                .chunks
+                .iter()
+                .flatten()
+                .map(|&(i, j, s)| (i, j, s.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{threads} threads: scores diverge");
+            assert_eq!(pass.stats.prunes, want_prunes, "{threads} threads");
+            assert!(pass.stats.unique <= pass.stats.probes);
+            assert_eq!(pass.stats.unique, run().stats.unique, "{threads} threads");
+            if threads == 1 {
+                assert!(
+                    pass.stats.unique < pass.stats.probes,
+                    "the memo served nothing"
+                );
+            }
+        }
     }
 
     #[test]

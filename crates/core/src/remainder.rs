@@ -7,7 +7,6 @@
 
 use crate::blocking::{Blocker, BlockingStrategy};
 use crate::config::{Parallelism, RemainderConfig};
-use crate::mem::MemGovernor;
 use crate::pairscore::PairScoreCache;
 use crate::prematch::score_blocked;
 use crate::profiles::ProfileCache;
@@ -41,7 +40,6 @@ pub fn match_remaining(
         &mut cache,
         None,
         Parallelism::default(),
-        &MemGovernor::unlimited(),
         &Collector::disabled(),
     )
 }
@@ -54,9 +52,9 @@ pub fn match_remaining(
 /// than its build — see [`PairScoreCache::covers`]), scoring is skipped
 /// entirely and the residue pairs are served from the cached scores;
 /// otherwise the pass blocks and scores afresh, fused like pre-matching
-/// (`prematch::score_blocked`) with `par` and `mem` deciding its
-/// threads and similarity tables. Pair counters are reported to `obs`
-/// (pass [`Collector::disabled`] when not tracing).
+/// (`prematch::score_blocked`) with `par` deciding its threads. Pair
+/// counters are reported to `obs` (pass [`Collector::disabled`] when not
+/// tracing).
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's inputs
 pub fn match_remaining_cached(
     old_ds: &CensusDataset,
@@ -70,7 +68,6 @@ pub fn match_remaining_cached(
     cache: &mut ProfileCache,
     pair_cache: Option<&PairScoreCache>,
     par: Parallelism,
-    mem: &MemGovernor,
     obs: &Collector,
 ) -> Vec<(RecordId, RecordId)> {
     if !config.enabled || remaining_old.is_empty() || remaining_new.is_empty() {
@@ -114,7 +111,6 @@ pub fn match_remaining_cached(
             sim,
             EventKind::RemainderChunk,
             par,
-            mem,
             obs,
             None,
         )

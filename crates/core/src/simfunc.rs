@@ -309,9 +309,10 @@ impl SimFunc {
     }
 
     // --- the pieces of the early-exit loop ------------------------------
-    // The batch kernel scores attributes column-at-a-time in the same
-    // descending-weight order and compacts its pair set at the same bound
-    // checks. These accessors hand it the exact pieces of
+    // The row kernel scores attributes in the same descending-weight
+    // order, with similarities served from its value-pair memo, and
+    // stops at the same bound checks. These accessors hand it the exact
+    // pieces of
     // `matches_compiled_counted` — order, per-step bound, survivor fold —
     // so the two share the arithmetic instead of duplicating it (any
     // drift would break their bit-identity, which the prematch oracle

@@ -7,7 +7,7 @@ use census_model::{GroupMapping, PersonRecord, RecordMapping};
 use census_synth::{generate_series, SimConfig};
 use linkage_core::{
     match_remaining, match_remaining_cached, prematch, prematch_with_profiles, BlockingStrategy,
-    LinkageConfig, MemGovernor, Parallelism, ProfileCache, RemainderConfig, SimFunc,
+    LinkageConfig, Parallelism, ProfileCache, RemainderConfig, SimFunc,
 };
 
 fn corpus() -> census_synth::CensusSeries {
@@ -153,7 +153,6 @@ fn remainder_cached_equals_uncached() {
         &mut cache,
         None,
         Parallelism::default(),
-        &MemGovernor::unlimited(),
         &obs::Collector::disabled(),
     );
     assert_eq!(added1, added2);

@@ -16,8 +16,8 @@ fn output_is_bit_identical_under_any_budget() {
     let series = small_series();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let linker = Linker::new(old, new);
-    // serial scoring reaches the sim-table path; the schedule reaches
-    // the pair-cache and per-iteration recompute paths
+    // serial and parallel scoring; the schedule reaches the pair-cache
+    // and per-iteration recompute paths
     for threads in [1, 2] {
         let base_config = LinkageConfig {
             threads,
@@ -46,8 +46,7 @@ fn zero_budget_records_each_fallback() {
     let series = small_series();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let linker = Linker::new(old, new);
-    // threads = 1 with an unreachable cutoff forces the serial scorer,
-    // whose sim tables are the structures the budget refuses
+    // threads = 1 with an unreachable cutoff forces the serial scorer
     let config = LinkageConfig {
         memory_budget: Some(0),
         threads: 1,
@@ -62,15 +61,12 @@ fn zero_budget_records_each_fallback() {
         "zero budget must refuse the pair-score cache"
     );
     assert!(
-        trace.counter("mem_fallback_sim_table") >= 1,
-        "zero budget must refuse the similarity tables"
+        trace
+            .events
+            .iter()
+            .any(|e| e.name == "mem_fallback_pair_cache"),
+        "fallback event mem_fallback_pair_cache missing from the trace"
     );
-    for event in ["mem_fallback_pair_cache", "mem_fallback_sim_table"] {
-        assert!(
-            trace.events.iter().any(|e| e.name == event),
-            "fallback event {event} missing from the trace"
-        );
-    }
 }
 
 #[test]
@@ -81,7 +77,6 @@ fn unlimited_run_records_no_fallbacks() {
     let _ = Linker::new(old, new).run_traced(&LinkageConfig::default(), &obs);
     let trace = obs.finish();
     assert_eq!(trace.counter("mem_fallback_pair_cache"), 0);
-    assert_eq!(trace.counter("mem_fallback_sim_table"), 0);
     assert_eq!(trace.counter("mem_fallback_decision_caps"), 0);
 }
 

@@ -3,7 +3,7 @@
 
 use census_model::{CensusDataset, GroupMapping, HouseholdId, RecordMapping};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The type assigned to one group link (or unlinked household).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -168,11 +168,14 @@ pub fn detect_patterns(
         .map(|h| h.id)
         .filter(|&g| !groups.contains_old(g))
         .collect();
+    // one pass over the pairs: `contains_new` scans them, so calling it
+    // per new household would make this loop quadratic
+    let linked_new: HashSet<HouseholdId> = groups.iter().map(|(_, n)| n).collect();
     out.added_groups = new
         .households()
         .iter()
         .map(|h| h.id)
-        .filter(|&g| !groups.contains_new(g))
+        .filter(|g| !linked_new.contains(g))
         .collect();
     out.counts.remove_g = out.removed_groups.len();
     out.counts.add_g = out.added_groups.len();

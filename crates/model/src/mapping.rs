@@ -185,7 +185,9 @@ impl GroupMapping {
             .is_some()
     }
 
-    /// Whether the new household appears in any pair.
+    /// Whether the new household appears in any pair. The pairs are
+    /// ordered by old household, so this scans all of them: O(pairs) per
+    /// call. Collect the linked new households once when asking for many.
     #[must_use]
     pub fn contains_new(&self, new: HouseholdId) -> bool {
         self.pairs.iter().any(|&(_, n)| n == new)
@@ -198,7 +200,8 @@ impl GroupMapping {
             .map(|&(_, n)| n)
     }
 
-    /// All old households linked to a new one.
+    /// All old households linked to a new one. Like
+    /// [`GroupMapping::contains_new`], this scans every pair.
     pub fn linked_old(&self, new: HouseholdId) -> impl Iterator<Item = HouseholdId> + '_ {
         self.pairs
             .iter()

@@ -4,7 +4,7 @@
 //! *phase* allocate"; this module answers "how big is this *structure*
 //! right now". [`MemoryFootprint`] is implemented by every structure
 //! the pipeline materialises at super-linear scale — the pair-score
-//! cache, compiled-profile cache, similarity tables, residue indexes,
+//! cache, compiled-profile cache, scoring value arenas, residue indexes,
 //! enriched household graphs, subgraph scratch, the decision log and
 //! the evolution graph — and reports an estimated deep byte count plus
 //! an element count.

@@ -125,17 +125,13 @@ pub enum Counter {
     /// age-plausibility filter (pre-matching's or the remainder's)
     /// fused into generation.
     BlockingPairsGenerated,
-    /// Batch-kernel work items requested: scored pairs × attribute
-    /// specs, before value-pair deduplication.
+    /// Row-kernel work items requested: per scored pair, the attributes
+    /// scored before its early exit, before value-pair memo reuse.
     PairScoreBatchProbes,
-    /// Arena similarity computations the batch kernel actually made:
-    /// similarity-table misses, plus probes of table-less attributes
-    /// whose `(old value-id, new value-id)` differs from the previous
-    /// probe's — `1 − unique/probes` is the reuse win.
+    /// Arena similarity computations the row kernel actually made:
+    /// probes whose new value's memo cell was not tagged with the old
+    /// value id — `1 − unique/probes` is the reuse win.
     PairScoreBatchedUnique,
-    /// Memory-budget fallbacks: `SimTable`s skipped in favour of direct
-    /// similarity computation.
-    MemFallbackSimTable,
     /// Memory-budget fallbacks: pair-score caches skipped in favour of
     /// per-iteration recomputation.
     MemFallbackPairCache,
@@ -162,7 +158,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 25] = [
         Counter::PrematchPairsScored,
         Counter::PrematchPairsMatched,
         Counter::EarlyExitPrunes,
@@ -179,7 +175,6 @@ impl Counter {
         Counter::BlockingPairsGenerated,
         Counter::PairScoreBatchProbes,
         Counter::PairScoreBatchedUnique,
-        Counter::MemFallbackSimTable,
         Counter::MemFallbackPairCache,
         Counter::MemFallbackDecisionCaps,
         Counter::EvolutionPreserveR,
@@ -211,7 +206,6 @@ impl Counter {
             Counter::BlockingPairsGenerated => "blocking_pairs_generated",
             Counter::PairScoreBatchProbes => "pair_score_batch_probes",
             Counter::PairScoreBatchedUnique => "pair_score_batched_unique",
-            Counter::MemFallbackSimTable => "mem_fallback_sim_table",
             Counter::MemFallbackPairCache => "mem_fallback_pair_cache",
             Counter::MemFallbackDecisionCaps => "mem_fallback_decision_caps",
             Counter::EvolutionPreserveR => "evolution_preserve_r",

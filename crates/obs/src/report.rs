@@ -393,8 +393,8 @@ impl RunTrace {
         }
     }
 
-    /// Fraction of batch-kernel probes served without recomputation:
-    /// `1 − unique/probes`, or 0 when the batch kernel did not run.
+    /// Fraction of scoring-kernel probes served without recomputation:
+    /// `1 − unique/probes`, or 0 when the kernel did not run.
     #[must_use]
     pub fn batch_dedup_rate(&self) -> f64 {
         let probes = self.counter("pair_score_batch_probes");

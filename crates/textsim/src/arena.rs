@@ -1,7 +1,7 @@
 //! Structure-of-arrays arena of compiled multisets for batch scoring.
 //!
-//! The batch scoring kernel in the linkage core scores candidate pairs
-//! one attribute column at a time, by interned value id. Scoring through
+//! The row scoring kernel in the linkage core scores candidate pairs by
+//! interned value id, one attribute at a time. Scoring through
 //! [`CompiledValue`] references would chase one heap pointer per side per
 //! item; [`MultisetArena`]
 //! instead flattens every value's sorted gram multiset into one contiguous
