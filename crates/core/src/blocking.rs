@@ -735,7 +735,8 @@ mod tests {
         let sim = SimFunc::omega2(0.5);
         let op: Vec<_> = o.iter().map(|r| sim.compile(r)).collect();
         let np: Vec<_> = n.iter().map(|r| sim.compile(r)).collect();
-        let (op_refs, np_refs): (Vec<_>, Vec<_>) = (op.iter().collect(), np.iter().collect());
+        let mut cache = crate::ProfileCache::new();
+        let values = cache.rows(&sim, o, n);
         let pass = |blocker: &Blocker, threads: usize, obs: &Collector, limit: Option<u64>| {
             let par = Parallelism {
                 threads,
@@ -743,7 +744,7 @@ mod tests {
                 ..Parallelism::default()
             };
             let kind = EventKind::PrematchTile;
-            score_blocked(blocker, &op_refs, &np_refs, &sim, kind, par, obs, limit)
+            score_blocked(blocker, &values, &sim, kind, par, obs, limit)
         };
         let mut matched = 0;
         for strategy in [BlockingStrategy::Standard, BlockingStrategy::Full] {

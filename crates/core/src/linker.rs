@@ -10,7 +10,7 @@ use crate::group_sim::{score_single_pair, score_subgraph};
 use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
 use crate::pairscore::PairScoreCache;
-use crate::prematch::{build_prematch, prematch_with_profiles, run_pool, PreMatch};
+use crate::prematch::{build_prematch, prematch_cached, run_pool, PreMatch};
 use crate::profiles::ProfileCache;
 use crate::remainder::match_remaining_cached;
 use crate::selection::{
@@ -627,9 +627,10 @@ impl<'a> Linker<'a> {
         let mut provenance = HashMap::new();
         let mut anchors = AnchorInjector::new();
 
-        // compiled profiles are δ-independent: build each residue
-        // record's profile once and reuse it across the whole schedule
-        // (and the remainder pass, whose specs usually coincide)
+        // attribute values are δ-independent: intern each distinct value
+        // and each record's value-id row once, and reuse them (and the
+        // arenas over the values) across the whole schedule and the
+        // remainder pass, whose specs usually coincide
         let mut cache = ProfileCache::new();
         // so is agg_sim itself: in incremental mode every blocked pair
         // is scored once against the schedule floor, and later
@@ -657,13 +658,10 @@ impl<'a> Linker<'a> {
                 let _prematch = obs.span("prematch");
                 if incremental && pair_cache.is_none() {
                     let build_sim = config.sim_func.with_threshold(floor);
-                    let (old_profiles, new_profiles) =
-                        cache.profiles(&build_sim, &remaining_old, &remaining_new);
                     pair_cache = PairScoreCache::build(
                         &remaining_old,
                         &remaining_new,
-                        &old_profiles,
-                        &new_profiles,
+                        &mut cache,
                         year_gap,
                         &build_sim,
                         config.blocking,
@@ -692,19 +690,15 @@ impl<'a> Linker<'a> {
                         std::slice::from_ref(&matches),
                     )
                 } else {
-                    let (old_profiles, new_profiles) =
-                        cache.profiles(&sim, &remaining_old, &remaining_new);
-                    prematch_with_profiles(
+                    prematch_cached(
                         &remaining_old,
                         &remaining_new,
-                        &old_profiles,
-                        &new_profiles,
+                        &mut cache,
                         year_gap,
                         &sim,
                         config.blocking,
                         par,
                         config.prematch_max_age_gap,
-                        &mem,
                         obs,
                     )
                 };

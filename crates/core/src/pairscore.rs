@@ -36,22 +36,23 @@
 
 use crate::blocking::{Blocker, BlockingStrategy};
 use crate::config::Parallelism;
+use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
 use crate::prematch::{age_plausible, score_blocked};
-use crate::simfunc::{AttributeSpec, CompiledProfile, SimFunc};
+use crate::profiles::ProfileCache;
+use crate::simfunc::{AttributeSpec, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, EventKind, Footprint, MemoryFootprint};
-use std::collections::HashMap;
 
 /// Record-id → position lookup, used by the per-δ filter passes (position
-/// in the residue) and by the profile cache (position of the cached
-/// profile). Record ids are snapshot-local and dense in practice, so a
+/// in the residue) and by the profile cache (slot of the record's
+/// value-id row). Record ids are snapshot-local and dense in practice, so a
 /// lookup probes an array (`u32::MAX` = absent) instead of hashing the
 /// id; sparse id spaces fall back to a hash map.
 #[derive(Debug)]
 pub(crate) enum ResidueIndex {
     Dense(Vec<u32>),
-    Sparse(HashMap<RecordId, u32>),
+    Sparse(IdMap<RecordId, u32>),
 }
 
 impl Default for ResidueIndex {
@@ -126,8 +127,8 @@ pub struct PairScoreCache {
 
 impl PairScoreCache {
     /// Block and score every candidate pair of `old × new` once, at
-    /// `sim`'s threshold (the schedule floor). `old_profiles[i]` must be
-    /// `sim.compile(old[i])`, and likewise for the new side.
+    /// `sim`'s threshold (the schedule floor), with the records' values
+    /// served by the run's `profiles` table.
     ///
     /// Returns `None` when `mem` refuses the cache: the blocked pairs
     /// outnumber what the pair-cache budget share admits
@@ -144,8 +145,7 @@ impl PairScoreCache {
     pub fn build(
         old: &[&PersonRecord],
         new: &[&PersonRecord],
-        old_profiles: &[&CompiledProfile],
-        new_profiles: &[&CompiledProfile],
+        profiles: &mut ProfileCache,
         year_gap: i64,
         sim: &SimFunc,
         strategy: BlockingStrategy,
@@ -156,26 +156,29 @@ impl PairScoreCache {
     ) -> Option<Self> {
         let limit = mem.pair_cache_limit();
         let blocker = Blocker::new(old, new, year_gap, strategy, max_age_gap);
-        let Some(pass) = score_blocked(
+        let values = profiles.rows(sim, old, new);
+        let pass = score_blocked(
             &blocker,
-            old_profiles,
-            new_profiles,
+            &values,
             sim,
             EventKind::PrematchTile,
             par,
             obs,
             limit,
-        ) else {
-            let limit = limit.expect("only a limited pass aborts");
+        );
+        let Some(pass) = pass else {
             obs.add(Counter::MemFallbackPairCache, 1);
-            obs.event(
-                "mem_fallback_pair_cache",
-                format!(
-                    "pair-score cache over more than {limit} blocked pairs (~{} bytes) exceeds \
-                     the budget share; re-scoring every iteration",
-                    limit.saturating_mul(MemGovernor::PAIR_ENTRY_BYTES)
-                ),
-            );
+            // only a pass given a limit aborts, so this always reports
+            if let Some(limit) = limit {
+                obs.event(
+                    "mem_fallback_pair_cache",
+                    format!(
+                        "pair-score cache over more than {limit} blocked pairs (~{} bytes) \
+                         exceeds the budget share; re-scoring every iteration",
+                        limit.saturating_mul(MemGovernor::PAIR_ENTRY_BYTES)
+                    ),
+                );
+            }
             return None;
         };
         pass.report(obs);
@@ -202,11 +205,14 @@ impl PairScoreCache {
         })
     }
 
-    /// The cached entries in `(old id, new id)` order, as record ids.
-    fn entries(&self) -> impl Iterator<Item = (RecordId, RecordId, f64)> + '_ {
+    /// The cached entries scoring at least `threshold`, in `(old id, new
+    /// id)` order, as record ids. The score is tested before either id is
+    /// looked up.
+    fn entries_from(&self, threshold: f64) -> impl Iterator<Item = (RecordId, RecordId, f64)> + '_ {
         self.chunks
             .iter()
             .flatten()
+            .filter(move |&&(_, _, s)| s >= threshold)
             .map(|&(i, j, s)| (self.old_ids[i as usize], self.new_ids[j as usize], s))
     }
 
@@ -259,13 +265,8 @@ impl PairScoreCache {
                 old_idx.footprint().plus(new_idx.footprint()),
             );
         }
-        self.entries()
-            .filter_map(|(o, n, s)| {
-                if s < delta {
-                    return None;
-                }
-                Some((old_idx.get(o)?, new_idx.get(n)?, s))
-            })
+        self.entries_from(delta)
+            .filter_map(|(o, n, s)| Some((old_idx.get(o)?, new_idx.get(n)?, s)))
             .collect()
     }
 
@@ -295,20 +296,13 @@ impl PairScoreCache {
         remaining_old: &[&PersonRecord],
         remaining_new: &[&PersonRecord],
     ) -> Vec<(f64, RecordId, RecordId)> {
-        let old_by_id: HashMap<RecordId, &PersonRecord> =
-            remaining_old.iter().map(|r| (r.id, *r)).collect();
-        let new_by_id: HashMap<RecordId, &PersonRecord> =
-            remaining_new.iter().map(|r| (r.id, *r)).collect();
-        self.entries()
+        let old_idx = ResidueIndex::build(remaining_old);
+        let new_idx = ResidueIndex::build(remaining_new);
+        self.entries_from(sim.threshold)
             .filter_map(|(o, n, s)| {
-                if s < sim.threshold {
-                    return None;
-                }
-                let (ro, rn) = (old_by_id.get(&o)?, new_by_id.get(&n)?);
-                if !age_plausible(ro, rn, year_gap, max_age_gap) {
-                    return None;
-                }
-                Some((s, o, n))
+                let ro = remaining_old[old_idx.get(o)? as usize];
+                let rn = remaining_new[new_idx.get(n)? as usize];
+                age_plausible(ro, rn, year_gap, max_age_gap).then_some((s, o, n))
             })
             .collect()
     }
@@ -333,6 +327,7 @@ impl MemoryFootprint for PairScoreCache {
 mod tests {
     use super::*;
     use crate::prematch::prematch_with_profiles;
+    use crate::simfunc::CompiledProfile;
     use census_model::{HouseholdId, Role, Sex};
 
     fn rec(id: u64, fname: &str, sname: &str, age: u32) -> PersonRecord {
@@ -387,8 +382,7 @@ mod tests {
         let cache = PairScoreCache::build(
             &o,
             &n,
-            &op,
-            &np,
+            &mut ProfileCache::new(),
             10,
             &floor_sim,
             BlockingStrategy::Full,
@@ -431,14 +425,10 @@ mod tests {
         let sim = SimFunc::omega2(0.5);
         let all_o = [&o1, &o2];
         let all_n = [&n1, &n2];
-        let (mut ostore, mut nstore) = (Vec::new(), Vec::new());
-        let op = profiles(&sim, &all_o, &mut ostore);
-        let np = profiles(&sim, &all_n, &mut nstore);
         let cache = PairScoreCache::build(
             &all_o,
             &all_n,
-            &op,
-            &np,
+            &mut ProfileCache::new(),
             10,
             &sim,
             BlockingStrategy::Full,
@@ -460,14 +450,10 @@ mod tests {
         let o = rec(0, "john", "ashworth", 30);
         let n = rec(0, "john", "ashworth", 40);
         let sim = SimFunc::omega2(0.5);
-        let (mut ostore, mut nstore) = (Vec::new(), Vec::new());
-        let op = profiles(&sim, &[&o], &mut ostore);
-        let np = profiles(&sim, &[&n], &mut nstore);
         let cache = PairScoreCache::build(
             &[&o],
             &[&n],
-            &op,
-            &np,
+            &mut ProfileCache::new(),
             10,
             &sim,
             BlockingStrategy::Standard,
@@ -497,14 +483,10 @@ mod tests {
         let o = rec(0, "john", "ashworth", 30);
         let n = rec(0, "john", "ashworth", 45);
         let sim = SimFunc::omega2(0.5);
-        let (mut ostore, mut nstore) = (Vec::new(), Vec::new());
-        let op = profiles(&sim, &[&o], &mut ostore);
-        let np = profiles(&sim, &[&n], &mut nstore);
         let cache = PairScoreCache::build(
             &[&o],
             &[&n],
-            &op,
-            &np,
+            &mut ProfileCache::new(),
             10,
             &sim,
             BlockingStrategy::Full,

@@ -48,12 +48,12 @@ pub struct LinkageResult {
     pub remainder_links: usize,
     /// Per-link provenance: which phase produced each record link.
     pub provenance: HashMap<(RecordId, RecordId), LinkPhase>,
-    /// Compiled record profiles built during the run (profile-cache
-    /// misses; see `ProfileCache`).
+    /// Record profiles built during the run (profile-cache misses): the
+    /// records whose row of interned value ids `ProfileCache` made.
     pub profiles_built: usize,
-    /// Compiled record profiles served from the cross-iteration cache
-    /// (hits): residue records re-scored at δ−Δ and the remainder pass
-    /// reuse the profiles built at δ.
+    /// Record profiles served from the cross-iteration cache (hits):
+    /// residue records re-scored at δ−Δ and the remainder pass reuse the
+    /// value-id rows built at δ.
     pub profiles_reused: usize,
 }
 

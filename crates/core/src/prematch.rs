@@ -14,75 +14,15 @@ use crate::cluster::UnionFind;
 use crate::config::Parallelism;
 use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
+use crate::profiles::{ProfileCache, ValueRows};
 use crate::simfunc::{CompiledProfile, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, EventKind, Footprint};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
-use textsim::{CompiledValue, MultisetArena, RowScratch};
-
-/// Dense per-attribute value ids over both record sides: profiles with
-/// equal raw values (hence equal compiled representations) share an id,
-/// so `(old id, new id)` keys a memo of `CompiledValue::similarity`.
-/// Laid out `ids[record * n_specs + spec]`.
-struct ValueIds<'p> {
-    n_specs: usize,
-    old: Vec<u32>,
-    new: Vec<u32>,
-    /// One representative compiled value per interned id per spec, in id
-    /// order — the row kernel's arena build input. Valid because a
-    /// spec's values all compile under one measure, so equal raw values
-    /// yield equal representations.
-    reps: Vec<Vec<&'p CompiledValue>>,
-}
-
-impl<'p> ValueIds<'p> {
-    fn build(old_profiles: &[&'p CompiledProfile], new_profiles: &[&'p CompiledProfile]) -> Self {
-        fn assign<'p>(
-            profiles: &[&'p CompiledProfile],
-            intern: &mut [HashMap<&'p str, u32>],
-            reps: &mut [Vec<&'p CompiledValue>],
-        ) -> Vec<u32> {
-            let mut ids = Vec::with_capacity(profiles.len() * intern.len());
-            for p in profiles {
-                for (k, v) in p.values().iter().enumerate() {
-                    let next = intern[k].len() as u32;
-                    let id = *intern[k].entry(v.raw()).or_insert(next);
-                    // ids are assigned densely, so `id == next` exactly
-                    // when this raw value was first seen
-                    if id == next {
-                        reps[k].push(v);
-                    }
-                    ids.push(id);
-                }
-            }
-            ids
-        }
-        let n_specs = old_profiles
-            .first()
-            .or(new_profiles.first())
-            .map_or(0, |p| p.values().len());
-        let mut intern: Vec<HashMap<&str, u32>> = (0..n_specs).map(|_| HashMap::new()).collect();
-        let mut reps: Vec<Vec<&CompiledValue>> = (0..n_specs).map(|_| Vec::new()).collect();
-        let old = assign(old_profiles, &mut intern, &mut reps);
-        let new = assign(new_profiles, &mut intern, &mut reps);
-        Self {
-            n_specs,
-            old,
-            new,
-            reps,
-        }
-    }
-
-    /// One [`MultisetArena`] per spec over the representatives, for the
-    /// row kernel.
-    fn arenas(&self) -> Vec<MultisetArena<'p>> {
-        self.reps.iter().map(|r| MultisetArena::build(r)).collect()
-    }
-}
+use textsim::{MultisetArena, RowScratch};
 
 /// Heap footprint of the row kernel's arenas (packed bytes and laid-out
 /// values) plus the value-pair memos of `workers` pool workers, reported
@@ -159,12 +99,11 @@ struct Scratch {
 }
 
 /// The read-only inputs of the row kernel, shared by every task of a
-/// pass: the similarity function, the interned value ids and one arena
-/// per attribute spec.
+/// pass: the similarity function and the residue's value-id rows with
+/// the arenas they index.
 struct Kernel<'k> {
     sim: &'k SimFunc,
-    ids: ValueIds<'k>,
-    arenas: Vec<MultisetArena<'k>>,
+    values: &'k ValueRows<'k>,
 }
 
 impl Kernel<'_> {
@@ -189,11 +128,11 @@ impl Kernel<'_> {
         stats: &mut BatchStats,
         out: &mut Vec<(u32, u32, f64)>,
     ) {
-        let (sim, n_specs) = (self.sim, self.ids.n_specs);
+        let (sim, n_specs) = (self.sim, self.values.n_specs);
         let order = sim.spec_order();
-        let old = &self.ids.old[i as usize * n_specs..][..n_specs];
+        let old = &self.values.old[i as usize * n_specs..][..n_specs];
         'pairs: for &j in row {
-            let new = &self.ids.new[j as usize * n_specs..][..n_specs];
+            let new = &self.values.new[j as usize * n_specs..][..n_specs];
             let mut partial = 0.0;
             for (k, &spec) in order.iter().enumerate() {
                 stats.probes += 1;
@@ -203,7 +142,7 @@ impl Kernel<'_> {
                     cell.1
                 } else {
                     stats.unique += 1;
-                    let v = self.arenas[spec].similarity_row(&mut memo.rows[spec], a, b);
+                    let v = self.values.arenas[spec].similarity_row(&mut memo.rows[spec], a, b);
                     *cell = (Some(a), v);
                     v
                 };
@@ -337,7 +276,10 @@ struct TaskOut {
 /// ([`Kernel::score_row`]), and only the pairs reaching `sim`'s
 /// threshold are kept, so the blocked-pair list never exists. Pair
 /// order, scores, probes and prunes are those of scoring the collected
-/// list pair by pair with `SimFunc::matches_compiled`.
+/// list pair by pair with `SimFunc::matches_compiled`. `values` holds
+/// the value-id rows of the blocker's old and new records, in the
+/// blocker's order, and the arenas those ids index: built once per run
+/// by the `ProfileCache` table, so a pass interns and lays out nothing.
 ///
 /// The old records split into contiguous tasks on [`run_pool`]:
 /// [`TASKS_PER_WORKER`] per worker, or one task on one worker when
@@ -354,18 +296,13 @@ struct TaskOut {
 #[allow(clippy::too_many_arguments)] // the blocked inputs plus the run's knobs
 pub(crate) fn score_blocked(
     blocker: &Blocker,
-    old_profiles: &[&CompiledProfile],
-    new_profiles: &[&CompiledProfile],
+    values: &ValueRows,
     sim: &SimFunc,
     kind: EventKind,
     par: Parallelism,
     obs: &Collector,
     limit: Option<u64>,
 ) -> Option<ScoredPass> {
-    // intern the value ids and build the arenas once; tasks share them
-    // read-only
-    let ids = ValueIds::build(old_profiles, new_profiles);
-    let arenas = ids.arenas();
     let n = blocker.rows();
     let parallel = par.threads > 1 && !par.is_serial(blocker.pair_bound(par.cutoff));
     let (threads, per_worker) = if parallel {
@@ -377,13 +314,13 @@ pub(crate) fn score_blocked(
     let n_tasks = n.div_ceil(chunk);
     let workers = threads.min(n_tasks);
     if obs.is_enabled() {
-        obs.snapshot_footprint("value_arenas", arena_footprint(&arenas, workers));
+        obs.snapshot_footprint("value_arenas", arena_footprint(values.arenas, workers));
     }
-    let kernel = Kernel { sim, ids, arenas };
+    let kernel = Kernel { sim, values };
     let blocked = AtomicU64::new(0);
     let run = |range: Range<usize>, scratch: &mut Scratch| -> Option<TaskOut> {
         let Scratch { row, memo } = scratch;
-        memo.reset(&kernel.arenas);
+        memo.reset(values.arenas);
         let mut task = TaskOut::default();
         for i in range {
             blocker.row(i, row);
@@ -411,19 +348,22 @@ pub(crate) fn score_blocked(
             ci as u64
         }
     };
-    let phase = kind.phase().expect("scoring events belong to a phase");
     // one scratch per pool worker, reused across its tasks; a worker
     // only ever locks its own, so the locks are uncontended
     let scratches: Vec<Mutex<Scratch>> = (0..workers).map(|_| Mutex::default()).collect();
     let tasks = run_pool(n_tasks, workers, obs, |ci, worker| {
         let t0 = obs.timeline_start();
         let start = Instant::now();
+        // a lock is poisoned only by a task that panicked holding it, and
+        // that panic already fails the pass; a task empties the memo
+        // before use, so its scratch is sound either way
         let mut scratch = scratches[worker]
             .lock()
-            .expect("no scoring task panicked holding its scratch");
+            .unwrap_or_else(PoisonError::into_inner);
         let task = run(ci * chunk..((ci + 1) * chunk).min(n), &mut scratch);
         let pairs = task.as_ref().map_or(0, |t| t.pairs);
-        if parallel && task.is_some() {
+        // both scoring kinds belong to a phase
+        if let Some(phase) = kind.phase().filter(|_| parallel && task.is_some()) {
             obs.thread_chunk(phase, None, ci, worker, pairs as usize, start.elapsed());
         }
         if let Some(t0) = t0 {
@@ -467,8 +407,7 @@ where
         return (0..n).map(|i| f(i, 0)).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    crossbeam::scope(|scope| {
+    let mut done: Vec<(usize, T)> = crossbeam::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let next = &next;
@@ -496,17 +435,19 @@ where
                 })
             })
             .collect();
-        for h in handles {
-            for (i, t) in h.join().expect("pool worker panicked") {
-                slots[i] = Some(t);
-            }
-        }
+        // a worker's panic is re-raised here with its own payload, and
+        // the scope hands it back the same way
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     })
-    .expect("crossbeam scope");
-    slots
-        .into_iter()
-        .map(|t| t.expect("every pool task ran exactly once"))
-        .collect()
+    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+    // the shared counter hands out each task index once, so sorting the
+    // workers' results by index restores task order
+    done.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert_eq!(done.len(), n);
+    done.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Run pre-matching over two record sets.
@@ -525,15 +466,10 @@ pub fn prematch(
     threads: usize,
     max_age_gap: Option<u32>,
 ) -> PreMatch {
-    let old_compiled: Vec<CompiledProfile> = old.iter().map(|r| sim.compile(r)).collect();
-    let new_compiled: Vec<CompiledProfile> = new.iter().map(|r| sim.compile(r)).collect();
-    let old_profiles: Vec<&CompiledProfile> = old_compiled.iter().collect();
-    let new_profiles: Vec<&CompiledProfile> = new_compiled.iter().collect();
-    prematch_with_profiles(
+    prematch_cached(
         old,
         new,
-        &old_profiles,
-        &new_profiles,
+        &mut ProfileCache::new(),
         year_gap,
         sim,
         strategy,
@@ -542,18 +478,19 @@ pub fn prematch(
             ..Parallelism::default()
         },
         max_age_gap,
-        &MemGovernor::unlimited(),
         &Collector::disabled(),
     )
 }
 
-/// [`prematch`] over profiles the caller already compiled (e.g. served
-/// by a `ProfileCache` across the iterative driver's δ schedule).
+/// [`prematch`] over profiles the caller already compiled.
 /// `old_profiles[i]` must be `sim.compile(old[i])` — same specs, same
-/// order — and likewise for the new side. Pair/prune counters and
-/// per-thread chunk timings are reported to `obs` (pass
-/// [`Collector::disabled`] when not tracing). `_mem` is ignored: a
-/// fresh pass holds no budget-gated structure.
+/// order — and likewise for the new side. Values come from a fresh
+/// [`ProfileCache`], which interns and compiles exactly what those
+/// profiles hold, so the profiles themselves are not read: the result
+/// and every counter equal [`prematch_cached`]'s. Pair/prune counters
+/// and per-thread chunk timings are reported to `obs` (pass
+/// [`Collector::disabled`] when not tracing). `_mem` is ignored: a fresh
+/// pass holds no budget-gated structure.
 #[allow(clippy::too_many_arguments)] // prematch's inputs plus the profile slices
 #[must_use]
 pub fn prematch_with_profiles(
@@ -571,19 +508,52 @@ pub fn prematch_with_profiles(
 ) -> PreMatch {
     debug_assert_eq!(old.len(), old_profiles.len());
     debug_assert_eq!(new.len(), new_profiles.len());
+    prematch_cached(
+        old,
+        new,
+        &mut ProfileCache::new(),
+        year_gap,
+        sim,
+        strategy,
+        par,
+        max_age_gap,
+        obs,
+    )
+}
+
+/// [`prematch`] with the records' values served by a run-wide
+/// [`ProfileCache`]: records it has seen under `sim`'s specs reuse their
+/// value-id rows, and no value is normalised or compiled twice. This is
+/// the iterative driver's fresh pass. Pair/prune counters and per-thread
+/// chunk timings are reported to `obs` (pass [`Collector::disabled`]
+/// when not tracing).
+#[allow(clippy::too_many_arguments)] // prematch's inputs plus the cache
+#[must_use]
+pub fn prematch_cached(
+    old: &[&PersonRecord],
+    new: &[&PersonRecord],
+    profiles: &mut ProfileCache,
+    year_gap: i64,
+    sim: &SimFunc,
+    strategy: BlockingStrategy,
+    par: Parallelism,
+    max_age_gap: Option<u32>,
+    obs: &Collector,
+) -> PreMatch {
+    let values = profiles.rows(sim, old, new);
     // the age-plausibility filter is fused into pair emission, so
     // implausible pairs are never generated or scored
     let blocker = Blocker::new(old, new, year_gap, strategy, max_age_gap);
     let pass = score_blocked(
         &blocker,
-        old_profiles,
-        new_profiles,
+        &values,
         sim,
         EventKind::PrematchTile,
         par,
         obs,
         None,
     )
+    // only a pass given a limit can abort
     .expect("a pass without a limit never aborts");
     pass.report(obs);
     build_prematch(old, new, &pass.chunks)
@@ -637,6 +607,7 @@ pub(crate) fn build_prematch(
 mod tests {
     use super::*;
     use census_model::{HouseholdId, Role, Sex};
+    use std::collections::HashMap;
 
     fn rec(id: u64, fname: &str, sname: &str, sex: Sex, age: u32) -> PersonRecord {
         let mut r = PersonRecord::empty(RecordId(id), HouseholdId(0), Role::Head);
@@ -895,7 +866,8 @@ mod tests {
         }
         assert!(want_prunes > 0, "the corpus must exercise the early exit");
         let blocker = Blocker::new(&or, &nr, 10, BlockingStrategy::Full, None);
-        let (opr, npr): (Vec<_>, Vec<_>) = (op.iter().collect(), np.iter().collect());
+        let mut cache = ProfileCache::new();
+        let values = cache.rows(&sim, &or, &nr);
         for threads in [1, 4] {
             let run = || {
                 let par = Parallelism {
@@ -906,8 +878,7 @@ mod tests {
                 let obs = Collector::disabled();
                 score_blocked(
                     &blocker,
-                    &opr,
-                    &npr,
+                    &values,
                     &sim,
                     EventKind::PrematchTile,
                     par,

@@ -1,50 +1,147 @@
-//! Cross-iteration cache of compiled record profiles.
+//! Run-wide table of interned attribute values.
 //!
 //! The iterative driver (Algorithm 1) re-scores largely the same residue
 //! records at δ, δ−Δ, …, and the remaining-records pass scores them once
-//! more. Compiling a record's profile — normalisation plus per-attribute
-//! tokenisation — is the expensive half of that work and depends only on
-//! the attribute *specs*, not on δ. [`ProfileCache`] therefore keeps one
-//! compiled profile per record per census side, reusing it for as long as
-//! the similarity function's specs stay the same and rebuilding lazily
-//! when they change (e.g. a remainder pass with different weights).
+//! more. What a pass needs of a record — its normalised, tokenised
+//! attribute values — depends only on the attribute *specs*, not on δ,
+//! and census values repeat heavily: at paper scale ~205k attribute
+//! values hold fewer than 10k distinct ones. [`ProfileCache`] therefore
+//! interns each spec's values once per run: every distinct value gets a
+//! dense id and is compiled once, every record gets a row of value ids,
+//! and one [`MultisetArena`] per spec lays the compiled values out for
+//! the row kernel. The table stays valid for as long as the similarity
+//! function's specs stay the same and is rebuilt when they change (e.g.
+//! a remainder pass with different weights).
 
 use crate::pairscore::ResidueIndex;
-use crate::simfunc::{AttributeSpec, CompiledProfile, SimFunc};
+use crate::simfunc::{AttributeSpec, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Footprint, MemoryFootprint};
 use std::collections::HashMap;
-use textsim::CompiledValue;
+use textsim::{normalize_value, CompiledValue, MultisetArena, StringMeasure};
 
-/// The cached profiles of one census side, in compile order, with a
-/// record-id → slot index over them (dense or sparse, so raw ids of any
-/// magnitude are safe).
+/// The interned values of one attribute spec. Lookups go raw string →
+/// id first, so a repeated value costs one hash probe and allocates
+/// nothing; a raw string seen for the first time is normalised and looked
+/// up again, so values that normalise equal ("John", " JOHN.") share an
+/// id and one compiled value.
+#[derive(Debug, Default)]
+struct SpecValues {
+    by_raw: HashMap<String, u32>,
+    by_norm: HashMap<String, u32>,
+    /// The compiled value of each id, in id order.
+    values: Vec<CompiledValue>,
+}
+
+impl SpecValues {
+    /// The id of `raw`, interning (and compiling) it on first sight.
+    fn intern(&mut self, measure: StringMeasure, raw: &str) -> u32 {
+        if let Some(&id) = self.by_raw.get(raw) {
+            return id;
+        }
+        let norm = normalize_value(raw);
+        let id = match self.by_norm.get(&norm) {
+            Some(&id) => id,
+            None => {
+                // a run has fewer distinct values per spec than records,
+                // and record positions are u32 throughout the kernel
+                let id = self.values.len() as u32;
+                self.values.push(measure.compile(&norm));
+                self.by_norm.insert(norm, id);
+                id
+            }
+        };
+        self.by_raw.insert(raw.to_owned(), id);
+        id
+    }
+
+    fn footprint_bytes(&self) -> u64 {
+        let map = |m: &HashMap<String, u32>| {
+            obs::footprint::map_bytes(m.len(), std::mem::size_of::<(String, u32)>())
+                + m.keys().map(|k| k.capacity() as u64).sum::<u64>()
+        };
+        map(&self.by_raw)
+            + map(&self.by_norm)
+            + obs::footprint::vec_capacity_bytes(&self.values)
+            + self
+                .values
+                .iter()
+                .map(CompiledValue::heap_bytes)
+                .sum::<u64>()
+    }
+}
+
+/// The value-id rows of one census side, in fill order, with a record-id
+/// → slot index over them (dense or sparse, so raw ids of any magnitude
+/// are safe).
 #[derive(Debug, Default)]
 struct Side {
     ids: Vec<RecordId>,
-    profiles: Vec<CompiledProfile>,
+    /// `rows[slot * n_specs + spec]`.
+    rows: Vec<u32>,
     slot_of: ResidueIndex,
 }
 
 impl Side {
-    fn get(&self, r: &PersonRecord) -> Option<&CompiledProfile> {
-        self.slot_of
-            .get(r.id)
-            .map(|slot| &self.profiles[slot as usize])
+    /// The value-id rows of `records`, in input order, interning the
+    /// rows of records this side has not seen yet; also how many records
+    /// it interned.
+    fn fill(
+        &mut self,
+        specs: &[AttributeSpec],
+        table: &mut [SpecValues],
+        records: &[&PersonRecord],
+    ) -> (Vec<u32>, usize) {
+        let n_specs = specs.len();
+        let mut rows = Vec::with_capacity(records.len() * n_specs);
+        let mut buf = String::new();
+        let before = self.ids.len();
+        for r in records {
+            if let Some(slot) = self.slot_of.get(r.id) {
+                rows.extend_from_slice(&self.rows[slot as usize * n_specs..][..n_specs]);
+                continue;
+            }
+            self.ids.push(r.id);
+            for (spec, values) in specs.iter().zip(table.iter_mut()) {
+                let id = values.intern(spec.measure, r.attribute_into(spec.attribute, &mut buf));
+                self.rows.push(id);
+                rows.push(id);
+            }
+        }
+        let added = self.ids.len() - before;
+        if added > 0 {
+            self.slot_of = ResidueIndex::from_ids(self.ids.iter().copied());
+        }
+        (rows, added)
     }
 }
 
-/// A per-run cache of [`CompiledProfile`]s for the two census sides,
-/// keyed by record id and invalidated when the attribute specs change.
-/// Record ids must be unique within each side.
+/// The row kernel's input for one pass: a value-id row per residue record,
+/// laid out `old[i * n_specs + spec]` for the `i`-th old record of the
+/// pass (likewise `new`), and one arena per spec indexed by those ids.
+/// Ids are shared by both sides, so equal ids name equal values.
+pub(crate) struct ValueRows<'a> {
+    pub(crate) n_specs: usize,
+    pub(crate) old: Vec<u32>,
+    pub(crate) new: Vec<u32>,
+    pub(crate) arenas: &'a [MultisetArena],
+}
+
+/// A per-run table of interned attribute values for the two census
+/// sides: a value-id row per record, keyed by record id, and the compiled
+/// values and arenas those ids index. Invalidated when the attribute
+/// specs change. Record ids must be unique within each side.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
     specs: Vec<AttributeSpec>,
+    /// One value table per spec, shared by both sides.
+    table: Vec<SpecValues>,
+    /// One arena per spec over `table[k].values`; rebuilt when a fill
+    /// interned new values, so once per spec list when the first fill
+    /// brings every record of the run.
+    arenas: Vec<MultisetArena>,
     old: Side,
     new: Side,
-    /// Per-spec memo of compiled raw values, shared across both sides —
-    /// census attributes repeat heavily, so most compiles are clones.
-    value_memo: Vec<HashMap<String, CompiledValue>>,
     built: usize,
     reused: usize,
 }
@@ -56,90 +153,63 @@ impl ProfileCache {
         Self::default()
     }
 
-    /// Drop every cached profile when `sim`'s specs differ from the ones
-    /// the cache was filled under — a profile is only valid for the exact
-    /// spec list that compiled it.
+    /// Drop the whole table when `sim`'s specs differ from the ones it
+    /// was filled under — ids and compiled values are only valid for the
+    /// exact spec list that interned them.
     fn ensure_specs(&mut self, sim: &SimFunc) {
         if self.specs.as_slice() != sim.specs() {
             self.specs = sim.specs().to_vec();
+            self.table = (0..self.specs.len())
+                .map(|_| SpecValues::default())
+                .collect();
+            self.arenas = Vec::new();
             self.old = Side::default();
             self.new = Side::default();
-            self.value_memo = vec![HashMap::new(); sim.specs().len()];
         }
     }
 
-    fn fill(
-        side: &mut Side,
-        sim: &SimFunc,
-        records: &[&PersonRecord],
-        value_memo: &mut [HashMap<String, CompiledValue>],
-        built: &mut usize,
-        reused: &mut usize,
-    ) {
-        let missing: Vec<&PersonRecord> = records
-            .iter()
-            .copied()
-            .filter(|r| side.slot_of.get(r.id).is_none())
-            .collect();
-        *reused += records.len() - missing.len();
-        if missing.is_empty() {
-            return;
-        }
-        // exact growth: the first call brings every record of the run
-        side.ids.reserve_exact(missing.len());
-        side.profiles.reserve_exact(missing.len());
-        for r in missing {
-            side.ids.push(r.id);
-            side.profiles.push(sim.compile_memoized(r, value_memo));
-            *built += 1;
-        }
-        side.slot_of = ResidueIndex::from_ids(side.ids.iter().copied());
-    }
-
-    /// Compile-or-fetch the profiles of both record sides, returned in
-    /// input order. Records seen in an earlier call under the same specs
-    /// reuse their cached profile.
-    pub fn profiles<'c>(
-        &'c mut self,
+    /// Intern-or-fetch the value-id rows of both record sides, in input
+    /// order, with the arenas they index. Records seen in an earlier call
+    /// under the same specs reuse their row.
+    pub(crate) fn rows(
+        &mut self,
         sim: &SimFunc,
         old: &[&PersonRecord],
         new: &[&PersonRecord],
-    ) -> (Vec<&'c CompiledProfile>, Vec<&'c CompiledProfile>) {
+    ) -> ValueRows<'_> {
         self.ensure_specs(sim);
-        Self::fill(
-            &mut self.old,
-            sim,
-            old,
-            &mut self.value_memo,
-            &mut self.built,
-            &mut self.reused,
-        );
-        Self::fill(
-            &mut self.new,
-            sim,
-            new,
-            &mut self.value_memo,
-            &mut self.built,
-            &mut self.reused,
-        );
-        let o = old
-            .iter()
-            .map(|r| self.old.get(r).expect("profile just filled"))
-            .collect();
-        let n = new
-            .iter()
-            .map(|r| self.new.get(r).expect("profile just filled"))
-            .collect();
-        (o, n)
+        let (old_rows, old_added) = self.old.fill(&self.specs, &mut self.table, old);
+        let (new_rows, new_added) = self.new.fill(&self.specs, &mut self.table, new);
+        self.built += old_added + new_added;
+        self.reused += old.len() + new.len() - old_added - new_added;
+        let stale = self.arenas.len() != self.table.len()
+            || self
+                .arenas
+                .iter()
+                .zip(&self.table)
+                .any(|(a, t)| a.len() != t.values.len());
+        if stale {
+            self.arenas = self
+                .table
+                .iter()
+                .map(|t| MultisetArena::build(&t.values.iter().collect::<Vec<_>>()))
+                .collect();
+        }
+        ValueRows {
+            n_specs: self.specs.len(),
+            old: old_rows,
+            new: new_rows,
+            arenas: &self.arenas,
+        }
     }
 
-    /// Profiles compiled so far (cache misses).
+    /// Record rows interned so far (cache misses).
     #[must_use]
     pub fn built(&self) -> usize {
         self.built
     }
 
-    /// Profiles served from the cache (hits).
+    /// Record rows served from the cache (hits).
     #[must_use]
     pub fn reused(&self) -> usize {
         self.reused
@@ -147,52 +217,29 @@ impl ProfileCache {
 }
 
 impl MemoryFootprint for ProfileCache {
+    /// The id rows, slot indexes and value tables. The arenas are
+    /// reported per scoring pass, with the kernel's memos, as the
+    /// `value_arenas` row.
     fn footprint(&self) -> Footprint {
-        // slot vectors by capacity; each filled profile's compiled values
-        // and each memo entry by their real owned heap (key string plus
-        // `CompiledValue::heap_bytes`, which counts the raw string and
-        // the measure-specific gram buffers)
-        let slots: u64 = [&self.old, &self.new]
+        let sides: u64 = [&self.old, &self.new]
             .iter()
             .map(|s| {
                 obs::footprint::vec_capacity_bytes(&s.ids)
-                    + obs::footprint::vec_capacity_bytes(&s.profiles)
+                    + obs::footprint::vec_capacity_bytes(&s.rows)
                     + s.slot_of.footprint().bytes
             })
             .sum();
-        let profiles: u64 = self
-            .old
-            .profiles
-            .iter()
-            .chain(&self.new.profiles)
-            .map(|p| {
-                std::mem::size_of_val(p.values()) as u64
-                    + p.values()
-                        .iter()
-                        .map(CompiledValue::heap_bytes)
-                        .sum::<u64>()
-            })
-            .sum();
-        let mut memo = 0u64;
-        let mut memo_entries = 0u64;
-        for m in &self.value_memo {
-            memo_entries += m.len() as u64;
-            memo +=
-                obs::footprint::map_bytes(m.len(), std::mem::size_of::<(String, CompiledValue)>());
-            memo += m
-                .iter()
-                .map(|(k, v)| k.capacity() as u64 + v.heap_bytes())
-                .sum::<u64>();
-        }
-        let filled = (self.old.profiles.len() + self.new.profiles.len()) as u64;
-        Footprint::new(slots + profiles + memo, filled + memo_entries)
+        let table: u64 = self.table.iter().map(SpecValues::footprint_bytes).sum();
+        let records = (self.old.ids.len() + self.new.ids.len()) as u64;
+        let values: u64 = self.table.iter().map(|t| t.values.len() as u64).sum();
+        Footprint::new(sides + table, records + values)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use census_model::{HouseholdId, RecordId, Role, Sex};
+    use census_model::{Attribute, HouseholdId, Role, Sex};
 
     fn rec(id: u64, fname: &str) -> PersonRecord {
         let mut r = PersonRecord::empty(RecordId(id), HouseholdId(0), Role::Head);
@@ -202,35 +249,149 @@ mod tests {
         r
     }
 
+    /// The row of `r` (one side) as owned ids, for comparisons.
+    fn row_of(cache: &mut ProfileCache, sim: &SimFunc, r: &PersonRecord) -> Vec<u32> {
+        cache.rows(sim, &[r], &[]).old
+    }
+
+    /// Score old row `i` against new row `j` through the arenas, as the
+    /// row kernel does, in spec order.
+    fn score(sim: &SimFunc, rows: &ValueRows, i: usize, j: usize) -> f64 {
+        let n = rows.n_specs;
+        (0..n)
+            .map(|k| {
+                let (a, b) = (rows.old[i * n + k], rows.new[j * n + k]);
+                sim.specs()[k].weight * rows.arenas[k].similarity(a, b)
+            })
+            .sum()
+    }
+
     #[test]
     fn second_pass_reuses_every_profile() {
         let sim = SimFunc::omega2(0.7);
         let (a, b, c) = (rec(0, "john"), rec(1, "mary"), rec(2, "alice"));
         let mut cache = ProfileCache::new();
-        {
-            let (o, n) = cache.profiles(&sim, &[&a, &b], &[&c]);
-            assert_eq!(o.len(), 2);
-            assert_eq!(n.len(), 1);
-        }
+        let first = {
+            let rows = cache.rows(&sim, &[&a, &b], &[&c]);
+            assert_eq!(rows.old.len(), 2 * rows.n_specs);
+            assert_eq!(rows.new.len(), rows.n_specs);
+            (rows.old, rows.new)
+        };
         assert_eq!(cache.built(), 3);
         assert_eq!(cache.reused(), 0);
-        // lower threshold, same specs: everything is a hit
+        // lower threshold, same specs: everything is a hit, the same ids
         let lowered = sim.with_threshold(0.5);
-        let _ = cache.profiles(&lowered, &[&a, &b], &[&c]);
+        let rows = cache.rows(&lowered, &[&a, &b], &[&c]);
+        assert_eq!((rows.old, rows.new), first);
         assert_eq!(cache.built(), 3);
         assert_eq!(cache.reused(), 3);
+    }
+
+    #[test]
+    fn values_that_normalise_equal_share_one_id_and_compile_once() {
+        let sim = SimFunc::omega2(0.7);
+        let names = ["John", " john ", "JOHN.", "john", "jo-hn", "Jon"];
+        let recs: Vec<PersonRecord> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| rec(i as u64, n))
+            .collect();
+        let refs: Vec<&PersonRecord> = recs.iter().collect();
+        let mut cache = ProfileCache::new();
+        let rows = cache.rows(&sim, &refs, &[]).old;
+        let n = sim.specs().len();
+        let first: Vec<u32> = (0..names.len()).map(|i| rows[i * n]).collect();
+        // case, outer whitespace and punctuation are normalised away; the
+        // hyphen and a different spelling are not
+        assert_eq!(first[..4], [first[0]; 4]);
+        assert_ne!(first[4], first[0]);
+        assert_ne!(first[5], first[0]);
+        let given = &cache.table[0];
+        assert_eq!(given.values.len(), 3, "one compile per normalised value");
+        assert_eq!(
+            given.by_raw.len(),
+            names.len(),
+            "one entry per raw spelling"
+        );
+        assert_eq!(given.values[first[0] as usize].raw(), "john");
+    }
+
+    #[test]
+    fn ids_are_dense_per_spec_and_shared_by_both_sides() {
+        let sim = SimFunc::omega2(0.5);
+        let olds = [rec(0, "john"), rec(1, "mary"), rec(2, "john")];
+        let news = [rec(0, "alice"), rec(1, "Mary"), rec(2, "john")];
+        let (o, n): (Vec<_>, Vec<_>) = (olds.iter().collect(), news.iter().collect());
+        let mut cache = ProfileCache::new();
+        let rows = cache.rows(&sim, &o, &n);
+        let k = rows.n_specs;
+        for spec in 0..k {
+            let mut used: Vec<u32> = rows
+                .old
+                .iter()
+                .chain(&rows.new)
+                .skip(spec)
+                .step_by(k)
+                .copied()
+                .collect();
+            used.sort_unstable();
+            used.dedup();
+            let dense: Vec<u32> = (0..rows.arenas[spec].len() as u32).collect();
+            assert_eq!(used, dense, "spec {spec}: ids are not dense");
+        }
+        // "mary" (old) and "Mary" (new), "john" on both sides: one id each
+        assert_eq!(rows.old[k], rows.new[k]);
+        assert_eq!(rows.old[0], rows.new[2 * k]);
+        assert_ne!(rows.old[0], rows.new[0]);
+        // equal ids score as equal values: old 1 and new 1 agree on every
+        // attribute, so they score as a record against itself
+        let fresh = sim.aggregate_compiled(&sim.compile(&olds[1]), &sim.compile(&olds[1]));
+        assert_eq!(score(&sim, &rows, 1, 1).to_bits(), fresh.to_bits());
+        assert_eq!(score(&sim, &rows, 0, 2).to_bits(), fresh.to_bits());
     }
 
     #[test]
     fn changed_specs_invalidate_the_cache() {
         let (a, b) = (rec(0, "john"), rec(1, "mary"));
         let mut cache = ProfileCache::new();
-        let _ = cache.profiles(&SimFunc::omega2(0.7), &[&a], &[&b]);
+        let _ = cache.rows(&SimFunc::omega2(0.7), &[&a], &[&b]);
         assert_eq!(cache.built(), 2);
         // ω1 has different weights → different specs → full rebuild
-        let _ = cache.profiles(&SimFunc::omega1(0.7), &[&a], &[&b]);
+        let _ = cache.rows(&SimFunc::omega1(0.7), &[&a], &[&b]);
         assert_eq!(cache.built(), 4);
         assert_eq!(cache.reused(), 0);
+        // a remainder function over other specs: two attributes, another
+        // measure — a full rebuild with rows of the new width
+        let other = SimFunc::new(
+            vec![
+                AttributeSpec {
+                    attribute: Attribute::Surname,
+                    measure: StringMeasure::Exact,
+                    weight: 0.5,
+                },
+                AttributeSpec {
+                    attribute: Attribute::FirstName,
+                    measure: StringMeasure::QGram(3),
+                    weight: 0.5,
+                },
+            ],
+            0.7,
+        );
+        {
+            let rows = cache.rows(&other, &[&a], &[&b]);
+            assert_eq!(rows.n_specs, 2);
+            assert_eq!((rows.old.len(), rows.new.len()), (2, 2));
+            assert_eq!(rows.arenas.len(), 2);
+            assert_eq!(rows.arenas[0].lane_name(), "exact");
+            assert_eq!(rows.old[0], rows.new[0], "one surname, one id");
+        }
+        assert_eq!(cache.table.len(), 2);
+        assert_eq!(cache.table[1].values.len(), 2);
+        assert_eq!((cache.built(), cache.reused()), (6, 0));
+        // back to ω2: rebuilt again, nothing stale served
+        let rows = cache.rows(&SimFunc::omega2(0.7), &[&a], &[&b]);
+        assert_eq!(rows.n_specs, 5);
+        assert_eq!(cache.built(), 8);
     }
 
     #[test]
@@ -238,10 +399,22 @@ mod tests {
         let sim = SimFunc::omega2(0.5);
         let (a, b) = (rec(0, "john"), rec(1, "jon"));
         let mut cache = ProfileCache::new();
-        let _ = cache.profiles(&sim, &[&a], &[&b]); // warm
-        let (o, n) = cache.profiles(&sim, &[&a], &[&b]); // all hits
+        let _ = cache.rows(&sim, &[&a], &[&b]); // warm
+        let rows = cache.rows(&sim, &[&a], &[&b]); // all hits
         let fresh = sim.aggregate_compiled(&sim.compile(&a), &sim.compile(&b));
-        assert_eq!(sim.aggregate_compiled(o[0], n[0]), fresh);
+        assert_eq!(score(&sim, &rows, 0, 0).to_bits(), fresh.to_bits());
+    }
+
+    #[test]
+    fn new_values_in_a_later_fill_extend_the_arenas() {
+        let sim = SimFunc::omega2(0.5);
+        let (a, b, c) = (rec(0, "john"), rec(1, "mary"), rec(2, "alice"));
+        let mut cache = ProfileCache::new();
+        let _ = cache.rows(&sim, &[&a], &[&b]);
+        let rows = cache.rows(&sim, &[&a, &c], &[&b]);
+        assert_eq!(rows.arenas[0].len(), 3);
+        let fresh = sim.aggregate_compiled(&sim.compile(&c), &sim.compile(&b));
+        assert_eq!(score(&sim, &rows, 1, 0).to_bits(), fresh.to_bits());
     }
 
     #[test]
@@ -251,15 +424,16 @@ mod tests {
         let (a, b) = (rec(1 << 40, "john"), rec((1 << 40) + 9, "mary"));
         let c = rec(3, "alice");
         let mut cache = ProfileCache::new();
-        let _ = cache.profiles(&sim, &[&a, &b], &[&c]);
+        let _ = cache.rows(&sim, &[&a, &b], &[&c]);
+        assert!(matches!(cache.old.slot_of, ResidueIndex::Sparse(_)));
+        assert!(matches!(cache.new.slot_of, ResidueIndex::Dense(_)));
         {
-            let (o, n) = cache.profiles(&sim, &[&b], &[&c]);
-            assert_eq!(
-                sim.aggregate_compiled(o[0], n[0]),
-                sim.aggregate_compiled(&sim.compile(&b), &sim.compile(&c))
-            );
+            let rows = cache.rows(&sim, &[&b], &[&c]);
+            let fresh = sim.aggregate_compiled(&sim.compile(&b), &sim.compile(&c));
+            assert_eq!(score(&sim, &rows, 0, 0).to_bits(), fresh.to_bits());
         }
         assert_eq!((cache.built(), cache.reused()), (3, 2));
+        assert_eq!(row_of(&mut cache, &sim, &a)[0], 0);
     }
 
     #[test]
@@ -268,7 +442,7 @@ mod tests {
         let sim = SimFunc::omega2(0.5);
         let (a, b) = (rec(7, "john"), rec(7, "mary"));
         let mut cache = ProfileCache::new();
-        let (o, n) = cache.profiles(&sim, &[&a], &[&b]);
-        assert!((sim.aggregate_compiled(o[0], n[0]) - 1.0).abs() > 0.05);
+        let rows = cache.rows(&sim, &[&a], &[&b]);
+        assert!((score(&sim, &rows, 0, 0) - 1.0).abs() > 0.05);
     }
 }

@@ -46,7 +46,8 @@ pub fn match_remaining(
 
 /// [`match_remaining`] reusing an existing [`ProfileCache`]: when the
 /// remainder function's specs equal the cache's, every residue record's
-/// profile is a cache hit from the subgraph iterations. When a
+/// value-id row is a cache hit from the subgraph iterations, and the
+/// table's arenas are reused as they are. When a
 /// [`PairScoreCache`] is given and it covers the remainder function
 /// (same specs, threshold at or above its floor, age filter no looser
 /// than its build — see [`PairScoreCache::covers`]), scoring is skipped
@@ -94,7 +95,7 @@ pub fn match_remaining_cached(
         obs.add(Counter::PairCacheFiltered, (pc.len() - scored.len()) as u64);
         scored
     } else {
-        let (old_profiles, new_profiles) = cache.profiles(sim, remaining_old, remaining_new);
+        let values = cache.rows(sim, remaining_old, remaining_new);
         // the remainder's age filter is fused into blocking, so
         // implausible pairs are never generated or scored
         let blocker = Blocker::new(
@@ -106,14 +107,14 @@ pub fn match_remaining_cached(
         );
         let pass = score_blocked(
             &blocker,
-            &old_profiles,
-            &new_profiles,
+            &values,
             sim,
             EventKind::RemainderChunk,
             par,
             obs,
             None,
         )
+        // only a pass given a limit can abort
         .expect("a pass without a limit never aborts");
         pass.report(obs);
         pass.chunks

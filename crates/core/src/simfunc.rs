@@ -44,8 +44,8 @@ pub struct SimFunc {
 /// times by [`SimFunc::aggregate_compiled`] / [`SimFunc::matches_compiled`].
 ///
 /// A profile depends only on the record and the attribute *specs* — not
-/// on the threshold — so it stays valid across the iterative driver's
-/// δ schedule (see `ProfileCache`).
+/// on the threshold. The pipeline itself keeps no profiles: it interns
+/// each distinct value once per run (see `ProfileCache`).
 #[derive(Debug, Clone)]
 pub struct CompiledProfile {
     values: Vec<CompiledValue>,
@@ -198,38 +198,6 @@ impl SimFunc {
                 .map(|s| {
                     s.measure
                         .compile(&normalize_value(&r.attribute_value(s.attribute)))
-                })
-                .collect(),
-        }
-    }
-
-    /// [`SimFunc::compile`] with a per-spec memo of already-compiled raw
-    /// values: census attributes repeat heavily (given names, sexes,
-    /// occupations), so duplicate values clone their compiled
-    /// representation instead of re-normalising and re-tokenising.
-    /// The clone is structurally identical to a fresh compile, so every
-    /// downstream similarity is bit-identical.
-    #[must_use]
-    pub fn compile_memoized(
-        &self,
-        r: &PersonRecord,
-        memo: &mut [std::collections::HashMap<String, CompiledValue>],
-    ) -> CompiledProfile {
-        debug_assert_eq!(memo.len(), self.specs.len());
-        CompiledProfile {
-            values: self
-                .specs
-                .iter()
-                .zip(memo.iter_mut())
-                .map(|(s, m)| {
-                    let raw = r.attribute_value(s.attribute);
-                    if let Some(v) = m.get(&raw) {
-                        v.clone()
-                    } else {
-                        let v = s.measure.compile(&normalize_value(&raw));
-                        m.insert(raw, v.clone());
-                        v
-                    }
                 })
                 .collect(),
         }

@@ -1,14 +1,17 @@
 //! Differential suite: the compiled scoring path (precomputed q-gram
-//! multisets, early-exit pruning, profile cache) must reproduce the
-//! naive `aggregate_profiles` path — same scores to 1e-12, same match
-//! decisions at every threshold — on a synthetic census corpus.
+//! multisets, early-exit pruning, the run-wide value table) must
+//! reproduce the naive `aggregate_profiles` path — same scores to 1e-12,
+//! same match decisions at every threshold — on a synthetic census
+//! corpus.
 
 use census_model::{GroupMapping, PersonRecord, RecordMapping};
 use census_synth::{generate_series, SimConfig};
 use linkage_core::{
-    match_remaining, match_remaining_cached, prematch, prematch_with_profiles, BlockingStrategy,
-    LinkageConfig, Parallelism, ProfileCache, RemainderConfig, SimFunc,
+    match_remaining, match_remaining_cached, prematch, prematch_cached, prematch_with_profiles,
+    BlockingStrategy, LinkageConfig, MemGovernor, Parallelism, ProfileCache, RemainderConfig,
+    SimFunc,
 };
+use obs::Collector;
 
 fn corpus() -> census_synth::CensusSeries {
     generate_series(&SimConfig::small())
@@ -79,31 +82,64 @@ fn prematch_with_cached_profiles_is_identical() {
             1,
             Some(3),
         );
+        let old_c: Vec<_> = old_recs.iter().map(|r| sim.compile(r)).collect();
+        let new_c: Vec<_> = new_recs.iter().map(|r| sim.compile(r)).collect();
+        let (old_p, new_p): (Vec<_>, Vec<_>) = (old_c.iter().collect(), new_c.iter().collect());
         let mut cache = ProfileCache::new();
         // two rounds: first fills the cache, second is served from it —
         // both must reproduce the uncached run exactly
         for round in 0..2 {
-            let (op, np) = cache.profiles(&sim, &old_recs, &new_recs);
-            let cached = prematch_with_profiles(
+            let par = Parallelism {
+                threads: 1 + round, // also cross the thread counts
+                cutoff: 0,
+                ..Parallelism::default()
+            };
+            let (want_obs, got_obs) = (Collector::enabled(), Collector::enabled());
+            // `prematch`'s own path (a fresh value table for the pass),
+            // traced at the same parallelism
+            let _ = prematch_with_profiles(
                 &old_recs,
                 &new_recs,
-                &op,
-                &np,
+                &old_p,
+                &new_p,
                 year_gap,
                 &sim,
                 BlockingStrategy::Full,
-                linkage_core::Parallelism {
-                    threads: 1 + round, // also cross the thread counts
-                    cutoff: 0,
-                    ..linkage_core::Parallelism::default()
-                },
+                par,
                 Some(3),
-                &linkage_core::MemGovernor::unlimited(),
-                &obs::Collector::disabled(),
+                &MemGovernor::unlimited(),
+                &want_obs,
+            );
+            let cached = prematch_cached(
+                &old_recs,
+                &new_recs,
+                &mut cache,
+                year_gap,
+                &sim,
+                BlockingStrategy::Full,
+                par,
+                Some(3),
+                &got_obs,
             );
             assert_eq!(plain.pair_sims, cached.pair_sims, "δ={delta} round {round}");
             assert_eq!(plain.label_old, cached.label_old, "δ={delta} round {round}");
             assert_eq!(plain.label_new, cached.label_new, "δ={delta} round {round}");
+            // rows served from an earlier round name the same values as
+            // a fresh table's, so the kernel does the same work
+            let (want, got) = (want_obs.finish(), got_obs.finish());
+            for counter in [
+                "prematch_pairs_scored",
+                "pair_score_batch_probes",
+                "pair_score_batched_unique",
+                "early_exit_prunes",
+            ] {
+                assert_eq!(
+                    got.counter(counter),
+                    want.counter(counter),
+                    "δ={delta} round {round}: {counter}"
+                );
+            }
+            assert!(got.counter("pair_score_batched_unique") > 0);
         }
         assert!(cache.reused() > 0, "second round must hit the cache");
     }
@@ -137,7 +173,17 @@ fn remainder_cached_equals_uncached() {
     // warm the cache under the *linker's* ω2 specs first: the remainder
     // function shares them, so every profile must be reused, not rebuilt
     let mut cache = ProfileCache::new();
-    let _ = cache.profiles(&LinkageConfig::default().sim_func, &old_recs, &new_recs);
+    let _ = prematch_cached(
+        &old_recs,
+        &new_recs,
+        &mut cache,
+        i64::from(new.year - old.year),
+        &LinkageConfig::default().sim_func,
+        BlockingStrategy::Full,
+        Parallelism::default(),
+        Some(3),
+        &Collector::disabled(),
+    );
     let built_before = cache.built();
     let mut records = RecordMapping::new();
     let mut groups = GroupMapping::new();
@@ -153,7 +199,7 @@ fn remainder_cached_equals_uncached() {
         &mut cache,
         None,
         Parallelism::default(),
-        &obs::Collector::disabled(),
+        &Collector::disabled(),
     );
     assert_eq!(added1, added2);
     assert_eq!(

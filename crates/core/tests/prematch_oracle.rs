@@ -8,12 +8,14 @@
 //! blocked row pair by pair, stops at the pair loop's own bound check
 //! (`SimFunc::bound_fails_after`) and folds survivors through
 //! `SimFunc::fold_survivor`. It only changes *where* a per-attribute
-//! similarity comes from: a per-worker memo over interned new value
-//! ids, tagged with the old value id it was computed against, or else
-//! a one-vs-many merge through `textsim::MultisetArena`. Serial and
-//! parallel runs share that path and differ only in how the old records
-//! split into tasks, and the memo takes no budget share, so a zero-byte
-//! budget must not change a single score either.
+//! similarity comes from: a per-worker memo over the new value ids of
+//! the `ProfileCache` value table (a fresh table per
+//! `prematch_with_profiles` call), tagged with the old value id it was
+//! computed against, or else a one-vs-many merge through
+//! `textsim::MultisetArena`. Serial and parallel runs share that path
+//! and differ only in how the old records split into tasks, and the
+//! memo takes no budget share, so a zero-byte budget must not change a
+//! single score either.
 
 mod common;
 

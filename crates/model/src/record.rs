@@ -3,6 +3,7 @@
 use crate::{HouseholdId, PersonId, RecordId, Role};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::fmt::Write as _;
 use std::str::FromStr;
 
 /// Sex as recorded on the census form.
@@ -141,13 +142,27 @@ impl PersonRecord {
     /// attribute-level string similarity functions see.
     #[must_use]
     pub fn attribute_value(&self, attr: Attribute) -> String {
+        self.attribute_into(attr, &mut String::new()).to_owned()
+    }
+
+    /// [`attribute_value`](Self::attribute_value) without allocating: the
+    /// text attributes are borrowed as stored, sex as its static code, and
+    /// an age is formatted into `buf` (cleared first).
+    pub fn attribute_into<'a>(&'a self, attr: Attribute, buf: &'a mut String) -> &'a str {
         match attr {
-            Attribute::FirstName => self.first_name.clone(),
-            Attribute::Surname => self.surname.clone(),
-            Attribute::Sex => self.sex.map(|s| s.code().to_owned()).unwrap_or_default(),
-            Attribute::Address => self.address.clone(),
-            Attribute::Occupation => self.occupation.clone(),
-            Attribute::Age => self.age.map(|a| a.to_string()).unwrap_or_default(),
+            Attribute::FirstName => &self.first_name,
+            Attribute::Surname => &self.surname,
+            Attribute::Sex => self.sex.map_or("", Sex::code),
+            Attribute::Address => &self.address,
+            Attribute::Occupation => &self.occupation,
+            Attribute::Age => {
+                buf.clear();
+                if let Some(age) = self.age {
+                    // writing to a String cannot fail
+                    let _ = write!(buf, "{age}");
+                }
+                buf
+            }
         }
     }
 
@@ -230,6 +245,12 @@ mod tests {
         assert_eq!(r.attribute_value(Attribute::FirstName), "John");
         assert_eq!(r.attribute_value(Attribute::Sex), "m");
         assert_eq!(r.attribute_value(Attribute::Age), "39");
+        // the borrowing form clears a reused buffer before formatting
+        let mut buf = String::from("stale");
+        assert_eq!(r.attribute_into(Attribute::Age, &mut buf), "39");
+        let mut r = r;
+        r.age = None;
+        assert_eq!(r.attribute_into(Attribute::Age, &mut buf), "");
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! *phase* allocate"; this module answers "how big is this *structure*
 //! right now". [`MemoryFootprint`] is implemented by every structure
 //! the pipeline materialises at super-linear scale — the pair-score
-//! cache, compiled-profile cache, scoring value arenas, residue indexes,
-//! enriched household graphs, subgraph scratch, the decision log and
-//! the evolution graph — and reports an estimated deep byte count plus
-//! an element count.
+//! cache, the profile cache (the run's interned value table), scoring
+//! value arenas, residue indexes, enriched household graphs, subgraph
+//! scratch, the decision log and the evolution graph — and reports an
+//! estimated deep byte count plus an element count.
 //!
 //! Estimates follow one rule: *capacity, not length* — a `Vec` owns
 //! `capacity() * size_of::<T>()` bytes whether or not the tail is in

@@ -111,9 +111,10 @@ pub enum Counter {
     RemainderPairsScored,
     /// Record links added by the remaining-records pass.
     RemainderLinks,
-    /// Compiled profiles built (profile-cache misses).
+    /// Record profiles built (profile-cache misses): records whose row
+    /// of interned value ids was made.
     ProfilesBuilt,
-    /// Compiled profiles served from the cache (hits).
+    /// Record profiles served from the cache (hits).
     ProfilesReused,
     /// Cached pair scores reused by an incremental filter-only pass
     /// (iterations after the first, and a compatible remainder pass).

@@ -34,15 +34,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const EXACT_EMPTY: u32 = u32::MAX;
 
 /// A contiguous, read-only layout of compiled attribute values, indexed
-/// by the dense value ids the batch planner assigns.
+/// by dense value ids.
 ///
-/// Built once per attribute spec per scoring pass, shared read-only by
-/// its workers, from one representative [`CompiledValue`] per unique raw
-/// value; [`MultisetArena::similarity`] then scores any id pair without
-/// touching the originals except in the fallback lane.
+/// Built from one representative [`CompiledValue`] per unique value and
+/// shared read-only by the scoring workers; [`MultisetArena::similarity`]
+/// then scores any id pair. The arena borrows nothing: the fallback lane
+/// keeps its own copies of the values.
 #[derive(Debug)]
-pub struct MultisetArena<'a> {
-    lane: Lane<'a>,
+pub struct MultisetArena {
+    lane: Lane,
     len: usize,
     /// Process-unique identity, so a [`RowScratch`] never serves a row
     /// loaded from another arena.
@@ -86,7 +86,7 @@ impl RowScratch {
 /// share one measure, so their representations are homogeneous unless the
 /// measure itself has no precomputed form.
 #[derive(Debug)]
-enum Lane<'a> {
+enum Lane {
     /// `QGram(2)` with every char `< 2⁸`: bigrams packed `(c1 << 8) | c2`.
     Bigrams16 { grams: Vec<u16>, offsets: Vec<u32> },
     /// `QGram(2)` with every char `< 2¹⁶`: packed `(c1 << 16) | c2`.
@@ -98,20 +98,21 @@ enum Lane<'a> {
     GramIds { grams: Vec<u32>, offsets: Vec<u32> },
     /// `Exact`: interned trimmed keys, [`EXACT_EMPTY`] for missing.
     Exact { ids: Vec<u32> },
-    /// No packed form (or heterogeneous measures): delegate per pair.
-    Fallback { values: Vec<&'a CompiledValue> },
+    /// No packed form (or heterogeneous measures): delegate per pair to
+    /// copies of the values, so the arena borrows nothing.
+    Fallback { values: Vec<CompiledValue> },
 }
 
-impl<'a> MultisetArena<'a> {
+impl MultisetArena {
     /// Lay out one representative compiled value per dense id.
     ///
     /// `values[id]` becomes the arena entry scored by id; callers pass one
     /// representative per unique raw value, in id order.
     #[must_use]
-    pub fn build(values: &[&'a CompiledValue]) -> Self {
+    pub fn build(values: &[&CompiledValue]) -> Self {
         let len = values.len();
         let lane = Self::packed_lane(values).unwrap_or_else(|| Lane::Fallback {
-            values: values.to_vec(),
+            values: values.iter().map(|&v| v.clone()).collect(),
         });
         static NEXT_UID: AtomicU64 = AtomicU64::new(0);
         let uid = NEXT_UID.fetch_add(1, Ordering::Relaxed);
@@ -119,7 +120,7 @@ impl<'a> MultisetArena<'a> {
     }
 
     /// Try the packed layouts; `None` means the fallback lane.
-    fn packed_lane(values: &[&'a CompiledValue]) -> Option<Lane<'a>> {
+    fn packed_lane(values: &[&CompiledValue]) -> Option<Lane> {
         // A packed lane may only merge values the compiled path would
         // merge: a mixed-measure arena must delegate pair by pair so the
         // mismatch fallback in `CompiledValue::similarity` still fires.
@@ -134,7 +135,7 @@ impl<'a> MultisetArena<'a> {
         }
     }
 
-    fn bigram_lane(values: &[&'a CompiledValue]) -> Lane<'a> {
+    fn bigram_lane<'a>(values: &[&'a CompiledValue]) -> Lane {
         let grams_of = |v: &'a CompiledValue| match v.repr() {
             Repr::Bigrams(g) => g.as_slice(),
             _ => unreachable!("homogeneous bigram lane"),
@@ -182,7 +183,7 @@ impl<'a> MultisetArena<'a> {
         }
     }
 
-    fn gram_id_lane(values: &[&'a CompiledValue]) -> Lane<'a> {
+    fn gram_id_lane<'a>(values: &[&'a CompiledValue]) -> Lane {
         let grams_of = |v: &'a CompiledValue| match v.repr() {
             Repr::Grams(g) => g.as_slice(),
             _ => unreachable!("homogeneous gram lane"),
@@ -209,7 +210,7 @@ impl<'a> MultisetArena<'a> {
         Lane::GramIds { grams, offsets }
     }
 
-    fn exact_lane(values: &[&'a CompiledValue]) -> Lane<'a> {
+    fn exact_lane<'a>(values: &[&'a CompiledValue]) -> Lane {
         let key_of = |v: &'a CompiledValue| match v.repr() {
             Repr::ExactKey(k) => k.as_str(),
             _ => unreachable!("homogeneous exact lane"),
@@ -266,9 +267,9 @@ impl<'a> MultisetArena<'a> {
         }
     }
 
-    /// Heap bytes owned by the arena's packed buffers (capacity-based,
-    /// for memory-footprint estimates; delegated fallback values are
-    /// owned elsewhere and not counted).
+    /// Heap bytes owned by the arena's packed buffers, or by the copied
+    /// values of the fallback lane (capacity-based, for memory-footprint
+    /// estimates).
     #[must_use]
     pub fn heap_bytes(&self) -> u64 {
         let (grams, offsets) = match &self.lane {
@@ -278,9 +279,14 @@ impl<'a> MultisetArena<'a> {
             }
             Lane::Bigrams64 { grams, offsets } => (grams.capacity() * 8, offsets.capacity() * 4),
             Lane::Exact { ids } => (ids.capacity() * 4, 0),
-            Lane::Fallback { values } => {
-                (values.capacity() * std::mem::size_of::<&CompiledValue>(), 0)
-            }
+            Lane::Fallback { values } => (
+                values.capacity() * std::mem::size_of::<CompiledValue>()
+                    + values
+                        .iter()
+                        .map(|v| v.heap_bytes() as usize)
+                        .sum::<usize>(),
+                0,
+            ),
         };
         (grams + offsets) as u64
     }
@@ -313,7 +319,7 @@ impl<'a> MultisetArena<'a> {
                     1.0
                 }
             }
-            Lane::Fallback { values } => values[a as usize].similarity(values[b as usize]),
+            Lane::Fallback { values } => values[a as usize].similarity(&values[b as usize]),
         }
     }
 
