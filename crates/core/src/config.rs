@@ -113,11 +113,11 @@ pub struct LinkageConfig {
     /// parallelism on small inputs; raise it to keep small iterations
     /// sequential.
     pub parallel_cutoff: usize,
-    /// Score every blocked pair once at `δ_low` and drive iterations ≥ 1
-    /// from the cached scores (filter-only). `agg_sim` is δ-independent,
+    /// Score every blocked pair once at `δ_low` and serve iterations ≥ 1
+    /// by selecting from the cached scores. `agg_sim` is δ-independent,
     /// so results are bit-identical to re-scoring each iteration
-    /// (`false` keeps the recompute-from-scratch path, mainly for
-    /// differential testing).
+    /// (`false` scores each iteration's residue afresh at its own δ,
+    /// mainly for differential testing).
     pub incremental: bool,
     /// Soft memory budget in bytes for the pipeline's caches (CLI
     /// `--mem-budget`). When set, a [`crate::MemGovernor`] degrades the

@@ -1,6 +1,6 @@
 //! Group-pair similarity (§3.4, Eq. 4–7).
 
-use crate::prematch::PreMatch;
+use census_model::RecordId;
 use hhgraph::MatchedSubgraph;
 use serde::{Deserialize, Serialize};
 
@@ -119,23 +119,28 @@ impl GroupScore {
 
 /// Compute the three component scores of a subgraph.
 ///
-/// `fallback_sim` is used as the record similarity of a vertex pair that
-/// was clustered together transitively without a direct match pair (its
-/// direct similarity is unknown but at least threshold-adjacent).
+/// `pair_sim` gives a vertex's direct record similarity and
+/// `label_size` the cluster size of its old record's label (0 for an
+/// unknown label). `fallback_sim` is used as the record similarity of a
+/// vertex pair that was clustered together transitively without a
+/// direct match pair (its direct similarity is unknown but at least
+/// threshold-adjacent).
 #[must_use]
-pub fn score_subgraph(sub: &MatchedSubgraph, pre: &PreMatch, fallback_sim: f64) -> GroupScore {
+pub fn score_subgraph(
+    sub: &MatchedSubgraph,
+    pair_sim: impl Fn(RecordId, RecordId) -> Option<f64>,
+    label_size: impl Fn(RecordId) -> u32,
+    fallback_sim: f64,
+) -> GroupScore {
     let sum_sim: f64 = sub
         .vertices
         .iter()
-        .map(|&(o, n)| pre.pair_sims.get(&(o, n)).copied().unwrap_or(fallback_sim))
+        .map(|&(o, n)| pair_sim(o, n).unwrap_or(fallback_sim))
         .sum();
     let label_mass: u64 = sub
         .vertices
         .iter()
-        .map(|&(o, _)| {
-            let label = pre.label_old.get(&o).copied().unwrap_or(u64::MAX);
-            u64::from(pre.size_of_label(label))
-        })
+        .map(|&(o, _)| u64::from(label_size(o)))
         .sum();
     GroupScore::from_sums(
         sum_sim,
@@ -168,8 +173,32 @@ pub(crate) fn score_single_pair(sim: f64, label_size: u32, edge_denom: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use census_model::RecordId;
     use hhgraph::SubgraphEdge;
+    use std::collections::HashMap;
+
+    /// Pair similarities, labels and cluster sizes keyed by record id,
+    /// the inputs of one scored subgraph.
+    #[derive(Default)]
+    struct PreMatch {
+        pair_sims: HashMap<(RecordId, RecordId), f64>,
+        label_old: HashMap<RecordId, u64>,
+        cluster_size: HashMap<u64, u32>,
+    }
+
+    fn score(sub: &MatchedSubgraph, pre: &PreMatch, fallback_sim: f64) -> GroupScore {
+        score_subgraph(
+            sub,
+            |o, n| pre.pair_sims.get(&(o, n)).copied(),
+            |o| {
+                let label = pre.label_old.get(&o);
+                label
+                    .and_then(|l| pre.cluster_size.get(l))
+                    .copied()
+                    .unwrap_or(0)
+            },
+            fallback_sim,
+        )
+    }
 
     /// Build a synthetic subgraph + prematch mirroring the paper's worked
     /// example (Eq. 8): 3 vertices, 3 perfect edges, |E_i| = 10,
@@ -207,7 +236,6 @@ mod tests {
         for (i, &(o, n)) in sub.vertices.iter().enumerate() {
             pre.pair_sims.insert((o, n), 1.0);
             pre.label_old.insert(o, i as u64);
-            pre.label_new.insert(n, i as u64);
             pre.cluster_size.insert(i as u64, 3);
         }
         (sub, pre)
@@ -216,7 +244,7 @@ mod tests {
     #[test]
     fn eq8_true_pair_scores() {
         let (sub, pre) = paper_example();
-        let s = score_subgraph(&sub, &pre, 0.5);
+        let s = score(&sub, &pre, 0.5);
         assert!((s.avg_sim - 1.0).abs() < 1e-9);
         assert!((s.e_sim - 2.0 * 3.0 / 13.0).abs() < 1e-9); // 0.4615…
         assert!((s.unique - 2.0 * 3.0 / 9.0).abs() < 1e-9); // 0.666…
@@ -234,7 +262,7 @@ mod tests {
         }];
         pre.cluster_size.insert(0, 3);
         pre.cluster_size.insert(1, 3);
-        let s = score_subgraph(&sub, &pre, 0.5);
+        let s = score(&sub, &pre, 0.5);
         assert!((s.avg_sim - 1.0).abs() < 1e-9);
         assert!((s.e_sim - 2.0 / 13.0).abs() < 1e-9); // 0.1538…
         assert!((s.unique - 2.0 * 2.0 / 6.0).abs() < 1e-9); // 0.666…
@@ -252,8 +280,8 @@ mod tests {
             rp_sim: 1.0,
         }];
         let w = SelectionWeights::paper_best();
-        let g_true = w.g_sim(&score_subgraph(&true_sub, &pre, 0.5));
-        let g_decoy = w.g_sim(&score_subgraph(&decoy, &pre, 0.5));
+        let g_true = w.g_sim(&score(&true_sub, &pre, 0.5));
+        let g_decoy = w.g_sim(&score(&decoy, &pre, 0.5));
         assert!(g_true > g_decoy, "{g_true} vs {g_decoy}");
     }
 
@@ -270,8 +298,8 @@ mod tests {
             rp_sim: 1.0,
         }];
         let w = SelectionWeights::new(1.0, 0.0);
-        let g_true = w.g_sim(&score_subgraph(&true_sub, &pre, 0.5));
-        let g_decoy = w.g_sim(&score_subgraph(&decoy, &pre, 0.5));
+        let g_true = w.g_sim(&score(&true_sub, &pre, 0.5));
+        let g_decoy = w.g_sim(&score(&decoy, &pre, 0.5));
         assert!((g_true - g_decoy).abs() < 1e-9);
     }
 
@@ -279,7 +307,7 @@ mod tests {
     fn fallback_sim_fills_missing_pairs() {
         let (sub, mut pre) = paper_example();
         pre.pair_sims.clear(); // transitive-only clusters
-        let s = score_subgraph(&sub, &pre, 0.6);
+        let s = score(&sub, &pre, 0.6);
         assert!((s.avg_sim - 0.6).abs() < 1e-9);
     }
 
@@ -292,7 +320,7 @@ mod tests {
             new_edge_count: 3,
         };
         let pre = PreMatch::default();
-        let s = score_subgraph(&sub, &pre, 0.5);
+        let s = score(&sub, &pre, 0.5);
         assert_eq!(s.avg_sim, 0.0);
         assert_eq!(s.e_sim, 0.0);
         assert_eq!(s.unique, 0.0);
@@ -304,7 +332,7 @@ mod tests {
         for l in 0..3u64 {
             pre.cluster_size.insert(l, 2); // only the pair itself
         }
-        let s = score_subgraph(&sub, &pre, 0.5);
+        let s = score(&sub, &pre, 0.5);
         assert!((s.unique - 1.0).abs() < 1e-9);
     }
 
@@ -340,7 +368,6 @@ mod tests {
         let mut pre = PreMatch::default();
         pre.pair_sims.insert((o, n), sim);
         pre.label_old.insert(o, 7);
-        pre.label_new.insert(n, 7);
         if let Some(size) = label_size {
             pre.cluster_size.insert(7, size);
         }
@@ -361,12 +388,12 @@ mod tests {
         // denom == 0: Eq. 6 short-circuits to +0.0
         let (sub, pre) = one_vertex(0.8, Some(2), 0, 0);
         let closed = score_single_pair(0.8, 2, 0);
-        assert_bitwise(closed, score_subgraph(&sub, &pre, 0.5), w);
+        assert_bitwise(closed, score(&sub, &pre, 0.5), w);
         assert_eq!(closed.e_sim.to_bits(), 0.0f64.to_bits());
         // denom > 0: 2 · (empty sum) / denom keeps the empty sum's sign
         let (sub, pre) = one_vertex(0.8, Some(2), 10, 3);
         let closed = score_single_pair(0.8, 2, 13);
-        assert_bitwise(closed, score_subgraph(&sub, &pre, 0.5), w);
+        assert_bitwise(closed, score(&sub, &pre, 0.5), w);
         assert_eq!(closed.e_sim, 0.0);
         assert_eq!(
             closed.e_sim.is_sign_negative(),
@@ -375,7 +402,7 @@ mod tests {
         // an unknown label has mass 0, so uniqueness is 0
         let (sub, pre) = one_vertex(0.8, None, 10, 3);
         let closed = score_single_pair(0.8, 0, 13);
-        assert_bitwise(closed, score_subgraph(&sub, &pre, 0.5), w);
+        assert_bitwise(closed, score(&sub, &pre, 0.5), w);
         assert_eq!(closed.unique, 0.0);
     }
 
@@ -396,7 +423,7 @@ mod tests {
             let w = SelectionWeights::new(alpha, (1.0 - alpha) * beta_share);
             assert_bitwise(
                 score_single_pair(sim, label_size.unwrap_or(0), old_edges + new_edges),
-                score_subgraph(&sub, &pre, 0.5),
+                score(&sub, &pre, 0.5),
                 w,
             );
         }
@@ -409,7 +436,7 @@ mod tests {
         let (sub, mut pre) = paper_example();
         pre.label_old.clear();
         pre.cluster_size.clear();
-        let s = score_subgraph(&sub, &pre, 0.5);
+        let s = score(&sub, &pre, 0.5);
         assert_eq!(s.unique, 0.0);
     }
 }

@@ -7,10 +7,9 @@
 
 use crate::config::{LinkageConfig, Parallelism};
 use crate::group_sim::{score_single_pair, score_subgraph};
-use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
-use crate::pairscore::PairScoreCache;
-use crate::prematch::{build_prematch, prematch_cached, run_pool, PreMatch};
+use crate::pairscore::{PairScoreCache, PositionIndex};
+use crate::prematch::{build_prematch, run_pool, PreMatch};
 use crate::profiles::ProfileCache;
 use crate::remainder::match_remaining_cached;
 use crate::selection::{
@@ -29,44 +28,9 @@ use obs::{
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-/// Injects confirmed record links into a [`PreMatch`] as high-confidence
-/// anchors, so later iterations see them as matched clusters. Each
-/// anchor pair is assigned a label on first sight and keeps that label
-/// for the rest of the run, regardless of how the confirmed-link set
-/// grows or how its iteration order shifts.
-#[derive(Debug, Default)]
-pub(crate) struct AnchorInjector {
-    labels: IdMap<(RecordId, RecordId), u64>,
-}
-
-impl AnchorInjector {
-    /// Labels at or above this base mark anchor pairs; they cannot
-    /// collide with union-find roots, which are bounded by the record
-    /// count.
-    const BASE: u64 = 1 << 40;
-
-    fn new() -> Self {
-        Self::default()
-    }
-
-    /// The stable label of an anchor pair, assigned on first sight.
-    fn label_for(&mut self, o: RecordId, n: RecordId) -> u64 {
-        let next = Self::BASE + self.labels.len() as u64;
-        *self.labels.entry((o, n)).or_insert(next)
-    }
-
-    /// Insert every confirmed link of `records` into `pm` as a
-    /// two-record cluster with similarity 1.0.
-    fn inject(&mut self, pm: &mut PreMatch, records: &RecordMapping) {
-        for (o, n) in records.iter() {
-            let label = self.label_for(o, n);
-            pm.label_old.insert(o, label);
-            pm.label_new.insert(n, label);
-            pm.cluster_size.insert(label, 2);
-            pm.pair_sims.insert((o, n), 1.0);
-        }
-    }
-}
+/// One match pair of a δ step: `(old position, new position, agg_sim)`
+/// over the two snapshots' record slices.
+type Pair = (u32, u32, f64);
 
 /// Precomputed state for linking one snapshot pair repeatedly.
 pub struct Linker<'a> {
@@ -74,86 +38,44 @@ pub struct Linker<'a> {
     new: &'a CensusDataset,
     old_graphs: Vec<EnrichedGraph>,
     new_graphs: Vec<EnrichedGraph>,
-    old_gidx: HashMap<HouseholdId, usize>,
-    new_gidx: HashMap<HouseholdId, usize>,
-    /// Enriched-graph index by record raw id (`u32::MAX` = no graph) —
-    /// empty when the dataset's ids are too sparse to index densely.
-    old_graph_of: Vec<u32>,
-    new_graph_of: Vec<u32>,
+    /// Record id → position in the snapshot's record slice.
+    old_pos: PositionIndex,
+    new_pos: PositionIndex,
+    /// Enriched-graph index by record position (`u32::MAX` = no graph).
+    old_graph: Vec<u32>,
+    new_graph: Vec<u32>,
 }
 
-/// Dense-array size for indexing records by raw id, or `None` when the
-/// id space is too sparse for an array to be worthwhile.
-fn dense_id_span(records: &[PersonRecord]) -> Option<usize> {
-    let max = records.iter().map(|r| r.id.raw()).max()?;
-    (max < records.len() as u64 * 8 + 1024).then(|| max as usize + 1)
-}
-
-/// Record-raw-id → enriched-graph-index array (`u32::MAX` = none), or
-/// empty when ids are sparse. Record ids are snapshot-local and dense in
-/// practice, so the hot per-iteration loops probe this array instead of
-/// hashing record ids.
-fn graph_of(records: &[PersonRecord], graphs: &[EnrichedGraph]) -> Vec<u32> {
-    let Some(span) = dense_id_span(records) else {
-        return Vec::new();
-    };
-    let mut v = vec![u32::MAX; span];
+/// The enriched-graph index of each of `n` records, by position
+/// (`u32::MAX` = in no graph).
+fn graph_by_position(n: usize, pos: &PositionIndex, graphs: &[EnrichedGraph]) -> Vec<u32> {
+    let mut v = vec![u32::MAX; n];
     for (gi, g) in graphs.iter().enumerate() {
-        for r in g.nodes() {
-            if let Some(slot) = v.get_mut(r.raw() as usize) {
-                *slot = gi as u32;
+        for &r in g.nodes() {
+            if let Some(p) = pos.get(r) {
+                v[p as usize] = gi as u32;
             }
         }
     }
     v
 }
 
-/// Dense array views of a [`PreMatch`]'s label maps, indexed by record
-/// raw id (`u64::MAX` = unlabelled; real labels are union-find roots or
-/// anchor labels, both far below the sentinel). Built once per iteration;
-/// a `None` side falls back to the hash map, so lookups agree with `pm`
-/// exactly either way.
-struct LabelViews {
-    old: Option<Vec<u64>>,
-    new: Option<Vec<u64>>,
-}
-
-impl LabelViews {
-    fn build(pm: &crate::PreMatch, old_span: Option<usize>, new_span: Option<usize>) -> Self {
-        fn view(labels: &IdMap<RecordId, u64>, span: Option<usize>) -> Option<Vec<u64>> {
-            let mut v = vec![u64::MAX; span?];
-            for (r, l) in labels {
-                *v.get_mut(r.raw() as usize)? = *l;
-            }
-            Some(v)
-        }
-        Self {
-            old: view(&pm.label_old, old_span),
-            new: view(&pm.label_new, new_span),
+/// Merge two pair lists, each sorted by `key`, into one sorted list.
+fn merge_by_key(a: &[Pair], b: &[Pair], key: impl Fn(&Pair) -> u128) -> Vec<Pair> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if key(&a[i]) <= key(&b[j]) {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
         }
     }
-
-    #[inline]
-    fn old_label(&self, pm: &crate::PreMatch, r: RecordId) -> Option<u64> {
-        match &self.old {
-            Some(v) => {
-                let l = *v.get(r.raw() as usize)?;
-                (l != u64::MAX).then_some(l)
-            }
-            None => pm.label_old.get(&r).copied(),
-        }
-    }
-
-    #[inline]
-    fn new_label(&self, pm: &crate::PreMatch, r: RecordId) -> Option<u64> {
-        match &self.new {
-            Some(v) => {
-                let l = *v.get(r.raw() as usize)?;
-                (l != u64::MAX).then_some(l)
-            }
-            None => pm.label_new.get(&r).copied(),
-        }
-    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// A candidate whose `g_sim` fell below `min_g_sim`: never materialised
@@ -165,36 +87,6 @@ struct BelowFloor {
     new: HouseholdId,
     g_sim: f64,
     subgraph_size: usize,
-}
-
-/// One direct match pair of a δ iteration, keyed by the enriched-graph
-/// indices of its household pair, `(gi_o << 32) | gi_n`. Sorted on the
-/// key, the pairs of one household candidate form one run, and the runs
-/// follow graph (file) order.
-#[derive(Debug, Clone, Copy)]
-struct PairEntry {
-    key: u64,
-    old: RecordId,
-    new: RecordId,
-    sim: f64,
-}
-
-const _: () = assert!(std::mem::size_of::<PairEntry>() == 32);
-
-impl PairEntry {
-    /// Old- and new-side enriched-graph indices of the household pair.
-    fn graphs(&self) -> (usize, usize) {
-        (
-            (self.key >> 32) as usize,
-            (self.key & u64::from(u32::MAX)) as usize,
-        )
-    }
-}
-
-/// Whether two sorted pair entries belong to the same household
-/// candidate.
-fn same_candidate(a: &PairEntry, b: &PairEntry) -> bool {
-    a.key == b.key
 }
 
 /// The scored candidates of one δ iteration.
@@ -332,18 +224,10 @@ impl<'a> Linker<'a> {
         let _enrich = obs.span("enrich");
         let old_graphs = EnrichedGraph::build_all(old);
         let new_graphs = EnrichedGraph::build_all(new);
-        let old_gidx = old_graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.household, i))
-            .collect();
-        let new_gidx = new_graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.household, i))
-            .collect();
-        let old_graph_of = graph_of(old.records(), &old_graphs);
-        let new_graph_of = graph_of(new.records(), &new_graphs);
+        let old_pos = PositionIndex::from_ids(old.records().iter().map(|r| r.id));
+        let new_pos = PositionIndex::from_ids(new.records().iter().map(|r| r.id));
+        let old_graph = graph_by_position(old.records().len(), &old_pos, &old_graphs);
+        let new_graph = graph_by_position(new.records().len(), &new_pos, &new_graphs);
         if obs.is_enabled() {
             let fp = old_graphs
                 .iter()
@@ -356,10 +240,10 @@ impl<'a> Linker<'a> {
             new,
             old_graphs,
             new_graphs,
-            old_gidx,
-            new_gidx,
-            old_graph_of,
-            new_graph_of,
+            old_pos,
+            new_pos,
+            old_graph,
+            new_graph,
         }
     }
 
@@ -375,75 +259,94 @@ impl<'a> Linker<'a> {
         &self.new_graphs
     }
 
-    /// Dense label views of `pm` over the record-id spans of the graph
-    /// indices (hash-map fallback on a sparse side).
-    fn label_views(&self, pm: &crate::PreMatch) -> LabelViews {
-        LabelViews::build(
-            pm,
-            (!self.old_graph_of.is_empty()).then_some(self.old_graph_of.len()),
-            (!self.new_graph_of.is_empty()).then_some(self.new_graph_of.len()),
-        )
+    /// Positions of a record pair in the two snapshots.
+    fn positions(&self, o: RecordId, n: RecordId) -> Option<(u32, u32)> {
+        Some((self.old_pos.get(o)?, self.new_pos.get(n)?))
     }
 
-    /// Every direct match pair of `pm` whose records both sit in an
-    /// enriched graph, sorted on its household-pair key so each
-    /// household candidate is one run (see [`PairEntry`]).
-    fn candidate_pairs(&self, pm: &crate::PreMatch) -> Vec<PairEntry> {
-        let dense = !self.old_graph_of.is_empty() && !self.new_graph_of.is_empty();
-        let graphs_of = |o: RecordId, n: RecordId| -> Option<(u32, u32)> {
-            if dense {
-                let gi_o = *self.old_graph_of.get(o.raw() as usize)?;
-                let gi_n = *self.new_graph_of.get(n.raw() as usize)?;
-                (gi_o != u32::MAX && gi_n != u32::MAX).then_some((gi_o, gi_n))
-            } else {
-                let (ro, rn) = (self.old.record(o)?, self.new.record(n)?);
-                let gi_o = *self.old_gidx.get(&ro.household)?;
-                let gi_n = *self.new_gidx.get(&rn.household)?;
-                Some((gi_o as u32, gi_n as u32))
-            }
-        };
-        let mut pairs: Vec<PairEntry> = pm
-            .pair_sims
-            .iter()
-            .filter_map(|(&(o, n), &sim)| {
-                let (gi_o, gi_n) = graphs_of(o, n)?;
-                Some(PairEntry {
-                    key: (u64::from(gi_o) << 32) | u64::from(gi_n),
-                    old: o,
-                    new: n,
-                    sim,
-                })
-            })
-            .collect();
-        pairs.sort_unstable_by_key(|p| p.key);
+    /// Enriched-graph indices of a pair's two households.
+    fn graphs_of(&self, &(o, n, _): &Pair) -> (u32, u32) {
+        (self.old_graph[o as usize], self.new_graph[n as usize])
+    }
+
+    /// Household-pair order: the pair's enriched-graph indices, then its
+    /// positions. Sorted on it, the pairs of one household candidate form
+    /// one run, the runs follow graph (file) order, and a run is sorted by
+    /// position, so a pair is found in it, or in the whole list, by
+    /// binary search.
+    fn pair_key(&self, pair: &Pair) -> u128 {
+        let (gi_o, gi_n) = self.graphs_of(pair);
+        (u128::from(gi_o) << 96)
+            | (u128::from(gi_n) << 64)
+            | (u128::from(pair.0) << 32)
+            | u128::from(pair.1)
+    }
+
+    /// The similarity of the match pair `(o, n)` in `pairs`, a
+    /// household-ordered list or one run of it.
+    fn pair_sim(&self, pairs: &[Pair], o: RecordId, n: RecordId) -> Option<f64> {
+        let (o, n) = self.positions(o, n)?;
+        let key = self.pair_key(&(o, n, 0.0));
+        let at = pairs
+            .binary_search_by_key(&key, |p| self.pair_key(p))
+            .ok()?;
+        Some(pairs[at].2)
+    }
+
+    /// Record pairs of the two snapshots as positions, in the order given.
+    fn positioned(&self, pairs: impl Iterator<Item = (RecordId, RecordId, f64)>) -> Vec<Pair> {
         pairs
+            .filter_map(|(o, n, s)| {
+                let (o, n) = self.positions(o, n)?;
+                Some((o, n, s))
+            })
+            .collect()
     }
 
-    /// Match and score the household candidates of `pairs` (sorted by
-    /// [`Linker::candidate_pairs`]), in parallel across worker threads.
-    /// The result follows candidate order, so runs stay deterministic.
+    /// Record pairs of the two snapshots as positions, in household-pair
+    /// order.
+    fn ordered(&self, pairs: impl Iterator<Item = (RecordId, RecordId, f64)>) -> Vec<Pair> {
+        // each pair is keyed once, so the sort compares keys only
+        let mut keyed: Vec<(u128, Pair)> = self
+            .positioned(pairs)
+            .into_iter()
+            .map(|pair| (self.pair_key(&pair), pair))
+            .collect();
+        // keys are unique: they end in the positions
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        keyed.into_iter().map(|(_, pair)| pair).collect()
+    }
+
+    /// The pre-matching of one δ step: its `matches` and the `anchors`,
+    /// both in household-pair order, merged into one such list and
+    /// clustered over the two snapshots' positions. An anchor is a
+    /// confirmed link with similarity 1.0; its records left the residue,
+    /// so no match touches them and each anchor is a two-record cluster.
+    fn step_prematch(&self, matches: &[Pair], anchors: &[Pair]) -> PreMatch {
+        let pairs = merge_by_key(matches, anchors, |p| self.pair_key(p));
+        build_prematch(self.old.records().len(), self.new.records().len(), pairs)
+    }
+
+    /// Match and score the household candidates of `pm`: each run of its
+    /// household-ordered pairs whose records sit in enriched graphs, in
+    /// parallel across worker threads. The result follows candidate
+    /// order, so runs stay deterministic.
     ///
     /// A candidate joined by one direct pair `(o, n)` is scored in
     /// closed form: the matcher only admits direct pairs as vertices, so
     /// its subgraph is `{(o, n)}` when the two labels agree and empty
     /// otherwise, and one vertex has no edge. Any other candidate is
-    /// matched into a reused scratch buffer and scored there. Only a
-    /// candidate that clears `min_g_sim` is materialised as a
-    /// [`ScoredSubgroup`]. Selection skips a below-floor candidate
-    /// without claiming a record, so leaving it out changes no
-    /// acceptance and no tie-break among the rest. With `audit` set, a
-    /// [`BelowFloor`] record keeps what its rejection reports.
-    ///
-    /// `labels` carries dense label views of `pm` (see [`LabelViews`]) so
-    /// the per-candidate hot loop probes arrays instead of hashing
-    /// record ids; lookups through the views agree exactly with `pm`'s
-    /// label maps.
+    /// matched into a reused scratch buffer and scored there, its direct
+    /// pairs and their similarities read from its run. Only a candidate
+    /// that clears `min_g_sim` is materialised as a [`ScoredSubgroup`].
+    /// Selection skips a below-floor candidate without claiming a record,
+    /// so leaving it out changes no acceptance and no tie-break among the
+    /// rest. With `audit` set, a [`BelowFloor`] record keeps what its
+    /// rejection reports.
     #[allow(clippy::too_many_arguments)] // internal plumbing of run_traced
     fn score_candidates(
         &self,
-        pairs: &[PairEntry],
-        pm: &crate::PreMatch,
-        labels: &LabelViews,
+        pm: &PreMatch,
         config: &LinkageConfig,
         par: Parallelism,
         delta: f64,
@@ -452,35 +355,51 @@ impl<'a> Linker<'a> {
         obs: &Collector,
     ) -> ScoredCandidates {
         let traced = obs.is_enabled();
-        let score_chunk = |chunk: &[PairEntry], scratch: &mut SubgraphScratch| {
+        let pairs = pm.pairs.as_slice();
+        let same_candidate = |a: &Pair, b: &Pair| self.graphs_of(a) == self.graphs_of(b);
+        let label_old = |r: RecordId| Some(u64::from(pm.label_old[self.old_pos.get(r)? as usize]));
+        let label_new = |r: RecordId| Some(u64::from(pm.label_new[self.new_pos.get(r)? as usize]));
+        let label_size = |r: RecordId| {
+            self.old_pos
+                .get(r)
+                .map_or(0, |p| pm.size_of_label(pm.label_old[p as usize]))
+        };
+        // `at` is where `chunk` starts in `pairs`
+        let score_chunk = |chunk: &[Pair], mut at: usize, scratch: &mut SubgraphScratch| {
             let mut out = ScoredCandidates::default();
             for run in chunk.chunk_by(same_candidate) {
-                let (gi_o, gi_n) = run[0].graphs();
-                let (old_g, new_g) = (&self.old_graphs[gi_o], &self.new_graphs[gi_n]);
-                let (matched, score) = if let [p] = run {
-                    let Some(label) = labels.old_label(pm, p.old) else {
-                        continue;
-                    };
-                    if labels.new_label(pm, p.new) != Some(label) {
+                let span = at..at + run.len();
+                at = span.end;
+                let (gi_o, gi_n) = self.graphs_of(&run[0]);
+                let (Some(old_g), Some(new_g)) = (
+                    self.old_graphs.get(gi_o as usize),
+                    self.new_graphs.get(gi_n as usize),
+                ) else {
+                    continue;
+                };
+                let (matched, score) = if let &[(o, n, sim)] = run {
+                    let label = pm.label_old[o as usize];
+                    if pm.label_new[n as usize] != label {
                         continue;
                     }
                     let edge_denom = old_g.edge_count() + new_g.edge_count();
-                    let score = score_single_pair(p.sim, pm.size_of_label(label), edge_denom);
+                    let score = score_single_pair(sim, pm.size_of_label(label), edge_denom);
                     (None, score)
                 } else {
+                    let sim = |o: RecordId, n: RecordId| self.pair_sim(run, o, n);
                     let sub = match_subgraph_with(
                         old_g,
                         new_g,
-                        |r| labels.old_label(pm, r),
-                        |r| labels.new_label(pm, r),
-                        |o, n| pm.pair_sims.contains_key(&(o, n)),
+                        label_old,
+                        label_new,
+                        |o, n| sim(o, n).is_some(),
                         &config.subgraph,
                         scratch,
                     );
                     if sub.is_empty() {
                         continue;
                     }
-                    (Some(sub), score_subgraph(sub, pm, delta))
+                    (Some(sub), score_subgraph(sub, sim, label_size, delta))
                 };
                 let size = matched.map_or(1, |sub| sub.vertices.len());
                 out.non_empty += 1;
@@ -493,7 +412,10 @@ impl<'a> Linker<'a> {
                     let sub = match matched {
                         Some(sub) => sub.clone(),
                         None => MatchedSubgraph {
-                            vertices: vec![(run[0].old, run[0].new)],
+                            vertices: vec![(
+                                self.old.records()[run[0].0 as usize].id,
+                                self.new.records()[run[0].1 as usize].id,
+                            )],
                             edges: Vec::new(),
                             old_edge_count: old_g.edge_count(),
                             new_edge_count: new_g.edge_count(),
@@ -505,6 +427,7 @@ impl<'a> Linker<'a> {
                         sub,
                         score,
                         g_sim,
+                        run: span,
                     });
                 } else if audit {
                     out.below_floor.push(BelowFloor {
@@ -517,42 +440,49 @@ impl<'a> Linker<'a> {
             }
             out
         };
-        let candidates = pairs.chunk_by(same_candidate).count();
+        let candidates = pairs
+            .chunk_by(same_candidate)
+            .filter(|run| {
+                let (gi_o, gi_n) = self.graphs_of(&run[0]);
+                (gi_o as usize) < self.old_graphs.len() && (gi_n as usize) < self.new_graphs.len()
+            })
+            .count();
         obs.add(Counter::SubgraphPairsScored, candidates as u64);
         let threads = par.threads.max(1);
         // household candidates carry more work per item than record
         // pairs, so fan out at half the configured pair cutoff
         let mut scored = if threads <= 1 || candidates < config.parallel_cutoff / 2 {
             let mut scratch = SubgraphScratch::default();
-            let out = score_chunk(pairs, &mut scratch);
+            let out = score_chunk(pairs, 0, &mut scratch);
             if traced {
                 obs.snapshot_footprint("subgraph_scratch", scratch.footprint());
             }
             out
         } else {
-            // one chunk of whole candidates per thread, each with its own
+            // one chunk of whole runs per thread, each with its own
             // scratch; chunks are concatenated in list order, so the
             // output is exactly the serial order regardless of completion
             // order
             let per_chunk = candidates.div_ceil(threads).max(1);
-            let mut chunks: Vec<(&[PairEntry], usize)> = Vec::new();
+            let mut chunks: Vec<(usize, usize, usize)> = Vec::new();
             let (mut start, mut end, mut runs) = (0, 0, 0);
             for run in pairs.chunk_by(same_candidate) {
                 end += run.len();
                 runs += 1;
                 if runs == per_chunk {
-                    chunks.push((&pairs[start..end], runs));
+                    chunks.push((start, end, runs));
                     (start, runs) = (end, 0);
                 }
             }
             if runs > 0 {
-                chunks.push((&pairs[start..end], runs));
+                chunks.push((start, end, runs));
             }
             let results = run_pool(chunks.len(), threads, obs, |ci, worker| {
                 let t0 = obs.timeline_start();
                 let start = Instant::now();
-                let (chunk, chunk_candidates) = chunks[ci];
-                let scored = score_chunk(chunk, &mut SubgraphScratch::default());
+                let (from, to, chunk_candidates) = chunks[ci];
+                let chunk = &pairs[from..to];
+                let scored = score_chunk(chunk, from, &mut SubgraphScratch::default());
                 obs.thread_chunk(
                     "subgraph",
                     Some(iteration),
@@ -606,6 +536,18 @@ impl<'a> Linker<'a> {
     /// collector every instrumentation point is a single branch, so
     /// this *is* the uninstrumented hot path.
     ///
+    /// Each δ step makes the pair-score cache cover δ, then selects its
+    /// match pairs from it. The first step of an incremental run scores
+    /// every blocked pair once, at the schedule floor, and that cache
+    /// serves every later step and the remainder pass; after each step
+    /// it is compacted to the residue, and after the first also sorted
+    /// into household-pair order, so a later step's work follows the
+    /// residue. Recompute mode, and a run whose memory governor refuses
+    /// the floor cache, score each step's residue at its own δ instead,
+    /// bit-identically. The step's match pairs and the confirmed links
+    /// (as anchors) form one household-ordered pair list, which the
+    /// subgraph phase reads run by run.
+    ///
     /// # Panics
     ///
     /// Panics if `config` is invalid.
@@ -615,9 +557,6 @@ impl<'a> Linker<'a> {
         let year_gap = i64::from(self.new.year - self.old.year);
         let mem = MemGovernor::new(config.memory_budget);
         let par = config.parallelism();
-        // the governor may veto the cross-iteration pair cache, dropping
-        // the run to the recompute-every-iteration path (bit-identical)
-        let mut incremental = config.incremental;
 
         let mut remaining_old: Vec<&PersonRecord> = self.old.records().iter().collect();
         let mut remaining_new: Vec<&PersonRecord> = self.new.records().iter().collect();
@@ -625,7 +564,13 @@ impl<'a> Linker<'a> {
         let mut groups = GroupMapping::new();
         let mut iterations = Vec::new();
         let mut provenance = HashMap::new();
-        let mut anchors = AnchorInjector::new();
+        // every confirmed link as a similarity-1.0 pair over positions, in
+        // household-pair order: later steps see each as a matched
+        // two-record cluster
+        let mut anchors: Vec<Pair> = Vec::new();
+        // the positions confirmed links took out of the residue
+        let mut old_linked = vec![false; self.old.records().len()];
+        let mut new_linked = vec![false; self.new.records().len()];
 
         // attribute values are δ-independent: intern each distinct value
         // and each record's value-id row once, and reuse them (and the
@@ -634,7 +579,7 @@ impl<'a> Linker<'a> {
         let mut cache = ProfileCache::new();
         // so is agg_sim itself: in incremental mode every blocked pair
         // is scored once against the schedule floor, and later
-        // iterations only filter the cached scores
+        // iterations only select from the cached scores
         let mut pair_cache: Option<PairScoreCache> = None;
         // score the cache at the exact bound the loop's break condition
         // uses: float-stepped deltas can land marginally below δ_low, so
@@ -653,65 +598,56 @@ impl<'a> Linker<'a> {
                 obs::score_bp(delta),
                 Some(iter_idx),
             );
-            let sim = config.sim_func.with_threshold(delta);
+            let served = pair_cache.is_some();
             let pm = {
                 let _prematch = obs.span("prematch");
-                if incremental && pair_cache.is_none() {
-                    let build_sim = config.sim_func.with_threshold(floor);
-                    pair_cache = PairScoreCache::build(
-                        &remaining_old,
-                        &remaining_new,
-                        &mut cache,
-                        year_gap,
-                        &build_sim,
-                        config.blocking,
-                        par,
-                        config.prematch_max_age_gap,
-                        &mem,
-                        obs,
-                    );
-                    // governor refused the cache: recompute per iteration
-                    incremental = pair_cache.is_some();
+                if !served {
+                    let mut score_at = |at: f64, mem: &MemGovernor| {
+                        PairScoreCache::build(
+                            &remaining_old,
+                            &remaining_new,
+                            &mut cache,
+                            year_gap,
+                            &config.sim_func.with_threshold(at),
+                            config.blocking,
+                            par,
+                            config.prematch_max_age_gap,
+                            mem,
+                            obs,
+                        )
+                    };
+                    // only the first step tries the floor; a refused
+                    // floor cache leaves the run scoring step by step
+                    let at_floor = if iter_idx == 0 && config.incremental {
+                        score_at(floor, &mem)
+                    } else {
+                        None
+                    };
+                    pair_cache = at_floor.or_else(|| score_at(delta, &MemGovernor::unlimited()));
                 }
-                // without a cache (recompute mode, or the governor
-                // refused it) every iteration scores its pairs afresh
-                let mut pm = if let Some(pc) = &pair_cache {
-                    let matches = pc.select_traced(delta, &remaining_old, &remaining_new, obs);
-                    if iter_idx > 0 {
-                        obs.add(Counter::PairCacheHits, matches.len() as u64);
-                        obs.add(
-                            Counter::PairCacheFiltered,
-                            (pc.len() - matches.len()) as u64,
-                        );
-                    }
-                    build_prematch(
-                        &remaining_old,
-                        &remaining_new,
-                        std::slice::from_ref(&matches),
-                    )
+                let pc = pair_cache
+                    .as_ref()
+                    .expect("a cache built without a limit is never refused");
+                let matches = if served {
+                    // compacted to the residue and in household-pair
+                    // order since the first step
+                    let matches = self.positioned(pc.select(delta));
+                    obs.add(Counter::PairCacheHits, matches.len() as u64);
+                    obs.add(
+                        Counter::PairCacheFiltered,
+                        (pc.len() - matches.len()) as u64,
+                    );
+                    matches
                 } else {
-                    prematch_cached(
-                        &remaining_old,
-                        &remaining_new,
-                        &mut cache,
-                        year_gap,
-                        &sim,
-                        config.blocking,
-                        par,
-                        config.prematch_max_age_gap,
-                        obs,
-                    )
+                    self.ordered(pc.select(delta))
                 };
                 if obs.is_enabled() {
-                    if let Some(pc) = &pair_cache {
+                    if pc.floor() <= floor {
                         obs.snapshot_footprint("pair_score_cache", pc.footprint());
                     }
                     obs.snapshot_footprint("profile_cache", cache.footprint());
                 }
-
-                // inject confirmed links as high-confidence anchors
-                anchors.inject(&mut pm, &records);
-                pm
+                self.step_prematch(&matches, &anchors)
             };
 
             // truth telemetry reuses the audit plumbing: rejections are
@@ -722,11 +658,7 @@ impl<'a> Linker<'a> {
                 let _subgraph = obs.span("subgraph");
                 // candidate group pairs: households connected by ≥1 match
                 // pair, in graph order (deterministic)
-                let pairs = self.candidate_pairs(&pm);
-                let labels = self.label_views(&pm);
-                self.score_candidates(
-                    &pairs, &pm, &labels, config, par, delta, iter_idx, audit, obs,
-                )
+                self.score_candidates(&pm, config, par, delta, iter_idx, audit, obs)
             };
             let candidates = &scored.kept;
 
@@ -735,7 +667,7 @@ impl<'a> Linker<'a> {
             let groups_before = groups.len();
             let outcome = select_and_extract(
                 candidates,
-                &pm,
+                |c, o, n| self.pair_sim(&pm.pairs[c.run.clone()], o, n),
                 delta,
                 config.min_g_sim,
                 audit,
@@ -786,9 +718,28 @@ impl<'a> Linker<'a> {
                 record_links,
             });
 
+            // a cache scored at this step's δ covers nothing below it;
+            // one scored at the floor serves the later steps and the
+            // remainder pass
+            if pair_cache.as_ref().is_some_and(|pc| pc.floor() > floor) {
+                pair_cache = None;
+            }
             if record_links > 0 {
-                remaining_old.retain(|r| !records.contains_old(r.id));
-                remaining_new.retain(|r| !records.contains_new(r.id));
+                let linked = self.ordered(outcome.added.iter().map(|&(o, n, _)| (o, n, 1.0)));
+                for &(o, n, _) in &linked {
+                    old_linked[o as usize] = true;
+                    new_linked[n as usize] = true;
+                }
+                anchors = merge_by_key(&anchors, &linked, |p| self.pair_key(p));
+                let live_old =
+                    |r: RecordId| self.old_pos.get(r).is_none_or(|p| !old_linked[p as usize]);
+                let live_new =
+                    |r: RecordId| self.new_pos.get(r).is_none_or(|p| !new_linked[p as usize]);
+                remaining_old.retain(|r| live_old(r.id));
+                remaining_new.retain(|r| live_new(r.id));
+                if let Some(pc) = &mut pair_cache {
+                    pc.compact(live_old, live_new);
+                }
             }
             obs.snapshot_decision_footprint();
             drop(_selection);
@@ -800,6 +751,15 @@ impl<'a> Linker<'a> {
             iter_idx += 1;
             if !progress || delta < config.delta_low - 1e-9 {
                 break;
+            }
+            if !served {
+                if let Some(pc) = &mut pair_cache {
+                    // once, so every later selection reads runs unsorted
+                    pc.order_by(|o, n| {
+                        self.positions(o, n)
+                            .map_or(u128::MAX, |(o, n)| self.pair_key(&(o, n, 0.0)))
+                    });
+                }
             }
         }
 
@@ -893,17 +853,34 @@ mod tests {
         CensusDataset::new(d.year, records, households).unwrap()
     }
 
-    /// Score every household candidate of `pm` with the full matcher
-    /// (`match_subgraph` + `score_subgraph`), no closed form: `kept`
-    /// sorted by household pair, `below_floor` in consideration order.
+    /// Score every household candidate of `pm` (a linker-form
+    /// pre-matching over snapshot positions) with the full matcher
+    /// (`match_subgraph` + `score_subgraph`) pair at a time, with no runs
+    /// and no closed form: `kept` sorted by household pair, `below_floor`
+    /// in consideration order.
     fn full_matcher_oracle(
         linker: &Linker,
-        pm: &crate::PreMatch,
+        pm: &PreMatch,
         config: &LinkageConfig,
         delta: f64,
     ) -> ScoredCandidates {
-        let mut households: Vec<(HouseholdId, HouseholdId)> = pm
-            .pair_sims
+        let (olds, news) = (linker.old.records(), linker.new.records());
+        let sims: HashMap<(RecordId, RecordId), f64> = pm
+            .pairs
+            .iter()
+            .map(|&(o, n, s)| ((olds[o as usize].id, news[n as usize].id), s))
+            .collect();
+        let label = |recs: &[PersonRecord], labels: &[u32]| -> HashMap<RecordId, u64> {
+            recs.iter()
+                .zip(labels)
+                .map(|(r, &l)| (r.id, u64::from(l)))
+                .collect()
+        };
+        let (label_old, label_new) = (label(olds, &pm.label_old), label(news, &pm.label_new));
+        fn graph(graphs: &[EnrichedGraph], h: HouseholdId) -> &EnrichedGraph {
+            graphs.iter().find(|g| g.household == h).unwrap()
+        }
+        let mut households: Vec<(HouseholdId, HouseholdId)> = sims
             .keys()
             .map(|&(o, n)| {
                 let ro = linker.old.record(o).unwrap();
@@ -916,11 +893,11 @@ mod tests {
         let mut out = ScoredCandidates::default();
         for (old, new) in households {
             let sub = hhgraph::match_subgraph(
-                &linker.old_graphs[linker.old_gidx[&old]],
-                &linker.new_graphs[linker.new_gidx[&new]],
-                |r| pm.label_old.get(&r).copied(),
-                |r| pm.label_new.get(&r).copied(),
-                |o, n| pm.pair_sims.contains_key(&(o, n)),
+                graph(&linker.old_graphs, old),
+                graph(&linker.new_graphs, new),
+                |r| label_old.get(&r).copied(),
+                |r| label_new.get(&r).copied(),
+                |o, n| sims.contains_key(&(o, n)),
                 &config.subgraph,
             );
             if sub.is_empty() {
@@ -928,7 +905,12 @@ mod tests {
             }
             out.non_empty += 1;
             out.sizes.record(sub.vertices.len() as u64);
-            let score = score_subgraph(&sub, pm, delta);
+            let score = score_subgraph(
+                &sub,
+                |o, n| sims.get(&(o, n)).copied(),
+                |o| pm.size_of_label(label_old[&o] as u32),
+                delta,
+            );
             let g_sim = config.weights.g_sim(&score);
             if below_floor(g_sim, config.min_g_sim) {
                 out.below_floor.push(BelowFloor {
@@ -944,6 +926,7 @@ mod tests {
                     sub,
                     score,
                     g_sim,
+                    run: 0..0,
                 });
             }
         }
@@ -998,11 +981,10 @@ mod tests {
         let mut remaining_old: Vec<&PersonRecord> = old.records().iter().collect();
         let mut remaining_new: Vec<&PersonRecord> = new.records().iter().collect();
         let (mut records, mut groups) = (RecordMapping::new(), GroupMapping::new());
-        let mut anchors = AnchorInjector::new();
         let (mut single, mut multi, mut below) = (0, 0, 0);
         let mut delta = config.delta_high;
         for iteration in 0.. {
-            let mut pm = crate::prematch(
+            let fresh = crate::prematch(
                 &remaining_old,
                 &remaining_new,
                 year_gap,
@@ -1011,11 +993,17 @@ mod tests {
                 config.threads,
                 config.prematch_max_age_gap,
             );
-            anchors.inject(&mut pm, &records);
+            let matches = linker.ordered(fresh.pairs.iter().map(|&(i, j, s)| {
+                (
+                    remaining_old[i as usize].id,
+                    remaining_new[j as usize].id,
+                    s,
+                )
+            }));
+            let anchors = linker.ordered(records.iter().map(|(o, n)| (o, n, 1.0)));
+            let pm = linker.step_prematch(&matches, &anchors);
             let scored = linker.score_candidates(
-                &linker.candidate_pairs(&pm),
                 &pm,
-                &linker.label_views(&pm),
                 config,
                 config.parallelism(),
                 delta,
@@ -1036,9 +1024,17 @@ mod tests {
                 .filter(|c| c.sub.vertices.len() > 1)
                 .count();
             below += want.below_floor.len();
+            // every vertex's similarity is found in its candidate's run
+            for c in &scored.kept {
+                for &(o, n) in &c.sub.vertices {
+                    let sim = linker.pair_sim(&pm.pairs[c.run.clone()], o, n);
+                    assert_eq!(sim, linker.pair_sim(&pm.pairs, o, n), "{o}->{n}");
+                    assert!(sim.is_some(), "iteration {iteration}: {o}->{n}");
+                }
+            }
             let outcome = select_and_extract(
                 &scored.kept,
-                &pm,
+                |c, o, n| linker.pair_sim(&pm.pairs[c.run.clone()], o, n),
                 delta,
                 config.min_g_sim,
                 false,
@@ -1100,7 +1096,7 @@ mod tests {
         let delta = config.delta_high;
         let old_refs: Vec<&PersonRecord> = old.records().iter().collect();
         let new_refs: Vec<&PersonRecord> = new.records().iter().collect();
-        let mut pm = crate::prematch(
+        let fresh = crate::prematch(
             &old_refs,
             &new_refs,
             i64::from(new.year - old.year),
@@ -1109,22 +1105,21 @@ mod tests {
             1,
             config.prematch_max_age_gap,
         );
+        // the full slices, so residue positions are snapshot positions
+        let mut matches = fresh.pairs;
+        matches.sort_unstable_by_key(|p| linker.pair_key(p));
+        let mut pm = linker.step_prematch(&matches, &[]);
         let before = full_matcher_oracle(&linker, &pm, &config, delta).non_empty;
-        let split: Vec<RecordId> = pm
-            .pair_sims
-            .keys()
-            .map(|&(_, n)| n)
-            .filter(|n| n.raw() % 2 == 0)
-            .collect();
-        for n in split {
-            pm.label_new.insert(n, (1 << 50) + n.raw());
+        for &(_, n, _) in &matches {
+            if new_refs[n as usize].id.raw().is_multiple_of(2) {
+                // a label no union-find root takes, of unknown size
+                pm.label_new[n as usize] = u32::MAX - n;
+            }
         }
         let want = full_matcher_oracle(&linker, &pm, &config, delta);
         assert!(want.non_empty < before, "{} vs {before}", want.non_empty);
         let got = linker.score_candidates(
-            &linker.candidate_pairs(&pm),
             &pm,
-            &linker.label_views(&pm),
             &config,
             config.parallelism(),
             delta,
@@ -1178,44 +1173,39 @@ mod tests {
     }
 
     #[test]
-    fn anchor_labels_stay_stable_across_iterations() {
-        use census_model::RecordId;
-        let mut anchors = AnchorInjector::new();
-        let mut records = RecordMapping::new();
-        records.insert(RecordId(3), RecordId(30));
-        records.insert(RecordId(1), RecordId(10));
-
-        let mut pm1 = crate::PreMatch::default();
-        anchors.inject(&mut pm1, &records);
-        let first: std::collections::HashMap<_, _> = records
+    fn anchors_form_two_record_clusters() {
+        let series = generate_series(&SimConfig::small());
+        let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+        let linker = Linker::new(old, new);
+        let (olds, news) = (old.records(), new.records());
+        // two confirmed links, and one match pair between unlinked records
+        let links = [(olds[3].id, news[5].id), (olds[1].id, news[0].id)];
+        let anchors = linker.ordered(links.iter().map(|&(o, n)| (o, n, 1.0)));
+        let matches = linker.ordered([(olds[2].id, news[2].id, 0.8)].into_iter());
+        let pm = linker.step_prematch(&matches, &anchors);
+        assert_eq!(pm.match_count(), 3);
+        for (o, n) in links {
+            let (po, pn) = linker.positions(o, n).unwrap();
+            let label = pm.label_old[po as usize];
+            assert_eq!(pm.label_new[pn as usize], label, "{o}->{n} split");
+            assert_eq!(pm.size_of_label(label), 2, "{o}->{n}");
+            assert_eq!(linker.pair_sim(&pm.pairs, o, n), Some(1.0));
+        }
+        // every anchor is its own cluster
+        let labels: HashSet<u32> = links
             .iter()
-            .map(|(o, n)| ((o, n), pm1.label_old[&o]))
+            .map(|&(o, n)| pm.label_old[linker.positions(o, n).unwrap().0 as usize])
             .collect();
-        for (&(o, n), &label) in &first {
-            assert!(label >= AnchorInjector::BASE);
-            assert_eq!(pm1.label_new[&n], label);
-            assert_eq!(pm1.cluster_size[&label], 2);
-            assert_eq!(pm1.pair_sims[&(o, n)], 1.0);
-        }
-
-        // a later iteration confirmed more links; the earlier anchors
-        // must keep their labels even though the mapping (and its
-        // iteration order) changed
-        records.insert(RecordId(0), RecordId(40));
-        records.insert(RecordId(2), RecordId(20));
-        let mut pm2 = crate::PreMatch::default();
-        anchors.inject(&mut pm2, &records);
-        for (&(o, n), &label) in &first {
-            assert_eq!(
-                pm2.label_old[&o], label,
-                "anchor {o}->{n} changed label between iterations"
-            );
-            assert_eq!(pm2.label_new[&n], label);
-        }
-        // every confirmed link is anchored, under distinct labels
-        let labels: std::collections::HashSet<u64> =
-            records.iter().map(|(o, _)| pm2.label_old[&o]).collect();
-        assert_eq!(labels.len(), records.len());
+        assert_eq!(labels.len(), links.len());
+        assert_eq!(
+            linker.pair_sim(&pm.pairs, olds[2].id, news[2].id),
+            Some(0.8)
+        );
+        // the merged list is in household-pair order
+        assert!(pm
+            .pairs
+            .windows(2)
+            .all(|w| linker.pair_key(&w[0]) < linker.pair_key(&w[1])));
     }
 
     #[test]

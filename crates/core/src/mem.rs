@@ -20,7 +20,7 @@
 //! | decision log         | 12.5%  | earlier record-cap truncation     |
 //!
 //! The remaining 37.5% is headroom for the structures the governor does
-//! not control (enriched graphs, residue indexes, the scoring pass's
+//! not control (enriched graphs, record position indexes, the scoring pass's
 //! value arenas and per-worker value-pair memos, the result itself).
 //! The arenas and memos are linear in the distinct compiled values, so
 //! they take no share of their own; the `value_arenas` footprint row

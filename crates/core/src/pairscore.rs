@@ -7,31 +7,46 @@
 //! blocked candidate pair **once**, with the acceptance threshold
 //! lowered to the schedule's floor (keeping early-exit pruning, now
 //! against that floor), and keeps every pair that reaches the floor as a
-//! 16-byte `(old position, new position, agg_sim)` entry, read in
-//! `(old id, new id)` order. Each later iteration is
-//! then a filter-only pass — cached pairs with `agg_sim ≥ δ_current`
-//! whose endpoints are still unlinked — with zero re-blocking,
-//! re-tokenisation or re-scoring.
+//! 16-byte `(old position, new position, agg_sim)` entry over the build
+//! slices. Each δ step then selects the cached pairs with
+//! `agg_sim ≥ δ_current`, with zero re-blocking, re-tokenisation or
+//! re-scoring.
 //!
-//! ## Why the filter is exact
+//! ## A compacting cache
+//!
+//! A linked record leaves the residue for good, so after each step the
+//! driver compacts the cache in place ([`PairScoreCache::compact`]) to
+//! the entries whose endpoints are both unlinked, and a step's selection
+//! costs what the residue does, not the snapshot pair. The survivors of
+//! the first compaction are sorted once into household-pair order
+//! ([`PairScoreCache::order_by`]); compaction keeps it, so later
+//! selections come out as household-candidate runs.
+//!
+//! ## Why the selection is exact
 //!
 //! `SimFunc::matches_compiled` accepts a pair iff its full aggregate
 //! score satisfies `s ≥ threshold`; the early-exit bound only prunes
 //! pairs *provably* below the threshold, so the accepted set at any δ is
 //! exactly `{pairs : agg_sim ≥ δ}`. A cache built at floor `f ≤ δ`
 //! therefore contains every pair that any iteration at δ ≥ f can accept,
-//! with bit-identical scores, and filtering it at δ reproduces a fresh
-//! scoring pass exactly. Residues preserve this: blocking keys are
+//! with bit-identical scores, and selecting from it at δ reproduces a
+//! fresh scoring pass exactly. Residues preserve this: blocking keys are
 //! per-record, so the blocked pairs of a residue are precisely the
 //! blocked pairs of the full input restricted to residue endpoints, and
-//! the age-plausibility filter is per-pair and δ-independent.
+//! the age-plausibility filter is per-pair and δ-independent. Compaction
+//! only drops entries with an endpoint outside the residue, which no
+//! selection over the residue could return.
+//!
+//! Recompute mode, and a run whose memory governor refuses the floor
+//! cache, score each step's residue at that step's δ instead, in a cache
+//! that serves only that step.
 //!
 //! ## Observability
 //!
 //! Because pairs are scored once at the floor, the `pair_agg_sim_bp`
 //! histogram of a traced incremental run reflects the floor-scored pair
 //! set (everything with `agg_sim ≥ δ_low`), sampled at build time;
-//! filter-only iterations add no histogram samples, only
+//! served steps add no histogram samples, only
 //! `pair_cache_hits`/`pair_cache_filtered` counters.
 
 use crate::blocking::{Blocker, BlockingStrategy};
@@ -44,24 +59,24 @@ use crate::simfunc::{AttributeSpec, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, EventKind, Footprint, MemoryFootprint};
 
-/// Record-id → position lookup, used by the per-δ filter passes (position
-/// in the residue) and by the profile cache (slot of the record's
-/// value-id row). Record ids are snapshot-local and dense in practice, so a
-/// lookup probes an array (`u32::MAX` = absent) instead of hashing the
-/// id; sparse id spaces fall back to a hash map.
+/// Record-id → position lookup: a record's position in the linker's
+/// snapshots, in the remainder pass's residue, or the slot of its
+/// value-id row in the profile cache. Record ids are snapshot-local and
+/// dense in practice, so a lookup probes an array (`u32::MAX` = absent)
+/// instead of hashing the id; sparse id spaces fall back to a hash map.
 #[derive(Debug)]
-pub(crate) enum ResidueIndex {
+pub(crate) enum PositionIndex {
     Dense(Vec<u32>),
     Sparse(IdMap<RecordId, u32>),
 }
 
-impl Default for ResidueIndex {
+impl Default for PositionIndex {
     fn default() -> Self {
         Self::Dense(Vec::new())
     }
 }
 
-impl ResidueIndex {
+impl PositionIndex {
     fn build(records: &[&PersonRecord]) -> Self {
         Self::from_ids(records.iter().map(|r| r.id))
     }
@@ -93,7 +108,7 @@ impl ResidueIndex {
     }
 }
 
-impl MemoryFootprint for ResidueIndex {
+impl MemoryFootprint for PositionIndex {
     fn footprint(&self) -> Footprint {
         match self {
             Self::Dense(v) => Footprint::new(obs::footprint::vec_capacity_bytes(v), v.len() as u64),
@@ -105,8 +120,9 @@ impl MemoryFootprint for ResidueIndex {
     }
 }
 
-/// Pair scores computed once per snapshot pair and filtered per δ step.
-/// See the module docs for the exactness argument.
+/// Pair scores computed once per snapshot pair, selected per δ step and
+/// compacted to the residue after each. See the module docs for the
+/// exactness argument.
 #[derive(Debug, Clone)]
 pub struct PairScoreCache {
     specs: Vec<AttributeSpec>,
@@ -118,10 +134,11 @@ pub struct PairScoreCache {
     /// Record ids of the build's old and new slices, by position.
     old_ids: Vec<RecordId>,
     new_ids: Vec<RecordId>,
-    /// `(old position, new position, agg_sim)`, 16 bytes each, in the
-    /// scoring pass's task chunks: read in order, the entries run in
+    /// `(old position, new position, agg_sim)`, 16 bytes each. Built in
+    /// the scoring pass's task chunks, which read in order run in
     /// `(old id, new id)` order — the order a fresh scoring pass over
-    /// id-ordered residues yields.
+    /// id-ordered residues yields — and after [`PairScoreCache::order_by`]
+    /// one chunk in the order it asked for.
     chunks: Vec<Vec<(u32, u32, f64)>>,
 }
 
@@ -205,18 +222,8 @@ impl PairScoreCache {
         })
     }
 
-    /// The cached entries scoring at least `threshold`, in `(old id, new
-    /// id)` order, as record ids. The score is tested before either id is
-    /// looked up.
-    fn entries_from(&self, threshold: f64) -> impl Iterator<Item = (RecordId, RecordId, f64)> + '_ {
-        self.chunks
-            .iter()
-            .flatten()
-            .filter(move |&&(_, _, s)| s >= threshold)
-            .map(|&(i, j, s)| (self.old_ids[i as usize], self.new_ids[j as usize], s))
-    }
-
-    /// Number of cached pairs (everything at or above the floor).
+    /// Number of cached pairs: everything at or above the floor whose
+    /// endpoints survived every compaction so far.
     #[must_use]
     pub fn len(&self) -> usize {
         self.chunks.iter().map(Vec::len).sum()
@@ -234,40 +241,59 @@ impl PairScoreCache {
         self.floor
     }
 
-    /// Filter-only pre-matching pass: the match pairs a fresh scoring of
-    /// the given residues at `delta` would produce, as `(old index, new
-    /// index, agg_sim)` triples over the residue slices. `delta` must be
-    /// at or above the build floor.
-    #[must_use]
-    pub fn select(
-        &self,
-        delta: f64,
-        remaining_old: &[&PersonRecord],
-        remaining_new: &[&PersonRecord],
-    ) -> Vec<(u32, u32, f64)> {
-        self.select_traced(delta, remaining_old, remaining_new, &Collector::disabled())
+    /// The pre-matching pass of one δ step: the cached pairs with
+    /// `agg_sim ≥ delta`, as `(old id, new id, agg_sim)` in cache order.
+    /// Over a cache compacted to the residue, these are exactly the match
+    /// pairs a fresh scoring of that residue at `delta` would produce.
+    /// `delta` must be at or above the build floor. The score is tested
+    /// before either id is looked up.
+    pub fn select(&self, delta: f64) -> impl Iterator<Item = (RecordId, RecordId, f64)> + '_ {
+        self.chunks
+            .iter()
+            .flatten()
+            .filter(move |&&(_, _, s)| s >= delta)
+            .map(|&(i, j, s)| (self.old_ids[i as usize], self.new_ids[j as usize], s))
     }
 
-    /// [`PairScoreCache::select`] with the per-iteration residue-index
-    /// footprint snapshotted into `obs`.
-    pub(crate) fn select_traced(
-        &self,
-        delta: f64,
-        remaining_old: &[&PersonRecord],
-        remaining_new: &[&PersonRecord],
-        obs: &Collector,
-    ) -> Vec<(u32, u32, f64)> {
-        let old_idx = ResidueIndex::build(remaining_old);
-        let new_idx = ResidueIndex::build(remaining_new);
-        if obs.is_enabled() {
-            obs.snapshot_footprint(
-                "residue_index",
-                old_idx.footprint().plus(new_idx.footprint()),
-            );
+    /// Drop, in place, every entry with an endpoint that is no longer
+    /// alive: `old_alive` and `new_alive` are asked once per build record
+    /// and answer whether it is still unlinked. The alive bitmaps over
+    /// the build positions then decide every entry with two loads. The
+    /// survivors keep their order.
+    pub fn compact(
+        &mut self,
+        old_alive: impl Fn(RecordId) -> bool,
+        new_alive: impl Fn(RecordId) -> bool,
+    ) {
+        let old_alive: Vec<bool> = self.old_ids.iter().map(|&id| old_alive(id)).collect();
+        let new_alive: Vec<bool> = self.new_ids.iter().map(|&id| new_alive(id)).collect();
+        for chunk in &mut self.chunks {
+            chunk.retain(|&(i, j, _)| old_alive[i as usize] && new_alive[j as usize]);
+            // the first compaction drops most of the cache: hand that
+            // memory back now, not at the end of the run
+            chunk.shrink_to_fit();
         }
-        self.entries_from(delta)
-            .filter_map(|(o, n, s)| Some((old_idx.get(o)?, new_idx.get(n)?, s)))
-            .collect()
+        self.chunks.retain(|c| !c.is_empty());
+    }
+
+    /// Put the entries, once, into the order of `key` over their record
+    /// ids, into one chunk of exactly their size. Entries with equal keys
+    /// come out in no particular order, so a key should tell every pair
+    /// apart. Compaction keeps the order, so later selections come out in
+    /// it.
+    pub fn order_by<K: Ord>(&mut self, key: impl Fn(RecordId, RecordId) -> K) {
+        // each entry is keyed once, so the sort compares keys only
+        let mut keyed = Vec::with_capacity(self.len());
+        for chunk in std::mem::take(&mut self.chunks) {
+            keyed.extend(chunk.into_iter().map(|e| {
+                (
+                    key(self.old_ids[e.0 as usize], self.new_ids[e.1 as usize]),
+                    e,
+                )
+            }));
+        }
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.chunks = vec![keyed.into_iter().map(|(_, e)| e).collect()];
     }
 
     /// Whether a remainder pass with this similarity function, age
@@ -296,9 +322,9 @@ impl PairScoreCache {
         remaining_old: &[&PersonRecord],
         remaining_new: &[&PersonRecord],
     ) -> Vec<(f64, RecordId, RecordId)> {
-        let old_idx = ResidueIndex::build(remaining_old);
-        let new_idx = ResidueIndex::build(remaining_new);
-        self.entries_from(sim.threshold)
+        let old_idx = PositionIndex::build(remaining_old);
+        let new_idx = PositionIndex::build(remaining_new);
+        self.select(sim.threshold)
             .filter_map(|(o, n, s)| {
                 let ro = remaining_old[old_idx.get(o)? as usize];
                 let rn = remaining_new[new_idx.get(n)? as usize];
@@ -350,9 +376,10 @@ mod tests {
         store.iter().collect()
     }
 
-    #[test]
-    fn select_matches_fresh_scoring_at_every_delta() {
-        let olds: Vec<PersonRecord> = (0..40)
+    /// 40 old and 40 new records over a few spellings of two names, ages
+    /// drifting by up to 6 years around a 10-year gap.
+    fn corpus() -> (Vec<PersonRecord>, Vec<PersonRecord>) {
+        let olds = (0..40)
             .map(|i| {
                 rec(
                     i,
@@ -362,7 +389,7 @@ mod tests {
                 )
             })
             .collect();
-        let news: Vec<PersonRecord> = (0..40)
+        let news = (0..40)
             .map(|i| {
                 rec(
                     i,
@@ -372,47 +399,122 @@ mod tests {
                 )
             })
             .collect();
-        let o: Vec<&PersonRecord> = olds.iter().collect();
-        let n: Vec<&PersonRecord> = news.iter().collect();
-        let par = Parallelism::default();
-        let floor_sim = SimFunc::omega2(0.5);
-        let (mut ostore, mut nstore) = (Vec::new(), Vec::new());
-        let op = profiles(&floor_sim, &o, &mut ostore);
-        let np = profiles(&floor_sim, &n, &mut nstore);
-        let cache = PairScoreCache::build(
-            &o,
-            &n,
+        (olds, news)
+    }
+
+    fn build_at_floor(o: &[&PersonRecord], n: &[&PersonRecord]) -> PairScoreCache {
+        PairScoreCache::build(
+            o,
+            n,
             &mut ProfileCache::new(),
             10,
-            &floor_sim,
+            &SimFunc::omega2(0.5),
             BlockingStrategy::Full,
-            par,
+            Parallelism::default(),
             Some(3),
             &MemGovernor::unlimited(),
             &Collector::disabled(),
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// A fresh scoring pass over `o × n` at `delta`, as `(old id, new id,
+    /// agg_sim bits)` in pass order.
+    fn fresh(
+        o: &[&PersonRecord],
+        n: &[&PersonRecord],
+        delta: f64,
+    ) -> Vec<(RecordId, RecordId, u64)> {
+        let sim = SimFunc::omega2(delta);
+        let (mut ostore, mut nstore) = (Vec::new(), Vec::new());
+        let pm = prematch_with_profiles(
+            o,
+            n,
+            &profiles(&sim, o, &mut ostore),
+            &profiles(&sim, n, &mut nstore),
+            10,
+            &sim,
+            BlockingStrategy::Full,
+            Parallelism::default(),
+            Some(3),
+            &MemGovernor::unlimited(),
+            &Collector::disabled(),
+        );
+        pm.pairs
+            .iter()
+            .map(|&(i, j, s)| (o[i as usize].id, n[j as usize].id, s.to_bits()))
+            .collect()
+    }
+
+    fn selected(cache: &PairScoreCache, delta: f64) -> Vec<(RecordId, RecordId, u64)> {
+        cache
+            .select(delta)
+            .map(|(o, n, s)| (o, n, s.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn select_matches_fresh_scoring_at_every_delta() {
+        let (olds, news) = corpus();
+        let o: Vec<&PersonRecord> = olds.iter().collect();
+        let n: Vec<&PersonRecord> = news.iter().collect();
+        let cache = build_at_floor(&o, &n);
         for delta in [0.5, 0.55, 0.6, 0.7, 0.9] {
-            let sim = floor_sim.with_threshold(delta);
-            let fresh = prematch_with_profiles(
-                &o,
-                &n,
-                &op,
-                &np,
-                10,
-                &sim,
-                BlockingStrategy::Full,
-                par,
-                Some(3),
-                &MemGovernor::unlimited(),
-                &Collector::disabled(),
+            assert_eq!(selected(&cache, delta), fresh(&o, &n, delta), "δ={delta}");
+        }
+    }
+
+    /// Compaction is exact. The residue shrinks step by step, each step
+    /// linking records whose partners stay unlinked, so entries with one
+    /// dead endpoint arise. After every compaction, at every δ, `select`
+    /// equals a fresh scoring pass over the residue, `select_remainder`
+    /// equals the uncompacted cache's, and `len` counts exactly the
+    /// entries with both endpoints alive.
+    #[test]
+    fn compaction_is_exact() {
+        let (olds, news) = corpus();
+        let o: Vec<&PersonRecord> = olds.iter().collect();
+        let n: Vec<&PersonRecord> = news.iter().collect();
+        let full = build_at_floor(&o, &n);
+        let mut compacted = build_at_floor(&o, &n);
+        let (mut old_alive, mut new_alive) = (vec![true; o.len()], vec![true; n.len()]);
+        let rem_sim = SimFunc::omega2(0.5);
+        assert!(full.covers(&rem_sim, 2, BlockingStrategy::Full));
+        for step in 0..3u64 {
+            for (k, alive) in old_alive.iter_mut().enumerate() {
+                *alive &= k as u64 % 4 != step;
+            }
+            for (k, alive) in new_alive.iter_mut().enumerate() {
+                *alive &= (k as u64 + 1) % 4 != step;
+            }
+            let live_old = |id: RecordId| old_alive[id.raw() as usize];
+            let live_new = |id: RecordId| new_alive[id.raw() as usize];
+            let half_dead = full
+                .select(0.0)
+                .filter(|&(a, b, _)| live_old(a) != live_new(b))
+                .count();
+            assert!(
+                half_dead > 0,
+                "step {step}: no entry with one dead endpoint"
             );
-            let selected = cache.select(delta, &o, &n);
-            let selected_sims: crate::IdMap<(RecordId, RecordId), f64> = selected
-                .iter()
-                .map(|&(i, j, s)| ((o[i as usize].id, n[j as usize].id), s))
-                .collect();
-            assert_eq!(selected_sims, fresh.pair_sims, "δ={delta}");
+            compacted.compact(live_old, live_new);
+            let both_alive = full
+                .select(0.0)
+                .filter(|&(a, b, _)| live_old(a) && live_new(b))
+                .count();
+            assert_eq!(compacted.len(), both_alive, "step {step}: len");
+            let ro: Vec<&PersonRecord> = o.iter().copied().filter(|r| live_old(r.id)).collect();
+            let rn: Vec<&PersonRecord> = n.iter().copied().filter(|r| live_new(r.id)).collect();
+            for delta in [0.5, 0.55, 0.6, 0.7, 0.9] {
+                let at = format!("step {step}, δ={delta}");
+                assert_eq!(selected(&compacted, delta), fresh(&ro, &rn, delta), "{at}");
+                let rem = rem_sim.with_threshold(delta);
+                assert_eq!(
+                    compacted.select_remainder(&rem, 2, 10, &ro, &rn),
+                    full.select_remainder(&rem, 2, 10, &ro, &rn),
+                    "{at}: remainder"
+                );
+            }
         }
     }
 
@@ -423,11 +525,9 @@ mod tests {
         let n1 = rec(0, "john", "ashworth", 40);
         let n2 = rec(1, "mary", "ashworth", 43);
         let sim = SimFunc::omega2(0.5);
-        let all_o = [&o1, &o2];
-        let all_n = [&n1, &n2];
-        let cache = PairScoreCache::build(
-            &all_o,
-            &all_n,
+        let mut cache = PairScoreCache::build(
+            &[&o1, &o2],
+            &[&n1, &n2],
             &mut ProfileCache::new(),
             10,
             &sim,
@@ -439,10 +539,27 @@ mod tests {
         )
         .unwrap();
         assert!(cache.len() >= 2);
-        // once john is linked, only the mary pair survives the filter
-        let selected = cache.select(0.5, &[&o2], &[&n2]);
-        assert_eq!(selected.len(), 1);
-        assert_eq!((selected[0].0, selected[0].1), (0, 0)); // residue indices
+        // once john is linked, only the mary pair survives compaction
+        cache.compact(|id| id != o1.id, |id| id != n1.id);
+        let selected: Vec<_> = cache.select(0.5).map(|(o, n, _)| (o, n)).collect();
+        assert_eq!(selected, [(o2.id, n2.id)]);
+    }
+
+    #[test]
+    fn order_by_survives_compaction() {
+        let (olds, news) = corpus();
+        let o: Vec<&PersonRecord> = olds.iter().collect();
+        let n: Vec<&PersonRecord> = news.iter().collect();
+        let mut cache = build_at_floor(&o, &n);
+        let mut want = selected(&cache, 0.5);
+        // descending new id, then ascending old id
+        let key = |a: RecordId, b: RecordId| (std::cmp::Reverse(b), a);
+        want.sort_by_key(|&(a, b, _)| key(a, b));
+        cache.order_by(key);
+        assert_eq!(selected(&cache, 0.5), want);
+        cache.compact(|id| id.raw() % 3 != 0, |_| true);
+        want.retain(|&(a, _, _)| a.raw() % 3 != 0);
+        assert_eq!(selected(&cache, 0.5), want);
     }
 
     #[test]

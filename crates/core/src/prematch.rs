@@ -12,11 +12,10 @@
 use crate::blocking::{BlockRow, Blocker, BlockingStrategy};
 use crate::cluster::UnionFind;
 use crate::config::Parallelism;
-use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
 use crate::profiles::{ProfileCache, ValueRows};
 use crate::simfunc::{CompiledProfile, SimFunc};
-use census_model::{PersonRecord, RecordId};
+use census_model::PersonRecord;
 use obs::{Collector, Counter, EventKind, Footprint};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -184,32 +183,37 @@ pub(crate) fn age_plausible(
     }
 }
 
-/// The pre-matching result: cluster labels per record side, cluster
-/// sizes, and the aggregated similarity of every match pair.
+/// The pre-matching result over record positions: a cluster label per
+/// record of each side, the size of every cluster, and every match pair
+/// with its aggregated similarity.
 #[derive(Debug, Clone, Default)]
 pub struct PreMatch {
-    /// Cluster label of each old-census record (every record gets one;
-    /// unmatched records form singleton clusters).
-    pub label_old: IdMap<RecordId, u64>,
-    /// Cluster label of each new-census record.
-    pub label_new: IdMap<RecordId, u64>,
-    /// Number of records (both censuses) per cluster label.
-    pub cluster_size: IdMap<u64, u32>,
-    /// `agg_sim` of every `(old, new)` pair that reached the threshold.
-    pub pair_sims: IdMap<(RecordId, RecordId), f64>,
+    /// Cluster label of each old record, by position in the old slice.
+    /// Every record gets one; unmatched records form singleton clusters.
+    /// Labels name union-find roots over the old positions followed by
+    /// the new ones, so only their equality carries meaning.
+    pub label_old: Vec<u32>,
+    /// Cluster label of each new record, by position in the new slice.
+    pub label_new: Vec<u32>,
+    /// Number of records (both sides) per cluster, indexed by label.
+    pub cluster_size: Vec<u32>,
+    /// Every match pair as `(old position, new position, agg_sim)`, in
+    /// the order it was clustered: blocked-pair order from a scoring
+    /// pass, household-pair order in the linker's δ loop.
+    pub pairs: Vec<(u32, u32, f64)>,
 }
 
 impl PreMatch {
     /// Number of match pairs.
     #[must_use]
     pub fn match_count(&self) -> usize {
-        self.pair_sims.len()
+        self.pairs.len()
     }
 
     /// The size of the cluster a label names (0 for unknown labels).
     #[must_use]
-    pub fn size_of_label(&self, label: u64) -> u32 {
-        self.cluster_size.get(&label).copied().unwrap_or(0)
+    pub fn size_of_label(&self, label: u32) -> u32 {
+        self.cluster_size.get(label as usize).copied().unwrap_or(0)
     }
 }
 
@@ -556,57 +560,39 @@ pub fn prematch_cached(
     // only a pass given a limit can abort
     .expect("a pass without a limit never aborts");
     pass.report(obs);
-    build_prematch(old, new, &pass.chunks)
+    build_prematch(old.len(), new.len(), pass.chunks.concat())
 }
 
-/// Build the [`PreMatch`] clustering from scored match pairs: the
-/// transitive closure over the match graph, labels for every record
-/// (unmatched records form singleton clusters), cluster sizes and the
-/// per-pair similarities. `matches` holds `(old index, new index,
-/// agg_sim)` triples over the given slices, in chunks read in order —
-/// the task chunks of a fresh scoring pass, or one filtered run of the
-/// cross-iteration pair-score cache.
-pub(crate) fn build_prematch(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    matches: &[Vec<(u32, u32, f64)>],
-) -> PreMatch {
-    // transitive closure: indices 0..n_old are old records, n_old.. new
-    let n_old = old.len();
-    let mut uf = UnionFind::new(n_old + new.len());
-    let n_matches = matches.iter().map(Vec::len).sum();
-    let mut pair_sims = IdMap::with_capacity_and_hasher(n_matches, Default::default());
-    for &(i, j, s) in matches.iter().flatten() {
+/// Cluster `pairs`, `(old position, new position, agg_sim)` match pairs
+/// over `n_old` old and `n_new` new records, into a [`PreMatch`]: the
+/// transitive closure of the match graph labels every record (unmatched
+/// records form singleton clusters) and sizes every cluster. The pairs
+/// are kept in the order given. That order decides which root names a
+/// cluster, never which records share one.
+pub(crate) fn build_prematch(n_old: usize, n_new: usize, pairs: Vec<(u32, u32, f64)>) -> PreMatch {
+    // positions 0..n_old are old records, n_old.. new ones
+    let mut uf = UnionFind::new(n_old + n_new);
+    for &(i, j, _) in &pairs {
         uf.union(i as usize, n_old + j as usize);
-        pair_sims.insert((old[i as usize].id, new[j as usize].id), s);
     }
-
-    let mut label_old = IdMap::with_capacity_and_hasher(n_old, Default::default());
-    let mut label_new = IdMap::with_capacity_and_hasher(new.len(), Default::default());
-    let mut cluster_size: IdMap<u64, u32> = IdMap::default();
-    for (i, r) in old.iter().enumerate() {
-        let label = uf.find(i) as u64;
-        label_old.insert(r.id, label);
-        *cluster_size.entry(label).or_insert(0) += 1;
+    let mut label_old: Vec<u32> = (0..n_old + n_new).map(|x| uf.find(x) as u32).collect();
+    let label_new = label_old.split_off(n_old);
+    let mut cluster_size = vec![0u32; n_old + n_new];
+    for &label in label_old.iter().chain(&label_new) {
+        cluster_size[label as usize] += 1;
     }
-    for (j, r) in new.iter().enumerate() {
-        let label = uf.find(n_old + j) as u64;
-        label_new.insert(r.id, label);
-        *cluster_size.entry(label).or_insert(0) += 1;
-    }
-
     PreMatch {
         label_old,
         label_new,
         cluster_size,
-        pair_sims,
+        pairs,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use census_model::{HouseholdId, Role, Sex};
+    use census_model::{HouseholdId, RecordId, Role, Sex};
     use std::collections::HashMap;
 
     fn rec(id: u64, fname: &str, sname: &str, sex: Sex, age: u32) -> PersonRecord {
@@ -662,13 +648,13 @@ mod tests {
             None,
         );
         // john_old clusters with both new johns
-        let l_john = pm.label_old[&RecordId(0)];
-        assert_eq!(pm.label_new[&RecordId(0)], l_john);
-        assert_eq!(pm.label_new[&RecordId(1)], l_john);
+        let l_john = pm.label_old[0];
+        assert_eq!(pm.label_new[0], l_john);
+        assert_eq!(pm.label_new[1], l_john);
         assert_eq!(pm.size_of_label(l_john), 3);
         // alice ashworth does not cluster with alice smith at threshold 1
-        assert_ne!(pm.label_old[&RecordId(1)], pm.label_new[&RecordId(2)]);
-        assert_eq!(pm.size_of_label(pm.label_old[&RecordId(1)]), 1);
+        assert_ne!(pm.label_old[1], pm.label_new[2]);
+        assert_eq!(pm.size_of_label(pm.label_old[1]), 1);
         assert_eq!(pm.match_count(), 2);
     }
 
@@ -685,7 +671,8 @@ mod tests {
             1,
             None,
         );
-        let s = pm.pair_sims[&(RecordId(0), RecordId(0))];
+        let (i, j, s) = pm.pairs[0];
+        assert_eq!((i, j), (0, 0));
         assert!((s - 1.0).abs() < 1e-9);
     }
 
@@ -704,7 +691,7 @@ mod tests {
         );
         assert_eq!(pm.match_count(), 0);
         // …but both records still get (distinct singleton) labels
-        assert_ne!(pm.label_old[&RecordId(0)], pm.label_new[&RecordId(0)]);
+        assert_ne!(pm.label_old[0], pm.label_new[0]);
     }
 
     #[test]
@@ -714,7 +701,7 @@ mod tests {
         let f = fig3_simfunc().with_threshold(0.8);
         let pm = prematch(&[&o], &[&n], 10, &f, BlockingStrategy::Full, 1, None);
         assert_eq!(pm.match_count(), 1);
-        assert_eq!(pm.label_old[&RecordId(0)], pm.label_new[&RecordId(0)]);
+        assert_eq!(pm.label_old[0], pm.label_new[0]);
     }
 
     #[test]
@@ -726,9 +713,9 @@ mod tests {
         let n = rec(0, "john", "ashworth", Sex::Male, 49);
         let f = fig3_simfunc().with_threshold(0.8);
         let pm = prematch(&[&o1, &o2], &[&n], 10, &f, BlockingStrategy::Full, 1, None);
-        let l = pm.label_new[&RecordId(0)];
-        assert_eq!(pm.label_old[&RecordId(0)], l);
-        assert_eq!(pm.label_old[&RecordId(1)], l);
+        let l = pm.label_new[0];
+        assert_eq!(pm.label_old[0], l);
+        assert_eq!(pm.label_old[1], l);
         assert_eq!(pm.size_of_label(l), 3);
     }
 
@@ -763,16 +750,16 @@ mod tests {
         let seq = prematch(&or, &nr, 10, &f, BlockingStrategy::Full, 1, None);
         let par = prematch(&or, &nr, 10, &f, BlockingStrategy::Full, 4, None);
         assert_eq!(seq.match_count(), par.match_count());
-        assert_eq!(seq.pair_sims, par.pair_sims);
+        assert_eq!(seq.pairs, par.pairs);
         // labels are root indices; same unions → same partition (roots may
         // differ in principle, so compare partition structure)
         let part = |pm: &PreMatch| {
-            let mut groups: HashMap<u64, Vec<String>> = HashMap::new();
-            for (r, l) in &pm.label_old {
-                groups.entry(*l).or_default().push(format!("o{}", r.raw()));
+            let mut groups: HashMap<u32, Vec<String>> = HashMap::new();
+            for (r, l) in pm.label_old.iter().enumerate() {
+                groups.entry(*l).or_default().push(format!("o{r}"));
             }
-            for (r, l) in &pm.label_new {
-                groups.entry(*l).or_default().push(format!("n{}", r.raw()));
+            for (r, l) in pm.label_new.iter().enumerate() {
+                groups.entry(*l).or_default().push(format!("n{r}"));
             }
             let mut v: Vec<Vec<String>> = groups
                 .into_values()
@@ -927,6 +914,77 @@ mod tests {
             }
             if threads == 1 {
                 assert!(workers.iter().all(|&w| w == 0), "serial path is worker 0");
+            }
+        }
+    }
+
+    /// Fisher–Yates shuffle driven by a splitmix64 stream from `seed`.
+    fn shuffle<T>(v: &mut [T], mut seed: u64) {
+        for i in (1..v.len()).rev() {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            v.swap(i, (z % (i as u64 + 1)) as usize);
+        }
+    }
+
+    /// Clustering depends on which pairs match, never on their order:
+    /// the same match pairs in blocked (id) order, in household-pair
+    /// order and in seeded shuffles give labels equal up to renaming and
+    /// equal cluster sizes.
+    #[test]
+    fn clustering_does_not_depend_on_pair_order() {
+        use census_synth::{generate_series, SimConfig};
+        let series = generate_series(&SimConfig::small());
+        let (old_ds, new_ds) = (&series.snapshots[0], &series.snapshots[1]);
+        let old: Vec<&PersonRecord> = old_ds.records().iter().collect();
+        let new: Vec<&PersonRecord> = new_ds.records().iter().collect();
+        let year_gap = i64::from(new_ds.year - old_ds.year);
+        let sim = SimFunc::omega2(0.5);
+        let pm = prematch(
+            &old,
+            &new,
+            year_gap,
+            &sim,
+            BlockingStrategy::Standard,
+            1,
+            Some(3),
+        );
+        let id_order = pm.pairs;
+        let mut household_order = id_order.clone();
+        household_order
+            .sort_by_key(|&(i, j, _)| (old[i as usize].household, new[j as usize].household, i, j));
+        assert_ne!(id_order, household_order, "the orders must differ");
+        let mut orders = vec![household_order];
+        for seed in [1, 2, 3] {
+            let mut shuffled = id_order.clone();
+            shuffle(&mut shuffled, seed);
+            orders.push(shuffled);
+        }
+        let (n_old, n_new) = (old.len(), new.len());
+        let want = build_prematch(n_old, n_new, id_order);
+        assert!(
+            want.cluster_size.iter().any(|&size| size > 2),
+            "the corpus must form clusters beyond single pairs"
+        );
+        for (k, order) in orders.into_iter().enumerate() {
+            let got = build_prematch(n_old, n_new, order);
+            // one label of `want` maps to exactly one label of `got`, and
+            // back: the two label vectors name the same partition
+            let mut forward: HashMap<u32, u32> = HashMap::new();
+            let mut backward: HashMap<u32, u32> = HashMap::new();
+            let sides = [
+                (&want.label_old, &got.label_old),
+                (&want.label_new, &got.label_new),
+            ];
+            for (w, g) in sides {
+                for (&lw, &lg) in w.iter().zip(g) {
+                    assert_eq!(*forward.entry(lw).or_insert(lg), lg, "order {k}: split");
+                    assert_eq!(*backward.entry(lg).or_insert(lw), lw, "order {k}: merged");
+                    assert_eq!(want.size_of_label(lw), got.size_of_label(lg), "order {k}");
+                }
             }
         }
     }

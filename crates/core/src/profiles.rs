@@ -13,7 +13,7 @@
 //! function's specs stay the same and is rebuilt when they change (e.g.
 //! a remainder pass with different weights).
 
-use crate::pairscore::ResidueIndex;
+use crate::pairscore::PositionIndex;
 use crate::simfunc::{AttributeSpec, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Footprint, MemoryFootprint};
@@ -79,7 +79,7 @@ struct Side {
     ids: Vec<RecordId>,
     /// `rows[slot * n_specs + spec]`.
     rows: Vec<u32>,
-    slot_of: ResidueIndex,
+    slot_of: PositionIndex,
 }
 
 impl Side {
@@ -110,7 +110,7 @@ impl Side {
         }
         let added = self.ids.len() - before;
         if added > 0 {
-            self.slot_of = ResidueIndex::from_ids(self.ids.iter().copied());
+            self.slot_of = PositionIndex::from_ids(self.ids.iter().copied());
         }
         (rows, added)
     }
@@ -425,8 +425,8 @@ mod tests {
         let c = rec(3, "alice");
         let mut cache = ProfileCache::new();
         let _ = cache.rows(&sim, &[&a, &b], &[&c]);
-        assert!(matches!(cache.old.slot_of, ResidueIndex::Sparse(_)));
-        assert!(matches!(cache.new.slot_of, ResidueIndex::Dense(_)));
+        assert!(matches!(cache.old.slot_of, PositionIndex::Sparse(_)));
+        assert!(matches!(cache.new.slot_of, PositionIndex::Dense(_)));
         {
             let rows = cache.rows(&sim, &[&b], &[&c]);
             let fresh = sim.aggregate_compiled(&sim.compile(&b), &sim.compile(&c));

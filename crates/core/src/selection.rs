@@ -3,10 +3,10 @@
 
 use crate::group_sim::GroupScore;
 use crate::idhash::IdMap;
-use crate::prematch::PreMatch;
 use census_model::{GroupMapping, HouseholdId, RecordId, RecordMapping};
 use hhgraph::MatchedSubgraph;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// One candidate group pair with its matched subgraph and scores — the
 /// quadruple `⟨g_i, g_{i+1}, g_sub, g_sim⟩` of Algorithm 2.
@@ -22,6 +22,9 @@ pub struct ScoredSubgroup {
     pub score: GroupScore,
     /// Aggregated similarity (Eq. 4).
     pub g_sim: f64,
+    /// Where the candidate's direct match pairs sit in the pair list it
+    /// was scored from (the δ step's `PreMatch::pairs`).
+    pub(crate) run: Range<usize>,
 }
 
 /// Why Algorithm 2 skipped a candidate group pair, for decision
@@ -184,36 +187,35 @@ pub fn select_group_links(candidates: &[ScoredSubgroup], min_g_sim: f64) -> Vec<
 /// equal-label members; links are taken greedily in descending
 /// (edge-degree, pair-similarity) order so the structurally
 /// best-supported pair wins, and the 1:1 constraint of
-/// [`RecordMapping::insert`] rejects the rest. Returns the links added,
-/// in acceptance order.
+/// [`RecordMapping::insert`] rejects the rest. `pair_sim` gives a
+/// vertex's direct record similarity, `fallback_sim` stands in where it
+/// has none. Returns the links added, in acceptance order.
 pub fn extract_record_links(
     sub: &MatchedSubgraph,
-    pre: &PreMatch,
+    pair_sim: impl Fn(RecordId, RecordId) -> Option<f64>,
     fallback_sim: f64,
     mapping: &mut RecordMapping,
 ) -> Vec<(RecordId, RecordId)> {
-    let mut degree = vec![0usize; sub.vertices.len()];
-    for e in &sub.edges {
-        degree[e.u] += 1;
-        degree[e.v] += 1;
-    }
-    let sims: Vec<f64> = sub
-        .vertices
-        .iter()
-        .map(|v| {
-            pre.pair_sims
-                .get(&(v.0, v.1))
-                .copied()
-                .unwrap_or(fallback_sim)
-        })
-        .collect();
     let mut order: Vec<usize> = (0..sub.vertices.len()).collect();
-    order.sort_by(|&a, &b| {
-        degree[b]
-            .cmp(&degree[a])
-            .then(sims[b].partial_cmp(&sims[a]).unwrap_or(Ordering::Equal))
-            .then_with(|| sub.vertices[a].cmp(&sub.vertices[b]))
-    });
+    // one vertex has no order to decide, and most subgraphs have one
+    if order.len() > 1 {
+        let mut degree = vec![0usize; sub.vertices.len()];
+        for e in &sub.edges {
+            degree[e.u] += 1;
+            degree[e.v] += 1;
+        }
+        let sims: Vec<f64> = sub
+            .vertices
+            .iter()
+            .map(|&(o, n)| pair_sim(o, n).unwrap_or(fallback_sim))
+            .collect();
+        order.sort_by(|&a, &b| {
+            degree[b]
+                .cmp(&degree[a])
+                .then(sims[b].partial_cmp(&sims[a]).unwrap_or(Ordering::Equal))
+                .then_with(|| sub.vertices[a].cmp(&sub.vertices[b]))
+        });
+    }
     let mut added = Vec::new();
     for idx in order {
         let (o, n) = sub.vertices[idx];
@@ -225,12 +227,15 @@ pub fn extract_record_links(
 }
 
 /// Convenience: run selection and extraction, extending `groups` and
-/// `records`. Returns the full [`SelectionOutcome`]; `audit` additionally
-/// collects every skipped candidate with its [`RejectReason`] (the
-/// accept/reject decisions themselves are identical either way).
+/// `records`. `pair_sim` gives the direct similarity of a vertex of a
+/// candidate, `fallback_sim` stands in where it has none (see
+/// [`extract_record_links`]). Returns the full [`SelectionOutcome`];
+/// `audit` additionally collects every skipped candidate with its
+/// [`RejectReason`] (the accept/reject decisions themselves are
+/// identical either way).
 pub fn select_and_extract(
     candidates: &[ScoredSubgroup],
-    pre: &PreMatch,
+    pair_sim: impl Fn(&ScoredSubgroup, RecordId, RecordId) -> Option<f64>,
     fallback_sim: f64,
     min_g_sim: f64,
     audit: bool,
@@ -242,7 +247,8 @@ pub fn select_and_extract(
     for &idx in &accepted {
         let cand = &candidates[idx];
         groups.insert(cand.old, cand.new);
-        for (o, n) in extract_record_links(&cand.sub, pre, fallback_sim, records) {
+        let sim = |o, n| pair_sim(cand, o, n);
+        for (o, n) in extract_record_links(&cand.sub, sim, fallback_sim, records) {
             added.push((o, n, idx));
         }
     }
@@ -291,6 +297,7 @@ mod tests {
                 unique: 0.5,
             },
             g_sim,
+            run: 0..0,
         }
     }
 
@@ -374,9 +381,8 @@ mod tests {
             old_edge_count: 3,
             new_edge_count: 3,
         };
-        let pre = PreMatch::default();
         let mut m = RecordMapping::new();
-        let added = extract_record_links(&s, &pre, 0.5, &mut m);
+        let added = extract_record_links(&s, |_, _| None, 0.5, &mut m);
         assert_eq!(added.len(), 2);
         // the degree-1 vertex (0,10) wins over the degree-0 (1,10)
         assert!(m.contains(RecordId(0), RecordId(10)));
@@ -392,21 +398,29 @@ mod tests {
             old_edge_count: 1,
             new_edge_count: 1,
         };
-        let mut pre = PreMatch::default();
-        pre.pair_sims.insert((RecordId(0), RecordId(10)), 0.6);
-        pre.pair_sims.insert((RecordId(1), RecordId(10)), 0.9);
+        let sims = HashMap::from([
+            ((RecordId(0), RecordId(10)), 0.6),
+            ((RecordId(1), RecordId(10)), 0.9),
+        ]);
         let mut m = RecordMapping::new();
-        extract_record_links(&s, &pre, 0.5, &mut m);
+        extract_record_links(&s, |o, n| sims.get(&(o, n)).copied(), 0.5, &mut m);
         assert!(m.contains(RecordId(1), RecordId(10)));
     }
 
     #[test]
     fn select_and_extract_populates_both_mappings() {
         let cands = vec![scored(0, 0, vec![(0, 10), (1, 11)], 0.9)];
-        let pre = PreMatch::default();
         let mut groups = GroupMapping::new();
         let mut records = RecordMapping::new();
-        let out = select_and_extract(&cands, &pre, 0.5, 0.0, false, &mut groups, &mut records);
+        let out = select_and_extract(
+            &cands,
+            |_, _, _| None,
+            0.5,
+            0.0,
+            false,
+            &mut groups,
+            &mut records,
+        );
         assert_eq!(out.accepted, vec![0]);
         assert_eq!(out.added.len(), 2);
         assert!(out.added.iter().all(|&(_, _, idx)| idx == 0));
@@ -423,14 +437,29 @@ mod tests {
             scored(2, 2, vec![], 0.9),                          // empty subgraph
             scored(3, 3, vec![(7, 17)], 0.05),                  // below min_g_sim
         ];
-        let pre = PreMatch::default();
         let mut groups = GroupMapping::new();
         let mut records = RecordMapping::new();
-        let audited = select_and_extract(&cands, &pre, 0.5, 0.2, true, &mut groups, &mut records);
+        let audited = select_and_extract(
+            &cands,
+            |_, _, _| None,
+            0.5,
+            0.2,
+            true,
+            &mut groups,
+            &mut records,
+        );
 
         let mut groups2 = GroupMapping::new();
         let mut records2 = RecordMapping::new();
-        let silent = select_and_extract(&cands, &pre, 0.5, 0.2, false, &mut groups2, &mut records2);
+        let silent = select_and_extract(
+            &cands,
+            |_, _, _| None,
+            0.5,
+            0.2,
+            false,
+            &mut groups2,
+            &mut records2,
+        );
         assert_eq!(audited.accepted, silent.accepted);
         assert_eq!(audited.added, silent.added);
         assert!(silent.rejections.is_empty());
@@ -449,10 +478,17 @@ mod tests {
             scored(1, 1, vec![(5, 15)], 0.5),
             scored(1, 0, vec![(5, 16)], 0.5),
         ];
-        let pre = PreMatch::default();
         let mut groups = GroupMapping::new();
         let mut records = RecordMapping::new();
-        let out = select_and_extract(&cands, &pre, 0.5, 0.0, true, &mut groups, &mut records);
+        let out = select_and_extract(
+            &cands,
+            |_, _, _| None,
+            0.5,
+            0.0,
+            true,
+            &mut groups,
+            &mut records,
+        );
         assert_eq!(out.accepted, vec![1]);
         assert_eq!(
             out.rejections,
@@ -476,8 +512,15 @@ mod tests {
         let key = |i: usize| (cands[i].old, cands[i].new);
         let mut groups = GroupMapping::new();
         let mut records = RecordMapping::new();
-        let pre = PreMatch::default();
-        let out = select_and_extract(cands, &pre, 0.5, min_g_sim, true, &mut groups, &mut records);
+        let out = select_and_extract(
+            cands,
+            |_, _, _| None,
+            0.5,
+            min_g_sim,
+            true,
+            &mut groups,
+            &mut records,
+        );
         let rejections = out
             .rejections
             .iter()

@@ -121,7 +121,7 @@ fn prematch_with_cached_profiles_is_identical() {
                 Some(3),
                 &got_obs,
             );
-            assert_eq!(plain.pair_sims, cached.pair_sims, "δ={delta} round {round}");
+            assert_eq!(plain.pairs, cached.pairs, "δ={delta} round {round}");
             assert_eq!(plain.label_old, cached.label_old, "δ={delta} round {round}");
             assert_eq!(plain.label_new, cached.label_new, "δ={delta} round {round}");
             // rows served from an earlier round name the same values as

@@ -65,9 +65,12 @@ fn assert_matrix_matches_oracle(series: &CensusSeries) {
                         &obs,
                     );
                     let got: OracleSims = pm
-                        .pair_sims
+                        .pairs
                         .iter()
-                        .map(|(&(o, n), &s)| ((o.raw(), n.raw()), s.to_bits()))
+                        .map(|&(i, j, s)| {
+                            let (o, n) = (old[i as usize].id, new[j as usize].id);
+                            ((o.raw(), n.raw()), s.to_bits())
+                        })
                         .collect();
                     assert_eq!(got, want, "{label}: pair_sims diverge");
                     let trace = obs.finish();

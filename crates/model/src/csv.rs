@@ -149,7 +149,11 @@ pub fn read_dataset<R: BufRead>(year: i32, r: R) -> Result<CensusDataset, ModelE
         let age = if fields[5].trim().is_empty() {
             None
         } else {
-            Some(parse_u64(&fields[5], "age")? as u32)
+            let age = parse_u64(&fields[5], "age")?;
+            Some(u32::try_from(age).map_err(|_| ModelError::Parse {
+                line: n,
+                message: format!("bad age: {:?} exceeds {}", fields[5], u32::MAX),
+            })?)
         };
         let role: Role = fields[8].parse().map_err(|e| ModelError::Parse {
             line: n,
@@ -409,6 +413,20 @@ mod tests {
         let data = format!("{HEADER}\n0,0,a,b,m,xx,addr,occ,head,\n");
         let e = read_dataset(1871, data.as_bytes()).unwrap_err();
         assert!(matches!(e, ModelError::Parse { line: 2, .. }));
+    }
+
+    #[test]
+    fn age_beyond_u32_rejected_not_truncated() {
+        let row = |age: &str| format!("{HEADER}\n0,0,a,b,m,{age},addr,occ,head,\n");
+        let d = read_dataset(1871, row("4294967295").as_bytes()).unwrap();
+        assert_eq!(d.records()[0].age, Some(u32::MAX));
+        for age in ["4294967296", "99999999999999999999"] {
+            let e = read_dataset(1871, row(age).as_bytes()).unwrap_err();
+            assert!(
+                matches!(e, ModelError::Parse { line: 2, .. }),
+                "{age}: {e:?}"
+            );
+        }
     }
 
     #[test]

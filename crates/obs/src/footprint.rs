@@ -5,7 +5,7 @@
 //! right now". [`MemoryFootprint`] is implemented by every structure
 //! the pipeline materialises at super-linear scale — the pair-score
 //! cache, the profile cache (the run's interned value table), scoring
-//! value arenas, residue indexes, enriched household graphs, subgraph
+//! value arenas, record position indexes, enriched household graphs, subgraph
 //! scratch, the decision log and the evolution graph — and reports an
 //! estimated deep byte count plus an element count.
 //!

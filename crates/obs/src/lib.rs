@@ -116,11 +116,15 @@ pub enum Counter {
     ProfilesBuilt,
     /// Record profiles served from the cache (hits).
     ProfilesReused,
-    /// Cached pair scores reused by an incremental filter-only pass
-    /// (iterations after the first, and a compatible remainder pass).
+    /// Cached pair scores reused by a pass served from the pair-score
+    /// cache (iterations after the first, and a compatible remainder
+    /// pass).
     PairCacheHits,
-    /// Cached pair scores skipped by a filter-only pass (below the
-    /// current δ, or an endpoint already linked).
+    /// Cached pair scores a served pass skipped. The cache is compacted
+    /// to the unlinked residue after every iteration, so these are
+    /// residue pairs scoring below the current δ (or, in the remainder
+    /// pass, failing its threshold or age filter); pairs with a linked
+    /// endpoint are dropped by compaction and never counted.
     PairCacheFiltered,
     /// Candidate pairs emitted by the blocking layer, with the pass's
     /// age-plausibility filter (pre-matching's or the remainder's)
