@@ -7,7 +7,7 @@ use hhgraph::{match_subgraph, EnrichedGraph, SubgraphConfig};
 use linkage_core::{candidate_pairs, prematch, BlockingStrategy, SimFunc};
 use std::hint::black_box;
 use std::sync::OnceLock;
-use textsim::{jaro_winkler, levenshtein, qgram_similarity, soundex};
+use textsim::{qgram_similarity, soundex};
 
 fn ctx() -> &'static census_eval::experiments::ExperimentContext {
     static CTX: OnceLock<census_eval::experiments::ExperimentContext> = OnceLock::new();
@@ -29,20 +29,6 @@ fn bench_string_metrics(c: &mut Criterion) {
         b.iter(|| {
             for (a, x) in NAME_PAIRS {
                 black_box(qgram_similarity(a, x, 2));
-            }
-        })
-    });
-    group.bench_function("levenshtein", |b| {
-        b.iter(|| {
-            for (a, x) in NAME_PAIRS {
-                black_box(levenshtein(a, x));
-            }
-        })
-    });
-    group.bench_function("jaro_winkler", |b| {
-        b.iter(|| {
-            for (a, x) in NAME_PAIRS {
-                black_box(jaro_winkler(a, x));
             }
         })
     });

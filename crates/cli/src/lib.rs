@@ -1993,44 +1993,6 @@ mod tests {
     }
 
     #[test]
-    fn bom_prefixed_snapshot_links_like_the_plain_file() {
-        // spreadsheet exports often start with a UTF-8 byte-order mark
-        let dir = tmp_dir("bom");
-        cmd_generate(&dir, "small", Some(41)).unwrap();
-        let old = dir.join("census_1851.csv");
-        let new = dir.join("census_1861.csv");
-        let bom_old = dir.join("bom_1851.csv");
-        let mut bytes = "\u{FEFF}".as_bytes().to_vec();
-        bytes.extend(std::fs::read(&old).unwrap());
-        std::fs::write(&bom_old, bytes).unwrap();
-        let link = |old: &Path, out: &Path| {
-            cli(&[
-                "link",
-                old.to_str().unwrap(),
-                new.to_str().unwrap(),
-                "--old-year",
-                "1851",
-                "--new-year",
-                "1861",
-                "--out",
-                out.to_str().unwrap(),
-            ])
-            .unwrap()
-        };
-        let (plain, bom) = (dir.join("plain"), dir.join("bom"));
-        link(&old, &plain);
-        link(&bom_old, &bom);
-        for file in ["record_mapping.csv", "group_mapping.csv"] {
-            assert_eq!(
-                std::fs::read(plain.join(file)).unwrap(),
-                std::fs::read(bom.join(file)).unwrap(),
-                "{file} changed by a BOM"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn household_order_in_the_csv_is_irrelevant() {
         // a snapshot is a set of households: shuffling whole households
         // (members kept in form order) must not change a single byte of

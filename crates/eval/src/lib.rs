@@ -23,8 +23,6 @@
 pub mod experiments;
 mod metrics;
 mod report;
-mod tuning;
 
 pub use metrics::{evaluate_group_mapping, evaluate_record_mapping, Quality};
 pub use report::{render_table, write_json};
-pub use tuning::{learn_weights, LearnedWeights, TuneOptions};

@@ -118,11 +118,6 @@ impl EvolutionGraph {
         self.households_per_snapshot.iter().sum()
     }
 
-    /// Edges leaving snapshot `t`.
-    pub fn edges_from(&self, t: usize) -> impl Iterator<Item = &GroupEdge> + '_ {
-        self.edges.iter().filter(move |e| e.from_snapshot == t)
-    }
-
     /// Edges of one pattern kind.
     pub fn edges_of_kind(&self, kind: GroupPatternKind) -> impl Iterator<Item = &GroupEdge> + '_ {
         self.edges.iter().filter(move |e| e.kind == kind)
@@ -206,7 +201,6 @@ mod tests {
             .edges
             .iter()
             .all(|e| e.kind == GroupPatternKind::Preserve && e.shared == 2));
-        assert_eq!(g.edges_from(1).count(), 1);
         assert_eq!(g.edges_of_kind(GroupPatternKind::Preserve).count(), 3);
         assert_eq!(g.edges_of_kind(GroupPatternKind::Move).count(), 0);
     }

@@ -23,18 +23,8 @@
 
 mod chains;
 mod detect;
-mod dot;
 mod graph;
-mod history;
-mod life_events;
-mod transitions;
 
 pub use chains::{largest_component, preserve_chain_counts};
 pub use detect::{detect_patterns, GroupPatternKind, PairPatterns, PatternCounts};
-pub use dot::{to_dot, DotOptions};
 pub use graph::{EvolutionGraph, GroupEdge};
-pub use history::{pattern_sequences, person_timelines, PersonTimeline};
-pub use life_events::{infer_life_events, InferenceConfig, InferredEvent};
-pub use transitions::{
-    render_transitions, total_type_transitions, type_transitions, TypeTransitions,
-};

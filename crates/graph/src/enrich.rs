@@ -1,7 +1,7 @@
 //! Group enrichment (§3.1): complete the household graph with implicit
 //! relationships and time-stable edge properties.
 
-use census_model::{Attribute, CensusDataset, HouseholdId, PersonRecord, RecordId, RelType, Role};
+use census_model::{CensusDataset, HouseholdId, PersonRecord, RecordId, RelType, Role};
 
 /// Derive the implicit, head-independent relationship between two members
 /// from their census-form roles, in direction `a → b`.
@@ -206,19 +206,6 @@ impl EnrichedGraph {
             Some((e.rel, e.age_diff))
         }
     }
-
-    /// Whether the household has any usable age data (used by heuristics
-    /// that weight edge evidence).
-    #[must_use]
-    pub fn has_ages(&self) -> bool {
-        self.edges.iter().any(|e| e.age_diff.is_some())
-    }
-}
-
-/// Convenience: missing-age-aware re-export check used in tests.
-#[allow(dead_code)]
-fn is_missing_age(r: &PersonRecord) -> bool {
-    r.is_missing(Attribute::Age)
 }
 
 #[cfg(test)]
@@ -294,7 +281,6 @@ mod tests {
         let ds = CensusDataset::new(1871, records, vec![hh]).unwrap();
         let g = EnrichedGraph::build(&ds, HouseholdId(0)).unwrap();
         assert_eq!(g.directed_edge(0, 1), Some((RelType::ParentChild, None)));
-        assert!(!g.has_ages());
     }
 
     #[test]

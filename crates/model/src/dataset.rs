@@ -110,13 +110,6 @@ impl CensusDataset {
         self.household_index.get(&id).map(|&i| &self.households[i])
     }
 
-    /// The household a record lives in.
-    #[must_use]
-    pub fn household_of(&self, record: RecordId) -> Option<&Household> {
-        self.record(record)
-            .and_then(|r| self.household(r.household))
-    }
-
     /// Member records of a household, in form order.
     pub fn members(&self, household: HouseholdId) -> impl Iterator<Item = &PersonRecord> + '_ {
         self.household(household)
@@ -202,7 +195,7 @@ mod tests {
         assert_eq!(d.record_count(), 3);
         assert_eq!(d.household_count(), 2);
         assert_eq!(d.record(RecordId(1)).unwrap().first_name, "william");
-        assert_eq!(d.household_of(RecordId(2)).unwrap().id, HouseholdId(1));
+        assert_eq!(d.record(RecordId(2)).unwrap().household, HouseholdId(1));
         assert_eq!(d.members(HouseholdId(0)).count(), 2);
     }
 
@@ -266,7 +259,7 @@ mod tests {
         assert!(back.record(RecordId(0)).is_none());
         back.rebuild_indices();
         assert_eq!(back.record(RecordId(0)).unwrap().first_name, "john");
-        assert_eq!(back.household_of(RecordId(2)).unwrap().id, HouseholdId(1));
+        assert_eq!(back.record(RecordId(2)).unwrap().household, HouseholdId(1));
     }
 
     #[test]

@@ -225,13 +225,6 @@ impl GroupMapping {
     pub fn iter(&self) -> impl Iterator<Item = (HouseholdId, HouseholdId)> + '_ {
         self.pairs.iter().copied()
     }
-
-    /// Insert every pair of `other`; returns how many were new.
-    pub fn extend_from(&mut self, other: &GroupMapping) -> usize {
-        let before = self.pairs.len();
-        self.pairs.extend(other.pairs.iter().copied());
-        self.pairs.len() - before
-    }
 }
 
 impl FromIterator<(HouseholdId, HouseholdId)> for GroupMapping {

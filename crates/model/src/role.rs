@@ -172,12 +172,6 @@ impl RelType {
         }
     }
 
-    /// Whether this type reads the same from both endpoints.
-    #[must_use]
-    pub fn is_symmetric(self) -> bool {
-        self.inverse() == self
-    }
-
     /// Canonical form used on undirected edges: directed variants are
     /// mapped to their older-generation-first representative together with
     /// a flag that says whether the endpoints must be swapped.
@@ -260,10 +254,10 @@ mod tests {
 
     #[test]
     fn symmetric_types() {
-        assert!(RelType::Spouse.is_symmetric());
-        assert!(RelType::Sibling.is_symmetric());
-        assert!(RelType::CoResident.is_symmetric());
-        assert!(!RelType::ParentChild.is_symmetric());
+        assert_eq!(RelType::Spouse.inverse(), RelType::Spouse);
+        assert_eq!(RelType::Sibling.inverse(), RelType::Sibling);
+        assert_eq!(RelType::CoResident.inverse(), RelType::CoResident);
+        assert_ne!(RelType::ParentChild.inverse(), RelType::ParentChild);
     }
 
     #[test]

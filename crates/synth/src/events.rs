@@ -161,13 +161,6 @@ impl EventLog {
         &self.events
     }
 
-    /// Events within `[from, to)` years.
-    pub fn in_years(&self, from: i32, to: i32) -> impl Iterator<Item = &LifeEvent> + '_ {
-        self.events
-            .iter()
-            .filter(move |e| (from..to).contains(&e.year()))
-    }
-
     /// Events involving one person, in order.
     pub fn of_person(&self, person: PersonId) -> impl Iterator<Item = &LifeEvent> + '_ {
         self.events.iter().filter(move |e| e.involves(person))
@@ -222,7 +215,6 @@ mod tests {
             person: PersonId(2),
         });
         assert_eq!(log.len(), 3);
-        assert_eq!(log.in_years(1860, 1870).count(), 2);
         assert_eq!(log.of_person(PersonId(2)).count(), 2);
         assert_eq!(log.of_person(PersonId(9)).count(), 0);
     }

@@ -29,16 +29,6 @@ impl CensusSeries {
     pub fn truth_between(&self, i: usize, j: usize) -> Option<GroundTruth> {
         Some(ground_truth(self.snapshots.get(i)?, self.snapshots.get(j)?))
     }
-
-    /// Successive snapshot pairs `(i, i+1)` with their ground truth.
-    pub fn successive_pairs(
-        &self,
-    ) -> impl Iterator<Item = (&CensusDataset, &CensusDataset, GroundTruth)> + '_ {
-        self.snapshots.windows(2).map(|w| {
-            let truth = ground_truth(&w[0], &w[1]);
-            (&w[0], &w[1], truth)
-        })
-    }
 }
 
 /// Generate a full census series from a configuration. Deterministic in
@@ -107,11 +97,10 @@ mod tests {
     #[test]
     fn successive_pairs_cover_series() {
         let series = generate_series(&SimConfig::small());
-        let pairs: Vec<_> = series.successive_pairs().collect();
-        assert_eq!(pairs.len(), 2);
-        for (old, new, truth) in pairs {
-            assert_eq!(new.year - old.year, 10);
-            assert!(!truth.records.is_empty());
+        assert_eq!(series.snapshots.len(), 3);
+        for (i, pair) in series.snapshots.windows(2).enumerate() {
+            assert_eq!(pair[1].year - pair[0].year, 10);
+            assert!(!series.truth_between(i, i + 1).unwrap().records.is_empty());
         }
     }
 

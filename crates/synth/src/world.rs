@@ -138,14 +138,6 @@ impl World {
         self.persons.iter().filter(|p| p.observable()).count()
     }
 
-    /// The world household a person currently lives in.
-    #[must_use]
-    pub fn home_of(&self, person: PersonId) -> Option<&WorldHousehold> {
-        self.home
-            .get(&person)
-            .and_then(|id| self.households.get(id))
-    }
-
     /// The full demographic event log of this run.
     #[must_use]
     pub fn events(&self) -> &EventLog {

@@ -17,9 +17,9 @@
 //! preserve that because the packing maps are strictly monotone and
 //! injective on the gram alphabet — sorted order and multiset
 //! intersection counts survive the remap, and the Dice arithmetic runs
-//! the same `usize`/`f64` expression in the same order. Values whose
-//! representation has no packed form (edit-distance measures, mixed
-//! measures) fall back to delegating the original `CompiledValue`s.
+//! the same `usize`/`f64` expression in the same order. An arena holds
+//! one attribute spec's values, all compiled under that spec's measure,
+//! so its lane follows their one representation.
 //!
 //! [`MultisetArena::similarity_row`] serves callers that score one value
 //! against many: in the `u16` lane it keeps the fixed value's gram counts
@@ -38,8 +38,8 @@ const EXACT_EMPTY: u32 = u32::MAX;
 ///
 /// Built from one representative [`CompiledValue`] per unique value and
 /// shared read-only by the scoring workers; [`MultisetArena::similarity`]
-/// then scores any id pair. The arena borrows nothing: the fallback lane
-/// keeps its own copies of the values.
+/// then scores any id pair. The arena borrows nothing: it keeps its own
+/// packed copies of the grams or keys.
 #[derive(Debug)]
 pub struct MultisetArena {
     lane: Lane,
@@ -83,8 +83,7 @@ impl RowScratch {
 }
 
 /// The per-measure packed layout. One lane per arena: a spec's values all
-/// share one measure, so their representations are homogeneous unless the
-/// measure itself has no precomputed form.
+/// share one measure, so their representations are homogeneous.
 #[derive(Debug)]
 enum Lane {
     /// `QGram(2)` with every char `< 2⁸`: bigrams packed `(c1 << 8) | c2`.
@@ -98,40 +97,36 @@ enum Lane {
     GramIds { grams: Vec<u32>, offsets: Vec<u32> },
     /// `Exact`: interned trimmed keys, [`EXACT_EMPTY`] for missing.
     Exact { ids: Vec<u32> },
-    /// No packed form (or heterogeneous measures): delegate per pair to
-    /// copies of the values, so the arena borrows nothing.
-    Fallback { values: Vec<CompiledValue> },
 }
 
 impl MultisetArena {
     /// Lay out one representative compiled value per dense id.
     ///
     /// `values[id]` becomes the arena entry scored by id; callers pass one
-    /// representative per unique raw value, in id order.
+    /// representative per unique raw value, in id order, all compiled
+    /// under one measure.
+    ///
+    /// # Panics
+    /// Panics if the values were compiled under measures with different
+    /// representations (in debug builds, under any two measures).
     #[must_use]
     pub fn build(values: &[&CompiledValue]) -> Self {
-        let len = values.len();
-        let lane = Self::packed_lane(values).unwrap_or_else(|| Lane::Fallback {
-            values: values.iter().map(|&v| v.clone()).collect(),
-        });
+        debug_assert!(
+            values.windows(2).all(|w| w[0].measure() == w[1].measure()),
+            "an arena holds the values of one measure"
+        );
+        let lane = match values.first().map(|v| v.repr()) {
+            Some(Repr::Bigrams(_)) => Self::bigram_lane(values),
+            Some(Repr::Grams(_)) => Self::gram_id_lane(values),
+            // an empty arena scores no pair, so any lane serves it
+            Some(Repr::ExactKey(_)) | None => Self::exact_lane(values),
+        };
         static NEXT_UID: AtomicU64 = AtomicU64::new(0);
         let uid = NEXT_UID.fetch_add(1, Ordering::Relaxed);
-        MultisetArena { lane, len, uid }
-    }
-
-    /// Try the packed layouts; `None` means the fallback lane.
-    fn packed_lane(values: &[&CompiledValue]) -> Option<Lane> {
-        // A packed lane may only merge values the compiled path would
-        // merge: a mixed-measure arena must delegate pair by pair so the
-        // mismatch fallback in `CompiledValue::similarity` still fires.
-        if values.is_empty() || values.windows(2).any(|w| w[0].measure() != w[1].measure()) {
-            return None;
-        }
-        match values[0].repr() {
-            Repr::Bigrams(_) => Some(Self::bigram_lane(values)),
-            Repr::Grams(_) => Some(Self::gram_id_lane(values)),
-            Repr::ExactKey(_) => Some(Self::exact_lane(values)),
-            Repr::Fallback => None,
+        MultisetArena {
+            lane,
+            len: values.len(),
+            uid,
         }
     }
 
@@ -263,13 +258,11 @@ impl MultisetArena {
             Lane::Bigrams64 { .. } => "bigrams64",
             Lane::GramIds { .. } => "gram_ids",
             Lane::Exact { .. } => "exact",
-            Lane::Fallback { .. } => "fallback",
         }
     }
 
-    /// Heap bytes owned by the arena's packed buffers, or by the copied
-    /// values of the fallback lane (capacity-based, for memory-footprint
-    /// estimates).
+    /// Heap bytes owned by the arena's packed buffers (capacity-based,
+    /// for memory-footprint estimates).
     #[must_use]
     pub fn heap_bytes(&self) -> u64 {
         let (grams, offsets) = match &self.lane {
@@ -279,14 +272,6 @@ impl MultisetArena {
             }
             Lane::Bigrams64 { grams, offsets } => (grams.capacity() * 8, offsets.capacity() * 4),
             Lane::Exact { ids } => (ids.capacity() * 4, 0),
-            Lane::Fallback { values } => (
-                values.capacity() * std::mem::size_of::<CompiledValue>()
-                    + values
-                        .iter()
-                        .map(|v| v.heap_bytes() as usize)
-                        .sum::<usize>(),
-                0,
-            ),
         };
         (grams + offsets) as u64
     }
@@ -319,7 +304,6 @@ impl MultisetArena {
                     1.0
                 }
             }
-            Lane::Fallback { values } => values[a as usize].similarity(&values[b as usize]),
         }
     }
 
@@ -463,25 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn fallback_measures_delegate_per_pair() {
-        let values = compile_all(StringMeasure::JaroWinkler, &["elizabeth", "elisabeth", ""]);
-        let refs: Vec<&CompiledValue> = values.iter().collect();
-        assert_eq!(MultisetArena::build(&refs).lane_name(), "fallback");
-        assert_round_trip(&values);
-    }
-
-    #[test]
-    fn mixed_measures_delegate_so_the_mismatch_fallback_fires() {
-        let values = vec![
-            StringMeasure::QGram(2).compile("ashworth"),
-            StringMeasure::Exact.compile("ashworth"),
-        ];
-        let refs: Vec<&CompiledValue> = values.iter().collect();
-        assert_eq!(MultisetArena::build(&refs).lane_name(), "fallback");
-        assert_round_trip(&values);
-    }
-
-    #[test]
     fn empty_arena_is_empty() {
         let arena = MultisetArena::build(&[]);
         assert!(arena.is_empty());
@@ -585,14 +550,12 @@ mod tests {
         #[test]
         fn prop_arena_round_trips_every_measure(
             raws in proptest::collection::vec("[a-zA-Zé ]{0,10}", 1..6),
-            which in 0usize..5,
+            which in 0usize..3,
         ) {
             let measure = [
                 StringMeasure::QGram(2),
                 StringMeasure::QGram(3),
                 StringMeasure::Exact,
-                StringMeasure::JaroWinkler,
-                StringMeasure::TokenJaccard,
             ][which];
             let values: Vec<CompiledValue> = raws.iter().map(|r| measure.compile(r)).collect();
             let refs: Vec<&CompiledValue> = values.iter().collect();

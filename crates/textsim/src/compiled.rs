@@ -29,14 +29,11 @@ pub(crate) enum Repr {
     Grams(Vec<String>),
     /// Trimmed, ASCII-lowercased key for `Exact`.
     ExactKey(String),
-    /// No useful precomputation; scored from the raw strings.
-    Fallback,
 }
 
 /// A value compiled for repeated scoring under one [`StringMeasure`].
 ///
-/// The raw value is retained so measures without a precomputed
-/// representation (and mismatched-measure comparisons) can always fall
+/// The raw value is retained so mismatched-measure comparisons can fall
 /// back to [`StringMeasure::similarity`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledValue {
@@ -57,7 +54,6 @@ impl StringMeasure {
             StringMeasure::QGram(2) => Repr::Bigrams(bigram_ids(value)),
             StringMeasure::QGram(q) => Repr::Grams(qgram_multiset(value, q)),
             StringMeasure::Exact => Repr::ExactKey(value.trim().to_ascii_lowercase()),
-            _ => Repr::Fallback,
         };
         CompiledValue {
             raw: value.to_owned(),
@@ -91,7 +87,6 @@ impl CompiledValue {
                     + v.iter().map(|g| g.capacity() as u64).sum::<u64>()
             }
             Repr::ExactKey(k) => k.capacity() as u64,
-            Repr::Fallback => 0,
         };
         self.raw.capacity() as u64 + repr
     }
@@ -153,16 +148,10 @@ mod tests {
     use crate::qgram_similarity;
     use proptest::prelude::*;
 
-    const ALL_MEASURES: [StringMeasure; 9] = [
+    const ALL_MEASURES: [StringMeasure; 3] = [
         StringMeasure::QGram(2),
         StringMeasure::QGram(3),
-        StringMeasure::Levenshtein,
-        StringMeasure::DamerauLevenshtein,
-        StringMeasure::Jaro,
-        StringMeasure::JaroWinkler,
-        StringMeasure::SmithWaterman,
-        StringMeasure::TokenJaccard,
-        StringMeasure::MongeElkan,
+        StringMeasure::Exact,
     ];
 
     #[test]

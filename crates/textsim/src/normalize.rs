@@ -32,12 +32,12 @@ pub fn normalize_value(s: &str) -> String {
 /// so "Müller" and "Muller" compare equal at the normalisation layer.
 #[must_use]
 pub fn normalize_name(s: &str) -> String {
-    strip_diacritics(&normalize_value(s))
+    normalize_value(s).chars().map(fold_diacritic).collect()
 }
 
 /// Fold one lowercase Latin-1 / Latin Extended-A diacritic character to
 /// its ASCII base letter. Characters outside the table pass through
-/// unchanged. The per-character core of [`strip_diacritics`], exposed so
+/// unchanged. The per-character core of [`normalize_name`], exposed so
 /// allocation-free consumers (the blocking key builder) can fold without
 /// materialising a `String`.
 #[must_use]
@@ -56,14 +56,6 @@ pub fn fold_diacritic(c: char) -> char {
         'ß' => 's', // best-effort single-char fold
         other => other,
     }
-}
-
-/// Fold the Latin-1 / Latin Extended-A diacritics that occur in European
-/// names to their ASCII base letters. Characters outside the table pass
-/// through unchanged.
-#[must_use]
-pub fn strip_diacritics(s: &str) -> String {
-    s.chars().map(fold_diacritic).collect()
 }
 
 #[cfg(test)]
@@ -97,7 +89,7 @@ mod tests {
     fn diacritics_fold() {
         assert_eq!(normalize_name("Müller"), "muller");
         assert_eq!(normalize_name("José"), "jose");
-        assert_eq!(strip_diacritics("weiß"), "weis");
+        assert_eq!(normalize_name("weiß"), "weis");
     }
 
     proptest! {

@@ -128,8 +128,8 @@ pub(crate) fn sorted_multiset_intersection(a: &[String], b: &[String]) -> usize 
 }
 
 /// A compact blocking key derived from the leading q-gram structure of a
-/// string: its first character plus length bucket. Used by the blocking
-/// layer to cheaply group candidate record pairs.
+/// string: its first character plus length bucket, a cheap way to group
+/// candidate record pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QGramIndexKey {
     /// Lower-cased first character, `'\0'` for empty strings.

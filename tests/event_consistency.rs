@@ -206,91 +206,3 @@ fn marriages_explain_surname_changes() {
         "too many unexplained surname changes: {nonbride_changes} vs {bride_changes} brides"
     );
 }
-
-#[test]
-fn inferred_marriages_match_logged_marriages() {
-    use temporal_census_linkage::evolution::{infer_life_events, InferenceConfig, InferredEvent};
-    let series = series();
-    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
-    let truth = series.truth_between(0, 1).unwrap();
-
-    let events = infer_life_events(old, new, &truth.records, &InferenceConfig::default());
-
-    // logged brides in the window (end-of-step year stamps)
-    let brides: std::collections::HashSet<_> = series
-        .events
-        .all()
-        .iter()
-        .filter_map(|e| match e {
-            LifeEvent::Marriage { year, wife, .. } if *year > old.year && *year <= new.year => {
-                Some(*wife)
-            }
-            _ => None,
-        })
-        .collect();
-
-    let mut inferred = 0;
-    let mut correct = 0;
-    for e in &events {
-        if let InferredEvent::Marriage { old: o, .. } = e {
-            inferred += 1;
-            let pid = old.record(*o).unwrap().truth.unwrap();
-            if brides.contains(&pid) {
-                correct += 1;
-            }
-        }
-    }
-    assert!(inferred > 0, "expected some inferred marriages");
-    let precision = correct as f64 / inferred as f64;
-    assert!(
-        precision > 0.85,
-        "marriage inference precision {precision:.3} ({correct}/{inferred})"
-    );
-}
-
-#[test]
-fn inferred_births_match_logged_births() {
-    use temporal_census_linkage::evolution::{infer_life_events, InferenceConfig, InferredEvent};
-    let series = series();
-    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
-    let truth = series.truth_between(0, 1).unwrap();
-
-    let events = infer_life_events(old, new, &truth.records, &InferenceConfig::default());
-
-    let born: std::collections::HashSet<_> = series
-        .events
-        .all()
-        .iter()
-        .filter_map(|e| match e {
-            LifeEvent::Birth { year, person, .. } if *year > old.year && *year <= new.year => {
-                Some(*person)
-            }
-            _ => None,
-        })
-        .collect();
-
-    let mut inferred = 0;
-    let mut correct = 0;
-    for e in &events {
-        if let InferredEvent::Birth { new: n } = e {
-            inferred += 1;
-            let pid = new.record(*n).unwrap().truth.unwrap();
-            if born.contains(&pid) {
-                correct += 1;
-            }
-        }
-    }
-    assert!(inferred > 0, "expected some inferred births");
-    let precision = correct as f64 / inferred as f64;
-    assert!(
-        precision > 0.9,
-        "birth inference precision {precision:.3} ({correct}/{inferred})"
-    );
-    // recall against births whose family is observable in both censuses is
-    // harder to bound tightly; check a loose floor instead
-    assert!(
-        correct * 2 > born.len(),
-        "found {correct} of {} logged births",
-        born.len()
-    );
-}
