@@ -706,7 +706,7 @@ fn load_run_trace(file: &Path) -> Result<RunTrace, CliError> {
     if serde_json::from_str::<MultiTrace>(&text).is_ok() {
         return Err(format!(
             "{} is a multi-run trace; trace-diff compares single-run traces \
-             (written by `link --trace-out` or `bench_link --trace-out`)",
+             (written by `link --trace-out`)",
             file.display()
         ));
     }

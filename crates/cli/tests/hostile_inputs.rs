@@ -125,7 +125,7 @@ fn corpus(generated: &Path) -> Vec<Case> {
         error(
             "duplicate record id",
             "1,2,ann,smith,f,30,bank street,,lodger,",
-            &["duplicate record id"],
+            &["line 6", "duplicate record id"],
         ),
         error(
             "truncated row",
@@ -136,7 +136,7 @@ fn corpus(generated: &Path) -> Vec<Case> {
             name: "non-UTF-8 bytes",
             old: non_utf8,
             new: new.clone(),
-            outcome: Outcome::Error(&["valid UTF-8"]),
+            outcome: Outcome::Error(&["line 6", "valid UTF-8"]),
         },
         Case {
             name: "header-only old side",

@@ -113,18 +113,14 @@ pub struct LinkageConfig {
     /// parallelism on small inputs; raise it to keep small iterations
     /// sequential.
     pub parallel_cutoff: usize,
-    /// Score every blocked pair once at `δ_low` and serve iterations ≥ 1
-    /// by selecting from the cached scores. `agg_sim` is δ-independent,
-    /// so results are bit-identical to re-scoring each iteration
-    /// (`false` scores each iteration's residue afresh at its own δ,
-    /// mainly for differential testing).
-    pub incremental: bool,
     /// Soft memory budget in bytes for the pipeline's caches (CLI
     /// `--mem-budget`). When set, a [`crate::MemGovernor`] degrades the
     /// cross-iteration pair-score cache and the decision log to fit —
     /// every degradation falls back to recomputation, so linkage output
-    /// is bit-identical under any budget. `None` (the default) leaves
-    /// every cache at its built-in cap.
+    /// is bit-identical under any budget. A refused pair-score cache
+    /// (always, at `Some(0)`) makes every δ step score its residue afresh
+    /// at its own δ. `None` (the default) leaves every cache at its
+    /// built-in cap.
     pub memory_budget: Option<u64>,
     /// Ignored (CLI `--shards` only warns). Kept so callers that still
     /// set a shard count compile; every run takes the one unsharded
@@ -214,7 +210,6 @@ impl Default for LinkageConfig {
             blocking: BlockingStrategy::Standard,
             threads: default_threads(),
             parallel_cutoff: DEFAULT_PARALLEL_CUTOFF,
-            incremental: true,
             memory_budget: None,
             shards: 1,
         }
@@ -274,7 +269,6 @@ mod tests {
     fn parallel_cutoff_gates_fanout() {
         let c = LinkageConfig::default();
         assert_eq!(c.parallel_cutoff, DEFAULT_PARALLEL_CUTOFF);
-        assert!(c.incremental);
         let par = Parallelism {
             threads: 4,
             cutoff: 100,

@@ -62,7 +62,7 @@ pub use linker::Linker;
 pub use mem::MemGovernor;
 pub use pairscore::PairScoreCache;
 pub use pipeline::{link, link_series, link_traced, IterationStats, LinkPhase, LinkageResult};
-pub use prematch::{prematch, prematch_cached, prematch_with_profiles, PreMatch};
+pub use prematch::{prematch_cached, prematch_with_profiles, PreMatch};
 pub use profiles::ProfileCache;
 pub use quality::{explain_miss, MissReport};
 pub use remainder::{match_remaining, match_remaining_cached};

@@ -537,16 +537,16 @@ impl<'a> Linker<'a> {
     /// this *is* the uninstrumented hot path.
     ///
     /// Each δ step makes the pair-score cache cover δ, then selects its
-    /// match pairs from it. The first step of an incremental run scores
-    /// every blocked pair once, at the schedule floor, and that cache
-    /// serves every later step and the remainder pass; after each step
-    /// it is compacted to the residue, and after the first also sorted
-    /// into household-pair order, so a later step's work follows the
-    /// residue. Recompute mode, and a run whose memory governor refuses
-    /// the floor cache, score each step's residue at its own δ instead,
-    /// bit-identically. The step's match pairs and the confirmed links
-    /// (as anchors) form one household-ordered pair list, which the
-    /// subgraph phase reads run by run.
+    /// match pairs from it. The first step scores every blocked pair
+    /// once, at the schedule floor, and that cache serves every later
+    /// step and the remainder pass; after each step it is compacted to
+    /// the residue, and after the first also sorted into household-pair
+    /// order, so a later step's work follows the residue. A run whose
+    /// memory governor refuses the floor cache scores each step's
+    /// residue at its own δ instead, bit-identically. The step's match
+    /// pairs and the confirmed links (as anchors) form one
+    /// household-ordered pair list, which the subgraph phase reads run
+    /// by run.
     ///
     /// # Panics
     ///
@@ -577,9 +577,9 @@ impl<'a> Linker<'a> {
         // arenas over the values) across the whole schedule and the
         // remainder pass, whose specs usually coincide
         let mut cache = ProfileCache::new();
-        // so is agg_sim itself: in incremental mode every blocked pair
-        // is scored once against the schedule floor, and later
-        // iterations only select from the cached scores
+        // so is agg_sim itself: every blocked pair is scored once
+        // against the schedule floor, and later iterations only select
+        // from the cached scores
         let mut pair_cache: Option<PairScoreCache> = None;
         // score the cache at the exact bound the loop's break condition
         // uses: float-stepped deltas can land marginally below δ_low, so
@@ -618,7 +618,7 @@ impl<'a> Linker<'a> {
                     };
                     // only the first step tries the floor; a refused
                     // floor cache leaves the run scoring step by step
-                    let at_floor = if iter_idx == 0 && config.incremental {
+                    let at_floor = if iter_idx == 0 {
                         score_at(floor, &mem)
                     } else {
                         None
@@ -984,14 +984,16 @@ mod tests {
         let (mut single, mut multi, mut below) = (0, 0, 0);
         let mut delta = config.delta_high;
         for iteration in 0.. {
-            let fresh = crate::prematch(
+            let fresh = crate::prematch_cached(
                 &remaining_old,
                 &remaining_new,
+                &mut ProfileCache::new(),
                 year_gap,
                 &config.sim_func.with_threshold(delta),
                 config.blocking,
-                config.threads,
+                config.parallelism(),
                 config.prematch_max_age_gap,
+                &Collector::disabled(),
             );
             let matches = linker.ordered(fresh.pairs.iter().map(|&(i, j, s)| {
                 (
@@ -1096,14 +1098,16 @@ mod tests {
         let delta = config.delta_high;
         let old_refs: Vec<&PersonRecord> = old.records().iter().collect();
         let new_refs: Vec<&PersonRecord> = new.records().iter().collect();
-        let fresh = crate::prematch(
+        let fresh = crate::prematch_cached(
             &old_refs,
             &new_refs,
+            &mut ProfileCache::new(),
             i64::from(new.year - old.year),
             &config.sim_func.with_threshold(delta),
             config.blocking,
-            1,
+            config.parallelism(),
             config.prematch_max_age_gap,
+            &Collector::disabled(),
         );
         // the full slices, so residue positions are snapshot positions
         let mut matches = fresh.pairs;
@@ -1206,21 +1210,6 @@ mod tests {
             .pairs
             .windows(2)
             .all(|w| linker.pair_key(&w[0]) < linker.pair_key(&w[1])));
-    }
-
-    #[test]
-    fn incremental_default_matches_recompute() {
-        let series = generate_series(&SimConfig::small());
-        let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
-        let linker = Linker::new(old, new);
-        let incremental = linker.run(&LinkageConfig::default());
-        let recompute = linker.run(&LinkageConfig {
-            incremental: false,
-            ..LinkageConfig::default()
-        });
-        let a: std::collections::BTreeSet<_> = incremental.records.iter().collect();
-        let b: std::collections::BTreeSet<_> = recompute.records.iter().collect();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -37,14 +37,14 @@
 //! only drops entries with an endpoint outside the residue, which no
 //! selection over the residue could return.
 //!
-//! Recompute mode, and a run whose memory governor refuses the floor
-//! cache, score each step's residue at that step's δ instead, in a cache
-//! that serves only that step.
+//! A run whose memory governor refuses the floor cache scores each
+//! step's residue at that step's δ instead, in a cache that serves only
+//! that step.
 //!
 //! ## Observability
 //!
 //! Because pairs are scored once at the floor, the `pair_agg_sim_bp`
-//! histogram of a traced incremental run reflects the floor-scored pair
+//! histogram of a traced run reflects the floor-scored pair
 //! set (everything with `agg_sim ≥ δ_low`), sampled at build time;
 //! served steps add no histogram samples, only
 //! `pair_cache_hits`/`pair_cache_filtered` counters.

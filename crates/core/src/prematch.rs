@@ -454,39 +454,7 @@ where
     done.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Run pre-matching over two record sets.
-///
-/// `year_gap` is `new.year - old.year` (used by the blocking age bands
-/// and the age-plausibility filter). `max_age_gap` rejects candidate
-/// pairs whose normalised age difference exceeds the tolerance — the
-/// paper's footnote 2 guarantee; `None` disables the filter.
-#[must_use]
-pub fn prematch(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    year_gap: i64,
-    sim: &SimFunc,
-    strategy: BlockingStrategy,
-    threads: usize,
-    max_age_gap: Option<u32>,
-) -> PreMatch {
-    prematch_cached(
-        old,
-        new,
-        &mut ProfileCache::new(),
-        year_gap,
-        sim,
-        strategy,
-        Parallelism {
-            threads,
-            ..Parallelism::default()
-        },
-        max_age_gap,
-        &Collector::disabled(),
-    )
-}
-
-/// [`prematch`] over profiles the caller already compiled.
+/// [`prematch_cached`] over profiles the caller already compiled.
 /// `old_profiles[i]` must be `sim.compile(old[i])` — same specs, same
 /// order — and likewise for the new side. Values come from a fresh
 /// [`ProfileCache`], which interns and compiles exactly what those
@@ -525,12 +493,17 @@ pub fn prematch_with_profiles(
     )
 }
 
-/// [`prematch`] with the records' values served by a run-wide
-/// [`ProfileCache`]: records it has seen under `sim`'s specs reuse their
-/// value-id rows, and no value is normalised or compiled twice. This is
-/// the iterative driver's fresh pass. Pair/prune counters and per-thread
-/// chunk timings are reported to `obs` (pass [`Collector::disabled`]
-/// when not tracing).
+/// Run pre-matching over two record sets, with the records' values
+/// served by a run-wide [`ProfileCache`]: records it has seen under
+/// `sim`'s specs reuse their value-id rows, and no value is normalised or
+/// compiled twice. This is the iterative driver's fresh pass.
+///
+/// `year_gap` is `new.year - old.year` (used by the blocking age bands
+/// and the age-plausibility filter). `max_age_gap` rejects candidate
+/// pairs whose normalised age difference exceeds the tolerance — the
+/// paper's footnote 2 guarantee; `None` disables the filter. Pair/prune
+/// counters and per-thread chunk timings are reported to `obs` (pass
+/// [`Collector::disabled`] when not tracing).
 #[allow(clippy::too_many_arguments)] // prematch's inputs plus the cache
 #[must_use]
 pub fn prematch_cached(
@@ -594,6 +567,32 @@ mod tests {
     use super::*;
     use census_model::{HouseholdId, RecordId, Role, Sex};
     use std::collections::HashMap;
+
+    /// One untraced pre-matching pass over a fresh value table.
+    fn prematch(
+        old: &[&PersonRecord],
+        new: &[&PersonRecord],
+        year_gap: i64,
+        sim: &SimFunc,
+        strategy: BlockingStrategy,
+        threads: usize,
+        max_age_gap: Option<u32>,
+    ) -> PreMatch {
+        prematch_cached(
+            old,
+            new,
+            &mut ProfileCache::new(),
+            year_gap,
+            sim,
+            strategy,
+            Parallelism {
+                threads,
+                ..Parallelism::default()
+            },
+            max_age_gap,
+            &Collector::disabled(),
+        )
+    }
 
     fn rec(id: u64, fname: &str, sname: &str, sex: Sex, age: u32) -> PersonRecord {
         let mut r = PersonRecord::empty(RecordId(id), HouseholdId(0), Role::Head);

@@ -1,7 +1,6 @@
 //! Attribute similarity functions (`Sim_func` of the paper, Table 2).
 
 use census_model::{Attribute, PersonRecord};
-use serde::{Deserialize, Serialize};
 use textsim::{normalize_value, CompiledValue, StringMeasure};
 
 /// Margin protecting the early-exit bound against cross-order float
@@ -57,15 +56,6 @@ impl CompiledProfile {
     pub fn values(&self) -> &[CompiledValue] {
         &self.values
     }
-}
-
-/// Serializable summary of a [`SimFunc`] (for experiment reports).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SimFuncSummary {
-    /// `(attribute, weight)` pairs.
-    pub weights: Vec<(String, f64)>,
-    /// Threshold δ.
-    pub threshold: f64,
 }
 
 impl SimFunc {
@@ -337,19 +327,6 @@ impl SimFunc {
         let s = self.aggregate(a, b);
         (s >= self.threshold).then_some(s)
     }
-
-    /// Serializable summary for reports.
-    #[must_use]
-    pub fn summary(&self) -> SimFuncSummary {
-        SimFuncSummary {
-            weights: self
-                .specs
-                .iter()
-                .map(|s| (s.attribute.to_string(), s.weight))
-                .collect(),
-            threshold: self.threshold,
-        }
-    }
 }
 
 impl Default for SimFunc {
@@ -502,14 +479,5 @@ mod tests {
     #[should_panic(expected = "sum to 1")]
     fn bad_weights_panic() {
         let _ = SimFunc::weighted(&[0.5, 0.5, 0.5, 0.0, 0.0], 0.5);
-    }
-
-    #[test]
-    fn summary_round_trip() {
-        let f = SimFunc::omega2(0.55);
-        let s = f.summary();
-        assert_eq!(s.threshold, 0.55);
-        assert_eq!(s.weights.len(), 5);
-        assert_eq!(s.weights[0], ("first_name".to_string(), 0.4));
     }
 }

@@ -14,7 +14,7 @@
 
 use census_model::PersonRecord;
 use census_synth::{generate_series, CensusSeries, SimConfig};
-use linkage_core::{candidate_pairs, BlockingStrategy, LinkageConfig, LinkageResult, SimFunc};
+use linkage_core::{candidate_pairs, BlockingStrategy, LinkageResult, SimFunc};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The record- and group-link sets of a run, as raw-id pairs.
@@ -33,8 +33,7 @@ pub fn small_series() -> CensusSeries {
     generate_series(&SimConfig::small())
 }
 
-/// A 2-snapshot medium corpus — the configuration the bench speedups
-/// are claimed at.
+/// A 2-snapshot medium corpus.
 pub fn medium_pair_series() -> CensusSeries {
     generate_series(&SimConfig {
         snapshots: 2,
@@ -103,22 +102,6 @@ pub fn assert_same_result(a: &LinkageResult, b: &LinkageResult, label: &str) {
         canonical(b),
         "{label}: canonical form diverges"
     );
-}
-
-/// Run `link` twice — once as given, once with the override applied —
-/// and demand bit-identical results. The workhorse of the differential
-/// suites.
-pub fn assert_links_identical(
-    old: &census_model::CensusDataset,
-    new: &census_model::CensusDataset,
-    config: &LinkageConfig,
-    variant: &LinkageConfig,
-    label: &str,
-) {
-    let a = linkage_core::link(old, new, config);
-    let b = linkage_core::link(old, new, variant);
-    assert_same_result(&a, &b, label);
-    assert!(!a.records.is_empty(), "{label}: degenerate run");
 }
 
 /// Whether the new age lies within `tolerance` years of `old age +

@@ -7,7 +7,7 @@
 use census_model::{GroupMapping, PersonRecord, RecordMapping};
 use census_synth::{generate_series, SimConfig};
 use linkage_core::{
-    match_remaining, match_remaining_cached, prematch, prematch_cached, prematch_with_profiles,
+    match_remaining, match_remaining_cached, prematch_cached, prematch_with_profiles,
     BlockingStrategy, LinkageConfig, MemGovernor, Parallelism, ProfileCache, RemainderConfig,
     SimFunc,
 };
@@ -73,14 +73,19 @@ fn prematch_with_cached_profiles_is_identical() {
 
     for &delta in &[0.5, 0.7] {
         let sim = SimFunc::omega2(delta);
-        let plain = prematch(
+        let plain = prematch_cached(
             &old_recs,
             &new_recs,
+            &mut ProfileCache::new(),
             year_gap,
             &sim,
             BlockingStrategy::Full,
-            1,
+            Parallelism {
+                threads: 1,
+                ..Parallelism::default()
+            },
             Some(3),
+            &Collector::disabled(),
         );
         let old_c: Vec<_> = old_recs.iter().map(|r| sim.compile(r)).collect();
         let new_c: Vec<_> = new_recs.iter().map(|r| sim.compile(r)).collect();
@@ -95,8 +100,8 @@ fn prematch_with_cached_profiles_is_identical() {
                 ..Parallelism::default()
             };
             let (want_obs, got_obs) = (Collector::enabled(), Collector::enabled());
-            // `prematch`'s own path (a fresh value table for the pass),
-            // traced at the same parallelism
+            // a fresh value table for the pass, traced at the same
+            // parallelism
             let _ = prematch_with_profiles(
                 &old_recs,
                 &new_recs,
@@ -224,16 +229,17 @@ fn full_pipeline_scores_are_unchanged_by_the_fast_path() {
     let r1 = linkage_core::link(old, new, &LinkageConfig::default());
     let r2 = linkage_core::link(old, new, &LinkageConfig::default());
     assert_eq!(r1.provenance, r2.provenance);
-    // incremental mode compiles each profile exactly once (the pair
-    // cache makes every later pass filter-only, so nothing re-requests
-    // them); the recompute path re-requests them every δ step
+    // the served run compiles each profile exactly once (the pair cache
+    // makes every later pass filter-only, so nothing re-requests them);
+    // a run whose zero budget refuses the cache re-requests them every
+    // δ step
     assert!(r1.profiles_built > 0);
     assert_eq!(r1.profiles_reused, 0);
     let recompute = linkage_core::link(
         old,
         new,
         &LinkageConfig {
-            incremental: false,
+            memory_budget: Some(0),
             ..LinkageConfig::default()
         },
     );

@@ -185,13 +185,13 @@ fn histogram_sample_counts_match_the_counters() {
     assert_eq!(sizes.count, trace.counter("group_candidates"));
     assert!(sizes.min >= 1);
 
-    // incremental mode scores each blocked pair once at the schedule
+    // the default run scores each blocked pair once at the schedule
     // floor; with the remainder served from the cache (no fresh scoring)
     // the pair-score histogram holds exactly the matched pairs
     assert_eq!(
         trace.counter("remainder_pairs_scored"),
         0,
-        "default incremental run serves the remainder from the cache"
+        "default run serves the remainder from the cache"
     );
     let scores = trace.histogram("pair_agg_sim_bp").expect("sampled");
     assert_eq!(scores.count, trace.counter("prematch_pairs_matched"));

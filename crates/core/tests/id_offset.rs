@@ -1,6 +1,6 @@
 //! Metamorphic suite: record and household ids are opaque labels.
 //! Relabelling them must yield the same mapping, relabelled the same way,
-//! on the incremental, recompute and parallel paths:
+//! on the cache-served, recompute (zero budget) and parallel paths:
 //! - offsetting every record id of both snapshots by a constant — here
 //!   2^40, far beyond any dense id space;
 //! - offsetting every household id by the same constant;
@@ -121,18 +121,18 @@ const IDENTITY: Relabel = Relabel {
 };
 
 /// Link the small series' first pair plainly and under each of `maps`,
-/// on the incremental, recompute and parallel paths, and require equal
+/// on the served, recompute and parallel paths, and require equal
 /// mappings after mapping ids back.
 fn assert_invariant_under(maps: &[Relabel]) {
     let series = small_series();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let base = LinkageConfig::default();
     for (path, config) in [
-        ("incremental", base.clone()),
+        ("served", base.clone()),
         (
             "recompute",
             LinkageConfig {
-                incremental: false,
+                memory_budget: Some(0),
                 ..base.clone()
             },
         ),

@@ -7,9 +7,10 @@
 //! stats, and the per-pair results feeding evolution analysis. Thread
 //! counts and fan-out cutoffs cover the default split and a cutoff of
 //! zero that forces every scoring loop onto the work-stealing pool,
-//! across both schedule floors and both the incremental and recompute
-//! drivers (the latter re-scores every δ iteration and runs the
-//! remainder fresh pass, which the pair cache otherwise serves).
+//! across both schedule floors and both the cache-served and rescoring
+//! drivers (the latter, taken when a zero memory budget refuses the pair
+//! cache, re-scores every δ iteration and runs the remainder fresh pass,
+//! which the pair cache otherwise serves).
 
 mod common;
 
@@ -51,12 +52,13 @@ fn threads_and_cutoffs_never_change_the_result_at_either_floor() {
 
 #[test]
 fn recompute_driver_is_bit_identical_serial_and_parallel() {
-    // without the pair cache every δ iteration re-blocks and re-scores
-    // its residue, and the remainder pass scores its residue afresh
+    // a zero budget refuses the pair cache: every δ iteration re-blocks
+    // and re-scores its residue, and the remainder pass scores its
+    // residue afresh
     let series = small_series();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let base = LinkageConfig {
-        incremental: false,
+        memory_budget: Some(0),
         ..LinkageConfig::default()
     };
     let reference = link(old, new, &with_threads(&base, 1, usize::MAX));

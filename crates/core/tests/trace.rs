@@ -107,7 +107,7 @@ fn counters_agree_with_result_fields() {
 
 #[test]
 fn pair_cache_scores_each_unique_pair_at_most_once() {
-    // the point of the incremental driver: across the *whole* δ schedule
+    // the point of the pair-score cache: across the *whole* δ schedule
     // (5 iterations by default), every unique blocked pair is scored at
     // most once — later iterations are served from the pair-score cache
     let series = pair();

@@ -107,15 +107,24 @@ fn check_header(line: &str, header: &str) -> Result<(), ModelError> {
 ///
 /// # Errors
 ///
-/// Returns a parse error with the offending 1-based line number, or any
+/// Returns a parse error with the offending 1-based line number (bytes
+/// that are not UTF-8 and a repeated record id included), or any other
 /// structural error from [`CensusDataset::new`].
 pub fn read_dataset<R: BufRead>(year: i32, r: R) -> Result<CensusDataset, ModelError> {
     let mut records = Vec::new();
+    let mut record_index: HashMap<RecordId, usize> = HashMap::new();
     let mut household_members: HashMap<HouseholdId, Vec<RecordId>> = HashMap::new();
     let mut household_order: Vec<HouseholdId> = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
+    for (lineno, bytes) in r.split(b'\n').enumerate() {
         let n = lineno + 1;
+        let mut bytes = bytes?;
+        if bytes.last() == Some(&b'\r') {
+            bytes.pop();
+        }
+        let line = String::from_utf8(bytes).map_err(|e| ModelError::Parse {
+            line: n,
+            message: format!("invalid UTF-8 ({})", e.utf8_error()),
+        })?;
         if n == 1 {
             check_header(&line, HEADER)?;
             continue;
@@ -164,6 +173,12 @@ pub fn read_dataset<R: BufRead>(year: i32, r: R) -> Result<CensusDataset, ModelE
         } else {
             Some(PersonId(parse_u64(&fields[9], "person_id")?))
         };
+        if record_index.insert(id, records.len()).is_some() {
+            return Err(ModelError::Parse {
+                line: n,
+                message: format!("duplicate record id {id}"),
+            });
+        }
         records.push(PersonRecord {
             id,
             household,
@@ -186,7 +201,7 @@ pub fn read_dataset<R: BufRead>(year: i32, r: R) -> Result<CensusDataset, ModelE
         .into_iter()
         .map(|id| Household::new(id, household_members.remove(&id).unwrap_or_default()))
         .collect();
-    CensusDataset::new(year, records, households)
+    CensusDataset::indexed(year, records, households, record_index)
 }
 
 const RECORD_MAPPING_HEADER: &str = "old_record_id,new_record_id";

@@ -44,6 +44,20 @@ impl CensusDataset {
                 return Err(ModelError::DuplicateRecord(r.id.to_string()));
             }
         }
+        Self::indexed(year, records, households, record_index)
+    }
+
+    /// [`CensusDataset::new`] over the record index the caller built
+    /// while collecting `records` (each id maps to the position of its one
+    /// record), so a reader that rejects duplicate ids as it goes does
+    /// not index the records twice.
+    pub(crate) fn indexed(
+        year: i32,
+        records: Vec<PersonRecord>,
+        households: Vec<Household>,
+        record_index: HashMap<RecordId, usize>,
+    ) -> Result<Self, ModelError> {
+        debug_assert_eq!(record_index.len(), records.len());
         let mut household_index = HashMap::with_capacity(households.len());
         for (i, h) in households.iter().enumerate() {
             if household_index.insert(h.id, i).is_some() {

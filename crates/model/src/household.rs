@@ -35,23 +35,6 @@ impl Household {
     pub fn contains(&self, record: RecordId) -> bool {
         self.members.contains(&record)
     }
-
-    /// Number of unordered member pairs — the maximum number of
-    /// relationships an enriched household graph can carry.
-    #[must_use]
-    pub fn pair_count(&self) -> usize {
-        let n = self.members.len();
-        n * n.saturating_sub(1) / 2
-    }
-
-    /// Iterate over all unordered member pairs `(a, b)` with `a` before `b`
-    /// in form order.
-    pub fn member_pairs(&self) -> impl Iterator<Item = (RecordId, RecordId)> + '_ {
-        self.members
-            .iter()
-            .enumerate()
-            .flat_map(move |(i, &a)| self.members[i + 1..].iter().map(move |&b| (a, b)))
-    }
 }
 
 #[cfg(test)]
@@ -67,32 +50,8 @@ mod tests {
     }
 
     #[test]
-    fn pair_count_matches_enumeration() {
-        for n in 0..6u64 {
-            let h = Household::new(HouseholdId(0), (0..n).map(RecordId).collect());
-            assert_eq!(h.member_pairs().count(), h.pair_count());
-        }
-    }
-
-    #[test]
-    fn pairs_are_ordered_and_unique() {
-        let h = Household::new(HouseholdId(0), vec![RecordId(5), RecordId(9), RecordId(2)]);
-        let pairs: Vec<_> = h.member_pairs().collect();
-        assert_eq!(
-            pairs,
-            vec![
-                (RecordId(5), RecordId(9)),
-                (RecordId(5), RecordId(2)),
-                (RecordId(9), RecordId(2)),
-            ]
-        );
-    }
-
-    #[test]
     fn empty_household() {
         let h = Household::new(HouseholdId(1), vec![]);
         assert_eq!(h.size(), 0);
-        assert_eq!(h.pair_count(), 0);
-        assert_eq!(h.member_pairs().count(), 0);
     }
 }

@@ -102,43 +102,6 @@ impl RecordMapping {
     pub fn iter(&self) -> impl Iterator<Item = (RecordId, RecordId)> + '_ {
         self.forward.iter().map(|(&o, &n)| (o, n))
     }
-
-    /// The inverse mapping (new → old). Always valid because 1:1 holds.
-    #[must_use]
-    pub fn inverse(&self) -> RecordMapping {
-        RecordMapping {
-            forward: self.backward.clone(),
-            backward: self.forward.clone(),
-        }
-    }
-
-    /// Compose with a following mapping: `(self ∘ next)(a) = next(self(a))`.
-    /// Links whose intermediate record is unmatched in `next` are dropped
-    /// — exactly the semantics of following a person across three
-    /// censuses via two successive record mappings.
-    #[must_use]
-    pub fn compose(&self, next: &RecordMapping) -> RecordMapping {
-        let mut out = RecordMapping::new();
-        for (a, b) in self.iter() {
-            if let Some(c) = next.get_new(b) {
-                let inserted = out.insert(a, c);
-                debug_assert!(inserted, "composition of 1:1 mappings is 1:1");
-            }
-        }
-        out
-    }
-
-    /// Absorb every link of `other` that does not conflict with an
-    /// existing link; returns how many links were added.
-    pub fn extend_from(&mut self, other: &RecordMapping) -> usize {
-        let mut added = 0;
-        for (o, n) in other.iter() {
-            if !self.contains(o, n) && self.insert(o, n) {
-                added += 1;
-            }
-        }
-        added
-    }
 }
 
 impl FromIterator<(RecordId, RecordId)> for RecordMapping {
@@ -265,19 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_skips_conflicts() {
-        let mut a = RecordMapping::new();
-        a.insert(RecordId(1), RecordId(10));
-        let mut b = RecordMapping::new();
-        b.insert(RecordId(1), RecordId(99)); // conflicts
-        b.insert(RecordId(2), RecordId(20)); // new
-        b.insert(RecordId(1), RecordId(10)); // cannot: r1 taken in b
-        assert_eq!(a.extend_from(&b), 1);
-        assert_eq!(a.len(), 2);
-        assert!(a.contains(RecordId(1), RecordId(10)));
-    }
-
-    #[test]
     fn group_mapping_is_n_to_m() {
         let mut g = GroupMapping::new();
         assert!(g.insert(HouseholdId(1), HouseholdId(10)));
@@ -295,41 +245,7 @@ mod tests {
         assert!(!g.contains_new(HouseholdId(12)));
     }
 
-    #[test]
-    fn inverse_and_compose() {
-        let ab: RecordMapping = [
-            (RecordId(1), RecordId(10)),
-            (RecordId(2), RecordId(20)),
-            (RecordId(3), RecordId(30)),
-        ]
-        .into_iter()
-        .collect();
-        let bc: RecordMapping = [(RecordId(10), RecordId(100)), (RecordId(30), RecordId(300))]
-            .into_iter()
-            .collect();
-        let ac = ab.compose(&bc);
-        assert_eq!(ac.len(), 2); // record 2 has no continuation
-        assert!(ac.contains(RecordId(1), RecordId(100)));
-        assert!(ac.contains(RecordId(3), RecordId(300)));
-        let inv = ab.inverse();
-        assert!(inv.contains(RecordId(10), RecordId(1)));
-        assert_eq!(inv.inverse(), ab);
-    }
-
     proptest! {
-        #[test]
-        fn prop_compose_is_associative(
-            p1 in proptest::collection::vec((0u64..10, 10u64..20), 0..10),
-            p2 in proptest::collection::vec((10u64..20, 20u64..30), 0..10),
-            p3 in proptest::collection::vec((20u64..30, 30u64..40), 0..10),
-        ) {
-            let m = |v: Vec<(u64, u64)>| -> RecordMapping {
-                v.into_iter().map(|(a, b)| (RecordId(a), RecordId(b))).collect()
-            };
-            let (a, b, c) = (m(p1), m(p2), m(p3));
-            prop_assert_eq!(a.compose(&b).compose(&c), a.compose(&b.compose(&c)));
-        }
-
         #[test]
         fn prop_record_mapping_invariant(pairs in proptest::collection::vec((0u64..20, 0u64..20), 0..40)) {
             let m: RecordMapping = pairs

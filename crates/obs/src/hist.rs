@@ -193,16 +193,6 @@ impl Histogram {
         self.count == 0
     }
 
-    /// Mean sample value (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Estimated percentile (`p` in `[0, 1]`): the upper bound of the
     /// bucket holding the `⌈p·count⌉`-th smallest sample, clamped to the
     /// observed maximum. 0 when empty.
@@ -317,7 +307,6 @@ mod tests {
         assert_eq!(h.max, 1000);
         assert_eq!(h.sum, 1013);
         h.validate().unwrap();
-        assert!((h.mean() - 202.6).abs() < 1e-9);
     }
 
     #[test]

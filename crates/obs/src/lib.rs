@@ -69,7 +69,7 @@ pub use decision::{
 };
 pub use footprint::{Footprint, FootprintSnapshot, MemoryFootprint};
 pub use hist::{score_bp, Histogram, LiveHist, NamedHistogram, HIST_BUCKETS};
-pub use progress::{fmt_bytes, Progress};
+pub use progress::Progress;
 pub use quality::{
     BlockingMisses, IterationQuality, Quality, QualityCounts, QualitySection, RecallFunnel,
     SelectionLosses, SimBand, TruthConfig,

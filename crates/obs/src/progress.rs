@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 /// Render a byte count with a binary-ish human unit (powers of 1024).
 #[must_use]
-pub fn fmt_bytes(bytes: u64) -> String {
+pub(crate) fn fmt_bytes(bytes: u64) -> String {
     const KIB: f64 = 1024.0;
     let b = bytes as f64;
     if b >= KIB * KIB * KIB {

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
 /// Default per-worker ring capacity (events). At one event per chunk of
-/// work this covers runs far larger than the XL bench scale; overflow
+/// work this covers runs far larger than paper scale; overflow
 /// drops oldest and is counted, never fatal.
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 

@@ -2,9 +2,8 @@
 //!
 //! This crate provides the attribute-level similarity substrate used by the
 //! temporal census linkage pipeline: q-gram (Dice) similarity, exact
-//! match, Smith-Waterman local alignment, the Soundex phonetic code used
-//! for blocking, value normalisation, and numeric similarities for ages
-//! and years.
+//! match, the Soundex phonetic code used for blocking, value
+//! normalisation, and the similarity of age differences.
 //!
 //! All similarity functions return a score in `[0.0, 1.0]` where `1.0`
 //! means identical. They are pure functions over `&str` / numbers and never
@@ -29,15 +28,13 @@ mod normalize;
 mod numeric;
 mod phonetic;
 mod qgram;
-mod smith_waterman;
 
 pub use arena::{MultisetArena, RowScratch};
 pub use compiled::CompiledValue;
 pub use normalize::{fold_diacritic, normalize_name, normalize_value};
-pub use numeric::{abs_diff_similarity, age_difference_similarity, year_gap_expected_age};
+pub use numeric::age_difference_similarity;
 pub use phonetic::{soundex, soundex_code};
-pub use qgram::{qgram_multiset, qgram_similarity, QGramIndexKey};
-pub use smith_waterman::{smith_waterman_similarity, smith_waterman_with, SwScores};
+pub use qgram::{qgram_multiset, qgram_similarity};
 
 /// Exact (case-insensitive, whitespace-trimmed) match similarity: `1.0` when
 /// the normalised values are equal and non-empty, else `0.0`.

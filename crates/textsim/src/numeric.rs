@@ -1,41 +1,17 @@
-//! Numeric similarities for ages, years and age differences.
+//! Numeric similarity of age differences.
 //!
 //! The paper attaches age differences to household-graph edges and requires
-//! them to be "highly similar" for edges to match (§3.3); its collective
-//! baseline rejects pairs whose normalised age difference exceeds 3 years
-//! (§5.3). These helpers implement that arithmetic.
-
-/// Linear absolute-difference similarity: `max(0, 1 - |a - b| / tolerance)`.
-///
-/// A difference of zero scores `1.0`; differences at or beyond `tolerance`
-/// score `0.0`.
-///
-/// # Panics
-///
-/// Panics if `tolerance` is not strictly positive.
-#[must_use]
-pub fn abs_diff_similarity(a: f64, b: f64, tolerance: f64) -> f64 {
-    assert!(tolerance > 0.0, "tolerance must be > 0");
-    (1.0 - (a - b).abs() / tolerance).max(0.0)
-}
+//! them to be "highly similar" for edges to match (§3.3). This helper
+//! implements that arithmetic.
 
 /// Similarity of two age differences (edge properties), with the given
-/// tolerance in years. Mirrors [`abs_diff_similarity`] over integer ages.
+/// tolerance in years: `max(0, 1 - |diff_a - diff_b| / tolerance)`, with
+/// a tolerance of 0 treated as 1. A difference of zero scores `1.0`;
+/// differences at or beyond the tolerance score `0.0`.
 #[must_use]
 pub fn age_difference_similarity(diff_a: i32, diff_b: i32, tolerance: u32) -> f64 {
-    abs_diff_similarity(
-        f64::from(diff_a),
-        f64::from(diff_b),
-        f64::from(tolerance.max(1)),
-    )
-}
-
-/// The age a person recorded as `age_old` at `year_old` is expected to have
-/// at `year_new`. Used to normalise ages across censuses taken N years
-/// apart before comparing them.
-#[must_use]
-pub fn year_gap_expected_age(age_old: u32, year_old: i32, year_new: i32) -> i64 {
-    i64::from(age_old) + i64::from(year_new) - i64::from(year_old)
+    let tolerance = f64::from(tolerance.max(1));
+    (1.0 - (f64::from(diff_a) - f64::from(diff_b)).abs() / tolerance).max(0.0)
 }
 
 #[cfg(test)]
@@ -45,19 +21,16 @@ mod tests {
 
     #[test]
     fn zero_diff_is_one() {
-        assert_eq!(abs_diff_similarity(5.0, 5.0, 3.0), 1.0);
         assert_eq!(age_difference_similarity(31, 31, 2), 1.0);
     }
 
     #[test]
     fn beyond_tolerance_is_zero() {
-        assert_eq!(abs_diff_similarity(0.0, 10.0, 3.0), 0.0);
         assert_eq!(age_difference_similarity(5, -5, 2), 0.0);
     }
 
     #[test]
     fn linear_in_between() {
-        assert!((abs_diff_similarity(10.0, 11.5, 3.0) - 0.5).abs() < 1e-12);
         assert!((age_difference_similarity(31, 32, 2) - 0.5).abs() < 1e-12);
     }
 
@@ -68,24 +41,12 @@ mod tests {
         assert_eq!(age_difference_similarity(4, 5, 0), 0.0);
     }
 
-    #[test]
-    #[should_panic(expected = "tolerance")]
-    fn non_positive_tolerance_panics() {
-        let _ = abs_diff_similarity(1.0, 2.0, 0.0);
-    }
-
-    #[test]
-    fn expected_age_across_decades() {
-        assert_eq!(year_gap_expected_age(39, 1871, 1881), 49);
-        assert_eq!(year_gap_expected_age(0, 1881, 1871), -10); // born after old census
-    }
-
     proptest! {
         #[test]
-        fn prop_bounded_and_symmetric(a in -100.0..100.0f64, b in -100.0..100.0f64, t in 0.1..50.0f64) {
-            let s = abs_diff_similarity(a, b, t);
+        fn prop_bounded_and_symmetric(a in -100i32..100, b in -100i32..100, t in 0u32..50) {
+            let s = age_difference_similarity(a, b, t);
             prop_assert!((0.0..=1.0).contains(&s));
-            prop_assert!((s - abs_diff_similarity(b, a, t)).abs() < 1e-12);
+            prop_assert!((s - age_difference_similarity(b, a, t)).abs() < 1e-12);
         }
 
         #[test]

@@ -127,38 +127,6 @@ pub(crate) fn sorted_multiset_intersection(a: &[String], b: &[String]) -> usize 
     count
 }
 
-/// A compact blocking key derived from the leading q-gram structure of a
-/// string: its first character plus length bucket, a cheap way to group
-/// candidate record pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct QGramIndexKey {
-    /// Lower-cased first character, `'\0'` for empty strings.
-    pub first: char,
-    /// Length of the string bucketed into {0, 1, 2, 3} = {short, medium, long, very long}.
-    pub len_bucket: u8,
-}
-
-impl QGramIndexKey {
-    /// Build the key for a string.
-    #[must_use]
-    pub fn of(s: &str) -> Self {
-        let t = s.trim();
-        let first = t
-            .chars()
-            .next()
-            .map(|c| c.to_ascii_lowercase())
-            .unwrap_or('\0');
-        let n = t.chars().count();
-        let len_bucket = match n {
-            0..=3 => 0,
-            4..=6 => 1,
-            7..=10 => 2,
-            _ => 3,
-        };
-        Self { first, len_bucket }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +179,6 @@ mod tests {
     fn typo_similarity_is_high() {
         assert!(qgram_similarity("elizabeth", "elizabteh", 2) > 0.6);
         assert!(qgram_similarity("ashworth", "ashworht", 2) > 0.6);
-    }
-
-    #[test]
-    fn index_key_buckets() {
-        assert_eq!(QGramIndexKey::of("Smith").first, 's');
-        assert_eq!(QGramIndexKey::of("Smith").len_bucket, 1);
-        assert_eq!(QGramIndexKey::of("").first, '\0');
-        assert_eq!(QGramIndexKey::of("extraordinarily").len_bucket, 3);
     }
 
     proptest! {

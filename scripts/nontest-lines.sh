@@ -18,15 +18,10 @@ count_dir() {
 }
 
 total=0
-bench=0
 for dir in crates/*/src src examples; do
     [ -d "$dir" ] || continue
     n=$(count_dir "$dir")
     printf '%-24s %7d\n' "$dir" "$n"
     total=$((total + n))
-    if [ "$dir" = crates/bench/src ]; then
-        bench=$n
-    fi
 done
 printf '%-24s %7d\n' "total" "$total"
-printf '%-24s %7d\n' "total without bench" "$((total - bench))"

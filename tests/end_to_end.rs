@@ -218,7 +218,7 @@ fn profile_cache_reuses_profiles_across_iterations() {
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let total = old.records().len() + new.records().len();
 
-    // default (incremental) pipeline: pairs are scored once at the
+    // default (cache-served) pipeline: pairs are scored once at the
     // schedule floor, so each profile is compiled exactly once and no
     // later pass needs to fetch it again
     let result = link(old, new, &LinkageConfig::default());
@@ -229,14 +229,15 @@ fn profile_cache_reuses_profiles_across_iterations() {
     );
     assert!(result.profiles_built > 0);
 
-    // recompute pipeline: the iterative schedule re-scores residue
-    // records at δ−Δ and the remainder pass re-scores the leftovers —
-    // those must all be profile-cache hits
+    // recompute pipeline (a zero budget refuses the pair cache): the
+    // iterative schedule re-scores residue records at δ−Δ and the
+    // remainder pass re-scores the leftovers — those must all be
+    // profile-cache hits
     let recompute = link(
         old,
         new,
         &LinkageConfig {
-            incremental: false,
+            memory_budget: Some(0),
             ..LinkageConfig::default()
         },
     );
