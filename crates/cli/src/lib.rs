@@ -55,7 +55,8 @@ fn io_err(context: &str, e: impl std::fmt::Display) -> CliError {
 /// Observability and tuning options shared by `link` and `evolve`.
 #[derive(Debug, Clone, Default)]
 pub struct LinkOptions {
-    /// Worker threads for the parallel scoring stages (`--threads`).
+    /// Worker threads for the parallel scoring stages (`--threads`, 1 to
+    /// 256).
     pub threads: Option<usize>,
     /// Ignored. `--shards` is still parsed (with a warning that it has
     /// no effect) so old command lines keep working; there is one
@@ -98,6 +99,11 @@ pub struct LinkOptions {
     pub verbose: bool,
 }
 
+/// The most worker threads `--threads` may ask for. The scoring pool
+/// starts up to one OS thread per task, and a thread that fails to spawn
+/// panics, so an unbounded count is refused as a CLI error.
+const MAX_THREADS: usize = 256;
+
 impl LinkOptions {
     fn tracing_enabled(&self) -> bool {
         self.trace_out.is_some() || self.verbose
@@ -115,6 +121,11 @@ impl LinkOptions {
         if let Some(threads) = self.threads {
             if threads == 0 {
                 return Err("--threads must be at least 1".into());
+            }
+            if threads > MAX_THREADS {
+                return Err(format!(
+                    "--threads must be at most {MAX_THREADS}, got {threads}"
+                ));
             }
             config.threads = threads;
         }
@@ -284,10 +295,10 @@ pub fn cmd_link(
     out: &Path,
     opts: &LinkOptions,
 ) -> Result<String, CliError> {
-    let old = load(old_file, old_year)?;
-    let new = load(new_file, new_year)?;
     let mut config = LinkageConfig::default();
     opts.apply(&mut config)?;
+    let old = load(old_file, old_year)?;
+    let new = load(new_file, new_year)?;
     let mut obs = Collector::new(
         opts.tracing_enabled()
             || opts.decisions_out.is_some()
@@ -524,12 +535,12 @@ pub fn cmd_evolve(
     if opts.truth.is_some() {
         return Err("--truth is only supported by link".into());
     }
+    let mut config = LinkageConfig::default();
+    opts.apply(&mut config)?;
     let mut snapshots = Vec::new();
     for (i, file) in files.iter().enumerate() {
         snapshots.push(load(file, start_year + interval * i as i32)?);
     }
-    let mut config = LinkageConfig::default();
-    opts.apply(&mut config)?;
     let mut sink = if opts.tracing_enabled() {
         TraceSink::enabled()
     } else {
@@ -715,10 +726,9 @@ fn load_run_trace(file: &Path) -> Result<RunTrace, CliError> {
 
 /// `trace-diff`: compare two single-run trace JSON files — counter
 /// deltas, histogram distribution shift (normalised L1), phase-time
-/// ratios — and render a report. Each `--fail-on` spec
-/// (`counter:NAME:PCT`, `phase:NAME:RATIO`, `hist:NAME:L1MAX`,
-/// `p99:NAME:PCT`, `total:RATIO`) turns a regression past the
-/// threshold into a nonzero exit, for CI gating.
+/// ratios, memory, footprints, timeline utilization and quality — and
+/// render a report. Each `--fail-on` spec (see [`Threshold`]) turns a
+/// regression past the threshold into a nonzero exit, for CI gating.
 ///
 /// # Errors
 ///
@@ -1542,12 +1552,13 @@ mod tests {
     #[test]
     fn link_options_validate() {
         let mut config = LinkageConfig::default();
-        assert!(LinkOptions {
-            threads: Some(0),
-            ..LinkOptions::default()
+        for (threads, ok) in [(0, false), (1, true), (256, true), (257, false)] {
+            let opts = LinkOptions {
+                threads: Some(threads),
+                ..LinkOptions::default()
+            };
+            assert_eq!(opts.apply(&mut config).is_ok(), ok, "--threads {threads}");
         }
-        .apply(&mut config)
-        .is_err());
         assert!(LinkOptions {
             delta_low: Some(1.5),
             ..LinkOptions::default()

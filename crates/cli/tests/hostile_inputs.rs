@@ -56,6 +56,8 @@ struct Case {
     name: &'static str,
     old: Vec<u8>,
     new: Vec<u8>,
+    /// Options added to the `link` command line.
+    args: &'static [&'static str],
     outcome: Outcome,
 }
 
@@ -70,14 +72,15 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Write `old`/`new` into `dir` and link them into `dir/out`.
-fn link(dir: &Path, old: &[u8], new: &[u8]) -> Result<String, String> {
+/// Write `old`/`new` into `dir` and link them into `dir/out`, with the
+/// extra `args`.
+fn link(dir: &Path, old: &[u8], new: &[u8], args: &[&str]) -> Result<String, String> {
     std::fs::create_dir_all(dir).expect("creating the case directory");
     let (old_path, new_path) = (dir.join("old.csv"), dir.join("new.csv"));
     std::fs::write(&old_path, old).expect("writing the old snapshot");
     std::fs::write(&new_path, new).expect("writing the new snapshot");
     let out = dir.join("out");
-    cli(&[
+    let mut command = vec![
         "link",
         old_path.to_str().unwrap(),
         new_path.to_str().unwrap(),
@@ -87,7 +90,9 @@ fn link(dir: &Path, old: &[u8], new: &[u8]) -> Result<String, String> {
         "1861",
         "--out",
         out.to_str().unwrap(),
-    ])
+    ];
+    command.extend_from_slice(args);
+    cli(&command)
 }
 
 /// Every malformed and degenerate input, with the outcome it must have.
@@ -97,11 +102,21 @@ fn corpus(generated: &Path) -> Vec<Case> {
         name,
         old: old_with(&[extra]),
         new: new.clone(),
+        args: &[],
         outcome: Outcome::Error(fragments),
     };
     let mut non_utf8 = old_with(&[]);
     non_utf8.extend_from_slice(b"5,2,ann\xff\xfe,smith,f,30,bank street,,lodger,\n");
     let mut cases = vec![
+        // the pool starts up to one OS thread per task; the count is
+        // refused while the options are checked, before any thread starts
+        Case {
+            name: "unbounded --threads",
+            old: old_with(&[]),
+            new: new.clone(),
+            args: &["--threads", "100000"],
+            outcome: Outcome::Error(&["--threads must be at most 256", "100000"]),
+        },
         error(
             "unknown sex",
             "5,2,ann,smith,x,30,bank street,,lodger,",
@@ -136,18 +151,21 @@ fn corpus(generated: &Path) -> Vec<Case> {
             name: "non-UTF-8 bytes",
             old: non_utf8,
             new: new.clone(),
+            args: &[],
             outcome: Outcome::Error(&["line 6", "valid UTF-8"]),
         },
         Case {
             name: "header-only old side",
             old: snapshot(&[], "\n"),
             new: new.clone(),
+            args: &[],
             outcome: Outcome::Links,
         },
         Case {
             name: "header-only new side",
             old: old_with(&[]),
             new: snapshot(&[], "\n"),
+            args: &[],
             outcome: Outcome::Links,
         },
         Case {
@@ -157,6 +175,7 @@ fn corpus(generated: &Path) -> Vec<Case> {
                 "6,3,tom,smith,m,3,king street,,son,",
             ]),
             new: new.clone(),
+            args: &[],
             outcome: Outcome::Links,
         },
         Case {
@@ -167,18 +186,21 @@ fn corpus(generated: &Path) -> Vec<Case> {
                 "7,2,kit,smith,m,4294967295,bank street,,lodger,",
             ]),
             new: new.clone(),
+            args: &[],
             outcome: Outcome::Links,
         },
         Case {
             name: "quoted commas",
             old: old_with(&["5,2,ann,smith,f,30,\"12, bank street\",\"weaver, cotton\",lodger,"]),
             new: new.clone(),
+            args: &[],
             outcome: Outcome::Links,
         },
         Case {
             name: "CRLF line ends",
             old: snapshot(&OLD_ROWS, "\r\n"),
             new: snapshot(&NEW_ROWS, "\r\n"),
+            args: &[],
             outcome: Outcome::Links,
         },
         Case {
@@ -187,6 +209,7 @@ fn corpus(generated: &Path) -> Vec<Case> {
                 "18446744073709551615,18446744073709551615,ann,smith,f,30,king street,,head,",
             ]),
             new,
+            args: &[],
             outcome: Outcome::Links,
         },
     ];
@@ -200,6 +223,7 @@ fn corpus(generated: &Path) -> Vec<Case> {
         name: "BOM-prefixed snapshot",
         old: bom_old,
         new: new.clone(),
+        args: &[],
         outcome: Outcome::LinksLike(old, new),
     });
     cases
@@ -223,7 +247,7 @@ fn hostile_inputs_are_typed_errors_or_link() {
     let mut failures = Vec::new();
     for (i, case) in corpus(&generated).into_iter().enumerate() {
         let case_dir = dir.join(format!("case{i}"));
-        let result = link(&case_dir, &case.old, &case.new);
+        let result = link(&case_dir, &case.old, &case.new, case.args);
         let name = case.name;
         match (case.outcome, result) {
             (Outcome::Error(fragments), Err(e)) => {
@@ -245,7 +269,7 @@ fn hostile_inputs_are_typed_errors_or_link() {
             }
             (Outcome::LinksLike(old, new), Ok(_)) => {
                 let plain = case_dir.join("plain");
-                link(&plain, &old, &new).expect("the plain pair links");
+                link(&plain, &old, &new, &[]).expect("the plain pair links");
                 for file in ["record_mapping.csv", "group_mapping.csv"] {
                     assert_eq!(
                         std::fs::read(plain.join("out").join(file)).unwrap(),

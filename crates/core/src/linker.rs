@@ -26,7 +26,6 @@ use obs::{
     LosingCandidate, MemoryFootprint, RejectedCandidate, RejectionReason, ITERATION_SPAN,
 };
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 /// One match pair of a δ step: `(old position, new position, agg_sim)`
 /// over the two snapshots' record slices.
@@ -479,23 +478,15 @@ impl<'a> Linker<'a> {
             }
             let results = run_pool(chunks.len(), threads, obs, |ci, worker| {
                 let t0 = obs.timeline_start();
-                let start = Instant::now();
                 let (from, to, chunk_candidates) = chunks[ci];
                 let chunk = &pairs[from..to];
                 let scored = score_chunk(chunk, from, &mut SubgraphScratch::default());
-                obs.thread_chunk(
-                    "subgraph",
-                    Some(iteration),
-                    ci,
-                    worker,
-                    chunk_candidates,
-                    start.elapsed(),
-                );
                 if let Some(t0) = t0 {
                     obs.timeline_task(
                         worker,
                         EventKind::SubgraphChunk,
                         ci as u64,
+                        chunk_candidates as u64,
                         Some(iteration),
                         t0,
                     );

@@ -357,7 +357,6 @@ pub(crate) fn score_blocked(
     let scratches: Vec<Mutex<Scratch>> = (0..workers).map(|_| Mutex::default()).collect();
     let tasks = run_pool(n_tasks, workers, obs, |ci, worker| {
         let t0 = obs.timeline_start();
-        let start = Instant::now();
         // a lock is poisoned only by a task that panicked holding it, and
         // that panic already fails the pass; a task empties the memo
         // before use, so its scratch is sound either way
@@ -366,12 +365,8 @@ pub(crate) fn score_blocked(
             .unwrap_or_else(PoisonError::into_inner);
         let task = run(ci * chunk..((ci + 1) * chunk).min(n), &mut scratch);
         let pairs = task.as_ref().map_or(0, |t| t.pairs);
-        // both scoring kinds belong to a phase
-        if let Some(phase) = kind.phase().filter(|_| parallel && task.is_some()) {
-            obs.thread_chunk(phase, None, ci, worker, pairs as usize, start.elapsed());
-        }
         if let Some(t0) = t0 {
-            obs.timeline_task(worker, kind, detail(ci, pairs), None, t0);
+            obs.timeline_task(worker, kind, detail(ci, pairs), pairs, None, t0);
         }
         task
     });

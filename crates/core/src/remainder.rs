@@ -89,7 +89,8 @@ pub fn match_remaining_cached(
             remaining_new,
         );
         if let Some(t0) = t0 {
-            obs.timeline_task(0, EventKind::RemainderChunk, scored.len() as u64, None, t0);
+            let n = scored.len() as u64;
+            obs.timeline_task(0, EventKind::RemainderChunk, n, n, None, t0);
         }
         obs.add(Counter::PairCacheHits, scored.len() as u64);
         obs.add(Counter::PairCacheFiltered, (pc.len() - scored.len()) as u64);

@@ -1,751 +1,389 @@
-//! Trace comparison: turn two [`RunTrace`]s into a delta report and
-//! optional CI-gating threshold checks.
+//! Trace comparison: [`compare`] lines two [`RunTrace`]s up as one
+//! [`Row`] per quantity — total wall time, counters, phase times,
+//! histograms, memory metrics, largest footprints, timeline utilization
+//! and record quality — and [`DiffReport::check`] gates CI on them with
+//! `--fail-on` [`Threshold`]s, one rule per kind. A name neither trace
+//! holds is a violation; a memory, footprint, timeline or quality gate
+//! passes when either trace lacks that section.
 //!
-//! [`compare`] walks the union of counter names, phase names and
-//! histogram names of two traces and produces a [`DiffReport`]:
-//! counter deltas, phase wall-time ratios and per-histogram
-//! distribution shift (the normalised L1 distance of
-//! [`Histogram::l1_distance`]). [`DiffReport::check`] then evaluates
-//! `--fail-on` style [`Threshold`]s ("pairs scored regressed >25%",
-//! "selection p99 regressed >100%"), returning the violations for the
-//! CLI to exit nonzero on.
-//!
-//! Counters in this pipeline are seed-deterministic and independent of
-//! the thread count, so tight counter/histogram thresholds are safe to
-//! gate CI on across machines; wall-clock phase times are not — gate
-//! those only with generous ratios.
+//! Counters are seed-deterministic and independent of the thread count,
+//! so tight counter/histogram thresholds are safe across machines;
+//! wall-clock phase times are not — gate those only with generous ratios.
 
+use crate::footprint::FootprintSnapshot;
 use crate::hist::Histogram;
 use crate::report::RunTrace;
+use std::fmt::Write as _;
 
-/// One counter compared across two traces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterDelta {
-    /// Counter name.
-    pub name: String,
-    /// Value in the old trace (0 when absent).
-    pub old: u64,
-    /// Value in the new trace (0 when absent).
-    pub new: u64,
+/// Which trace lacks a row's section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The old (baseline) trace.
+    Old,
+    /// The new trace.
+    New,
 }
 
-impl CounterDelta {
+/// One quantity compared across two traces. A side that lacks the name,
+/// or the row's whole section (then named by `missing`), reads as zero
+/// or an empty histogram.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row<T> {
+    /// Counter, phase, histogram, metric or structure name.
+    pub name: String,
+    /// Value in the old trace.
+    pub old: T,
+    /// Value in the new trace.
+    pub new: T,
+    /// The trace without the row's section, if either.
+    pub missing: Option<Side>,
+}
+
+impl Row<u64> {
     /// Relative change in percent, against `max(old, 1)` so a zero
     /// baseline cannot divide by zero.
-    #[must_use]
-    pub fn pct_change(&self) -> f64 {
-        let old = self.old.max(1) as f64;
-        (self.new as f64 - self.old as f64) / old * 100.0
+    fn pct_change(&self) -> f64 {
+        (self.new as f64 - self.old as f64) / self.old.max(1) as f64 * 100.0
+    }
+
+    /// `new / max(old, 1)`.
+    fn ratio(&self) -> f64 {
+        self.new as f64 / self.old.max(1) as f64
+    }
+
+    /// A `*`-marked line of the counter (`width` 12) or byte tables.
+    fn delta_line(&self, width: usize, unit: &str) -> String {
+        let mark = if self.old == self.new { ' ' } else { '*' };
+        let (name, old, new, pct) = (&self.name, self.old, self.new, self.pct_change());
+        format!("{mark} {name:<28} {old:>width$} -> {new:>width$}{unit}  ({pct:+.1}%)\n")
     }
 }
 
-/// One pipeline phase's total wall time compared across two traces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseDelta {
-    /// Phase name.
-    pub name: String,
-    /// Total microseconds in the old trace (0 when absent).
-    pub old_us: u64,
-    /// Total microseconds in the new trace (0 when absent).
-    pub new_us: u64,
-}
-
-impl PhaseDelta {
-    /// `new / max(old, 1)` wall-time ratio.
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        self.new_us as f64 / self.old_us.max(1) as f64
+impl Row<Histogram> {
+    /// Whether both sides hold the same distribution and sample count.
+    fn same(&self) -> bool {
+        self.old.l1_distance(&self.new) == 0.0 && self.old.count == self.new.count
     }
 }
 
-/// One memory metric compared across two traces: `"total"` (bytes
-/// allocated), `"peak"` (peak live bytes), or a phase's alloc bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemDelta {
-    /// Metric name (`"total"`, `"peak"`, or a phase name).
-    pub name: String,
-    /// Bytes in the old trace (0 when absent).
-    pub old_bytes: u64,
-    /// Bytes in the new trace (0 when absent).
-    pub new_bytes: u64,
-}
-
-impl MemDelta {
-    /// Relative change in percent, against `max(old, 1)`.
-    #[must_use]
-    pub fn pct_change(&self) -> f64 {
-        let old = self.old_bytes.max(1) as f64;
-        (self.new_bytes as f64 - self.old_bytes as f64) / old * 100.0
+impl Row<f64> {
+    /// A line of the timeline and quality tables: each 0–1 share as a
+    /// percentage with `decimals` places, `absent` without the section.
+    fn share_line(&self, decimals: usize) -> String {
+        let show = |v: f64, side| match self.missing {
+            Some(missing) if missing == side => "absent".to_owned(),
+            _ => format!("{:.*}%", decimals, v * 100.0),
+        };
+        let (old, new) = (show(self.old, Side::Old), show(self.new, Side::New));
+        format!("  {:<28} {old:>14} -> {new:>14}\n", self.name)
     }
 }
 
-/// One structure's largest footprint snapshot compared across two
-/// traces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FootprintDelta {
-    /// Structure name (e.g. `"pair_score_cache"`).
-    pub structure: String,
-    /// Largest snapshot bytes in the old trace (0 when absent).
-    pub old_bytes: u64,
-    /// Largest snapshot bytes in the new trace (0 when absent).
-    pub new_bytes: u64,
-}
-
-impl FootprintDelta {
-    /// Relative change in percent, against `max(old, 1)`.
-    #[must_use]
-    pub fn pct_change(&self) -> f64 {
-        let old = self.old_bytes.max(1) as f64;
-        (self.new_bytes as f64 - self.old_bytes as f64) / old * 100.0
-    }
-}
-
-/// One histogram compared across two traces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistDelta {
-    /// Histogram name.
-    pub name: String,
-    /// Normalised L1 distance between the two bucket distributions
-    /// (0 identical shape, 2 disjoint; 2 when exactly one is empty).
-    pub l1: f64,
-    /// p99 estimate of the old histogram.
-    pub old_p99: u64,
-    /// p99 estimate of the new histogram.
-    pub new_p99: u64,
-    /// Sample count of the old histogram.
-    pub old_count: u64,
-    /// Sample count of the new histogram.
-    pub new_count: u64,
-}
-
-/// The full comparison of two traces.
+/// The full comparison of two traces. Each table lists the union of
+/// both traces' names, old-trace order first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffReport {
-    /// Union of counters, in old-trace order then new-only names.
-    pub counters: Vec<CounterDelta>,
-    /// Union of pipeline phases.
-    pub phases: Vec<PhaseDelta>,
-    /// Union of histograms.
-    pub histograms: Vec<HistDelta>,
-    /// Memory metrics (`"total"`, `"peak"`, per-phase alloc bytes);
-    /// empty unless at least one trace carries a memory section.
-    pub mem: Vec<MemDelta>,
-    /// Largest footprint snapshot per structure; empty unless at least
-    /// one trace carries footprints.
-    pub footprints: Vec<FootprintDelta>,
-    /// Whether the old trace carries a memory section. A trace written
-    /// before memory tracking existed reads back without one; `mem:`
-    /// thresholds then report "absent" instead of failing.
-    pub old_has_memory: bool,
-    /// Whether the new trace carries a memory section.
-    pub new_has_memory: bool,
-    /// Whether the old trace carries footprint snapshots.
-    pub old_has_footprints: bool,
-    /// Whether the new trace carries footprint snapshots.
-    pub new_has_footprints: bool,
-    /// Mean per-worker utilization of the old trace's timeline section,
-    /// when it has one. A trace written before timelines existed (or a
-    /// run without `--timeline-out`) reads back without the section;
-    /// `timeline:` thresholds then report "absent" instead of failing.
-    pub old_mean_utilization: Option<f64>,
-    /// Mean per-worker utilization of the new trace's timeline section,
-    /// when it has one.
-    pub new_mean_utilization: Option<f64>,
-    /// Record-level recall of the old trace's quality section, when it
-    /// has one. A trace written before quality telemetry existed (or a
-    /// run without `--truth`) reads back without the section; `quality:`
-    /// thresholds then report "absent" instead of failing.
-    pub old_quality_recall: Option<f64>,
-    /// Record-level recall of the new trace's quality section.
-    pub new_quality_recall: Option<f64>,
-    /// Record-level precision of the old trace's quality section.
-    pub old_quality_precision: Option<f64>,
-    /// Record-level precision of the new trace's quality section.
-    pub new_quality_precision: Option<f64>,
-    /// Total wall time of the old trace, microseconds.
-    pub old_total_us: u64,
-    /// Total wall time of the new trace, microseconds.
-    pub new_total_us: u64,
+    /// Total wall time, microseconds.
+    pub total: Row<u64>,
+    /// Counter values.
+    pub counters: Vec<Row<u64>>,
+    /// Phase wall times, microseconds.
+    pub phases: Vec<Row<u64>>,
+    /// Histograms (scores, sizes, latencies).
+    pub histograms: Vec<Row<Histogram>>,
+    /// Bytes allocated (`total`), peak live bytes (`peak`) and each
+    /// phase's alloc bytes.
+    pub memory: Vec<Row<u64>>,
+    /// Largest footprint snapshot per structure, bytes.
+    pub footprints: Vec<Row<u64>>,
+    /// Mean per-worker utilization (`mean utilization`, 0–1).
+    pub timeline: Vec<Row<f64>>,
+    /// Record-level `record recall` and `record precision` (0–1).
+    pub quality: Vec<Row<f64>>,
 }
 
-fn union_names<'a>(
-    old: impl Iterator<Item = &'a str>,
-    new: impl Iterator<Item = &'a str>,
-) -> Vec<String> {
-    // dedupe within each side too: footprint snapshots repeat a
-    // structure once per phase boundary
-    let mut names: Vec<String> = Vec::new();
-    for n in old.chain(new) {
-        if !names.iter().any(|have| have == n) {
-            names.push(n.to_owned());
+/// One section of a trace as `(name, value)` entries.
+fn entries<N: Into<String>, T>(list: impl IntoIterator<Item = (N, T)>) -> Option<Vec<(String, T)>> {
+    Some(list.into_iter().map(|(n, v)| (n.into(), v)).collect())
+}
+
+/// One row per name either trace lists in `section` (`None` without the
+/// section), old-trace names first and each name once (footprint
+/// snapshots repeat a structure per phase).
+fn rows<T: Clone + Default>(
+    old: &RunTrace,
+    new: &RunTrace,
+    section: impl Fn(&RunTrace) -> Option<Vec<(String, T)>>,
+) -> Vec<Row<T>> {
+    let (old, new) = (section(old), section(new));
+    let missing = match (&old, &new) {
+        (None, _) => Some(Side::Old),
+        (_, None) => Some(Side::New),
+        _ => None,
+    };
+    let (old, new) = (old.unwrap_or_default(), new.unwrap_or_default());
+    let value = |side: &[(String, T)], name: &str| {
+        let found = side.iter().find(|(n, _)| n == name);
+        found.map_or_else(T::default, |(_, v)| v.clone())
+    };
+    let mut rows: Vec<Row<T>> = Vec::new();
+    for (name, _) in old.iter().chain(&new) {
+        if rows.iter().all(|r| r.name != *name) {
+            rows.push(Row {
+                name: name.clone(),
+                old: value(&old, name),
+                new: value(&new, name),
+                missing,
+            });
         }
     }
-    names
+    rows
 }
 
-/// Compare two traces into a [`DiffReport`]. Names present in only one
-/// trace appear with 0 / empty on the missing side.
+/// Compare two traces into a [`DiffReport`].
 #[must_use]
 pub fn compare(old: &RunTrace, new: &RunTrace) -> DiffReport {
-    let counters = union_names(
-        old.counters.iter().map(|c| c.name.as_str()),
-        new.counters.iter().map(|c| c.name.as_str()),
-    )
-    .into_iter()
-    .map(|name| CounterDelta {
-        old: old.counter(&name),
-        new: new.counter(&name),
-        name,
-    })
-    .collect();
-
-    let phases = union_names(
-        old.phases.iter().map(|p| p.name.as_str()),
-        new.phases.iter().map(|p| p.name.as_str()),
-    )
-    .into_iter()
-    .map(|name| PhaseDelta {
-        old_us: old
-            .phases
-            .iter()
-            .find(|p| p.name == name)
-            .map_or(0, |p| p.total_us),
-        new_us: new
-            .phases
-            .iter()
-            .find(|p| p.name == name)
-            .map_or(0, |p| p.total_us),
-        name,
-    })
-    .collect();
-
-    let empty = Histogram::new();
-    let histograms = union_names(
-        old.histograms.iter().map(|h| h.name.as_str()),
-        new.histograms.iter().map(|h| h.name.as_str()),
-    )
-    .into_iter()
-    .map(|name| {
-        let a = old.histogram(&name).unwrap_or(&empty);
-        let b = new.histogram(&name).unwrap_or(&empty);
-        HistDelta {
-            l1: a.l1_distance(b),
-            old_p99: a.percentile(0.99),
-            new_p99: b.percentile(0.99),
-            old_count: a.count,
-            new_count: b.count,
-            name,
-        }
-    })
-    .collect();
-
-    let mem_value = |trace: &RunTrace, name: &str| -> u64 {
-        let Some(m) = &trace.memory else { return 0 };
-        match name {
-            "total" => m.bytes_allocated,
-            "peak" => m.peak_live_bytes,
-            phase => m
-                .phases
-                .iter()
-                .find(|p| p.name == phase)
-                .map_or(0, |p| p.alloc_bytes),
-        }
-    };
-    let mem_names = |trace: &RunTrace| -> Vec<String> {
-        match &trace.memory {
-            None => Vec::new(),
-            Some(m) => ["total", "peak"]
-                .into_iter()
-                .map(str::to_owned)
-                .chain(m.phases.iter().map(|p| p.name.clone()))
-                .collect(),
-        }
-    };
-    let mem = union_names(
-        mem_names(old).iter().map(String::as_str),
-        mem_names(new).iter().map(String::as_str),
-    )
-    .into_iter()
-    .map(|name| MemDelta {
-        old_bytes: mem_value(old, &name),
-        new_bytes: mem_value(new, &name),
-        name,
-    })
-    .collect();
-
-    let footprints = union_names(
-        old.footprints.iter().map(|f| f.structure.as_str()),
-        new.footprints.iter().map(|f| f.structure.as_str()),
-    )
-    .into_iter()
-    .map(|structure| FootprintDelta {
-        old_bytes: old.max_footprint_bytes(&structure).unwrap_or(0),
-        new_bytes: new.max_footprint_bytes(&structure).unwrap_or(0),
-        structure,
-    })
-    .collect();
-
     DiffReport {
-        counters,
-        phases,
-        histograms,
-        mem,
-        footprints,
-        old_has_memory: old.memory.is_some(),
-        new_has_memory: new.memory.is_some(),
-        old_has_footprints: !old.footprints.is_empty(),
-        new_has_footprints: !new.footprints.is_empty(),
-        old_mean_utilization: old.timeline.as_ref().map(|t| t.mean_utilization()),
-        new_mean_utilization: new.timeline.as_ref().map(|t| t.mean_utilization()),
-        old_quality_recall: old.quality.as_ref().map(|q| q.records.quality.recall),
-        new_quality_recall: new.quality.as_ref().map(|q| q.records.quality.recall),
-        old_quality_precision: old.quality.as_ref().map(|q| q.records.quality.precision),
-        new_quality_precision: new.quality.as_ref().map(|q| q.records.quality.precision),
-        old_total_us: old.total_us,
-        new_total_us: new.total_us,
+        total: rows(old, new, |t| entries([("total", t.total_us)])).remove(0),
+        counters: rows(old, new, |t| {
+            entries(t.counters.iter().map(|c| (&c.name, c.value)))
+        }),
+        phases: rows(old, new, |t| {
+            entries(t.phases.iter().map(|p| (&p.name, p.total_us)))
+        }),
+        histograms: rows(old, new, |t| {
+            entries(t.histograms.iter().map(|h| (&h.name, h.hist.clone())))
+        }),
+        memory: rows(old, new, |t| {
+            let m = t.memory.as_ref()?;
+            let mut list = vec![("total", m.bytes_allocated), ("peak", m.peak_live_bytes)];
+            list.extend(m.phases.iter().map(|p| (p.name.as_str(), p.alloc_bytes)));
+            entries(list)
+        }),
+        footprints: rows(old, new, |t| {
+            let largest = |f: &FootprintSnapshot| t.max_footprint_bytes(&f.structure).unwrap_or(0);
+            let list = entries(t.footprints.iter().map(|f| (&f.structure, largest(f))));
+            list.filter(|l| !l.is_empty())
+        }),
+        timeline: rows(old, new, |t| {
+            entries([("mean utilization", t.timeline.as_ref()?.mean_utilization())])
+        }),
+        quality: rows(old, new, |t| {
+            let q = &t.quality.as_ref()?.records.quality;
+            let (recall, precision) = (q.recall, q.precision);
+            entries([("record recall", recall), ("record precision", precision)])
+        }),
     }
+}
+
+/// Write one table: a blank line and its title, a note when one trace
+/// lacks the section, then one line per row. Empty tables are skipped.
+fn table<T>(out: &mut String, title: &str, rows: &[Row<T>], line: impl Fn(&Row<T>) -> String) {
+    let Some(first) = rows.first() else {
+        return;
+    };
+    let _ = writeln!(out, "\n{title}");
+    match first.missing {
+        Some(Side::Old) => out.push_str("  (absent in old trace; new values shown)\n"),
+        Some(Side::New) => out.push_str("  (absent in new trace; old values shown)\n"),
+        None => {}
+    }
+    for r in rows {
+        out.push_str(&line(r));
+    }
+}
+
+/// The row called `name`, or the unknown-name violation.
+fn find<'a, T>(rows: &'a [Row<T>], what: &str, name: &str) -> Result<&'a Row<T>, String> {
+    let found = rows.iter().find(|r| r.name == name);
+    found.ok_or_else(|| format!("{what} '{name}' not present in either trace"))
+}
+
+/// Whether a table's section is missing from either trace (or both).
+fn section_missing<T>(rows: &[Row<T>]) -> bool {
+    rows.first().is_none_or(|r| r.missing.is_some())
 }
 
 impl DiffReport {
-    /// Whether the deterministic portions of the two traces are
-    /// identical: every counter delta zero and every histogram at L1
-    /// distance 0 with equal sample counts. Wall times are ignored —
-    /// they never repeat exactly.
+    /// Whether the deterministic portions of the two traces are identical:
+    /// every counter and histogram (shape and sample count) equal. Wall
+    /// times are ignored — they never repeat exactly.
     #[must_use]
     pub fn is_identical(&self) -> bool {
-        self.counters.iter().all(|c| c.old == c.new)
-            && self
-                .histograms
-                .iter()
-                .all(|h| h.l1 == 0.0 && h.old_count == h.new_count)
+        self.counters.iter().all(|c| c.old == c.new) && self.histograms.iter().all(Row::same)
     }
 
     /// Render the report as an aligned text table.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "total wall time  {:>10} us -> {:>10} us  ({:.2}x)\n",
-            self.old_total_us,
-            self.new_total_us,
-            self.new_total_us as f64 / self.old_total_us.max(1) as f64
-        ));
-        if !self.counters.is_empty() {
-            out.push_str("\ncounters\n");
-            for c in &self.counters {
-                let marker = if c.old == c.new { ' ' } else { '*' };
-                out.push_str(&format!(
-                    "{marker} {:<28} {:>12} -> {:>12}  ({:+.1}%)\n",
-                    c.name,
-                    c.old,
-                    c.new,
-                    c.pct_change()
-                ));
-            }
+        let (old, new, ratio) = (self.total.old, self.total.new, self.total.ratio());
+        let mut out = format!("total wall time  {old:>10} us -> {new:>10} us  ({ratio:.2}x)\n");
+        table(&mut out, "counters", &self.counters, |r| {
+            r.delta_line(12, "")
+        });
+        table(&mut out, "phases", &self.phases, |r| {
+            let (name, old, new, ratio) = (&r.name, r.old, r.new, r.ratio());
+            format!("  {name:<28} {old:>10} us -> {new:>10} us  ({ratio:.2}x)\n")
+        });
+        table(&mut out, "histograms", &self.histograms, |r| {
+            let mark = if r.same() { ' ' } else { '*' };
+            let (name, l1) = (&r.name, r.old.l1_distance(&r.new));
+            let (old, new) = (r.old.count, r.new.count);
+            let (old_p99, new_p99) = (r.old.percentile(0.99), r.new.percentile(0.99));
+            format!("{mark} {name:<28} n {old:>9} -> {new:>9}  p99 {old_p99:>9} -> {new_p99:>9}  L1 {l1:.4}\n")
+        });
+        for (title, rows) in [
+            ("memory", &self.memory),
+            ("footprints (largest snapshot)", &self.footprints),
+        ] {
+            table(&mut out, title, rows, |r| r.delta_line(14, " bytes"));
         }
-        if !self.phases.is_empty() {
-            out.push_str("\nphases\n");
-            for p in &self.phases {
-                out.push_str(&format!(
-                    "  {:<28} {:>10} us -> {:>10} us  ({:.2}x)\n",
-                    p.name,
-                    p.old_us,
-                    p.new_us,
-                    p.ratio()
-                ));
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\nhistograms\n");
-            for h in &self.histograms {
-                let marker = if h.l1 == 0.0 && h.old_count == h.new_count {
-                    ' '
-                } else {
-                    '*'
-                };
-                out.push_str(&format!(
-                    "{marker} {:<28} n {:>9} -> {:>9}  p99 {:>9} -> {:>9}  L1 {:.4}\n",
-                    h.name, h.old_count, h.new_count, h.old_p99, h.new_p99, h.l1
-                ));
-            }
-        }
-        if self.old_has_memory || self.new_has_memory {
-            out.push_str("\nmemory\n");
-            match (self.old_has_memory, self.new_has_memory) {
-                (false, true) => out.push_str("  (absent in old trace; new values shown)\n"),
-                (true, false) => out.push_str("  (absent in new trace; old values shown)\n"),
-                _ => {}
-            }
-            for m in &self.mem {
-                let marker = if m.old_bytes == m.new_bytes { ' ' } else { '*' };
-                out.push_str(&format!(
-                    "{marker} {:<28} {:>14} -> {:>14} bytes  ({:+.1}%)\n",
-                    m.name,
-                    m.old_bytes,
-                    m.new_bytes,
-                    m.pct_change()
-                ));
-            }
-        }
-        if self.old_has_footprints || self.new_has_footprints {
-            out.push_str("\nfootprints (largest snapshot)\n");
-            match (self.old_has_footprints, self.new_has_footprints) {
-                (false, true) => out.push_str("  (absent in old trace; new values shown)\n"),
-                (true, false) => out.push_str("  (absent in new trace; old values shown)\n"),
-                _ => {}
-            }
-            for f in &self.footprints {
-                let marker = if f.old_bytes == f.new_bytes { ' ' } else { '*' };
-                out.push_str(&format!(
-                    "{marker} {:<28} {:>14} -> {:>14} bytes  ({:+.1}%)\n",
-                    f.structure,
-                    f.old_bytes,
-                    f.new_bytes,
-                    f.pct_change()
-                ));
-            }
-        }
-        if self.old_mean_utilization.is_some() || self.new_mean_utilization.is_some() {
-            out.push_str("\ntimeline\n");
-            match (self.old_mean_utilization, self.new_mean_utilization) {
-                (None, Some(_)) => out.push_str("  (absent in old trace; new values shown)\n"),
-                (Some(_), None) => out.push_str("  (absent in new trace; old values shown)\n"),
-                _ => {}
-            }
-            let fmt = |u: Option<f64>| {
-                u.map_or_else(|| "absent".to_owned(), |u| format!("{:.1}%", u * 100.0))
-            };
-            out.push_str(&format!(
-                "  {:<28} {:>14} -> {:>14}\n",
-                "mean utilization",
-                fmt(self.old_mean_utilization),
-                fmt(self.new_mean_utilization)
-            ));
-        }
-        if self.old_quality_recall.is_some() || self.new_quality_recall.is_some() {
-            out.push_str("\nquality\n");
-            match (self.old_quality_recall, self.new_quality_recall) {
-                (None, Some(_)) => out.push_str("  (absent in old trace; new values shown)\n"),
-                (Some(_), None) => out.push_str("  (absent in new trace; old values shown)\n"),
-                _ => {}
-            }
-            let fmt = |u: Option<f64>| {
-                u.map_or_else(|| "absent".to_owned(), |u| format!("{:.2}%", u * 100.0))
-            };
-            for (name, old, new) in [
-                (
-                    "record recall",
-                    self.old_quality_recall,
-                    self.new_quality_recall,
-                ),
-                (
-                    "record precision",
-                    self.old_quality_precision,
-                    self.new_quality_precision,
-                ),
-            ] {
-                out.push_str(&format!(
-                    "  {:<28} {:>14} -> {:>14}\n",
-                    name,
-                    fmt(old),
-                    fmt(new)
-                ));
-            }
-        }
+        table(&mut out, "timeline", &self.timeline, |r| r.share_line(1));
+        table(&mut out, "quality", &self.quality, |r| r.share_line(2));
         out
     }
 
     /// Evaluate `--fail-on` thresholds against this report.
     #[must_use]
     pub fn check(&self, thresholds: &[Threshold]) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        for t in thresholds {
-            match t {
-                Threshold::Counter { name, max_pct } => {
-                    match self.counters.iter().find(|c| c.name == *name) {
-                        None => violations.push(Violation {
-                            spec: t.spec(),
-                            message: format!("counter '{name}' not present in either trace"),
-                        }),
-                        Some(c) => {
-                            let pct = c.pct_change().abs();
-                            if pct > *max_pct {
-                                violations.push(Violation {
-                                    spec: t.spec(),
-                                    message: format!(
-                                        "counter '{name}' changed {pct:.1}% ({} -> {}), limit {max_pct}%",
-                                        c.old, c.new
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-                Threshold::Phase { name, max_ratio } => {
-                    match self.phases.iter().find(|p| p.name == *name) {
-                        None => violations.push(Violation {
-                            spec: t.spec(),
-                            message: format!("phase '{name}' not present in either trace"),
-                        }),
-                        Some(p) => {
-                            if p.ratio() > *max_ratio {
-                                violations.push(Violation {
-                                    spec: t.spec(),
-                                    message: format!(
-                                        "phase '{name}' took {:.2}x the baseline ({} us -> {} us), limit {max_ratio}x",
-                                        p.ratio(),
-                                        p.old_us,
-                                        p.new_us
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-                Threshold::Hist { name, max_l1 } => {
-                    match self.histograms.iter().find(|h| h.name == *name) {
-                        None => violations.push(Violation {
-                            spec: t.spec(),
-                            message: format!("histogram '{name}' not present in either trace"),
-                        }),
-                        Some(h) => {
-                            if h.l1 > *max_l1 {
-                                violations.push(Violation {
-                                    spec: t.spec(),
-                                    message: format!(
-                                        "histogram '{name}' shifted L1 {:.4}, limit {max_l1}",
-                                        h.l1
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-                Threshold::P99 { name, max_pct } => {
-                    match self.histograms.iter().find(|h| h.name == *name) {
-                        None => violations.push(Violation {
-                            spec: t.spec(),
-                            message: format!("histogram '{name}' not present in either trace"),
-                        }),
-                        Some(h) => {
-                            let limit = h.old_p99.max(1) as f64 * (1.0 + max_pct / 100.0);
-                            if h.new_p99 as f64 > limit {
-                                violations.push(Violation {
-                                    spec: t.spec(),
-                                    message: format!(
-                                        "histogram '{name}' p99 regressed {} -> {}, limit +{max_pct}%",
-                                        h.old_p99, h.new_p99
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-                Threshold::Total { max_ratio } => {
-                    let ratio = self.new_total_us as f64 / self.old_total_us.max(1) as f64;
-                    if ratio > *max_ratio {
-                        violations.push(Violation {
-                            spec: t.spec(),
-                            message: format!(
-                                "total wall time {:.2}x the baseline ({} us -> {} us), limit {max_ratio}x",
-                                ratio, self.old_total_us, self.new_total_us
-                            ),
-                        });
-                    }
-                }
-                Threshold::Mem { name, max_pct } => {
-                    // A trace written before memory tracking existed (or a
-                    // run without --trace-mem) simply lacks the section:
-                    // the gate reports "absent" and passes, rather than
-                    // failing CI on a format-version difference.
-                    if !self.old_has_memory || !self.new_has_memory {
-                        continue;
-                    }
-                    match self.mem.iter().find(|m| m.name == *name) {
-                        None => violations.push(Violation {
-                            spec: t.spec(),
-                            message: format!("memory metric '{name}' not present in either trace"),
-                        }),
-                        Some(m) => {
-                            let pct = m.pct_change();
-                            if pct > *max_pct {
-                                violations.push(Violation {
-                                    spec: t.spec(),
-                                    message: format!(
-                                        "memory metric '{name}' grew {pct:.1}% ({} -> {} bytes), limit {max_pct}%",
-                                        m.old_bytes, m.new_bytes
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-                Threshold::TimelineUtilization { max_drop_pct } => {
-                    // Like mem: gates, a side without the section is
-                    // "absent", not a failure — pre-timeline baselines
-                    // must keep passing until they are refreshed.
-                    let (Some(old), Some(new)) =
-                        (self.old_mean_utilization, self.new_mean_utilization)
-                    else {
-                        continue;
-                    };
-                    let drop = (old - new) * 100.0;
-                    if drop > *max_drop_pct {
-                        violations.push(Violation {
-                            spec: t.spec(),
-                            message: format!(
-                                "mean worker utilization dropped {drop:.1} points ({:.1}% -> {:.1}%), limit {max_drop_pct}",
-                                old * 100.0,
-                                new * 100.0
-                            ),
-                        });
-                    }
-                }
-                Threshold::Quality {
-                    metric,
-                    max_drop_pct,
-                } => {
-                    // Like timeline: gates, a side without the section is
-                    // "absent", not a failure — pre-quality baselines (and
-                    // runs without --truth) must keep passing until they
-                    // are refreshed.
-                    let (old, new) = if metric == "recall" {
-                        (self.old_quality_recall, self.new_quality_recall)
-                    } else {
-                        (self.old_quality_precision, self.new_quality_precision)
-                    };
-                    let (Some(old), Some(new)) = (old, new) else {
-                        continue;
-                    };
-                    let drop = (old - new) * 100.0;
-                    if drop > *max_drop_pct {
-                        violations.push(Violation {
-                            spec: t.spec(),
-                            message: format!(
-                                "record {metric} dropped {drop:.2} points ({:.2}% -> {:.2}%), limit {max_drop_pct}",
-                                old * 100.0,
-                                new * 100.0
-                            ),
-                        });
-                    }
-                }
-                Threshold::Footprint { name, max_pct } => {
-                    if !self.old_has_footprints || !self.new_has_footprints {
-                        continue;
-                    }
-                    match self.footprints.iter().find(|f| f.structure == *name) {
-                        None => violations.push(Violation {
-                            spec: t.spec(),
-                            message: format!("footprint '{name}' not present in either trace"),
-                        }),
-                        Some(f) => {
-                            let pct = f.pct_change();
-                            if pct > *max_pct {
-                                violations.push(Violation {
-                                    spec: t.spec(),
-                                    message: format!(
-                                        "footprint '{name}' grew {pct:.1}% ({} -> {} bytes), limit {max_pct}%",
-                                        f.old_bytes, f.new_bytes
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
+        let violation = |t: &Threshold| {
+            let message = self.gate(t).err()?;
+            let spec = t.spec();
+            Some(Violation { spec, message })
+        };
+        thresholds.iter().filter_map(violation).collect()
+    }
+
+    /// One threshold's rule: `Err` holds the violation message.
+    fn gate(&self, t: &Threshold) -> Result<(), String> {
+        let (name, limit) = (t.name.as_str(), t.limit);
+        let (tripped, message) = match t.kind {
+            Kind::Counter => {
+                let r = find(&self.counters, "counter", name)?;
+                let (old, new, pct) = (r.old, r.new, r.pct_change().abs());
+                let message =
+                    format!("counter '{name}' changed {pct:.1}% ({old} -> {new}), limit {limit}%");
+                (pct > limit, message)
             }
-        }
-        violations
+            Kind::Phase | Kind::Total => {
+                let (r, what) = if t.kind == Kind::Total {
+                    (&self.total, "total wall time".to_owned())
+                } else {
+                    let r = find(&self.phases, "phase", name)?;
+                    (r, format!("phase '{name}' took"))
+                };
+                let (old, new, ratio) = (r.old, r.new, r.ratio());
+                let message = format!(
+                    "{what} {ratio:.2}x the baseline ({old} us -> {new} us), limit {limit}x"
+                );
+                (ratio > limit, message)
+            }
+            Kind::Hist => {
+                let r = find(&self.histograms, "histogram", name)?;
+                let l1 = r.old.l1_distance(&r.new);
+                let message = format!("histogram '{name}' shifted L1 {l1:.4}, limit {limit}");
+                (l1 > limit, message)
+            }
+            Kind::P99 => {
+                let r = find(&self.histograms, "histogram", name)?;
+                let (old, new) = (r.old.percentile(0.99), r.new.percentile(0.99));
+                let message =
+                    format!("histogram '{name}' p99 regressed {old} -> {new}, limit +{limit}%");
+                let tripped = new as f64 > old.max(1) as f64 * (1.0 + limit / 100.0);
+                (tripped, message)
+            }
+            Kind::Mem | Kind::Footprint => {
+                let (rows, what) = if t.kind == Kind::Mem {
+                    (&self.memory, "memory metric")
+                } else {
+                    (&self.footprints, "footprint")
+                };
+                if section_missing(rows) {
+                    return Ok(());
+                }
+                let r = find(rows, what, name)?;
+                let (old, new, pct) = (r.old, r.new, r.pct_change());
+                let message = format!(
+                    "{what} '{name}' grew {pct:.1}% ({old} -> {new} bytes), limit {limit}%"
+                );
+                (pct > limit, message)
+            }
+            Kind::Timeline | Kind::Quality => {
+                let (rows, row, what, d) = if t.kind == Kind::Timeline {
+                    let what = "mean worker utilization".to_owned();
+                    (&self.timeline, "mean utilization".to_owned(), what, 1)
+                } else {
+                    let row = format!("record {name}");
+                    (&self.quality, row.clone(), row, 2)
+                };
+                if section_missing(rows) {
+                    return Ok(());
+                }
+                let r = find(rows, &what, &row)?;
+                let drop = (r.old - r.new) * 100.0;
+                let (old, new) = (r.old * 100.0, r.new * 100.0);
+                let message = format!(
+                    "{what} dropped {drop:.d$} points ({old:.d$}% -> {new:.d$}%), limit {limit}"
+                );
+                (drop > limit, message)
+            }
+        };
+        tripped.then_some(message).map_or(Ok(()), Err)
     }
 }
 
 /// A violated threshold, for the CLI to report and exit nonzero on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// The `--fail-on` spec that was violated, verbatim.
+    /// The threshold's spec, as [`Threshold::spec`] renders it.
     pub spec: String,
     /// Human-readable description of the violation.
     pub message: String,
 }
 
-/// One parsed `--fail-on` threshold.
+/// What a [`Threshold`] gates; [`KINDS`] holds each one's spec word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Phase,
+    Hist,
+    P99,
+    Total,
+    Mem,
+    Footprint,
+    Timeline,
+    Quality,
+}
+
+/// Every kind with its spec word.
+const KINDS: [(Kind, &str); 9] = [
+    (Kind::Counter, "counter"),
+    (Kind::Phase, "phase"),
+    (Kind::Hist, "hist"),
+    (Kind::P99, "p99"),
+    (Kind::Total, "total"),
+    (Kind::Mem, "mem"),
+    (Kind::Footprint, "footprint"),
+    (Kind::Timeline, "timeline"),
+    (Kind::Quality, "quality"),
+];
+
+/// One parsed `--fail-on` threshold (the `%` of a percentage is
+/// optional). It fails when `counter:NAME:PCT%` moves either way by more
+/// than PCT percent; `phase:NAME:RATIO` or `total:RATIO` (> 0) takes
+/// more than RATIO times the baseline time; `hist:NAME:L1MAX` shifts
+/// more than L1MAX in normalised L1 distance (0–2); `p99:NAME:PCT%`
+/// regresses its p99 estimate, or `mem:NAME:PCT%` (`total`, `peak` or a
+/// phase's alloc bytes) and `footprint:NAME:PCT%` (largest snapshot)
+/// grow, by more than PCT percent; `timeline:utilization:PCT%` (mean
+/// worker utilization), `quality:recall:PCT%` or
+/// `quality:precision:PCT%` drops more than PCT percentage points.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Threshold {
-    /// `counter:NAME:PCT[%]` — fail when |Δ| exceeds PCT percent of the
-    /// baseline value.
-    Counter {
-        /// Counter name.
-        name: String,
-        /// Maximum absolute change in percent.
-        max_pct: f64,
-    },
-    /// `phase:NAME:RATIO` — fail when the phase takes more than RATIO
-    /// times the baseline wall time.
-    Phase {
-        /// Phase name.
-        name: String,
-        /// Maximum new/old wall-time ratio.
-        max_ratio: f64,
-    },
-    /// `hist:NAME:L1MAX` — fail when the histogram's normalised L1
-    /// distance from baseline exceeds L1MAX.
-    Hist {
-        /// Histogram name.
-        name: String,
-        /// Maximum L1 distance (0–2).
-        max_l1: f64,
-    },
-    /// `p99:NAME:PCT[%]` — fail when the histogram's p99 estimate
-    /// regresses more than PCT percent over baseline.
-    P99 {
-        /// Histogram name.
-        name: String,
-        /// Maximum p99 regression in percent.
-        max_pct: f64,
-    },
-    /// `total:RATIO` — fail when total wall time exceeds RATIO times
-    /// the baseline.
-    Total {
-        /// Maximum new/old total wall-time ratio.
-        max_ratio: f64,
-    },
-    /// `mem:NAME:PCT[%]` — fail when the memory metric (`total`,
-    /// `peak`, or a phase's alloc bytes) grows more than PCT percent
-    /// over baseline. Skipped (not violated) when either trace has no
-    /// memory section at all.
-    Mem {
-        /// Metric name (`"total"`, `"peak"`, or a phase name).
-        name: String,
-        /// Maximum growth in percent.
-        max_pct: f64,
-    },
-    /// `footprint:NAME:PCT[%]` — fail when a structure's largest
-    /// footprint snapshot grows more than PCT percent over baseline.
-    /// Skipped (not violated) when either trace has no footprint
-    /// snapshots at all.
-    Footprint {
-        /// Structure name (e.g. `"pair_score_cache"`).
-        name: String,
-        /// Maximum growth in percent.
-        max_pct: f64,
-    },
-    /// `timeline:utilization:PCT[%]` — fail when mean per-worker
-    /// utilization drops more than PCT percentage points below the
-    /// baseline. Skipped (not violated) when either trace has no
-    /// timeline section at all.
-    TimelineUtilization {
-        /// Maximum utilization drop in percentage points.
-        max_drop_pct: f64,
-    },
-    /// `quality:recall:PCT[%]` / `quality:precision:PCT[%]` — fail when
-    /// the record-level quality metric drops more than PCT percentage
-    /// points below the baseline. Skipped (not violated) when either
-    /// trace has no quality section at all.
-    Quality {
-        /// Metric name (`"recall"` or `"precision"`).
-        metric: String,
-        /// Maximum drop in percentage points.
-        max_drop_pct: f64,
-    },
+pub struct Threshold {
+    kind: Kind,
+    /// Empty for `total`.
+    name: String,
+    limit: f64,
 }
 
 impl Threshold {
@@ -753,7 +391,8 @@ impl Threshold {
     ///
     /// # Errors
     ///
-    /// Returns a usage message when the spec's shape or number is invalid.
+    /// Returns a usage message when the spec's shape, name or number is
+    /// invalid.
     pub fn parse(spec: &str) -> Result<Threshold, String> {
         let bad = || {
             format!(
@@ -764,75 +403,42 @@ impl Threshold {
             )
         };
         let mut parts = spec.splitn(3, ':');
-        let kind = parts.next().ok_or_else(bad)?;
-        if kind == "total" {
-            let ratio: f64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-            if parts.next().is_some() || !ratio.is_finite() || ratio <= 0.0 {
-                return Err(bad());
-            }
-            return Ok(Threshold::Total { max_ratio: ratio });
-        }
-        let name = parts.next().ok_or_else(bad)?.to_owned();
-        let value = parts.next().ok_or_else(bad)?;
-        let number: f64 = value.trim_end_matches('%').parse().map_err(|_| bad())?;
-        if name.is_empty() || !number.is_finite() || number < 0.0 {
+        let word = parts.next().unwrap_or_default();
+        let &(kind, _) = KINDS.iter().find(|(_, w)| *w == word).ok_or_else(bad)?;
+        let (name, limit, valid) = if kind == Kind::Total {
+            let limit: f64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+            ("", limit, parts.next().is_none() && limit > 0.0)
+        } else {
+            let name = parts.next().ok_or_else(bad)?;
+            let value = parts.next().ok_or_else(bad)?.trim_end_matches('%');
+            let limit: f64 = value.parse().map_err(|_| bad())?;
+            let known = match kind {
+                Kind::Timeline => name == "utilization",
+                Kind::Quality => name == "recall" || name == "precision",
+                _ => !name.is_empty(),
+            };
+            (name, limit, known && limit >= 0.0)
+        };
+        if !valid || !limit.is_finite() {
             return Err(bad());
         }
-        match kind {
-            "counter" => Ok(Threshold::Counter {
-                name,
-                max_pct: number,
-            }),
-            "phase" => Ok(Threshold::Phase {
-                name,
-                max_ratio: number,
-            }),
-            "hist" => Ok(Threshold::Hist {
-                name,
-                max_l1: number,
-            }),
-            "p99" => Ok(Threshold::P99 {
-                name,
-                max_pct: number,
-            }),
-            "mem" => Ok(Threshold::Mem {
-                name,
-                max_pct: number,
-            }),
-            "footprint" => Ok(Threshold::Footprint {
-                name,
-                max_pct: number,
-            }),
-            "timeline" if name == "utilization" => Ok(Threshold::TimelineUtilization {
-                max_drop_pct: number,
-            }),
-            "quality" if name == "recall" || name == "precision" => Ok(Threshold::Quality {
-                metric: name,
-                max_drop_pct: number,
-            }),
-            _ => Err(bad()),
-        }
+        let name = name.to_owned();
+        Ok(Threshold { kind, name, limit })
     }
 
-    /// The spec string this threshold renders back to (for violation
-    /// messages).
+    /// The spec this threshold renders back to (for violation
+    /// messages); percentage limits always carry their `%`.
     #[must_use]
     pub fn spec(&self) -> String {
-        match self {
-            Threshold::Counter { name, max_pct } => format!("counter:{name}:{max_pct}%"),
-            Threshold::Phase { name, max_ratio } => format!("phase:{name}:{max_ratio}"),
-            Threshold::Hist { name, max_l1 } => format!("hist:{name}:{max_l1}"),
-            Threshold::P99 { name, max_pct } => format!("p99:{name}:{max_pct}%"),
-            Threshold::Total { max_ratio } => format!("total:{max_ratio}"),
-            Threshold::Mem { name, max_pct } => format!("mem:{name}:{max_pct}%"),
-            Threshold::Footprint { name, max_pct } => format!("footprint:{name}:{max_pct}%"),
-            Threshold::TimelineUtilization { max_drop_pct } => {
-                format!("timeline:utilization:{max_drop_pct}%")
-            }
-            Threshold::Quality {
-                metric,
-                max_drop_pct,
-            } => format!("quality:{metric}:{max_drop_pct}%"),
+        let (name, limit) = (&self.name, self.limit);
+        let word = KINDS
+            .iter()
+            .find(|(k, _)| *k == self.kind)
+            .map_or("", |(_, w)| w);
+        match self.kind {
+            Kind::Total => format!("total:{limit}"),
+            Kind::Phase | Kind::Hist => format!("{word}:{name}:{limit}"),
+            _ => format!("{word}:{name}:{limit}%"),
         }
     }
 }
@@ -862,7 +468,6 @@ mod tests {
                 name: "prematch_pairs_scored".into(),
                 value: pairs,
             }],
-            chunks: vec![],
             spans: vec![],
             histograms: vec![NamedHistogram {
                 name: "pair_agg_sim_bp".into(),
@@ -893,24 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn doctored_trace_trips_thresholds() {
-        let old = trace(100, 50, &[5000, 6000]);
-        let new = trace(200, 5000, &[20, 20]);
-        let report = compare(&old, &new);
-        assert!(!report.is_identical());
-        let violations = report.check(&[
-            Threshold::parse("counter:prematch_pairs_scored:25%").unwrap(),
-            Threshold::parse("phase:selection:10").unwrap(),
-            Threshold::parse("hist:pair_agg_sim_bp:0.5").unwrap(),
-        ]);
-        assert_eq!(violations.len(), 3, "{violations:?}");
-        // well inside generous limits: no violations
-        assert!(report
-            .check(&[Threshold::parse("counter:prematch_pairs_scored:150%").unwrap()])
-            .is_empty());
-    }
-
-    #[test]
     fn unknown_names_in_thresholds_are_violations() {
         let t = trace(1, 1, &[1]);
         let report = compare(&t, &t);
@@ -936,24 +523,25 @@ mod tests {
             .unwrap();
         assert_eq!((added.old, added.new), (0, 7));
         let hist = &report.histograms[0];
-        assert_eq!(hist.l1, 2.0);
-        assert_eq!(hist.new_count, 0);
+        assert_eq!(hist.old.l1_distance(&hist.new), 2.0);
+        assert_eq!(hist.new.count, 0);
     }
 
     #[test]
     fn threshold_parsing_accepts_all_kinds_and_rejects_garbage() {
-        assert!(matches!(
-            Threshold::parse("counter:record_links:10%").unwrap(),
-            Threshold::Counter { max_pct, .. } if max_pct == 10.0
-        ));
-        assert!(matches!(
-            Threshold::parse("phase:selection:200").unwrap(),
-            Threshold::Phase { max_ratio, .. } if max_ratio == 200.0
-        ));
-        assert!(matches!(
-            Threshold::parse("total:3.5").unwrap(),
-            Threshold::Total { max_ratio } if max_ratio == 3.5
-        ));
+        let parsed = |spec| {
+            let t = Threshold::parse(spec).unwrap();
+            (t.kind, t.name, t.limit)
+        };
+        assert_eq!(
+            parsed("counter:record_links:10%"),
+            (Kind::Counter, "record_links".to_owned(), 10.0)
+        );
+        assert_eq!(
+            parsed("phase:selection:200"),
+            (Kind::Phase, "selection".to_owned(), 200.0)
+        );
+        assert_eq!(parsed("total:3.5"), (Kind::Total, String::new(), 3.5));
         for bad in [
             "counter:only_name",
             "phase::2",
@@ -1006,28 +594,12 @@ mod tests {
         // old trace predates memory tracking: absent, not a failure,
         // even though the "growth" from a zero baseline is unbounded
         let report = compare(&plain, &tracked);
-        assert!(!report.old_has_memory && report.new_has_memory);
+        assert_eq!(report.memory[0].missing, Some(Side::Old));
         assert!(report.check(&gates).is_empty());
         // and the other way round
         assert!(compare(&tracked, &plain).check(&gates).is_empty());
         let rendered = report.render();
         assert!(rendered.contains("absent in old trace"), "{rendered}");
-    }
-
-    #[test]
-    fn mem_regression_trips_and_unknown_metric_is_violation() {
-        let old = with_memory(trace(1, 1, &[1]), 1000, 500, 100);
-        let new = with_memory(trace(1, 1, &[1]), 1500, 1200, 100);
-        let report = compare(&old, &new);
-        let v = report.check(&[
-            Threshold::parse("mem:total:25%").unwrap(),   // +50% trips
-            Threshold::parse("mem:peak:200%").unwrap(),   // +140% passes
-            Threshold::parse("mem:prematch:0%").unwrap(), // unchanged passes
-            Threshold::parse("mem:no_such_phase:50%").unwrap(), // both have memory: violation
-        ]);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v[0].message.contains("'total' grew 50.0%"), "{v:?}");
-        assert!(v[1].message.contains("not present"), "{v:?}");
     }
 
     fn with_timeline(mut t: RunTrace, busy_us: &[u64]) -> RunTrace {
@@ -1056,32 +628,12 @@ mod tests {
         let timed = with_timeline(trace(1, 1, &[1]), &[100, 100]);
         let gates = [Threshold::parse("timeline:utilization:10%").unwrap()];
         let report = compare(&plain, &timed);
-        assert!(report.old_mean_utilization.is_none());
-        assert!(report.new_mean_utilization.is_some());
+        assert_eq!(report.timeline[0].missing, Some(Side::Old));
         assert!(report.check(&gates).is_empty());
         assert!(compare(&timed, &plain).check(&gates).is_empty());
         let rendered = report.render();
         assert!(rendered.contains("absent in old trace"), "{rendered}");
         assert!(rendered.contains("mean utilization"), "{rendered}");
-    }
-
-    #[test]
-    fn utilization_drop_trips_the_timeline_gate() {
-        // old: both workers fully busy (100%); new: one worker idles
-        // 80% of the window (mean 60%) — a 40-point drop
-        let old = with_timeline(trace(1, 1, &[1]), &[100, 100]);
-        let new = with_timeline(trace(1, 1, &[1]), &[100, 20]);
-        let report = compare(&old, &new);
-        let v = report.check(&[Threshold::parse("timeline:utilization:25").unwrap()]);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("dropped 40.0 points"), "{v:?}");
-        assert!(report
-            .check(&[Threshold::parse("timeline:utilization:50").unwrap()])
-            .is_empty());
-        // improvements never trip
-        assert!(compare(&new, &old)
-            .check(&[Threshold::parse("timeline:utilization:0").unwrap()])
-            .is_empty());
     }
 
     #[test]
@@ -1133,14 +685,66 @@ mod tests {
             Threshold::parse("quality:precision:1").unwrap(),
         ];
         let report = compare(&plain, &measured);
-        assert!(report.old_quality_recall.is_none());
-        assert!(report.new_quality_recall.is_some());
+        assert_eq!(report.quality[0].missing, Some(Side::Old));
         assert!(report.check(&gates).is_empty());
         assert!(compare(&measured, &plain).check(&gates).is_empty());
         let rendered = report.render();
         assert!(rendered.contains("\nquality\n"), "{rendered}");
         assert!(rendered.contains("absent in old trace"), "{rendered}");
         assert!(rendered.contains("record recall"), "{rendered}");
+    }
+
+    #[test]
+    fn doctored_trace_trips_thresholds() {
+        let old = trace(100, 50, &[5000, 6000]);
+        let new = trace(200, 5000, &[20, 20]);
+        let report = compare(&old, &new);
+        assert!(!report.is_identical());
+        let violations = report.check(&[
+            Threshold::parse("counter:prematch_pairs_scored:25%").unwrap(),
+            Threshold::parse("phase:selection:10").unwrap(),
+            Threshold::parse("hist:pair_agg_sim_bp:0.5").unwrap(),
+        ]);
+        assert_eq!(violations.len(), 3, "{violations:?}");
+        // well inside generous limits: no violations
+        assert!(report
+            .check(&[Threshold::parse("counter:prematch_pairs_scored:150%").unwrap()])
+            .is_empty());
+    }
+
+    #[test]
+    fn mem_regression_trips_and_unknown_metric_is_violation() {
+        let old = with_memory(trace(1, 1, &[1]), 1000, 500, 100);
+        let new = with_memory(trace(1, 1, &[1]), 1500, 1200, 100);
+        let report = compare(&old, &new);
+        let v = report.check(&[
+            Threshold::parse("mem:total:25%").unwrap(),   // +50% trips
+            Threshold::parse("mem:peak:200%").unwrap(),   // +140% passes
+            Threshold::parse("mem:prematch:0%").unwrap(), // unchanged passes
+            Threshold::parse("mem:no_such_phase:50%").unwrap(), // both have memory: violation
+        ]);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].message.contains("'total' grew 50.0%"), "{v:?}");
+        assert!(v[1].message.contains("not present"), "{v:?}");
+    }
+
+    #[test]
+    fn utilization_drop_trips_the_timeline_gate() {
+        // old: both workers fully busy (100%); new: one worker idles
+        // 80% of the window (mean 60%) — a 40-point drop
+        let old = with_timeline(trace(1, 1, &[1]), &[100, 100]);
+        let new = with_timeline(trace(1, 1, &[1]), &[100, 20]);
+        let report = compare(&old, &new);
+        let v = report.check(&[Threshold::parse("timeline:utilization:25").unwrap()]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("dropped 40.0 points"), "{v:?}");
+        assert!(report
+            .check(&[Threshold::parse("timeline:utilization:50").unwrap()])
+            .is_empty());
+        // improvements never trip
+        assert!(compare(&new, &old)
+            .check(&[Threshold::parse("timeline:utilization:0").unwrap()])
+            .is_empty());
     }
 
     #[test]
@@ -1191,5 +795,221 @@ mod tests {
         assert!(report
             .check(&[Threshold::parse("footprint:pair_score_cache:400%").unwrap()])
             .is_empty());
+    }
+
+    /// How one row of the gate table must come out.
+    enum Expect {
+        /// No violation.
+        Pass,
+        /// Exactly one violation, with this message.
+        Trip(&'static str),
+        /// The spec does not parse.
+        BadSpec,
+    }
+
+    /// Which traces a row of the gate table compares.
+    enum Pair {
+        /// `old` against `new`.
+        Fwd,
+        /// `new` against `old`: every gated quantity improves.
+        Back,
+        /// A trace without memory, footprint, timeline and quality
+        /// sections against `new`.
+        OldBare,
+        /// `new` against a trace without those sections.
+        NewBare,
+    }
+
+    /// The base traces of the gate table: `new` moves every gated
+    /// quantity away from `old`.
+    fn gate_traces() -> (RunTrace, RunTrace) {
+        let full = |pairs, selection_us, score, mem: (u64, u64), fp, busy: &[u64], recall| {
+            let t = with_memory(
+                trace(pairs, selection_us, &[score, score]),
+                mem.0,
+                mem.1,
+                100,
+            );
+            let mut t = with_quality(with_timeline(t, busy), 0.95, recall);
+            t.footprints.push(FootprintSnapshot {
+                structure: "pair_score_cache".into(),
+                phase: "prematch".into(),
+                iteration: Some(0),
+                bytes: fp,
+                elements: 10,
+            });
+            t
+        };
+        (
+            full(100, 50, 1000, (1000, 500), 1000, &[100, 100], 0.90),
+            full(200, 5000, 4000, (1500, 1200), 4000, &[100, 20], 0.84),
+        )
+    }
+
+    #[test]
+    fn every_threshold_kind_passes_trips_and_refuses_unknown_names() {
+        use Expect::{BadSpec, Pass, Trip};
+        use Pair::{Back, Fwd, NewBare, OldBare};
+        let rows: &[(&str, Pair, Expect)] = &[
+            ("counter:prematch_pairs_scored:150%", Fwd, Pass),
+            (
+                "counter:prematch_pairs_scored:25%",
+                Fwd,
+                Trip("counter 'prematch_pairs_scored' changed 100.0% (100 -> 200), limit 25%"),
+            ),
+            // counters gate the absolute change: a fall trips too
+            (
+                "counter:prematch_pairs_scored:25",
+                Back,
+                Trip("counter 'prematch_pairs_scored' changed 50.0% (200 -> 100), limit 25%"),
+            ),
+            (
+                "counter:no_such_counter:5",
+                Fwd,
+                Trip("counter 'no_such_counter' not present in either trace"),
+            ),
+            ("phase:selection:200", Fwd, Pass),
+            (
+                "phase:selection:10",
+                Fwd,
+                Trip("phase 'selection' took 100.00x the baseline (50 us -> 5000 us), limit 10x"),
+            ),
+            ("phase:selection:1", Back, Pass),
+            (
+                "phase:no_such_phase:2",
+                Fwd,
+                Trip("phase 'no_such_phase' not present in either trace"),
+            ),
+            ("hist:pair_agg_sim_bp:2", Fwd, Pass),
+            (
+                "hist:pair_agg_sim_bp:0.5",
+                Fwd,
+                Trip("histogram 'pair_agg_sim_bp' shifted L1 2.0000, limit 0.5"),
+            ),
+            (
+                "hist:no_such_hist:1",
+                Fwd,
+                Trip("histogram 'no_such_hist' not present in either trace"),
+            ),
+            ("p99:pair_agg_sim_bp:300%", Fwd, Pass),
+            (
+                "p99:pair_agg_sim_bp:100%",
+                Fwd,
+                Trip("histogram 'pair_agg_sim_bp' p99 regressed 1000 -> 4000, limit +100%"),
+            ),
+            ("p99:pair_agg_sim_bp:0", Back, Pass),
+            (
+                "p99:no_such_hist:5",
+                Fwd,
+                Trip("histogram 'no_such_hist' not present in either trace"),
+            ),
+            ("total:10", Fwd, Pass),
+            (
+                "total:2",
+                Fwd,
+                Trip("total wall time 5.71x the baseline (1050 us -> 6000 us), limit 2x"),
+            ),
+            ("total:selection:2", Fwd, BadSpec),
+            ("mem:total:100%", Fwd, Pass),
+            ("mem:peak:200%", Fwd, Pass),
+            ("mem:prematch:0%", Fwd, Pass),
+            (
+                "mem:total:25%",
+                Fwd,
+                Trip("memory metric 'total' grew 50.0% (1000 -> 1500 bytes), limit 25%"),
+            ),
+            ("mem:total:0", Back, Pass),
+            (
+                "mem:no_such_phase:50%",
+                Fwd,
+                Trip("memory metric 'no_such_phase' not present in either trace"),
+            ),
+            // a missing section passes, even for an unknown name
+            ("mem:total:10%", OldBare, Pass),
+            ("mem:peak:10%", NewBare, Pass),
+            ("mem:no_such_phase:10%", OldBare, Pass),
+            ("footprint:pair_score_cache:400%", Fwd, Pass),
+            (
+                "footprint:pair_score_cache:100%",
+                Fwd,
+                Trip("footprint 'pair_score_cache' grew 300.0% (1000 -> 4000 bytes), limit 100%"),
+            ),
+            ("footprint:pair_score_cache:0", Back, Pass),
+            (
+                "footprint:no_such_structure:10%",
+                Fwd,
+                Trip("footprint 'no_such_structure' not present in either trace"),
+            ),
+            ("footprint:pair_score_cache:10%", OldBare, Pass),
+            ("footprint:pair_score_cache:10%", NewBare, Pass),
+            ("timeline:utilization:50", Fwd, Pass),
+            (
+                "timeline:utilization:25%",
+                Fwd,
+                Trip("mean worker utilization dropped 40.0 points (100.0% -> 60.0%), limit 25"),
+            ),
+            ("timeline:utilization:0", Back, Pass),
+            ("timeline:busy:25%", Fwd, BadSpec),
+            ("timeline:utilization:10%", OldBare, Pass),
+            ("timeline:utilization:10%", NewBare, Pass),
+            ("quality:recall:10", Fwd, Pass),
+            ("quality:precision:0", Fwd, Pass),
+            (
+                "quality:recall:5%",
+                Fwd,
+                Trip("record recall dropped 6.00 points (90.00% -> 84.00%), limit 5"),
+            ),
+            ("quality:recall:0", Back, Pass),
+            ("quality:f1:1", Fwd, BadSpec),
+            ("quality:recall:1", OldBare, Pass),
+            ("quality:precision:1", NewBare, Pass),
+        ];
+        let (old, new) = gate_traces();
+        assert!(!compare(&old, &new).is_identical());
+        let bare = trace(100, 50, &[1000, 1000]);
+        for (spec, pair, expect) in rows {
+            let threshold = match (Threshold::parse(spec), expect) {
+                (Err(_), BadSpec) => continue,
+                (Ok(t), Pass | Trip(_)) => t,
+                (parsed, _) => panic!("{spec}: unexpected parse result {parsed:?}"),
+            };
+            let (a, b) = match pair {
+                Fwd => (&old, &new),
+                Back => (&new, &old),
+                OldBare => (&bare, &new),
+                NewBare => (&new, &bare),
+            };
+            let messages: Vec<String> = compare(a, b)
+                .check(&[threshold])
+                .into_iter()
+                .map(|v| v.message)
+                .collect();
+            match expect {
+                Pass => assert!(messages.is_empty(), "{spec}: {messages:?}"),
+                Trip(message) => assert_eq!(messages, [*message], "{spec}"),
+                BadSpec => unreachable!(),
+            }
+        }
+    }
+
+    #[test]
+    fn every_ci_gate_parses_and_renders_back_to_its_spec() {
+        let ci = include_str!("../../../.github/workflows/ci.yml");
+        let specs: Vec<&str> = ci
+            .split("--fail-on")
+            .skip(1)
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        assert!(specs.len() >= 25, "{specs:?}");
+        for spec in specs {
+            let t = Threshold::parse(spec).unwrap_or_else(|e| panic!("{e}"));
+            // percent-limited kinds render their optional '%'
+            let rendered = t.spec();
+            assert!(
+                rendered == spec || rendered == format!("{spec}%"),
+                "{spec} renders back as {rendered}"
+            );
+            assert_eq!(Threshold::parse(&rendered), Ok(t), "{spec}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Counters say *how many*; histograms say *how the values spread* —
 //! pair `agg_sim` scores, per-phase span latencies, subgraph sizes and
-//! per-thread chunk times. A [`Histogram`] is a fixed array of
+//! the wall times of parallel scoring tasks. A [`Histogram`] is a fixed array of
 //! [`HIST_BUCKETS`] power-of-two buckets over `u64` samples: bucket 0
 //! holds the value 0 and bucket `k` holds `[2^(k-1), 2^k)`, so
 //! recording is two instructions (`leading_zeros` + increment), merging
@@ -28,8 +28,8 @@ pub fn score_bp(s: f64) -> u64 {
 
 /// The live-sampled histogram slots of a [`crate::Collector`], mirroring
 /// [`crate::Counter`]'s fixed-slot design: recording into one from a
-/// scoring loop needs no string lookup. Phase-latency and chunk-time
-/// histograms are *derived* from the recorded spans and chunk timings
+/// scoring loop needs no string lookup. Phase-latency and task-time
+/// histograms are *derived* from the recorded spans and timeline events
 /// when the trace is assembled, so only value distributions the spans
 /// cannot reconstruct are sampled live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

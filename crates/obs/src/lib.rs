@@ -7,17 +7,17 @@
 //! layer (the build is offline, so crates.io `tracing` is unavailable):
 //!
 //! * [`Collector`] — nested phase spans with wall-clock timing, optional
-//!   per-δ-iteration tagging, atomic pipeline [`Counter`]s, and
-//!   worker-attributed chunk timings from the parallel scoring loops
-//!   (workers report in completion order; each record carries its
-//!   stable worker id and the trace is sorted deterministically).
+//!   per-δ-iteration tagging and atomic pipeline [`Counter`]s.
 //! * [`timeline`] — an opt-in per-worker event recorder
 //!   ([`Collector::with_timeline`]): bounded rings of fixed-size
 //!   timestamped events drained into a [`Timeline`] trace section with
-//!   derived scheduler analytics (utilization, critical path).
+//!   derived scheduler analytics (utilization, critical path). Each
+//!   task of a parallel scoring loop is recorded once, as a timeline
+//!   event; the same record feeds live progress, and the trace's
+//!   `chunk_us` histogram is derived from these events.
 //! * [`RunTrace`] — the serialisable report assembled by
 //!   [`Collector::finish`]: aggregated phase statistics, a per-iteration
-//!   breakdown, counters, chunk timings and the raw spans. Serialises to
+//!   breakdown, counters and the raw spans. Serialises to
 //!   JSON via the vendored `serde_json` and renders as a human-readable
 //!   phase table.
 //! * [`TraceSink`] — a small accumulator for harnesses that run many
@@ -30,10 +30,9 @@
 //! a single predictable branch on a plain `bool` — no locks, no clock
 //! reads, no allocation — so instrumented hot paths stay within noise of
 //! the uninstrumented code. Spans must be opened and closed from one
-//! thread (the pipeline driver); counters, chunk timings and timeline
-//! events may be reported from any thread. Chunk timings arrive in
-//! completion order, not per-thread order — each record carries the
-//! reporting worker's id for attribution.
+//! thread (the pipeline driver); counters and timeline events may be
+//! reported from any thread, each event carrying the reporting worker's
+//! id.
 //!
 //! # Example
 //!
@@ -75,8 +74,8 @@ pub use quality::{
     SelectionLosses, SimBand, TruthConfig,
 };
 pub use report::{
-    ChunkTiming, CounterValue, IterationTrace, LabeledTrace, MemoryStats, MultiTrace, PhaseMem,
-    PhaseStat, RunTrace, ShardStat, SpanRecord, TraceEvent, PIPELINE_PHASES,
+    CounterValue, IterationTrace, LabeledTrace, MemoryStats, MultiTrace, PhaseMem, PhaseStat,
+    RunTrace, ShardStat, SpanRecord, TraceEvent, PIPELINE_PHASES,
 };
 pub use timeline::{EventKind, Timeline, TimelineEvent, WorkerUtilization, DEFAULT_EVENT_CAPACITY};
 
@@ -278,7 +277,6 @@ pub struct Collector {
     epoch: Instant,
     state: Mutex<SpanState>,
     counters: [AtomicU64; Counter::ALL.len()],
-    chunks: Mutex<Vec<ChunkTiming>>,
     hists: Mutex<Vec<Histogram>>,
     decisions: Option<Mutex<DecisionLog>>,
     footprints: Mutex<Vec<FootprintSnapshot>>,
@@ -289,7 +287,7 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// A collector that records spans, counters and chunk timings.
+    /// A collector that records spans, counters and histograms.
     #[must_use]
     pub fn enabled() -> Self {
         Self::new(true)
@@ -310,7 +308,6 @@ impl Collector {
             epoch: Instant::now(),
             state: Mutex::new(SpanState::default()),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            chunks: Mutex::new(Vec::new()),
             hists: Mutex::new(vec![Histogram::new(); LiveHist::ALL.len()]),
             decisions: None,
             footprints: Mutex::new(Vec::new()),
@@ -343,8 +340,8 @@ impl Collector {
     }
 
     /// Attach a live progress reporter, driven by span pushes, counter
-    /// updates and chunk timings. Has no effect on a disabled
-    /// collector.
+    /// updates and, when the timeline records them, timed tasks. Has no
+    /// effect on a disabled collector.
     #[must_use]
     pub fn with_progress(mut self, progress: Progress) -> Self {
         if self.enabled {
@@ -391,32 +388,36 @@ impl Collector {
         Some(Instant::now())
     }
 
-    /// Record a completed unit of work that began at `start` (the
-    /// instant handed out by [`Collector::timeline_start`]) into
-    /// `worker`'s ring. Thread-safe.
+    /// Record a completed unit of work over `items` items that began at
+    /// `start` (the instant handed out by [`Collector::timeline_start`])
+    /// as one event in `worker`'s ring, and feed its items and duration
+    /// to the live progress throughput. Thread-safe.
     pub fn timeline_task(
         &self,
         worker: usize,
         kind: EventKind,
         detail: u64,
+        items: u64,
         iteration: Option<usize>,
         start: Instant,
     ) {
         let Some(state) = &self.timeline else {
             return;
         };
-        let event = TimelineEvent {
+        let duration_us = as_us(start.elapsed());
+        state.push(TimelineEvent {
             worker: u32::try_from(worker).unwrap_or(u32::MAX),
             kind,
             start_us: as_us(start.duration_since(self.epoch)),
-            duration_us: as_us(start.elapsed()),
+            duration_us,
             detail,
             iteration,
-        };
-        state.push(event);
+        });
         state.task_finished();
         if let Some(p) = &self.progress {
-            lock_or_recover(p).utilization(state.busy(), state.workers());
+            let mut p = lock_or_recover(p);
+            p.task(items, duration_us);
+            p.utilization(state.busy(), state.workers());
         }
     }
 
@@ -752,37 +753,6 @@ impl Collector {
         self.counters[counter.index()].load(Ordering::Relaxed)
     }
 
-    /// Record the wall time one worker spent on one chunk of a parallel
-    /// scoring loop, attributed to the stable `worker` id that ran it.
-    /// Thread-safe; records arrive in completion order and
-    /// [`Collector::finish`] sorts them deterministically. A no-op when
-    /// disabled.
-    pub fn thread_chunk(
-        &self,
-        phase: &'static str,
-        iteration: Option<usize>,
-        chunk: usize,
-        worker: usize,
-        items: usize,
-        duration: Duration,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let duration_us = as_us(duration);
-        lock_or_recover(&self.chunks).push(ChunkTiming {
-            phase: phase.to_owned(),
-            iteration,
-            chunk,
-            worker,
-            items,
-            duration_us,
-        });
-        if let Some(p) = &self.progress {
-            lock_or_recover(p).chunk(items, duration_us);
-        }
-    }
-
     /// Record a footprint snapshot of one structure, tagged with the
     /// active phase and δ iteration. Call at phase boundaries — the
     /// estimate walks the structure. A no-op when disabled.
@@ -861,8 +831,8 @@ impl Collector {
         }
     }
 
-    /// Snapshot the collected spans, counters, chunk timings and
-    /// histograms into a [`RunTrace`]. Total wall time is measured from
+    /// Snapshot the collected spans, counters, timeline and histograms
+    /// into a [`RunTrace`]. Total wall time is measured from
     /// the collector's construction. Open spans are not included — close
     /// every guard before finishing (a caught panic closes its spans via
     /// the guards' `Drop` during unwinding).
@@ -872,20 +842,6 @@ impl Collector {
         let spans = {
             let st = lock_or_recover(&self.state);
             st.finished.clone()
-        };
-        let chunks = {
-            let mut c = lock_or_recover(&self.chunks).clone();
-            // workers report in completion order; sort so identical runs
-            // yield identical traces
-            c.sort_by(|a, b| {
-                (a.phase.as_str(), a.iteration, a.chunk, a.worker).cmp(&(
-                    b.phase.as_str(),
-                    b.iteration,
-                    b.chunk,
-                    b.worker,
-                ))
-            });
-            c
         };
         // drain the timeline (and fold ring overflow into its counter)
         // before snapshotting counters
@@ -952,7 +908,6 @@ impl Collector {
             total_us,
             spans,
             counters,
-            chunks,
             live_hists,
             memory,
             footprints,
@@ -1056,13 +1011,13 @@ mod tests {
         {
             let _a = obs.span("prematch");
             obs.add(Counter::PrematchPairsScored, 100);
-            obs.thread_chunk("prematch", None, 0, 0, 10, Duration::from_millis(1));
+            assert!(obs.timeline_start().is_none());
             obs.timeline_instant(0, EventKind::Iteration, 0, Some(0));
         }
         let trace = obs.finish();
         assert!(!trace.enabled);
         assert!(trace.spans.is_empty());
-        assert!(trace.chunks.is_empty());
+        assert!(trace.histograms.is_empty());
         assert_eq!(trace.counter("prematch_pairs_scored"), 0);
         assert!(trace.timeline.is_none());
     }
@@ -1081,7 +1036,7 @@ mod tests {
         assert!(obs.timeline_enabled());
         let t0 = obs.timeline_start().expect("timeline on");
         std::thread::sleep(Duration::from_millis(2));
-        obs.timeline_task(1, EventKind::PrematchTile, 7, None, t0);
+        obs.timeline_task(1, EventKind::PrematchTile, 7, 40, None, t0);
         obs.timeline_instant(0, EventKind::Iteration, 0, Some(0));
         let trace = obs.finish();
         assert_eq!(trace.counter("timeline_dropped"), 0);
@@ -1104,7 +1059,7 @@ mod tests {
         let obs = Collector::enabled().with_timeline_capacity(2);
         for i in 0..5 {
             let t0 = obs.timeline_start().expect("timeline on");
-            obs.timeline_task(0, EventKind::PrematchTile, i, None, t0);
+            obs.timeline_task(0, EventKind::PrematchTile, i, 1, None, t0);
         }
         let trace = obs.finish();
         let tl = trace.timeline.as_ref().expect("timeline section");
@@ -1127,7 +1082,7 @@ mod tests {
                 let obs = &obs;
                 scope.spawn(move || {
                     let t0 = obs.timeline_start().expect("timeline on");
-                    obs.timeline_task(w, EventKind::PrematchTile, w as u64, None, t0);
+                    obs.timeline_task(w, EventKind::PrematchTile, w as u64, 1, None, t0);
                 });
             }
         });
@@ -1199,30 +1154,35 @@ mod tests {
 
     #[test]
     fn chunk_timings_are_recorded_from_any_thread() {
-        let obs = Collector::enabled();
+        // each task is one timeline event; chunk_us is derived from the
+        // scoring tasks, not from instants or queue waits
+        let obs = Collector::enabled().with_timeline();
         std::thread::scope(|scope| {
-            for t in 0..4 {
+            for w in 0..4 {
                 let obs = &obs;
                 scope.spawn(move || {
-                    obs.thread_chunk(
-                        "subgraph",
-                        Some(0),
-                        t,
-                        t,
-                        100 * t,
-                        Duration::from_micros(50),
-                    );
+                    let t0 = obs.timeline_start().expect("timeline on");
+                    obs.timeline_task(w, EventKind::SubgraphChunk, w as u64, 100, Some(0), t0);
                 });
             }
         });
+        obs.timeline_instant(0, EventKind::Iteration, 0, Some(0));
         let trace = obs.finish();
-        assert_eq!(trace.chunks.len(), 4);
-        assert!(trace.chunks.iter().all(|c| c.phase == "subgraph"));
-        // completion order is nondeterministic; the trace is sorted
-        assert_eq!(
-            trace.chunks.iter().map(|c| c.worker).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
+        assert_eq!(trace.histogram("chunk_us").map(|h| h.count), Some(4));
+        let tl = trace.timeline.as_ref().expect("timeline section");
+        let mut workers: Vec<u32> = tl
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::SubgraphChunk)
+            .map(|e| e.worker)
+            .collect();
+        workers.sort_unstable();
+        assert_eq!(workers, vec![0, 1, 2, 3]);
+        // without the timeline there are no task events and no chunk_us
+        assert!(Collector::enabled()
+            .finish()
+            .histogram("chunk_us")
+            .is_none());
     }
 
     #[test]
@@ -1264,12 +1224,13 @@ mod tests {
 
     #[test]
     fn panicking_worker_thread_does_not_poison_the_collector() {
-        let obs = Collector::enabled();
+        let obs = Collector::enabled().with_timeline();
         let result = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
                     let _span = obs.span("subgraph");
-                    obs.thread_chunk("subgraph", None, 0, 0, 5, Duration::from_micros(10));
+                    let t0 = obs.timeline_start().expect("timeline on");
+                    obs.timeline_task(0, EventKind::SubgraphChunk, 0, 5, None, t0);
                     panic!("worker died mid-span");
                 })
                 .join()
@@ -1283,7 +1244,7 @@ mod tests {
         let trace = obs.finish();
         assert!(trace.phase("subgraph").is_some());
         assert!(trace.phase("selection").is_some());
-        assert_eq!(trace.chunks.len(), 1);
+        assert_eq!(trace.histogram("chunk_us").map(|h| h.count), Some(1));
         trace
             .validate_basic()
             .expect("trace valid after worker panic");

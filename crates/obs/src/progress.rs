@@ -3,8 +3,9 @@
 //! A [`Progress`] reporter is attached to a collector with
 //! [`crate::Collector::with_progress`] and driven entirely by the
 //! instrumentation calls the pipeline already makes: span pushes mark
-//! phase changes, counter updates mark work done, and parallel chunk
-//! timings feed the throughput estimate behind the ETA. Output goes to
+//! phase changes, counter updates mark work done, and timed scoring
+//! tasks ([`crate::Collector::timeline_task`]) feed the throughput
+//! estimate behind the ETA. Output goes to
 //! stderr (or any writer, for tests), one `\r`-free line per emission
 //! so logs capture cleanly, throttled to a minimum interval so hot
 //! loops cannot flood the terminal.
@@ -16,7 +17,7 @@
 //! ```
 //!
 //! `live` appears when the counting allocator is installed and
-//! tracking; `eta` comes from recorded chunk throughput when available
+//! tracking; `eta` comes from recorded task throughput when available
 //! and falls back to the phase's elapsed rate.
 
 use crate::alloc;
@@ -50,8 +51,8 @@ pub struct Progress {
     iteration: Option<usize>,
     delta: Option<f64>,
     phase_start: Instant,
-    chunk_items: u64,
-    chunk_us: u64,
+    task_items: u64,
+    task_us: u64,
     busy_workers: usize,
     total_workers: usize,
     truth_recovered: u64,
@@ -85,8 +86,8 @@ impl Progress {
             iteration: None,
             delta: None,
             phase_start: Instant::now(),
-            chunk_items: 0,
-            chunk_us: 0,
+            task_items: 0,
+            task_us: 0,
             busy_workers: 0,
             total_workers: 0,
             truth_recovered: 0,
@@ -117,22 +118,22 @@ impl Progress {
         self.iteration = iteration;
         self.delta = delta;
         self.phase_start = Instant::now();
-        self.chunk_items = 0;
-        self.chunk_us = 0;
+        self.task_items = 0;
+        self.task_us = 0;
         let line = self.header();
         let _ = writeln!(self.out, "{line}");
         self.last_emit = Some(Instant::now());
     }
 
-    /// A parallel worker finished a chunk: feed the throughput estimate.
-    pub(crate) fn chunk(&mut self, items: usize, duration_us: u64) {
-        self.chunk_items += items as u64;
-        self.chunk_us += duration_us;
+    /// A worker finished a timed task: feed the throughput estimate.
+    pub(crate) fn task(&mut self, items: u64, duration_us: u64) {
+        self.task_items += items;
+        self.task_us += duration_us;
     }
 
     /// The timeline's busy-worker gauge moved: remember it and emit a
     /// throttled utilization line (`busy/total` workers plus the current
-    /// phase's idle share, from recorded chunk time against the phase's
+    /// phase's idle share, from recorded task time against the phase's
     /// elapsed worker capacity). Only fires when the collector records a
     /// timeline.
     pub(crate) fn utilization(&mut self, busy: usize, total: usize) {
@@ -154,10 +155,10 @@ impl Progress {
     }
 
     /// Share of the current phase's worker capacity (elapsed time ×
-    /// worker count) not covered by recorded chunk work, in percent.
-    /// `None` until both a worker count and some chunk time exist.
+    /// worker count) not covered by recorded task work, in percent.
+    /// `None` until both a worker count and some task time exist.
     fn phase_idle_pct(&self, now: Instant) -> Option<f64> {
-        if self.total_workers == 0 || self.chunk_us == 0 {
+        if self.total_workers == 0 || self.task_us == 0 {
             return None;
         }
         let elapsed =
@@ -166,7 +167,7 @@ impl Progress {
         if capacity == 0 {
             return None;
         }
-        let busy = self.chunk_us.min(capacity) as f64 / capacity as f64;
+        let busy = self.task_us.min(capacity) as f64 / capacity as f64;
         Some((1.0 - busy) * 100.0)
     }
 
@@ -218,15 +219,15 @@ impl Progress {
         let _ = writeln!(self.out, "{line}");
     }
 
-    /// Remaining microseconds, from chunk throughput when recorded,
+    /// Remaining microseconds, from task throughput when recorded,
     /// else from the phase's elapsed rate.
     fn eta_us(&self, done: u64, total: u64, now: Instant) -> Option<u64> {
         if total == 0 || done == 0 || done >= total {
             return None;
         }
         let remaining = total - done;
-        if self.chunk_items > 0 && self.chunk_us > 0 {
-            return Some(remaining * self.chunk_us / self.chunk_items);
+        if self.task_items > 0 && self.task_us > 0 {
+            return Some(remaining * self.task_us / self.task_items);
         }
         let elapsed =
             u64::try_from(now.duration_since(self.phase_start).as_micros()).unwrap_or(u64::MAX);
@@ -272,7 +273,7 @@ mod tests {
         let cap = Capture::default();
         let mut p = Progress::with_writer(Box::new(cap.clone()), Duration::ZERO);
         p.phase_started("prematch", Some(0), Some(0.7));
-        p.chunk(100, 1000);
+        p.task(100, 1000);
         p.tick("pairs", 40, 100);
         let text = cap.text();
         assert!(text.contains("[progress] prematch #0 δ=0.70"), "{text}");
@@ -309,9 +310,9 @@ mod tests {
         let cap = Capture::default();
         let mut p = Progress::with_writer(Box::new(cap.clone()), Duration::ZERO);
         p.phase_started("prematch", Some(0), Some(0.7));
-        // no chunk time yet: workers only, no idle share
+        // no task time yet: workers only, no idle share
         p.utilization(2, 4);
-        p.chunk(100, 1); // 1µs of recorded work: phase is nearly all idle
+        p.task(100, 1); // 1µs of recorded work: phase is nearly all idle
         std::thread::sleep(Duration::from_millis(2));
         p.utilization(3, 4);
         // subsequent ticks carry the last-seen worker gauge
@@ -349,7 +350,7 @@ mod tests {
     fn eta_prefers_chunk_throughput() {
         let mut p = Progress::with_writer(Box::new(Vec::new()), Duration::ZERO);
         p.phase_started("prematch", None, None);
-        p.chunk(10, 1_000_000); // 10 items per second
+        p.task(10, 1_000_000); // 10 items per second
         let eta = p.eta_us(50, 100, Instant::now()).unwrap();
         assert_eq!(eta, 5_000_000); // 50 remaining at 10/s
         assert!(p.eta_us(0, 100, Instant::now()).is_none());

@@ -63,29 +63,6 @@ pub struct CounterValue {
     pub value: u64,
 }
 
-/// Wall time one worker spent on one chunk of a parallel scoring loop.
-/// Records arrive in worker completion order and are sorted
-/// deterministically at [`crate::Collector::finish`]; each carries the
-/// stable id of the worker that ran it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChunkTiming {
-    /// Phase the chunk belongs to (e.g. `"subgraph"`).
-    pub phase: String,
-    /// δ-iteration index, when the loop runs inside an iteration.
-    pub iteration: Option<usize>,
-    /// Chunk index within the parallel loop.
-    pub chunk: usize,
-    /// Stable id of the worker that ran the chunk (pool spawn index; 0
-    /// for serial loops). Defaults to 0 on traces written before chunk
-    /// records carried worker attribution.
-    #[serde(default)]
-    pub worker: usize,
-    /// Items processed by the chunk.
-    pub items: usize,
-    /// Wall-clock duration, in microseconds.
-    pub duration_us: u64,
-}
-
 /// Per-phase memory attribution from the counting allocator.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseMem {
@@ -154,8 +131,9 @@ pub struct ShardStat {
 }
 
 /// The full trace of one pipeline run: total wall time, aggregated
-/// phases, per-δ-iteration breakdown, counters, per-thread chunk
-/// timings and the raw spans.
+/// phases, per-δ-iteration breakdown, counters and the raw spans.
+/// Traces written when each parallel task was also recorded as a
+/// `chunks` row still load: unknown keys are ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunTrace {
     /// Whether the collector was enabled (a disabled collector still
@@ -173,14 +151,12 @@ pub struct RunTrace {
     pub iterations: Vec<IterationTrace>,
     /// All counters, including zero-valued ones.
     pub counters: Vec<CounterValue>,
-    /// Worker-attributed chunk timings from parallel scoring loops,
-    /// sorted by `(phase, iteration, chunk, worker)`.
-    pub chunks: Vec<ChunkTiming>,
     /// The raw spans, innermost-first within each nest.
     pub spans: Vec<SpanRecord>,
     /// Distribution telemetry: live-sampled histograms (pair `agg_sim`
     /// scores, subgraph sizes) plus `phase_us_*`/`chunk_us` latency
-    /// histograms derived from the spans and chunk timings. Empty
+    /// histograms derived from the spans and the timeline's scoring
+    /// tasks. Empty
     /// histograms are omitted. Defaults to empty when reading a trace
     /// written before histograms existed.
     #[serde(default)]
@@ -227,7 +203,6 @@ impl RunTrace {
         total_us: u64,
         spans: Vec<SpanRecord>,
         counters: Vec<CounterValue>,
-        chunks: Vec<ChunkTiming>,
         live_hists: Vec<NamedHistogram>,
         memory: Option<MemoryStats>,
         footprints: Vec<FootprintSnapshot>,
@@ -284,8 +259,8 @@ impl RunTrace {
             }
         }
 
-        // derived latency histograms: per-phase span durations and
-        // parallel chunk wall times
+        // derived latency histograms: per-phase span durations and the
+        // wall times of the timeline's scoring tasks
         let mut histograms: Vec<NamedHistogram> = live_hists
             .into_iter()
             .filter(|h| !h.hist.is_empty())
@@ -304,8 +279,9 @@ impl RunTrace {
             }
         }
         let mut chunk_hist = Histogram::new();
-        for c in &chunks {
-            chunk_hist.record(c.duration_us);
+        let tasks = timeline.iter().flat_map(|tl| &tl.events);
+        for e in tasks.filter(|e| e.kind.phase().is_some()) {
+            chunk_hist.record(e.duration_us);
         }
         if !chunk_hist.is_empty() {
             histograms.push(NamedHistogram {
@@ -321,7 +297,6 @@ impl RunTrace {
             phases,
             iterations,
             counters,
-            chunks,
             spans,
             histograms,
             memory,
@@ -816,17 +791,6 @@ impl RunTrace {
                 );
             }
         }
-        if !self.chunks.is_empty() {
-            let _ = writeln!(out, "\nparallel chunks: {}", self.chunks.len());
-            let max = self.chunks.iter().map(|c| c.duration_us).max().unwrap_or(0);
-            let sum: u64 = self.chunks.iter().map(|c| c.duration_us).sum();
-            let _ = writeln!(
-                out,
-                "  slowest {}  mean {}",
-                fmt_us(max),
-                fmt_us(sum / self.chunks.len() as u64)
-            );
-        }
         out
     }
 }
@@ -972,7 +936,6 @@ mod tests {
             pipeline_spans(),
             Vec::new(),
             Vec::new(),
-            Vec::new(),
             None,
             Vec::new(),
             Vec::new(),
@@ -1003,7 +966,6 @@ mod tests {
             spans,
             Vec::new(),
             Vec::new(),
-            Vec::new(),
             None,
             Vec::new(),
             Vec::new(),
@@ -1026,7 +988,6 @@ mod tests {
             spans,
             Vec::new(),
             Vec::new(),
-            Vec::new(),
             None,
             Vec::new(),
             Vec::new(),
@@ -1047,7 +1008,6 @@ mod tests {
             true,
             100,
             spans,
-            Vec::new(),
             Vec::new(),
             Vec::new(),
             None,
@@ -1074,7 +1034,6 @@ mod tests {
             true,
             10,
             vec![span("enrich", None, 0, None, None, 80)],
-            Vec::new(),
             Vec::new(),
             Vec::new(),
             None,
@@ -1151,7 +1110,6 @@ mod tests {
             spans,
             Vec::new(),
             Vec::new(),
-            Vec::new(),
             None,
             Vec::new(),
             Vec::new(),
@@ -1175,7 +1133,6 @@ mod tests {
             spans,
             Vec::new(),
             Vec::new(),
-            Vec::new(),
             None,
             Vec::new(),
             Vec::new(),
@@ -1196,7 +1153,6 @@ mod tests {
             true,
             1000,
             spans,
-            Vec::new(),
             Vec::new(),
             Vec::new(),
             None,
@@ -1338,6 +1294,22 @@ mod tests {
         entries.retain(|(k, _)| !matches!(k, serde_json::Value::Str(s) if s == "timeline"));
         let back: RunTrace = serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap();
         assert!(back.timeline.is_none());
+        back.validate_pipeline().unwrap();
+    }
+
+    #[test]
+    fn traces_with_retired_chunk_rows_still_load() {
+        // traces once recorded every parallel task a second time, as a
+        // `chunks` row; the key is ignored on load
+        let t = pipeline_trace();
+        let json = serde_json::to_string(&t).unwrap();
+        let legacy = json.replacen(
+            '{',
+            r#"{"chunks":[{"phase":"subgraph","iteration":0,"chunk":0,"worker":1,"items":5,"duration_us":7}],"#,
+            1,
+        );
+        let back: RunTrace = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back, t);
         back.validate_pipeline().unwrap();
     }
 
