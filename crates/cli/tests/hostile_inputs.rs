@@ -179,11 +179,14 @@ fn corpus(generated: &Path) -> Vec<Case> {
             outcome: Outcome::Links,
         },
         Case {
-            name: "ages 0, 200 and u32::MAX",
+            // 2^31 and u32::MAX do not fit an i32: the age differences of
+            // the household's edges must be exact, not overflow or wrap
+            name: "ages 0, 200, 2^31 and u32::MAX",
             old: old_with(&[
                 "5,2,ann,smith,f,0,bank street,,lodger,",
                 "6,2,tom,smith,m,200,bank street,,lodger,",
                 "7,2,kit,smith,m,4294967295,bank street,,lodger,",
+                "8,2,sam,smith,m,2147483648,bank street,,lodger,",
             ]),
             new: new.clone(),
             args: &[],

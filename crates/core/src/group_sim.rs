@@ -145,7 +145,7 @@ pub fn score_subgraph(
     GroupScore::from_sums(
         sum_sim,
         sub.vertices.len(),
-        sub.edge_sim_sum(),
+        sub.edge_sim_sum,
         sub.old_edge_count + sub.new_edge_count,
         label_mass,
     )
@@ -155,8 +155,8 @@ pub fn score_subgraph(
 /// form: `sim` is the pair's direct similarity, `label_size` its label's
 /// cluster size and `edge_denom` the two graphs' summed edge counts. One
 /// vertex has no edge, so the edge sum is the empty `f64` sum — the very
-/// value (`-0.0` under the current standard library) that
-/// [`MatchedSubgraph::edge_sim_sum`] yields — and the one-term
+/// value (`-0.0` under the current standard library) that the matcher
+/// stores in [`MatchedSubgraph::edge_sim_sum`] — and the one-term
 /// similarity sum goes through the same `Sum` as well, so every
 /// component keeps its bits.
 #[must_use]
@@ -173,7 +173,6 @@ pub(crate) fn score_single_pair(sim: f64, label_size: u32, edge_denom: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hhgraph::SubgraphEdge;
     use std::collections::HashMap;
 
     /// Pair similarities, labels and cluster sizes keyed by record id,
@@ -209,26 +208,10 @@ mod tests {
             (RecordId(1), RecordId(11)),
             (RecordId(3), RecordId(12)),
         ];
-        let edges = vec![
-            SubgraphEdge {
-                u: 0,
-                v: 1,
-                rp_sim: 1.0,
-            },
-            SubgraphEdge {
-                u: 0,
-                v: 2,
-                rp_sim: 1.0,
-            },
-            SubgraphEdge {
-                u: 1,
-                v: 2,
-                rp_sim: 1.0,
-            },
-        ];
         let sub = MatchedSubgraph {
             vertices,
-            edges,
+            degrees: vec![2, 2, 2],
+            edge_sim_sum: 3.0,
             old_edge_count: 10,
             new_edge_count: 3,
         };
@@ -255,11 +238,7 @@ mod tests {
         // Fig. 4 decoy: 2 vertices kept, 1 edge, |E_i| = 10, |E_{i+1}| = 3
         let (mut sub, mut pre) = paper_example();
         sub.vertices.truncate(2);
-        sub.edges = vec![SubgraphEdge {
-            u: 0,
-            v: 1,
-            rp_sim: 1.0,
-        }];
+        (sub.degrees, sub.edge_sim_sum) = (vec![1, 1], 1.0);
         pre.cluster_size.insert(0, 3);
         pre.cluster_size.insert(1, 3);
         let s = score(&sub, &pre, 0.5);
@@ -274,11 +253,7 @@ mod tests {
         let (true_sub, pre) = paper_example();
         let (mut decoy, _) = paper_example();
         decoy.vertices.truncate(2);
-        decoy.edges = vec![SubgraphEdge {
-            u: 0,
-            v: 1,
-            rp_sim: 1.0,
-        }];
+        (decoy.degrees, decoy.edge_sim_sum) = (vec![1, 1], 1.0);
         let w = SelectionWeights::paper_best();
         let g_true = w.g_sim(&score(&true_sub, &pre, 0.5));
         let g_decoy = w.g_sim(&score(&decoy, &pre, 0.5));
@@ -292,11 +267,7 @@ mod tests {
         let (true_sub, pre) = paper_example();
         let (mut decoy, _) = paper_example();
         decoy.vertices.truncate(2);
-        decoy.edges = vec![SubgraphEdge {
-            u: 0,
-            v: 1,
-            rp_sim: 1.0,
-        }];
+        (decoy.degrees, decoy.edge_sim_sum) = (vec![1, 1], 1.0);
         let w = SelectionWeights::new(1.0, 0.0);
         let g_true = w.g_sim(&score(&true_sub, &pre, 0.5));
         let g_decoy = w.g_sim(&score(&decoy, &pre, 0.5));
@@ -314,10 +285,9 @@ mod tests {
     #[test]
     fn empty_subgraph_scores_zero() {
         let sub = MatchedSubgraph {
-            vertices: vec![],
-            edges: vec![],
             old_edge_count: 10,
             new_edge_count: 3,
+            ..MatchedSubgraph::default()
         };
         let pre = PreMatch::default();
         let s = score(&sub, &pre, 0.5);
@@ -361,7 +331,9 @@ mod tests {
         let (o, n) = (RecordId(0), RecordId(10));
         let sub = MatchedSubgraph {
             vertices: vec![(o, n)],
-            edges: vec![],
+            degrees: vec![0],
+            // the matcher's sum over no edges
+            edge_sim_sum: std::iter::empty::<f64>().sum(),
             old_edge_count: old_edges,
             new_edge_count: new_edges,
         };

@@ -415,7 +415,8 @@ impl<'a> Linker<'a> {
                                 self.old.records()[run[0].0 as usize].id,
                                 self.new.records()[run[0].1 as usize].id,
                             )],
-                            edges: Vec::new(),
+                            degrees: vec![0],
+                            edge_sim_sum: std::iter::empty::<f64>().sum(),
                             old_edge_count: old_g.edge_count(),
                             new_edge_count: new_g.edge_count(),
                         },
@@ -938,7 +939,12 @@ mod tests {
             assert_eq!((g.old, g.new), (w.old, w.new), "{at}: household pair");
             assert_eq!(bits(g), bits(w), "{at}: scores of {:?}", (w.old, w.new));
             assert_eq!(g.sub.vertices, w.sub.vertices, "{at}: vertices");
-            assert_eq!(g.sub.edges, w.sub.edges, "{at}: edges");
+            assert_eq!(g.sub.degrees, w.sub.degrees, "{at}: degrees");
+            assert_eq!(
+                g.sub.edge_sim_sum.to_bits(),
+                w.sub.edge_sim_sum.to_bits(),
+                "{at}: Eq. 6 sum"
+            );
             assert_eq!(
                 (g.sub.old_edge_count, g.sub.new_edge_count),
                 (w.sub.old_edge_count, w.sub.new_edge_count),

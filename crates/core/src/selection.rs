@@ -199,19 +199,14 @@ pub fn extract_record_links(
     let mut order: Vec<usize> = (0..sub.vertices.len()).collect();
     // one vertex has no order to decide, and most subgraphs have one
     if order.len() > 1 {
-        let mut degree = vec![0usize; sub.vertices.len()];
-        for e in &sub.edges {
-            degree[e.u] += 1;
-            degree[e.v] += 1;
-        }
         let sims: Vec<f64> = sub
             .vertices
             .iter()
             .map(|&(o, n)| pair_sim(o, n).unwrap_or(fallback_sim))
             .collect();
         order.sort_by(|&a, &b| {
-            degree[b]
-                .cmp(&degree[a])
+            sub.degrees[b]
+                .cmp(&sub.degrees[a])
                 .then(sims[b].partial_cmp(&sims[a]).unwrap_or(Ordering::Equal))
                 .then_with(|| sub.vertices[a].cmp(&sub.vertices[b]))
         });
@@ -262,24 +257,23 @@ pub fn select_and_extract(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hhgraph::SubgraphEdge;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
+    /// A subgraph whose matched edges form a path of `edges` perfect
+    /// edges, vertex `i` to vertex `i + 1`.
     fn sub(vertices: Vec<(u64, u64)>, edges: usize) -> MatchedSubgraph {
         let n = vertices.len();
+        let edges = edges.min(n.saturating_sub(1));
         MatchedSubgraph {
             vertices: vertices
                 .into_iter()
                 .map(|(o, n)| (RecordId(o), RecordId(n)))
                 .collect(),
-            edges: (0..edges.min(n.saturating_sub(1)))
-                .map(|i| SubgraphEdge {
-                    u: i,
-                    v: i + 1,
-                    rp_sim: 1.0,
-                })
+            degrees: (0..n)
+                .map(|i| usize::from(i < edges) + usize::from(i >= 1 && i <= edges))
                 .collect(),
+            edge_sim_sum: edges as f64,
             old_edge_count: 10,
             new_edge_count: 3,
         }
@@ -373,11 +367,9 @@ mod tests {
                 (RecordId(1), RecordId(10)),
                 (RecordId(2), RecordId(12)),
             ],
-            edges: vec![SubgraphEdge {
-                u: 0,
-                v: 2,
-                rp_sim: 1.0,
-            }],
+            // one edge, between vertices 0 and 2
+            degrees: vec![1, 0, 1],
+            edge_sim_sum: 1.0,
             old_edge_count: 3,
             new_edge_count: 3,
         };
@@ -394,7 +386,8 @@ mod tests {
     fn extraction_prefers_higher_similarity_on_equal_degree() {
         let s = MatchedSubgraph {
             vertices: vec![(RecordId(0), RecordId(10)), (RecordId(1), RecordId(10))],
-            edges: vec![],
+            degrees: vec![0, 0],
+            edge_sim_sum: 0.0,
             old_edge_count: 1,
             new_edge_count: 1,
         };

@@ -67,38 +67,30 @@ pub fn derive_pair_rel(a: Role, b: Role) -> RelType {
     }
 }
 
-/// One enriched edge between the nodes at indices `a < b`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnrichedEdge {
-    /// Index of the first endpoint in [`EnrichedGraph::nodes`].
-    pub a: usize,
-    /// Index of the second endpoint (`a < b`).
-    pub b: usize,
-    /// Relationship type in direction `a → b`.
-    pub rel: RelType,
-    /// `age(a) - age(b)` in years; `None` if either age is missing.
-    pub age_diff: Option<i32>,
-}
-
 /// A household graph after group enrichment: the complete graph over the
 /// household's members, each edge typed and annotated with the age
 /// difference.
+///
+/// Only the members are stored. Every edge is a pure function of its two
+/// endpoints' roles and ages, so [`Self::directed_edge`] derives it on
+/// demand, and a household of `n` members costs `O(n)` memory rather
+/// than one stored edge per member pair.
 #[derive(Debug, Clone)]
 pub struct EnrichedGraph {
     /// The household this graph describes.
     pub household: HouseholdId,
     nodes: Vec<RecordId>,
     roles: Vec<Role>,
-    edges: Vec<EnrichedEdge>,
+    ages: Vec<Option<u32>>,
 }
 
 impl obs::MemoryFootprint for EnrichedGraph {
     fn footprint(&self) -> obs::Footprint {
         let bytes = obs::footprint::vec_capacity_bytes(&self.nodes)
             + obs::footprint::vec_capacity_bytes(&self.roles)
-            + obs::footprint::vec_capacity_bytes(&self.edges)
+            + obs::footprint::vec_capacity_bytes(&self.ages)
             + std::mem::size_of::<Self>() as u64;
-        obs::Footprint::new(bytes, (self.nodes.len() + self.edges.len()) as u64)
+        obs::Footprint::new(bytes, self.nodes.len() as u64)
     }
 }
 
@@ -112,29 +104,11 @@ impl EnrichedGraph {
         if members.is_empty() && ds.household(household).is_none() {
             return None;
         }
-        let nodes: Vec<RecordId> = members.iter().map(|r| r.id).collect();
-        let roles: Vec<Role> = members.iter().map(|r| r.role).collect();
-        let mut edges = Vec::with_capacity(nodes.len() * nodes.len().saturating_sub(1) / 2);
-        for i in 0..members.len() {
-            for j in i + 1..members.len() {
-                let rel = derive_pair_rel(members[i].role, members[j].role);
-                let age_diff = match (members[i].age, members[j].age) {
-                    (Some(x), Some(y)) => Some(x as i32 - y as i32),
-                    _ => None,
-                };
-                edges.push(EnrichedEdge {
-                    a: i,
-                    b: j,
-                    rel,
-                    age_diff,
-                });
-            }
-        }
         Some(Self {
             household,
-            nodes,
-            roles,
-            edges,
+            nodes: members.iter().map(|r| r.id).collect(),
+            roles: members.iter().map(|r| r.role).collect(),
+            ages: members.iter().map(|r| r.age).collect(),
         })
     }
 
@@ -160,12 +134,6 @@ impl EnrichedGraph {
         &self.roles
     }
 
-    /// All enriched edges.
-    #[must_use]
-    pub fn edges(&self) -> &[EnrichedEdge] {
-        &self.edges
-    }
-
     /// Number of members.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -175,7 +143,8 @@ impl EnrichedGraph {
     /// Number of enriched edges = `n(n-1)/2`.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        let n = self.nodes.len();
+        n * n.saturating_sub(1) / 2
     }
 
     /// Node index of a record id.
@@ -185,26 +154,22 @@ impl EnrichedGraph {
     }
 
     /// The edge between node indices `i` and `j` oriented `i → j`:
-    /// relationship type and age difference seen from `i`.
+    /// relationship type and age difference `age(i) - age(j)` seen from
+    /// `i`, the difference `None` if either age is missing. The
+    /// difference is exact for any two `u32` ages.
     ///
     /// Returns `None` when `i == j` or either index is out of range.
     #[must_use]
-    pub fn directed_edge(&self, i: usize, j: usize) -> Option<(RelType, Option<i32>)> {
+    pub fn directed_edge(&self, i: usize, j: usize) -> Option<(RelType, Option<i64>)> {
         if i == j || i >= self.nodes.len() || j >= self.nodes.len() {
             return None;
         }
-        let (lo, hi, flip) = if i < j { (i, j, false) } else { (j, i, true) };
-        // edges are stored in lexicographic (a, b) order: index arithmetic
-        // avoids a search — offset of (lo, hi) in the upper triangle
-        let n = self.nodes.len();
-        let idx = lo * n - lo * (lo + 1) / 2 + (hi - lo - 1);
-        let e = self.edges.get(idx)?;
-        debug_assert_eq!((e.a, e.b), (lo, hi));
-        if flip {
-            Some((e.rel.inverse(), e.age_diff.map(|d| -d)))
-        } else {
-            Some((e.rel, e.age_diff))
-        }
+        let rel = derive_pair_rel(self.roles[i], self.roles[j]);
+        let age_diff = match (self.ages[i], self.ages[j]) {
+            (Some(x), Some(y)) => Some(i64::from(x) - i64::from(y)),
+            _ => None,
+        };
+        Some((rel, age_diff))
     }
 }
 
@@ -392,27 +357,64 @@ mod tests {
     }
 
     #[test]
-    fn index_arithmetic_matches_stored_edges() {
-        // 5-member household: every (i, j) pair must resolve correctly
-        let records: Vec<PersonRecord> = (0..5)
-            .map(|i| {
-                rec(
-                    i,
-                    if i == 0 { Role::Head } else { Role::Son },
-                    Some(50 - i as u32 * 10),
-                    Sex::Male,
-                )
-            })
+    fn derived_edges_match_roles_and_ages() {
+        // head, spouse, two children (one without an age), a lodger: every
+        // ordered pair must derive its edge from the two members alone
+        let members = [
+            (Role::Head, Some(50)),
+            (Role::Spouse, Some(47)),
+            (Role::Son, Some(20)),
+            (Role::Daughter, None),
+            (Role::Lodger, Some(63)),
+        ];
+        let records: Vec<PersonRecord> = members
+            .iter()
+            .zip(0..)
+            .map(|(&(role, age), id)| rec(id, role, age, Sex::Male))
             .collect();
         let hh = Household::new(HouseholdId(0), (0..5).map(RecordId).collect());
         let ds = CensusDataset::new(1871, records, vec![hh]).unwrap();
         let g = EnrichedGraph::build(&ds, HouseholdId(0)).unwrap();
-        for e in g.edges() {
-            let (rel, diff) = g.directed_edge(e.a, e.b).unwrap();
-            assert_eq!(rel, e.rel);
-            assert_eq!(diff, e.age_diff);
+        for (i, &(role_i, age_i)) in members.iter().enumerate() {
+            for (j, &(role_j, age_j)) in members.iter().enumerate() {
+                if i == j {
+                    assert_eq!(g.directed_edge(i, j), None);
+                    continue;
+                }
+                let diff = match (age_i, age_j) {
+                    (Some(a), Some(b)) => Some(i64::from(a) - i64::from(b)),
+                    _ => None,
+                };
+                let (rel, d) = g.directed_edge(i, j).unwrap();
+                assert_eq!((rel, d), (derive_pair_rel(role_i, role_j), diff), "{i}→{j}");
+                let (rel_back, d_back) = g.directed_edge(j, i).unwrap();
+                assert_eq!(rel_back, rel.inverse(), "{j}→{i}");
+                assert_eq!(d_back, d.map(|d| -d), "{j}→{i}");
+            }
         }
-        assert_eq!(g.edge_count(), 10);
+        assert_eq!(g.edge_count(), 5 * 4 / 2);
+    }
+
+    #[test]
+    fn age_differences_are_exact_beyond_i32() {
+        // 2^31 and u32::MAX do not fit an i32: the difference must neither
+        // overflow nor wrap
+        let records = vec![
+            rec(0, Role::Head, Some(40), Sex::Male),
+            rec(1, Role::Spouse, Some(1 << 31), Sex::Female),
+            rec(2, Role::Son, Some(u32::MAX), Sex::Male),
+        ];
+        let hh = Household::new(HouseholdId(0), (0..3).map(RecordId).collect());
+        let ds = CensusDataset::new(1871, records, vec![hh]).unwrap();
+        let g = EnrichedGraph::build(&ds, HouseholdId(0)).unwrap();
+        assert_eq!(
+            g.directed_edge(0, 1),
+            Some((RelType::Spouse, Some(40 - (1i64 << 31))))
+        );
+        assert_eq!(
+            g.directed_edge(2, 0),
+            Some((RelType::ChildParent, Some(i64::from(u32::MAX) - 40)))
+        );
     }
 
     #[test]

@@ -6,14 +6,18 @@
 //!   enrichment*: every unordered member pair carries an implicit,
 //!   head-independent relationship type ([`census_model::RelType`]) derived
 //!   from the census-form roles, plus the time-stable *age difference*
-//!   property.
+//!   property. Both are pure functions of the two members, so the graph
+//!   stores only its members and [`EnrichedGraph::directed_edge`] derives
+//!   each edge on demand.
 //! * [`match_subgraph`] (§3.3) — the common subgraph of two enriched
 //!   graphs: vertices are cross-census record pairs with equal
 //!   pre-matching cluster labels; edges require the same relationship type
-//!   on both sides and highly similar age differences.
+//!   on both sides and highly similar age differences. The result keeps
+//!   each vertex's degree and the Eq. 6 sum of the edges' similarities,
+//!   not the edges themselves, so its memory is linear in its vertices.
 //!
 //! ```
-//! use census_model::{CensusDataset, Household, HouseholdId, PersonRecord, RecordId, Role, Sex};
+//! use census_model::{CensusDataset, Household, HouseholdId, PersonRecord, RecordId, RelType, Role, Sex};
 //! use hhgraph::EnrichedGraph;
 //!
 //! # fn rec(id: u64, role: Role, age: u32, sex: Sex) -> PersonRecord {
@@ -32,6 +36,8 @@
 //! let g = EnrichedGraph::build(&ds, HouseholdId(0)).unwrap();
 //! assert_eq!(g.node_count(), 3);
 //! assert_eq!(g.edge_count(), 3); // enrichment completes the pair graph
+//! // the wife → daughter edge is derived, not read off the form
+//! assert_eq!(g.directed_edge(1, 2), Some((RelType::ParentChild, Some(30))));
 //! ```
 
 #![warn(missing_docs)]
@@ -40,9 +46,8 @@ mod enrich;
 mod household_type;
 mod subgraph;
 
-pub use enrich::{derive_pair_rel, EnrichedEdge, EnrichedGraph};
+pub use enrich::{derive_pair_rel, EnrichedGraph};
 pub use household_type::{household_type_counts, HouseholdType};
 pub use subgraph::{
-    match_subgraph, match_subgraph_with, MatchedSubgraph, SubgraphConfig, SubgraphEdge,
-    SubgraphScratch,
+    match_subgraph, match_subgraph_with, MatchedSubgraph, SubgraphConfig, SubgraphScratch,
 };

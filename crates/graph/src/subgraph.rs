@@ -35,25 +35,24 @@ impl Default for SubgraphConfig {
     }
 }
 
-/// One matched edge: indices into [`MatchedSubgraph::vertices`] plus the
-/// relationship-property similarity `rp_sim` of the underlying edges.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SubgraphEdge {
-    /// First vertex index.
-    pub u: usize,
-    /// Second vertex index.
-    pub v: usize,
-    /// Relationship-property similarity in `[0, 1]`.
-    pub rp_sim: f64,
-}
-
 /// The common subgraph of one household pair.
+///
+/// Its edges are not listed: scoring needs only their `rp_sim` sum
+/// (Eq. 6) and record-link extraction only each vertex's degree, so the
+/// matcher keeps those two and a subgraph of `k` vertices costs `O(k)`
+/// memory however many of its `k(k-1)/2` vertex pairs match.
 #[derive(Debug, Clone, Default)]
 pub struct MatchedSubgraph {
     /// Vertices: `(old record, new record)` pairs with equal labels.
     pub vertices: Vec<(RecordId, RecordId)>,
-    /// Matched edges between vertices.
-    pub edges: Vec<SubgraphEdge>,
+    /// Number of matched edges at each vertex, parallel to
+    /// [`Self::vertices`].
+    pub degrees: Vec<usize>,
+    /// Sum of the relationship-property similarities `rp_sim` of the
+    /// matched edges — the numerator of the paper's Eq. 6 — added in the
+    /// matcher's `(u, v)` order from the empty `f64` sum, so it has the
+    /// bits an iterator `sum()` over the edges would give.
+    pub edge_sim_sum: f64,
     /// `|E_i|` of the old enriched graph (complete-graph edge count),
     /// kept for the Dice-style edge-similarity denominator (Eq. 6).
     pub old_edge_count: usize,
@@ -66,13 +65,6 @@ impl MatchedSubgraph {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.vertices.is_empty()
-    }
-
-    /// Sum of the relationship-property similarities of the matched edges
-    /// — the numerator of the paper's Eq. 6.
-    #[must_use]
-    pub fn edge_sim_sum(&self) -> f64 {
-        self.edges.iter().map(|e| e.rp_sim).sum()
     }
 }
 
@@ -134,7 +126,7 @@ impl obs::MemoryFootprint for SubgraphScratch {
             + obs::footprint::vec_capacity_bytes(&self.new_labels)
             + obs::footprint::vec_capacity_bytes(&self.vert_idx)
             + obs::footprint::vec_capacity_bytes(&self.sub.vertices)
-            + obs::footprint::vec_capacity_bytes(&self.sub.edges);
+            + obs::footprint::vec_capacity_bytes(&self.sub.degrees);
         obs::Footprint::new(bytes, self.vert_idx.len() as u64)
     }
 }
@@ -184,9 +176,13 @@ where
         }
     }
 
-    // edges: both endpoint pairs connected, same rel type, similar age diff
-    let edges = &mut sub.edges;
-    edges.clear();
+    // edges: both endpoint pairs connected, same rel type, similar age
+    // diff; each accepted edge only counts toward its endpoints' degrees
+    // and the Eq. 6 sum
+    let degrees = &mut sub.degrees;
+    degrees.clear();
+    degrees.resize(vert_idx.len(), 0);
+    let mut edge_sim_sum: f64 = std::iter::empty::<f64>().sum();
     for (u, &(o1, n1)) in vert_idx.iter().enumerate() {
         for (v, &(o2, n2)) in vert_idx.iter().enumerate().skip(u + 1) {
             if o1 == o2 || n1 == n2 {
@@ -206,10 +202,13 @@ where
                 _ => config.missing_age_sim,
             };
             if rp_sim >= config.min_edge_sim && rp_sim > 0.0 {
-                edges.push(SubgraphEdge { u, v, rp_sim });
+                edge_sim_sum += rp_sim;
+                degrees[u] += 1;
+                degrees[v] += 1;
             }
         }
     }
+    sub.edge_sim_sum = edge_sim_sum;
     sub
 }
 
@@ -217,6 +216,7 @@ where
 mod tests {
     use super::*;
     use census_model::{CensusDataset, Household, HouseholdId, PersonRecord, RecordId, Role, Sex};
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     fn rec(id: u64, hh: u64, role: Role, age: u32, sex: Sex) -> PersonRecord {
@@ -306,12 +306,12 @@ mod tests {
             &SubgraphConfig::default(),
         );
         assert_eq!(sub.vertices.len(), 3);
-        assert_eq!(sub.edges.len(), 3, "all three family edges should match");
+        // all three family edges match, so each vertex has degree 2
+        assert_eq!(sub.degrees, vec![2, 2, 2]);
         assert_eq!(sub.old_edge_count, 10); // 5 members → 10 enriched edges
         assert_eq!(sub.new_edge_count, 3);
-        for e in &sub.edges {
-            assert!((e.rp_sim - 1.0).abs() < 1e-9); // identical age diffs
-        }
+        assert_eq!(sub.edge_sim_sum, 3.0); // identical age diffs
+        assert_same_as_reference(&f.old, &f.new, 0, 0, &f.labels, |_, _| true);
     }
 
     #[test]
@@ -332,10 +332,12 @@ mod tests {
         assert_eq!(sub.vertices.len(), 3);
         // head-spouse diff old 2 vs decoy 1 → similar (within tolerance);
         // head-son diff old 37 vs decoy 27, spouse-son 35 vs 26 → rejected
-        assert!(
-            sub.edges.len() < 3,
+        assert_eq!(
+            sub.degrees,
+            vec![1, 1, 0],
             "decoy must lose structurally different edges"
         );
+        assert_same_as_reference(&f.old, &f.new, 0, 1, &f.labels, |_, _| true);
     }
 
     #[test]
@@ -352,7 +354,7 @@ mod tests {
             &SubgraphConfig::default(),
         );
         assert!(sub.is_empty());
-        assert_eq!(sub.edges.len(), 0);
+        assert!(sub.degrees.is_empty());
     }
 
     #[test]
@@ -400,7 +402,7 @@ mod tests {
             &SubgraphConfig::default(),
         );
         assert_eq!(sub.vertices.len(), 2);
-        assert!(sub.edges.is_empty());
+        assert_eq!(sub.degrees, vec![0, 0]);
     }
 
     #[test]
@@ -443,8 +445,8 @@ mod tests {
             |_, _| true,
             &config,
         );
-        assert_eq!(sub.edges.len(), 1);
-        assert!((sub.edges[0].rp_sim - config.missing_age_sim).abs() < 1e-9);
+        assert_eq!(sub.degrees, vec![1, 1]);
+        assert!((sub.edge_sim_sum - config.missing_age_sim).abs() < 1e-9);
     }
 
     #[test]
@@ -484,7 +486,7 @@ mod tests {
             &SubgraphConfig::default(),
         );
         assert_eq!(sub.vertices.len(), 2); // both old Johns pair the new John
-        assert!(sub.edges.is_empty()); // no edge: shared new endpoint
+        assert_eq!(sub.degrees, vec![0, 0]); // no edge: shared new endpoint
     }
 
     #[test]
@@ -502,7 +504,9 @@ mod tests {
             &SubgraphConfig::default(),
         );
         assert_eq!(sub.vertices, vec![(RecordId(0), RecordId(10))]);
-        assert!(sub.edges.is_empty());
+        assert_eq!(sub.degrees, vec![0]);
+        let head_only = |o, n| o == RecordId(0) && n == RecordId(10);
+        assert_same_as_reference(&f.old, &f.new, 0, 0, &f.labels, head_only);
     }
 
     #[test]
@@ -521,7 +525,8 @@ mod tests {
             let reused =
                 match_subgraph_with(&g_old, &g_new, label, label, accept, &config, &mut scratch);
             assert_eq!(reused.vertices, fresh.vertices);
-            assert_eq!(reused.edges, fresh.edges);
+            assert_eq!(reused.degrees, fresh.degrees);
+            assert_eq!(reused.edge_sim_sum.to_bits(), fresh.edge_sim_sum.to_bits());
             assert_eq!(reused.old_edge_count, fresh.old_edge_count);
             assert_eq!(reused.new_edge_count, fresh.new_edge_count);
         }
@@ -540,6 +545,205 @@ mod tests {
             |_, _| true,
             &SubgraphConfig::default(),
         );
-        assert!((sub.edge_sim_sum() - 3.0).abs() < 1e-9);
+        assert!((sub.edge_sim_sum - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn edgeless_subgraph_sums_like_an_empty_iterator() {
+        // two vertices, no edge between them: the Eq. 6 numerator keeps
+        // the empty `Sum`'s bits (and so its sign of zero)
+        // the head and son against the decoy: their age gap is 37 years
+        // in the old household and 27 in the decoy, so the edge fails
+        let f = fig4();
+        let g_old = crate::EnrichedGraph::build(&f.old, HouseholdId(0)).unwrap();
+        let g_decoy = crate::EnrichedGraph::build(&f.new, HouseholdId(1)).unwrap();
+        let head_and_son = |o, _| o == RecordId(0) || o == RecordId(3);
+        let sub = match_subgraph(
+            &g_old,
+            &g_decoy,
+            |r| f.labels.get(&r).copied(),
+            |r| f.labels.get(&r).copied(),
+            head_and_son,
+            &SubgraphConfig::default(),
+        );
+        assert_eq!(sub.vertices.len(), 2);
+        assert_eq!(sub.degrees, vec![0, 0]);
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(sub.edge_sim_sum.to_bits(), empty.to_bits());
+        assert_same_as_reference(&f.old, &f.new, 0, 1, &f.labels, head_and_son);
+    }
+
+    /// The matcher as it was with stored edges: each graph's upper
+    /// triangle listed from `derive_pair_rel` and the raw ages (never
+    /// through [`EnrichedGraph::directed_edge`]), a flipped lookup
+    /// inverted, and every accepted vertex pair kept as an explicit
+    /// `(u, v, rp_sim)` edge. Returns the vertices and the edge list.
+    #[allow(clippy::type_complexity)]
+    fn reference_match(
+        old: &[&PersonRecord],
+        new: &[&PersonRecord],
+        label_old: impl Fn(RecordId) -> Option<u64>,
+        label_new: impl Fn(RecordId) -> Option<u64>,
+        accept: impl Fn(RecordId, RecordId) -> bool,
+        config: &SubgraphConfig,
+    ) -> (Vec<(RecordId, RecordId)>, Vec<(usize, usize, f64)>) {
+        type Stored = Vec<(usize, usize, RelType, Option<i64>)>;
+        let stored = |members: &[&PersonRecord]| -> Stored {
+            let mut edges = Vec::new();
+            for a in 0..members.len() {
+                for b in a + 1..members.len() {
+                    let rel = crate::derive_pair_rel(members[a].role, members[b].role);
+                    let diff = match (members[a].age, members[b].age) {
+                        (Some(x), Some(y)) => Some(i64::from(x) - i64::from(y)),
+                        _ => None,
+                    };
+                    edges.push((a, b, rel, diff));
+                }
+            }
+            edges
+        };
+        let lookup = |edges: &Stored, i: usize, j: usize| {
+            let &(_, _, rel, diff) = edges
+                .iter()
+                .find(|e| (e.0, e.1) == (i.min(j), i.max(j)))
+                .unwrap();
+            if i < j {
+                (rel, diff)
+            } else {
+                (rel.inverse(), diff.map(|d| -d))
+            }
+        };
+        let (old_edges, new_edges) = (stored(old), stored(new));
+        let mut idx = Vec::new();
+        let mut vertices = Vec::new();
+        for (i, o) in old.iter().enumerate() {
+            for (j, n) in new.iter().enumerate() {
+                let lo = label_old(o.id);
+                if lo.is_some() && lo == label_new(n.id) && accept(o.id, n.id) {
+                    idx.push((i, j));
+                    vertices.push((o.id, n.id));
+                }
+            }
+        }
+        let mut edges = Vec::new();
+        for (u, &(o1, n1)) in idx.iter().enumerate() {
+            for (v, &(o2, n2)) in idx.iter().enumerate().skip(u + 1) {
+                if o1 == o2 || n1 == n2 {
+                    continue;
+                }
+                let (rel_old, diff_old) = lookup(&old_edges, o1, o2);
+                let (rel_new, diff_new) = lookup(&new_edges, n1, n2);
+                if rel_old != rel_new || rel_old == RelType::SamePerson {
+                    continue;
+                }
+                let rp_sim = match (diff_old, diff_new) {
+                    (Some(a), Some(b)) => {
+                        age_difference_similarity(a, b, config.age_diff_tolerance)
+                    }
+                    _ => config.missing_age_sim,
+                };
+                if rp_sim >= config.min_edge_sim && rp_sim > 0.0 {
+                    edges.push((u, v, rp_sim));
+                }
+            }
+        }
+        (vertices, edges)
+    }
+
+    /// Match household `hh_old` of `old` against `hh_new` of `new` with
+    /// both the matcher and [`reference_match`], and require the same
+    /// vertices, degrees and bits of the Eq. 6 sum.
+    fn assert_same_as_reference(
+        old: &CensusDataset,
+        new: &CensusDataset,
+        hh_old: u64,
+        hh_new: u64,
+        labels: &HashMap<RecordId, u64>,
+        accept: impl Fn(RecordId, RecordId) -> bool + Copy,
+    ) {
+        let config = SubgraphConfig::default();
+        let label = |r: RecordId| labels.get(&r).copied();
+        let g_old = crate::EnrichedGraph::build(old, HouseholdId(hh_old)).unwrap();
+        let g_new = crate::EnrichedGraph::build(new, HouseholdId(hh_new)).unwrap();
+        let sub = match_subgraph(&g_old, &g_new, label, label, accept, &config);
+        let old_members: Vec<&PersonRecord> = old.members(HouseholdId(hh_old)).collect();
+        let new_members: Vec<&PersonRecord> = new.members(HouseholdId(hh_new)).collect();
+        let (vertices, edges) =
+            reference_match(&old_members, &new_members, label, label, accept, &config);
+        let mut degrees = vec![0; vertices.len()];
+        for &(u, v, _) in &edges {
+            degrees[u] += 1;
+            degrees[v] += 1;
+        }
+        let sum: f64 = edges.iter().map(|e| e.2).sum();
+        assert_eq!(sub.vertices, vertices, "vertices");
+        assert_eq!(sub.degrees, degrees, "degrees");
+        assert_eq!(sub.edge_sim_sum.to_bits(), sum.to_bits(), "Eq. 6 sum");
+        assert_eq!(
+            sub.old_edge_count,
+            old_members.len() * old_members.len().saturating_sub(1) / 2
+        );
+        assert_eq!(
+            sub.new_edge_count,
+            new_members.len() * new_members.len().saturating_sub(1) / 2
+        );
+    }
+
+    /// One household of `members` as a snapshot: record ids from
+    /// `first_id`, every record in household 0.
+    fn household(year: i32, first_id: u64, members: &[(Role, Option<u32>)]) -> CensusDataset {
+        let records: Vec<PersonRecord> = members
+            .iter()
+            .zip(first_id..)
+            .map(|(&(role, age), id)| {
+                let mut r = PersonRecord::empty(RecordId(id), HouseholdId(0), role);
+                r.age = age;
+                r
+            })
+            .collect();
+        let ids = records.iter().map(|r| r.id).collect();
+        CensusDataset::new(year, records, vec![Household::new(HouseholdId(0), ids)]).unwrap()
+    }
+
+    /// A household's members: any roles but `Head`, then at most one
+    /// head swapped in at a random position; some ages missing.
+    fn members() -> impl Strategy<Value = Vec<(Role, Option<u32>)>> {
+        let member = (1..Role::ALL.len(), proptest::option::of(0u32..90))
+            .prop_map(|(r, age)| (Role::ALL[r], age));
+        (
+            proptest::collection::vec(member, 0..9),
+            any::<bool>(),
+            any::<usize>(),
+        )
+            .prop_map(|(mut members, head, at)| {
+                if head && !members.is_empty() {
+                    let at = at % members.len();
+                    members[at].0 = Role::Head;
+                }
+                members
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_matcher_equals_the_stored_edge_reference(
+            old in members(),
+            new in members(),
+            labels in proptest::collection::vec(proptest::option::of(0u64..3), 18..19),
+            accept_bits in any::<u64>(),
+        ) {
+            let (old_ds, new_ds) = (household(1871, 0, &old), household(1881, 100, &new));
+            // old records 0..9 and new records 100..109 draw their labels
+            // from one table; `accept` keeps a random subset of pairs
+            let labels: HashMap<RecordId, u64> = (0..9u64)
+                .chain(100..109)
+                .zip(&labels)
+                .filter_map(|(r, l)| l.map(|l| (RecordId(r), l)))
+                .collect();
+            let accept = move |o: RecordId, n: RecordId| {
+                (accept_bits >> ((o.raw() * 7 + n.raw() - 100) % 64)) & 1 == 1
+            };
+            assert_same_as_reference(&old_ds, &new_ds, 0, 0, &labels, accept);
+        }
     }
 }
