@@ -6,11 +6,11 @@
 //! census-linkage generate --out DIR [--scale small|medium|paper] [--seed N]
 //! census-linkage stats FILE.csv --year YEAR
 //! census-linkage link OLD.csv NEW.csv --old-year Y --new-year Y --out DIR
-//!                [--threads N] [--parallel-cutoff N] [--delta-low D] [--mem-budget BYTES]
+//!                [--threads N] [--delta-low D] [--mem-budget BYTES]
 //!                [--trace-out FILE.json] [--timeline-out FILE.json] [--trace-mem]
 //!                [--decisions-out DIR] [--truth DIR|PREFIX] [--progress] [--verbose]
 //! census-linkage evolve FILE.csv... --start-year Y [--interval N] [--out DIR]
-//!                [--threads N] [--parallel-cutoff N] [--delta-low D] [--mem-budget BYTES]
+//!                [--threads N] [--delta-low D] [--mem-budget BYTES]
 //!                [--trace-out FILE.json] [--verbose]
 //! census-linkage trace-check FILE.json
 //! census-linkage trace-diff OLD.json NEW.json [--fail-on SPEC]...
@@ -62,9 +62,6 @@ pub struct LinkOptions {
     /// no effect) so old command lines keep working; there is one
     /// unsharded execution path.
     pub shards: Option<usize>,
-    /// Minimum work items before scoring fans out (`--parallel-cutoff`);
-    /// `0` forces the parallel path even on tiny inputs.
-    pub parallel_cutoff: Option<usize>,
     /// Override of the iterative schedule's lower bound (`--delta-low`).
     pub delta_low: Option<f64>,
     /// Write the pipeline trace as JSON to this file (`--trace-out`).
@@ -99,9 +96,10 @@ pub struct LinkOptions {
     pub verbose: bool,
 }
 
-/// The most worker threads `--threads` may ask for. The scoring pool
-/// starts up to one OS thread per task, and a thread that fails to spawn
-/// panics, so an unbounded count is refused as a CLI error.
+/// The most worker threads `--threads` may ask for; a larger count is
+/// refused as a CLI error. The scoring pool starts at most one OS thread
+/// per task, and a pass cuts at most 16 tasks, so threads beyond 16 add
+/// no parallelism.
 const MAX_THREADS: usize = 256;
 
 impl LinkOptions {
@@ -128,9 +126,6 @@ impl LinkOptions {
                 ));
             }
             config.threads = threads;
-        }
-        if let Some(cutoff) = self.parallel_cutoff {
-            config.parallel_cutoff = cutoff;
         }
         if let Some(delta_low) = self.delta_low {
             if !(0.0..=1.0).contains(&delta_low) {
@@ -1093,11 +1088,11 @@ USAGE:
   census-linkage generate --out DIR [--scale small|medium|paper] [--seed N]
   census-linkage stats FILE.csv --year YEAR
   census-linkage link OLD.csv NEW.csv --old-year Y --new-year Y --out DIR
-                 [--threads N] [--parallel-cutoff N] [--delta-low D] [--mem-budget BYTES]
+                 [--threads N] [--delta-low D] [--mem-budget BYTES]
                  [--trace-out FILE.json] [--timeline-out FILE.json] [--trace-mem]
                  [--decisions-out DIR] [--truth DIR|PREFIX] [--progress] [--verbose]
   census-linkage evolve FILE.csv... --start-year Y [--interval N] [--out DIR]
-                 [--threads N] [--parallel-cutoff N] [--delta-low D] [--mem-budget BYTES]
+                 [--threads N] [--delta-low D] [--mem-budget BYTES]
                  [--trace-out FILE.json] [--verbose]
   census-linkage evaluate FOUND.csv TRUTH.csv --kind records|groups
   census-linkage trace-check FILE.json
@@ -1184,12 +1179,6 @@ fn take_link_options(args: &mut Vec<String>) -> Result<LinkOptions, CliError> {
     if shards.is_some() {
         eprintln!("warning: --shards is ignored; there is one unsharded execution path");
     }
-    let parallel_cutoff = take_value(args, "--parallel-cutoff")?
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| format!("bad parallel cutoff {s:?}"))
-        })
-        .transpose()?;
     let delta_low = take_value(args, "--delta-low")?
         .map(|s| s.parse::<f64>().map_err(|_| format!("bad delta-low {s:?}")))
         .transpose()?;
@@ -1206,7 +1195,6 @@ fn take_link_options(args: &mut Vec<String>) -> Result<LinkOptions, CliError> {
     Ok(LinkOptions {
         threads,
         shards,
-        parallel_cutoff,
         delta_low,
         trace_out,
         timeline_out,
@@ -1574,7 +1562,6 @@ mod tests {
         LinkOptions {
             threads: Some(2),
             shards: Some(0), // ignored
-            parallel_cutoff: Some(128),
             delta_low: Some(0.55),
             ..LinkOptions::default()
         }
@@ -1582,7 +1569,6 @@ mod tests {
         .unwrap();
         assert_eq!(config.threads, 2);
         assert_eq!(config.shards, 1, "--shards must not reach the config");
-        assert_eq!(config.parallel_cutoff, 128);
         assert!((config.delta_low - 0.55).abs() < 1e-9);
     }
 
@@ -1627,19 +1613,31 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cutoff_flag_is_parsed() {
+    fn parallel_cutoff_flag_is_unknown() {
+        // every pass cuts the same tasks at every thread count, so there
+        // is no fan-out cutoff left to set
         let mut args: Vec<String> = ["--threads", "2", "--parallel-cutoff", "64"]
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let opts = take_link_options(&mut args).unwrap();
-        assert_eq!(opts.parallel_cutoff, Some(64));
-        assert!(args.is_empty(), "all flags consumed");
-        let mut bad: Vec<String> = ["--parallel-cutoff", "lots"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        assert!(take_link_options(&mut bad).is_err());
+        take_link_options(&mut args).unwrap();
+        assert_eq!(args, ["--parallel-cutoff", "64"]);
+        let link = [
+            "link",
+            "old.csv",
+            "new.csv",
+            "--old-year",
+            "1851",
+            "--new-year",
+            "1861",
+        ];
+        let evolve = ["evolve", "a.csv", "b.csv", "--start-year", "1851"];
+        for cmd in [&link[..], &evolve[..]] {
+            let mut argv = cmd.to_vec();
+            argv.extend(["--out", "/tmp/x", "--parallel-cutoff", "64"]);
+            let err = cli(&argv).unwrap_err();
+            assert!(err.contains("unknown flag \"--parallel-cutoff\""), "{err}");
+        }
     }
 
     #[test]
@@ -2275,8 +2273,6 @@ mod tests {
             &[
                 "--threads",
                 "2",
-                "--parallel-cutoff",
-                "1",
                 "--timeline-out",
                 tl_path.to_str().unwrap(),
                 "--trace-out",

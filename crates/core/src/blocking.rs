@@ -32,9 +32,8 @@
 //! age-plausible window of each bucket (plus its missing-age members).
 
 use crate::idhash::IdMap;
-use crate::prematch::{age_plausible, run_pool};
+use crate::prematch::age_plausible;
 use census_model::{CensusDataset, PersonRecord};
-use obs::Collector;
 use textsim::{fold_diacritic, soundex_code};
 
 /// How candidate pairs are generated.
@@ -50,10 +49,6 @@ pub enum BlockingStrategy {
 
 /// Width (in years) of the age bands of blocking pass 2.
 const AGE_BAND: i64 = 10;
-
-/// Below this many records (both sides combined) spawning workers costs
-/// more than it saves; generate on one thread.
-const PARALLEL_BLOCKING_CUTOFF: usize = 4096;
 
 // Pass tags occupy the top two bits of a packed key, so keys of
 // different passes can never collide.
@@ -295,17 +290,6 @@ impl NewBuckets {
         out.row.sort_unstable();
         out.row.dedup();
     }
-
-    /// The summed length of the buckets `o` looks up — an upper bound
-    /// on its row length.
-    fn span_len(&self, o: &PersonRecord, year_gap: i64, keys: &mut Vec<u64>) -> usize {
-        keys.clear();
-        append_keys(KeyFields::of(o), year_gap, true, keys);
-        keys.iter()
-            .filter_map(|k| self.spans.get(k))
-            .map(|&(start, _, end)| (end - start) as usize)
-            .sum()
-    }
 }
 
 /// Reusable scratch of [`Blocker::row`]: the old record's keys and the
@@ -371,54 +355,17 @@ impl<'a> Blocker<'a> {
         }
     }
 
-    /// An upper bound on the blocked pairs, read off the buckets before
-    /// any row is generated: the summed bucket-span length of every old
-    /// record (`|new|` per record under `Full`). Counting stops once the
-    /// sum reaches `cap`, so asking "at least `cap`?" costs a prefix.
-    pub(crate) fn pair_bound(&self, cap: usize) -> usize {
-        let mut keys = Vec::new();
-        let mut sum = 0usize;
-        for o in self.old {
-            if sum >= cap {
-                break;
-            }
-            sum = sum.saturating_add(match &self.buckets {
-                Some(b) => b.span_len(o, self.year_gap, &mut keys),
-                None => self.new.len(),
-            });
-        }
-        sum
-    }
-
-    /// Every pair, collected: contiguous row ranges on up to `threads`
-    /// workers, concatenated in order.
-    fn collect(&self, threads: usize) -> Vec<(u32, u32)> {
-        let n = self.rows();
-        let chunk = n.div_ceil(threads.max(1)).max(1);
-        let parts = run_pool(
-            n.div_ceil(chunk),
-            threads,
-            &Collector::disabled(),
-            |ci, _| {
-                let range = ci * chunk..((ci + 1) * chunk).min(n);
-                let mut out = if self.buckets.is_none() {
-                    Vec::with_capacity(full_prealloc_capacity(range.len(), self.new.len()))
-                } else {
-                    Vec::new()
-                };
-                let mut row = BlockRow::default();
-                for i in range {
-                    self.row(i, &mut row);
-                    out.extend(row.row.iter().map(|&j| (i as u32, j)));
-                }
-                out
-            },
-        );
-        // grow the first range's vec in place rather than copying all
-        let mut parts = parts.into_iter();
-        let mut out = parts.next().unwrap_or_default();
-        for part in parts {
-            out.extend(part);
+    /// Every pair, collected row by row.
+    fn collect(&self) -> Vec<(u32, u32)> {
+        let mut out = if self.buckets.is_none() {
+            Vec::with_capacity(full_prealloc_capacity(self.rows(), self.new.len()))
+        } else {
+            Vec::new()
+        };
+        let mut row = BlockRow::default();
+        for i in 0..self.rows() {
+            self.row(i, &mut row);
+            out.extend(row.row.iter().map(|&j| (i as u32, j)));
         }
         out
     }
@@ -434,26 +381,7 @@ pub fn candidate_pairs(
     year_gap: i64,
     strategy: BlockingStrategy,
 ) -> Vec<(u32, u32)> {
-    candidate_pairs_par(old, new, year_gap, strategy, 1)
-}
-
-/// [`candidate_pairs`] with pair generation split across `threads`
-/// worker threads by old-record range. The result is identical to the
-/// single-threaded path for any thread count.
-#[must_use]
-pub fn candidate_pairs_par(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    year_gap: i64,
-    strategy: BlockingStrategy,
-    threads: usize,
-) -> Vec<(u32, u32)> {
-    let workers = if old.len() + new.len() < PARALLEL_BLOCKING_CUTOFF {
-        1
-    } else {
-        threads
-    };
-    Blocker::new(old, new, year_gap, strategy, None).collect(workers)
+    Blocker::new(old, new, year_gap, strategy, None).collect()
 }
 
 /// Convenience: candidate pairs over whole datasets, with the year gap
@@ -645,26 +573,23 @@ mod tests {
         out
     }
 
-    /// Every worker count of the record-major generator, and the public
-    /// entry point, against the oracle.
+    /// The record-major generator, and the public entry point, against
+    /// the oracle.
     fn assert_matches_oracle(o: &[&PersonRecord], n: &[&PersonRecord], gap: i64) {
         for tol in [None, Some(0), Some(3)] {
             let want = oracle(o, n, gap, tol);
             assert!(!want.is_empty(), "degenerate case: gap {gap}, tol {tol:?}");
-            let blocker = Blocker::new(o, n, gap, BlockingStrategy::Standard, tol);
-            for workers in [1, 2, 8] {
-                let got = blocker.collect(workers);
-                assert_eq!(got, want, "gap {gap}, tol {tol:?}, {workers} workers");
-            }
+            let got = Blocker::new(o, n, gap, BlockingStrategy::Standard, tol).collect();
+            assert_eq!(got, want, "gap {gap}, tol {tol:?}");
             if tol.is_none() {
-                let public = candidate_pairs_par(o, n, gap, BlockingStrategy::Standard, 4);
+                let public = candidate_pairs(o, n, gap, BlockingStrategy::Standard);
                 assert_eq!(public, want, "public path, gap {gap}");
             }
         }
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
+    fn blocking_matches_oracle_on_every_snapshot_pair() {
         // every ordered snapshot pair of the small series, so reversed
         // pairs cover negative year gaps
         use census_synth::{generate_series, SimConfig};
@@ -724,8 +649,9 @@ mod tests {
     /// collected pairs, scored one at a time with
     /// `matches_compiled_counted` — the same `(i, j, agg_sim)` sequence
     /// bit for bit, the same blocked, scored, matched and prune counts,
-    /// and a probe count independent of the thread count — under both
-    /// strategies, every tolerance and serial and parallel execution.
+    /// and probe and arena-computation counts independent of the thread
+    /// count — under both strategies, every tolerance and 1, 2 and 8
+    /// threads.
     /// The cache's refusal edge sits exactly at the blocked count.
     fn assert_fused_pass_matches_oracle(o: &[&PersonRecord], n: &[&PersonRecord], gap: i64) {
         use crate::config::Parallelism;
@@ -740,7 +666,6 @@ mod tests {
         let pass = |blocker: &Blocker, threads: usize, obs: &Collector, limit: Option<u64>| {
             let par = Parallelism {
                 threads,
-                cutoff: 0,
                 ..Parallelism::default()
             };
             let kind = EventKind::PrematchTile;
@@ -750,7 +675,7 @@ mod tests {
         for strategy in [BlockingStrategy::Standard, BlockingStrategy::Full] {
             for tol in [None, Some(0), Some(3)] {
                 let blocker = Blocker::new(o, n, gap, strategy, tol);
-                let pairs = blocker.collect(1);
+                let pairs = blocker.collect();
                 let mut prunes = 0;
                 let want: Vec<(u32, u32, u64)> = pairs
                     .iter()
@@ -760,7 +685,7 @@ mod tests {
                     })
                     .collect();
                 matched += want.len();
-                let mut probes = None;
+                let (mut probes, mut unique) = (None, None);
                 for threads in [1, 2, 8] {
                     let label = format!("gap {gap}, {strategy:?}, tol {tol:?}, {threads} threads");
                     let obs = Collector::enabled();
@@ -794,6 +719,9 @@ mod tests {
                     let p = count("pair_score_batch_probes");
                     assert!(p >= pairs.len() as u64, "{label}: {p} probes");
                     assert_eq!(*probes.get_or_insert(p), p, "{label}: probes moved");
+                    let u = count("pair_score_batched_unique");
+                    assert!(u <= p, "{label}: {u} of {p} probes computed");
+                    assert_eq!(*unique.get_or_insert(u), u, "{label}: memo reuse moved");
                 }
                 let blocked = pairs.len() as u64;
                 for threads in [1, 2] {
@@ -858,15 +786,13 @@ mod tests {
         let gap = i64::from(new.year - old.year);
         let standard = oracle(&o, &n, gap, Some(3));
         for strategy in [BlockingStrategy::Standard, BlockingStrategy::Full] {
-            for threads in [1, 4] {
-                let mut unfused = candidate_pairs_par(&o, &n, gap, strategy, threads);
-                unfused.retain(|&(i, j)| age_plausible(o[i as usize], n[j as usize], gap, 3));
-                let fused = Blocker::new(&o, &n, gap, strategy, Some(3)).collect(threads);
-                assert_eq!(unfused, fused, "{strategy:?} at {threads} threads");
-                assert!(!fused.is_empty());
-                if strategy == BlockingStrategy::Standard {
-                    assert_eq!(fused, standard, "oracle at {threads} threads");
-                }
+            let mut unfused = candidate_pairs(&o, &n, gap, strategy);
+            unfused.retain(|&(i, j)| age_plausible(o[i as usize], n[j as usize], gap, 3));
+            let fused = Blocker::new(&o, &n, gap, strategy, Some(3)).collect();
+            assert_eq!(unfused, fused, "{strategy:?}");
+            assert!(!fused.is_empty());
+            if strategy == BlockingStrategy::Standard {
+                assert_eq!(fused, standard, "oracle");
             }
         }
     }

@@ -38,43 +38,26 @@ impl Default for RemainderConfig {
     }
 }
 
-/// Worker-thread settings for the parallel scoring loops: how many
-/// threads to fan out across, and below how many work items fan-out is
-/// skipped because the spawn overhead would dominate.
+/// Worker-thread settings for the parallel scoring loops. Every pass
+/// cuts its work into the same tasks whatever `threads` is, so the
+/// thread count changes timing only, never a result or a counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
-    /// Worker threads (≥ 1; 1 forces the sequential path).
+    /// Worker threads (≥ 1; 1 runs every task on the calling thread).
     pub threads: usize,
-    /// Minimum number of work items before threads are spawned. With
-    /// fewer items the loop runs sequentially regardless of `threads`.
-    pub cutoff: usize,
     /// Ignored. Kept so callers that still set a shard count compile;
     /// there is one unsharded execution path.
     pub shards: usize,
-}
-
-impl Parallelism {
-    /// Whether `items` work items should run on the sequential path.
-    #[must_use]
-    pub fn is_serial(&self, items: usize) -> bool {
-        self.threads <= 1 || items < self.cutoff
-    }
 }
 
 impl Default for Parallelism {
     fn default() -> Self {
         Self {
             threads: default_threads(),
-            cutoff: DEFAULT_PARALLEL_CUTOFF,
             shards: 1,
         }
     }
 }
-
-/// Default [`LinkageConfig::parallel_cutoff`]: record-pair scoring fans
-/// out above this many pairs; household-candidate scoring uses half of
-/// it (household units carry more work per item).
-pub const DEFAULT_PARALLEL_CUTOFF: usize = 4096;
 
 /// Full configuration of the iterative record and group linkage.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,14 +88,8 @@ pub struct LinkageConfig {
     pub remainder: RemainderConfig,
     /// Candidate generation strategy.
     pub blocking: BlockingStrategy,
-    /// Worker threads for pair scoring.
+    /// Worker threads for pair and household-candidate scoring.
     pub threads: usize,
-    /// Minimum number of record pairs before pair scoring fans out
-    /// across `threads` (the household-candidate scorer uses half this
-    /// value, matching its heavier per-item work). Lower it to force
-    /// parallelism on small inputs; raise it to keep small iterations
-    /// sequential.
-    pub parallel_cutoff: usize,
     /// Soft memory budget in bytes for the pipeline's caches (CLI
     /// `--mem-budget`). When set, a [`crate::MemGovernor`] degrades the
     /// cross-iteration pair-score cache and the decision log to fit —
@@ -182,7 +159,6 @@ impl LinkageConfig {
     pub fn parallelism(&self) -> Parallelism {
         Parallelism {
             threads: self.threads.max(1),
-            cutoff: self.parallel_cutoff,
             shards: 1,
         }
     }
@@ -209,7 +185,6 @@ impl Default for LinkageConfig {
             remainder: RemainderConfig::default(),
             blocking: BlockingStrategy::Standard,
             threads: default_threads(),
-            parallel_cutoff: DEFAULT_PARALLEL_CUTOFF,
             memory_budget: None,
             shards: 1,
         }
@@ -263,25 +238,6 @@ mod tests {
             ..LinkageConfig::default()
         };
         c.validate();
-    }
-
-    #[test]
-    fn parallel_cutoff_gates_fanout() {
-        let c = LinkageConfig::default();
-        assert_eq!(c.parallel_cutoff, DEFAULT_PARALLEL_CUTOFF);
-        let par = Parallelism {
-            threads: 4,
-            cutoff: 100,
-            ..Parallelism::default()
-        };
-        assert!(par.is_serial(99));
-        assert!(!par.is_serial(100));
-        assert!(Parallelism {
-            threads: 1,
-            cutoff: 0,
-            ..Parallelism::default()
-        }
-        .is_serial(1_000_000));
     }
 
     #[test]

@@ -51,11 +51,9 @@ mod remainder;
 mod selection;
 mod simfunc;
 
-pub use blocking::{
-    candidate_pairs, candidate_pairs_par, dataset_candidate_pairs, BlockingStrategy,
-};
+pub use blocking::{candidate_pairs, dataset_candidate_pairs, BlockingStrategy};
 pub use cluster::UnionFind;
-pub use config::{LinkageConfig, Parallelism, RemainderConfig, DEFAULT_PARALLEL_CUTOFF};
+pub use config::{LinkageConfig, Parallelism, RemainderConfig};
 pub use group_sim::{score_subgraph, GroupScore, SelectionWeights};
 pub use idhash::{IdHasher, IdMap};
 pub use linker::Linker;

@@ -9,7 +9,7 @@ use crate::config::{LinkageConfig, Parallelism};
 use crate::group_sim::{score_single_pair, score_subgraph};
 use crate::mem::MemGovernor;
 use crate::pairscore::{PairScoreCache, PositionIndex};
-use crate::prematch::{build_prematch, run_pool, PreMatch};
+use crate::prematch::{build_prematch, run_pool_with, PreMatch, TASKS};
 use crate::profiles::ProfileCache;
 use crate::remainder::match_remaining_cached;
 use crate::selection::{
@@ -93,7 +93,8 @@ struct BelowFloor {
 struct ScoredCandidates {
     /// Candidates selection can accept, in candidate-list order.
     kept: Vec<ScoredSubgroup>,
-    /// When auditing, the below-floor candidates in consideration order.
+    /// When auditing, the below-floor candidates in candidate-list order
+    /// (the decision log sorts them into consideration order).
     below_floor: Vec<BelowFloor>,
     /// Non-empty subgraphs scored, kept or not.
     non_empty: usize,
@@ -327,9 +328,10 @@ impl<'a> Linker<'a> {
     }
 
     /// Match and score the household candidates of `pm`: each run of its
-    /// household-ordered pairs whose records sit in enriched graphs, in
-    /// parallel across worker threads. The result follows candidate
-    /// order, so runs stay deterministic.
+    /// household-ordered pairs whose records sit in enriched graphs. The
+    /// runs split into [`TASKS`] contiguous chunks on the worker pool,
+    /// each worker reusing one matcher scratch across its chunks. The
+    /// result follows candidate order, so runs stay deterministic.
     ///
     /// A candidate joined by one direct pair `(o, n)` is scored in
     /// closed form: the matcher only admits direct pairs as vertices, so
@@ -341,7 +343,7 @@ impl<'a> Linker<'a> {
     /// Selection skips a below-floor candidate without claiming a record,
     /// so leaving it out changes no acceptance and no tie-break among the
     /// rest. With `audit` set, a [`BelowFloor`] record keeps what its
-    /// rejection reports.
+    /// rejection reports, in candidate-list order.
     #[allow(clippy::too_many_arguments)] // internal plumbing of run_traced
     fn score_candidates(
         &self,
@@ -440,73 +442,67 @@ impl<'a> Linker<'a> {
             }
             out
         };
-        let candidates = pairs
-            .chunk_by(same_candidate)
-            .filter(|run| {
-                let (gi_o, gi_n) = self.graphs_of(&run[0]);
-                (gi_o as usize) < self.old_graphs.len() && (gi_n as usize) < self.new_graphs.len()
-            })
-            .count();
-        obs.add(Counter::SubgraphPairsScored, candidates as u64);
-        let threads = par.threads.max(1);
-        // household candidates carry more work per item than record
-        // pairs, so fan out at half the configured pair cutoff
-        let mut scored = if threads <= 1 || candidates < config.parallel_cutoff / 2 {
-            let mut scratch = SubgraphScratch::default();
-            let out = score_chunk(pairs, 0, &mut scratch);
-            if traced {
-                obs.snapshot_footprint("subgraph_scratch", scratch.footprint());
+        // every run, and the candidates among them: runs whose records
+        // sit in enriched graphs
+        let (mut all_runs, mut candidates) = (0usize, 0u64);
+        for run in pairs.chunk_by(same_candidate) {
+            let (gi_o, gi_n) = self.graphs_of(&run[0]);
+            all_runs += 1;
+            if (gi_o as usize) < self.old_graphs.len() && (gi_n as usize) < self.new_graphs.len() {
+                candidates += 1;
             }
-            out
-        } else {
-            // one chunk of whole runs per thread, each with its own
-            // scratch; chunks are concatenated in list order, so the
-            // output is exactly the serial order regardless of completion
-            // order
-            let per_chunk = candidates.div_ceil(threads).max(1);
-            let mut chunks: Vec<(usize, usize, usize)> = Vec::new();
-            let (mut start, mut end, mut runs) = (0, 0, 0);
-            for run in pairs.chunk_by(same_candidate) {
-                end += run.len();
-                runs += 1;
-                if runs == per_chunk {
-                    chunks.push((start, end, runs));
-                    (start, runs) = (end, 0);
-                }
-            }
-            if runs > 0 {
+        }
+        obs.add(Counter::SubgraphPairsScored, candidates);
+        // [`TASKS`] chunks of whole runs, each scored by a pool worker
+        // with its own scratch; chunks are concatenated in list order, so
+        // the output is the list order regardless of completion order
+        let per_task = all_runs.div_ceil(TASKS).max(1);
+        let mut chunks: Vec<(usize, usize, usize)> = Vec::new();
+        let (mut start, mut end, mut runs) = (0, 0, 0);
+        for run in pairs.chunk_by(same_candidate) {
+            end += run.len();
+            runs += 1;
+            if runs == per_task {
                 chunks.push((start, end, runs));
+                (start, runs) = (end, 0);
             }
-            let results = run_pool(chunks.len(), threads, obs, |ci, worker| {
+        }
+        if runs > 0 {
+            chunks.push((start, end, runs));
+        }
+        let (results, scratches) = run_pool_with(
+            chunks.len(),
+            par.threads,
+            obs,
+            |ci, worker, scratch: &mut SubgraphScratch| {
                 let t0 = obs.timeline_start();
-                let (from, to, chunk_candidates) = chunks[ci];
-                let chunk = &pairs[from..to];
-                let scored = score_chunk(chunk, from, &mut SubgraphScratch::default());
+                let (from, to, chunk_runs) = chunks[ci];
+                let scored = score_chunk(&pairs[from..to], from, scratch);
                 if let Some(t0) = t0 {
                     obs.timeline_task(
                         worker,
                         EventKind::SubgraphChunk,
                         ci as u64,
-                        chunk_candidates as u64,
+                        chunk_runs as u64,
                         Some(iteration),
                         t0,
                     );
                 }
                 scored
-            });
-            let mut all = ScoredCandidates::default();
-            for part in results {
-                all.append(part);
-            }
-            all
-        };
+            },
+        );
+        if traced {
+            let fp = scratches
+                .iter()
+                .fold(Footprint::default(), |acc, s| acc.plus(s.footprint()));
+            obs.snapshot_footprint("subgraph_scratch", fp);
+        }
+        let mut scored = ScoredCandidates::default();
+        for part in results {
+            scored.append(part);
+        }
         obs.add(Counter::GroupCandidates, scored.non_empty as u64);
         obs.observe_hist(LiveHist::SubgraphSize, &scored.sizes);
-        // below-floor candidates sort after every kept one, so their
-        // rejections come last, in the order selection would consider them
-        scored
-            .below_floor
-            .sort_by(|a, b| consideration_order((a.g_sim, a.old, a.new), (b.g_sim, b.old, b.new)));
         scored
     }
 
@@ -646,7 +642,7 @@ impl<'a> Linker<'a> {
             // recorded either way, and scoring and `select_and_extract`
             // are audit-neutral, so the mappings stay bit-identical
             let audit = obs.decisions_enabled() || obs.truth_enabled();
-            let scored = {
+            let mut scored = {
                 let _subgraph = obs.span("subgraph");
                 // candidate group pairs: households connected by ≥1 match
                 // pair, in graph order (deterministic)
@@ -676,6 +672,13 @@ impl<'a> Linker<'a> {
                 );
             }
             if obs.decisions_enabled() {
+                // below-floor candidates are logged after every kept one,
+                // in the order selection would consider them; the truth
+                // funnel joins rejections by household pair, so it needs
+                // no order
+                scored.below_floor.sort_by(|a, b| {
+                    consideration_order((a.g_sim, a.old, a.new), (b.g_sim, b.old, b.new))
+                });
                 emit_group_decisions(config, delta, iter_idx, &scored, &outcome, obs);
             }
             if obs.truth_enabled() {
@@ -848,8 +851,8 @@ mod tests {
     /// Score every household candidate of `pm` (a linker-form
     /// pre-matching over snapshot positions) with the full matcher
     /// (`match_subgraph` + `score_subgraph`) pair at a time, with no runs
-    /// and no closed form: `kept` sorted by household pair, `below_floor`
-    /// in consideration order.
+    /// and no closed form: `kept` and `below_floor` sorted by household
+    /// pair.
     fn full_matcher_oracle(
         linker: &Linker,
         pm: &PreMatch,
@@ -922,8 +925,6 @@ mod tests {
                 });
             }
         }
-        out.below_floor
-            .sort_by(|a, b| consideration_order((a.g_sim, a.old, a.new), (b.g_sim, b.old, b.new)));
         out
     }
 
@@ -951,11 +952,16 @@ mod tests {
                 "{at}: edge counts"
             );
         }
+        // the scorer leaves them in candidate-list order; only the
+        // decision log needs consideration order
         let floor = |c: &ScoredCandidates| -> Vec<_> {
-            c.below_floor
+            let mut v: Vec<_> = c
+                .below_floor
                 .iter()
                 .map(|b| (b.old, b.new, b.g_sim.to_bits(), b.subgraph_size))
-                .collect()
+                .collect();
+            v.sort_unstable();
+            v
         };
         assert_eq!(floor(got), floor(want), "{at}: below_floor");
         assert_eq!(got.non_empty, want.non_empty, "{at}: non_empty");
@@ -1058,16 +1064,14 @@ mod tests {
         // the default floor leaves nothing below it at this scale; a
         // raised one sends many single-pair candidates there
         for min_g_sim in [LinkageConfig::default().min_g_sim, 0.3] {
-            for (name, threads, parallel_cutoff) in [("serial", 1, usize::MAX), ("parallel", 4, 0)]
-            {
+            for threads in [1, 4] {
                 let config = LinkageConfig {
                     threads,
-                    parallel_cutoff,
                     min_g_sim,
                     ..LinkageConfig::default()
                 };
                 for (ids, (o, n)) in [("dense", (old, new)), ("offset", (&old_off, &new_off))] {
-                    let at = format!("{name}/{ids}/min_g_sim {min_g_sim}");
+                    let at = format!("{threads} threads/{ids}/min_g_sim {min_g_sim}");
                     let (iterations, single, multi, below) = check_against_oracle(o, n, &config);
                     assert!(iterations >= 3, "{at}: {iterations} iterations");
                     assert!(single > 0 && multi > 0, "{at}: {single}/{multi}");

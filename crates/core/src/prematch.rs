@@ -19,7 +19,7 @@ use census_model::PersonRecord;
 use obs::{Collector, Counter, EventKind, Footprint};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::Instant;
 use textsim::{MultisetArena, RowScratch};
 
@@ -34,10 +34,14 @@ fn arena_footprint(arenas: &[MultisetArena], workers: usize) -> Footprint {
     })
 }
 
-/// Scoring tasks per pool worker on the parallel path: contiguous
-/// old-record ranges small enough that a giant block in one range does
-/// not leave the other workers idle.
-const TASKS_PER_WORKER: usize = 8;
+/// Tasks per scoring pass: every pass cuts its work into this many
+/// contiguous tasks (fewer only when there are fewer items), whatever the
+/// thread count. Per-task state such as the value-pair memo then depends
+/// on the input alone, so counters agree at every thread count, and the
+/// tasks are small enough that a giant block in one of them does not
+/// leave the other workers idle. A pass runs on at most this many
+/// workers.
+pub(crate) const TASKS: usize = 16;
 
 /// Telemetry of one scoring pass.
 #[derive(Default)]
@@ -285,13 +289,12 @@ struct TaskOut {
 /// blocker's order, and the arenas those ids index: built once per run
 /// by the `ProfileCache` table, so a pass interns and lays out nothing.
 ///
-/// The old records split into contiguous tasks on [`run_pool`]:
-/// [`TASKS_PER_WORKER`] per worker, or one task on one worker when
-/// [`Blocker::pair_bound`] says the pairs are too few to fan out. Each
-/// worker keeps one scratch, value-pair memo included, across its
-/// tasks, and empties the memo at the start of each task. A task's
-/// arena computations therefore depend only on its old-record range, so
-/// the pass's count is a function of the input and the task split.
+/// The old records split into [`TASKS`] contiguous tasks on
+/// [`run_pool_with`]. Each worker keeps one scratch, value-pair memo
+/// included, across its tasks, and empties the memo at the start of
+/// each task. A task's arena computations therefore depend only on its
+/// old-record range, so the pass's count is a function of the input
+/// alone, the same at every thread count.
 ///
 /// With `limit`, the pass returns `None` as soon as the blocked-pair
 /// count, kept across tasks, passes the limit. The count only grows,
@@ -308,16 +311,10 @@ pub(crate) fn score_blocked(
     limit: Option<u64>,
 ) -> Option<ScoredPass> {
     let n = blocker.rows();
-    let parallel = par.threads > 1 && !par.is_serial(blocker.pair_bound(par.cutoff));
-    let (threads, per_worker) = if parallel {
-        (par.threads, TASKS_PER_WORKER)
-    } else {
-        (1, 1)
-    };
-    let chunk = n.div_ceil(threads * per_worker).max(1);
+    let chunk = n.div_ceil(TASKS).max(1);
     let n_tasks = n.div_ceil(chunk);
-    let workers = threads.min(n_tasks);
     if obs.is_enabled() {
+        let workers = par.threads.max(1).min(n_tasks);
         obs.snapshot_footprint("value_arenas", arena_footprint(values.arenas, workers));
     }
     let kernel = Kernel { sim, values };
@@ -352,24 +349,20 @@ pub(crate) fn score_blocked(
             ci as u64
         }
     };
-    // one scratch per pool worker, reused across its tasks; a worker
-    // only ever locks its own, so the locks are uncontended
-    let scratches: Vec<Mutex<Scratch>> = (0..workers).map(|_| Mutex::default()).collect();
-    let tasks = run_pool(n_tasks, workers, obs, |ci, worker| {
-        let t0 = obs.timeline_start();
-        // a lock is poisoned only by a task that panicked holding it, and
-        // that panic already fails the pass; a task empties the memo
-        // before use, so its scratch is sound either way
-        let mut scratch = scratches[worker]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let task = run(ci * chunk..((ci + 1) * chunk).min(n), &mut scratch);
-        let pairs = task.as_ref().map_or(0, |t| t.pairs);
-        if let Some(t0) = t0 {
-            obs.timeline_task(worker, kind, detail(ci, pairs), pairs, None, t0);
-        }
-        task
-    });
+    let (tasks, _) = run_pool_with(
+        n_tasks,
+        par.threads,
+        obs,
+        |ci, worker, scratch: &mut Scratch| {
+            let t0 = obs.timeline_start();
+            let task = run(ci * chunk..((ci + 1) * chunk).min(n), scratch);
+            let pairs = task.as_ref().map_or(0, |t| t.pairs);
+            if let Some(t0) = t0 {
+                obs.timeline_task(worker, kind, detail(ci, pairs), pairs, None, t0);
+            }
+            task
+        },
+    );
     let mut pass = ScoredPass {
         kind,
         chunks: Vec::with_capacity(tasks.len()),
@@ -383,6 +376,38 @@ pub(crate) fn score_blocked(
         pass.chunks.push(task.matched);
     }
     Some(pass)
+}
+
+/// [`run_pool`] with one scratch `S` per worker, reused across the
+/// tasks that worker claims: `f` receives `(task index, worker index,
+/// scratch)`. Returns the results in task order and the workers'
+/// scratches. A task must leave nothing in its scratch that changes a
+/// later task's result.
+pub(crate) fn run_pool_with<S, T, F>(
+    n: usize,
+    threads: usize,
+    obs: &Collector,
+    f: F,
+) -> (Vec<T>, Vec<S>)
+where
+    S: Default + Send,
+    T: Send,
+    F: Fn(usize, usize, &mut S) -> T + Sync,
+{
+    let workers = threads.max(1).min(n.max(1));
+    let scratches: Vec<Mutex<S>> = (0..workers).map(|_| Mutex::default()).collect();
+    // a worker only ever locks its own scratch, so the locks are
+    // uncontended; a task that panics holding one ends its worker, and
+    // the pool re-raises that panic before any scratch is read again
+    const POISONED: &str = "a panicked task's scratch is never read again";
+    let results = run_pool(n, workers, obs, |i, w| {
+        f(i, w, &mut scratches[w].lock().expect(POISONED))
+    });
+    let scratches = scratches
+        .into_iter()
+        .map(|m| m.into_inner().expect(POISONED))
+        .collect();
+    (results, scratches)
 }
 
 /// Run `n` tasks on a work-stealing pool of at most `threads` workers
@@ -853,7 +878,6 @@ mod tests {
             let run = || {
                 let par = Parallelism {
                     threads,
-                    cutoff: 0,
                     ..Parallelism::default()
                 };
                 let obs = Collector::disabled();

@@ -96,7 +96,6 @@ fn prematch_with_cached_profiles_is_identical() {
         for round in 0..2 {
             let par = Parallelism {
                 threads: 1 + round, // also cross the thread counts
-                cutoff: 0,
                 ..Parallelism::default()
             };
             let (want_obs, got_obs) = (Collector::enabled(), Collector::enabled());

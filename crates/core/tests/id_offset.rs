@@ -140,7 +140,6 @@ fn assert_invariant_under(maps: &[Relabel]) {
             "parallel",
             LinkageConfig {
                 threads: 4,
-                parallel_cutoff: 0,
                 ..base.clone()
             },
         ),

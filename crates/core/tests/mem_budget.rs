@@ -21,7 +21,6 @@ fn output_is_bit_identical_under_any_budget() {
     for threads in [1, 2] {
         let base_config = LinkageConfig {
             threads,
-            parallel_cutoff: if threads == 1 { usize::MAX } else { 0 },
             ..LinkageConfig::default()
         };
         let baseline = linker.run(&base_config);
@@ -46,11 +45,10 @@ fn zero_budget_records_each_fallback() {
     let series = small_series();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let linker = Linker::new(old, new);
-    // threads = 1 with an unreachable cutoff forces the serial scorer
+    // threads = 1 runs every scoring task on the calling thread
     let config = LinkageConfig {
         memory_budget: Some(0),
         threads: 1,
-        parallel_cutoff: usize::MAX,
         ..LinkageConfig::default()
     };
     let obs = Collector::enabled();

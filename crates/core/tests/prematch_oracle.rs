@@ -26,7 +26,7 @@ use linkage_core::{prematch_with_profiles, BlockingStrategy, MemGovernor, Parall
 use obs::Collector;
 
 /// Compare pre-matching with the oracle over ω1/ω2 × δ {0.5, 0.6, 0.7}
-/// × {serial, forced-parallel} × budget {none, zero} on the series' first
+/// × threads {1, 4} × budget {none, zero} on the series' first
 /// snapshot pair.
 fn assert_matrix_matches_oracle(series: &CensusSeries) {
     let (old_ds, new_ds) = (&series.snapshots[0], &series.snapshots[1]);
@@ -43,9 +43,9 @@ fn assert_matrix_matches_oracle(series: &CensusSeries) {
             let new_c: Vec<_> = new.iter().map(|r| sim.compile(r)).collect();
             let old_p: Vec<_> = old_c.iter().collect();
             let new_p: Vec<_> = new_c.iter().collect();
-            for (mode, threads, cutoff) in [("serial", 1, usize::MAX), ("parallel", 4, 0)] {
+            for threads in [1, 4] {
                 for budget in [None, Some(0)] {
-                    let label = format!("ω{omega} δ={delta} {mode} budget={budget:?}");
+                    let label = format!("ω{omega} δ={delta} {threads} threads budget={budget:?}");
                     let obs = Collector::enabled();
                     let pm = prematch_with_profiles(
                         &old,
@@ -57,7 +57,6 @@ fn assert_matrix_matches_oracle(series: &CensusSeries) {
                         BlockingStrategy::Standard,
                         Parallelism {
                             threads,
-                            cutoff,
                             ..Parallelism::default()
                         },
                         max_age_gap,

@@ -5,7 +5,7 @@
 
 use census_synth::{generate_series, SimConfig};
 use linkage_core::{link_traced, LinkageConfig};
-use obs::{Collector, TruthConfig};
+use obs::{Collector, DecisionConfig, TruthConfig};
 use std::collections::BTreeSet;
 
 fn truth_config(series: &census_synth::CensusSeries) -> TruthConfig {
@@ -32,11 +32,10 @@ fn funnel_partitions_truth_exactly_in_every_execution_mode() {
     let truth_records: BTreeSet<(u64, u64)> = tc.record_pairs.iter().copied().collect();
 
     let mut sections = Vec::new();
-    // serial, and parallel with the fan-out cutoff forced to zero
-    for (threads, cutoff) in [(1, usize::MAX), (4, 0)] {
+    // one worker, and four
+    for threads in [1, 4] {
         let config = LinkageConfig {
             threads,
-            parallel_cutoff: cutoff,
             ..LinkageConfig::default()
         };
         let obs = Collector::enabled().with_truth(tc.clone());
@@ -122,4 +121,32 @@ fn funnel_agrees_with_independent_quality_arithmetic() {
         truth.records.len() as u64 - correct,
         "loss buckets must sum to the recall complement"
     );
+}
+
+#[test]
+fn decision_log_does_not_change_the_quality_section() {
+    // only the decision log sorts the below-floor rejections; the funnel
+    // joins them by household pair, so it must read the same without it
+    let series = generate_series(&SimConfig::small());
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    let tc = truth_config(&series);
+    // a raised floor sends many candidates below it
+    let config = LinkageConfig {
+        min_g_sim: 0.3,
+        ..LinkageConfig::default()
+    };
+    let quality = |obs: Collector| {
+        let _ = link_traced(old, new, &config, &obs);
+        obs.finish().quality.expect("quality section")
+    };
+    let truth_only = quality(Collector::enabled().with_truth(tc.clone()));
+    let logged = Collector::enabled()
+        .with_truth(tc)
+        .with_decisions(DecisionConfig::default());
+    let with_log = quality(logged);
+    assert!(
+        truth_only.funnel.selection.below_min_g_sim > 0,
+        "degenerate corpus: no true pair lost below the floor"
+    );
+    assert_eq!(truth_only, with_log);
 }

@@ -135,12 +135,11 @@ fn pair_cache_scores_each_unique_pair_at_most_once() {
 fn timeline_records_worker_events_without_changing_the_result() {
     let series = pair();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
-    // multi-threaded, with the fan-out cutoff forced low so the run
-    // exercises every event source: prematch and subgraph chunks, the
-    // remainder pass and the δ-iteration markers
+    // multi-threaded; every pass runs on the pool, so the run exercises
+    // every event source: prematch and subgraph chunks, the remainder
+    // pass and the δ-iteration markers
     let config = LinkageConfig {
         threads: 2,
-        parallel_cutoff: 1,
         ..LinkageConfig::default()
     };
     let plain = link(old, new, &config);
@@ -190,4 +189,52 @@ fn disabled_collector_records_nothing() {
     assert!(trace.spans.is_empty());
     assert!(trace.iterations.is_empty());
     assert!(trace.counters.iter().all(|c| c.value == 0));
+}
+
+#[test]
+fn pooled_subgraph_passes_record_their_scratch_and_every_chunk() {
+    // the medium pair has thousands of household candidates per δ step,
+    // so at two threads every subgraph pass shares its chunks between
+    // two pool workers; the workers' matcher scratch must still be
+    // recorded, and each pass cut into its fixed task split
+    let series = generate_series(&SimConfig {
+        snapshots: 2,
+        ..SimConfig::medium()
+    });
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    let config = LinkageConfig {
+        threads: 2,
+        ..LinkageConfig::default()
+    };
+    let obs = Collector::enabled().with_timeline();
+    let result = link_traced(old, new, &config, &obs);
+    let trace = obs.finish();
+    let steps = result.iterations.len();
+    assert!(steps >= 2, "schedule must iterate");
+
+    let scratch: Vec<_> = trace
+        .footprints
+        .iter()
+        .filter(|f| f.structure == "subgraph_scratch")
+        .collect();
+    assert_eq!(
+        scratch.len(),
+        steps,
+        "one subgraph_scratch snapshot per δ step"
+    );
+    for f in &scratch {
+        assert_eq!(f.phase, "subgraph", "{f:?}");
+        assert!(f.bytes > 0, "{f:?}");
+    }
+
+    let tl = trace.timeline.as_ref().expect("timeline recorded");
+    for step in 0..steps {
+        let chunks = tl
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::SubgraphChunk && e.iteration == Some(step))
+            .count();
+        // more chunks than workers, at most the fixed split
+        assert!((3..=16).contains(&chunks), "step {step}: {chunks} chunks");
+    }
 }
