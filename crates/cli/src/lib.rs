@@ -44,6 +44,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// CLI error: message plus exit code 1.
 pub type CliError = String;
@@ -292,8 +293,13 @@ pub fn cmd_link(
 ) -> Result<String, CliError> {
     let mut config = LinkageConfig::default();
     opts.apply(&mut config)?;
-    let old = load(old_file, old_year)?;
-    let new = load(new_file, new_year)?;
+    let loaded = load_all(
+        &[(old_file, old_year), (new_file, new_year)],
+        config.threads,
+    )?;
+    let Ok([old, new]) = <[CensusDataset; 2]>::try_from(loaded) else {
+        unreachable!("two files load as two datasets");
+    };
     let mut obs = Collector::new(
         opts.tracing_enabled()
             || opts.decisions_out.is_some()
@@ -421,8 +427,9 @@ pub fn cmd_link(
 
 /// Render a recorded timeline as Chrome trace-event JSON, loadable in
 /// Perfetto or `chrome://tracing`: one *process* per pipeline phase
-/// (plus process 0 for scheduler lanes — δ-iteration markers and
-/// queue-wait gaps), one *thread* per worker, `"X"` duration events in
+/// (plus process 0 for scheduler lanes — δ-iteration markers, queue-wait
+/// gaps and driver sections, named `driver:<section>`), one *thread* per
+/// worker, `"X"` duration events in
 /// microseconds and `"i"` instants for the iteration boundaries.
 ///
 /// # Errors
@@ -473,15 +480,22 @@ fn chrome_trace_json(trace: &RunTrace) -> Result<String, CliError> {
     for e in &tl.events {
         let pid = phase_pid(e.kind);
         let tid = u64::from(e.worker);
+        // a driver event is named after its section
+        let name = match obs::DriverSection::from_code(e.detail) {
+            Some(section) if e.kind == obs::EventKind::Driver => {
+                format!("{}:{}", e.kind.name(), section.name())
+            }
+            _ => e.kind.name().to_owned(),
+        };
         if e.kind.is_instant() {
             events.push(json!({
-                "name": (e.kind.name()), "cat": "timeline", "ph": "i", "s": "g",
+                "name": (name), "cat": "timeline", "ph": "i", "s": "g",
                 "ts": (e.start_us), "pid": pid, "tid": tid,
                 "args": {"detail": (e.detail), "iteration": (e.iteration)}
             }));
         } else {
             events.push(json!({
-                "name": (e.kind.name()), "cat": "timeline", "ph": "X",
+                "name": (name), "cat": "timeline", "ph": "X",
                 "ts": (e.start_us), "dur": (e.duration_us), "pid": pid, "tid": tid,
                 "args": {"detail": (e.detail), "iteration": (e.iteration)}
             }));
@@ -532,10 +546,12 @@ pub fn cmd_evolve(
     }
     let mut config = LinkageConfig::default();
     opts.apply(&mut config)?;
-    let mut snapshots = Vec::new();
-    for (i, file) in files.iter().enumerate() {
-        snapshots.push(load(file, start_year + interval * i as i32)?);
-    }
+    let years: Vec<(&Path, i32)> = files
+        .iter()
+        .enumerate()
+        .map(|(i, file)| (file.as_path(), start_year + interval * i as i32))
+        .collect();
+    let snapshots = load_all(&years, config.threads)?;
     let mut sink = if opts.tracing_enabled() {
         TraceSink::enabled()
     } else {
@@ -1364,6 +1380,46 @@ fn load(file: &Path, year: i32) -> Result<CensusDataset, CliError> {
         .map_err(|e| io_err(&format!("parsing {}", file.display()), e))
 }
 
+/// Load each `(file, year)` snapshot, on at most `threads` scoped
+/// workers that claim files in order. The datasets come back in file
+/// order, and so does the error: the first failing file's, with the
+/// message [`load`] gives it, whichever worker finished first. With one
+/// worker the files load one after another and loading stops at the
+/// first error.
+fn load_all(files: &[(&Path, i32)], threads: usize) -> Result<Vec<CensusDataset>, CliError> {
+    let workers = threads.min(files.len());
+    if workers <= 1 {
+        return files.iter().map(|&(file, year)| load(file, year)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut loaded: Vec<(usize, Result<CensusDataset, CliError>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(file, year)) = files.get(i) else {
+                            break;
+                        };
+                        done.push((i, load(file, year)));
+                    }
+                    // the thread's unpublished allocation counts would
+                    // otherwise die with it
+                    obs::alloc::flush_thread();
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    loaded.sort_unstable_by_key(|&(i, _)| i);
+    loaded.into_iter().map(|(_, dataset)| dataset).collect()
+}
+
 // Install the counting allocator in the unit-test binary too, so the
 // `--trace-mem` end-to-end test exercises real allocation numbers (the
 // shipped binary installs its own copy in `main.rs`).
@@ -1474,6 +1530,74 @@ mod tests {
         .unwrap();
         assert!(g.contains("recall"));
         assert!(cmd_evaluate(&out.join("record_mapping.csv"), &dir.join("x"), "bogus").is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A one-household snapshot file; with `fault` set, line 3 carries
+    /// that text in place of the role, so the file fails to parse there.
+    fn snapshot_file(dir: &Path, name: &str, fault: Option<&str>) -> PathBuf {
+        let path = dir.join(name);
+        let role = fault.unwrap_or("son");
+        let text = format!(
+            "record_id,household_id,first_name,surname,sex,age,address,occupation,role,person_id\n\
+             1,1,john,ashworth,m,40,mill lane,weaver,head,\n\
+             2,1,james,ashworth,m,12,mill lane,scholar,{role},\n"
+        );
+        std::fs::write(&path, text).unwrap();
+        path
+    }
+
+    /// Snapshots load concurrently, but the error reported is the first
+    /// failing file's, in file order, at every thread count.
+    #[test]
+    fn loaders_report_the_first_failing_file_in_file_order() {
+        let dir = tmp_dir("load-order");
+        let old = snapshot_file(&dir, "old.csv", Some("old-fault"));
+        let new = snapshot_file(&dir, "new.csv", Some("new-fault"));
+        for threads in [1, 2] {
+            let opts = LinkOptions {
+                threads: Some(threads),
+                ..LinkOptions::default()
+            };
+            let e = cmd_link(&old, &new, 1851, 1861, &dir.join("out"), &opts).unwrap_err();
+            assert!(
+                e.contains("old.csv") && e.contains("line 3"),
+                "{threads}: {e}"
+            );
+            assert!(
+                e.contains("\"old-fault\"") && !e.contains("new"),
+                "{threads}: {e}"
+            );
+        }
+        let files: Vec<PathBuf> = (1..=5)
+            .map(|k| {
+                let fault = format!("fault-{k}");
+                let fault = (k == 2 || k == 4).then_some(fault.as_str());
+                snapshot_file(&dir, &format!("s{k}.csv"), fault)
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            let opts = LinkOptions {
+                threads: Some(threads),
+                ..LinkOptions::default()
+            };
+            let e = cmd_evolve(&files, 1851, 10, None, &opts).unwrap_err();
+            assert!(
+                e.contains("s2.csv") && e.contains("\"fault-2\""),
+                "{threads}: {e}"
+            );
+        }
+        // and a clean series still loads at every thread count
+        let clean: Vec<PathBuf> = (1..=3)
+            .map(|k| snapshot_file(&dir, &format!("c{k}.csv"), None))
+            .collect();
+        for threads in [1, 2] {
+            let opts = LinkOptions {
+                threads: Some(threads),
+                ..LinkOptions::default()
+            };
+            assert!(cmd_evolve(&clean, 1851, 10, None, &opts).is_ok());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2333,6 +2457,9 @@ mod tests {
         assert!(rendered.contains("worker   0 |"), "{rendered}");
         assert!(rendered.contains("mean utilization"), "{rendered}");
         assert!(rendered.contains("legend:"), "{rendered}");
+        // the driver's sections have their own lane glyph and event name
+        assert!(rendered.contains("D driver"), "{rendered}");
+        assert!(text.contains("\"driver:order\""), "missing driver events");
         let gated = cli(&[
             "timeline",
             trace_path.to_str().unwrap(),

@@ -311,6 +311,7 @@ pub(crate) struct Blocker<'a> {
     old: &'a [&'a PersonRecord],
     new: &'a [&'a PersonRecord],
     year_gap: i64,
+    strategy: BlockingStrategy,
     tol: Option<u32>,
     /// The new side's buckets; `None` under `Full` blocking, where every
     /// new record is a candidate.
@@ -331,9 +332,20 @@ impl<'a> Blocker<'a> {
             old,
             new,
             year_gap,
+            strategy,
             tol,
             buckets: (strategy == BlockingStrategy::Standard).then(|| NewBuckets::build(new)),
         }
+    }
+
+    /// The old and the new records, by position.
+    pub(crate) fn records(&self) -> (&'a [&'a PersonRecord], &'a [&'a PersonRecord]) {
+        (self.old, self.new)
+    }
+
+    /// The blocking strategy and the age tolerance fused into it.
+    pub(crate) fn strategy(&self) -> (BlockingStrategy, Option<u32>) {
+        (self.strategy, self.tol)
     }
 
     /// Number of rows (old records).
@@ -662,13 +674,13 @@ mod tests {
         let op: Vec<_> = o.iter().map(|r| sim.compile(r)).collect();
         let np: Vec<_> = n.iter().map(|r| sim.compile(r)).collect();
         let mut cache = crate::ProfileCache::new();
-        let values = cache.rows(&sim, o, n);
+        let values = cache.rows(&sim, o, n, 1, &Collector::disabled());
         let pass = |blocker: &Blocker, threads: usize, obs: &Collector, limit: Option<u64>| {
             let par = Parallelism {
                 threads,
                 ..Parallelism::default()
             };
-            let kind = EventKind::PrematchTile;
+            let kind = EventKind::PrematchTask;
             score_blocked(blocker, &values, &sim, kind, par, obs, limit)
         };
         let mut matched = 0;

@@ -8,8 +8,8 @@
 use crate::config::{LinkageConfig, Parallelism};
 use crate::group_sim::{score_single_pair, score_subgraph};
 use crate::mem::MemGovernor;
-use crate::pairscore::{PairScoreCache, PositionIndex};
-use crate::prematch::{build_prematch, run_pool_with, PreMatch, TASKS};
+use crate::pairscore::{sort_chunks_by_key, PairScoreCache, PositionIndex};
+use crate::prematch::{build_prematch, join, pass_head, run_pool_with, PreMatch, TASKS};
 use crate::profiles::ProfileCache;
 use crate::remainder::match_remaining_cached;
 use crate::selection::{
@@ -22,8 +22,9 @@ use census_model::{
 };
 use hhgraph::{match_subgraph_with, EnrichedGraph, MatchedSubgraph, SubgraphScratch};
 use obs::{
-    Collector, Counter, DecisionRecord, EventKind, Footprint, GroupDecision, Histogram, LiveHist,
-    LosingCandidate, MemoryFootprint, RejectedCandidate, RejectionReason, ITERATION_SPAN,
+    Collector, Counter, DecisionRecord, DriverSection, EventKind, Footprint, GroupDecision,
+    Histogram, LiveHist, LosingCandidate, MemoryFootprint, RejectedCandidate, RejectionReason,
+    ITERATION_SPAN,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -214,20 +215,29 @@ impl<'a> Linker<'a> {
     /// Enrich both snapshots once (`completeGroups`, §3.1).
     #[must_use]
     pub fn new(old: &'a CensusDataset, new: &'a CensusDataset) -> Self {
-        Self::new_traced(old, new, &Collector::disabled())
+        Self::new_traced(old, new, 1, &Collector::disabled())
     }
 
     /// [`Linker::new`] recording the enrichment as an `enrich` span on
-    /// `obs`.
+    /// `obs`. With `threads` above 1 the two snapshots are enriched
+    /// concurrently.
     #[must_use]
-    pub fn new_traced(old: &'a CensusDataset, new: &'a CensusDataset, obs: &Collector) -> Self {
+    pub fn new_traced(
+        old: &'a CensusDataset,
+        new: &'a CensusDataset,
+        threads: usize,
+        obs: &Collector,
+    ) -> Self {
         let _enrich = obs.span("enrich");
-        let old_graphs = EnrichedGraph::build_all(old);
-        let new_graphs = EnrichedGraph::build_all(new);
-        let old_pos = PositionIndex::from_ids(old.records().iter().map(|r| r.id));
-        let new_pos = PositionIndex::from_ids(new.records().iter().map(|r| r.id));
-        let old_graph = graph_by_position(old.records().len(), &old_pos, &old_graphs);
-        let new_graph = graph_by_position(new.records().len(), &new_pos, &new_graphs);
+        // one snapshot's graphs, record positions and graph by position
+        let enrich = |ds: &CensusDataset| {
+            let graphs = EnrichedGraph::build_all(ds);
+            let pos = PositionIndex::from_ids(ds.records().iter().map(|r| r.id));
+            let graph = graph_by_position(ds.records().len(), &pos, &graphs);
+            (graphs, pos, graph)
+        };
+        let ((old_graphs, old_pos, old_graph), (new_graphs, new_pos, new_graph)) =
+            join(threads, || enrich(old), || enrich(new));
         if obs.is_enabled() {
             let fp = old_graphs
                 .iter()
@@ -315,6 +325,32 @@ impl<'a> Linker<'a> {
         // keys are unique: they end in the positions
         keyed.sort_unstable_by_key(|&(key, _)| key);
         keyed.into_iter().map(|(_, pair)| pair).collect()
+    }
+
+    /// [`Linker::ordered`] over the pairs `pc` selects at `delta`, every
+    /// one a pair of this linker's records: each cache chunk is keyed and
+    /// sorted as a task on the pool (see [`sort_chunks_by_key`]).
+    fn ordered_selection(
+        &self,
+        pc: &PairScoreCache,
+        delta: f64,
+        par: Parallelism,
+        obs: &Collector,
+    ) -> Vec<Pair> {
+        sort_chunks_by_key(
+            pc.chunk_count(),
+            par.threads,
+            obs,
+            |c| pc.count_in(c, delta),
+            |c| {
+                pc.select_in(c, delta).map(|(o, n, s)| {
+                    let (o, n) = self
+                        .positions(o, n)
+                        .expect("the cache holds pairs of the linker's records");
+                    (self.pair_key(&(o, n, s)), (o, n, s))
+                })
+            },
+        )
     }
 
     /// The pre-matching of one δ step: its `matches` and the `anchors`,
@@ -590,28 +626,38 @@ impl<'a> Linker<'a> {
             let pm = {
                 let _prematch = obs.span("prematch");
                 if !served {
-                    let mut score_at = |at: f64, mem: &MemGovernor| {
-                        PairScoreCache::build(
-                            &remaining_old,
-                            &remaining_new,
-                            &mut cache,
-                            year_gap,
-                            &config.sim_func.with_threshold(at),
-                            config.blocking,
-                            par,
-                            config.prematch_max_age_gap,
-                            mem,
-                            obs,
-                        )
-                    };
-                    // only the first step tries the floor; a refused
-                    // floor cache leaves the run scoring step by step
-                    let at_floor = if iter_idx == 0 {
-                        score_at(floor, &mem)
-                    } else {
-                        None
-                    };
-                    pair_cache = at_floor.or_else(|| score_at(delta, &MemGovernor::unlimited()));
+                    // only the first step tries the floor; a refused floor
+                    // cache leaves the run scoring step by step
+                    let sim =
+                        config
+                            .sim_func
+                            .with_threshold(if iter_idx == 0 { floor } else { delta });
+                    let (blocker, values) = pass_head(
+                        &mut cache,
+                        &sim,
+                        &remaining_old,
+                        &remaining_new,
+                        year_gap,
+                        config.blocking,
+                        config.prematch_max_age_gap,
+                        par,
+                        obs,
+                    );
+                    let unlimited = MemGovernor::unlimited();
+                    let governor = if iter_idx == 0 { &mem } else { &unlimited };
+                    pair_cache = PairScoreCache::build(&blocker, &values, &sim, par, governor, obs);
+                    drop(values);
+                    if pair_cache.is_none() {
+                        // the buckets do not depend on the threshold, so
+                        // the refused pass's blocker serves this one
+                        let at_delta = config.sim_func.with_threshold(delta);
+                        let values = obs.driver(DriverSection::Intern, None, || {
+                            cache.rows(&at_delta, &remaining_old, &remaining_new, par.threads, obs)
+                        });
+                        pair_cache = PairScoreCache::build(
+                            &blocker, &values, &at_delta, par, &unlimited, obs,
+                        );
+                    }
                 }
                 let pc = pair_cache
                     .as_ref()
@@ -627,7 +673,9 @@ impl<'a> Linker<'a> {
                     );
                     matches
                 } else {
-                    self.ordered(pc.select(delta))
+                    obs.driver(DriverSection::Order, Some(iter_idx), || {
+                        self.ordered_selection(pc, delta, par, obs)
+                    })
                 };
                 if obs.is_enabled() {
                     if pc.floor() <= floor {
@@ -635,7 +683,9 @@ impl<'a> Linker<'a> {
                     }
                     obs.snapshot_footprint("profile_cache", cache.footprint());
                 }
-                self.step_prematch(&matches, &anchors)
+                obs.driver(DriverSection::Cluster, Some(iter_idx), || {
+                    self.step_prematch(&matches, &anchors)
+                })
             };
 
             // truth telemetry reuses the audit plumbing: rejections are
@@ -733,7 +783,7 @@ impl<'a> Linker<'a> {
                 remaining_old.retain(|r| live_old(r.id));
                 remaining_new.retain(|r| live_new(r.id));
                 if let Some(pc) = &mut pair_cache {
-                    pc.compact(live_old, live_new);
+                    pc.compact(live_old, live_new, par.threads, obs);
                 }
             }
             obs.snapshot_decision_footprint();
@@ -750,9 +800,12 @@ impl<'a> Linker<'a> {
             if !served {
                 if let Some(pc) = &mut pair_cache {
                     // once, so every later selection reads runs unsorted
-                    pc.order_by(|o, n| {
-                        self.positions(o, n)
-                            .map_or(u128::MAX, |(o, n)| self.pair_key(&(o, n, 0.0)))
+                    obs.driver(DriverSection::Order, Some(iter_idx), || {
+                        let key = |o, n| {
+                            self.positions(o, n)
+                                .map_or(u128::MAX, |(o, n)| self.pair_key(&(o, n, 0.0)))
+                        };
+                        pc.order_by(key, par.threads, obs);
                     });
                 }
             }

@@ -53,11 +53,12 @@ use crate::blocking::{Blocker, BlockingStrategy};
 use crate::config::Parallelism;
 use crate::idhash::IdMap;
 use crate::mem::MemGovernor;
-use crate::prematch::{age_plausible, score_blocked};
-use crate::profiles::ProfileCache;
+use crate::prematch::{age_plausible, run_pool, score_blocked};
+use crate::profiles::ValueRows;
 use crate::simfunc::{AttributeSpec, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, EventKind, Footprint, MemoryFootprint};
+use std::sync::Mutex;
 
 /// Record-id → position lookup: a record's position in the linker's
 /// snapshots, in the remainder pass's residue, or the slot of its
@@ -120,6 +121,79 @@ impl MemoryFootprint for PositionIndex {
     }
 }
 
+/// The items of `chunks` tasks, sorted by key: task `c` yields
+/// `count(c)` keyed items from `keyed(c)`. The tasks run on a pool of at
+/// most `threads` workers, each filling and sorting its own slice of one
+/// keyed array. The sorted slices are then joined in order: where a
+/// slice's keys overlap the sorted prefix before it, only the overlapping
+/// window is sorted again, so slices that mostly follow one another in
+/// key order (as the tasks of a scoring pass do) cost little more than a
+/// scan. Only the array holds keys, and it is freed on return, so the
+/// peak is that of keying and sorting the items serially.
+pub(crate) fn sort_chunks_by_key<K, T, I>(
+    chunks: usize,
+    threads: usize,
+    obs: &Collector,
+    count: impl Fn(usize) -> usize + Sync,
+    keyed: impl Fn(usize) -> I + Sync,
+) -> Vec<T>
+where
+    K: Ord + Copy + Default + Send,
+    T: Copy + Default + Send,
+    I: Iterator<Item = (K, T)>,
+{
+    let counts = run_pool(chunks, threads, obs, |c, _| count(c));
+    let mut all = vec![(K::default(), T::default()); counts.iter().sum()];
+    let mut rest = all.as_mut_slice();
+    let slices: Vec<Mutex<&mut [(K, T)]>> = counts
+        .iter()
+        .map(|&n| {
+            let (slice, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            Mutex::new(slice)
+        })
+        .collect();
+    // a task only ever locks its own slice
+    const POISONED: &str = "a panicked task's slice is never read again";
+    run_pool(chunks, threads, obs, |c, _| {
+        let mut slice = slices[c].lock().expect(POISONED);
+        let mut items = keyed(c);
+        for slot in slice.iter_mut() {
+            *slot = items.next().expect("a task yields the items it counted");
+        }
+        debug_assert!(
+            items.next().is_none(),
+            "task {c} yielded more than it counted"
+        );
+        slice.sort_unstable_by_key(|&(key, _)| key);
+    });
+    drop(slices);
+    let mut sorted = 0;
+    for n in counts {
+        join_sorted(&mut all[..sorted + n], sorted);
+        sorted += n;
+    }
+    all.into_iter().map(|(_, item)| item).collect()
+}
+
+/// Sort `run`, whose `..mid` and `mid..` are each sorted by unique keys.
+/// Only the window where the two overlap can be out of order: from the
+/// first item of the first part above the second part's first key, to
+/// the last item of the second part below the first part's last key.
+/// That window is sorted in place.
+fn join_sorted<K: Ord + Copy, T>(run: &mut [(K, T)], mid: usize) {
+    let (Some(&(last, _)), Some(&(first, _))) = (mid.checked_sub(1).map(|i| &run[i]), run.get(mid))
+    else {
+        return;
+    };
+    if last < first {
+        return;
+    }
+    let lo = run[..mid].partition_point(|&(key, _)| key < first);
+    let hi = mid + run[mid..].partition_point(|&(key, _)| key < last);
+    run[lo..hi].sort_unstable_by_key(|&(key, _)| key);
+}
+
 /// Pair scores computed once per snapshot pair, selected per δ step and
 /// compacted to the residue after each. See the module docs for the
 /// exactness argument.
@@ -139,13 +213,18 @@ pub struct PairScoreCache {
     /// `(old id, new id)` order — the order a fresh scoring pass over
     /// id-ordered residues yields — and after [`PairScoreCache::order_by`]
     /// one chunk in the order it asked for.
-    chunks: Vec<Vec<(u32, u32, f64)>>,
+    chunks: Vec<Vec<Entry>>,
 }
 
+/// One cached pair: `(old position, new position, agg_sim)`.
+type Entry = (u32, u32, f64);
+
 impl PairScoreCache {
-    /// Block and score every candidate pair of `old × new` once, at
-    /// `sim`'s threshold (the schedule floor), with the records' values
-    /// served by the run's `profiles` table.
+    /// Score every candidate pair of `blocker` once, at `sim`'s threshold
+    /// (the schedule floor), over the records' value-id rows `values`
+    /// (see [`crate::prematch::pass_head`]). The blocker's buckets do not
+    /// depend on the threshold, so a refused build's blocker serves the
+    /// pass that replaces it.
     ///
     /// Returns `None` when `mem` refuses the cache: the blocked pairs
     /// outnumber what the pair-cache budget share admits
@@ -157,28 +236,21 @@ impl PairScoreCache {
     /// reported — the fresh pass that replaces the cache counts its own
     /// pairs. The caller then scores each δ iteration afresh, which
     /// produces bit-identical match pairs (see the module docs).
-    #[allow(clippy::too_many_arguments)] // the full pre-matching input set
     #[must_use]
-    pub fn build(
-        old: &[&PersonRecord],
-        new: &[&PersonRecord],
-        profiles: &mut ProfileCache,
-        year_gap: i64,
+    pub(crate) fn build(
+        blocker: &Blocker,
+        values: &ValueRows,
         sim: &SimFunc,
-        strategy: BlockingStrategy,
         par: Parallelism,
-        max_age_gap: Option<u32>,
         mem: &MemGovernor,
         obs: &Collector,
     ) -> Option<Self> {
         let limit = mem.pair_cache_limit();
-        let blocker = Blocker::new(old, new, year_gap, strategy, max_age_gap);
-        let values = profiles.rows(sim, old, new);
         let pass = score_blocked(
-            &blocker,
-            &values,
+            blocker,
+            values,
             sim,
-            EventKind::PrematchTile,
+            EventKind::PrematchTask,
             par,
             obs,
             limit,
@@ -199,6 +271,8 @@ impl PairScoreCache {
             return None;
         };
         pass.report(obs);
+        let (old, new) = blocker.records();
+        let (strategy, tolerance) = blocker.strategy();
         let old_ids: Vec<RecordId> = old.iter().map(|r| r.id).collect();
         let new_ids: Vec<RecordId> = new.iter().map(|r| r.id).collect();
         let mut chunks = pass.chunks;
@@ -214,7 +288,7 @@ impl PairScoreCache {
         Some(Self {
             specs: sim.specs().to_vec(),
             floor: sim.threshold,
-            tolerance: max_age_gap,
+            tolerance,
             strategy,
             old_ids,
             new_ids,
@@ -248,9 +322,33 @@ impl PairScoreCache {
     /// `delta` must be at or above the build floor. The score is tested
     /// before either id is looked up.
     pub fn select(&self, delta: f64) -> impl Iterator<Item = (RecordId, RecordId, f64)> + '_ {
-        self.chunks
+        (0..self.chunks.len()).flat_map(move |c| self.select_in(c, delta))
+    }
+
+    /// Number of chunks the entries are stored in: one per task of the
+    /// building pass that matched anything, one after
+    /// [`PairScoreCache::order_by`].
+    pub(crate) fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// How many pairs of chunk `c` [`PairScoreCache::select_in`] yields.
+    pub(crate) fn count_in(&self, c: usize, delta: f64) -> usize {
+        self.chunks[c]
             .iter()
-            .flatten()
+            .filter(|&&(_, _, s)| s >= delta)
+            .count()
+    }
+
+    /// [`PairScoreCache::select`] over chunk `c` alone; the chunks'
+    /// selections, concatenated in order, are the whole selection.
+    pub(crate) fn select_in(
+        &self,
+        c: usize,
+        delta: f64,
+    ) -> impl Iterator<Item = (RecordId, RecordId, f64)> + '_ {
+        self.chunks[c]
+            .iter()
             .filter(move |&&(_, _, s)| s >= delta)
             .map(|&(i, j, s)| (self.old_ids[i as usize], self.new_ids[j as usize], s))
     }
@@ -258,42 +356,61 @@ impl PairScoreCache {
     /// Drop, in place, every entry with an endpoint that is no longer
     /// alive: `old_alive` and `new_alive` are asked once per build record
     /// and answer whether it is still unlinked. The alive bitmaps over
-    /// the build positions then decide every entry with two loads. The
+    /// the build positions then decide every entry with two loads, each
+    /// chunk as a task on a pool of at most `threads` workers. The
     /// survivors keep their order.
     pub fn compact(
         &mut self,
         old_alive: impl Fn(RecordId) -> bool,
         new_alive: impl Fn(RecordId) -> bool,
+        threads: usize,
+        obs: &Collector,
     ) {
         let old_alive: Vec<bool> = self.old_ids.iter().map(|&id| old_alive(id)).collect();
         let new_alive: Vec<bool> = self.new_ids.iter().map(|&id| new_alive(id)).collect();
-        for chunk in &mut self.chunks {
+        let chunks: Vec<Mutex<&mut Vec<Entry>>> = self.chunks.iter_mut().map(Mutex::new).collect();
+        run_pool(chunks.len(), threads, obs, |c, _| {
+            // a task only ever locks its own chunk
+            let mut chunk = chunks[c]
+                .lock()
+                .expect("a panicked task's chunk is never read again");
             chunk.retain(|&(i, j, _)| old_alive[i as usize] && new_alive[j as usize]);
             // the first compaction drops most of the cache: hand that
             // memory back now, not at the end of the run
             chunk.shrink_to_fit();
-        }
+        });
+        drop(chunks);
         self.chunks.retain(|c| !c.is_empty());
     }
 
     /// Put the entries, once, into the order of `key` over their record
-    /// ids, into one chunk of exactly their size. Entries with equal keys
-    /// come out in no particular order, so a key should tell every pair
-    /// apart. Compaction keeps the order, so later selections come out in
-    /// it.
-    pub fn order_by<K: Ord>(&mut self, key: impl Fn(RecordId, RecordId) -> K) {
-        // each entry is keyed once, so the sort compares keys only
-        let mut keyed = Vec::with_capacity(self.len());
-        for chunk in std::mem::take(&mut self.chunks) {
-            keyed.extend(chunk.into_iter().map(|e| {
-                (
-                    key(self.old_ids[e.0 as usize], self.new_ids[e.1 as usize]),
-                    e,
-                )
-            }));
-        }
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        self.chunks = vec![keyed.into_iter().map(|(_, e)| e).collect()];
+    /// ids, into one chunk of exactly their size. Each chunk is keyed and
+    /// sorted as a task on a pool of at most `threads` workers, and the
+    /// sorted chunks are joined; no key outlives the call. Entries with
+    /// equal keys come out in no particular order, so a key should tell
+    /// every pair apart. Compaction keeps the order, so later selections
+    /// come out in it.
+    pub fn order_by<K: Ord + Copy + Default + Send>(
+        &mut self,
+        key: impl Fn(RecordId, RecordId) -> K + Sync,
+        threads: usize,
+        obs: &Collector,
+    ) {
+        let chunks = std::mem::take(&mut self.chunks);
+        let (old_ids, new_ids) = (&self.old_ids, &self.new_ids);
+        let ordered = sort_chunks_by_key(
+            chunks.len(),
+            threads,
+            obs,
+            |c| chunks[c].len(),
+            |c| {
+                chunks[c]
+                    .iter()
+                    .map(|&e| (key(old_ids[e.0 as usize], new_ids[e.1 as usize]), e))
+            },
+        );
+        drop(chunks);
+        self.chunks = vec![ordered];
     }
 
     /// Whether a remainder pass with this similarity function, age
@@ -353,6 +470,7 @@ impl MemoryFootprint for PairScoreCache {
 mod tests {
     use super::*;
     use crate::prematch::prematch_with_profiles;
+    use crate::profiles::ProfileCache;
     use crate::simfunc::CompiledProfile;
     use census_model::{HouseholdId, Role, Sex};
 
@@ -402,20 +520,33 @@ mod tests {
         (olds, news)
     }
 
-    fn build_at_floor(o: &[&PersonRecord], n: &[&PersonRecord]) -> PairScoreCache {
-        PairScoreCache::build(
+    /// An unlimited cache over `o × n`, ten years apart, at `sim`'s
+    /// threshold.
+    fn cache_of(
+        o: &[&PersonRecord],
+        n: &[&PersonRecord],
+        sim: &SimFunc,
+        strategy: BlockingStrategy,
+        tolerance: Option<u32>,
+    ) -> PairScoreCache {
+        let (par, obs) = (Parallelism::default(), Collector::disabled());
+        let mut profiles = ProfileCache::new();
+        let (blocker, values) = crate::prematch::pass_head(
+            &mut profiles,
+            sim,
             o,
             n,
-            &mut ProfileCache::new(),
             10,
-            &SimFunc::omega2(0.5),
-            BlockingStrategy::Full,
-            Parallelism::default(),
-            Some(3),
-            &MemGovernor::unlimited(),
-            &Collector::disabled(),
-        )
-        .unwrap()
+            strategy,
+            tolerance,
+            par,
+            &obs,
+        );
+        PairScoreCache::build(&blocker, &values, sim, par, &MemGovernor::unlimited(), &obs).unwrap()
+    }
+
+    fn build_at_floor(o: &[&PersonRecord], n: &[&PersonRecord]) -> PairScoreCache {
+        cache_of(o, n, &SimFunc::omega2(0.5), BlockingStrategy::Full, Some(3))
     }
 
     /// A fresh scoring pass over `o × n` at `delta`, as `(old id, new id,
@@ -497,7 +628,7 @@ mod tests {
                 half_dead > 0,
                 "step {step}: no entry with one dead endpoint"
             );
-            compacted.compact(live_old, live_new);
+            compacted.compact(live_old, live_new, 2, &Collector::disabled());
             let both_alive = full
                 .select(0.0)
                 .filter(|&(a, b, _)| live_old(a) && live_new(b))
@@ -525,24 +656,60 @@ mod tests {
         let n1 = rec(0, "john", "ashworth", 40);
         let n2 = rec(1, "mary", "ashworth", 43);
         let sim = SimFunc::omega2(0.5);
-        let mut cache = PairScoreCache::build(
-            &[&o1, &o2],
-            &[&n1, &n2],
-            &mut ProfileCache::new(),
-            10,
-            &sim,
-            BlockingStrategy::Full,
-            Parallelism::default(),
-            None,
-            &MemGovernor::unlimited(),
-            &Collector::disabled(),
-        )
-        .unwrap();
+        let mut cache = cache_of(&[&o1, &o2], &[&n1, &n2], &sim, BlockingStrategy::Full, None);
         assert!(cache.len() >= 2);
         // once john is linked, only the mary pair survives compaction
-        cache.compact(|id| id != o1.id, |id| id != n1.id);
+        cache.compact(
+            |id| id != o1.id,
+            |id| id != n1.id,
+            1,
+            &Collector::disabled(),
+        );
         let selected: Vec<_> = cache.select(0.5).map(|(o, n, _)| (o, n)).collect();
         assert_eq!(selected, [(o2.id, n2.id)]);
+    }
+
+    /// Chunks sorted on the pool and joined give one sort's order,
+    /// whether they follow one another in key order, overlap at their
+    /// edges as a scoring pass's tasks do, or interleave throughout.
+    #[test]
+    fn sorted_chunks_join_into_one_sort() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        type Shape = fn(u64, u64) -> u64;
+        let shapes: [(&str, Shape); 3] = [
+            ("disjoint", |c, r| (c << 32) | (r % 1000)),
+            ("edges", |c, r| (c << 10) + r % 1500),
+            ("interleaved", |_, r| r % 100_000),
+        ];
+        for (shape, key) in shapes {
+            // unique keys: the item's index breaks ties
+            let chunks: Vec<Vec<((u64, u32), u32)>> = (0..7u64)
+                .map(|c| {
+                    (0..(next() % 300) as u32)
+                        .map(|i| ((key(c, next()), c as u32 * 1000 + i), i))
+                        .collect()
+                })
+                .collect();
+            let mut want: Vec<_> = chunks.concat();
+            want.sort_unstable_by_key(|&(k, _)| k);
+            let want: Vec<u32> = want.into_iter().map(|(_, item)| item).collect();
+            for threads in [1, 3] {
+                let got = sort_chunks_by_key(
+                    chunks.len(),
+                    threads,
+                    &Collector::disabled(),
+                    |c| chunks[c].len(),
+                    |c| chunks[c].iter().copied(),
+                );
+                assert_eq!(got, want, "{shape}, {threads} thread(s)");
+            }
+        }
     }
 
     #[test]
@@ -553,11 +720,11 @@ mod tests {
         let mut cache = build_at_floor(&o, &n);
         let mut want = selected(&cache, 0.5);
         // descending new id, then ascending old id
-        let key = |a: RecordId, b: RecordId| (std::cmp::Reverse(b), a);
+        let key = |a: RecordId, b: RecordId| (std::cmp::Reverse(b.raw()), a.raw());
         want.sort_by_key(|&(a, b, _)| key(a, b));
-        cache.order_by(key);
+        cache.order_by(key, 2, &Collector::disabled());
         assert_eq!(selected(&cache, 0.5), want);
-        cache.compact(|id| id.raw() % 3 != 0, |_| true);
+        cache.compact(|id| id.raw() % 3 != 0, |_| true, 2, &Collector::disabled());
         want.retain(|&(a, _, _)| a.raw() % 3 != 0);
         assert_eq!(selected(&cache, 0.5), want);
     }
@@ -567,19 +734,7 @@ mod tests {
         let o = rec(0, "john", "ashworth", 30);
         let n = rec(0, "john", "ashworth", 40);
         let sim = SimFunc::omega2(0.5);
-        let cache = PairScoreCache::build(
-            &[&o],
-            &[&n],
-            &mut ProfileCache::new(),
-            10,
-            &sim,
-            BlockingStrategy::Standard,
-            Parallelism::default(),
-            Some(3),
-            &MemGovernor::unlimited(),
-            &Collector::disabled(),
-        )
-        .unwrap();
+        let cache = cache_of(&[&o], &[&n], &sim, BlockingStrategy::Standard, Some(3));
         let std = BlockingStrategy::Standard;
         assert!(cache.covers(&SimFunc::omega2(0.78), 3, std));
         assert!(cache.covers(&SimFunc::omega2(0.5), 2, std));
@@ -600,19 +755,7 @@ mod tests {
         let o = rec(0, "john", "ashworth", 30);
         let n = rec(0, "john", "ashworth", 45);
         let sim = SimFunc::omega2(0.5);
-        let cache = PairScoreCache::build(
-            &[&o],
-            &[&n],
-            &mut ProfileCache::new(),
-            10,
-            &sim,
-            BlockingStrategy::Full,
-            Parallelism::default(),
-            Some(6),
-            &MemGovernor::unlimited(),
-            &Collector::disabled(),
-        )
-        .unwrap();
+        let cache = cache_of(&[&o], &[&n], &sim, BlockingStrategy::Full, Some(6));
         assert_eq!(cache.len(), 1);
         let rem = SimFunc::omega2(0.78);
         assert!(cache.covers(&rem, 3, BlockingStrategy::Full));

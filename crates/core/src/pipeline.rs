@@ -76,7 +76,7 @@ impl LinkageResult {
 /// Panics if `config` is invalid (see [`LinkageConfig::validate`]).
 #[must_use]
 pub fn link(old: &CensusDataset, new: &CensusDataset, config: &LinkageConfig) -> LinkageResult {
-    crate::Linker::new(old, new).run(config)
+    crate::Linker::new_traced(old, new, config.threads, &obs::Collector::disabled()).run(config)
 }
 
 /// [`link`] reporting phase spans and counters to `obs`.
@@ -95,7 +95,7 @@ pub fn link_traced(
     config: &LinkageConfig,
     obs: &obs::Collector,
 ) -> LinkageResult {
-    crate::Linker::new_traced(old, new, obs).run_traced(config, obs)
+    crate::Linker::new_traced(old, new, config.threads, obs).run_traced(config, obs)
 }
 
 /// Link every successive pair of a census series with one configuration.

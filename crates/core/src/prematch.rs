@@ -16,7 +16,7 @@ use crate::mem::MemGovernor;
 use crate::profiles::{ProfileCache, ValueRows};
 use crate::simfunc::{CompiledProfile, SimFunc};
 use census_model::PersonRecord;
-use obs::{Collector, Counter, EventKind, Footprint};
+use obs::{Collector, Counter, DriverSection, EventKind, Footprint};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -225,7 +225,7 @@ impl PreMatch {
 /// the collector until [`ScoredPass::report`], so an aborted pass
 /// reports nothing and the caller decides when a finished one counts.
 pub(crate) struct ScoredPass {
-    /// The pass's timeline event: [`EventKind::PrematchTile`] for
+    /// The pass's timeline event: [`EventKind::PrematchTask`] for
     /// pre-matching (fresh or building the pair-score cache),
     /// [`EventKind::RemainderChunk`] for the remainder pass.
     kind: EventKind,
@@ -235,6 +235,9 @@ pub(crate) struct ScoredPass {
     /// Blocked pairs generated; every one was scored.
     blocked: u64,
     stats: BatchStats,
+    /// The matched pairs' scores in basis points, when tracing: sampled
+    /// by the tasks, so the driver does not walk the matches again.
+    scores: obs::Histogram,
 }
 
 impl ScoredPass {
@@ -260,23 +263,19 @@ impl ScoredPass {
         }
         obs.add(Counter::EarlyExitPrunes, self.stats.prunes);
         if obs.is_enabled() {
-            // one local histogram, so the collector lock is taken once
-            let mut hist = obs::Histogram::new();
-            for &(_, _, s) in self.chunks.iter().flatten() {
-                hist.record(obs::score_bp(s));
-            }
-            obs.observe_hist(obs::LiveHist::PairScore, &hist);
+            obs.observe_hist(obs::LiveHist::PairScore, &self.scores);
         }
     }
 }
 
-/// One scoring task's output: its matches, blocked pairs and kernel
-/// tallies.
+/// One scoring task's output: its matches, blocked pairs, kernel
+/// tallies and, when tracing, its matches' score histogram.
 #[derive(Default)]
 struct TaskOut {
     matched: Vec<(u32, u32, f64)>,
     pairs: u64,
     stats: BatchStats,
+    scores: obs::Histogram,
 }
 
 /// Block and score in one pass: each old record's row of blocked pairs
@@ -338,6 +337,11 @@ pub(crate) fn score_blocked(
             kernel.score_row(i as u32, &row.row, memo, &mut task.stats, &mut task.matched);
         }
         task.matched.shrink_to_fit();
+        if obs.is_enabled() {
+            for &(_, _, s) in &task.matched {
+                task.scores.record(obs::score_bp(s));
+            }
+        }
         Some(task)
     };
     // the remainder's timeline events carry their pair count, the
@@ -368,11 +372,13 @@ pub(crate) fn score_blocked(
         chunks: Vec::with_capacity(tasks.len()),
         blocked: 0,
         stats: BatchStats::default(),
+        scores: obs::Histogram::new(),
     };
     for task in tasks {
         let task = task?;
         pass.blocked += task.pairs;
         pass.stats.merge(&task.stats);
+        pass.scores.merge(&task.scores);
         pass.chunks.push(task.matched);
     }
     Some(pass)
@@ -474,6 +480,68 @@ where
     done.into_iter().map(|(_, t)| t).collect()
 }
 
+/// Run `a` and `b` concurrently when `threads` allows more than one, `a`
+/// on a scoped thread of its own and `b` on the calling one; with one
+/// thread, `a` then `b` on the calling thread. A panic in either is
+/// re-raised with its own payload.
+pub(crate) fn join<A, B>(
+    threads: usize,
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B,
+) -> (A, B)
+where
+    A: Send,
+{
+    if threads <= 1 {
+        let a = a();
+        return (a, b());
+    }
+    std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            let out = a();
+            // the thread's unpublished allocation counts would otherwise
+            // die with it
+            obs::alloc::flush_thread();
+            out
+        });
+        let b = b();
+        let a = a.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        (a, b)
+    })
+}
+
+/// The head of a scoring pass, its two halves run concurrently (see
+/// [`join`]): the blocker over `old × new`, whose `Standard` buckets are
+/// built here, and the records' value-id rows from the run's `profiles`
+/// table, interned spec by spec on the pool. Each half is a driver
+/// section on the timeline.
+#[allow(clippy::too_many_arguments)] // the blocker's inputs plus the table's
+pub(crate) fn pass_head<'c, 'r>(
+    profiles: &'c mut ProfileCache,
+    sim: &SimFunc,
+    old: &'r [&'r PersonRecord],
+    new: &'r [&'r PersonRecord],
+    year_gap: i64,
+    strategy: BlockingStrategy,
+    tolerance: Option<u32>,
+    par: Parallelism,
+    obs: &Collector,
+) -> (Blocker<'r>, ValueRows<'c>) {
+    join(
+        par.threads,
+        || {
+            obs.driver(DriverSection::Buckets, None, || {
+                Blocker::new(old, new, year_gap, strategy, tolerance)
+            })
+        },
+        || {
+            obs.driver(DriverSection::Intern, None, || {
+                profiles.rows(sim, old, new, par.threads, obs)
+            })
+        },
+    )
+}
+
 /// [`prematch_cached`] over profiles the caller already compiled.
 /// `old_profiles[i]` must be `sim.compile(old[i])` — same specs, same
 /// order — and likewise for the new side. Values come from a fresh
@@ -537,15 +605,24 @@ pub fn prematch_cached(
     max_age_gap: Option<u32>,
     obs: &Collector,
 ) -> PreMatch {
-    let values = profiles.rows(sim, old, new);
     // the age-plausibility filter is fused into pair emission, so
     // implausible pairs are never generated or scored
-    let blocker = Blocker::new(old, new, year_gap, strategy, max_age_gap);
+    let (blocker, values) = pass_head(
+        profiles,
+        sim,
+        old,
+        new,
+        year_gap,
+        strategy,
+        max_age_gap,
+        par,
+        obs,
+    );
     let pass = score_blocked(
         &blocker,
         &values,
         sim,
-        EventKind::PrematchTile,
+        EventKind::PrematchTask,
         par,
         obs,
         None,
@@ -553,7 +630,10 @@ pub fn prematch_cached(
     // only a pass given a limit can abort
     .expect("a pass without a limit never aborts");
     pass.report(obs);
-    build_prematch(old.len(), new.len(), pass.chunks.concat())
+    let pairs = pass.chunks.concat();
+    obs.driver(DriverSection::Cluster, None, || {
+        build_prematch(old.len(), new.len(), pairs)
+    })
 }
 
 /// Cluster `pairs`, `(old position, new position, agg_sim)` match pairs
@@ -873,7 +953,7 @@ mod tests {
         assert!(want_prunes > 0, "the corpus must exercise the early exit");
         let blocker = Blocker::new(&or, &nr, 10, BlockingStrategy::Full, None);
         let mut cache = ProfileCache::new();
-        let values = cache.rows(&sim, &or, &nr);
+        let values = cache.rows(&sim, &or, &nr, 1, &Collector::disabled());
         for threads in [1, 4] {
             let run = || {
                 let par = Parallelism {
@@ -885,7 +965,7 @@ mod tests {
                     &blocker,
                     &values,
                     &sim,
-                    EventKind::PrematchTile,
+                    EventKind::PrematchTask,
                     par,
                     &obs,
                     None,

@@ -14,10 +14,12 @@
 //! a remainder pass with different weights).
 
 use crate::pairscore::PositionIndex;
+use crate::prematch::{run_pool, TASKS};
 use crate::simfunc::{AttributeSpec, SimFunc};
 use census_model::{PersonRecord, RecordId};
-use obs::{Footprint, MemoryFootprint};
+use obs::{Collector, Footprint, MemoryFootprint};
 use std::collections::HashMap;
+use std::sync::Mutex;
 use textsim::{normalize_value, CompiledValue, MultisetArena, StringMeasure};
 
 /// The interned values of one attribute spec. Lookups go raw string →
@@ -31,11 +33,15 @@ struct SpecValues {
     by_norm: HashMap<String, u32>,
     /// The compiled value of each id, in id order.
     values: Vec<CompiledValue>,
+    /// Normalised values interned but not compiled yet, in id order after
+    /// `values`.
+    pending: Vec<String>,
 }
 
 impl SpecValues {
-    /// The id of `raw`, interning (and compiling) it on first sight.
-    fn intern(&mut self, measure: StringMeasure, raw: &str) -> u32 {
+    /// The id of `raw`, interning it on first sight. A new value is
+    /// queued in `pending`; [`compile_pending`] compiles it.
+    fn intern(&mut self, raw: &str) -> u32 {
         if let Some(&id) = self.by_raw.get(raw) {
             return id;
         }
@@ -45,9 +51,9 @@ impl SpecValues {
             None => {
                 // a run has fewer distinct values per spec than records,
                 // and record positions are u32 throughout the kernel
-                let id = self.values.len() as u32;
-                self.values.push(measure.compile(&norm));
-                self.by_norm.insert(norm, id);
+                let id = (self.values.len() + self.pending.len()) as u32;
+                self.by_norm.insert(norm.clone(), id);
+                self.pending.push(norm);
                 id
             }
         };
@@ -83,36 +89,74 @@ struct Side {
 }
 
 impl Side {
-    /// The value-id rows of `records`, in input order, interning the
-    /// rows of records this side has not seen yet; also how many records
-    /// it interned.
-    fn fill(
-        &mut self,
-        specs: &[AttributeSpec],
-        table: &mut [SpecValues],
-        records: &[&PersonRecord],
-    ) -> (Vec<u32>, usize) {
-        let n_specs = specs.len();
-        let mut rows = Vec::with_capacity(records.len() * n_specs);
-        let mut buf = String::new();
-        let before = self.ids.len();
-        for r in records {
-            if let Some(slot) = self.slot_of.get(r.id) {
-                rows.extend_from_slice(&self.rows[slot as usize * n_specs..][..n_specs]);
-                continue;
-            }
-            self.ids.push(r.id);
-            for (spec, values) in specs.iter().zip(table.iter_mut()) {
-                let id = values.intern(spec.measure, r.attribute_into(spec.attribute, &mut buf));
-                self.rows.push(id);
-                rows.push(id);
-            }
+    /// The slot of each of `records`: a record this side has seen keeps
+    /// its slot, and an unseen one takes the next, in input order. Also
+    /// the unseen records, whose rows the caller appends in that order
+    /// before [`Side::index`].
+    fn admit<'r>(&mut self, records: &[&'r PersonRecord]) -> (Vec<u32>, Vec<&'r PersonRecord>) {
+        let mut fresh = Vec::new();
+        let mut slots = Vec::with_capacity(records.len());
+        for &r in records {
+            let slot = self.slot_of.get(r.id).unwrap_or_else(|| {
+                fresh.push(r);
+                self.ids.push(r.id);
+                (self.ids.len() - 1) as u32
+            });
+            slots.push(slot);
         }
-        let added = self.ids.len() - before;
-        if added > 0 {
-            self.slot_of = PositionIndex::from_ids(self.ids.iter().copied());
+        (slots, fresh)
+    }
+
+    /// Append the rows of the `fresh` records [`Side::admit`] returned,
+    /// read from one column of value ids per spec, and re-index.
+    fn index(&mut self, columns: &[Vec<u32>], fresh: std::ops::Range<usize>) {
+        if fresh.is_empty() {
+            return;
         }
-        (rows, added)
+        self.rows.reserve(fresh.len() * columns.len());
+        for i in fresh {
+            self.rows.extend(columns.iter().map(|column| column[i]));
+        }
+        self.slot_of = PositionIndex::from_ids(self.ids.iter().copied());
+    }
+
+    /// The rows at `slots`, laid out one after another.
+    fn gather(&self, slots: &[u32], n_specs: usize) -> Vec<u32> {
+        let mut rows = Vec::with_capacity(slots.len() * n_specs);
+        for &slot in slots {
+            rows.extend_from_slice(&self.rows[slot as usize * n_specs..][..n_specs]);
+        }
+        rows
+    }
+}
+
+/// Compile every spec's pending values into its `values`, in id order:
+/// the values of all specs, spec by spec, are cut into [`TASKS`]
+/// contiguous tasks on a pool of at most `threads` workers, so one spec
+/// with many new values does not hold up the others.
+fn compile_pending(
+    table: &mut [&mut SpecValues],
+    specs: &[AttributeSpec],
+    threads: usize,
+    obs: &Collector,
+) {
+    let jobs: Vec<(StringMeasure, &str)> = table
+        .iter()
+        .zip(specs)
+        .flat_map(|(values, spec)| values.pending.iter().map(|v| (spec.measure, v.as_str())))
+        .collect();
+    let per_task = jobs.len().div_ceil(TASKS).max(1);
+    let compiled = run_pool(jobs.len().div_ceil(per_task), threads, obs, |t, _| {
+        jobs[t * per_task..((t + 1) * per_task).min(jobs.len())]
+            .iter()
+            .map(|&(measure, norm)| measure.compile(norm))
+            .collect::<Vec<_>>()
+    });
+    drop(jobs);
+    let mut compiled = compiled.into_iter().flatten();
+    for values in table.iter_mut() {
+        let n = std::mem::take(&mut values.pending).len();
+        values.values.extend(compiled.by_ref().take(n));
     }
 }
 
@@ -171,36 +215,86 @@ impl ProfileCache {
     /// Intern-or-fetch the value-id rows of both record sides, in input
     /// order, with the arenas they index. Records seen in an earlier call
     /// under the same specs reuse their row.
+    ///
+    /// The unseen records intern spec by spec: each spec's column of
+    /// values, the old side's records then the new side's, is one task on
+    /// a pool of at most `threads` workers. A spec's ids are handed out in
+    /// first-sight order over that record sequence, so they do not
+    /// depend on the thread count. The values new to the table then
+    /// compile in [`TASKS`] tasks across all specs, and each spec that
+    /// gained values lays out its arena as one more task.
     pub(crate) fn rows(
         &mut self,
         sim: &SimFunc,
         old: &[&PersonRecord],
         new: &[&PersonRecord],
+        threads: usize,
+        obs: &Collector,
     ) -> ValueRows<'_> {
         self.ensure_specs(sim);
-        let (old_rows, old_added) = self.old.fill(&self.specs, &mut self.table, old);
-        let (new_rows, new_added) = self.new.fill(&self.specs, &mut self.table, new);
-        self.built += old_added + new_added;
-        self.reused += old.len() + new.len() - old_added - new_added;
-        let stale = self.arenas.len() != self.table.len()
-            || self
-                .arenas
-                .iter()
-                .zip(&self.table)
-                .any(|(a, t)| a.len() != t.values.len());
-        if stale {
-            self.arenas = self
-                .table
-                .iter()
-                .map(|t| MultisetArena::build(&t.values.iter().collect::<Vec<_>>()))
-                .collect();
-        }
+        let n_specs = self.specs.len();
+        let (old_slots, old_fresh) = self.old.admit(old);
+        let (new_slots, new_fresh) = self.new.admit(new);
+        let added = old_fresh.len() + new_fresh.len();
+        self.built += added;
+        self.reused += old.len() + new.len() - added;
+        let fresh: Vec<&PersonRecord> = old_fresh.iter().chain(&new_fresh).copied().collect();
+        let columns = self.intern(&fresh, threads, obs);
+        self.old.index(&columns, 0..old_fresh.len());
+        self.new.index(&columns, old_fresh.len()..added);
         ValueRows {
-            n_specs: self.specs.len(),
-            old: old_rows,
-            new: new_rows,
+            n_specs,
+            old: self.old.gather(&old_slots, n_specs),
+            new: self.new.gather(&new_slots, n_specs),
             arenas: &self.arenas,
         }
+    }
+
+    /// Intern the values of `fresh`, records new to the table, in order:
+    /// one column of value ids per spec. The pool stays idle when there is
+    /// nothing to intern and every arena is laid out.
+    fn intern(
+        &mut self,
+        fresh: &[&PersonRecord],
+        threads: usize,
+        obs: &Collector,
+    ) -> Vec<Vec<u32>> {
+        let n_specs = self.specs.len();
+        // the first fill under these specs lays out every arena
+        let first = self.arenas.len() != n_specs;
+        if fresh.is_empty() && !first {
+            return vec![Vec::new(); n_specs];
+        }
+        if first {
+            self.arenas = (0..n_specs).map(|_| MultisetArena::build(&[])).collect();
+        }
+        // a task only ever locks its own spec's cell
+        const POISONED: &str = "a panicked task's cell is never read again";
+        let specs = &self.specs;
+        let table: Vec<Mutex<&mut SpecValues>> = self.table.iter_mut().map(Mutex::new).collect();
+        let columns = run_pool(n_specs, threads, obs, |k, _| {
+            let mut values = table[k].lock().expect(POISONED);
+            let mut buf = String::new();
+            fresh
+                .iter()
+                .map(|r| values.intern(r.attribute_into(specs[k].attribute, &mut buf)))
+                .collect::<Vec<u32>>()
+        });
+        let mut table: Vec<&mut SpecValues> = table
+            .into_iter()
+            .map(|m| m.into_inner().expect(POISONED))
+            .collect();
+        compile_pending(&mut table, specs, threads, obs);
+        let arenas: Vec<Mutex<&mut MultisetArena>> =
+            self.arenas.iter_mut().map(Mutex::new).collect();
+        run_pool(n_specs, threads, obs, |k, _| {
+            let mut arena = arenas[k].lock().expect(POISONED);
+            let values = &table[k].values;
+            if first || arena.len() != values.len() {
+                **arena = MultisetArena::build(&values.iter().collect::<Vec<_>>());
+            }
+        });
+        columns
     }
 
     /// Record rows interned so far (cache misses).
@@ -251,7 +345,7 @@ mod tests {
 
     /// The row of `r` (one side) as owned ids, for comparisons.
     fn row_of(cache: &mut ProfileCache, sim: &SimFunc, r: &PersonRecord) -> Vec<u32> {
-        cache.rows(sim, &[r], &[]).old
+        cache.rows(sim, &[r], &[], 1, &Collector::disabled()).old
     }
 
     /// Score old row `i` against new row `j` through the arenas, as the
@@ -272,7 +366,7 @@ mod tests {
         let (a, b, c) = (rec(0, "john"), rec(1, "mary"), rec(2, "alice"));
         let mut cache = ProfileCache::new();
         let first = {
-            let rows = cache.rows(&sim, &[&a, &b], &[&c]);
+            let rows = cache.rows(&sim, &[&a, &b], &[&c], 1, &Collector::disabled());
             assert_eq!(rows.old.len(), 2 * rows.n_specs);
             assert_eq!(rows.new.len(), rows.n_specs);
             (rows.old, rows.new)
@@ -281,7 +375,7 @@ mod tests {
         assert_eq!(cache.reused(), 0);
         // lower threshold, same specs: everything is a hit, the same ids
         let lowered = sim.with_threshold(0.5);
-        let rows = cache.rows(&lowered, &[&a, &b], &[&c]);
+        let rows = cache.rows(&lowered, &[&a, &b], &[&c], 1, &Collector::disabled());
         assert_eq!((rows.old, rows.new), first);
         assert_eq!(cache.built(), 3);
         assert_eq!(cache.reused(), 3);
@@ -298,7 +392,7 @@ mod tests {
             .collect();
         let refs: Vec<&PersonRecord> = recs.iter().collect();
         let mut cache = ProfileCache::new();
-        let rows = cache.rows(&sim, &refs, &[]).old;
+        let rows = cache.rows(&sim, &refs, &[], 1, &Collector::disabled()).old;
         let n = sim.specs().len();
         let first: Vec<u32> = (0..names.len()).map(|i| rows[i * n]).collect();
         // case, outer whitespace and punctuation are normalised away; the
@@ -323,7 +417,7 @@ mod tests {
         let news = [rec(0, "alice"), rec(1, "Mary"), rec(2, "john")];
         let (o, n): (Vec<_>, Vec<_>) = (olds.iter().collect(), news.iter().collect());
         let mut cache = ProfileCache::new();
-        let rows = cache.rows(&sim, &o, &n);
+        let rows = cache.rows(&sim, &o, &n, 1, &Collector::disabled());
         let k = rows.n_specs;
         for spec in 0..k {
             let mut used: Vec<u32> = rows
@@ -354,10 +448,22 @@ mod tests {
     fn changed_specs_invalidate_the_cache() {
         let (a, b) = (rec(0, "john"), rec(1, "mary"));
         let mut cache = ProfileCache::new();
-        let _ = cache.rows(&SimFunc::omega2(0.7), &[&a], &[&b]);
+        let _ = cache.rows(
+            &SimFunc::omega2(0.7),
+            &[&a],
+            &[&b],
+            1,
+            &Collector::disabled(),
+        );
         assert_eq!(cache.built(), 2);
         // ω1 has different weights → different specs → full rebuild
-        let _ = cache.rows(&SimFunc::omega1(0.7), &[&a], &[&b]);
+        let _ = cache.rows(
+            &SimFunc::omega1(0.7),
+            &[&a],
+            &[&b],
+            1,
+            &Collector::disabled(),
+        );
         assert_eq!(cache.built(), 4);
         assert_eq!(cache.reused(), 0);
         // a remainder function over other specs: two attributes, another
@@ -378,7 +484,7 @@ mod tests {
             0.7,
         );
         {
-            let rows = cache.rows(&other, &[&a], &[&b]);
+            let rows = cache.rows(&other, &[&a], &[&b], 1, &Collector::disabled());
             assert_eq!(rows.n_specs, 2);
             assert_eq!((rows.old.len(), rows.new.len()), (2, 2));
             assert_eq!(rows.arenas.len(), 2);
@@ -389,7 +495,13 @@ mod tests {
         assert_eq!(cache.table[1].values.len(), 2);
         assert_eq!((cache.built(), cache.reused()), (6, 0));
         // back to ω2: rebuilt again, nothing stale served
-        let rows = cache.rows(&SimFunc::omega2(0.7), &[&a], &[&b]);
+        let rows = cache.rows(
+            &SimFunc::omega2(0.7),
+            &[&a],
+            &[&b],
+            1,
+            &Collector::disabled(),
+        );
         assert_eq!(rows.n_specs, 5);
         assert_eq!(cache.built(), 8);
     }
@@ -399,8 +511,8 @@ mod tests {
         let sim = SimFunc::omega2(0.5);
         let (a, b) = (rec(0, "john"), rec(1, "jon"));
         let mut cache = ProfileCache::new();
-        let _ = cache.rows(&sim, &[&a], &[&b]); // warm
-        let rows = cache.rows(&sim, &[&a], &[&b]); // all hits
+        let _ = cache.rows(&sim, &[&a], &[&b], 1, &Collector::disabled()); // warm
+        let rows = cache.rows(&sim, &[&a], &[&b], 1, &Collector::disabled()); // all hits
         let fresh = sim.aggregate_compiled(&sim.compile(&a), &sim.compile(&b));
         assert_eq!(score(&sim, &rows, 0, 0).to_bits(), fresh.to_bits());
     }
@@ -410,8 +522,8 @@ mod tests {
         let sim = SimFunc::omega2(0.5);
         let (a, b, c) = (rec(0, "john"), rec(1, "mary"), rec(2, "alice"));
         let mut cache = ProfileCache::new();
-        let _ = cache.rows(&sim, &[&a], &[&b]);
-        let rows = cache.rows(&sim, &[&a, &c], &[&b]);
+        let _ = cache.rows(&sim, &[&a], &[&b], 1, &Collector::disabled());
+        let rows = cache.rows(&sim, &[&a, &c], &[&b], 1, &Collector::disabled());
         assert_eq!(rows.arenas[0].len(), 3);
         let fresh = sim.aggregate_compiled(&sim.compile(&c), &sim.compile(&b));
         assert_eq!(score(&sim, &rows, 1, 0).to_bits(), fresh.to_bits());
@@ -424,11 +536,11 @@ mod tests {
         let (a, b) = (rec(1 << 40, "john"), rec((1 << 40) + 9, "mary"));
         let c = rec(3, "alice");
         let mut cache = ProfileCache::new();
-        let _ = cache.rows(&sim, &[&a, &b], &[&c]);
+        let _ = cache.rows(&sim, &[&a, &b], &[&c], 1, &Collector::disabled());
         assert!(matches!(cache.old.slot_of, PositionIndex::Sparse(_)));
         assert!(matches!(cache.new.slot_of, PositionIndex::Dense(_)));
         {
-            let rows = cache.rows(&sim, &[&b], &[&c]);
+            let rows = cache.rows(&sim, &[&b], &[&c], 1, &Collector::disabled());
             let fresh = sim.aggregate_compiled(&sim.compile(&b), &sim.compile(&c));
             assert_eq!(score(&sim, &rows, 0, 0).to_bits(), fresh.to_bits());
         }
@@ -442,7 +554,7 @@ mod tests {
         let sim = SimFunc::omega2(0.5);
         let (a, b) = (rec(7, "john"), rec(7, "mary"));
         let mut cache = ProfileCache::new();
-        let rows = cache.rows(&sim, &[&a], &[&b]);
+        let rows = cache.rows(&sim, &[&a], &[&b], 1, &Collector::disabled());
         assert!((score(&sim, &rows, 0, 0) - 1.0).abs() > 0.05);
     }
 }

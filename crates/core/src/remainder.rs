@@ -5,10 +5,10 @@
 //! assignment, with an age-plausibility filter. The group links induced
 //! by those new record links extend the group mapping.
 
-use crate::blocking::{Blocker, BlockingStrategy};
+use crate::blocking::BlockingStrategy;
 use crate::config::{Parallelism, RemainderConfig};
 use crate::pairscore::PairScoreCache;
-use crate::prematch::score_blocked;
+use crate::prematch::{pass_head, score_blocked};
 use crate::profiles::ProfileCache;
 use crate::simfunc::SimFunc;
 use census_model::{CensusDataset, GroupMapping, PersonRecord, RecordId, RecordMapping};
@@ -96,15 +96,18 @@ pub fn match_remaining_cached(
         obs.add(Counter::PairCacheFiltered, (pc.len() - scored.len()) as u64);
         scored
     } else {
-        let values = cache.rows(sim, remaining_old, remaining_new);
         // the remainder's age filter is fused into blocking, so
         // implausible pairs are never generated or scored
-        let blocker = Blocker::new(
+        let (blocker, values) = pass_head(
+            cache,
+            sim,
             remaining_old,
             remaining_new,
             year_gap,
             blocking,
             Some(config.max_age_gap),
+            par,
+            obs,
         );
         let pass = score_blocked(
             &blocker,

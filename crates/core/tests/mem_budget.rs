@@ -87,7 +87,7 @@ fn tracing_and_memory_accounting_do_not_change_results() {
         ..LinkageConfig::default()
     };
     let obs = Collector::enabled().with_memory();
-    let linker = Linker::new_traced(old, new, &obs);
+    let linker = Linker::new_traced(old, new, 1, &obs);
     let plain = linker.run(&config);
     let traced = linker.run_traced(&config, &obs);
     let trace = obs.finish();

@@ -4,7 +4,7 @@
 
 use census_synth::{generate_series, SimConfig};
 use linkage_core::{link, link_traced, LinkageConfig};
-use obs::{Collector, EventKind, PIPELINE_PHASES};
+use obs::{Collector, DriverSection, EventKind, PIPELINE_PHASES};
 
 fn pair() -> census_synth::CensusSeries {
     generate_series(&SimConfig::small())
@@ -158,7 +158,7 @@ fn timeline_records_worker_events_without_changing_the_result() {
     assert!(tl.workers >= 1);
     assert!(tl.active_us > 0);
     let kinds: std::collections::BTreeSet<EventKind> = tl.events.iter().map(|e| e.kind).collect();
-    assert!(kinds.contains(&EventKind::PrematchTile), "{kinds:?}");
+    assert!(kinds.contains(&EventKind::PrematchTask), "{kinds:?}");
     assert!(kinds.contains(&EventKind::SubgraphChunk), "{kinds:?}");
     assert!(kinds.contains(&EventKind::Iteration), "{kinds:?}");
     assert!(kinds.contains(&EventKind::RemainderChunk), "{kinds:?}");
@@ -237,4 +237,96 @@ fn pooled_subgraph_passes_record_their_scratch_and_every_chunk() {
         // more chunks than workers, at most the fixed split
         assert!((3..=16).contains(&chunks), "step {step}: {chunks} chunks");
     }
+}
+
+/// The driver's sections around each scoring pass of one traced run, as
+/// `(section, iteration)` in start order.
+fn driver_sections(
+    config: &LinkageConfig,
+) -> (Vec<(DriverSection, Option<usize>)>, usize, obs::RunTrace) {
+    let series = pair();
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    let obs = Collector::enabled().with_timeline();
+    let result = link_traced(old, new, config, &obs);
+    let trace = obs.finish();
+    let tl = trace.timeline.as_ref().expect("timeline recorded");
+    let mut driver: Vec<_> = tl
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Driver)
+        .map(|e| (e.start_us, e.detail, e.iteration))
+        .collect();
+    driver.sort_unstable();
+    let sections = driver
+        .into_iter()
+        .map(|(_, code, it)| (DriverSection::from_code(code).expect("a known section"), it))
+        .collect();
+    (sections, result.iterations.len(), trace)
+}
+
+#[test]
+fn driver_sections_are_on_the_timeline_and_outside_busy_time() {
+    for threads in [1, 2] {
+        let config = LinkageConfig {
+            threads,
+            ..LinkageConfig::default()
+        };
+        let (sections, steps, trace) = driver_sections(&config);
+        let count = |s: DriverSection| sections.iter().filter(|(x, _)| *x == s).count();
+        // the first step and the remainder pass (served from the cache,
+        // so it blocks nothing) build one head between them; every step
+        // clusters; the first step orders its selection and the cache
+        let at = format!("{threads} thread(s): {sections:?}");
+        assert_eq!(count(DriverSection::Buckets), 1, "{at}");
+        assert_eq!(count(DriverSection::Intern), 1, "{at}");
+        assert_eq!(count(DriverSection::Cluster), steps, "{at}");
+        assert_eq!(count(DriverSection::Order), 2, "{at}");
+        assert!(sections.contains(&(DriverSection::Order, Some(0))), "{at}");
+        let tl = trace.timeline.as_ref().expect("timeline recorded");
+        for e in tl.events.iter().filter(|e| e.kind == EventKind::Driver) {
+            assert_eq!(e.worker, 0, "{at}: driver events sit on worker 0");
+        }
+        // driver time is not worker busy time
+        let busy: u64 = tl
+            .events
+            .iter()
+            .filter(|e| e.worker == 0 && e.kind.phase().is_some())
+            .map(|e| e.duration_us)
+            .sum();
+        assert_eq!(tl.utilization[0].busy_us, busy, "{at}");
+        trace.validate_pipeline().unwrap();
+    }
+}
+
+#[test]
+fn a_refused_floor_cache_builds_its_buckets_once() {
+    // a zero budget refuses the floor cache at the first step, which
+    // then scores at its own δ over the refused pass's buckets: one
+    // bucket build per step and one for the remainder, but two value
+    // fills at the first step
+    let config = LinkageConfig {
+        memory_budget: Some(0),
+        threads: 2,
+        ..LinkageConfig::default()
+    };
+    let (sections, steps, trace) = driver_sections(&config);
+    assert_eq!(trace.counter("mem_fallback_pair_cache"), 1);
+    let count = |s: DriverSection| sections.iter().filter(|(x, _)| *x == s).count();
+    assert_eq!(count(DriverSection::Buckets), steps + 1, "{sections:?}");
+    assert_eq!(count(DriverSection::Intern), steps + 2, "{sections:?}");
+    // and the mappings are those of an unbudgeted run
+    let series = pair();
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    let plain = link(old, new, &LinkageConfig::default());
+    let budgeted = link(old, new, &config);
+    assert_eq!(
+        plain
+            .records
+            .iter()
+            .collect::<std::collections::BTreeSet<_>>(),
+        budgeted
+            .records
+            .iter()
+            .collect::<std::collections::BTreeSet<_>>()
+    );
 }

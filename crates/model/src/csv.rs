@@ -16,6 +16,7 @@ use crate::{
     CensusDataset, GroupMapping, Household, HouseholdId, ModelError, PersonId, PersonRecord,
     RecordId, RecordMapping, Role,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 
@@ -28,37 +29,6 @@ fn escape(field: &str) -> String {
     } else {
         field.to_owned()
     }
-}
-
-/// Split one CSV line into fields, honouring the quoting rules above.
-fn split_line(line: &str) -> Result<Vec<String>, String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    cur.push('"');
-                    chars.next();
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' if cur.is_empty() => in_quotes = true,
-            '"' => return Err("unexpected quote mid-field".into()),
-            ',' if !in_quotes => {
-                fields.push(std::mem::take(&mut cur));
-            }
-            c => cur.push(c),
-        }
-    }
-    if in_quotes {
-        return Err("unterminated quote".into());
-    }
-    fields.push(cur);
-    Ok(fields)
 }
 
 /// Write a snapshot as CSV.
@@ -103,105 +73,224 @@ fn check_header(line: &str, header: &str) -> Result<(), ModelError> {
     Ok(())
 }
 
+/// Split a line that holds a quote into fields, by the quoting rules in
+/// the module docs. A field that opens with a quote is unescaped into an
+/// owned string; any other field is borrowed from `line`, and a quote
+/// inside it is an error. Errors come in left-to-right order.
+fn split_quoted(line: &str) -> Result<Vec<Cow<'_, str>>, String> {
+    let mut fields = Vec::with_capacity(FIELDS);
+    let mut rest = line;
+    loop {
+        let Some(quoted) = rest.strip_prefix('"') else {
+            let end = rest.find(',').unwrap_or(rest.len());
+            if rest[..end].contains('"') {
+                return Err("unexpected quote mid-field".into());
+            }
+            fields.push(Cow::Borrowed(&rest[..end]));
+            match rest.get(end + 1..) {
+                Some(next) => rest = next,
+                None => return Ok(fields),
+            }
+            continue;
+        };
+        // the quoted section: `""` is one quote, a lone quote closes it
+        let mut field = String::new();
+        let mut body = quoted;
+        loop {
+            let Some(q) = body.find('"') else {
+                return Err("unterminated quote".into());
+            };
+            field.push_str(&body[..q]);
+            if body[q + 1..].starts_with('"') {
+                field.push('"');
+                body = &body[q + 2..];
+            } else {
+                body = &body[q + 1..];
+                break;
+            }
+        }
+        // anything after the closing quote, up to the comma, is literal
+        let end = body.find(',').unwrap_or(body.len());
+        if body[..end].contains('"') {
+            return Err("unexpected quote mid-field".into());
+        }
+        field.push_str(&body[..end]);
+        fields.push(Cow::Owned(field));
+        match body.get(end + 1..) {
+            Some(next) => rest = next,
+            None => return Ok(fields),
+        }
+    }
+}
+
+/// Split a line without quotes on its commas: its first [`FIELDS`]
+/// fields, borrowed, and how many it has.
+fn split_plain(line: &str) -> ([&str; FIELDS], usize) {
+    let mut fields = [""; FIELDS];
+    let (mut count, mut start) = (0, 0);
+    let ends = line.bytes().enumerate().filter(|&(_, b)| b == b',');
+    for end in ends.map(|(at, _)| at).chain([line.len()]) {
+        if let Some(field) = fields.get_mut(count) {
+            *field = &line[start..end];
+        }
+        count += 1;
+        start = end + 1;
+    }
+    (fields, count)
+}
+
+/// Fields per dataset row.
+const FIELDS: usize = 10;
+
 /// Read a snapshot from CSV produced by [`write_dataset`].
+///
+/// The input is read into one buffer and walked line by line as byte
+/// slices, each checked for UTF-8 on its own. A line without a quote is
+/// split on commas into borrowed fields, and only the four text fields
+/// are copied out; a line holding a quote goes through the quoting
+/// rules. The buffer is dropped before this returns.
 ///
 /// # Errors
 ///
 /// Returns a parse error with the offending 1-based line number (bytes
-/// that are not UTF-8 and a repeated record id included), or any other
-/// structural error from [`CensusDataset::new`].
-pub fn read_dataset<R: BufRead>(year: i32, r: R) -> Result<CensusDataset, ModelError> {
-    let mut records = Vec::new();
-    let mut record_index: HashMap<RecordId, usize> = HashMap::new();
-    let mut household_members: HashMap<HouseholdId, Vec<RecordId>> = HashMap::new();
-    let mut household_order: Vec<HouseholdId> = Vec::new();
-    for (lineno, bytes) in r.split(b'\n').enumerate() {
-        let n = lineno + 1;
-        let mut bytes = bytes?;
-        if bytes.last() == Some(&b'\r') {
-            bytes.pop();
-        }
-        let line = String::from_utf8(bytes).map_err(|e| ModelError::Parse {
+/// that are not UTF-8 and a repeated record id included). The households
+/// are grouped from the records' own fields, so no other structural
+/// error of [`CensusDataset::new`] can arise. A read error is returned
+/// before any line is parsed.
+pub fn read_dataset<R: BufRead>(year: i32, mut r: R) -> Result<CensusDataset, ModelError> {
+    let mut text = Vec::new();
+    r.read_to_end(&mut text)?;
+    // at most one record per line after the header
+    let rows = text.iter().filter(|&&b| b == b'\n').count();
+    let mut records = Vec::with_capacity(rows);
+    let mut record_index: HashMap<RecordId, usize> = HashMap::with_capacity(rows);
+    // households in first-sight order, grouped from the records' own
+    // fields, with the slot of each id; rows of one household usually
+    // follow each other, so the last slot is tried before the map
+    let mut households: Vec<(HouseholdId, Vec<RecordId>)> = Vec::new();
+    let mut household_slot: HashMap<HouseholdId, usize> = HashMap::new();
+    for (n, bytes) in lines(&text) {
+        let line = std::str::from_utf8(bytes).map_err(|e| ModelError::Parse {
             line: n,
-            message: format!("invalid UTF-8 ({})", e.utf8_error()),
+            message: format!("invalid UTF-8 ({e})"),
         })?;
         if n == 1 {
-            check_header(&line, HEADER)?;
+            check_header(line, HEADER)?;
             continue;
         }
         if line.trim().is_empty() {
             continue;
         }
-        let fields = split_line(&line).map_err(|message| ModelError::Parse { line: n, message })?;
-        if fields.len() != 10 {
-            return Err(ModelError::Parse {
-                line: n,
-                message: format!("expected 10 fields, got {}", fields.len()),
-            });
-        }
-        let parse_u64 = |s: &str, what: &str| -> Result<u64, ModelError> {
-            s.trim().parse().map_err(|_| ModelError::Parse {
-                line: n,
-                message: format!("bad {what}: {s:?}"),
-            })
-        };
-        let id = RecordId(parse_u64(&fields[0], "record_id")?);
-        let household = HouseholdId(parse_u64(&fields[1], "household_id")?);
-        let sex = if fields[4].trim().is_empty() {
-            None
+        let record = if line.contains('"') {
+            let fields =
+                split_quoted(line).map_err(|message| ModelError::Parse { line: n, message })?;
+            let fields: Vec<&str> = fields.iter().map(|f| f.as_ref()).collect();
+            let fields = fields
+                .try_into()
+                .map_err(|f: Vec<&str>| field_count(n, f.len()))?;
+            parse_record(n, fields)?
         } else {
-            Some(fields[4].parse().map_err(|e| ModelError::Parse {
-                line: n,
-                message: e,
-            })?)
+            let (fields, count) = split_plain(line);
+            if count != FIELDS {
+                return Err(field_count(n, count));
+            }
+            parse_record(n, fields)?
         };
-        let age = if fields[5].trim().is_empty() {
-            None
-        } else {
-            let age = parse_u64(&fields[5], "age")?;
-            Some(u32::try_from(age).map_err(|_| ModelError::Parse {
-                line: n,
-                message: format!("bad age: {:?} exceeds {}", fields[5], u32::MAX),
-            })?)
-        };
-        let role: Role = fields[8].parse().map_err(|e| ModelError::Parse {
-            line: n,
-            message: e,
-        })?;
-        let truth = if fields[9].trim().is_empty() {
-            None
-        } else {
-            Some(PersonId(parse_u64(&fields[9], "person_id")?))
-        };
+        let (id, household) = (record.id, record.household);
         if record_index.insert(id, records.len()).is_some() {
             return Err(ModelError::Parse {
                 line: n,
                 message: format!("duplicate record id {id}"),
             });
         }
-        records.push(PersonRecord {
-            id,
-            household,
-            truth,
-            first_name: fields[2].clone(),
-            surname: fields[3].clone(),
-            sex,
-            age,
-            address: fields[6].clone(),
-            occupation: fields[7].clone(),
-            role,
-        });
-        let members = household_members.entry(household).or_insert_with(|| {
-            household_order.push(household);
-            Vec::new()
-        });
-        members.push(id);
+        records.push(record);
+        let slot = match households.last() {
+            Some((last, _)) if *last == household => households.len() - 1,
+            _ => *household_slot.entry(household).or_insert_with(|| {
+                households.push((household, Vec::new()));
+                households.len() - 1
+            }),
+        };
+        households[slot].1.push(id);
     }
-    let households = household_order
+    drop(text);
+    let households = households
         .into_iter()
-        .map(|id| Household::new(id, household_members.remove(&id).unwrap_or_default()))
+        .map(|(id, members)| Household::new(id, members))
         .collect();
-    CensusDataset::indexed(year, records, households, record_index)
+    Ok(CensusDataset::grouped(
+        year,
+        records,
+        households,
+        record_index,
+        household_slot,
+    ))
+}
+
+/// The lines of `text` as `BufRead::split(b'\n')` yields them, numbered
+/// from 1, each without one trailing `\r`: no line follows a final
+/// newline, and empty input has none.
+fn lines(text: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
+    let body = text.strip_suffix(b"\n").unwrap_or(text);
+    body.split(|&b| b == b'\n')
+        .take(if text.is_empty() { 0 } else { usize::MAX })
+        .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+        .zip(1..)
+        .map(|(line, n)| (n, line))
+}
+
+/// The error of data line `n` when it has `count` fields.
+fn field_count(n: usize, count: usize) -> ModelError {
+    ModelError::Parse {
+        line: n,
+        message: format!("expected {FIELDS} fields, got {count}"),
+    }
+}
+
+/// The record of data line `n`, from its fields.
+fn parse_record(n: usize, fields: [&str; FIELDS]) -> Result<PersonRecord, ModelError> {
+    let [id, household, first_name, surname, sex, age, address, occupation, role, truth] = fields;
+    let parse_u64 = |s: &str, what: &str| -> Result<u64, ModelError> {
+        s.trim().parse().map_err(|_| ModelError::Parse {
+            line: n,
+            message: format!("bad {what}: {s:?}"),
+        })
+    };
+    let parse_err = |message: String| ModelError::Parse { line: n, message };
+    let id = RecordId(parse_u64(id, "record_id")?);
+    let household = HouseholdId(parse_u64(household, "household_id")?);
+    let sex = if sex.trim().is_empty() {
+        None
+    } else {
+        Some(sex.parse().map_err(parse_err)?)
+    };
+    let age = if age.trim().is_empty() {
+        None
+    } else {
+        let value = parse_u64(age, "age")?;
+        Some(
+            u32::try_from(value)
+                .map_err(|_| parse_err(format!("bad age: {age:?} exceeds {}", u32::MAX)))?,
+        )
+    };
+    let role: Role = role.parse().map_err(parse_err)?;
+    let truth = if truth.trim().is_empty() {
+        None
+    } else {
+        Some(PersonId(parse_u64(truth, "person_id")?))
+    };
+    Ok(PersonRecord {
+        id,
+        household,
+        truth,
+        first_name: first_name.to_owned(),
+        surname: surname.to_owned(),
+        sex,
+        age,
+        address: address.to_owned(),
+        occupation: occupation.to_owned(),
+        role,
+    })
 }
 
 const RECORD_MAPPING_HEADER: &str = "old_record_id,new_record_id";
@@ -310,6 +399,202 @@ pub fn read_group_mapping<R: BufRead>(r: R) -> Result<GroupMapping, ModelError> 
 mod tests {
     use super::*;
     use crate::Sex;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The reader's former per-line splitter, char by char into owned
+    /// fields: the oracle for [`split_quoted`].
+    fn split_line(line: &str) -> Result<Vec<String>, String> {
+        let mut fields = Vec::new();
+        let mut cur = String::new();
+        let mut chars = line.chars().peekable();
+        let mut in_quotes = false;
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if in_quotes => {
+                    if chars.peek() == Some(&'"') {
+                        cur.push('"');
+                        chars.next();
+                    } else {
+                        in_quotes = false;
+                    }
+                }
+                '"' if cur.is_empty() => in_quotes = true,
+                '"' => return Err("unexpected quote mid-field".into()),
+                ',' if !in_quotes => {
+                    fields.push(std::mem::take(&mut cur));
+                }
+                c => cur.push(c),
+            }
+        }
+        if in_quotes {
+            return Err("unterminated quote".into());
+        }
+        fields.push(cur);
+        Ok(fields)
+    }
+
+    /// The reader's former loop: one owned `String` per line through
+    /// `BufRead::split`, every line through [`split_line`].
+    fn oracle_read<R: BufRead>(year: i32, r: R) -> Result<CensusDataset, ModelError> {
+        let mut records = Vec::new();
+        let mut record_index: HashMap<RecordId, usize> = HashMap::new();
+        let mut household_members: HashMap<HouseholdId, Vec<RecordId>> = HashMap::new();
+        let mut household_order: Vec<HouseholdId> = Vec::new();
+        for (lineno, bytes) in r.split(b'\n').enumerate() {
+            let n = lineno + 1;
+            let mut bytes = bytes?;
+            if bytes.last() == Some(&b'\r') {
+                bytes.pop();
+            }
+            let line = String::from_utf8(bytes).map_err(|e| ModelError::Parse {
+                line: n,
+                message: format!("invalid UTF-8 ({})", e.utf8_error()),
+            })?;
+            if n == 1 {
+                check_header(&line, HEADER)?;
+                continue;
+            }
+            if line.trim().is_empty() {
+                continue;
+            }
+            let fields =
+                split_line(&line).map_err(|message| ModelError::Parse { line: n, message })?;
+            let fields: Vec<&str> = fields.iter().map(String::as_str).collect();
+            let fields: [&str; FIELDS] = fields
+                .try_into()
+                .map_err(|f: Vec<&str>| field_count(n, f.len()))?;
+            let record = parse_record(n, fields)?;
+            let id = record.id;
+            if record_index.insert(id, records.len()).is_some() {
+                return Err(ModelError::Parse {
+                    line: n,
+                    message: format!("duplicate record id {id}"),
+                });
+            }
+            let household = record.household;
+            records.push(record);
+            household_members
+                .entry(household)
+                .or_insert_with(|| {
+                    household_order.push(household);
+                    Vec::new()
+                })
+                .push(id);
+        }
+        let households = household_order
+            .into_iter()
+            .map(|id| Household::new(id, household_members.remove(&id).unwrap_or_default()))
+            .collect();
+        CensusDataset::new(year, records, households)
+    }
+
+    /// A text field as a writer or a careless hand would put it: quoted
+    /// commas, doubled quotes, non-ASCII names, stray and open quotes.
+    fn text_field() -> impl Strategy<Value = String> {
+        prop_oneof![
+            Just(String::new()),
+            Just("john".to_owned()),
+            Just("Zoë Ōsaka".to_owned()),
+            Just(" cotton weaver ".to_owned()),
+            Just(escape("12, bank street")),
+            Just(escape("say \"hi\", twice")),
+            Just(escape("\"")),
+            Just("\"\"".to_owned()),
+            Just("\"quoted\" tail".to_owned()),
+            Just("ab\"cd".to_owned()),
+            Just("\"open, never closed".to_owned()),
+            Just("\"\"\"".to_owned()),
+        ]
+    }
+
+    /// One of `options`, uniformly.
+    fn one_of(options: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+        (0..options.len()).prop_map(move |i| options[i])
+    }
+
+    /// One data row: mostly well-formed, sometimes a blank line, a row
+    /// with a field missing or one too many, or bytes that are not UTF-8.
+    fn row() -> impl Strategy<Value = Vec<u8>> {
+        let fields = (
+            (0u64..40, 0u64..4),
+            (text_field(), text_field(), text_field(), text_field()),
+            one_of(&["m", "F", "Male", " female ", "", "x", "É"]),
+            one_of(&["40", "", " 7 ", "-5", "4294967295", "4294967296"]),
+            one_of(&["head", "WIFE", " Lodger ", "son-in-law", "stranger"]),
+            one_of(&["", "7", "x"]),
+        );
+        (fields, 0u8..12).prop_map(|(f, shape)| {
+            let ((id, hh), (first, last, address, occupation), sex, age, role, truth) = f;
+            let mut row = format!(
+                "{id},{hh},{first},{last},{sex},{age},{address},{occupation},{role},{truth}"
+            );
+            match shape {
+                8 => row.truncate(row.rfind(',').unwrap_or(0)),
+                9 => row.push_str(",extra"),
+                10 => row = [" ", "", "\t"][id as usize % 3].to_owned(),
+                _ => {}
+            }
+            let mut bytes = row.into_bytes();
+            if shape == 11 {
+                bytes.insert(bytes.len() / 2, 0xff);
+            }
+            bytes
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The reader and its former char-by-char loop agree on every
+        /// file: equal datasets, or equal errors on the same line.
+        #[test]
+        fn prop_reader_equals_the_split_line_oracle(
+            rows in proptest::collection::vec(row(), 0..10),
+            crlf in any::<bool>(),
+            bom in any::<bool>(),
+            trailing_eol in any::<bool>(),
+        ) {
+            let eol: &[u8] = if crlf { b"\r\n" } else { b"\n" };
+            let mut text = Vec::new();
+            if bom {
+                text.extend_from_slice("\u{FEFF}".as_bytes());
+            }
+            text.extend_from_slice(HEADER.as_bytes());
+            for row in &rows {
+                text.extend_from_slice(eol);
+                text.extend_from_slice(row);
+            }
+            if trailing_eol {
+                text.extend_from_slice(eol);
+            }
+            match (read_dataset(1871, text.as_slice()), oracle_read(1871, text.as_slice())) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got.records(), want.records());
+                    prop_assert_eq!(got.households(), want.households());
+                }
+                (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+                (got, want) => prop_assert!(false, "reader {:?}, oracle {:?}", got.err(), want.err()),
+            }
+        }
+
+        /// The quoted-line splitter and the oracle agree on any line of
+        /// commas, quotes and letters.
+        #[test]
+        fn prop_split_quoted_equals_split_line(line in "[a\",é ]{0,16}") {
+            let got = split_quoted(&line).map(|f| f.into_iter().map(Cow::into_owned).collect());
+            prop_assert_eq!(got, split_line(&line));
+        }
+    }
+
+    #[test]
+    fn empty_input_and_lone_newlines_read_as_before() {
+        for text in ["", "\n", "\r\n", "\n\n"] {
+            let got = read_dataset(1871, text.as_bytes()).map(|d| d.record_count());
+            let want = oracle_read(1871, text.as_bytes()).map(|d| d.record_count());
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{text:?}");
+        }
+    }
 
     fn sample() -> CensusDataset {
         let records = vec![
@@ -365,14 +650,18 @@ mod tests {
 
     #[test]
     fn split_line_quoting() {
-        assert_eq!(split_line("a,b,c").unwrap(), vec!["a", "b", "c"]);
-        assert_eq!(split_line("\"a,b\",c").unwrap(), vec!["a,b", "c"]);
-        assert_eq!(
-            split_line("\"say \"\"hi\"\"\",x").unwrap(),
-            vec!["say \"hi\"", "x"]
-        );
-        assert!(split_line("\"open").is_err());
-        assert!(split_line("ab\"cd").is_err());
+        for split in [split_line, |l: &str| {
+            split_quoted(l).map(|f| f.into_iter().map(Cow::into_owned).collect())
+        }] {
+            assert_eq!(split("a,b,c").unwrap(), vec!["a", "b", "c"]);
+            assert_eq!(split("\"a,b\",c").unwrap(), vec!["a,b", "c"]);
+            assert_eq!(
+                split("\"say \"\"hi\"\"\",x").unwrap(),
+                vec!["say \"hi\"", "x"]
+            );
+            assert!(split("\"open").is_err());
+            assert!(split("ab\"cd").is_err());
+        }
     }
 
     /// `bytes` with a UTF-8 byte-order mark in front.

@@ -35,11 +35,17 @@ impl fmt::Display for Sex {
 impl FromStr for Sex {
     type Err = String;
 
+    /// A sex from any ASCII case of its spellings, with surrounding
+    /// whitespace ignored; the error names the value lowercased.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "m" | "male" => Ok(Sex::Male),
-            "f" | "female" => Ok(Sex::Female),
-            other => Err(format!("unknown sex: {other:?}")),
+        let s = s.trim();
+        let is = |spelling: &str| s.eq_ignore_ascii_case(spelling);
+        if is("m") || is("male") {
+            Ok(Sex::Male)
+        } else if is("f") || is("female") {
+            Ok(Sex::Female)
+        } else {
+            Err(format!("unknown sex: {:?}", s.to_ascii_lowercase()))
         }
     }
 }

@@ -109,27 +109,42 @@ impl fmt::Display for Role {
     }
 }
 
+/// Every spelling [`Role::from_str`] accepts, in lowercase; matching
+/// ignores ASCII case.
+const ROLE_SPELLINGS: [(&str, Role); 19] = [
+    ("head", Role::Head),
+    ("spouse", Role::Spouse),
+    ("wife", Role::Spouse),
+    ("husband", Role::Spouse),
+    ("son", Role::Son),
+    ("daughter", Role::Daughter),
+    ("father", Role::Father),
+    ("mother", Role::Mother),
+    ("brother", Role::Brother),
+    ("sister", Role::Sister),
+    ("grandchild", Role::Grandchild),
+    ("grandson", Role::Grandchild),
+    ("granddaughter", Role::Grandchild),
+    ("son-in-law", Role::SonInLaw),
+    ("daughter-in-law", Role::DaughterInLaw),
+    ("servant", Role::Servant),
+    ("lodger", Role::Lodger),
+    ("boarder", Role::Lodger),
+    ("visitor", Role::Visitor),
+];
+
 impl FromStr for Role {
     type Err = String;
 
+    /// A role from any ASCII case of its spellings, with surrounding
+    /// whitespace ignored; the error names the value lowercased.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "head" => Ok(Role::Head),
-            "spouse" | "wife" | "husband" => Ok(Role::Spouse),
-            "son" => Ok(Role::Son),
-            "daughter" => Ok(Role::Daughter),
-            "father" => Ok(Role::Father),
-            "mother" => Ok(Role::Mother),
-            "brother" => Ok(Role::Brother),
-            "sister" => Ok(Role::Sister),
-            "grandchild" | "grandson" | "granddaughter" => Ok(Role::Grandchild),
-            "son-in-law" => Ok(Role::SonInLaw),
-            "daughter-in-law" => Ok(Role::DaughterInLaw),
-            "servant" => Ok(Role::Servant),
-            "lodger" | "boarder" => Ok(Role::Lodger),
-            "visitor" => Ok(Role::Visitor),
-            other => Err(format!("unknown role: {other:?}")),
-        }
+        let s = s.trim();
+        ROLE_SPELLINGS
+            .iter()
+            .find(|(spelling, _)| s.eq_ignore_ascii_case(spelling))
+            .map(|&(_, role)| role)
+            .ok_or_else(|| format!("unknown role: {:?}", s.to_ascii_lowercase()))
     }
 }
 

@@ -611,7 +611,7 @@ mod tests {
             .enumerate()
             .map(|(w, &busy)| crate::TimelineEvent {
                 worker: w as u32,
-                kind: crate::EventKind::PrematchTile,
+                kind: crate::EventKind::PrematchTask,
                 start_us: 0,
                 duration_us: busy,
                 detail: w as u64,

@@ -77,7 +77,9 @@ pub use report::{
     CounterValue, IterationTrace, LabeledTrace, MemoryStats, MultiTrace, PhaseMem, PhaseStat,
     RunTrace, ShardStat, SpanRecord, TraceEvent, PIPELINE_PHASES,
 };
-pub use timeline::{EventKind, Timeline, TimelineEvent, WorkerUtilization, DEFAULT_EVENT_CAPACITY};
+pub use timeline::{
+    DriverSection, EventKind, Timeline, TimelineEvent, WorkerUtilization, DEFAULT_EVENT_CAPACITY,
+};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -463,6 +465,34 @@ impl Collector {
             detail,
             iteration: None,
         });
+    }
+
+    /// Run `f`, a section of the linker driver, and record it as an
+    /// [`EventKind::Driver`] event on worker 0's lane (`detail` = the
+    /// section's code). The event is not busy time and feeds no progress
+    /// throughput, so utilization keeps counting pool tasks only. Without
+    /// timeline recording this is `f()` after one branch. Thread-safe:
+    /// sections running on other threads still land on worker 0.
+    pub fn driver<T>(
+        &self,
+        section: DriverSection,
+        iteration: Option<usize>,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let Some(state) = &self.timeline else {
+            return f();
+        };
+        let start = Instant::now();
+        let out = f();
+        state.push(TimelineEvent {
+            worker: 0,
+            kind: EventKind::Driver,
+            start_us: as_us(start.duration_since(self.epoch)),
+            duration_us: as_us(start.elapsed()),
+            detail: section.code(),
+            iteration,
+        });
+        out
     }
 
     /// Turn on bounded decision-provenance recording (see
@@ -1036,7 +1066,7 @@ mod tests {
         assert!(obs.timeline_enabled());
         let t0 = obs.timeline_start().expect("timeline on");
         std::thread::sleep(Duration::from_millis(2));
-        obs.timeline_task(1, EventKind::PrematchTile, 7, 40, None, t0);
+        obs.timeline_task(1, EventKind::PrematchTask, 7, 40, None, t0);
         obs.timeline_instant(0, EventKind::Iteration, 0, Some(0));
         let trace = obs.finish();
         assert_eq!(trace.counter("timeline_dropped"), 0);
@@ -1046,7 +1076,7 @@ mod tests {
         let tile = tl
             .events
             .iter()
-            .find(|e| e.kind == EventKind::PrematchTile)
+            .find(|e| e.kind == EventKind::PrematchTask)
             .expect("prematch tile event");
         assert_eq!(tile.worker, 1);
         assert_eq!(tile.detail, 7);
@@ -1055,11 +1085,48 @@ mod tests {
     }
 
     #[test]
+    fn driver_sections_record_on_worker_zero_without_busy_counts() {
+        let obs = Collector::enabled();
+        assert_eq!(obs.driver(DriverSection::Intern, None, || 7), 7);
+        assert!(obs.finish().timeline.is_none());
+
+        let obs = Collector::enabled().with_timeline();
+        let out = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    obs.driver(DriverSection::Buckets, Some(3), || {
+                        std::thread::sleep(Duration::from_millis(1));
+                        "built"
+                    })
+                })
+                .join()
+                .unwrap()
+        });
+        assert_eq!(out, "built");
+        let trace = obs.finish();
+        let tl = trace.timeline.as_ref().expect("timeline section");
+        let [e] = tl.events.as_slice() else {
+            panic!("one event: {:?}", tl.events);
+        };
+        assert_eq!(
+            (e.worker, e.kind, e.iteration),
+            (0, EventKind::Driver, Some(3))
+        );
+        assert_eq!(
+            DriverSection::from_code(e.detail),
+            Some(DriverSection::Buckets)
+        );
+        assert!(e.duration_us >= 1_000);
+        assert_eq!((tl.active_us, tl.utilization[0].busy_us), (0, 0));
+        trace.validate_basic().unwrap();
+    }
+
+    #[test]
     fn timeline_ring_overflow_feeds_the_dropped_counter() {
         let obs = Collector::enabled().with_timeline_capacity(2);
         for i in 0..5 {
             let t0 = obs.timeline_start().expect("timeline on");
-            obs.timeline_task(0, EventKind::PrematchTile, i, 1, None, t0);
+            obs.timeline_task(0, EventKind::PrematchTask, i, 1, None, t0);
         }
         let trace = obs.finish();
         let tl = trace.timeline.as_ref().expect("timeline section");
@@ -1082,7 +1149,7 @@ mod tests {
                 let obs = &obs;
                 scope.spawn(move || {
                     let t0 = obs.timeline_start().expect("timeline on");
-                    obs.timeline_task(w, EventKind::PrematchTile, w as u64, 1, None, t0);
+                    obs.timeline_task(w, EventKind::PrematchTask, w as u64, 1, None, t0);
                 });
             }
         });

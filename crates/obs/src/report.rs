@@ -1217,7 +1217,7 @@ mod tests {
         // inside it passes, one in the subgraph slot fails
         let t = with_timeline(vec![timeline_event(
             0,
-            crate::EventKind::PrematchTile,
+            crate::EventKind::PrematchTask,
             12,
             10,
         )]);
@@ -1228,7 +1228,7 @@ mod tests {
 
         let bad = with_timeline(vec![timeline_event(
             0,
-            crate::EventKind::PrematchTile,
+            crate::EventKind::PrematchTask,
             40,
             10,
         )]);
@@ -1265,7 +1265,7 @@ mod tests {
     fn timeline_dropped_must_agree_with_the_counter() {
         let mut t = with_timeline(vec![timeline_event(
             0,
-            crate::EventKind::PrematchTile,
+            crate::EventKind::PrematchTask,
             12,
             10,
         )]);
@@ -1283,7 +1283,7 @@ mod tests {
     fn traces_without_timeline_deserialize_as_absent() {
         let t = with_timeline(vec![timeline_event(
             0,
-            crate::EventKind::PrematchTile,
+            crate::EventKind::PrematchTask,
             12,
             10,
         )]);

@@ -4,9 +4,10 @@
 //! The aggregate phase table says *how long* the pipeline spent in each
 //! phase; the timeline says *when each worker did what* — which is the
 //! only way to see load imbalance and queue starvation. Worker threads
-//! append fixed-size [`TimelineEvent`]s (one per prematch chunk,
-//! subgraph chunk, remainder chunk, δ-iteration boundary or queue-wait
-//! gap) into per-worker ring buffers owned by the collector;
+//! append fixed-size [`TimelineEvent`]s (one per prematch task,
+//! subgraph chunk, remainder chunk, δ-iteration boundary, queue-wait
+//! gap or driver section) into per-worker ring buffers owned by the
+//! collector;
 //! [`crate::Collector::finish`] drains them into a [`Timeline`] section
 //! of the trace together with the derived analytics: per-worker
 //! busy/idle utilization over the run's parallel activity window and a
@@ -44,8 +45,10 @@ pub const ROUNDING_SLACK_US: u64 = 2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum EventKind {
     /// One task of the pre-matching scoring pass: an old-record range
-    /// blocked and scored (`detail` = task index).
-    PrematchTile,
+    /// blocked and scored (`detail` = task index). Traces written before
+    /// the rename call it `PrematchTile`.
+    #[serde(alias = "PrematchTile")]
+    PrematchTask,
     /// One chunk of parallel subgraph scoring (`detail` = chunk index).
     SubgraphChunk,
     /// One task of the remainder pass's fresh scoring, or its
@@ -56,6 +59,59 @@ pub enum EventKind {
     /// A gap a pool worker spent between finishing one task and starting
     /// the next (`detail` = the task index it was waiting to claim).
     QueueWait,
+    /// A section of the linker driver around its scoring passes, on
+    /// worker 0 (`detail` = [`DriverSection::code`]). Sections may run
+    /// concurrently with each other and with pool tasks, so they are
+    /// not busy time.
+    Driver,
+}
+
+/// The driver section a [`EventKind::Driver`] event covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DriverSection {
+    /// Interning the residue's attribute values into value-id rows and
+    /// laying out the arenas.
+    Intern,
+    /// Building the blocker's new-side buckets.
+    Buckets,
+    /// Putting match pairs or the pair-score cache into household-pair
+    /// order.
+    Order,
+    /// Clustering a δ step's match pairs into labels.
+    Cluster,
+}
+
+impl DriverSection {
+    /// Every section, by code.
+    pub const ALL: [DriverSection; 4] = [
+        DriverSection::Intern,
+        DriverSection::Buckets,
+        DriverSection::Order,
+        DriverSection::Cluster,
+    ];
+
+    /// The section's code, stored as the event's `detail`.
+    #[must_use]
+    pub fn code(self) -> u64 {
+        self as u64
+    }
+
+    /// The section a `detail` code names, if any.
+    #[must_use]
+    pub fn from_code(code: u64) -> Option<Self> {
+        Self::ALL.get(usize::try_from(code).ok()?).copied()
+    }
+
+    /// Stable snake_case name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            DriverSection::Intern => "intern",
+            DriverSection::Buckets => "buckets",
+            DriverSection::Order => "order",
+            DriverSection::Cluster => "cluster",
+        }
+    }
 }
 
 impl EventKind {
@@ -63,11 +119,12 @@ impl EventKind {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::PrematchTile => "prematch_tile",
+            EventKind::PrematchTask => "prematch_task",
             EventKind::SubgraphChunk => "subgraph_chunk",
             EventKind::RemainderChunk => "remainder_chunk",
             EventKind::Iteration => "iteration",
             EventKind::QueueWait => "queue_wait",
+            EventKind::Driver => "driver",
         }
     }
 
@@ -76,10 +133,10 @@ impl EventKind {
     #[must_use]
     pub fn phase(self) -> Option<&'static str> {
         match self {
-            EventKind::PrematchTile => Some("prematch"),
+            EventKind::PrematchTask => Some("prematch"),
             EventKind::SubgraphChunk => Some("subgraph"),
             EventKind::RemainderChunk => Some("remainder"),
-            EventKind::Iteration | EventKind::QueueWait => None,
+            EventKind::Iteration | EventKind::QueueWait | EventKind::Driver => None,
         }
     }
 
@@ -89,25 +146,34 @@ impl EventKind {
         matches!(self, EventKind::Iteration)
     }
 
+    /// Whether events of this kind are a worker's busy time: pool tasks,
+    /// not instants, queue waits or driver sections.
+    #[must_use]
+    pub fn is_busy(self) -> bool {
+        self.phase().is_some()
+    }
+
     /// One-character glyph for the ASCII Gantt chart.
     #[must_use]
     pub fn glyph(self) -> char {
         match self {
-            EventKind::PrematchTile => 'P',
+            EventKind::PrematchTask => 'P',
             EventKind::SubgraphChunk => 'G',
             EventKind::RemainderChunk => 'R',
             EventKind::Iteration => '|',
             EventKind::QueueWait => '.',
+            EventKind::Driver => 'D',
         }
     }
 
     /// Every kind, in legend order.
-    pub const ALL: [EventKind; 5] = [
-        EventKind::PrematchTile,
+    pub const ALL: [EventKind; 6] = [
+        EventKind::PrematchTask,
         EventKind::SubgraphChunk,
         EventKind::RemainderChunk,
         EventKind::Iteration,
         EventKind::QueueWait,
+        EventKind::Driver,
     ];
 }
 
@@ -310,8 +376,7 @@ impl Timeline {
     #[must_use]
     pub(crate) fn derive(mut events: Vec<TimelineEvent>, dropped: u64) -> Self {
         events.sort_by_key(|e| (e.worker, e.start_us, e.duration_us));
-        let busy_events =
-            |e: &&TimelineEvent| !e.kind.is_instant() && e.kind != EventKind::QueueWait;
+        let busy_events = |e: &&TimelineEvent| e.kind.is_busy();
 
         // union of busy intervals = the parallel activity window
         let mut intervals: Vec<(u64, u64)> = events
@@ -471,7 +536,7 @@ mod tests {
     fn ring_overflow_drops_oldest_and_counts() {
         let mut ring = WorkerRing::new(3);
         for i in 0..5 {
-            ring.push(ev(0, EventKind::PrematchTile, i * 10, 5, i));
+            ring.push(ev(0, EventKind::PrematchTask, i * 10, 5, i));
         }
         assert_eq!(ring.dropped, 2);
         let out = ring.drain();
@@ -486,8 +551,8 @@ mod tests {
     #[test]
     fn state_registers_workers_lazily_and_drains_sorted() {
         let state = TimelineState::new(8);
-        state.push(ev(2, EventKind::PrematchTile, 30, 5, 7));
-        state.push(ev(0, EventKind::PrematchTile, 10, 5, 3));
+        state.push(ev(2, EventKind::PrematchTask, 30, 5, 7));
+        state.push(ev(0, EventKind::PrematchTask, 10, 5, 3));
         state.push(ev(0, EventKind::QueueWait, 20, 2, 0));
         assert_eq!(state.workers(), 3);
         let (events, dropped) = state.drain();
@@ -506,10 +571,10 @@ mod tests {
         // worker 0 busy [0,10) and [20,30); worker 1 busy [0,30);
         // union = 30µs, so utilizations are 20/30 and 30/30
         let events = vec![
-            ev(0, EventKind::PrematchTile, 0, 10, 0),
+            ev(0, EventKind::PrematchTask, 0, 10, 0),
             ev(0, EventKind::QueueWait, 10, 10, 1), // waits never count
-            ev(0, EventKind::PrematchTile, 20, 10, 1),
-            ev(1, EventKind::PrematchTile, 0, 30, 2),
+            ev(0, EventKind::PrematchTask, 20, 10, 1),
+            ev(1, EventKind::PrematchTask, 0, 30, 2),
         ];
         let tl = Timeline::derive(events, 0);
         assert_eq!(tl.active_us, 30);
@@ -527,8 +592,8 @@ mod tests {
     fn validate_rejects_non_monotone_and_out_of_window() {
         let tl = Timeline::derive(
             vec![
-                ev(0, EventKind::PrematchTile, 20, 5, 0),
-                ev(0, EventKind::PrematchTile, 10, 5, 1),
+                ev(0, EventKind::PrematchTask, 20, 5, 0),
+                ev(0, EventKind::PrematchTask, 10, 5, 1),
             ],
             0,
         );
@@ -538,6 +603,39 @@ mod tests {
         assert!(bad.validate(100).unwrap_err().contains("not monotone"));
         assert!(tl.validate(10).unwrap_err().contains("after the 10µs run"));
         tl.validate(100).unwrap();
+    }
+
+    #[test]
+    fn driver_sections_are_not_busy_time() {
+        // a driver section overlapping worker 0's task and reaching past
+        // it leaves utilization, the window and the critical path alone
+        let tasks = vec![
+            ev(0, EventKind::PrematchTask, 0, 10, 0),
+            ev(1, EventKind::PrematchTask, 0, 20, 1),
+        ];
+        let mut with_driver = tasks.clone();
+        with_driver.push(ev(0, EventKind::Driver, 5, 40, DriverSection::Order.code()));
+        let (plain, driven) = (Timeline::derive(tasks, 0), Timeline::derive(with_driver, 0));
+        assert_eq!(driven.active_us, plain.active_us);
+        assert_eq!(driven.utilization[0].busy_us, plain.utilization[0].busy_us);
+        assert_eq!(driven.mean_utilization(), plain.mean_utilization());
+        assert_eq!(driven.critical_path_us, plain.critical_path_us);
+        assert_eq!(driven.utilization[0].events, 2);
+        assert!(!EventKind::Driver.is_busy() && EventKind::Driver.phase().is_none());
+        for section in DriverSection::ALL {
+            assert_eq!(DriverSection::from_code(section.code()), Some(section));
+        }
+        assert_eq!(DriverSection::from_code(4), None);
+    }
+
+    #[test]
+    fn prematch_task_reads_its_former_name() {
+        let old: EventKind = serde_json::from_str("\"PrematchTile\"").unwrap();
+        assert_eq!(old, EventKind::PrematchTask);
+        let new: EventKind = serde_json::from_str("\"PrematchTask\"").unwrap();
+        assert_eq!(new, EventKind::PrematchTask);
+        assert_eq!(serde_json::to_string(&new).unwrap(), "\"PrematchTask\"");
+        assert_eq!(EventKind::PrematchTask.name(), "prematch_task");
     }
 
     #[test]
