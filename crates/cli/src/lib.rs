@@ -2129,10 +2129,22 @@ mod tests {
     fn household_order_in_the_csv_is_irrelevant() {
         // a snapshot is a set of households: shuffling whole households
         // (members kept in form order) must not change a single byte of
-        // the mappings or the decision log
+        // the mappings or the decision log, and shuffling every row, so
+        // members also change order inside their household, must not
+        // change the mappings
+        fn permute<T>(items: &mut [T], seed: u64) {
+            // Fisher–Yates under a fixed 64-bit LCG
+            let mut state = seed;
+            for i in (1..items.len()).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                items.swap(i, (state >> 33) as usize % (i + 1));
+            }
+        }
         let dir = tmp_dir("shuffle");
         cmd_generate(&dir, "small", Some(42)).unwrap();
-        let shuffle = |name: &str, seed: u64| -> PathBuf {
+        let shuffle = |name: &str, seed: u64, rows: bool| -> PathBuf {
             let text = std::fs::read_to_string(dir.join(name)).unwrap();
             let mut lines = text.lines();
             let header = lines.next().unwrap();
@@ -2147,20 +2159,20 @@ mod tests {
                 });
                 households[slot].push(line);
             }
-            // Fisher–Yates under a fixed 64-bit LCG
-            let mut state = seed;
-            for i in (1..households.len()).rev() {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                households.swap(i, (state >> 33) as usize % (i + 1));
+            let mut order = households.concat();
+            if rows {
+                permute(&mut order, seed);
+            } else {
+                permute(&mut households, seed);
+                order = households.concat();
             }
             let mut out = format!("{header}\n");
-            for line in households.concat() {
+            for line in order {
                 out.push_str(line);
                 out.push('\n');
             }
-            let path = dir.join(format!("shuffled_{name}"));
+            let kind = if rows { "rows" } else { "households" };
+            let path = dir.join(format!("{kind}_{name}"));
             std::fs::write(&path, out).unwrap();
             path
         };
@@ -2181,17 +2193,27 @@ mod tests {
             .unwrap()
         };
         let (old, new) = (dir.join("census_1851.csv"), dir.join("census_1861.csv"));
-        let (old_s, new_s) = (shuffle("census_1851.csv", 1), shuffle("census_1861.csv", 2));
-        assert_ne!(std::fs::read(&old).unwrap(), std::fs::read(&old_s).unwrap());
-        let (plain, shuffled) = (dir.join("plain"), dir.join("shuffled"));
+        let plain = dir.join("plain");
         link(&old, &new, &plain);
-        link(&old_s, &new_s, &shuffled);
-        for file in ["record_mapping.csv", "group_mapping.csv", "decisions.jsonl"] {
-            assert_eq!(
-                std::fs::read(plain.join(file)).unwrap(),
-                std::fs::read(shuffled.join(file)).unwrap(),
-                "{file} changed by shuffling households"
-            );
+        for (rows, files) in [
+            (
+                false,
+                &["record_mapping.csv", "group_mapping.csv", "decisions.jsonl"][..],
+            ),
+            (true, &["record_mapping.csv", "group_mapping.csv"][..]),
+        ] {
+            let old_s = shuffle("census_1851.csv", 1, rows);
+            let new_s = shuffle("census_1861.csv", 2, rows);
+            assert_ne!(std::fs::read(&old).unwrap(), std::fs::read(&old_s).unwrap());
+            let shuffled = dir.join(format!("shuffled_{rows}"));
+            link(&old_s, &new_s, &shuffled);
+            for file in files {
+                assert_eq!(
+                    std::fs::read(plain.join(file)).unwrap(),
+                    std::fs::read(shuffled.join(file)).unwrap(),
+                    "{file} changed by shuffling (rows: {rows})"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -57,7 +57,7 @@ struct Case {
     old: Vec<u8>,
     new: Vec<u8>,
     /// Options added to the `link` command line.
-    args: &'static [&'static str],
+    args: Vec<String>,
     outcome: Outcome,
 }
 
@@ -102,7 +102,7 @@ fn corpus(generated: &Path) -> Vec<Case> {
         name,
         old: old_with(&[extra]),
         new: new.clone(),
-        args: &[],
+        args: Vec::new(),
         outcome: Outcome::Error(fragments),
     };
     let mut non_utf8 = old_with(&[]);
@@ -114,7 +114,7 @@ fn corpus(generated: &Path) -> Vec<Case> {
             name: "unbounded --threads",
             old: old_with(&[]),
             new: new.clone(),
-            args: &["--threads", "100000"],
+            args: vec!["--threads".into(), "100000".into()],
             outcome: Outcome::Error(&["--threads must be at most 256", "100000"]),
         },
         error(
@@ -151,21 +151,21 @@ fn corpus(generated: &Path) -> Vec<Case> {
             name: "non-UTF-8 bytes",
             old: non_utf8,
             new: new.clone(),
-            args: &[],
+            args: Vec::new(),
             outcome: Outcome::Error(&["line 6", "valid UTF-8"]),
         },
         Case {
             name: "header-only old side",
             old: snapshot(&[], "\n"),
             new: new.clone(),
-            args: &[],
+            args: Vec::new(),
             outcome: Outcome::Links,
         },
         Case {
             name: "header-only new side",
             old: old_with(&[]),
             new: snapshot(&[], "\n"),
-            args: &[],
+            args: Vec::new(),
             outcome: Outcome::Links,
         },
         Case {
@@ -175,7 +175,7 @@ fn corpus(generated: &Path) -> Vec<Case> {
                 "6,3,tom,smith,m,3,king street,,son,",
             ]),
             new: new.clone(),
-            args: &[],
+            args: Vec::new(),
             outcome: Outcome::Links,
         },
         Case {
@@ -189,21 +189,21 @@ fn corpus(generated: &Path) -> Vec<Case> {
                 "8,2,sam,smith,m,2147483648,bank street,,lodger,",
             ]),
             new: new.clone(),
-            args: &[],
+            args: Vec::new(),
             outcome: Outcome::Links,
         },
         Case {
             name: "quoted commas",
             old: old_with(&["5,2,ann,smith,f,30,\"12, bank street\",\"weaver, cotton\",lodger,"]),
             new: new.clone(),
-            args: &[],
+            args: Vec::new(),
             outcome: Outcome::Links,
         },
         Case {
             name: "CRLF line ends",
             old: snapshot(&OLD_ROWS, "\r\n"),
             new: snapshot(&NEW_ROWS, "\r\n"),
-            args: &[],
+            args: Vec::new(),
             outcome: Outcome::Links,
         },
         Case {
@@ -212,10 +212,36 @@ fn corpus(generated: &Path) -> Vec<Case> {
                 "18446744073709551615,18446744073709551615,ann,smith,f,30,king street,,head,",
             ]),
             new,
-            args: &[],
+            args: Vec::new(),
             outcome: Outcome::Links,
         },
     ];
+
+    // ground truth is read like a snapshot: a stray byte in a truth
+    // mapping names its file and line, not just the stream
+    let truth = generated.join("hostile_truth_");
+    let truth_file = |kind: &str| generated.join(format!("hostile_truth_{kind}_1851_1861.csv"));
+    std::fs::write(
+        truth_file("records"),
+        b"old_record_id,new_record_id\n1,\xff1\n",
+    )
+    .expect("writing the truth records");
+    std::fs::write(
+        truth_file("groups"),
+        b"old_household_id,new_household_id\n1,1\n",
+    )
+    .expect("writing the truth groups");
+    cases.push(Case {
+        name: "non-UTF-8 truth mapping",
+        old: old_with(&[]),
+        new: snapshot(&NEW_ROWS, "\n"),
+        args: vec!["--truth".into(), truth.to_str().unwrap().into()],
+        outcome: Outcome::Error(&[
+            "hostile_truth_records_1851_1861.csv",
+            "line 2",
+            "invalid UTF-8",
+        ]),
+    });
 
     // spreadsheet exports often start with a UTF-8 byte-order mark
     let old = std::fs::read(generated.join("census_1851.csv")).expect("reading 1851");
@@ -226,7 +252,7 @@ fn corpus(generated: &Path) -> Vec<Case> {
         name: "BOM-prefixed snapshot",
         old: bom_old,
         new: new.clone(),
-        args: &[],
+        args: Vec::new(),
         outcome: Outcome::LinksLike(old, new),
     });
     cases
@@ -250,7 +276,8 @@ fn hostile_inputs_are_typed_errors_or_link() {
     let mut failures = Vec::new();
     for (i, case) in corpus(&generated).into_iter().enumerate() {
         let case_dir = dir.join(format!("case{i}"));
-        let result = link(&case_dir, &case.old, &case.new, case.args);
+        let args: Vec<&str> = case.args.iter().map(String::as_str).collect();
+        let result = link(&case_dir, &case.old, &case.new, &args);
         let name = case.name;
         match (case.outcome, result) {
             (Outcome::Error(fragments), Err(e)) => {

@@ -62,7 +62,7 @@ pub use pairscore::PairScoreCache;
 pub use pipeline::{link, link_series, link_traced, IterationStats, LinkPhase, LinkageResult};
 pub use prematch::{prematch_cached, prematch_with_profiles, PreMatch};
 pub use profiles::ProfileCache;
-pub use quality::{explain_miss, MissReport};
+pub use quality::{explain_miss, FunnelStage, MissReport, PairEvidence};
 pub use remainder::{match_remaining, match_remaining_cached};
 pub use selection::{select_group_links, RejectReason, ScoredSubgroup, SelectionOutcome};
 pub use simfunc::{AttributeSpec, CompiledProfile, SimFunc};

@@ -26,7 +26,7 @@ use obs::{
     Histogram, LiveHist, LosingCandidate, MemoryFootprint, RejectedCandidate, RejectionReason,
     ITERATION_SPAN,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One match pair of a δ step: `(old position, new position, agg_sim)`
 /// over the two snapshots' record slices.
@@ -112,6 +112,17 @@ impl ScoredCandidates {
     }
 }
 
+/// A selection rejection as the decision log records it, with the
+/// candidate index of the winner that blocked a conflict loser.
+fn logged(reason: RejectReason) -> (RejectionReason, Option<usize>) {
+    match reason {
+        RejectReason::EmptySubgraph => (RejectionReason::EmptySubgraph, None),
+        RejectReason::BelowMinGSim => (RejectionReason::BelowMinGSim, None),
+        RejectReason::LowerGSim { winner } => (RejectionReason::LowerGSim, Some(winner)),
+        RejectReason::TieBreak { winner } => (RejectionReason::TieBreak, Some(winner)),
+    }
+}
+
 /// Emit the decision provenance of one selection round: a
 /// [`GroupDecision`] per winner (with its record links and the top-k
 /// candidates it beat) and a standalone [`RejectedCandidate`] per loser,
@@ -129,10 +140,8 @@ fn emit_group_decisions(
     // conflict losers, grouped under the winner that blocked them
     let mut losers_of: HashMap<usize, Vec<LosingCandidate>> = HashMap::new();
     for &(idx, reason) in &outcome.rejections {
-        let (winner, why) = match reason {
-            RejectReason::LowerGSim { winner } => (winner, RejectionReason::LowerGSim),
-            RejectReason::TieBreak { winner } => (winner, RejectionReason::TieBreak),
-            RejectReason::EmptySubgraph | RejectReason::BelowMinGSim => continue,
+        let (why, Some(winner)) = logged(reason) else {
+            continue;
         };
         let c = &candidates[idx];
         losers_of.entry(winner).or_default().push(LosingCandidate {
@@ -174,18 +183,8 @@ fn emit_group_decisions(
     }
     for &(idx, reason) in &outcome.rejections {
         let c = &candidates[idx];
-        let (why, winner) = match reason {
-            RejectReason::EmptySubgraph => (RejectionReason::EmptySubgraph, None),
-            RejectReason::BelowMinGSim => (RejectionReason::BelowMinGSim, None),
-            RejectReason::LowerGSim { winner } => (
-                RejectionReason::LowerGSim,
-                Some((candidates[winner].old.raw(), candidates[winner].new.raw())),
-            ),
-            RejectReason::TieBreak { winner } => (
-                RejectionReason::TieBreak,
-                Some((candidates[winner].old.raw(), candidates[winner].new.raw())),
-            ),
-        };
+        let (why, winner) = logged(reason);
+        let winner = winner.map(|w| (candidates[w].old.raw(), candidates[w].new.raw()));
         obs.decide(DecisionRecord::Rejected(RejectedCandidate {
             iteration,
             delta,
@@ -688,10 +687,11 @@ impl<'a> Linker<'a> {
                 })
             };
 
-            // truth telemetry reuses the audit plumbing: rejections are
-            // recorded either way, and scoring and `select_and_extract`
-            // are audit-neutral, so the mappings stay bit-identical
-            let audit = obs.decisions_enabled() || obs.truth_enabled();
+            // decision records are the run's one audit stream, read by the
+            // decision log and the quality funnel; scoring and
+            // `select_and_extract` are audit-neutral, so the mappings stay
+            // bit-identical
+            let audit = obs.audit_enabled();
             let mut scored = {
                 let _subgraph = obs.span("subgraph");
                 // candidate group pairs: households connected by ≥1 match
@@ -723,31 +723,15 @@ impl<'a> Linker<'a> {
             }
             if obs.decisions_enabled() {
                 // below-floor candidates are logged after every kept one,
-                // in the order selection would consider them; the truth
-                // funnel joins rejections by household pair, so it needs
-                // no order
+                // in the order selection would consider them; the quality
+                // funnel keeps the latest rejection per household pair, so
+                // it needs no order
                 scored.below_floor.sort_by(|a, b| {
                     consideration_order((a.g_sim, a.old, a.new), (b.g_sim, b.old, b.new))
                 });
-                emit_group_decisions(config, delta, iter_idx, &scored, &outcome, obs);
             }
-            if obs.truth_enabled() {
-                for &(idx, reason) in &outcome.rejections {
-                    let c = &candidates[idx];
-                    let why = match reason {
-                        RejectReason::LowerGSim { .. } => RejectionReason::LowerGSim,
-                        RejectReason::TieBreak { .. } => RejectionReason::TieBreak,
-                        RejectReason::BelowMinGSim => RejectionReason::BelowMinGSim,
-                        RejectReason::EmptySubgraph => RejectionReason::EmptySubgraph,
-                    };
-                    obs.truth_rejected(c.old.raw(), c.new.raw(), why);
-                }
-                for b in &scored.below_floor {
-                    obs.truth_rejected(b.old.raw(), b.new.raw(), RejectionReason::BelowMinGSim);
-                }
-                for &(o, n, _) in &outcome.added {
-                    obs.truth_added(o.raw(), n.raw());
-                }
+            if audit {
+                emit_group_decisions(config, delta, iter_idx, &scored, &outcome, obs);
             }
             let record_links = records.len() - records_before;
             let group_links = groups.len() - groups_before;
@@ -811,15 +795,6 @@ impl<'a> Linker<'a> {
             }
         }
 
-        // snapshot which records reach the remainder pass unlinked — the
-        // funnel's lost_remainder / lost_selection boundary
-        let remainder_entry: Option<(HashSet<RecordId>, HashSet<RecordId>)> =
-            obs.truth_enabled().then(|| {
-                (
-                    remaining_old.iter().map(|r| r.id).collect(),
-                    remaining_new.iter().map(|r| r.id).collect(),
-                )
-            });
         let remainder_added = {
             let _remainder = obs.span("remainder");
             match_remaining_cached(
@@ -839,27 +814,9 @@ impl<'a> Linker<'a> {
         };
         for &(o, n) in &remainder_added {
             provenance.insert((o, n), LinkPhase::Remainder);
-            obs.truth_added(o.raw(), n.raw());
         }
         obs.add(Counter::ProfilesBuilt, cache.built() as u64);
         obs.add(Counter::ProfilesReused, cache.reused() as u64);
-
-        if let Some((rem_old, rem_new)) = &remainder_entry {
-            crate::quality::finalize_quality(
-                &crate::quality::QualityInputs {
-                    old: self.old,
-                    new: self.new,
-                    config,
-                    records: &records,
-                    groups: &groups,
-                    iterations: &iterations,
-                    provenance: &provenance,
-                    remainder_old: rem_old,
-                    remainder_new: rem_new,
-                },
-                obs,
-            );
-        }
 
         LinkageResult {
             records,
@@ -1250,7 +1207,7 @@ mod tests {
             assert_eq!(linker.pair_sim(&pm.pairs, o, n), Some(1.0));
         }
         // every anchor is its own cluster
-        let labels: HashSet<u32> = links
+        let labels: std::collections::HashSet<u32> = links
             .iter()
             .map(|&(o, n)| pm.label_old[linker.positions(o, n).unwrap().0 as usize])
             .collect();

@@ -82,7 +82,9 @@ pub fn link(old: &CensusDataset, new: &CensusDataset, config: &LinkageConfig) ->
 /// [`link`] reporting phase spans and counters to `obs`.
 ///
 /// Records the `enrich` phase plus everything [`crate::Linker::run_traced`]
-/// reports; call [`obs::Collector::finish`] afterwards to snapshot the
+/// reports. When `obs` carries ground truth, the recall-loss funnel is
+/// then classified from the result and the run's decision records; call
+/// [`obs::Collector::finish`] afterwards to snapshot the
 /// [`obs::RunTrace`].
 ///
 /// # Panics
@@ -95,7 +97,17 @@ pub fn link_traced(
     config: &LinkageConfig,
     obs: &obs::Collector,
 ) -> LinkageResult {
-    crate::Linker::new_traced(old, new, config.threads, obs).run_traced(config, obs)
+    let result = crate::Linker::new_traced(old, new, config.threads, obs).run_traced(config, obs);
+    crate::quality::finalize_quality(
+        &crate::quality::QualityInputs {
+            old,
+            new,
+            config,
+            result: &result,
+        },
+        obs,
+    );
+    result
 }
 
 /// Link every successive pair of a census series with one configuration.

@@ -1,67 +1,68 @@
 //! Ground-truth quality classification: the recall-loss funnel.
 //!
-//! When a [`obs::Collector`] carries a [`obs::TruthConfig`]
-//! (see [`obs::Collector::with_truth`]), the linkage driver calls
-//! [`finalize_quality`] once per run, off the hot path, to classify
-//! every true record pair by the last pipeline stage that saw it:
-//!
-//! 1. `missing_endpoint` — an id does not exist in the loaded datasets;
-//! 2. `recovered` — the pair is in the produced mapping (split by the
-//!    phase that found it: a δ iteration's selection, or the remainder);
-//! 3. `not_blocked` — the records never shared a blocking key, with
-//!    per-key-family disagreement detail;
-//! 4. `age_filtered` — blocked, but the pre-matching age filter dropped
-//!    the pair;
-//! 5. `below_delta` — the oracle-replayed `agg_sim` is below the lowest
-//!    δ the schedule executed, so pre-matching never produced the pair;
-//! 6. `lost_remainder` — both endpoints reached the remainder pass
-//!    unlinked and the pass still dropped the pair;
-//! 7. `lost_selection` — the pair matched at some δ but greedy selection
-//!    lost it, with the recorded rejection reason when the household
-//!    pair was explicitly rejected.
+//! When a [`obs::Collector`] carries a [`obs::TruthConfig`] (see
+//! [`obs::Collector::with_truth`]), [`crate::link_traced`] calls
+//! [`finalize_quality`] once the linker returns, off the hot path, and
+//! [`classify`] files every true record pair under one [`FunnelStage`]:
+//! the last pipeline stage that saw it, or the phase that recovered it.
 //!
 //! Classification is *oracle replay*: blocking keys, age plausibility
-//! and the exact `agg_sim` are recomputed from the records at finish
-//! time ([`crate::SimFunc::aggregate`] is bit-identical to the batch
-//! kernel, so the replayed score equals the hot path's). The only live
-//! tap the run needs is the selection rejections, recorded on the
-//! collector.
+//! and the exact `agg_sim` are recomputed from the records after the run
+//! ([`crate::SimFunc::aggregate`] is bit-identical to the batch kernel,
+//! so the replayed score equals the hot path's), and the remainder
+//! boundary is read off the run's provenance. The only run state it
+//! needs beyond the [`LinkageResult`] is the latest selection rejection
+//! of each household pair, which the collector keeps from the decision
+//! stream. [`explain_miss`] runs the same classifier on one pair.
 
 use crate::blocking::{family_collisions, BlockingStrategy, KeyFields};
 use crate::config::LinkageConfig;
 use crate::prematch::age_plausible;
-use crate::{IterationStats, LinkPhase};
-use census_model::{CensusDataset, GroupMapping, PersonRecord, RecordId, RecordMapping};
+use crate::{LinkPhase, LinkageResult};
+use census_model::{CensusDataset, RecordId};
 use obs::quality::SIM_BAND_BP;
 use obs::{
     BlockingMisses, Collector, IterationQuality, QualityCounts, QualitySection, RecallFunnel,
     RejectionReason, SelectionLosses, SimBand, TruthConfig,
 };
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
-/// Everything the classifier needs from a finished run, borrowed from
-/// the driver just before it assembles the [`crate::LinkageResult`].
+/// A finished run with the two snapshots and the configuration that
+/// produced it: everything the classifier reads besides the rejections.
 pub(crate) struct QualityInputs<'a> {
     pub old: &'a CensusDataset,
     pub new: &'a CensusDataset,
     pub config: &'a LinkageConfig,
-    pub records: &'a RecordMapping,
-    pub groups: &'a GroupMapping,
-    pub iterations: &'a [IterationStats],
-    pub provenance: &'a HashMap<(RecordId, RecordId), LinkPhase>,
-    /// Old-side records still unlinked when the remainder pass started.
-    pub remainder_old: &'a HashSet<RecordId>,
-    /// New-side records still unlinked when the remainder pass started.
-    pub remainder_new: &'a HashSet<RecordId>,
+    pub result: &'a LinkageResult,
+}
+
+impl QualityInputs<'_> {
+    /// The lowest δ the schedule *executed* — early termination can
+    /// leave it above the configured floor.
+    fn delta_floor(&self) -> f64 {
+        let last = self.result.iterations.last();
+        last.map_or(self.config.delta_high, |it| it.delta)
+    }
+
+    /// Whether a δ step's selection linked either record of the pair: a
+    /// record reaches the remainder pass unlinked iff no subgraph link
+    /// holds it.
+    fn subgraph_holds_either(&self, o: RecordId, n: RecordId) -> bool {
+        let records = &self.result.records;
+        let held = |pair: Option<(RecordId, RecordId)>| {
+            let phase = pair.and_then(|p| self.result.provenance.get(&p));
+            matches!(phase, Some(LinkPhase::Subgraph { .. }))
+        };
+        held(records.get_new(o).map(|m| (o, m))) || held(records.get_old(n).map(|m| (m, n)))
+    }
 }
 
 /// Build the [`QualitySection`] for a finished run and store it on the
 /// collector. A no-op when truth telemetry is off.
 pub(crate) fn finalize_quality(inp: &QualityInputs<'_>, obs: &Collector) {
-    let Some(tc) = obs.truth_config() else {
+    let Some(section) = obs.truth_audit(|tc, rejected| build_section(inp, tc, rejected)) else {
         return;
     };
-    let section = build_section(inp, &tc, &obs.truth_rejections());
     debug_assert_eq!(section.validate(), Ok(()));
     obs.set_quality(section);
 }
@@ -73,56 +74,172 @@ fn band_index(agg: f64) -> usize {
     ((obs::score_bp(agg) / SIM_BAND_BP) as usize).min(bands - 1)
 }
 
-/// Oracle replay of blocking for one record pair: whether it shares a
-/// blocking key under `strategy`, and the per-family disagreement
-/// `[surname_first, surname_sex, firstname_age]` (a family disagrees
-/// when both sides emitted a key for it and the keys differ).
-fn replay_blocking(
-    old: &PersonRecord,
-    new: &PersonRecord,
-    year_gap: i64,
-    strategy: BlockingStrategy,
-) -> (bool, [bool; 3]) {
-    let families = family_collisions(KeyFields::of(old), KeyFields::of(new), year_gap);
-    let blocked = strategy == BlockingStrategy::Full || families.contains(&Some(true));
-    (blocked, families.map(|f| f == Some(false)))
+/// The funnel stage of one true record pair: the last pipeline stage
+/// that saw it, or the phase that recovered it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FunnelStage {
+    /// Linked by the selection of δ step `iteration` (0-based) at `delta`.
+    RecoveredSelection {
+        /// Index of the δ step in the run's iterations.
+        iteration: usize,
+        /// δ of that step.
+        delta: f64,
+    },
+    /// Linked by the remainder pass.
+    RecoveredRemainder,
+    /// An endpoint id does not exist in the loaded datasets.
+    MissingEndpoint,
+    /// The records never shared a blocking key.
+    NotBlocked,
+    /// Blocked, but the pre-matching age filter dropped the pair.
+    AgeFiltered,
+    /// `agg_sim` is below the lowest δ the schedule executed.
+    BelowDelta,
+    /// Both endpoints reached the remainder pass unlinked, and the pass
+    /// dropped the pair.
+    LostRemainder,
+    /// Lost in selection: the household pair's latest recorded rejection.
+    Rejected(RejectionReason),
+    /// Lost in selection: no rejection recorded, and an endpoint is
+    /// linked elsewhere.
+    EndpointClaimed,
+    /// Lost in selection: no rejection recorded, both endpoints unlinked.
+    NotExtracted,
+}
+
+impl FunnelStage {
+    /// Whether the run produced the pair.
+    #[must_use]
+    pub fn is_recovered(self) -> bool {
+        matches!(
+            self,
+            Self::RecoveredSelection { .. } | Self::RecoveredRemainder
+        )
+    }
+
+    /// The stage as one human-readable line, given the executed δ floor.
+    #[must_use]
+    pub fn describe(self, delta_floor: f64) -> String {
+        use RejectionReason as R;
+        let lost = match self {
+            Self::RecoveredSelection { iteration, delta } => {
+                return format!("recovered by selection (iteration #{iteration}, δ={delta:.2})");
+            }
+            Self::RecoveredRemainder => return "recovered by the remainder pass".to_owned(),
+            Self::BelowDelta => {
+                return format!("lost: agg_sim below the executed δ floor {delta_floor:.2}");
+            }
+            Self::MissingEndpoint => ": an endpoint id is missing from the loaded datasets",
+            Self::NotBlocked => ": the records never shared a blocking key",
+            Self::AgeFiltered => ": rejected by the pre-matching age filter",
+            Self::LostRemainder => ": reached the remainder pass unlinked, but the pass dropped it",
+            Self::Rejected(R::LowerGSim) => {
+                " in selection: a conflicting candidate had higher g_sim"
+            }
+            Self::Rejected(R::TieBreak) => " in selection: lost the deterministic tie-break",
+            Self::Rejected(R::BelowMinGSim) => {
+                " in selection: g_sim fell below the min_g_sim floor"
+            }
+            Self::Rejected(R::EmptySubgraph) => " in selection: the matched subgraph was empty",
+            Self::EndpointClaimed => " in selection: an endpoint was claimed by a competing link",
+            Self::NotExtracted => {
+                " in selection: the record link was not extracted from its subgroup"
+            }
+        };
+        format!("lost{lost}")
+    }
+}
+
+/// The oracle-replayed evidence for a true pair whose endpoints both
+/// exist.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairEvidence {
+    /// Exact `agg_sim` of the two records.
+    pub agg_sim: f64,
+    /// Whether the pair shared any blocking key.
+    pub blocked: bool,
+    /// Per-family blocking disagreement `[surname_first, surname_sex,
+    /// firstname_age]`.
+    pub family_disagreement: [bool; 3],
+    /// Household pair of the two records (raw ids).
+    pub households: (u64, u64),
+}
+
+/// Classify one true record pair of a finished run: its funnel stage,
+/// with the replayed evidence when both endpoints exist. `rejected`
+/// maps each household pair to its latest selection rejection.
+pub(crate) fn classify(
+    inp: &QualityInputs<'_>,
+    rejected: &HashMap<(u64, u64), RejectionReason>,
+    o: RecordId,
+    n: RecordId,
+) -> (FunnelStage, Option<PairEvidence>) {
+    let (Some(or), Some(nr)) = (inp.old.record(o), inp.new.record(n)) else {
+        return (FunnelStage::MissingEndpoint, None);
+    };
+    let year_gap = i64::from(inp.new.year - inp.old.year);
+    // a family disagrees when both sides emitted a key for it and the
+    // keys differ
+    let families = family_collisions(KeyFields::of(or), KeyFields::of(nr), year_gap);
+    let blocked = inp.config.blocking == BlockingStrategy::Full || families.contains(&Some(true));
+    let evidence = PairEvidence {
+        agg_sim: inp.config.sim_func.aggregate(or, nr),
+        blocked,
+        family_disagreement: families.map(|f| f == Some(false)),
+        households: (or.household.raw(), nr.household.raw()),
+    };
+    let iterations = &inp.result.iterations;
+    let age_filtered = inp
+        .config
+        .prematch_max_age_gap
+        .is_some_and(|tol| !age_plausible(or, nr, year_gap, tol));
+    let stage = match inp.result.provenance.get(&(o, n)) {
+        Some(&LinkPhase::Subgraph { delta, .. }) => FunnelStage::RecoveredSelection {
+            // provenance deltas are copies of iteration deltas, so the
+            // position is exact; the fallback only guards against float
+            // drift and keeps the sums consistent
+            iteration: iterations
+                .iter()
+                .position(|it| (it.delta - delta).abs() < 1e-9)
+                .unwrap_or(iterations.len().saturating_sub(1)),
+            delta,
+        },
+        Some(LinkPhase::Remainder) => FunnelStage::RecoveredRemainder,
+        None if !blocked => FunnelStage::NotBlocked,
+        None if age_filtered => FunnelStage::AgeFiltered,
+        None if evidence.agg_sim < inp.delta_floor() => FunnelStage::BelowDelta,
+        None if !inp.subgraph_holds_either(o, n) => FunnelStage::LostRemainder,
+        None => match rejected.get(&evidence.households) {
+            Some(&reason) => FunnelStage::Rejected(reason),
+            None if inp.result.records.contains_old(o) || inp.result.records.contains_new(n) => {
+                FunnelStage::EndpointClaimed
+            }
+            None => FunnelStage::NotExtracted,
+        },
+    };
+    (stage, Some(evidence))
 }
 
 fn build_section(
     inp: &QualityInputs<'_>,
     tc: &TruthConfig,
-    rejections: &[(u64, u64, RejectionReason)],
+    rejected: &HashMap<(u64, u64), RejectionReason>,
 ) -> QualitySection {
-    let year_gap = i64::from(inp.new.year - inp.old.year);
+    use RejectionReason as R;
+    let (records, groups) = (&inp.result.records, &inp.result.groups);
     // deduplicated, deterministically ordered truth sets — the funnel
     // counts each distinct true pair exactly once
     let truth_records: BTreeSet<(u64, u64)> = tc.record_pairs.iter().copied().collect();
     let truth_groups: BTreeSet<(u64, u64)> = tc.group_pairs.iter().copied().collect();
 
-    let record_correct = inp
-        .records
+    let record_correct = records
         .iter()
         .filter(|&(o, n)| truth_records.contains(&(o.raw(), n.raw())))
         .count() as u64;
-    let group_correct = inp
-        .groups
+    let group_correct = groups
         .iter()
         .filter(|&(o, n)| truth_groups.contains(&(o.raw(), n.raw())))
         .count() as u64;
-
-    // household-pair → last recorded rejection: later iterations are the
-    // pair's last chance, so the latest rejection wins the join
-    let mut rejected_as: HashMap<(u64, u64), RejectionReason> = HashMap::new();
-    for &(og, ng, reason) in rejections {
-        rejected_as.insert((og, ng), reason);
-    }
-
-    // the below-δ boundary is the lowest δ the schedule *executed* —
-    // early termination can leave it above the configured floor
-    let delta_floor = inp
-        .iterations
-        .last()
-        .map_or(inp.config.delta_high, |it| it.delta);
 
     let mut funnel = RecallFunnel {
         total: truth_records.len() as u64,
@@ -134,11 +251,12 @@ fn build_section(
         below_delta: 0,
         lost_selection: 0,
         lost_remainder: 0,
-        delta_floor,
+        delta_floor: inp.delta_floor(),
         blocking: BlockingMisses::default(),
         selection: SelectionLosses::default(),
     };
     let mut per_iteration: Vec<IterationQuality> = inp
+        .result
         .iterations
         .iter()
         .enumerate()
@@ -151,85 +269,57 @@ fn build_section(
     let n_bands = (10_000 / SIM_BAND_BP) as usize;
     let mut bands = vec![(0u64, 0u64); n_bands];
 
-    for &(o_raw, n_raw) in &truth_records {
-        let (o, n) = (RecordId(o_raw), RecordId(n_raw));
-        let (Some(or), Some(nr)) = (inp.old.record(o), inp.new.record(n)) else {
-            funnel.missing_endpoint += 1;
-            continue;
+    for &(o, n) in &truth_records {
+        let (stage, evidence) = classify(inp, rejected, RecordId(o), RecordId(n));
+        if let Some(ev) = evidence {
+            let band = &mut bands[band_index(ev.agg_sim)];
+            band.0 += 1;
+            band.1 += u64::from(stage.is_recovered());
+        }
+        let bucket = match stage {
+            FunnelStage::RecoveredSelection { iteration, .. } => {
+                if let Some(row) = per_iteration.get_mut(iteration) {
+                    row.recovered += 1;
+                }
+                &mut funnel.recovered_selection
+            }
+            FunnelStage::RecoveredRemainder => &mut funnel.recovered_remainder,
+            FunnelStage::MissingEndpoint => &mut funnel.missing_endpoint,
+            FunnelStage::NotBlocked => {
+                let [sf, ss, fa] = evidence.map_or([false; 3], |ev| ev.family_disagreement);
+                funnel.blocking.surname_first += u64::from(sf);
+                funnel.blocking.surname_sex += u64::from(ss);
+                funnel.blocking.firstname_age += u64::from(fa);
+                &mut funnel.not_blocked
+            }
+            FunnelStage::AgeFiltered => &mut funnel.age_filtered,
+            FunnelStage::BelowDelta => &mut funnel.below_delta,
+            FunnelStage::LostRemainder => &mut funnel.lost_remainder,
+            FunnelStage::Rejected(R::LowerGSim) => &mut funnel.selection.lower_g_sim,
+            FunnelStage::Rejected(R::TieBreak) => &mut funnel.selection.tie_break,
+            FunnelStage::Rejected(R::BelowMinGSim) => &mut funnel.selection.below_min_g_sim,
+            FunnelStage::Rejected(R::EmptySubgraph) => &mut funnel.selection.empty_subgraph,
+            FunnelStage::EndpointClaimed => &mut funnel.selection.endpoint_claimed,
+            FunnelStage::NotExtracted => &mut funnel.selection.not_extracted,
         };
-        // oracle replay: exact agg_sim, blocking keys and age filter
-        let agg = inp.config.sim_func.aggregate(or, nr);
-        let band = band_index(agg);
-        bands[band].0 += 1;
-        let (blocked, [sf, ss, fa]) = replay_blocking(or, nr, year_gap, inp.config.blocking);
-
-        if let Some(phase) = inp.provenance.get(&(o, n)) {
-            bands[band].1 += 1;
-            match phase {
-                LinkPhase::Subgraph { delta, .. } => {
-                    funnel.recovered_selection += 1;
-                    // provenance deltas are copies of iteration deltas,
-                    // so the position is exact; the fallback only guards
-                    // against float drift and keeps the sums consistent
-                    let idx = inp
-                        .iterations
-                        .iter()
-                        .position(|it| (it.delta - delta).abs() < 1e-9)
-                        .unwrap_or(inp.iterations.len().saturating_sub(1));
-                    if let Some(row) = per_iteration.get_mut(idx) {
-                        row.recovered += 1;
-                    }
-                }
-                LinkPhase::Remainder => funnel.recovered_remainder += 1,
-            }
-            continue;
-        }
-
-        if !blocked {
-            funnel.not_blocked += 1;
-            funnel.blocking.surname_first += u64::from(sf);
-            funnel.blocking.surname_sex += u64::from(ss);
-            funnel.blocking.firstname_age += u64::from(fa);
-            continue;
-        }
-        if let Some(tol) = inp.config.prematch_max_age_gap {
-            if !age_plausible(or, nr, year_gap, tol) {
-                funnel.age_filtered += 1;
-                continue;
-            }
-        }
-        if agg < delta_floor {
-            funnel.below_delta += 1;
-            continue;
-        }
-        if inp.remainder_old.contains(&o) && inp.remainder_new.contains(&n) {
-            funnel.lost_remainder += 1;
-            continue;
-        }
-        funnel.lost_selection += 1;
-        match rejected_as.get(&(or.household.raw(), nr.household.raw())) {
-            Some(RejectionReason::LowerGSim) => funnel.selection.lower_g_sim += 1,
-            Some(RejectionReason::TieBreak) => funnel.selection.tie_break += 1,
-            Some(RejectionReason::BelowMinGSim) => funnel.selection.below_min_g_sim += 1,
-            Some(RejectionReason::EmptySubgraph) => funnel.selection.empty_subgraph += 1,
-            None => {
-                if inp.records.contains_old(o) || inp.records.contains_new(n) {
-                    funnel.selection.endpoint_claimed += 1;
-                } else {
-                    funnel.selection.not_extracted += 1;
-                }
-            }
-        }
+        *bucket += 1;
     }
+    let s = &funnel.selection;
+    funnel.lost_selection = s.lower_g_sim
+        + s.tie_break
+        + s.below_min_g_sim
+        + s.empty_subgraph
+        + s.endpoint_claimed
+        + s.not_extracted;
 
     QualitySection {
         records: QualityCounts::from_counts(
-            inp.records.len() as u64,
+            records.len() as u64,
             truth_records.len() as u64,
             record_correct,
         ),
         groups: QualityCounts::from_counts(
-            inp.groups.len() as u64,
+            groups.len() as u64,
             truth_groups.len() as u64,
             group_correct,
         ),
@@ -257,20 +347,12 @@ pub struct MissReport {
     pub old_record: u64,
     /// Raw new-record id.
     pub new_record: u64,
-    /// The funnel stage that last saw the pair (human-readable).
-    pub stage: String,
-    /// Oracle-replayed `agg_sim`, when both endpoints exist.
-    pub agg_sim: Option<f64>,
+    /// The funnel stage that last saw the pair.
+    pub stage: FunnelStage,
+    /// The replayed evidence, when both endpoints exist.
+    pub evidence: Option<PairEvidence>,
     /// Lowest δ the schedule executed.
     pub delta_floor: f64,
-    /// Whether the pair shared any blocking key (`None` when an endpoint
-    /// is missing).
-    pub blocked: Option<bool>,
-    /// Per-family blocking disagreement `[surname_first, surname_sex,
-    /// firstname_age]`, when both endpoints exist.
-    pub family_disagreement: Option<[bool; 3]>,
-    /// Household pair of the two records, when both endpoints exist.
-    pub households: Option<(u64, u64)>,
     /// Where the old record was actually linked, if anywhere.
     pub old_linked_to: Option<u64>,
     /// Where the new record was actually linked from, if anywhere.
@@ -286,19 +368,20 @@ impl MissReport {
         let _ = writeln!(
             out,
             "true pair {} -> {}: {}",
-            self.old_record, self.new_record, self.stage
+            self.old_record,
+            self.new_record,
+            self.stage.describe(self.delta_floor)
         );
-        if let Some(agg) = self.agg_sim {
+        if let Some(ev) = &self.evidence {
             let _ = writeln!(
                 out,
-                "  agg_sim {agg:.4} (executed δ floor {:.2})",
-                self.delta_floor
+                "  agg_sim {:.4} (executed δ floor {:.2})",
+                ev.agg_sim, self.delta_floor
             );
-        }
-        if let Some(blocked) = self.blocked {
-            if blocked {
+            if ev.blocked {
                 let _ = writeln!(out, "  blocking: pair shares a blocking key");
-            } else if let Some([sf, ss, fa]) = self.family_disagreement {
+            } else {
+                let [sf, ss, fa] = ev.family_disagreement;
                 let tag = |b: bool| if b { "disagreed" } else { "unavailable" };
                 let _ = writeln!(
                     out,
@@ -309,8 +392,7 @@ impl MissReport {
                     tag(fa)
                 );
             }
-        }
-        if let Some((ho, hn)) = self.households {
+            let (ho, hn) = ev.households;
             let _ = writeln!(out, "  households: {ho} -> {hn}");
         }
         match (self.old_linked_to, self.new_linked_from) {
@@ -331,9 +413,8 @@ impl MissReport {
 }
 
 /// Explain why one true record pair was (or wasn't) recovered: runs the
-/// full pipeline with truth telemetry restricted to the single pair and
-/// reads its funnel classification back, then re-derives the replayed
-/// evidence for the report.
+/// full pipeline with truth telemetry on, so the run's rejections reach
+/// the collector, and classifies the pair with the funnel's classifier.
 ///
 /// # Panics
 ///
@@ -350,74 +431,23 @@ pub fn explain_miss(
         record_pairs: vec![(old_record, new_record)],
         group_pairs: Vec::new(),
     });
-    let result = crate::link_traced(old, new, config, &obs);
-    let trace = obs.finish();
-    let q = trace.quality.expect("truth telemetry was enabled");
-    let fu = &q.funnel;
-
-    let stage = if fu.recovered_selection > 0 {
-        let iter = q
-            .per_iteration
-            .iter()
-            .find(|i| i.recovered > 0)
-            .map_or_else(String::new, |i| {
-                format!(" (iteration #{}, δ={:.2})", i.iteration, i.delta)
-            });
-        format!("recovered by selection{iter}")
-    } else if fu.recovered_remainder > 0 {
-        "recovered by the remainder pass".to_owned()
-    } else if fu.missing_endpoint > 0 {
-        "lost: an endpoint id is missing from the loaded datasets".to_owned()
-    } else if fu.not_blocked > 0 {
-        "lost: the records never shared a blocking key".to_owned()
-    } else if fu.age_filtered > 0 {
-        "lost: rejected by the pre-matching age filter".to_owned()
-    } else if fu.below_delta > 0 {
-        format!(
-            "lost: agg_sim below the executed δ floor {:.2}",
-            fu.delta_floor
-        )
-    } else if fu.lost_remainder > 0 {
-        "lost: reached the remainder pass unlinked, but the pass dropped it".to_owned()
-    } else {
-        let s = &fu.selection;
-        let why = if s.lower_g_sim > 0 {
-            "a conflicting candidate had higher g_sim"
-        } else if s.tie_break > 0 {
-            "lost the deterministic tie-break"
-        } else if s.below_min_g_sim > 0 {
-            "g_sim fell below the min_g_sim floor"
-        } else if s.empty_subgraph > 0 {
-            "the matched subgraph was empty"
-        } else if s.endpoint_claimed > 0 {
-            "an endpoint was claimed by a competing link"
-        } else {
-            "the record link was not extracted from its subgroup"
-        };
-        format!("lost in selection: {why}")
+    let result = crate::Linker::new_traced(old, new, config.threads, &obs).run_traced(config, &obs);
+    let inp = QualityInputs {
+        old,
+        new,
+        config,
+        result: &result,
     };
-
     let (o, n) = (RecordId(old_record), RecordId(new_record));
-    let (or, nr) = (old.record(o), new.record(n));
-    let year_gap = i64::from(new.year - old.year);
-    let replay = or.zip(nr).map(|(or, nr)| {
-        let (blocked, disagreement) = replay_blocking(or, nr, year_gap, config.blocking);
-        (
-            config.sim_func.aggregate(or, nr),
-            blocked,
-            disagreement,
-            (or.household.raw(), nr.household.raw()),
-        )
-    });
+    let (stage, evidence) = obs
+        .truth_audit(|_, rejected| classify(&inp, rejected, o, n))
+        .expect("truth telemetry was enabled");
     MissReport {
         old_record,
         new_record,
         stage,
-        agg_sim: replay.map(|r| r.0),
-        delta_floor: fu.delta_floor,
-        blocked: replay.map(|r| r.1),
-        family_disagreement: replay.map(|r| r.2),
-        households: replay.map(|r| r.3),
+        evidence,
+        delta_floor: inp.delta_floor(),
         old_linked_to: result.records.get_new(o).map(|r| r.raw()),
         new_linked_from: result.records.get_old(n).map(|r| r.raw()),
     }
@@ -453,17 +483,17 @@ mod tests {
             .find(|&(o, n)| truth.records.contains(o, n))
             .expect("the run recovers at least one true pair");
         let report = explain_miss(old, new, &config, o.raw(), n.raw());
-        assert!(report.stage.starts_with("recovered"), "{}", report.stage);
+        assert!(report.stage.is_recovered(), "{:?}", report.stage);
         assert_eq!(report.old_linked_to, Some(n.raw()));
         assert_eq!(report.new_linked_from, Some(o.raw()));
-        assert!(report.agg_sim.is_some());
+        assert!(report.evidence.is_some());
         let text = report.render();
         assert!(text.contains("agg_sim"), "{text}");
 
         // a fabricated pair with a nonexistent endpoint is a missing-id loss
         let report = explain_miss(old, new, &config, u64::MAX, n.raw());
-        assert!(report.stage.contains("missing"), "{}", report.stage);
-        assert_eq!(report.agg_sim, None);
+        assert_eq!(report.stage, FunnelStage::MissingEndpoint);
+        assert_eq!(report.evidence, None);
         assert!(report.render().contains("missing"));
     }
 }

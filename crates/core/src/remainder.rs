@@ -180,7 +180,7 @@ pub fn match_remaining_cached(
                 continue;
             };
             groups.insert(ro.household, rn.household);
-            if obs.decisions_enabled() {
+            if obs.audit_enabled() {
                 obs.decide(obs::DecisionRecord::Remainder(obs::RemainderDecision {
                     old_record: o.raw(),
                     new_record: n.raw(),

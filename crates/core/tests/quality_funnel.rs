@@ -126,7 +126,9 @@ fn funnel_agrees_with_independent_quality_arithmetic() {
 #[test]
 fn decision_log_does_not_change_the_quality_section() {
     // only the decision log sorts the below-floor rejections; the funnel
-    // joins them by household pair, so it must read the same without it
+    // joins them by household pair, so it must read the same without it.
+    // The collector feeds the funnel before the log's caps, so a log
+    // that drops almost every record must leave it unchanged too
     let series = generate_series(&SimConfig::small());
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let tc = truth_config(&series);
@@ -141,12 +143,21 @@ fn decision_log_does_not_change_the_quality_section() {
     };
     let truth_only = quality(Collector::enabled().with_truth(tc.clone()));
     let logged = Collector::enabled()
-        .with_truth(tc)
+        .with_truth(tc.clone())
         .with_decisions(DecisionConfig::default());
     let with_log = quality(logged);
+    let capped = Collector::enabled()
+        .with_truth(tc)
+        .with_decisions(DecisionConfig {
+            max_links: 2,
+            max_rejections: 2,
+            ..DecisionConfig::default()
+        });
+    let with_capped_log = quality(capped);
     assert!(
         truth_only.funnel.selection.below_min_g_sim > 0,
         "degenerate corpus: no true pair lost below the floor"
     );
     assert_eq!(truth_only, with_log);
+    assert_eq!(truth_only, with_capped_log);
 }

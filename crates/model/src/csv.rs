@@ -170,10 +170,7 @@ pub fn read_dataset<R: BufRead>(year: i32, mut r: R) -> Result<CensusDataset, Mo
     let mut households: Vec<(HouseholdId, Vec<RecordId>)> = Vec::new();
     let mut household_slot: HashMap<HouseholdId, usize> = HashMap::new();
     for (n, bytes) in lines(&text) {
-        let line = std::str::from_utf8(bytes).map_err(|e| ModelError::Parse {
-            line: n,
-            message: format!("invalid UTF-8 ({e})"),
-        })?;
+        let line = utf8_line(n, bytes)?;
         if n == 1 {
             check_header(line, HEADER)?;
             continue;
@@ -237,6 +234,14 @@ fn lines(text: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
         .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
         .zip(1..)
         .map(|(line, n)| (n, line))
+}
+
+/// Line `n` as text, or its parse error when it is not UTF-8.
+fn utf8_line(n: usize, bytes: &[u8]) -> Result<&str, ModelError> {
+    std::str::from_utf8(bytes).map_err(|e| ModelError::Parse {
+        line: n,
+        message: format!("invalid UTF-8 ({e})"),
+    })
 }
 
 /// The error of data line `n` when it has `count` fields.
@@ -315,38 +320,18 @@ pub fn write_record_mapping<W: Write>(m: &RecordMapping, mut w: W) -> Result<(),
 ///
 /// # Errors
 ///
-/// Returns a parse error (with line number) on malformed input or on a
-/// 1:1 violation.
+/// Returns a parse error (with line number) on malformed input, bytes
+/// that are not UTF-8 included, or on a 1:1 violation.
 pub fn read_record_mapping<R: BufRead>(r: R) -> Result<RecordMapping, ModelError> {
     let mut m = RecordMapping::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        let n = lineno + 1;
-        if n == 1 {
-            check_header(&line, RECORD_MAPPING_HEADER)?;
-            continue;
+    read_pairs(r, RECORD_MAPPING_HEADER, |line, o, n| {
+        let (o, n) = (RecordId(o), RecordId(n));
+        if m.insert(o, n) {
+            return Ok(());
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (a, b) = line.split_once(',').ok_or_else(|| ModelError::Parse {
-            line: n,
-            message: "expected two comma-separated ids".into(),
-        })?;
-        let parse = |s: &str| -> Result<u64, ModelError> {
-            s.trim().parse().map_err(|_| ModelError::Parse {
-                line: n,
-                message: format!("bad id {s:?}"),
-            })
-        };
-        let (o, nw) = (RecordId(parse(a)?), RecordId(parse(b)?));
-        if !m.insert(o, nw) {
-            return Err(ModelError::Parse {
-                line: n,
-                message: format!("1:1 violation at pair {o},{nw}"),
-            });
-        }
-    }
+        let message = format!("1:1 violation at pair {o},{n}");
+        Err(ModelError::Parse { line, message })
+    })?;
     Ok(m)
 }
 
@@ -367,14 +352,31 @@ pub fn write_group_mapping<W: Write>(m: &GroupMapping, mut w: W) -> Result<(), M
 ///
 /// # Errors
 ///
-/// Returns a parse error (with line number) on malformed input.
+/// Returns a parse error (with line number) on malformed input, bytes
+/// that are not UTF-8 included.
 pub fn read_group_mapping<R: BufRead>(r: R) -> Result<GroupMapping, ModelError> {
     let mut m = GroupMapping::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        let n = lineno + 1;
+    read_pairs(r, GROUP_MAPPING_HEADER, |_, o, n| {
+        m.insert(HouseholdId(o), HouseholdId(n));
+        Ok(())
+    })?;
+    Ok(m)
+}
+
+/// Read a two-column id CSV whose line 1 is `header`, walking lines as
+/// [`read_dataset`] does, and pass each data line's number and ids to
+/// `insert` in file order.
+fn read_pairs<R: BufRead>(
+    mut r: R,
+    header: &str,
+    mut insert: impl FnMut(usize, u64, u64) -> Result<(), ModelError>,
+) -> Result<(), ModelError> {
+    let mut text = Vec::new();
+    r.read_to_end(&mut text)?;
+    for (n, bytes) in lines(&text) {
+        let line = utf8_line(n, bytes)?;
         if n == 1 {
-            check_header(&line, GROUP_MAPPING_HEADER)?;
+            check_header(line, header)?;
             continue;
         }
         if line.trim().is_empty() {
@@ -390,9 +392,9 @@ pub fn read_group_mapping<R: BufRead>(r: R) -> Result<GroupMapping, ModelError> 
                 message: format!("bad id {s:?}"),
             })
         };
-        m.insert(HouseholdId(parse(a)?), HouseholdId(parse(b)?));
+        insert(n, parse(a)?, parse(b)?)?;
     }
-    Ok(m)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -796,6 +798,11 @@ mod tests {
         // a missing comma is also attributed to its line
         let e = read_record_mapping("old_record_id,new_record_id\n7\n".as_bytes()).unwrap_err();
         assert!(matches!(e, ModelError::Parse { line: 2, .. }));
+        // and so is a byte that is not UTF-8, in either mapping
+        let e = read_record_mapping(&b"old_record_id,new_record_id\n1,2\n3,\xff4\n"[..]);
+        assert!(matches!(e, Err(ModelError::Parse { line: 3, .. })), "{e:?}");
+        let e = read_group_mapping(&b"old_household_id,new_household_id\n\xff1,2\n"[..]);
+        assert!(matches!(e, Err(ModelError::Parse { line: 2, .. })), "{e:?}");
     }
 
     #[test]

@@ -81,6 +81,7 @@ pub use timeline::{
     DriverSection, EventKind, Timeline, TimelineEvent, WorkerUtilization, DEFAULT_EVENT_CAPACITY,
 };
 
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -248,15 +249,38 @@ struct SpanState {
 }
 
 /// Ground-truth state behind [`Collector::with_truth`]: the loaded truth
-/// mappings, the live taps (selection rejections, the recovered-pairs
-/// gauge feeding `--progress`), and the finalised
-/// [`QualitySection`] once the pipeline computes it.
+/// mappings, what the decision stream told it (the latest rejection per
+/// household pair, and the recovered-pairs gauge feeding `--progress`),
+/// and the finalised [`QualitySection`] once the pipeline computes it.
 struct TruthState {
     config: quality::TruthConfig,
-    record_set: std::collections::HashSet<(u64, u64)>,
-    rejections: Vec<(u64, u64, RejectionReason)>,
+    record_set: HashSet<(u64, u64)>,
+    rejected: HashMap<(u64, u64), RejectionReason>,
     recovered: u64,
     quality: Option<quality::QualitySection>,
+}
+
+impl TruthState {
+    /// Take in one decision record: a rejection becomes its household
+    /// pair's latest reason, and true record links advance the coverage
+    /// gauge. Returns the gauge's `(recovered, total)` when it moved.
+    fn audit(&mut self, record: &DecisionRecord) -> Option<(u64, u64)> {
+        let before = self.recovered;
+        match record {
+            DecisionRecord::Rejected(r) => {
+                self.rejected.insert((r.old_group, r.new_group), r.reason);
+            }
+            DecisionRecord::Group(g) => {
+                let set = &self.record_set;
+                self.recovered += g.records.iter().filter(|p| set.contains(p)).count() as u64;
+            }
+            DecisionRecord::Remainder(r) => {
+                let pair = (r.old_record, r.new_record);
+                self.recovered += u64::from(self.record_set.contains(&pair));
+            }
+        }
+        (self.recovered > before).then_some((self.recovered, self.record_set.len() as u64))
+    }
 }
 
 /// Lock a mutex, recovering the data if a panicking thread poisoned it.
@@ -506,10 +530,9 @@ impl Collector {
     }
 
     /// Load ground-truth mappings for quality telemetry (see
-    /// [`quality`]): the pipeline classifies every true record pair into
-    /// the recall-loss funnel and [`Collector::finish`] attaches a
-    /// [`QualitySection`] to the trace. Has no effect on a disabled
-    /// collector.
+    /// [`quality`]): decision records feed the truth state, the pipeline
+    /// classifies the recall-loss funnel from it, and [`Collector::finish`]
+    /// attaches the [`QualitySection`]. Has no effect on a disabled collector.
     #[must_use]
     pub fn with_truth(mut self, config: quality::TruthConfig) -> Self {
         if self.enabled {
@@ -517,7 +540,7 @@ impl Collector {
             self.truth = Some(Mutex::new(TruthState {
                 config,
                 record_set,
-                rejections: Vec::new(),
+                rejected: HashMap::new(),
                 recovered: 0,
                 quality: None,
             }));
@@ -525,59 +548,14 @@ impl Collector {
         self
     }
 
-    /// Whether ground-truth quality telemetry is on.
-    #[must_use]
-    pub fn truth_enabled(&self) -> bool {
-        self.truth.is_some()
-    }
-
-    /// A copy of the loaded ground-truth mappings, or `None` when truth
-    /// telemetry is off.
-    #[must_use]
-    pub fn truth_config(&self) -> Option<quality::TruthConfig> {
-        self.truth
-            .as_ref()
-            .map(|t| lock_or_recover(t).config.clone())
-    }
-
-    /// Record a selection rejection of a true-relevant household pair
-    /// (raw ids), for the funnel's `lost_selection` reason join. A no-op
-    /// unless truth telemetry is on.
-    pub fn truth_rejected(&self, old_group: u64, new_group: u64, reason: RejectionReason) {
-        if let Some(t) = &self.truth {
-            lock_or_recover(t)
-                .rejections
-                .push((old_group, new_group, reason));
-        }
-    }
-
-    /// The recorded selection rejections, in arrival order.
-    #[must_use]
-    pub fn truth_rejections(&self) -> Vec<(u64, u64, RejectionReason)> {
-        self.truth
-            .as_ref()
-            .map_or_else(Vec::new, |t| lock_or_recover(t).rejections.clone())
-    }
-
-    /// Report a record link the pipeline just accepted. Counts it
-    /// towards the live truth-coverage gauge if the pair is true, and
-    /// feeds the `--progress` readout. A no-op unless truth telemetry
-    /// is on.
-    pub fn truth_added(&self, old_record: u64, new_record: u64) {
-        let Some(t) = &self.truth else {
-            return;
-        };
-        let (recovered, total) = {
-            let mut guard = lock_or_recover(t);
-            if !guard.record_set.contains(&(old_record, new_record)) {
-                return;
-            }
-            guard.recovered += 1;
-            (guard.recovered, guard.record_set.len() as u64)
-        };
-        if let Some(p) = &self.progress {
-            lock_or_recover(p).truth_coverage(recovered, total);
-        }
+    /// Run `f` over the loaded ground truth and the latest rejection of
+    /// each household pair (raw ids); `None` when truth telemetry is off.
+    pub fn truth_audit<R>(
+        &self,
+        f: impl FnOnce(&quality::TruthConfig, &HashMap<(u64, u64), RejectionReason>) -> R,
+    ) -> Option<R> {
+        let t = lock_or_recover(self.truth.as_ref()?);
+        Some(f(&t.config, &t.rejected))
     }
 
     /// Attach the finalised quality section computed by the pipeline;
@@ -601,6 +579,13 @@ impl Collector {
         self.decisions.is_some()
     }
 
+    /// Whether anything reads the run's decision records: a decision log
+    /// or truth telemetry.
+    #[must_use]
+    pub fn audit_enabled(&self) -> bool {
+        self.decisions.is_some() || self.truth.is_some()
+    }
+
     /// How many losing candidates each group decision should list
     /// (0 when decision recording is off).
     #[must_use]
@@ -610,9 +595,17 @@ impl Collector {
             .map_or(0, |d| lock_or_recover(d).top_k())
     }
 
-    /// Append a decision record to the bounded log. Thread-safe; a
-    /// no-op unless [`Collector::with_decisions`] was applied.
+    /// The run's one audit entry point: feed a decision record to the
+    /// truth state, before any cap, then to the bounded log. Thread-safe;
+    /// a no-op unless [`Collector::with_truth`] or
+    /// [`Collector::with_decisions`] was applied.
     pub fn decide(&self, record: DecisionRecord) {
+        if let Some(t) = &self.truth {
+            let gauge = lock_or_recover(t).audit(&record);
+            if let (Some((recovered, total)), Some(p)) = (gauge, &self.progress) {
+                lock_or_recover(p).truth_coverage(recovered, total);
+            }
+        }
         if let Some(log) = &self.decisions {
             lock_or_recover(log).push(record);
         }
@@ -1387,26 +1380,53 @@ mod tests {
 
     #[test]
     fn truth_telemetry_is_opt_in_and_flows_into_the_trace() {
-        // enabled but without with_truth: every tap is a no-op
+        let rejected = |old_group, new_group, reason| {
+            DecisionRecord::Rejected(RejectedCandidate {
+                iteration: 0,
+                delta: 0.7,
+                old_group,
+                new_group,
+                g_sim: 0.4,
+                subgraph_size: 2,
+                reason,
+                winner: None,
+            })
+        };
+        let remainder = |old_record, new_record| {
+            DecisionRecord::Remainder(RemainderDecision {
+                old_record,
+                new_record,
+                old_group: 10,
+                new_group: 20,
+                agg_sim: 0.8,
+            })
+        };
+        // enabled but without with_truth: decisions feed no truth state
         let obs = Collector::enabled();
-        assert!(!obs.truth_enabled());
-        assert!(obs.truth_config().is_none());
-        obs.truth_rejected(1, 2, RejectionReason::TieBreak);
-        obs.truth_added(1, 2);
-        assert!(obs.truth_rejections().is_empty());
+        assert!(!obs.audit_enabled());
+        obs.decide(rejected(1, 2, RejectionReason::TieBreak));
+        assert!(obs.truth_audit(|_, _| ()).is_none());
         assert!(obs.finish().quality.is_none());
 
         let obs = Collector::enabled().with_truth(TruthConfig {
             record_pairs: vec![(1, 2), (3, 4)],
             group_pairs: vec![(10, 20)],
         });
-        assert!(obs.truth_enabled());
-        assert_eq!(obs.truth_config().unwrap().record_pairs.len(), 2);
-        obs.truth_rejected(10, 20, RejectionReason::LowerGSim);
-        assert_eq!(obs.truth_rejections().len(), 1);
+        assert!(obs.audit_enabled() && !obs.decisions_enabled());
+        // the latest rejection of a household pair wins
+        obs.decide(rejected(10, 20, RejectionReason::LowerGSim));
+        obs.decide(rejected(10, 20, RejectionReason::BelowMinGSim));
+        obs.decide(rejected(11, 21, RejectionReason::TieBreak));
+        let (pairs, reasons) = obs
+            .truth_audit(|tc, rejected| (tc.record_pairs.len(), rejected.clone()))
+            .unwrap();
+        assert_eq!(pairs, 2);
+        assert_eq!(reasons.len(), 2);
+        assert_eq!(reasons[&(10, 20)], RejectionReason::BelowMinGSim);
         // only true pairs count towards the coverage gauge
-        obs.truth_added(9, 9);
-        obs.truth_added(1, 2);
+        obs.decide(remainder(9, 9));
+        obs.decide(remainder(1, 2));
+        assert_eq!(lock_or_recover(obs.truth.as_ref().unwrap()).recovered, 1);
         // no quality section unless the pipeline finalised one
         assert!(obs.finish().quality.is_none());
         let section = QualitySection {
@@ -1456,7 +1476,8 @@ mod tests {
 
         // a disabled collector never tracks truth, even when asked
         let off = Collector::disabled().with_truth(TruthConfig::default());
-        assert!(!off.truth_enabled());
+        assert!(!off.audit_enabled());
+        assert!(off.truth_audit(|_, _| ()).is_none());
     }
 
     #[test]

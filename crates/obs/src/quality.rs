@@ -18,9 +18,11 @@
 //!
 //! Ground truth enters the collector through
 //! [`crate::Collector::with_truth`] as a [`TruthConfig`] of raw id pairs;
-//! the linkage core classifies pairs by *oracle replay* at finish time
+//! the linkage core classifies pairs by *oracle replay* after the run
 //! (recomputing blocking keys, age plausibility and exact `agg_sim` off
-//! the hot path), so the only live tap is the selection rejections.
+//! the hot path). The only run state it reads is the latest selection
+//! rejection of each household pair, which the collector keeps from the
+//! decision stream ([`crate::Collector::decide`]).
 
 use serde::{Deserialize, Serialize};
 
