@@ -67,10 +67,11 @@ pub struct LinkOptions {
     pub delta_low: Option<f64>,
     /// Write the pipeline trace as JSON to this file (`--trace-out`).
     pub trace_out: Option<PathBuf>,
-    /// Record the per-worker execution timeline and export it as Chrome
+    /// Export the run's per-worker execution timeline as Chrome
     /// trace-event JSON (loadable in Perfetto / `chrome://tracing`) to
-    /// this file (`--timeline-out`, `link` only). The timeline also
-    /// lands in the `--trace-out` JSON and the `--verbose` phase table.
+    /// this file (`--timeline-out`, `link` only). Every traced run
+    /// records the timeline: it also lands in the `--trace-out` JSON and
+    /// the `--verbose` phase table.
     pub timeline_out: Option<PathBuf>,
     /// Record decision provenance and write it as JSONL into this
     /// directory (`--decisions-out`, `link` only).
@@ -106,12 +107,6 @@ const MAX_THREADS: usize = 256;
 impl LinkOptions {
     fn tracing_enabled(&self) -> bool {
         self.trace_out.is_some() || self.verbose
-    }
-
-    /// Timeline recording rides on `--timeline-out` and on `--progress`
-    /// (the live utilization line is fed by the timeline's busy gauge).
-    fn timeline_enabled(&self) -> bool {
-        self.timeline_out.is_some() || self.progress
     }
 
     /// Apply the overrides to a linkage configuration, validating them as
@@ -310,9 +305,6 @@ pub fn cmd_link(
     if opts.trace_mem {
         obs = obs.with_memory();
     }
-    if opts.timeline_enabled() {
-        obs = obs.with_timeline();
-    }
     if opts.progress {
         obs = obs.with_progress(Progress::stderr());
     }
@@ -440,7 +432,7 @@ fn chrome_trace_json(trace: &RunTrace) -> Result<String, CliError> {
     let tl = trace
         .timeline
         .as_ref()
-        .ok_or("trace has no timeline section (was the run made with --timeline-out?)")?;
+        .ok_or("trace has no timeline section")?;
     let phase_pid = |kind: obs::EventKind| -> u64 {
         kind.phase().map_or(0, |p| {
             PIPELINE_PHASES
@@ -841,9 +833,8 @@ pub fn cmd_explain_miss(
 /// Width of the `timeline` subcommand's ASCII Gantt lanes, in cells.
 const GANTT_WIDTH: usize = 64;
 
-/// `timeline`: read a trace JSON file written by `link --trace-out` for
-/// a run made with `--timeline-out` (or `--progress`), and render the
-/// execution timeline: an ASCII Gantt chart (one lane per worker, one
+/// `timeline`: read a trace JSON file written by `link --trace-out`, and
+/// render the execution timeline: an ASCII Gantt chart (one lane per worker, one
 /// glyph per event kind over the run's event window), the per-worker
 /// utilization table and the critical-path estimate.
 ///
@@ -856,17 +847,16 @@ pub fn cmd_timeline(file: &Path, min_utilization: Option<f64>) -> Result<String,
     let trace = load_run_trace(file)?;
     let Some(tl) = &trace.timeline else {
         return Err(format!(
-            "{} has no timeline section; re-run link with --timeline-out or --progress",
+            "{} has no timeline section; re-run link with --trace-out",
             file.display()
         ));
     };
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "timeline: {} event(s) across {} worker(s), {} dropped",
+        "timeline: {} event(s) across {} worker(s)",
         tl.events.len(),
-        tl.workers,
-        tl.dropped
+        tl.workers
     );
     // the Gantt window spans the recorded events, not the whole run —
     // enrich and other untimed stretches would otherwise crush the lanes
@@ -2127,11 +2117,10 @@ mod tests {
 
     #[test]
     fn household_order_in_the_csv_is_irrelevant() {
-        // a snapshot is a set of households: shuffling whole households
-        // (members kept in form order) must not change a single byte of
-        // the mappings or the decision log, and shuffling every row, so
-        // members also change order inside their household, must not
-        // change the mappings
+        // a snapshot is a set of households: shuffling whole households,
+        // or every row, so members also change order inside their
+        // household, must not change a single byte of the mappings or
+        // the decision log
         fn permute<T>(items: &mut [T], seed: u64) {
             // Fisher–Yates under a fixed 64-bit LCG
             let mut state = seed;
@@ -2195,19 +2184,13 @@ mod tests {
         let (old, new) = (dir.join("census_1851.csv"), dir.join("census_1861.csv"));
         let plain = dir.join("plain");
         link(&old, &new, &plain);
-        for (rows, files) in [
-            (
-                false,
-                &["record_mapping.csv", "group_mapping.csv", "decisions.jsonl"][..],
-            ),
-            (true, &["record_mapping.csv", "group_mapping.csv"][..]),
-        ] {
+        for rows in [false, true] {
             let old_s = shuffle("census_1851.csv", 1, rows);
             let new_s = shuffle("census_1861.csv", 2, rows);
             assert_ne!(std::fs::read(&old).unwrap(), std::fs::read(&old_s).unwrap());
             let shuffled = dir.join(format!("shuffled_{rows}"));
             link(&old_s, &new_s, &shuffled);
-            for file in files {
+            for file in ["record_mapping.csv", "group_mapping.csv", "decisions.jsonl"] {
                 assert_eq!(
                     std::fs::read(plain.join(file)).unwrap(),
                     std::fs::read(shuffled.join(file)).unwrap(),
@@ -2516,13 +2499,26 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("bad utilization percentage"), "{err}");
+        // a plain --trace-out run records the timeline too; only a trace
+        // without the section (one written before it was always on) has
+        // none to render
         let plain_trace = dir.join("plain_trace.json");
         link(
             &dir.join("plain2"),
             &["--trace-out", plain_trace.to_str().unwrap()],
         );
-        let err = cli(&["timeline", plain_trace.to_str().unwrap()]).unwrap_err();
+        let rendered = cli(&["timeline", plain_trace.to_str().unwrap()]).unwrap();
+        assert!(rendered.contains("worker   0 |"), "{rendered}");
+        let mut old = serde_json::parse(&std::fs::read_to_string(&plain_trace).unwrap()).unwrap();
+        let serde_json::Value::Map(entries) = &mut old else {
+            panic!("trace JSON is not an object");
+        };
+        entries.retain(|(k, _)| !matches!(k, serde_json::Value::Str(s) if s == "timeline"));
+        let old_trace = dir.join("pre_timeline.json");
+        std::fs::write(&old_trace, serde_json::to_string(&old).unwrap()).unwrap();
+        let err = cli(&["timeline", old_trace.to_str().unwrap()]).unwrap_err();
         assert!(err.contains("no timeline section"), "{err}");
+        assert!(err.contains("re-run link with --trace-out"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2543,13 +2539,11 @@ mod tests {
             dir.join("linked").to_str().unwrap(),
             "--trace-out",
             trace_path.to_str().unwrap(),
-            "--timeline-out",
-            dir.join("tl.json").to_str().unwrap(),
         ])
         .unwrap();
 
         // strip the timeline key, simulating a trace from a build that
-        // predates the timeline profiler
+        // predates the always-on timeline
         let mut v: serde_json::Value =
             serde_json::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
         match &mut v {

@@ -492,18 +492,18 @@ impl<'a> Linker<'a> {
         // with its own scratch; chunks are concatenated in list order, so
         // the output is the list order regardless of completion order
         let per_task = all_runs.div_ceil(TASKS).max(1);
-        let mut chunks: Vec<(usize, usize, usize)> = Vec::new();
+        let mut chunks: Vec<(usize, usize)> = Vec::new();
         let (mut start, mut end, mut runs) = (0, 0, 0);
         for run in pairs.chunk_by(same_candidate) {
             end += run.len();
             runs += 1;
             if runs == per_task {
-                chunks.push((start, end, runs));
+                chunks.push((start, end));
                 (start, runs) = (end, 0);
             }
         }
         if runs > 0 {
-            chunks.push((start, end, runs));
+            chunks.push((start, end));
         }
         let (results, scratches) = run_pool_with(
             chunks.len(),
@@ -511,14 +511,13 @@ impl<'a> Linker<'a> {
             obs,
             |ci, worker, scratch: &mut SubgraphScratch| {
                 let t0 = obs.timeline_start();
-                let (from, to, chunk_runs) = chunks[ci];
+                let (from, to) = chunks[ci];
                 let scored = score_chunk(&pairs[from..to], from, scratch);
                 if let Some(t0) = t0 {
                     obs.timeline_task(
                         worker,
                         EventKind::SubgraphChunk,
                         ci as u64,
-                        chunk_runs as u64,
                         Some(iteration),
                         t0,
                     );
@@ -613,14 +612,6 @@ impl<'a> Linker<'a> {
         let mut iter_idx = 0usize;
         loop {
             let _iter = obs.iter_span(ITERATION_SPAN, iter_idx, Some(delta));
-            // δ-iteration boundary marker on the driver's timeline lane;
-            // detail carries the threshold in basis points
-            obs.timeline_instant(
-                0,
-                EventKind::Iteration,
-                obs::score_bp(delta),
-                Some(iter_idx),
-            );
             let served = pair_cache.is_some();
             let pm = {
                 let _prematch = obs.span("prematch");

@@ -362,7 +362,7 @@ pub(crate) fn score_blocked(
             let task = run(ci * chunk..((ci + 1) * chunk).min(n), scratch);
             let pairs = task.as_ref().map_or(0, |t| t.pairs);
             if let Some(t0) = t0 {
-                obs.timeline_task(worker, kind, detail(ci, pairs), pairs, None, t0);
+                obs.timeline_task(worker, kind, detail(ci, pairs), None, t0);
             }
             task
         },
@@ -424,7 +424,7 @@ where
 /// `f` receives `(task index, worker index)`; the worker index is the
 /// spawn order of the claiming pool thread (0 on the serial path), a
 /// stable identity for timeline and chunk attribution. When the
-/// collector records a timeline the pool also reports the gap between
+/// collector is enabled the pool also reports the gap between
 /// a worker finishing one task and claiming the next as a
 /// [`EventKind::QueueWait`] event (zero-length gaps are elided).
 pub(crate) fn run_pool<T, F>(n: usize, threads: usize, obs: &Collector, f: F) -> Vec<T>
@@ -454,7 +454,7 @@ where
                             obs.timeline_gap(w, prev, i as u64);
                         }
                         done.push((i, f(i, w)));
-                        if obs.timeline_enabled() {
+                        if obs.is_enabled() {
                             last_end = Some(Instant::now());
                         }
                     }
@@ -548,7 +548,7 @@ pub(crate) fn pass_head<'c, 'r>(
 /// [`ProfileCache`], which interns and compiles exactly what those
 /// profiles hold, so the profiles themselves are not read: the result
 /// and every counter equal [`prematch_cached`]'s. Pair/prune counters
-/// and per-thread chunk timings are reported to `obs` (pass
+/// and one timeline event per scoring task are reported to `obs` (pass
 /// [`Collector::disabled`] when not tracing). `_mem` is ignored: a fresh
 /// pass holds no budget-gated structure.
 #[allow(clippy::too_many_arguments)] // prematch's inputs plus the profile slices
@@ -590,8 +590,8 @@ pub fn prematch_with_profiles(
 /// and the age-plausibility filter). `max_age_gap` rejects candidate
 /// pairs whose normalised age difference exceeds the tolerance — the
 /// paper's footnote 2 guarantee; `None` disables the filter. Pair/prune
-/// counters and per-thread chunk timings are reported to `obs` (pass
-/// [`Collector::disabled`] when not tracing).
+/// counters and one timeline event per scoring task are reported to
+/// `obs` (pass [`Collector::disabled`] when not tracing).
 #[allow(clippy::too_many_arguments)] // prematch's inputs plus the cache
 #[must_use]
 pub fn prematch_cached(

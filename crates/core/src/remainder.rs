@@ -90,7 +90,7 @@ pub fn match_remaining_cached(
         );
         if let Some(t0) = t0 {
             let n = scored.len() as u64;
-            obs.timeline_task(0, EventKind::RemainderChunk, n, n, None, t0);
+            obs.timeline_task(0, EventKind::RemainderChunk, n, None, t0);
         }
         obs.add(Counter::PairCacheHits, scored.len() as u64);
         obs.add(Counter::PairCacheFiltered, (pc.len() - scored.len()) as u64);

@@ -143,11 +143,11 @@ fn timeline_records_worker_events_without_changing_the_result() {
         ..LinkageConfig::default()
     };
     let plain = link(old, new, &config);
-    let obs = Collector::enabled().with_timeline();
+    let obs = Collector::enabled();
     let timed = link_traced(old, new, &config, &obs);
     let trace = obs.finish();
 
-    // timeline recording never changes the linkage outcome
+    // recording never changes the linkage outcome
     let a: std::collections::BTreeSet<_> = plain.records.iter().collect();
     let b: std::collections::BTreeSet<_> = timed.records.iter().collect();
     assert_eq!(a, b);
@@ -162,13 +162,24 @@ fn timeline_records_worker_events_without_changing_the_result() {
     assert!(kinds.contains(&EventKind::SubgraphChunk), "{kinds:?}");
     assert!(kinds.contains(&EventKind::Iteration), "{kinds:?}");
     assert!(kinds.contains(&EventKind::RemainderChunk), "{kinds:?}");
-    // one δ-boundary marker per executed iteration, on the driver lane
-    let iter_marks = tl
+    // exactly one δ-boundary mark per iteration span, on the driver
+    // lane at the span's start, and one per executed iteration
+    let mut marks: Vec<_> = tl
         .events
         .iter()
         .filter(|e| e.kind == EventKind::Iteration)
-        .count();
-    assert_eq!(iter_marks, timed.iterations.len());
+        .map(|e| (e.worker, e.iteration, e.start_us, e.detail))
+        .collect();
+    marks.sort_unstable();
+    let mut spans: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == obs::ITERATION_SPAN)
+        .map(|s| (0, s.iteration, s.start_us, obs::score_bp(s.delta.unwrap())))
+        .collect();
+    spans.sort_unstable();
+    assert_eq!(marks, spans);
+    assert_eq!(marks.len(), timed.iterations.len());
     // derived analytics are well-formed
     assert!(tl.mean_utilization() > 0.0 && tl.mean_utilization() <= 1.0);
     assert!(tl.critical_path_us > 0);
@@ -206,7 +217,7 @@ fn pooled_subgraph_passes_record_their_scratch_and_every_chunk() {
         threads: 2,
         ..LinkageConfig::default()
     };
-    let obs = Collector::enabled().with_timeline();
+    let obs = Collector::enabled();
     let result = link_traced(old, new, &config, &obs);
     let trace = obs.finish();
     let steps = result.iterations.len();
@@ -246,7 +257,7 @@ fn driver_sections(
 ) -> (Vec<(DriverSection, Option<usize>)>, usize, obs::RunTrace) {
     let series = pair();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
-    let obs = Collector::enabled().with_timeline();
+    let obs = Collector::enabled();
     let result = link_traced(old, new, config, &obs);
     let trace = obs.finish();
     let tl = trace.timeline.as_ref().expect("timeline recorded");

@@ -95,12 +95,15 @@ impl obs::MemoryFootprint for EnrichedGraph {
 }
 
 impl EnrichedGraph {
-    /// Build the enriched graph of one household.
+    /// Build the enriched graph of one household, its members in record
+    /// id order, so nothing derived from the graph depends on the order
+    /// of the household's rows in the file.
     ///
     /// Returns `None` if the household id is unknown.
     #[must_use]
     pub fn build(ds: &CensusDataset, household: HouseholdId) -> Option<Self> {
-        let members: Vec<&PersonRecord> = ds.members(household).collect();
+        let mut members: Vec<&PersonRecord> = ds.members(household).collect();
+        members.sort_unstable_by_key(|r| r.id);
         if members.is_empty() && ds.household(household).is_none() {
             return None;
         }
@@ -122,7 +125,7 @@ impl EnrichedGraph {
             .collect()
     }
 
-    /// Member record ids, in form order.
+    /// Member record ids, in ascending order.
     #[must_use]
     pub fn nodes(&self) -> &[RecordId] {
         &self.nodes

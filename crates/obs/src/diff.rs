@@ -618,7 +618,7 @@ mod tests {
                 iteration: None,
             })
             .collect();
-        t.timeline = Some(crate::Timeline::derive(events, 0));
+        t.timeline = Some(crate::Timeline::derive(events));
         t
     }
 

@@ -7,17 +7,16 @@
 //! layer (the build is offline, so crates.io `tracing` is unavailable):
 //!
 //! * [`Collector`] — nested phase spans with wall-clock timing, optional
-//!   per-δ-iteration tagging and atomic pipeline [`Counter`]s.
-//! * [`timeline`] — an opt-in per-worker event recorder
-//!   ([`Collector::with_timeline`]): bounded rings of fixed-size
-//!   timestamped events drained into a [`Timeline`] trace section with
-//!   derived scheduler analytics (utilization, critical path). Each
-//!   task of a parallel scoring loop is recorded once, as a timeline
-//!   event; the same record feeds live progress, and the trace's
-//!   `chunk_us` histogram is derived from these events.
+//!   per-δ-iteration tagging and atomic pipeline [`Counter`]s. Closed
+//!   spans and the [`timeline`]'s worker events (one per task of a
+//!   parallel scoring loop, queue wait or driver section) go into one
+//!   append-only event log; the same task records feed live progress.
 //! * [`RunTrace`] — the serialisable report assembled by
-//!   [`Collector::finish`]: aggregated phase statistics, a per-iteration
-//!   breakdown, counters and the raw spans. Serialises to
+//!   [`Collector::finish`] from that log: the raw spans, aggregated
+//!   phase statistics, a per-iteration breakdown, the `phase_us_*` and
+//!   `chunk_us` latency histograms, the [`Timeline`] section with its
+//!   scheduler analytics (utilization, critical path), and the
+//!   counters. Serialises to
 //!   JSON via the vendored `serde_json` and renders as a human-readable
 //!   phase table.
 //! * [`TraceSink`] — a small accumulator for harnesses that run many
@@ -77,12 +76,10 @@ pub use report::{
     CounterValue, IterationTrace, LabeledTrace, MemoryStats, MultiTrace, PhaseMem, PhaseStat,
     RunTrace, ShardStat, SpanRecord, TraceEvent, PIPELINE_PHASES,
 };
-pub use timeline::{
-    DriverSection, EventKind, Timeline, TimelineEvent, WorkerUtilization, DEFAULT_EVENT_CAPACITY,
-};
+pub use timeline::{DriverSection, EventKind, Timeline, TimelineEvent, WorkerUtilization};
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -158,14 +155,11 @@ pub enum Counter {
     EvolutionAddG,
     /// Evolution: disappearing households (`remove_G`).
     EvolutionRemoveG,
-    /// Timeline events lost to per-worker ring-buffer overflow (oldest
-    /// dropped first; see [`timeline`]).
-    TimelineDropped,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 24] = [
         Counter::PrematchPairsScored,
         Counter::PrematchPairsMatched,
         Counter::EarlyExitPrunes,
@@ -190,7 +184,6 @@ impl Counter {
         Counter::EvolutionPreserveG,
         Counter::EvolutionAddG,
         Counter::EvolutionRemoveG,
-        Counter::TimelineDropped,
     ];
 
     /// Stable snake_case name used in the JSON trace.
@@ -221,7 +214,6 @@ impl Counter {
             Counter::EvolutionPreserveG => "evolution_preserve_g",
             Counter::EvolutionAddG => "evolution_add_g",
             Counter::EvolutionRemoveG => "evolution_remove_g",
-            Counter::TimelineDropped => "timeline_dropped",
         }
     }
 
@@ -235,17 +227,82 @@ impl Counter {
 /// assembled: it forms the per-iteration breakdown rather than a phase.
 pub const ITERATION_SPAN: &str = "iteration";
 
+/// An open span. Its phase, iteration tag and δ are worked out once,
+/// when it opens: its own, or else the enclosing span's.
 struct Frame {
     name: &'static str,
+    /// The innermost recognised phase at or above this span (`""` when
+    /// there is none).
+    phase: &'static str,
     iteration: Option<usize>,
     delta: Option<f64>,
     start: Instant,
 }
 
+/// One entry of the event log.
+enum Record {
+    /// A closed span. Its path and parent are not kept: spans close
+    /// innermost first, so [`spans_from`] rebuilds them from the order
+    /// and depths of the span records.
+    Span {
+        name: &'static str,
+        depth: usize,
+        iteration: Option<usize>,
+        delta: Option<f64>,
+        start_us: u64,
+        duration_us: u64,
+    },
+    /// A pool task, queue wait or driver section.
+    Event(TimelineEvent),
+}
+
+/// The span stack and the run's one event log.
 #[derive(Default)]
-struct SpanState {
+struct EventLog {
     stack: Vec<Frame>,
-    finished: Vec<SpanRecord>,
+    /// Every closed span and timeline event, in the order they ended.
+    records: Vec<Record>,
+    /// One past the highest worker id logged so far.
+    workers: usize,
+}
+
+/// Rebuild the [`SpanRecord`]s of the logged spans. A span closes after
+/// every span nested in it, so walking the log backwards meets each
+/// span before its descendants, and the names last met at depths
+/// `0..depth` are its ancestors.
+fn spans_from(records: &[Record]) -> Vec<SpanRecord> {
+    let mut ancestors: Vec<&str> = Vec::new();
+    let mut spans: Vec<SpanRecord> = records
+        .iter()
+        .rev()
+        .filter_map(|r| match *r {
+            Record::Span {
+                name,
+                depth,
+                iteration,
+                delta,
+                start_us,
+                duration_us,
+            } => {
+                ancestors.truncate(depth);
+                let parent = ancestors.last().map(|&p| p.to_owned());
+                ancestors.push(name);
+                Some(SpanRecord {
+                    name: name.to_owned(),
+                    path: ancestors.join("/"),
+                    parent,
+                    depth,
+                    iteration,
+                    delta,
+                    start_us,
+                    duration_us,
+                })
+            }
+            Record::Event(_) => None,
+        })
+        .collect();
+    spans.reverse();
+    spans
 }
 
 /// Ground-truth state behind [`Collector::with_truth`]: the loaded truth
@@ -301,19 +358,22 @@ pub struct Collector {
     enabled: bool,
     memory: bool,
     epoch: Instant,
-    state: Mutex<SpanState>,
+    log: Mutex<EventLog>,
+    /// Workers inside a timed task, for the live progress utilization
+    /// line. Display-only — a panicking worker may leak one.
+    busy: AtomicUsize,
     counters: [AtomicU64; Counter::ALL.len()],
     hists: Mutex<Vec<Histogram>>,
     decisions: Option<Mutex<DecisionLog>>,
     footprints: Mutex<Vec<FootprintSnapshot>>,
     events: Mutex<Vec<TraceEvent>>,
     progress: Option<Mutex<Progress>>,
-    timeline: Option<timeline::TimelineState>,
     truth: Option<Mutex<TruthState>>,
 }
 
 impl Collector {
-    /// A collector that records spans, counters and histograms.
+    /// A collector that records spans, timeline events, counters and
+    /// histograms.
     #[must_use]
     pub fn enabled() -> Self {
         Self::new(true)
@@ -332,14 +392,14 @@ impl Collector {
             enabled,
             memory: false,
             epoch: Instant::now(),
-            state: Mutex::new(SpanState::default()),
+            log: Mutex::new(EventLog::default()),
+            busy: AtomicUsize::new(0),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: Mutex::new(vec![Histogram::new(); LiveHist::ALL.len()]),
             decisions: None,
             footprints: Mutex::new(Vec::new()),
             events: Mutex::new(Vec::new()),
             progress: None,
-            timeline: None,
             truth: None,
         }
     }
@@ -366,8 +426,7 @@ impl Collector {
     }
 
     /// Attach a live progress reporter, driven by span pushes, counter
-    /// updates and, when the timeline records them, timed tasks. Has no
-    /// effect on a disabled collector.
+    /// updates and timed tasks. Has no effect on a disabled collector.
     #[must_use]
     pub fn with_progress(mut self, progress: Progress) -> Self {
         if self.enabled {
@@ -376,126 +435,105 @@ impl Collector {
         self
     }
 
-    /// Turn on per-worker timeline recording (see [`timeline`]) with
-    /// the default per-worker ring capacity. Has no effect on a
-    /// disabled collector.
+    /// Does nothing: every enabled collector records the timeline (see
+    /// [`timeline`]). Kept for callers written when recording it was
+    /// opt-in.
     #[must_use]
     pub fn with_timeline(self) -> Self {
-        self.with_timeline_capacity(timeline::DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// Turn on per-worker timeline recording with an explicit
-    /// per-worker ring capacity (events; at least 1). Overflow drops
-    /// the oldest events and counts them in `timeline_dropped`. Has no
-    /// effect on a disabled collector.
-    #[must_use]
-    pub fn with_timeline_capacity(mut self, capacity: usize) -> Self {
-        if self.enabled {
-            self.timeline = Some(timeline::TimelineState::new(capacity));
-        }
         self
     }
 
-    /// Whether timeline recording is on.
-    #[must_use]
-    pub fn timeline_enabled(&self) -> bool {
-        self.timeline.is_some()
+    /// Append a timeline event to the log; returns how many workers
+    /// have logged events so far.
+    fn log_event(&self, event: TimelineEvent) -> usize {
+        let mut log = lock_or_recover(&self.log);
+        log.workers = log.workers.max(event.worker as usize + 1);
+        log.records.push(Record::Event(event));
+        log.workers
+    }
+
+    /// A timeline event of `kind` on `worker` that began at `start`.
+    fn event_since(
+        &self,
+        worker: usize,
+        kind: EventKind,
+        detail: u64,
+        iteration: Option<usize>,
+        start: Instant,
+    ) -> TimelineEvent {
+        TimelineEvent {
+            worker: u32::try_from(worker).unwrap_or(u32::MAX),
+            kind,
+            start_us: as_us(start.duration_since(self.epoch)),
+            duration_us: as_us(start.elapsed()),
+            detail,
+            iteration,
+        }
     }
 
     /// Mark the start of a timed unit of work. Returns `None` — at the
-    /// cost of one branch, no clock read — unless timeline recording is
-    /// on. Pair every `Some` with a [`Collector::timeline_task`] call;
-    /// the busy-worker gauge feeding the live progress utilization line
-    /// counts starts not yet finished.
+    /// cost of one branch, no clock read — when the collector is
+    /// disabled. Pair every `Some` with a [`Collector::timeline_task`]
+    /// call; the busy-worker gauge feeding the live progress utilization
+    /// line counts starts not yet finished.
     #[must_use]
     pub fn timeline_start(&self) -> Option<Instant> {
-        let state = self.timeline.as_ref()?;
-        state.task_started();
+        if !self.enabled {
+            return None;
+        }
+        self.busy.fetch_add(1, Ordering::Relaxed);
         Some(Instant::now())
     }
 
-    /// Record a completed unit of work over `items` items that began at
-    /// `start` (the instant handed out by [`Collector::timeline_start`])
-    /// as one event in `worker`'s ring, and feed its items and duration
-    /// to the live progress throughput. Thread-safe.
+    /// Record a completed unit of work that began at `start` (the
+    /// instant handed out by [`Collector::timeline_start`]) as one
+    /// event on `worker`'s lane, and feed its duration to the live
+    /// progress utilization. Thread-safe.
     pub fn timeline_task(
         &self,
         worker: usize,
         kind: EventKind,
         detail: u64,
-        items: u64,
         iteration: Option<usize>,
         start: Instant,
     ) {
-        let Some(state) = &self.timeline else {
+        if !self.enabled {
             return;
-        };
-        let duration_us = as_us(start.elapsed());
-        state.push(TimelineEvent {
-            worker: u32::try_from(worker).unwrap_or(u32::MAX),
-            kind,
-            start_us: as_us(start.duration_since(self.epoch)),
-            duration_us,
-            detail,
-            iteration,
-        });
-        state.task_finished();
+        }
+        let event = self.event_since(worker, kind, detail, iteration, start);
+        let workers = self.log_event(event);
+        // saturating: a leaked increment (panicked worker) must not wrap
+        let _ = self
+            .busy
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
+                Some(b.saturating_sub(1))
+            });
         if let Some(p) = &self.progress {
             let mut p = lock_or_recover(p);
-            p.task(items, duration_us);
-            p.utilization(state.busy(), state.workers());
+            p.task(event.duration_us);
+            p.utilization(self.busy.load(Ordering::Relaxed), workers);
         }
-    }
-
-    /// Record an instant (zero-duration) timeline event at the current
-    /// time. Thread-safe; a no-op unless timeline recording is on.
-    pub fn timeline_instant(
-        &self,
-        worker: usize,
-        kind: EventKind,
-        detail: u64,
-        iteration: Option<usize>,
-    ) {
-        let Some(state) = &self.timeline else {
-            return;
-        };
-        state.push(TimelineEvent {
-            worker: u32::try_from(worker).unwrap_or(u32::MAX),
-            kind,
-            start_us: as_us(self.epoch.elapsed()),
-            duration_us: 0,
-            detail,
-            iteration,
-        });
     }
 
     /// Record the queue-wait gap a pool worker spent between `since`
     /// (when its previous task ended) and now, while waiting to claim
     /// task `detail`. Gaps that truncate to 0µs are not recorded.
-    /// Thread-safe; a no-op unless timeline recording is on.
+    /// Thread-safe; a no-op when disabled.
     pub fn timeline_gap(&self, worker: usize, since: Instant, detail: u64) {
-        let Some(state) = &self.timeline else {
-            return;
-        };
-        let duration_us = as_us(since.elapsed());
-        if duration_us == 0 {
+        if !self.enabled {
             return;
         }
-        state.push(TimelineEvent {
-            worker: u32::try_from(worker).unwrap_or(u32::MAX),
-            kind: EventKind::QueueWait,
-            start_us: as_us(since.duration_since(self.epoch)),
-            duration_us,
-            detail,
-            iteration: None,
-        });
+        let event = self.event_since(worker, EventKind::QueueWait, detail, None, since);
+        if event.duration_us > 0 {
+            self.log_event(event);
+        }
     }
 
     /// Run `f`, a section of the linker driver, and record it as an
     /// [`EventKind::Driver`] event on worker 0's lane (`detail` = the
     /// section's code). The event is not busy time and feeds no progress
-    /// throughput, so utilization keeps counting pool tasks only. Without
-    /// timeline recording this is `f()` after one branch. Thread-safe:
+    /// utilization, so utilization keeps counting pool tasks only. On a
+    /// disabled collector this is `f()` after one branch. Thread-safe:
     /// sections running on other threads still land on worker 0.
     pub fn driver<T>(
         &self,
@@ -503,19 +541,12 @@ impl Collector {
         iteration: Option<usize>,
         f: impl FnOnce() -> T,
     ) -> T {
-        let Some(state) = &self.timeline else {
+        if !self.enabled {
             return f();
-        };
+        }
         let start = Instant::now();
         let out = f();
-        state.push(TimelineEvent {
-            worker: 0,
-            kind: EventKind::Driver,
-            start_us: as_us(start.duration_since(self.epoch)),
-            duration_us: as_us(start.elapsed()),
-            detail: section.code(),
-            iteration,
-        });
+        self.log_event(self.event_since(0, EventKind::Driver, section.code(), iteration, start));
         out
     }
 
@@ -657,25 +688,23 @@ impl Collector {
         }
         let slot = alloc::phase_slot(name);
         let recognised = slot != alloc::OTHER_SLOT;
-        let (inherited_iteration, inherited_delta) = {
-            let mut st = lock_or_recover(&self.state);
-            st.stack.push(Frame {
+        let (iteration, delta) = {
+            let mut log = lock_or_recover(&self.log);
+            let outer = log.stack.last();
+            let frame = Frame {
                 name,
-                iteration,
-                delta,
+                phase: if recognised {
+                    name
+                } else {
+                    outer.map_or("", |f| f.phase)
+                },
+                iteration: iteration.or(outer.and_then(|f| f.iteration)),
+                delta: delta.or(outer.and_then(|f| f.delta)),
                 start: Instant::now(),
-            });
-            let mut it = iteration;
-            let mut dl = delta;
-            for f in st.stack.iter().rev() {
-                if it.is_none() {
-                    it = f.iteration;
-                }
-                if dl.is_none() {
-                    dl = f.delta;
-                }
-            }
-            (it, dl)
+            };
+            let tags = (frame.iteration, frame.delta);
+            log.stack.push(frame);
+            tags
         };
         // attribute subsequent allocations to the innermost recognised
         // phase; unrecognised child spans keep their parent's slot
@@ -684,7 +713,7 @@ impl Collector {
                 alloc::set_phase(slot);
             }
             if let Some(p) = &self.progress {
-                lock_or_recover(p).phase_started(name, inherited_iteration, inherited_delta);
+                lock_or_recover(p).phase_started(name, iteration, delta);
             }
         }
         SpanGuard {
@@ -693,52 +722,24 @@ impl Collector {
     }
 
     fn end_span(&self) {
-        let mut st = lock_or_recover(&self.state);
-        let Some(frame) = st.stack.pop() else {
+        let mut log = lock_or_recover(&self.log);
+        let Some(frame) = log.stack.pop() else {
             // a panic unwound past an outer guard before this one
             // dropped; the span is already closed — never re-panic
             return;
         };
-        let duration_us = as_us(frame.start.elapsed());
-        let parent = st.stack.last().map(|f| f.name.to_owned());
-        let mut iteration = frame.iteration;
-        let mut delta = frame.delta;
-        for f in st.stack.iter().rev() {
-            if iteration.is_none() {
-                iteration = f.iteration;
-            }
-            if delta.is_none() {
-                delta = f.delta;
-            }
-        }
-        let path = st
-            .stack
-            .iter()
-            .map(|f| f.name)
-            .chain([frame.name])
-            .collect::<Vec<_>>()
-            .join("/");
-        let depth = st.stack.len();
-        st.finished.push(SpanRecord {
-            name: frame.name.to_owned(),
-            path,
-            parent,
+        let depth = log.stack.len();
+        log.records.push(Record::Span {
+            name: frame.name,
             depth,
-            iteration,
-            delta,
+            iteration: frame.iteration,
+            delta: frame.delta,
             start_us: as_us(frame.start.duration_since(self.epoch)),
-            duration_us,
+            duration_us: as_us(frame.start.elapsed()),
         });
         if self.memory {
             // restore attribution to the nearest recognised ancestor
-            let slot = st
-                .stack
-                .iter()
-                .rev()
-                .map(|f| alloc::phase_slot(f.name))
-                .find(|&s| s != alloc::OTHER_SLOT)
-                .unwrap_or(alloc::OTHER_SLOT);
-            alloc::set_phase(slot);
+            alloc::set_phase(alloc::phase_slot(log.stack.last().map_or("", |f| f.phase)));
         }
     }
 
@@ -824,16 +825,10 @@ impl Collector {
     /// The innermost recognised phase on the span stack and the
     /// inherited δ-iteration index (`""`/`None` outside spans).
     fn current_phase(&self) -> (String, Option<usize>) {
-        let st = lock_or_recover(&self.state);
-        let phase = st
-            .stack
-            .iter()
-            .rev()
-            .find(|f| alloc::phase_slot(f.name) != alloc::OTHER_SLOT)
-            .map(|f| f.name.to_owned())
-            .unwrap_or_default();
-        let iteration = st.stack.iter().rev().find_map(|f| f.iteration);
-        (phase, iteration)
+        let log = lock_or_recover(&self.log);
+        log.stack
+            .last()
+            .map_or((String::new(), None), |f| (f.phase.to_owned(), f.iteration))
     }
 
     /// Record one sample into a live histogram. Thread-safe; a no-op
@@ -854,29 +849,42 @@ impl Collector {
         }
     }
 
-    /// Snapshot the collected spans, counters, timeline and histograms
-    /// into a [`RunTrace`]. Total wall time is measured from
-    /// the collector's construction. Open spans are not included — close
-    /// every guard before finishing (a caught panic closes its spans via
-    /// the guards' `Drop` during unwinding).
+    /// Snapshot the event log, counters and histograms into a
+    /// [`RunTrace`]: the spans, the timeline — with one
+    /// [`EventKind::Iteration`] mark at the start of each iteration span
+    /// — and everything derived from them. Total wall time is measured
+    /// from the collector's construction. Open spans are not included —
+    /// close every guard before finishing (a caught panic closes its
+    /// spans via the guards' `Drop` during unwinding).
     #[must_use]
     pub fn finish(&self) -> RunTrace {
         let total_us = as_us(self.epoch.elapsed());
-        let spans = {
-            let st = lock_or_recover(&self.state);
-            st.finished.clone()
+        let (spans, mut events) = {
+            let log = lock_or_recover(&self.log);
+            let events: Vec<TimelineEvent> = log
+                .records
+                .iter()
+                .filter_map(|r| match r {
+                    Record::Event(e) => Some(*e),
+                    Record::Span { .. } => None,
+                })
+                .collect();
+            (spans_from(&log.records), events)
         };
-        // drain the timeline (and fold ring overflow into its counter)
-        // before snapshotting counters
-        let timeline = self.timeline.as_ref().map(|state| {
-            let (events, dropped) = state.drain();
-            // store (not add) so finishing twice stays consistent with
-            // the re-drained ring counts
-            if dropped > 0 {
-                self.counters[Counter::TimelineDropped.index()].store(dropped, Ordering::Relaxed);
-            }
-            timeline::Timeline::derive(events, dropped)
-        });
+        events.extend(
+            spans
+                .iter()
+                .filter(|s| s.name == ITERATION_SPAN)
+                .map(|s| TimelineEvent {
+                    worker: 0,
+                    kind: EventKind::Iteration,
+                    start_us: s.start_us,
+                    duration_us: 0,
+                    detail: s.delta.map_or(0, score_bp),
+                    iteration: s.iteration,
+                }),
+        );
+        let timeline = self.enabled.then(|| Timeline::derive(events));
         let counters = Counter::ALL
             .iter()
             .map(|&c| CounterValue {
@@ -1035,7 +1043,7 @@ mod tests {
             let _a = obs.span("prematch");
             obs.add(Counter::PrematchPairsScored, 100);
             assert!(obs.timeline_start().is_none());
-            obs.timeline_instant(0, EventKind::Iteration, 0, Some(0));
+            obs.timeline_gap(0, Instant::now() - Duration::from_millis(1), 0);
         }
         let trace = obs.finish();
         assert!(!trace.enabled);
@@ -1045,27 +1053,34 @@ mod tests {
         assert!(trace.timeline.is_none());
     }
 
-    #[test]
-    fn timeline_is_opt_in_and_records_worker_events() {
-        // enabled but without with_timeline: starts hand out None and
-        // nothing is recorded
-        let obs = Collector::enabled();
-        assert!(!obs.timeline_enabled());
-        assert!(obs.timeline_start().is_none());
-        obs.timeline_instant(0, EventKind::Iteration, 0, None);
-        assert!(obs.finish().timeline.is_none());
+    /// `trace` serialised without its `timeline` key, as a trace written
+    /// before the timeline was always on reads.
+    fn without_timeline(trace: &RunTrace) -> RunTrace {
+        let mut json = serde_json::parse(&serde_json::to_string(trace).unwrap()).unwrap();
+        let serde_json::Value::Map(entries) = &mut json else {
+            panic!("trace must serialize to an object");
+        };
+        entries.retain(|(k, _)| !matches!(k, serde_json::Value::Str(s) if s == "timeline"));
+        serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap()
+    }
 
-        let obs = Collector::enabled().with_timeline();
-        assert!(obs.timeline_enabled());
-        let t0 = obs.timeline_start().expect("timeline on");
+    #[test]
+    fn timeline_is_always_on_and_records_worker_events() {
+        // a plain enabled collector records the timeline; a trace
+        // without the section is the old-trace path, and still validates
+        let obs = Collector::enabled();
+        let t0 = obs.timeline_start().expect("enabled collectors time tasks");
         std::thread::sleep(Duration::from_millis(2));
-        obs.timeline_task(1, EventKind::PrematchTask, 7, 40, None, t0);
-        obs.timeline_instant(0, EventKind::Iteration, 0, Some(0));
+        obs.timeline_task(1, EventKind::PrematchTask, 7, None, t0);
+        {
+            let _it = obs.iter_span(ITERATION_SPAN, 0, Some(0.7));
+        }
         let trace = obs.finish();
-        assert_eq!(trace.counter("timeline_dropped"), 0);
+        let old = without_timeline(&trace);
+        assert!(old.timeline.is_none());
+        old.validate_basic().unwrap();
         let tl = trace.timeline.as_ref().expect("timeline section");
         assert_eq!(tl.workers, 2);
-        assert_eq!(tl.dropped, 0);
         let tile = tl
             .events
             .iter()
@@ -1075,15 +1090,24 @@ mod tests {
         assert_eq!(tile.detail, 7);
         assert!(tile.duration_us >= 1_000);
         assert!(tl.active_us >= tile.duration_us);
+        // the iteration span's start is the δ-boundary mark
+        let mark = tl
+            .events
+            .iter()
+            .find(|e| e.kind == EventKind::Iteration)
+            .expect("iteration mark");
+        assert_eq!((mark.worker, mark.iteration), (0, Some(0)));
+        assert_eq!(mark.detail, score_bp(0.7));
+        assert_eq!(mark.start_us, trace.spans[0].start_us);
     }
 
     #[test]
     fn driver_sections_record_on_worker_zero_without_busy_counts() {
-        let obs = Collector::enabled();
+        let obs = Collector::disabled();
         assert_eq!(obs.driver(DriverSection::Intern, None, || 7), 7);
         assert!(obs.finish().timeline.is_none());
 
-        let obs = Collector::enabled().with_timeline();
+        let obs = Collector::enabled();
         let out = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
@@ -1115,34 +1139,33 @@ mod tests {
     }
 
     #[test]
-    fn timeline_ring_overflow_feeds_the_dropped_counter() {
-        let obs = Collector::enabled().with_timeline_capacity(2);
-        for i in 0..5 {
-            let t0 = obs.timeline_start().expect("timeline on");
-            obs.timeline_task(0, EventKind::PrematchTask, i, 1, None, t0);
+    fn every_task_event_is_kept() {
+        // the log is unbounded: thousands of tasks on one worker all
+        // reach the trace, in order
+        let obs = Collector::enabled();
+        for i in 0..5_000 {
+            let t0 = obs.timeline_start().expect("enabled collectors time tasks");
+            obs.timeline_task(0, EventKind::PrematchTask, i, None, t0);
         }
         let trace = obs.finish();
         let tl = trace.timeline.as_ref().expect("timeline section");
-        assert_eq!(tl.events.len(), 2);
-        assert_eq!(tl.dropped, 3);
-        assert_eq!(trace.counter("timeline_dropped"), 3);
-        // the survivors are the newest events
         assert_eq!(
             tl.events.iter().map(|e| e.detail).collect::<Vec<_>>(),
-            vec![3, 4]
+            (0..5_000).collect::<Vec<_>>()
         );
-        trace.validate_basic().expect("overflow must not corrupt");
+        assert_eq!(trace.histogram("chunk_us").map(|h| h.count), Some(5_000));
+        trace.validate_basic().unwrap();
     }
 
     #[test]
     fn timeline_events_from_worker_threads_round_trip_through_json() {
-        let obs = Collector::enabled().with_timeline();
+        let obs = Collector::enabled();
         std::thread::scope(|scope| {
             for w in 0..3usize {
                 let obs = &obs;
                 scope.spawn(move || {
                     let t0 = obs.timeline_start().expect("timeline on");
-                    obs.timeline_task(w, EventKind::PrematchTask, w as u64, 1, None, t0);
+                    obs.timeline_task(w, EventKind::PrematchTask, w as u64, None, t0);
                 });
             }
         });
@@ -1176,6 +1199,54 @@ mod tests {
         assert_eq!(trace.spans[0].depth, 2);
         assert_eq!(trace.spans[2].path, "iteration");
         assert_eq!(trace.spans[2].depth, 0);
+    }
+
+    #[test]
+    fn span_paths_follow_from_closing_order_and_depth() {
+        // sibling subtrees, a deeper nest and a later top-level span,
+        // with task events logged between them
+        let obs = Collector::enabled();
+        {
+            let _e = obs.span("enrich");
+        }
+        for i in 0..2 {
+            let _it = obs.iter_span(ITERATION_SPAN, i, Some(0.7 - 0.05 * i as f64));
+            {
+                let _pm = obs.span("prematch");
+                let _pr = obs.span("profiles");
+                let t0 = obs.timeline_start().unwrap();
+                obs.timeline_task(0, EventKind::PrematchTask, 0, None, t0);
+            }
+            let _sg = obs.span("subgraph");
+        }
+        {
+            let _r = obs.span("remainder");
+        }
+        let trace = obs.finish();
+        let rows: Vec<(&str, Option<&str>, usize, Option<usize>)> = trace
+            .spans
+            .iter()
+            .map(|s| (s.path.as_str(), s.parent.as_deref(), s.depth, s.iteration))
+            .collect();
+        let it = Some("iteration");
+        assert_eq!(
+            rows,
+            vec![
+                ("enrich", None, 0, None),
+                ("iteration/prematch/profiles", Some("prematch"), 2, Some(0)),
+                ("iteration/prematch", it, 1, Some(0)),
+                ("iteration/subgraph", it, 1, Some(0)),
+                ("iteration", None, 0, Some(0)),
+                ("iteration/prematch/profiles", Some("prematch"), 2, Some(1)),
+                ("iteration/prematch", it, 1, Some(1)),
+                ("iteration/subgraph", it, 1, Some(1)),
+                ("iteration", None, 0, Some(1)),
+                ("remainder", None, 0, None),
+            ]
+        );
+        let marks = trace.timeline.as_ref().unwrap().events.iter();
+        let marks: Vec<_> = marks.filter(|e| e.kind == EventKind::Iteration).collect();
+        assert_eq!(marks.len(), 2);
     }
 
     #[test]
@@ -1215,18 +1286,20 @@ mod tests {
     #[test]
     fn chunk_timings_are_recorded_from_any_thread() {
         // each task is one timeline event; chunk_us is derived from the
-        // scoring tasks, not from instants or queue waits
-        let obs = Collector::enabled().with_timeline();
-        std::thread::scope(|scope| {
-            for w in 0..4 {
-                let obs = &obs;
-                scope.spawn(move || {
-                    let t0 = obs.timeline_start().expect("timeline on");
-                    obs.timeline_task(w, EventKind::SubgraphChunk, w as u64, 100, Some(0), t0);
-                });
-            }
-        });
-        obs.timeline_instant(0, EventKind::Iteration, 0, Some(0));
+        // scoring tasks, not from iteration marks or queue waits
+        let obs = Collector::enabled();
+        {
+            let _it = obs.iter_span(ITERATION_SPAN, 0, Some(0.7));
+            std::thread::scope(|scope| {
+                for w in 0..4 {
+                    let obs = &obs;
+                    scope.spawn(move || {
+                        let t0 = obs.timeline_start().expect("timeline on");
+                        obs.timeline_task(w, EventKind::SubgraphChunk, w as u64, Some(0), t0);
+                    });
+                }
+            });
+        }
         let trace = obs.finish();
         assert_eq!(trace.histogram("chunk_us").map(|h| h.count), Some(4));
         let tl = trace.timeline.as_ref().expect("timeline section");
@@ -1238,11 +1311,10 @@ mod tests {
             .collect();
         workers.sort_unstable();
         assert_eq!(workers, vec![0, 1, 2, 3]);
-        // without the timeline there are no task events and no chunk_us
-        assert!(Collector::enabled()
-            .finish()
-            .histogram("chunk_us")
-            .is_none());
+        // a trace without the timeline section keeps its chunk_us
+        let old = without_timeline(&trace);
+        assert!(old.timeline.is_none());
+        assert_eq!(old.histogram("chunk_us"), trace.histogram("chunk_us"));
     }
 
     #[test]
@@ -1284,13 +1356,13 @@ mod tests {
 
     #[test]
     fn panicking_worker_thread_does_not_poison_the_collector() {
-        let obs = Collector::enabled().with_timeline();
+        let obs = Collector::enabled();
         let result = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
                     let _span = obs.span("subgraph");
                     let t0 = obs.timeline_start().expect("timeline on");
-                    obs.timeline_task(0, EventKind::SubgraphChunk, 0, 5, None, t0);
+                    obs.timeline_task(0, EventKind::SubgraphChunk, 0, None, t0);
                     panic!("worker died mid-span");
                 })
                 .join()

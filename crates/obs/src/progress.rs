@@ -4,8 +4,8 @@
 //! [`crate::Collector::with_progress`] and driven entirely by the
 //! instrumentation calls the pipeline already makes: span pushes mark
 //! phase changes, counter updates mark work done, and timed scoring
-//! tasks ([`crate::Collector::timeline_task`]) feed the throughput
-//! estimate behind the ETA. Output goes to
+//! tasks ([`crate::Collector::timeline_task`]) feed the worker
+//! utilization line. Output goes to
 //! stderr (or any writer, for tests), one `\r`-free line per emission
 //! so logs capture cleanly, throttled to a minimum interval so hot
 //! loops cannot flood the terminal.
@@ -13,12 +13,11 @@
 //! A line looks like:
 //!
 //! ```text
-//! [progress] prematch #0 δ=0.70  pairs 12000/30000 (40.0%)  live 12.5MB  eta 1.2s
+//! [progress] subgraph #0 δ=0.70  household pairs 12000  workers 1/2  live 12.5MB
 //! ```
 //!
 //! `live` appears when the counting allocator is installed and
-//! tracking; `eta` comes from recorded task throughput when available
-//! and falls back to the phase's elapsed rate.
+//! tracking.
 
 use crate::alloc;
 use std::io::Write;
@@ -51,7 +50,6 @@ pub struct Progress {
     iteration: Option<usize>,
     delta: Option<f64>,
     phase_start: Instant,
-    task_items: u64,
     task_us: u64,
     busy_workers: usize,
     total_workers: usize,
@@ -86,7 +84,6 @@ impl Progress {
             iteration: None,
             delta: None,
             phase_start: Instant::now(),
-            task_items: 0,
             task_us: 0,
             busy_workers: 0,
             total_workers: 0,
@@ -107,7 +104,7 @@ impl Progress {
     }
 
     /// A phase span opened: emit its header line (never throttled — at
-    /// most a handful per δ iteration) and reset the throughput window.
+    /// most a handful per δ iteration) and reset the phase's task time.
     pub(crate) fn phase_started(
         &mut self,
         name: &str,
@@ -118,24 +115,21 @@ impl Progress {
         self.iteration = iteration;
         self.delta = delta;
         self.phase_start = Instant::now();
-        self.task_items = 0;
         self.task_us = 0;
         let line = self.header();
         let _ = writeln!(self.out, "{line}");
         self.last_emit = Some(Instant::now());
     }
 
-    /// A worker finished a timed task: feed the throughput estimate.
-    pub(crate) fn task(&mut self, items: u64, duration_us: u64) {
-        self.task_items += items;
+    /// A worker finished a timed task: add it to the phase's task time.
+    pub(crate) fn task(&mut self, duration_us: u64) {
         self.task_us += duration_us;
     }
 
-    /// The timeline's busy-worker gauge moved: remember it and emit a
-    /// throttled utilization line (`busy/total` workers plus the current
-    /// phase's idle share, from recorded task time against the phase's
-    /// elapsed worker capacity). Only fires when the collector records a
-    /// timeline.
+    /// The busy-worker gauge moved: remember it and emit a throttled
+    /// utilization line (`busy/total` workers plus the current phase's
+    /// idle share, from recorded task time against the phase's elapsed
+    /// worker capacity).
     pub(crate) fn utilization(&mut self, busy: usize, total: usize) {
         self.busy_workers = busy;
         self.total_workers = total;
@@ -213,25 +207,7 @@ impl Progress {
         if alloc::tracking() {
             line.push_str(&format!("  live {}", fmt_bytes(alloc::live_bytes())));
         }
-        if let Some(eta) = self.eta_us(done, total, now) {
-            line.push_str(&format!("  eta {:.1}s", eta as f64 / 1e6));
-        }
         let _ = writeln!(self.out, "{line}");
-    }
-
-    /// Remaining microseconds, from task throughput when recorded,
-    /// else from the phase's elapsed rate.
-    fn eta_us(&self, done: u64, total: u64, now: Instant) -> Option<u64> {
-        if total == 0 || done == 0 || done >= total {
-            return None;
-        }
-        let remaining = total - done;
-        if self.task_items > 0 && self.task_us > 0 {
-            return Some(remaining * self.task_us / self.task_items);
-        }
-        let elapsed =
-            u64::try_from(now.duration_since(self.phase_start).as_micros()).unwrap_or(u64::MAX);
-        Some(remaining.saturating_mul(elapsed) / done)
     }
 }
 
@@ -273,12 +249,11 @@ mod tests {
         let cap = Capture::default();
         let mut p = Progress::with_writer(Box::new(cap.clone()), Duration::ZERO);
         p.phase_started("prematch", Some(0), Some(0.7));
-        p.task(100, 1000);
+        p.task(1000);
         p.tick("pairs", 40, 100);
         let text = cap.text();
         assert!(text.contains("[progress] prematch #0 δ=0.70"), "{text}");
         assert!(text.contains("pairs 40/100 (40.0%)"), "{text}");
-        assert!(text.contains("eta"), "{text}");
     }
 
     #[test]
@@ -312,7 +287,7 @@ mod tests {
         p.phase_started("prematch", Some(0), Some(0.7));
         // no task time yet: workers only, no idle share
         p.utilization(2, 4);
-        p.task(100, 1); // 1µs of recorded work: phase is nearly all idle
+        p.task(1); // 1µs of recorded work: phase is nearly all idle
         std::thread::sleep(Duration::from_millis(2));
         p.utilization(3, 4);
         // subsequent ticks carry the last-seen worker gauge
@@ -344,17 +319,5 @@ mod tests {
         p.tick("household pairs", 20, 0);
         let text = cap.text();
         assert!(text.contains("  truth 12/400"), "{text}");
-    }
-
-    #[test]
-    fn eta_prefers_chunk_throughput() {
-        let mut p = Progress::with_writer(Box::new(Vec::new()), Duration::ZERO);
-        p.phase_started("prematch", None, None);
-        p.task(10, 1_000_000); // 10 items per second
-        let eta = p.eta_us(50, 100, Instant::now()).unwrap();
-        assert_eq!(eta, 5_000_000); // 50 remaining at 10/s
-        assert!(p.eta_us(0, 100, Instant::now()).is_none());
-        assert!(p.eta_us(100, 100, Instant::now()).is_none());
-        assert!(p.eta_us(5, 0, Instant::now()).is_none());
     }
 }

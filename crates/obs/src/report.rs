@@ -156,8 +156,7 @@ pub struct RunTrace {
     /// Distribution telemetry: live-sampled histograms (pair `agg_sim`
     /// scores, subgraph sizes) plus `phase_us_*`/`chunk_us` latency
     /// histograms derived from the spans and the timeline's scoring
-    /// tasks. Empty
-    /// histograms are omitted. Defaults to empty when reading a trace
+    /// tasks. Empty histograms are omitted. Defaults to empty when reading a trace
     /// written before histograms existed.
     #[serde(default)]
     pub histograms: Vec<NamedHistogram>,
@@ -178,9 +177,9 @@ pub struct RunTrace {
     /// always empty for new runs.
     #[serde(default)]
     pub shards: Vec<ShardStat>,
-    /// Per-worker execution timeline and derived scheduler analytics,
-    /// when the run recorded one ([`crate::Collector::with_timeline`]).
-    /// Absent otherwise, and on traces written before timelines existed.
+    /// Per-worker execution timeline and derived scheduler analytics;
+    /// every enabled collector records one. Absent on traces written
+    /// before the timeline was always on, unless that run opted in.
     #[serde(default)]
     pub timeline: Option<Timeline>,
     /// Ground-truth quality telemetry — precision/recall/F1 and the
@@ -472,13 +471,6 @@ impl RunTrace {
         }
         if let Some(tl) = &self.timeline {
             tl.validate(self.total_us)?;
-            let counted = self.counter("timeline_dropped");
-            if tl.dropped != counted {
-                return Err(format!(
-                    "timeline reports {} dropped event(s) but the timeline_dropped counter says {counted}",
-                    tl.dropped
-                ));
-            }
         }
         if let Some(q) = &self.quality {
             q.validate().map_err(|e| format!("quality: {e}"))?;
@@ -722,15 +714,10 @@ impl RunTrace {
         if let Some(tl) = &self.timeline {
             let _ = writeln!(
                 out,
-                "\ntimeline: {} event(s) on {} worker(s), active window {}{}",
+                "\ntimeline: {} event(s) on {} worker(s), active window {}",
                 tl.events.len(),
                 tl.workers,
-                fmt_us(tl.active_us),
-                if tl.dropped > 0 {
-                    format!(", {} dropped", tl.dropped)
-                } else {
-                    String::new()
-                }
+                fmt_us(tl.active_us)
             );
             let _ = writeln!(
                 out,
@@ -1207,7 +1194,7 @@ mod tests {
 
     fn with_timeline(events: Vec<crate::TimelineEvent>) -> RunTrace {
         let mut t = pipeline_trace();
-        t.timeline = Some(Timeline::derive(events, 0));
+        t.timeline = Some(Timeline::derive(events));
         t
     }
 
@@ -1259,24 +1246,6 @@ mod tests {
             42,
         )]);
         assert!(bad.validate_pipeline().is_err());
-    }
-
-    #[test]
-    fn timeline_dropped_must_agree_with_the_counter() {
-        let mut t = with_timeline(vec![timeline_event(
-            0,
-            crate::EventKind::PrematchTask,
-            12,
-            10,
-        )]);
-        t.timeline.as_mut().unwrap().dropped = 4;
-        let err = t.validate_basic().unwrap_err();
-        assert!(err.contains("timeline_dropped"), "{err}");
-        t.counters.push(CounterValue {
-            name: "timeline_dropped".into(),
-            value: 4,
-        });
-        t.validate_basic().unwrap();
     }
 
     #[test]

@@ -1,40 +1,27 @@
-//! Per-worker execution timeline: an opt-in event recorder for the
-//! parallel scoring loops, plus the scheduler analytics derived from it.
+//! Per-worker execution timeline: the pool tasks, queue waits and driver
+//! sections of the collector's event log, plus the scheduler analytics
+//! derived from them.
 //!
 //! The aggregate phase table says *how long* the pipeline spent in each
 //! phase; the timeline says *when each worker did what* — which is the
-//! only way to see load imbalance and queue starvation. Worker threads
-//! append fixed-size [`TimelineEvent`]s (one per prematch task,
-//! subgraph chunk, remainder chunk, δ-iteration boundary, queue-wait
-//! gap or driver section) into per-worker ring buffers owned by the
-//! collector;
-//! [`crate::Collector::finish`] drains them into a [`Timeline`] section
-//! of the trace together with the derived analytics: per-worker
-//! busy/idle utilization over the run's parallel activity window and a
+//! only way to see load imbalance and queue starvation. Every enabled
+//! collector appends one fixed-size [`TimelineEvent`] per prematch task,
+//! subgraph chunk, remainder chunk, queue-wait gap or driver section to
+//! its one event log, next to the closed spans;
+//! [`crate::Collector::finish`] adds a δ-boundary [`EventKind::Iteration`]
+//! mark per iteration span and assembles the [`Timeline`] section of the
+//! trace together with the derived analytics: per-worker busy/idle
+//! utilization over the run's parallel activity window and a
 //! critical-path estimate for the parallel phases.
 //!
 //! # Overhead discipline
 //!
-//! Recording is off unless [`crate::Collector::with_timeline`] was
-//! applied, and an untimed call costs one branch on an `Option`. Events
-//! are coarse — one per *chunk* of work, never per pair — so even the
-//! recording path is a handful of ring pushes per phase. Each ring is
-//! written by exactly one worker at a time (worker ids are stable per
-//! parallel region), so its mutex is uncontended on the fast path; the
-//! registry of rings takes a read lock per event and a write lock only
-//! when a new worker id first appears. Rings are bounded: overflow
-//! drops the *oldest* events and counts them in [`Timeline::dropped`]
-//! (mirrored by the `timeline_dropped` counter) rather than growing or
-//! corrupting the trace.
+//! Events are coarse — one per *task* of work, never per pair — so a
+//! paper-scale run records a few hundred of them, and the log is a plain
+//! list behind one mutex. A disabled collector records nothing: an
+//! untimed call costs one branch on a `bool`.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
-
-/// Default per-worker ring capacity (events). At one event per chunk of
-/// work this covers runs far larger than paper scale; overflow
-/// drops oldest and is counted, never fatal.
-pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
 /// Span and event timestamps truncate independently to whole
 /// microseconds, so an event can appear to outlive its enclosing phase
@@ -54,7 +41,9 @@ pub enum EventKind {
     /// One task of the remainder pass's fresh scoring, or its
     /// cache-served selection (`detail` = pairs scored or selected).
     RemainderChunk,
-    /// A δ-iteration boundary (instant; `detail` = iteration index).
+    /// A δ-iteration boundary, made from an iteration span when the
+    /// trace is assembled (instant, at the span's start; `detail` = δ in
+    /// basis points).
     Iteration,
     /// A gap a pool worker spent between finishing one task and starting
     /// the next (`detail` = the task index it was waiting to claim).
@@ -205,133 +194,6 @@ impl TimelineEvent {
     }
 }
 
-/// Bounded per-worker event buffer: overflow overwrites the oldest
-/// event and bumps the drop count.
-struct WorkerRing {
-    capacity: usize,
-    buf: Vec<TimelineEvent>,
-    /// Index of the oldest event once the ring has wrapped.
-    head: usize,
-    dropped: u64,
-}
-
-impl WorkerRing {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            buf: Vec::new(),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, event: TimelineEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Events oldest-first.
-    fn drain(&self) -> Vec<TimelineEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-}
-
-/// The collector-owned recording state (one per run; see the module
-/// docs for the locking discipline).
-pub(crate) struct TimelineState {
-    capacity: usize,
-    rings: RwLock<Vec<Mutex<WorkerRing>>>,
-    /// Workers currently inside a timed task, for the live progress
-    /// utilization line. Display-only — a panicking worker may leak one.
-    busy: AtomicUsize,
-}
-
-impl TimelineState {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            rings: RwLock::new(Vec::new()),
-            busy: AtomicUsize::new(0),
-        }
-    }
-
-    /// Append an event to `event.worker`'s ring, growing the registry on
-    /// first sight of a worker id.
-    pub(crate) fn push(&self, event: TimelineEvent) {
-        let worker = event.worker as usize;
-        {
-            let rings = self
-                .rings
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(ring) = rings.get(worker) {
-                crate::lock_or_recover(ring).push(event);
-                return;
-            }
-        }
-        let mut rings = self
-            .rings
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while rings.len() <= worker {
-            rings.push(Mutex::new(WorkerRing::new(self.capacity)));
-        }
-        crate::lock_or_recover(&rings[worker]).push(event);
-    }
-
-    pub(crate) fn task_started(&self) {
-        self.busy.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn task_finished(&self) {
-        // saturating: a leaked increment (panicked worker) must not wrap
-        let _ = self
-            .busy
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
-                Some(b.saturating_sub(1))
-            });
-    }
-
-    /// Workers currently inside a timed task.
-    pub(crate) fn busy(&self) -> usize {
-        self.busy.load(Ordering::Relaxed)
-    }
-
-    /// Worker ids seen so far.
-    pub(crate) fn workers(&self) -> usize {
-        self.rings
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
-    /// Drain every ring: events sorted by `(worker, start)` and the total
-    /// drop count.
-    pub(crate) fn drain(&self) -> (Vec<TimelineEvent>, u64) {
-        let rings = self
-            .rings
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut events = Vec::new();
-        let mut dropped = 0u64;
-        for ring in rings.iter() {
-            let guard = crate::lock_or_recover(ring);
-            events.extend(guard.drain());
-            dropped += guard.dropped;
-        }
-        events.sort_by_key(|e| (e.worker, e.start_us, e.duration_us));
-        (events, dropped)
-    }
-}
-
 /// One worker's share of the run's parallel activity window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerUtilization {
@@ -346,17 +208,14 @@ pub struct WorkerUtilization {
     pub utilization: f64,
 }
 
-/// The timeline section of a [`crate::RunTrace`]: the drained raw
-/// events plus the derived scheduler analytics.
+/// The timeline section of a [`crate::RunTrace`]: the raw events plus
+/// the derived scheduler analytics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Timeline {
     /// All recorded events, sorted by `(worker, start_us)`.
     pub events: Vec<TimelineEvent>,
     /// Distinct worker ids that recorded at least one event.
     pub workers: usize,
-    /// Events lost to ring-buffer overflow (oldest dropped first);
-    /// mirrored by the `timeline_dropped` counter.
-    pub dropped: u64,
     /// Length of the union of all busy intervals, µs — the run's
     /// parallel activity window and the utilization denominator. Idle
     /// stretches between parallel regions don't count against workers.
@@ -371,10 +230,10 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Assemble the section from drained state: derive utilization and
-    /// the critical path.
+    /// Assemble the section from the recorded events: derive
+    /// utilization and the critical path.
     #[must_use]
-    pub(crate) fn derive(mut events: Vec<TimelineEvent>, dropped: u64) -> Self {
+    pub(crate) fn derive(mut events: Vec<TimelineEvent>) -> Self {
         events.sort_by_key(|e| (e.worker, e.start_us, e.duration_us));
         let busy_events = |e: &&TimelineEvent| e.kind.is_busy();
 
@@ -439,7 +298,6 @@ impl Timeline {
         Self {
             events,
             workers,
-            dropped,
             active_us,
             utilization,
             critical_path_us,
@@ -533,37 +391,42 @@ mod tests {
     }
 
     #[test]
-    fn ring_overflow_drops_oldest_and_counts() {
-        let mut ring = WorkerRing::new(3);
-        for i in 0..5 {
-            ring.push(ev(0, EventKind::PrematchTask, i * 10, 5, i));
-        }
-        assert_eq!(ring.dropped, 2);
-        let out = ring.drain();
-        assert_eq!(out.len(), 3);
-        // oldest two (details 0, 1) were dropped; order is oldest-first
-        assert_eq!(
-            out.iter().map(|e| e.detail).collect::<Vec<_>>(),
-            vec![2, 3, 4]
-        );
-    }
-
-    #[test]
     fn state_registers_workers_lazily_and_drains_sorted() {
-        let state = TimelineState::new(8);
-        state.push(ev(2, EventKind::PrematchTask, 30, 5, 7));
-        state.push(ev(0, EventKind::PrematchTask, 10, 5, 3));
-        state.push(ev(0, EventKind::QueueWait, 20, 2, 0));
-        assert_eq!(state.workers(), 3);
-        let (events, dropped) = state.drain();
-        assert_eq!(dropped, 0);
+        // derive counts workers up to the highest id seen and sorts the
+        // events by (worker, start), whatever order they were logged in
+        let tl = Timeline::derive(vec![
+            ev(2, EventKind::PrematchTask, 30, 5, 7),
+            ev(0, EventKind::PrematchTask, 10, 5, 3),
+            ev(0, EventKind::QueueWait, 20, 2, 0),
+        ]);
+        assert_eq!(tl.workers, 3);
         assert_eq!(
-            events
+            tl.events
                 .iter()
                 .map(|e| (e.worker, e.start_us))
                 .collect::<Vec<_>>(),
             vec![(0, 10), (0, 20), (2, 30)]
         );
+    }
+
+    #[test]
+    fn derive_keeps_every_event_of_a_busy_worker() {
+        // no per-worker bound: 5,000 back-to-back tasks on one worker all
+        // survive derivation, oldest first, and all count as busy time
+        let tl = Timeline::derive(
+            (0..5_000)
+                .rev()
+                .map(|i| ev(0, EventKind::PrematchTask, i * 10, 5, i))
+                .collect(),
+        );
+        assert_eq!(tl.workers, 1);
+        assert_eq!(
+            tl.events.iter().map(|e| e.detail).collect::<Vec<_>>(),
+            (0..5_000).collect::<Vec<_>>()
+        );
+        assert_eq!(tl.utilization[0].events, 5_000);
+        assert_eq!(tl.utilization[0].busy_us, 5_000 * 5);
+        tl.validate(50_000).unwrap();
     }
 
     #[test]
@@ -576,7 +439,7 @@ mod tests {
             ev(0, EventKind::PrematchTask, 20, 10, 1),
             ev(1, EventKind::PrematchTask, 0, 30, 2),
         ];
-        let tl = Timeline::derive(events, 0);
+        let tl = Timeline::derive(events);
         assert_eq!(tl.active_us, 30);
         assert_eq!(tl.workers, 2);
         assert!((tl.utilization[0].utilization - 2.0 / 3.0).abs() < 1e-9);
@@ -590,13 +453,10 @@ mod tests {
 
     #[test]
     fn validate_rejects_non_monotone_and_out_of_window() {
-        let tl = Timeline::derive(
-            vec![
-                ev(0, EventKind::PrematchTask, 20, 5, 0),
-                ev(0, EventKind::PrematchTask, 10, 5, 1),
-            ],
-            0,
-        );
+        let tl = Timeline::derive(vec![
+            ev(0, EventKind::PrematchTask, 20, 5, 0),
+            ev(0, EventKind::PrematchTask, 10, 5, 1),
+        ]);
         // derive sorts, so corrupt the order by hand (a tampered trace)
         let mut bad = tl.clone();
         bad.events.swap(0, 1);
@@ -615,7 +475,7 @@ mod tests {
         ];
         let mut with_driver = tasks.clone();
         with_driver.push(ev(0, EventKind::Driver, 5, 40, DriverSection::Order.code()));
-        let (plain, driven) = (Timeline::derive(tasks, 0), Timeline::derive(with_driver, 0));
+        let (plain, driven) = (Timeline::derive(tasks), Timeline::derive(with_driver));
         assert_eq!(driven.active_us, plain.active_us);
         assert_eq!(driven.utilization[0].busy_us, plain.utilization[0].busy_us);
         assert_eq!(driven.mean_utilization(), plain.mean_utilization());
@@ -640,7 +500,7 @@ mod tests {
 
     #[test]
     fn empty_timeline_derives_cleanly() {
-        let tl = Timeline::derive(Vec::new(), 0);
+        let tl = Timeline::derive(Vec::new());
         assert_eq!(tl.workers, 0);
         assert_eq!(tl.active_us, 0);
         assert!(tl.utilization.is_empty());
